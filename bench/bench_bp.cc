@@ -1,11 +1,12 @@
-// Navigation-tier ablation: paged cursor vs the tag-summary fused scan vs
-// the in-memory balanced-parentheses index, on navigation-bound queries
-// (StartStrategy::kScan forces the scan path, so the access tier — not
-// index probing — dominates).
+// Navigation-tier ablation: the paged cursor vs the in-memory balanced-
+// parentheses index, on navigation-bound queries (StartStrategy::kScan
+// forces the scan path, so the access tier — not index probing —
+// dominates).
 //
 // Two query classes per dataset: low selectivity (the always-present
 // detail tag; the scan visits everything) and high selectivity (the
-// rarest planted marker; the fused scans get to skip).  Self-checks:
+// rarest planted marker; the fused tag scans visit only its hits).
+// Self-checks:
 //
 //   * every mode returns byte-identical Dewey results;
 //   * bp mode touches zero subject-tree pages on every measured query;
@@ -33,15 +34,13 @@ namespace nok {
 namespace {
 
 struct Mode {
-  bool tag_summaries;
   NavMode nav_mode;
   const char* name;
 };
 
 constexpr Mode kModes[] = {
-    {false, NavMode::kPaged, "paged"},
-    {true, NavMode::kPaged, "fused"},
-    {true, NavMode::kBp, "bp"},
+    {NavMode::kPaged, "paged"},
+    {NavMode::kBp, "bp"},
 };
 
 /// One (dataset, mode, query) measurement.
@@ -113,7 +112,6 @@ int Run(int argc, char** argv) {
       const Mode& mode = kModes[m];
       DocumentStore::Options options;
       options.page_size = page_size;
-      options.use_tag_summaries = mode.tag_summaries;
       options.nav_mode = mode.nav_mode;
       auto store = DocumentStore::Build(ds.xml, options);
       if (!store.ok()) {
@@ -243,7 +241,7 @@ int Run(int argc, char** argv) {
           "\"nav_mode\": \"%s\", \"tag\": \"%s\", \"tag_count\": %llu, "
           "\"results\": %zu, \"best_seconds\": %.6f, "
           "\"mean_seconds\": %.6f, \"pages_scanned\": %llu, "
-          "\"pages_skipped_by_tag\": %llu, \"bp_steps\": %llu, "
+          "\"bp_steps\": %llu, "
           "\"bp_tag_blocks_skipped\": %llu, "
           "\"speedup_vs_paged\": %.4f}%s\n",
           c.dataset.c_str(), kModes[m].name,
@@ -251,7 +249,6 @@ int Run(int argc, char** argv) {
           static_cast<unsigned long long>(c.tag_count), c.results,
           c.best_seconds, c.mean_seconds,
           static_cast<unsigned long long>(c.nav.pages_scanned),
-          static_cast<unsigned long long>(c.nav.pages_skipped_by_tag),
           static_cast<unsigned long long>(c.nav.bp_steps),
           static_cast<unsigned long long>(c.nav.bp_tag_blocks_skipped),
           vs_paged,

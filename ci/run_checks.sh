@@ -132,43 +132,8 @@ run_thread_safety() {
 }
 
 run_bench_smoke() {
-  step "Page-skip ablation bench (tiny dataset)"
-  cmake -S . -B build-ci/bench -DCMAKE_BUILD_TYPE=Release
-  cmake --build build-ci/bench -j "$JOBS" --target bench_pageskip
-  # The bench itself fails if any ablation mode disagrees on results or
-  # if the tag summaries skip nothing for the rarest marker tag.
-  build-ci/bench/bench/bench_pageskip --scale 0.02 --runs 2 \
-      --json build-ci/bench/BENCH_pageskip.json
-
-  step "BENCH_pageskip.json schema check"
-  python3 - build-ci/bench/BENCH_pageskip.json <<'EOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    report = json.load(f)
-
-for key in ("dataset", "scale", "seed", "page_size", "runs",
-            "node_count", "chain_pages", "measurements", "checks"):
-    assert key in report, f"missing key: {key}"
-assert report["measurements"], "no measurements"
-for m in report["measurements"]:
-    for key in ("mode", "header_skip", "tag_summaries", "tag",
-                "tag_count", "results", "mean_seconds", "pages_scanned",
-                "pages_skipped", "pages_skipped_by_tag",
-                "decode_cache_hits"):
-        assert key in m, f"measurement missing key: {key}"
-    if not m["header_skip"]:
-        assert m["pages_skipped"] == 0, f"skip counter without knob: {m}"
-    if not m["tag_summaries"]:
-        assert m["pages_skipped_by_tag"] == 0, \
-            f"tag-skip counter without knob: {m}"
-assert report["checks"]["results_identical"] is True
-assert report["checks"]["tag_skip_effective"] is True
-print("BENCH_pageskip.json: schema ok,",
-      len(report["measurements"]), "measurements")
-EOF
-
   step "Planner ablation bench (tiny dataset)"
+  cmake -S . -B build-ci/bench -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci/bench -j "$JOBS" --target bench_planner
   # The bench itself fails if any mode disagrees on results, if the
   # cost-based order regresses any query, or if no branchy query reaches
@@ -244,7 +209,7 @@ modes = set()
 for m in report["measurements"]:
     for key in ("dataset", "mode", "nav_mode", "tag", "tag_count",
                 "results", "best_seconds", "mean_seconds",
-                "pages_scanned", "pages_skipped_by_tag", "bp_steps",
+                "pages_scanned", "bp_steps",
                 "bp_tag_blocks_skipped", "speedup_vs_paged"):
         assert key in m, f"measurement missing key: {key}"
     modes.add(m["mode"])
@@ -253,7 +218,7 @@ for m in report["measurements"]:
         assert m["bp_steps"] > 0, f"bp took no steps: {m}"
     else:
         assert m["bp_steps"] == 0, f"bp steps without bp mode: {m}"
-assert modes == {"paged", "fused", "bp"}, f"bad mode set: {modes}"
+assert modes == {"paged", "bp"}, f"bad mode set: {modes}"
 assert report["checks"]["results_identical"] is True
 assert report["checks"]["bp_zero_pages"] is True
 assert report["checks"]["bp_speedup_achieved"] is True

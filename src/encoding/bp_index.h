@@ -1,7 +1,6 @@
-// In-memory balanced-parentheses structural index — the third navigation
-// tier beside the paged cursor and the tag-summary fused scan (ROADMAP
-// item 4; Arroyuelo et al., "Fast In-Memory XPath Search over Compressed
-// Text and Tree Indexes").
+// In-memory balanced-parentheses structural index — the second navigation
+// tier beside the paged string cursor (Arroyuelo et al., "Fast In-Memory
+// XPath Search over Compressed Text and Tree Indexes").
 //
 // The document topology is re-encoded as a balanced-parentheses bitvector:
 // one open bit (1) and one close bit (0) per node, in document order —

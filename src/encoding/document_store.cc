@@ -153,7 +153,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   tree_options.reserve_ratio = options.reserve_ratio;
   tree_options.pool_frames = options.pool_frames;
   tree_options.use_header_skip = options.use_header_skip;
-  tree_options.use_tag_summaries = options.use_tag_summaries;
   tree_options.checksum_pages = options.checksum_pages;
   StringStore::Builder builder(std::move(tree_file), tree_options);
 
@@ -378,7 +377,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   tree_options.pool_frames = options.pool_frames;
   tree_options.pool_shards = options.pool_shards;
   tree_options.use_header_skip = options.use_header_skip;
-  tree_options.use_tag_summaries = options.use_tag_summaries;
   tree_options.checksum_pages = checksummed;
   tree_options.read_only = options.read_only;
   NOK_ASSIGN_OR_RETURN(store->tree_, StringStore::Open(std::move(tree_file),
@@ -882,7 +880,7 @@ bool DocumentStore::TrySynopsisSidecar() {
     return true;
   }
   // Stale or damaged sidecar (the CRC rejects torn writes): the caller
-  // rebuilds from the page chain; `nokq verify` pass 6 reports details.
+  // rebuilds from the page chain; `nokq verify` pass 5 reports details.
   return false;
 }
 

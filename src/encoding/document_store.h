@@ -55,8 +55,8 @@ inline constexpr const char* kSynopsis = "synopsis.pds";
 
 /// How tree steps are answered at query time.
 enum class NavMode {
-  /// The paper's paged string cursor (BufferPool page decodes, header /
-  /// tag-summary skips).  The durability story; always available.
+  /// The paper's paged string cursor (BufferPool page decodes, (st,lo,hi)
+  /// header skips).  The durability story; always available.
   kPaged,
   /// The in-memory balanced-parentheses index (bp_index.h): O(1)
   /// FIRST-CHILD / FOLLOWING-SIBLING / PARENT with zero page traffic,
@@ -93,11 +93,6 @@ struct DocumentStoreOptions {
   bool read_only = false;
   /// Toggle for the (st,lo,hi) page-skip optimization (Section 5).
   bool use_header_skip = true;
-  /// Toggle for the per-page tag summaries consulted by tag-filtered
-  /// scans (see tag_summary.h).  Mirrors use_header_skip as an ablation
-  /// knob; when off, the tree string is written in the plain v1/v2
-  /// format.
-  bool use_tag_summaries = true;
   /// Store every component with integrity checksums: CRC-32C page
   /// trailers in the tree string and the B+ trees, per-record CRCs in the
   /// value file.  Recorded in the tree meta page, so OpenDir detects the

@@ -190,37 +190,7 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                  std::to_string(store->tree()->node_count()) + " nodes");
   }
 
-  // Pass 4: per-page tag summaries.  Recompute every chain page's summary
-  // from its body and compare against the summary the store navigates by
-  // (loaded from the v3/v4 meta extension or rebuilt on open).  A stale
-  // summary cannot cause wrong answers on its own (false positives only
-  // slow scans down), but a summary missing a present tag makes
-  // NextOpenWithTag skip matches, so a mismatch is real damage.
-  StringStore* tree = store->tree();
-  if (tree->options().use_tag_summaries) {
-    for (size_t i = 0; i < tree->chain_length(); ++i) {
-      const PageId page = tree->chain_page(i);
-      auto expect = tree->ComputeTagSummary(page);
-      if (!expect.ok()) {
-        AddIssue(&report, store_files::kTree,
-                 "page " + std::to_string(page) +
-                     ": cannot recompute tag summary: " +
-                     expect.status().ToString());
-      } else if (tree->tag_summary(page) != expect.ValueOrDie()) {
-        AddIssue(&report, store_files::kTree,
-                 "page " + std::to_string(page) + ": stored tag summary " +
-                     std::to_string(tree->tag_summary(page)) +
-                     " disagrees with the page body (expected " +
-                     std::to_string(expect.ValueOrDie()) + ")");
-      }
-      if (report.issues.size() >= kMaxIssues) {
-        report.truncated = true;
-        break;
-      }
-    }
-  }
-
-  // Pass 5: the balanced-parentheses sidecar, when one was persisted.
+  // Pass 4: the balanced-parentheses sidecar, when one was persisted.
   // LoadFrom validates the envelope (magic, format version, shape,
   // CRC-32C) — a flipped payload byte surfaces here as Corruption.  The
   // CRC only vouches that the bytes match what was written; the compare
@@ -280,8 +250,8 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
     }
   }
 
-  // Pass 6: the path-synopsis sidecar, when one was persisted.  Same
-  // shape as pass 5: LoadFrom catches envelope damage (magic, version,
+  // Pass 5: the path-synopsis sidecar, when one was persisted.  Same
+  // shape as pass 4: LoadFrom catches envelope damage (magic, version,
   // CRC-32C over the trie records), and when the epochs agree a rebuild
   // from the tree string catches a sidecar whose bytes are internally
   // consistent but no longer describe this document.
@@ -300,7 +270,7 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
       return report;
     }
     const PathSynopsis& side = *side_or.ValueOrDie();
-    // Stale-not-damaged: same policy as pass 5 above.
+    // Stale-not-damaged: same policy as pass 4 above.
     if (side.epoch() == store->epoch()) {
       auto fresh_or = PathSynopsis::Build(store->tree(), side.epoch());
       if (!fresh_or.ok()) {

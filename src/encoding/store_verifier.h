@@ -12,16 +12,13 @@
 //      re-derived by pure FIRST-CHILD / FOLLOWING-SIBLING navigation of
 //      the tree string and compared against the stored entry, and its
 //      value record is read (which verifies the record CRC).
-//   4. Tag-summary cross-check: when the store navigates by per-page tag
-//      summaries, every chain page's summary is recomputed from the page
-//      body and compared against the word the scans consult, so a stale
-//      or corrupted summary cannot silently cause skipped matches.
-//   5. BP-sidecar cross-check: when a tree.bpx balanced-parentheses
+//   4. BP-sidecar cross-check: when a tree.bpx balanced-parentheses
 //      sidecar is present, it is parsed (magic, version, CRC-32C) and its
 //      parenthesis bits and preorder tags are compared against a fresh
-//      recompute from the page chain; a stale epoch is also flagged,
-//      since bp-mode navigation built from a diverged sidecar would
-//      answer queries from the wrong topology.
+//      recompute from the page chain.  A stale-epoch sidecar is never
+//      trusted by any open, so it counts as missing, not damaged.
+//   5. Synopsis-sidecar cross-check: the same for synopsis.pds, whose
+//      path records are compared against a rebuild from the page chain.
 //
 // The scrub never repairs anything; it reports.  Repair is rebuilding
 // from the source document or restoring from a copy.

@@ -5,7 +5,6 @@
 
 #include "common/coding.h"
 #include "common/logging.h"
-#include "encoding/tag_summary.h"
 
 namespace nok {
 
@@ -23,21 +22,16 @@ constexpr size_t kMetaMaxLevel = 20;
 constexpr size_t kMetaFirstData = 24;
 constexpr size_t kMetaFreeList = 28;
 // Version 0 is the pre-versioning layout (raw pages, epoch 0); 1 is raw
-// with version/epoch fields; 2 is checksummed; 3/4 are 1/2 plus the tag-
-// summary meta extension below.  Data pages are byte-identical between 1
-// and 3 (and between 2 and 4): the summaries live only in the meta page.
+// with version/epoch fields; 2 is checksummed.  Versions 3/4 were 1/2
+// plus per-page tag summaries appended to the meta page; their data pages
+// are byte-identical to 1/2, so they are read as 1/2 with the extension
+// ignored (and rewritten as 1/2 by the next meta-page write).
 constexpr size_t kMetaVersion = 32;
 constexpr size_t kMetaEpoch = 36;
-// Tag-summary extension (format v3/v4): a fixed32 count of persisted
-// per-page words, then count fixed64 summaries for PageId 1..count.
-// Count is 0 when the words do not fit in the meta page; openers rebuild
-// them from page bodies in that case.
-constexpr size_t kMetaSummaryCount = 44;
-constexpr size_t kMetaSummaryBase = 48;
 constexpr uint32_t kFormatVersionRaw = 1;
 constexpr uint32_t kFormatVersionChecksummed = 2;
-constexpr uint32_t kFormatVersionRawTagged = 3;
-constexpr uint32_t kFormatVersionChecksummedTagged = 4;
+constexpr uint32_t kFormatVersionLegacyRaw = 3;
+constexpr uint32_t kFormatVersionLegacyChecksummed = 4;
 
 PageFormat FormatFor(const StringStoreOptions& options) {
   return options.checksum_pages ? PageFormat::kChecksummed
@@ -45,52 +39,8 @@ PageFormat FormatFor(const StringStoreOptions& options) {
 }
 
 uint32_t FormatVersionFor(const StringStoreOptions& options) {
-  if (options.use_tag_summaries) {
-    return options.checksum_pages ? kFormatVersionChecksummedTagged
-                                  : kFormatVersionRawTagged;
-  }
   return options.checksum_pages ? kFormatVersionChecksummed
                                 : kFormatVersionRaw;
-}
-
-/// Writes the tag-summary extension into a meta-page buffer: the words
-/// for PageId 1..count when they fit, a zero count otherwise.
-void EncodeSummaryExtension(char* meta, uint32_t page_size,
-                            const uint64_t* words, size_t count) {
-  if (count == 0 || kMetaSummaryBase + 8 * count > page_size) {
-    EncodeFixed32(meta + kMetaSummaryCount, 0);
-    return;
-  }
-  EncodeFixed32(meta + kMetaSummaryCount, static_cast<uint32_t>(count));
-  for (size_t i = 0; i < count; ++i) {
-    EncodeFixed64(meta + kMetaSummaryBase + 8 * i, words[i]);
-  }
-}
-
-/// Accumulates the tag summary of one page body by decoding its symbols.
-Result<uint64_t> SummaryFromBody(const char* body, uint16_t used,
-                                 PageId page) {
-  uint64_t bits = 0;
-  uint16_t off = 0;
-  while (off < used) {
-    const unsigned char b = static_cast<unsigned char>(body[off]);
-    if (b & 0x80) {
-      if (off + 1 >= used) {
-        return Status::Corruption("truncated open symbol in page " +
-                                  std::to_string(page));
-      }
-      const TagId tag = static_cast<TagId>(
-          ((b & 0x7f) << 8) | static_cast<unsigned char>(body[off + 1]));
-      bits |= TagSummaryBits(tag);
-      off = static_cast<uint16_t>(off + 2);
-    } else if (b == 0) {
-      off = static_cast<uint16_t>(off + 1);
-    } else {
-      return Status::Corruption("bad symbol byte in page " +
-                                std::to_string(page));
-    }
-  }
-  return bits;
 }
 
 }  // namespace
@@ -157,11 +107,7 @@ Status StringStore::Builder::FlushPage(PageId next) {
   h.used = used_bytes_;
   h.next = next;
   EncodeStorePageHeader(page_buf_.data(), h);
-  NOK_RETURN_IF_ERROR(pager_->WritePage(cur_page_, page_buf_.data()));
-  // The bulk build lays pages out sequentially, so chain order equals
-  // PageId order and this vector lines up with PageId 1..n.
-  summaries_.push_back(cur_tag_bits_);
-  return Status::OK();
+  return pager_->WritePage(cur_page_, page_buf_.data());
 }
 
 Status StringStore::Builder::AppendSymbol(const char* bytes, uint32_t n,
@@ -177,7 +123,6 @@ Status StringStore::Builder::AppendSymbol(const char* bytes, uint32_t n,
     used_bytes_ = 0;
     syms_in_page_ = 0;
     page_has_symbols_ = false;
-    cur_tag_bits_ = 0;
     // st is the level of the last symbol of the PREVIOUS page, i.e. the
     // running level before the pending symbol: one below new_level for an
     // open (n == 2), one above for a close.
@@ -217,7 +162,6 @@ Status StringStore::Builder::Open(TagId tag, uint64_t* global_pos) {
   ++level_;
   if (level_ > max_level_) max_level_ = level_;
   NOK_RETURN_IF_ERROR(AppendSymbol(bytes, 2, level_));
-  cur_tag_bits_ |= TagSummaryBits(tag);  // After any page break.
   ++node_count_;
   if (global_pos != nullptr) *global_pos = pos;
   return Status::OK();
@@ -262,10 +206,6 @@ Result<std::unique_ptr<StringStore>> StringStore::Builder::Finish(
   EncodeFixed32(meta.data() + kMetaFreeList, kInvalidPage);
   EncodeFixed32(meta.data() + kMetaVersion, FormatVersionFor(options_));
   EncodeFixed64(meta.data() + kMetaEpoch, epoch);
-  if (options_.use_tag_summaries) {
-    EncodeSummaryExtension(meta.data(), options_.page_size,
-                           summaries_.data(), summaries_.size());
-  }
   NOK_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
   NOK_RETURN_IF_ERROR(pager_->Sync());
   finished_ = true;
@@ -306,13 +246,13 @@ Status StringStore::Init(std::unique_ptr<File> file) {
         std::to_string(DecodeFixed32(buf.data() + kMetaPageSize)));
   }
   const uint32_t version = DecodeFixed32(buf.data() + kMetaVersion);
-  if (version > kFormatVersionChecksummedTagged) {
+  if (version > kFormatVersionLegacyChecksummed) {
     return Status::Corruption("unknown string store format version " +
                               std::to_string(version));
   }
   const bool checksummed_version =
       version == kFormatVersionChecksummed ||
-      version == kFormatVersionChecksummedTagged;
+      version == kFormatVersionLegacyChecksummed;
   if (version != 0 && checksummed_version != options_.checksum_pages) {
     return Status::Corruption("string store format version " +
                               std::to_string(version) +
@@ -323,26 +263,6 @@ Status StringStore::Init(std::unique_ptr<File> file) {
   first_data_page_ = DecodeFixed32(buf.data() + kMetaFirstData);
   free_list_head_ = DecodeFixed32(buf.data() + kMetaFreeList);
   epoch_ = DecodeFixed64(buf.data() + kMetaEpoch);
-
-  // Tagged formats may carry the per-page tag summaries in the meta page;
-  // anything else (v1/v2 files, or summaries that did not fit) is rebuilt
-  // from the page bodies in ReloadHeaders.
-  summaries_persisted_ = false;
-  const bool tagged = version == kFormatVersionRawTagged ||
-                      version == kFormatVersionChecksummedTagged;
-  if (tagged && options_.use_tag_summaries) {
-    const uint32_t count = DecodeFixed32(buf.data() + kMetaSummaryCount);
-    const PageId n = pager_->page_count();
-    if (count > 0 && count == n - 1 &&
-        kMetaSummaryBase + 8ull * count <= options_.page_size) {
-      tag_summaries_.assign(n, 0);
-      for (uint32_t i = 0; i < count; ++i) {
-        tag_summaries_[i + 1] =
-            DecodeFixed64(buf.data() + kMetaSummaryBase + 8 * i);
-      }
-      summaries_persisted_ = true;
-    }
-  }
   return ReloadHeaders();
 }
 
@@ -383,10 +303,10 @@ Result<bool> StringStore::SniffChecksummed(File* file) {
   switch (version) {
     case 0:  // Pre-versioning files are raw.
     case kFormatVersionRaw:
-    case kFormatVersionRawTagged:
+    case kFormatVersionLegacyRaw:
       return false;
     case kFormatVersionChecksummed:
-    case kFormatVersionChecksummedTagged:
+    case kFormatVersionLegacyChecksummed:
       return true;
     default:
       return Status::Corruption("unknown string store format version " +
@@ -398,14 +318,6 @@ Status StringStore::ReloadHeaders() {
   NOK_RETURN_IF_ERROR(pool_->FlushAll());
   const PageId n = pager_->page_count();
   headers_.assign(n, StorePageHeader{});
-  // Keep meta-loaded summaries when they line up with the file; rebuild
-  // from page bodies otherwise (v1/v2 files, or extension too small).
-  const bool rebuild_summaries =
-      options_.use_tag_summaries &&
-      (!summaries_persisted_ || tag_summaries_.size() != n);
-  if (rebuild_summaries || !options_.use_tag_summaries) {
-    tag_summaries_.assign(n, 0);
-  }
   std::string buf(options_.page_size, '\0');
   const uint16_t max_used =
       static_cast<uint16_t>(options_.page_size - kPageHeaderSize);
@@ -417,12 +329,6 @@ Status StringStore::ReloadHeaders() {
           "page " + std::to_string(p) + " claims " +
           std::to_string(headers_[p].used) +
           " used bytes, more than a page body holds");
-    }
-    if (rebuild_summaries) {
-      NOK_ASSIGN_OR_RETURN(
-          tag_summaries_[p],
-          SummaryFromBody(buf.data() + kPageHeaderSize, headers_[p].used,
-                          p));
     }
   }
   return RebuildChainFromHeaders();
@@ -460,11 +366,6 @@ Status StringStore::WriteMetaPage() {
   EncodeFixed32(meta.data() + kMetaFreeList, free_list_head_);
   EncodeFixed32(meta.data() + kMetaVersion, FormatVersionFor(options_));
   EncodeFixed64(meta.data() + kMetaEpoch, epoch_);
-  if (options_.use_tag_summaries && !tag_summaries_.empty()) {
-    EncodeSummaryExtension(meta.data(), options_.page_size,
-                           tag_summaries_.data() + 1,
-                           tag_summaries_.size() - 1);
-  }
   NOK_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
   meta_dirty_ = false;
   return Status::OK();
@@ -473,23 +374,6 @@ Status StringStore::WriteMetaPage() {
 const StorePageHeader& StringStore::header(PageId page) const {
   NOK_CHECK(page < headers_.size());
   return headers_[page];
-}
-
-uint64_t StringStore::tag_summary(PageId page) const {
-  NOK_CHECK(page < tag_summaries_.size());
-  return tag_summaries_[page];
-}
-
-Result<uint64_t> StringStore::ComputeTagSummary(PageId page) {
-  if (page == kMetaPage || page >= headers_.size()) {
-    return Status::OutOfRange("page id out of range");
-  }
-  NOK_ASSIGN_OR_RETURN(auto vh, FetchView(page));
-  uint64_t bits = 0;
-  for (const TagId tag : vh.view->tag) {
-    bits |= TagSummaryBits(tag);  // Close symbols contribute nothing.
-  }
-  return bits;
 }
 
 PageId StringStore::NextInChain(PageId page) const {
@@ -587,30 +471,15 @@ Result<int> StringStore::LevelAt(StorePos pos) {
 template <typename Pred>
 Result<std::optional<StorePos>> StringStore::ScanForward(StorePos pos,
                                                          int skip_level,
-                                                         Pred pred,
-                                                         TagId filter_tag,
-                                                         int tag_stop_level) {
+                                                         Pred pred) {
   PageId page = pos.page;
   uint32_t idx = static_cast<uint32_t>(pos.idx) + 1;
   for (;;) {
     const StorePageHeader& h = headers_[page];
-    bool can_skip = false;
-    if (idx == 0 && h.used > 0) {
-      if (options_.use_header_skip && h.lo > skip_level) {
-        can_skip = true;
-        nav_pages_skipped_.fetch_add(1, std::memory_order_relaxed);
-      } else if (filter_tag != kInvalidTag && options_.use_tag_summaries &&
-                 h.lo > tag_stop_level &&
-                 !SummaryMayContain(tag_summaries_[page], filter_tag)) {
-        // The summary proves the tag is absent and the level range proves
-        // no stop symbol can occur here either, so pred would return
-        // kContinue for the whole page.
-        can_skip = true;
-        nav_pages_tag_skipped_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    if (can_skip) {
-      // Nothing to do: advance to the next page below.
+    if (idx == 0 && h.used > 0 && options_.use_header_skip &&
+        h.lo > skip_level) {
+      // Nothing of interest in this page: advance to the next one below.
+      nav_pages_skipped_.fetch_add(1, std::memory_order_relaxed);
     } else if (h.used > 0) {
       NOK_ASSIGN_OR_RETURN(auto vh, FetchView(page));
       const PageView& view = *vh.view;
@@ -722,16 +591,12 @@ Result<std::optional<StorePos>> StringStore::NextOpenWithTag(StorePos pos,
   if (tag == kInvalidTag) {
     return Status::InvalidArgument("NextOpenWithTag requires a valid tag");
   }
-  // skip_level INT_MAX disables the level skip (a full scan has no level
-  // bound); pages are pruned purely by their tag summary.  The predicate
-  // never stops, so the INT_MIN stop level is sound.
-  return ScanForward(
-      pos, /*skip_level=*/std::numeric_limits<int>::max(),
-      [&](int, TagId t) {
-        return t == tag ? ScanAction::kFound : ScanAction::kContinue;
-      },
-      /*filter_tag=*/tag,
-      /*tag_stop_level=*/std::numeric_limits<int>::min());
+  // A full scan has no level bound: skip_level INT_MAX reads every page.
+  return ScanForward(pos, /*skip_level=*/std::numeric_limits<int>::max(),
+                     [&](int, TagId t) {
+                       return t == tag ? ScanAction::kFound
+                                       : ScanAction::kContinue;
+                     });
 }
 
 Status StringStore::VisitSymbols(

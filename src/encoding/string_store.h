@@ -39,7 +39,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <limits>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -100,13 +99,6 @@ struct StringStoreOptions {
   /// chain order instead of consulting the (st,lo,hi) headers — the
   /// ablation knob for the Section 5 optimization.
   bool use_header_skip = true;
-  /// When true, per-page 64-bit tag summaries (see tag_summary.h) are
-  /// maintained and consulted by tag-filtered scans, letting
-  /// NextOpenWithTag skip pages that certainly lack the tag — the
-  /// ablation knob mirroring use_header_skip.  When false, summaries are
-  /// neither rebuilt on open nor persisted (the store writes the plain
-  /// v1/v2 meta layout).
-  bool use_tag_summaries = true;
   /// Store pages with CRC-32C trailers (PageFormat::kChecksummed).  Must
   /// match the format the file was created with.
   bool checksum_pages = false;
@@ -168,8 +160,6 @@ class StringStore {
     uint64_t node_count_ = 0;
     int max_level_ = 0;
     bool finished_ = false;
-    uint64_t cur_tag_bits_ = 0;          ///< Summary of cur_page_ so far.
-    std::vector<uint64_t> summaries_;    ///< Per flushed page, chain order.
   };
 
   /// Opens an existing store; reads the meta page and mirrors all page
@@ -223,10 +213,7 @@ class StringStore {
   Result<std::optional<StorePos>> NextOpen(StorePos pos);
 
   /// Fused NextOpen + TagAt: the next open symbol strictly after pos
-  /// whose tag equals `tag`.  Consults the per-page tag summaries (when
-  /// enabled) so pages that certainly lack the tag are skipped without
-  /// touching the BufferPool; skips are counted in
-  /// NavStats::pages_skipped_by_tag.
+  /// whose tag equals `tag` (one forward scan, no per-symbol calls).
   Result<std::optional<StorePos>> NextOpenWithTag(StorePos pos, TagId tag);
 
   /// Visits every symbol in document order — one sequential chain scan
@@ -259,25 +246,13 @@ class StringStore {
 
   const StorePageHeader& header(PageId page) const;
 
-  /// The in-memory tag summary of a page (0 when summaries are disabled).
-  uint64_t tag_summary(PageId page) const;
-
-  /// Whether the summaries were loaded from the meta extension (format
-  /// v3/v4) rather than rebuilt from page bodies on open.
-  bool summaries_persisted() const { return summaries_persisted_; }
-
-  /// Recomputes a page's tag summary from its body (independent of the
-  /// in-memory mirror) — the verifier cross-checks this against
-  /// tag_summary(page).
-  Result<uint64_t> ComputeTagSummary(PageId page);
-
   /// Navigation-level statistics (complementing BufferPool I/O counters).
   /// Counters are atomic so concurrent readers can bump them; nav_stats()
   /// returns a relaxed snapshot.
   struct NavStats {
     uint64_t pages_scanned = 0;   ///< Page bodies materialized.
     uint64_t pages_skipped = 0;   ///< Pages skipped via (st,lo,hi).
-    /// Pages skipped because the tag summary ruled the tag out.
+    /// Nothing writes this any more; kept because e2ebench/ reads it.
     uint64_t pages_skipped_by_tag = 0;
     /// FetchView calls answered by an already-decoded frame decoration
     /// (no symbol re-decode; a subset of pages_scanned).
@@ -294,8 +269,6 @@ class StringStore {
         nav_pages_scanned_.load(std::memory_order_relaxed);
     snap.pages_skipped =
         nav_pages_skipped_.load(std::memory_order_relaxed);
-    snap.pages_skipped_by_tag =
-        nav_pages_tag_skipped_.load(std::memory_order_relaxed);
     snap.decode_cache_hits =
         nav_decode_cache_hits_.load(std::memory_order_relaxed);
     snap.bp_steps = nav_bp_steps_.load(std::memory_order_relaxed);
@@ -306,7 +279,6 @@ class StringStore {
   void ResetNavStats() {
     nav_pages_scanned_.store(0, std::memory_order_relaxed);
     nav_pages_skipped_.store(0, std::memory_order_relaxed);
-    nav_pages_tag_skipped_.store(0, std::memory_order_relaxed);
     nav_decode_cache_hits_.store(0, std::memory_order_relaxed);
     nav_bp_steps_.store(0, std::memory_order_relaxed);
     nav_bp_tag_blocks_.store(0, std::memory_order_relaxed);
@@ -372,19 +344,9 @@ class StringStore {
   /// kFound position, or nullopt on kStop / end of string.  When header
   /// skipping is enabled, pages whose lo exceeds skip_level are skipped
   /// without materializing (they cannot contain a symbol of interest).
-  ///
-  /// When filter_tag is valid and tag summaries are enabled, a page whose
-  /// summary rules the tag out AND whose lo exceeds tag_stop_level is
-  /// also skipped.  Callers must guarantee that pred returns kContinue
-  /// (never kFound/kStop) for every symbol such a page could contain:
-  /// any open symbol with a different tag, and any symbol at a level
-  /// above tag_stop_level.  The default INT_MIN stop level asserts that
-  /// pred never stops at all (a full-chain scan).
   template <typename Pred>
-  Result<std::optional<StorePos>> ScanForward(
-      StorePos pos, int skip_level, Pred pred,
-      TagId filter_tag = kInvalidTag,
-      int tag_stop_level = std::numeric_limits<int>::min());
+  Result<std::optional<StorePos>> ScanForward(StorePos pos, int skip_level,
+                                              Pred pred);
 
   /// Rewrites the meta page from the in-memory counters (node count, free
   /// list head).
@@ -397,7 +359,6 @@ class StringStore {
   std::unique_ptr<Pager> pager_;
   std::unique_ptr<BufferPool> pool_;
   std::vector<StorePageHeader> headers_;   // Indexed by PageId.
-  std::vector<uint64_t> tag_summaries_;    // Indexed by PageId.
   std::vector<PageId> chain_;              // Chain order.
   std::vector<uint64_t> chain_seq_;        // PageId -> chain index.
   PageId first_data_page_ = kInvalidPage;
@@ -407,11 +368,9 @@ class StringStore {
   PageId free_list_head_ = kInvalidPage;   // Reusable pages after deletes.
   std::atomic<uint64_t> nav_pages_scanned_{0};
   std::atomic<uint64_t> nav_pages_skipped_{0};
-  std::atomic<uint64_t> nav_pages_tag_skipped_{0};
   std::atomic<uint64_t> nav_decode_cache_hits_{0};
   std::atomic<uint64_t> nav_bp_steps_{0};
   std::atomic<uint64_t> nav_bp_tag_blocks_{0};
-  bool summaries_persisted_ = false;
   bool meta_dirty_ = false;
 };
 

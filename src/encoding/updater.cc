@@ -6,7 +6,6 @@
 #include "common/coding.h"
 #include "common/logging.h"
 #include "encoding/document_store.h"
-#include "encoding/tag_summary.h"
 #include "xml/dom.h"
 
 namespace nok {
@@ -59,7 +58,6 @@ Result<int16_t> TreeUpdater::RecomputeHeader(PageId page) {
   const char* body = data + kStorePageHeaderSize;
   int level = h.st;
   int lo = level, hi = level;
-  uint64_t tag_bits = 0;
   bool any = false;
   uint16_t off = 0;
   while (off < h.used) {
@@ -69,8 +67,6 @@ Result<int16_t> TreeUpdater::RecomputeHeader(PageId page) {
         return Status::Corruption(
             "truncated open symbol while recomputing header");
       }
-      tag_bits |= TagSummaryBits(static_cast<TagId>(
-          ((b & 0x7f) << 8) | static_cast<unsigned char>(body[off + 1])));
       ++level;
       off = static_cast<uint16_t>(off + 2);
     } else if (b == 0) {
@@ -89,9 +85,6 @@ Result<int16_t> TreeUpdater::RecomputeHeader(PageId page) {
   }
   h.lo = static_cast<int16_t>(any ? lo : 0);
   h.hi = static_cast<int16_t>(any ? hi : 0);
-  if (page < store_->tag_summaries_.size()) {
-    store_->tag_summaries_[page] = tag_bits;
-  }
   EncodeStorePageHeader(data, h);
   handle.MarkDirty();
   handle.set_decoration(nullptr);
@@ -104,13 +97,9 @@ Status TreeUpdater::AllocatePage(PageId* id) {
     *id = store_->free_list_head_;
     store_->free_list_head_ = store_->headers_[*id].next;
     store_->headers_[*id] = StorePageHeader{};
-    if (*id < store_->tag_summaries_.size()) {
-      store_->tag_summaries_[*id] = 0;
-    }
   } else {
     NOK_RETURN_IF_ERROR(store_->pager_->AllocatePage(id));
     store_->headers_.resize(store_->pager_->page_count());
-    store_->tag_summaries_.resize(store_->pager_->page_count(), 0);
   }
   ++last_pages_allocated_;
   return Status::OK();

@@ -1,14 +1,14 @@
 // BpCursor: the TreeCursor over the in-memory balanced-parentheses index
-// (encoding/bp_index.h) — the third navigation tier beside the paged
-// StoreCursor (physical_matcher.h) and the tag-summary fused scan.
+// (encoding/bp_index.h) — the second navigation tier beside the paged
+// StoreCursor (physical_matcher.h).
 //
 // Tree steps are O(1)-ish bit operations on the BP bitvector: FIRST-CHILD
-// is a bit probe, FOLLOWING-SIBLING a findclose, and — unlike the paged
-// cursor — PARENT is cheap too (an enclose).  No BufferPool traffic at
-// all; value predicates still go through the B+i/data-file pair keyed by
-// the Dewey ID, exactly as in paged mode, so answers are identical across
-// navigation modes.  Steps are counted into NavStats::bp_steps on the
-// owning store so one snapshot covers all tiers.
+// is a bit probe and FOLLOWING-SIBLING a findclose.  No BufferPool
+// traffic at all; value predicates still go through the B+i/data-file
+// pair keyed by the Dewey ID, exactly as in paged mode, so answers are
+// identical across navigation modes.  Steps are counted into
+// NavStats::bp_steps on the owning store so one snapshot covers all
+// tiers.
 
 #ifndef NOKXML_NOK_BP_CURSOR_H_
 #define NOKXML_NOK_BP_CURSOR_H_
@@ -48,36 +48,6 @@ class BpCursor {
     return node;
   }
 
-  /// Node handle for an arbitrary Dewey ID: a pure BP walk (component k
-  /// = FIRST-CHILD then k FOLLOWING-SIBLINGs), no index or page access.
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    const auto& components = dewey.components();
-    if (components.empty() || components[0] != 0) {
-      return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
-    }
-    if (bp_->node_count() == 0) {
-      return Status::NotFound("no node with Dewey ID " + dewey.ToString());
-    }
-    uint64_t pos = 0;
-    uint64_t steps = 1;
-    for (size_t i = 1; i < components.size(); ++i) {
-      ++steps;
-      std::optional<uint64_t> child = bp_->FirstChild(pos);
-      for (uint64_t k = 0; child.has_value() && k < components[i]; ++k) {
-        ++steps;
-        child = bp_->FollowingSibling(*child);
-      }
-      if (!child.has_value()) {
-        store_->tree()->BumpBpSteps(steps);
-        return Status::NotFound("no node with Dewey ID " +
-                                dewey.ToString());
-      }
-      pos = *child;
-    }
-    store_->tree()->BumpBpSteps(steps);
-    return NodeT{pos, dewey, false};
-  }
-
   Result<std::optional<NodeT>> FirstChild(const NodeT& node) {
     if (node.virtual_root) {
       if (bp_->node_count() == 0) return std::optional<NodeT>();
@@ -99,21 +69,6 @@ class BpCursor {
     NodeT next{*sibling, node.dewey, false};
     next.dewey.NextSibling();  // In place: no component-vector rebuild.
     return std::optional<NodeT>(std::move(next));
-  }
-
-  /// PARENT — the step the paged cursor cannot answer without a rescan.
-  Result<std::optional<NodeT>> Parent(const NodeT& node) {
-    if (node.virtual_root) return std::optional<NodeT>();
-    if (node.dewey.depth() == 1) {
-      return std::optional<NodeT>(VirtualRoot());
-    }
-    store_->tree()->BumpBpSteps(1);
-    const auto parent = bp_->Parent(node.pos);
-    if (!parent.has_value()) return std::optional<NodeT>();
-    std::optional<DeweyId> up = node.dewey.Parent();
-    if (!up.has_value()) return std::optional<NodeT>();
-    return std::optional<NodeT>(
-        NodeT{*parent, *std::move(up), false});
   }
 
   Result<bool> Matches(const NodeT& node, const PatternNode& pattern) {

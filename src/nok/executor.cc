@@ -286,205 +286,329 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 }
 
 // ---------------------------------------------------------------------
-// Navigation backends.  A backend bundles one physical cursor with the
-// executor's candidate-production primitives, all expressed against that
-// cursor's node handle:
+// Candidate production, written once over the navigation tier.  A tier
+// bundles one physical cursor (for the NoK matcher) with the primitives
+// the algorithms below are written against, all in terms of its own
+// position type Pos:
 //
-//   ToMatch        NodeT -> NodeMatch (interval endpoints in kInterval
-//                  mode come from the backend's own numbering);
-//   NodeAt         Dewey ID -> NodeT (trunk verification);
-//   ScanCandidates the AnchorScan operator's body;
-//   LocateAll      candidate Dewey IDs -> NodeTs;
-//   ResolveHits    index hits -> NodeTs.
+//   Root, FirstChild, FollowingSibling   tree steps;
+//   Order, SubtreeEnd                    a node's interval in one
+//                                        document-order numbering;
+//   NextOpenWithTag                      tag-filtered scan step;
+//   VisitNodes                           (pos, level, tag) of every node
+//                                        in document order;
+//   NodeAt, ResolveHits                  Dewey IDs / index hits -> nodes;
+//   CountSteps                           commits the tree steps (and tag
+//                                        blocks skipped) an algorithm
+//                                        counted locally, once per call.
 //
 // PagedNav navigates the paged string store (BufferPool traffic, counted
-// in NavStats::pages_scanned); BpNav navigates the in-memory balanced-
-// parentheses index (no page access at all, counted in bp_steps).
+// in NavStats::pages_scanned by the store itself); BpNav navigates the
+// in-memory balanced-parentheses index (no page access at all, counted
+// in bp_steps).
 
-/// Paged-string backend: the original navigation tier.
+/// One level of a cached root..node path.
+template <typename Pos>
+struct PathStep {
+  uint32_t component;  ///< Child index: the Dewey component.
+  Pos pos;
+};
+
+/// The prefix-cached Dewey walk: the position of `dewey`'s node.  The
+/// tier's dewey_path() holds the root..node path of the previous walk,
+/// so sorted IDs sharing a prefix resume from it: equal components are
+/// reused, and at the first divergence the walk continues rightward
+/// from the cached sibling when the target lies to its right.  Tree
+/// steps are added to *steps.
+template <typename Nav>
+Result<typename Nav::Pos> WalkTo(Nav* nav, const DeweyId& dewey,
+                                 uint64_t* steps) {
+  using Pos = typename Nav::Pos;
+  const auto& comp = dewey.components();
+  if (comp.empty() || comp[0] != 0) {
+    return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
+  }
+  std::vector<PathStep<Pos>>& cached = *nav->dewey_path();
+  size_t keep = 0;
+  while (keep < cached.size() && keep < comp.size() &&
+         cached[keep].component == comp[keep]) {
+    ++keep;
+  }
+  const bool resume_sideways = keep < cached.size() && keep < comp.size() &&
+                               keep > 0 && cached[keep].component < comp[keep];
+  cached.resize(keep + (resume_sideways ? 1 : 0));
+  if (cached.empty()) {
+    cached.push_back(PathStep<Pos>{0, nav->Root()});
+    ++*steps;
+  }
+  for (;;) {
+    PathStep<Pos>& last = cached.back();
+    const size_t level = cached.size();  // 1-based depth reached.
+    std::optional<Pos> next;
+    if (last.component < comp[level - 1]) {
+      // Walk right to the desired sibling.
+      ++*steps;
+      NOK_ASSIGN_OR_RETURN(next, nav->FollowingSibling(last.pos));
+      if (next.has_value()) {
+        last.pos = *next;
+        ++last.component;
+        continue;
+      }
+    } else if (level == comp.size()) {
+      return last.pos;  // Arrived.
+    } else {
+      ++*steps;
+      NOK_ASSIGN_OR_RETURN(next, nav->FirstChild(last.pos));
+      if (next.has_value()) {
+        cached.push_back(PathStep<Pos>{0, *next});
+        continue;
+      }
+    }
+    return Status::Corruption("index references missing node " +
+                              dewey.ToString());
+  }
+}
+
+/// Candidate Dewey IDs -> nodes (sorted, deduplicated), each found by
+/// the cached walk, so consecutive IDs share the navigation path.
+template <typename Nav>
+Result<std::vector<typename Nav::NodeT>> LocateAll(
+    Nav* nav, std::vector<DeweyId> deweys) {
+  std::sort(deweys.begin(), deweys.end(),
+            [](const DeweyId& a, const DeweyId& b) {
+              return a.Compare(b) < 0;
+            });
+  deweys.erase(std::unique(deweys.begin(), deweys.end()), deweys.end());
+  std::vector<typename Nav::NodeT> out;
+  out.reserve(deweys.size());
+  uint64_t steps = 0;
+  for (DeweyId& dewey : deweys) {
+    NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(nav, dewey, &steps));
+    out.push_back({pos, std::move(dewey), false});
+  }
+  nav->CountSteps(steps);
+  return out;
+}
+
+std::vector<DeweyId> DeweysOf(
+    const std::vector<DocumentStore::IndexedNode>& hits) {
+  std::vector<DeweyId> deweys;
+  deweys.reserve(hits.size());
+  for (const auto& hit : hits) deweys.push_back(hit.dewey);
+  return deweys;
+}
+
+/// Dewey IDs for tag-scan hit positions (ascending): an interval-guided
+/// descent.  The stack holds the path from the root to the node most
+/// recently visited: (child index, position, subtree end).  For each
+/// hit, entries whose subtree ends before the hit are popped, and the
+/// walk resumes from the shallowest popped sibling — so each level's
+/// sibling chain is traversed at most once across all hits.
+template <typename Nav>
+Result<std::vector<typename Nav::NodeT>> DeweysForHits(
+    Nav* nav, const std::vector<typename Nav::Pos>& hits) {
+  using Pos = typename Nav::Pos;
+  struct Entry {
+    uint32_t component;
+    Pos pos;
+    uint64_t end;
+  };
+  std::vector<typename Nav::NodeT> out;
+  out.reserve(hits.size());
+  std::vector<Entry> stack;
+  std::vector<uint32_t> components;
+  uint64_t steps = 0;
+
+  for (const Pos& hit : hits) {
+    const uint64_t g = nav->Order(hit);
+    std::optional<Entry> resume;
+    while (!stack.empty() && stack.back().end < g) {
+      resume = stack.back();
+      stack.pop_back();
+    }
+    if (stack.empty()) {
+      const Pos root = nav->Root();
+      NOK_ASSIGN_OR_RETURN(uint64_t root_end, nav->SubtreeEnd(root));
+      stack.push_back(Entry{0, root, root_end});
+      resume.reset();  // The root has no siblings to resume from.
+    }
+    while (nav->Order(stack.back().pos) != g) {
+      // Step down one level to the child whose interval contains g.
+      Entry child{0, Pos{}, 0};
+      ++steps;
+      if (resume.has_value()) {
+        NOK_ASSIGN_OR_RETURN(auto sib, nav->FollowingSibling(resume->pos));
+        if (!sib.has_value()) {
+          return Status::Corruption("scan hit outside every sibling");
+        }
+        child.component = resume->component + 1;
+        child.pos = *sib;
+        resume.reset();
+      } else {
+        NOK_ASSIGN_OR_RETURN(auto first, nav->FirstChild(stack.back().pos));
+        if (!first.has_value()) {
+          return Status::Corruption("scan hit below a leaf");
+        }
+        child.pos = *first;
+      }
+      for (;;) {
+        if (nav->Order(child.pos) > g) {
+          return Status::Corruption("scan hit between sibling subtrees");
+        }
+        NOK_ASSIGN_OR_RETURN(child.end, nav->SubtreeEnd(child.pos));
+        if (g <= child.end) break;
+        ++steps;
+        NOK_ASSIGN_OR_RETURN(auto sib, nav->FollowingSibling(child.pos));
+        if (!sib.has_value()) {
+          return Status::Corruption("scan hit outside every sibling");
+        }
+        child.pos = *sib;
+        ++child.component;
+      }
+      stack.push_back(child);
+    }
+    components.clear();
+    components.reserve(stack.size());
+    for (const Entry& entry : stack) components.push_back(entry.component);
+    out.push_back({hit, DeweyId(std::vector<uint32_t>(components)), false});
+  }
+  nav->CountSteps(steps);
+  return out;
+}
+
+/// The AnchorScan operator's body: every node whose tag satisfies the
+/// NoK root's name test.  `want` is the root pattern's resolved tag
+/// (kInvalidTag for a name absent from the document).  A selective tag
+/// takes the fused path: the tier's tag-filtered scan enumerates the
+/// hits and Dewey IDs are derived for those alone.  A frequent tag would
+/// gain nothing from the filter while the descent re-navigates per hit,
+/// so it keeps the counter scan, as do wildcards: one pass over every
+/// node, deriving Dewey IDs from the level sequence.
+template <typename Nav>
+Result<std::vector<typename Nav::NodeT>> ScanCandidates(
+    Nav* nav, DocumentStore* store, const PatternNode& root_pattern,
+    TagId want) {
+  using Pos = typename Nav::Pos;
+  std::vector<typename Nav::NodeT> out;
+  if (!root_pattern.wildcard && want == kInvalidTag) {
+    return out;  // Tag absent: no matches anywhere.
+  }
+  if (!root_pattern.wildcard &&
+      store->CountTag(want) * 2 <= store->stats().node_count) {
+    std::vector<Pos> hits;
+    uint64_t blocks_skipped = 0;
+    std::optional<Pos> pos;
+    for (;;) {
+      NOK_ASSIGN_OR_RETURN(pos,
+                           nav->NextOpenWithTag(pos, want, &blocks_skipped));
+      if (!pos.has_value()) break;
+      hits.push_back(*pos);
+    }
+    nav->CountSteps(hits.size(), blocks_skipped);
+    return DeweysForHits(nav, hits);
+  }
+
+  std::vector<uint32_t> child_counter(
+      static_cast<size_t>(store->tree()->max_level()) + 2, 0);
+  std::vector<uint32_t> path;
+  NOK_RETURN_IF_ERROR(
+      nav->VisitNodes([&](const Pos& pos, int level, TagId tag) {
+        const size_t l = static_cast<size_t>(level);
+        path.resize(l);
+        path[l - 1] = child_counter[l]++;
+        child_counter[l + 1] = 0;
+        if (root_pattern.wildcard || tag == want) {
+          out.push_back({pos, DeweyId(std::vector<uint32_t>(path)), false});
+        }
+      }));
+  return out;
+}
+
+/// Tier node -> NodeMatch.  In kInterval mode the endpoints come from
+/// the tier's own document-order numbering (global byte positions paged,
+/// BP bit positions bp), which is all the containment test needs.
+template <typename Nav>
+Result<NodeMatch> ToMatch(Nav* nav, const typename Nav::NodeT& node,
+                          JoinMode mode) {
+  NodeMatch match;
+  if (node.virtual_root) {
+    match.virtual_root = true;
+    return match;
+  }
+  match.dewey = node.dewey;
+  if (mode == JoinMode::kInterval) {
+    match.start = nav->Order(node.pos);
+    NOK_ASSIGN_OR_RETURN(match.end, nav->SubtreeEnd(node.pos));
+  }
+  return match;
+}
+
+/// Paged-string tier: the paper's navigation over the page chain.
 class PagedNav {
  public:
   using Cursor = StoreCursor;
   using NodeT = StoreCursor::NodeT;
+  using Pos = StorePos;
 
-  explicit PagedNav(DocumentStore* store) : store_(store), cursor_(store) {}
+  explicit PagedNav(DocumentStore* store)
+      : store_(store), tree_(store->tree()), cursor_(store) {}
 
   Cursor* cursor() { return &cursor_; }
+  std::vector<PathStep<Pos>>* dewey_path() { return &dewey_path_; }
 
-  /// NodeT -> NodeMatch (interval endpoints are global byte positions).
-  Result<NodeMatch> ToMatch(const NodeT& node, JoinMode mode) {
-    NodeMatch match;
-    if (node.virtual_root) {
-      match.virtual_root = true;
-      return match;
-    }
-    match.dewey = node.dewey;
-    if (mode == JoinMode::kInterval) {
-      match.start = store_->tree()->GlobalPos(node.pos);
-      NOK_ASSIGN_OR_RETURN(match.end,
-                           store_->tree()->SubtreeEndGlobal(node.pos));
-    }
-    return match;
+  Pos Root() const { return tree_->RootPos(); }
+  Result<std::optional<Pos>> FirstChild(Pos pos) {
+    return tree_->FirstChild(pos);
   }
+  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
+    return tree_->FollowingSibling(pos);
+  }
+  uint64_t Order(Pos pos) const { return tree_->GlobalPos(pos); }
+  Result<uint64_t> SubtreeEnd(Pos pos) {
+    return tree_->SubtreeEndGlobal(pos);
+  }
+
+  /// Next open symbol with `tag` after `after`, or from the document
+  /// start (root included) when `after` is empty.
+  Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
+                                             TagId tag, uint64_t*) {
+    if (after.has_value()) return tree_->NextOpenWithTag(*after, tag);
+    const Pos root = tree_->RootPos();
+    NOK_ASSIGN_OR_RETURN(TagId root_tag, tree_->TagAt(root));
+    if (root_tag == tag) return std::optional<Pos>(root);
+    return tree_->NextOpenWithTag(root, tag);
+  }
+
+  template <typename Visit>
+  Status VisitNodes(Visit&& visit) {
+    std::optional<Pos> pos = tree_->RootPos();
+    while (pos.has_value()) {
+      NOK_ASSIGN_OR_RETURN(int level, tree_->LevelAt(*pos));
+      NOK_ASSIGN_OR_RETURN(TagId tag, tree_->TagAt(*pos));
+      visit(*pos, level, tag);
+      NOK_ASSIGN_OR_RETURN(pos, tree_->NextOpen(*pos));
+    }
+    return Status::OK();
+  }
+
+  /// Paged work is counted as page fetches by the store itself.
+  void CountSteps(uint64_t, uint64_t = 0) {}
 
   /// Physical node for one Dewey ID via the B+i index.
   Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(StorePos pos, store_->Locate(dewey));
+    NOK_ASSIGN_OR_RETURN(Pos pos, store_->Locate(dewey));
     return NodeT{pos, dewey, false};
   }
 
-  /// All document nodes whose tag satisfies the NoK root's name test,
-  /// via a sequential scan of the string store (the "naive" strategy).
-  /// `want` is the root pattern's resolved tag (kInvalidTag for a name
-  /// absent from the document).  Selective tags take the fused
-  /// NextOpenWithTag path: the scan consults the per-page tag summaries
-  /// and Dewey IDs are derived only for the hits.
-  Result<std::vector<NodeT>> ScanCandidates(const PatternNode& root_pattern,
-                                            TagId want) {
-    std::vector<NodeT> out;
-    StringStore* tree = store_->tree();
-    if (!root_pattern.wildcard && want == kInvalidTag) {
-      return out;  // Tag absent: no matches anywhere.
-    }
-
-    // Fused path for a selective tag test: phase A enumerates hit
-    // positions with NextOpenWithTag, a single tag-filtered chain scan
-    // that skips pages via the per-page summaries (no child counting, so
-    // skipping is sound); phase B derives Dewey IDs only for the hits.
-    // A frequent tag would gain nothing from the filter while phase B
-    // re-navigates per hit, so it keeps the counter scan below, as do
-    // wildcards.
-    if (!root_pattern.wildcard &&
-        store_->CountTag(want) * 2 <= store_->stats().node_count) {
-      std::vector<StorePos> hits;
-      StorePos pos = tree->RootPos();
-      NOK_ASSIGN_OR_RETURN(TagId root_tag, tree->TagAt(pos));
-      if (root_tag == want) hits.push_back(pos);
-      for (;;) {
-        NOK_ASSIGN_OR_RETURN(auto next, tree->NextOpenWithTag(pos, want));
-        if (!next.has_value()) break;
-        pos = *next;
-        hits.push_back(pos);
-      }
-      return DeweysForHits(hits);
-    }
-
-    // Single forward scan; Dewey IDs are derived from the level sequence.
-    std::vector<uint32_t> child_counter(
-        static_cast<size_t>(tree->max_level()) + 2, 0);
-    std::vector<uint32_t> path;
-    std::optional<StorePos> pos = tree->RootPos();
-    while (pos.has_value()) {
-      NOK_ASSIGN_OR_RETURN(int level, tree->LevelAt(*pos));
-      NOK_ASSIGN_OR_RETURN(TagId tag, tree->TagAt(*pos));
-      const size_t l = static_cast<size_t>(level);
-      path.resize(l);
-      path[l - 1] = child_counter[l]++;
-      child_counter[l + 1] = 0;
-      if (root_pattern.wildcard || tag == want) {
-        out.push_back(NodeT{*pos, DeweyId(std::vector<uint32_t>(path)),
-                            false});
-      }
-      NOK_ASSIGN_OR_RETURN(auto next, tree->NextOpen(*pos));
-      pos = next;
-    }
-    return out;
-  }
-
-  /// Converts sorted candidate Dewey IDs to physical nodes, reusing the
-  /// navigation path across consecutive candidates (the slow path used
-  /// when stored positions are stale).
-  Result<std::vector<NodeT>> LocateAll(std::vector<DeweyId> deweys) {
-    std::sort(deweys.begin(), deweys.end(),
-              [](const DeweyId& a, const DeweyId& b) {
-                return a.Compare(b) < 0;
-              });
-    deweys.erase(std::unique(deweys.begin(), deweys.end()), deweys.end());
-
-    std::vector<NodeT> out;
-    out.reserve(deweys.size());
-    StringStore* tree = store_->tree();
-
-    // Navigation cache: path[i] = (component value, position) of the node
-    // currently reached at depth i+1.  Consecutive sorted Dewey IDs share
-    // long prefixes, so most steps resume from the cached path.
-    struct PathEntry {
-      uint32_t component;
-      StorePos pos;
-    };
-    std::vector<PathEntry> cached;
-
-    for (const DeweyId& dewey : deweys) {
-      const auto& comp = dewey.components();
-      if (comp.empty() || comp[0] != 0) {
-        return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
-      }
-      // Longest usable prefix of the cached path: components equal,
-      // except the last reusable level may be <= (we can walk right, not
-      // left).
-      size_t keep = 0;
-      while (keep < cached.size() && keep < comp.size() &&
-             cached[keep].component == comp[keep]) {
-        ++keep;
-      }
-      bool resume_sideways = false;
-      if (keep < cached.size() && keep < comp.size() && keep > 0 &&
-          cached[keep].component < comp[keep]) {
-        resume_sideways = true;  // Continue right from cached[keep].
-      }
-      cached.resize(keep + (resume_sideways ? 1 : 0));
-
-      bool missing = false;
-      if (cached.empty()) {
-        cached.push_back(PathEntry{0, tree->RootPos()});
-      }
-      for (;;) {
-        PathEntry& last = cached.back();
-        const size_t level = cached.size();  // 1-based depth reached.
-        if (last.component < comp[level - 1]) {
-          // Walk right to the desired sibling.
-          NOK_ASSIGN_OR_RETURN(auto sibling,
-                               tree->FollowingSibling(last.pos));
-          if (!sibling.has_value()) {
-            missing = true;
-            break;
-          }
-          last.pos = *sibling;
-          ++last.component;
-          continue;
-        }
-        if (level == comp.size()) break;  // Arrived.
-        // Descend.
-        NOK_ASSIGN_OR_RETURN(auto child, tree->FirstChild(last.pos));
-        if (!child.has_value()) {
-          missing = true;
-          break;
-        }
-        cached.push_back(PathEntry{0, *child});
-      }
-      if (missing) {
-        return Status::Corruption("index references missing node " +
-                                  dewey.ToString());
-      }
-      out.push_back(NodeT{cached.back().pos, dewey, false});
-    }
-    return out;
-  }
-
-  /// Index hits -> physical nodes (positions when fresh, else LocateAll).
+  /// Index hits -> physical nodes: their stored positions when fresh,
+  /// else the cached Dewey walk.
   Result<std::vector<NodeT>> ResolveHits(
       const std::vector<DocumentStore::IndexedNode>& hits) {
-    if (!store_->positions_fresh()) {
-      std::vector<DeweyId> deweys;
-      deweys.reserve(hits.size());
-      for (const auto& hit : hits) deweys.push_back(hit.dewey);
-      return LocateAll(std::move(deweys));
-    }
+    if (!store_->positions_fresh()) return LocateAll(this, DeweysOf(hits));
     std::vector<NodeT> out;
     out.reserve(hits.size());
     for (const auto& hit : hits) {
-      NOK_ASSIGN_OR_RETURN(StorePos pos,
-                           store_->tree()->PosForGlobal(hit.pos));
+      NOK_ASSIGN_OR_RETURN(Pos pos, tree_->PosForGlobal(hit.pos));
       out.push_back(NodeT{pos, hit.dewey, false});
     }
     std::sort(out.begin(), out.end(),
@@ -500,367 +624,98 @@ class PagedNav {
   }
 
  private:
-  /// Dewey IDs for tag-scan hit positions (ascending): an interval-
-  /// guided descent that reuses the navigation path across consecutive
-  /// hits.
-  Result<std::vector<NodeT>> DeweysForHits(
-      const std::vector<StorePos>& hits) {
-    std::vector<NodeT> out;
-    out.reserve(hits.size());
-    StringStore* tree = store_->tree();
-
-    // Interval-guided descent.  The stack holds the path from the root
-    // to the node most recently visited: (child index, position,
-    // subtree-end global).  For each hit (ascending), entries whose
-    // subtree ends before the hit are popped, and the walk resumes from
-    // the shallowest popped sibling — so each level's sibling chain is
-    // traversed at most once across all hits.
-    struct PathEntry {
-      uint32_t component;
-      StorePos pos;
-      uint64_t end;
-    };
-    std::vector<PathEntry> stack;
-    std::vector<uint32_t> components;
-
-    for (const StorePos& hit : hits) {
-      const uint64_t g = tree->GlobalPos(hit);
-      std::optional<PathEntry> resume;
-      while (!stack.empty() && stack.back().end < g) {
-        resume = stack.back();
-        stack.pop_back();
-      }
-      if (stack.empty()) {
-        const StorePos root = tree->RootPos();
-        NOK_ASSIGN_OR_RETURN(uint64_t root_end,
-                             tree->SubtreeEndGlobal(root));
-        stack.push_back(PathEntry{0, root, root_end});
-        resume.reset();  // The root has no siblings to resume from.
-      }
-      while (tree->GlobalPos(stack.back().pos) != g) {
-        // Step down one level to the child whose interval contains g.
-        PathEntry child{0, StorePos{}, 0};
-        if (resume.has_value()) {
-          NOK_ASSIGN_OR_RETURN(auto sib,
-                               tree->FollowingSibling(resume->pos));
-          if (!sib.has_value()) {
-            return Status::Corruption("scan hit outside every sibling");
-          }
-          child.component = resume->component + 1;
-          child.pos = *sib;
-          resume.reset();
-        } else {
-          NOK_ASSIGN_OR_RETURN(auto first,
-                               tree->FirstChild(stack.back().pos));
-          if (!first.has_value()) {
-            return Status::Corruption("scan hit below a leaf");
-          }
-          child.pos = *first;
-        }
-        for (;;) {
-          if (tree->GlobalPos(child.pos) > g) {
-            return Status::Corruption("scan hit between sibling subtrees");
-          }
-          NOK_ASSIGN_OR_RETURN(child.end,
-                               tree->SubtreeEndGlobal(child.pos));
-          if (g <= child.end) break;
-          NOK_ASSIGN_OR_RETURN(auto sib,
-                               tree->FollowingSibling(child.pos));
-          if (!sib.has_value()) {
-            return Status::Corruption("scan hit outside every sibling");
-          }
-          child.pos = *sib;
-          ++child.component;
-        }
-        stack.push_back(child);
-      }
-      components.clear();
-      components.reserve(stack.size());
-      for (const PathEntry& entry : stack) {
-        components.push_back(entry.component);
-      }
-      out.push_back(NodeT{hit, DeweyId(std::vector<uint32_t>(components)),
-                          false});
-    }
-    return out;
-  }
-
   DocumentStore* store_;
+  StringStore* tree_;
   StoreCursor cursor_;
+  std::vector<PathStep<Pos>> dewey_path_;
 };
 
-/// Balanced-parentheses backend: every primitive runs on the in-memory
-/// BpIndex — candidate scans over the SWAR tag array, Dewey derivation
-/// and trunk verification over the bitvector — so the access path
-/// touches zero subject-tree pages.  Navigation work is counted into
-/// NavStats::bp_steps / bp_tag_blocks_skipped.
+/// Balanced-parentheses tier: every primitive runs on the in-memory
+/// BpIndex — tag scans over the SWAR tag array, tree steps over the
+/// bitvector — so candidate production touches zero subject-tree pages.
 class BpNav {
  public:
   using Cursor = BpCursor;
   using NodeT = BpCursor::NodeT;
+  using Pos = uint64_t;
 
   BpNav(DocumentStore* store, const BpIndex* bp)
       : store_(store), bp_(bp), cursor_(store, bp) {}
 
   Cursor* cursor() { return &cursor_; }
+  std::vector<PathStep<Pos>>* dewey_path() { return &dewey_path_; }
 
-  /// NodeT -> NodeMatch.  In kInterval mode the endpoints are BP bit
-  /// positions: a document-order numbering with subtree containment,
-  /// which is all the interval containment test needs — and both
-  /// endpoints come straight from the bitvector (FindClose).
-  Result<NodeMatch> ToMatch(const NodeT& node, JoinMode mode) {
-    NodeMatch match;
-    if (node.virtual_root) {
-      match.virtual_root = true;
-      return match;
+  Pos Root() const { return 0; }
+  Result<std::optional<Pos>> FirstChild(Pos pos) {
+    return bp_->FirstChild(pos);
+  }
+  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
+    return bp_->FollowingSibling(pos);
+  }
+  /// BP bit positions number the opens in document order.
+  uint64_t Order(Pos pos) const { return pos; }
+  Result<uint64_t> SubtreeEnd(Pos pos) { return bp_->FindClose(pos); }
+
+  /// SWAR tag scan: 64-node blocks without the tag are dismissed in 16
+  /// word compares and added to *blocks_skipped.
+  Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
+                                             TagId tag,
+                                             uint64_t* blocks_skipped) {
+    if (!after.has_value()) {
+      if (bp_->TagAt(0) == tag) return std::optional<Pos>(0);
+      after = 0;
     }
-    match.dewey = node.dewey;
-    if (mode == JoinMode::kInterval) {
-      match.start = node.pos;
-      match.end = bp_->FindClose(node.pos);
-    }
-    return match;
+    return bp_->NextOpenWithTag(*after, tag, blocks_skipped);
   }
 
-  /// Node handle for one Dewey ID: a prefix-cached BP walk (candidates
-  /// arrive sorted, so consecutive trunk ancestors share the path).
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(dewey));
-    if (!pos.has_value()) {
-      return Status::Corruption("index references missing node " +
-                                dewey.ToString());
-    }
-    return NodeT{*pos, dewey, false};
-  }
-
-  /// AnchorScan over the BP index.  Mirrors the paged heuristic: a
-  /// selective tag takes the fused SWAR path (64-node blocks without the
-  /// tag dismissed in 16 word compares, Dewey IDs derived only for the
-  /// hits); frequent tags and wildcards take one sequential pass over
-  /// the raw bits, which yields every open's Dewey ID inline.
-  Result<std::vector<NodeT>> ScanCandidates(const PatternNode& root_pattern,
-                                            TagId want) {
-    std::vector<NodeT> out;
-    if (!root_pattern.wildcard && want == kInvalidTag) {
-      return out;  // Tag absent: no matches anywhere.
-    }
-    if (bp_->node_count() == 0) return out;
-    StringStore* tree = store_->tree();
-
-    if (!root_pattern.wildcard &&
-        store_->CountTag(want) * 2 <= store_->stats().node_count) {
-      std::vector<uint64_t> hits;
-      uint64_t blocks_skipped = 0;
-      if (bp_->TagAt(0) == want) hits.push_back(0);
-      uint64_t pos = 0;
-      for (;;) {
-        const auto next = bp_->NextOpenWithTag(pos, want, &blocks_skipped);
-        if (!next.has_value()) break;
-        pos = *next;
-        hits.push_back(pos);
-      }
-      tree->BumpBpSteps(hits.size());
-      tree->BumpBpTagBlocksSkipped(blocks_skipped);
-      return DeweysForHits(hits);
-    }
-
-    // One pass over the raw bits: the running depth and per-level child
-    // counters give every open's Dewey ID with no rank/select calls.
-    std::vector<uint32_t> child_counter(
-        static_cast<size_t>(tree->max_level()) + 2, 0);
-    std::vector<uint32_t> path;
+  /// One pass over the raw bits: the running depth gives every open's
+  /// level with no rank/select calls.
+  template <typename Visit>
+  Status VisitNodes(Visit&& visit) {
     uint64_t rank = 0;
-    size_t level = 0;
+    int level = 0;
     const uint64_t n_bits = bp_->bit_count();
-    for (uint64_t pos = 0; pos < n_bits; ++pos) {
+    for (Pos pos = 0; pos < n_bits; ++pos) {
       if (!bp_->IsOpen(pos)) {
         --level;
         continue;
       }
       ++level;
-      path.resize(level);
-      path[level - 1] = child_counter[level]++;
-      child_counter[level + 1] = 0;
-      const TagId tag = bp_->TagAtRank(rank++);
-      if (root_pattern.wildcard || tag == want) {
-        out.push_back(NodeT{pos, DeweyId(std::vector<uint32_t>(path)),
-                            false});
-      }
+      visit(pos, level, bp_->TagAtRank(rank++));
     }
-    tree->BumpBpSteps(bp_->node_count());
-    return out;
+    CountSteps(bp_->node_count());
+    return Status::OK();
   }
 
-  /// Candidate Dewey IDs -> BP nodes via the prefix-cached walk.
-  Result<std::vector<NodeT>> LocateAll(std::vector<DeweyId> deweys) {
-    std::sort(deweys.begin(), deweys.end(),
-              [](const DeweyId& a, const DeweyId& b) {
-                return a.Compare(b) < 0;
-              });
-    deweys.erase(std::unique(deweys.begin(), deweys.end()), deweys.end());
-    std::vector<NodeT> out;
-    out.reserve(deweys.size());
-    for (DeweyId& dewey : deweys) {
-      NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(dewey));
-      if (!pos.has_value()) {
-        return Status::Corruption("index references missing node " +
-                                  dewey.ToString());
-      }
-      out.push_back(NodeT{*pos, std::move(dewey), false});
+  void CountSteps(uint64_t steps, uint64_t tag_blocks_skipped = 0) {
+    store_->tree()->BumpBpSteps(steps);
+    if (tag_blocks_skipped != 0) {
+      store_->tree()->BumpBpTagBlocksSkipped(tag_blocks_skipped);
     }
-    return out;
+  }
+
+  /// Node for one Dewey ID via the cached walk: candidates arrive
+  /// sorted, so consecutive trunk ancestors share the path.
+  Result<NodeT> NodeAt(const DeweyId& dewey) {
+    uint64_t steps = 0;
+    NOK_ASSIGN_OR_RETURN(Pos pos, WalkTo(this, dewey, &steps));
+    CountSteps(steps);
+    return NodeT{pos, dewey, false};
   }
 
   /// Index hits -> BP nodes.  Hit positions are byte offsets into the
   /// paged string, meaningless to the BP numbering, so resolution always
-  /// goes through the Dewey IDs (sorted + deduplicated by LocateAll) —
-  /// still zero page access.
+  /// goes through the Dewey IDs — still zero page access.
   Result<std::vector<NodeT>> ResolveHits(
       const std::vector<DocumentStore::IndexedNode>& hits) {
-    std::vector<DeweyId> deweys;
-    deweys.reserve(hits.size());
-    for (const auto& hit : hits) deweys.push_back(hit.dewey);
-    return LocateAll(std::move(deweys));
+    return LocateAll(this, DeweysOf(hits));
   }
 
  private:
-  struct PathEntry {
-    uint32_t component;
-    uint64_t pos;
-  };
-
-  /// Open position for one Dewey ID, or nullopt when the document has no
-  /// such node.  The cached root..current path persists across calls;
-  /// the reuse logic matches PagedNav::LocateAll (equal prefix, resume
-  /// rightward at the first divergence when possible).
-  Result<std::optional<uint64_t>> WalkTo(const DeweyId& dewey) {
-    const auto& comp = dewey.components();
-    if (comp.empty() || comp[0] != 0) {
-      return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
-    }
-    if (bp_->node_count() == 0) return std::optional<uint64_t>();
-    size_t keep = 0;
-    while (keep < cached_.size() && keep < comp.size() &&
-           cached_[keep].component == comp[keep]) {
-      ++keep;
-    }
-    bool resume_sideways = false;
-    if (keep < cached_.size() && keep < comp.size() && keep > 0 &&
-        cached_[keep].component < comp[keep]) {
-      resume_sideways = true;  // Continue right from cached_[keep].
-    }
-    cached_.resize(keep + (resume_sideways ? 1 : 0));
-
-    uint64_t steps = 0;
-    if (cached_.empty()) {
-      cached_.push_back(PathEntry{0, 0});
-      ++steps;
-    }
-    bool missing = false;
-    for (;;) {
-      PathEntry& last = cached_.back();
-      const size_t level = cached_.size();  // 1-based depth reached.
-      if (last.component < comp[level - 1]) {
-        ++steps;
-        const auto sibling = bp_->FollowingSibling(last.pos);
-        if (!sibling.has_value()) {
-          missing = true;
-          break;
-        }
-        last.pos = *sibling;
-        ++last.component;
-        continue;
-      }
-      if (level == comp.size()) break;  // Arrived.
-      ++steps;
-      const auto child = bp_->FirstChild(last.pos);
-      if (!child.has_value()) {
-        missing = true;
-        break;
-      }
-      cached_.push_back(PathEntry{0, *child});
-    }
-    store_->tree()->BumpBpSteps(steps);
-    if (missing) return std::optional<uint64_t>();
-    return std::optional<uint64_t>(cached_.back().pos);
-  }
-
-  /// Dewey IDs for SWAR-scan hit positions (ascending): the interval-
-  /// guided descent of PagedNav::DeweysForHits, with subtree-end globals
-  /// replaced by FindClose — one bitvector probe instead of a page read.
-  Result<std::vector<NodeT>> DeweysForHits(const std::vector<uint64_t>& hits) {
-    std::vector<NodeT> out;
-    out.reserve(hits.size());
-    struct StackEntry {
-      uint32_t component;
-      uint64_t pos;
-      uint64_t end;
-    };
-    std::vector<StackEntry> stack;
-    std::vector<uint32_t> components;
-    uint64_t steps = 0;
-
-    for (const uint64_t hit : hits) {
-      std::optional<StackEntry> resume;
-      while (!stack.empty() && stack.back().end < hit) {
-        resume = stack.back();
-        stack.pop_back();
-      }
-      if (stack.empty()) {
-        stack.push_back(StackEntry{0, 0, bp_->FindClose(0)});
-        resume.reset();  // The root has no siblings to resume from.
-      }
-      while (stack.back().pos != hit) {
-        StackEntry child{0, 0, 0};
-        if (resume.has_value()) {
-          ++steps;
-          const auto sib = bp_->FollowingSibling(resume->pos);
-          if (!sib.has_value()) {
-            return Status::Corruption("scan hit outside every sibling");
-          }
-          child.component = resume->component + 1;
-          child.pos = *sib;
-          resume.reset();
-        } else {
-          ++steps;
-          const auto first = bp_->FirstChild(stack.back().pos);
-          if (!first.has_value()) {
-            return Status::Corruption("scan hit below a leaf");
-          }
-          child.pos = *first;
-        }
-        for (;;) {
-          if (child.pos > hit) {
-            return Status::Corruption("scan hit between sibling subtrees");
-          }
-          child.end = bp_->FindClose(child.pos);
-          if (hit <= child.end) break;
-          ++steps;
-          const auto sib = bp_->FollowingSibling(child.pos);
-          if (!sib.has_value()) {
-            return Status::Corruption("scan hit outside every sibling");
-          }
-          child.pos = *sib;
-          ++child.component;
-        }
-        stack.push_back(child);
-      }
-      components.clear();
-      components.reserve(stack.size());
-      for (const StackEntry& entry : stack) {
-        components.push_back(entry.component);
-      }
-      out.push_back(NodeT{hit, DeweyId(std::vector<uint32_t>(components)),
-                          false});
-    }
-    store_->tree()->BumpBpSteps(steps);
-    return out;
-  }
-
   DocumentStore* store_;
   const BpIndex* bp_;
   BpCursor cursor_;
-  std::vector<PathEntry> cached_;
+  std::vector<PathStep<Pos>> dewey_path_;
 };
 
 /// Anchored evaluation of one NoK tree (Section 6.2 realized): the index
@@ -955,7 +810,7 @@ class AnchoredMatcherT {
       if (!ok) return std::optional<NokBinding>();
       if (designated_[static_cast<size_t>(local)]) {
         NOK_ASSIGN_OR_RETURN(NodeMatch match,
-                             nav_->ToMatch(node, join_mode_));
+                             ToMatch(nav_, node, join_mode_));
         binding.matches[static_cast<size_t>(local)].push_back(
             std::move(match));
       }
@@ -977,7 +832,7 @@ class AnchoredMatcherT {
     for (size_t i = 0; i < lists.size(); ++i) {
       for (const NodeT& node : lists[i]) {
         NOK_ASSIGN_OR_RETURN(NodeMatch match,
-                             nav_->ToMatch(node, join_mode_));
+                             ToMatch(nav_, node, join_mode_));
         binding->matches[static_cast<size_t>(sub.map[i])].push_back(
             std::move(match));
       }
@@ -1184,8 +1039,8 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
         OpTimer scan_timer(store);
         NOK_ASSIGN_OR_RETURN(
             candidates,
-            nav->ScanCandidates(
-                *tree.nodes[0].pattern,
+            ScanCandidates(
+                nav, store, *tree.nodes[0].pattern,
                 ResolvedTag(tag_table, tree.nodes[0].pattern)));
         scan.rows_out = candidates.size();
         scan_timer.Finish(&scan);
@@ -1251,7 +1106,7 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
             if (up.has_value()) roots.push_back(std::move(*up));
           }
           NOK_ASSIGN_OR_RETURN(candidates,
-                               nav->LocateAll(std::move(roots)));
+                               LocateAll(nav, std::move(roots)));
         }
       }
       tree_stats.candidates = candidates.size();
@@ -1274,7 +1129,7 @@ Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
         for (size_t i = 0; i < lists.size(); ++i) {
           for (const NodeT& node : lists[i]) {
             NOK_ASSIGN_OR_RETURN(NodeMatch node_match,
-                                 nav->ToMatch(node, options.join_mode));
+                                 ToMatch(nav, node, options.join_mode));
             binding.matches[i].push_back(std::move(node_match));
           }
           SortUnique(&binding.matches[i]);

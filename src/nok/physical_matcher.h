@@ -66,12 +66,6 @@ class StoreCursor {
     return node;
   }
 
-  /// Node handle for an arbitrary Dewey ID (navigates from the root).
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(StorePos pos, store_->Locate(dewey));
-    return NodeT{pos, dewey, false};
-  }
-
   Result<std::optional<NodeT>> FirstChild(const NodeT& node) {
     if (node.virtual_root) {
       return std::optional<NodeT>(

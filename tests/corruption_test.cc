@@ -232,46 +232,6 @@ TEST(CorruptionTest, StandaloneStoreOpensRejectDamagedFiles) {
 }
 
 // ---------------------------------------------------------------------------
-// Persisted tag summaries (format v3 meta extension).
-
-TEST(CorruptionTest, StaleTagSummaryWordIsDetected) {
-  // A raw (non-checksummed) v3 store: a flipped byte in a persisted
-  // summary word slips past the page scrub and the structural open, but
-  // the verifier's recompute pass must catch it -- a summary missing a
-  // present tag silently drops matches from fused scans.
-  const std::string dir = TempDir("tagsum");
-  std::filesystem::remove_all(dir);
-  DocumentStoreOptions options;
-  options.dir = dir;
-  options.page_size = 256;
-  options.index_page_size = 512;
-  {
-    auto store = DocumentStore::Build(kBibXml, options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    auto clean = VerifyStoreDir(dir, options);
-    ASSERT_TRUE(clean.ok());
-    EXPECT_TRUE(clean->ok());
-  }
-
-  // Meta page layout: the summary word of the first data page sits at
-  // offset 48 (kMetaSummaryBase) of page 0.
-  FlipByte(dir + "/" + store_files::kTree, 48);
-
-  auto report = VerifyStoreDir(dir, options);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_FALSE(report->ok()) << "stale summary word not detected";
-  bool found = false;
-  for (const VerifyIssue& issue : report->issues) {
-    if (issue.detail.find("tag summary") != std::string::npos) found = true;
-  }
-  EXPECT_TRUE(found) << report->issues[0].detail;
-  std::filesystem::remove_all(dir);
-}
-
-// ---------------------------------------------------------------------------
 // Epoch mismatch (torn multi-file commit).
 
 TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {

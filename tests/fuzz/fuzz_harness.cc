@@ -142,29 +142,24 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
   NavigationalEngine nav(&*dom);
   RegionEngine region(&*interval);
 
-  // Store matrix: {tag summaries off, on} x {paged, bp navigation} plus
-  // a synopsis-less store; small pages so paging is real.  The bp
-  // configuration runs with tag summaries on (its candidate scans never
-  // touch pages anyway), and the synopsis-less store pins the planner's
-  // flat-estimate fallback: four stores cover all engine-visible
-  // combinations.
+  // Store matrix: {paged, bp navigation} plus a synopsis-less paged
+  // store; small pages so paging is real.  The synopsis-less store pins
+  // the planner's flat-estimate fallback: three stores cover all
+  // engine-visible combinations.
   struct StoreConfig {
-    bool tag_summaries;
     NavMode nav_mode;
     bool synopsis;
     const char* suffix;
   };
   const StoreConfig configs[] = {
-      {false, NavMode::kPaged, true, ""},
-      {true, NavMode::kPaged, true, " ts"},
-      {true, NavMode::kBp, true, " bp"},
-      {true, NavMode::kPaged, false, " nosyn"},
+      {NavMode::kPaged, true, ""},
+      {NavMode::kBp, true, " bp"},
+      {NavMode::kPaged, false, " nosyn"},
   };
   std::vector<std::unique_ptr<DocumentStore>> stores;
   for (const StoreConfig& config : configs) {
     DocumentStore::Options options;
     options.page_size = 512;
-    options.use_tag_summaries = config.tag_summaries;
     options.nav_mode = config.nav_mode;
     options.use_synopsis = config.synopsis;
     auto store = DocumentStore::Build(fuzz_case.xml, options);

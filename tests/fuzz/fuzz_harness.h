@@ -5,7 +5,8 @@
 // with QueryGen-v2 grammar samples over the document's schema — and
 // CheckCase runs every query through the full engine matrix
 //   {DI, TwigStack, navigational, region, NoK} x
-//   {planner strategies} x {tag summaries on/off} x {plan cache on/off}
+//   {planner strategies} x {paged, bp, paged without synopsis} x
+//   {plan cache on/off}
 // against the brute-force oracle.  Engines rejecting a fragment with
 // Status::NotSupported are skipped (a typed rejection is never a wrong
 // answer); any other status, or any result-set difference, is a
@@ -46,7 +47,7 @@ FuzzCase GenerateCase(uint64_t seed);
 
 /// One disagreement between an engine configuration and the oracle.
 struct Mismatch {
-  std::string engine;  ///< "region", "nok scan cache ts", ...
+  std::string engine;  ///< "region", "nok scan cache bp", ...
   std::string query;
   std::string detail;  ///< want/got canonical Dewey sets, or a status.
 };

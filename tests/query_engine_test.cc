@@ -100,51 +100,41 @@ INSTANTIATE_TEST_SUITE_P(
         "//book[publisher=\"Kluwer\"]//first",
         "/bib/book[price!=\"65.95\"]"));
 
-TEST(QueryEngineTest, FusedScanUsesTagSummaries) {
-  // A rare tag under forced kScan takes the fused NextOpenWithTag path:
-  // with small pages the affiliation scan must skip pages by tag summary
-  // and still match the oracle.
-  auto f = MakeFixture(kBibXml, /*page_size=*/64);
-  f.store->tree()->ResetNavStats();
-  QueryOptions options;
-  options.strategy = StartStrategy::kScan;
-  ExpectMatchesOracle(&f, "//affiliation", options);
-  EXPECT_GT(f.store->tree()->nav_stats().pages_skipped_by_tag, 0u);
-}
-
 TEST(QueryEngineTest, ScanAgreesAcrossAblationModes) {
-  // The four {header-skip} x {tag-summary} combinations must return the
-  // same answers for every forced-scan query.
+  // Header skip off and on must both match the oracle for every
+  // forced-scan query; off never skips, and on never scans more pages.
   const char* queries[] = {"//book",      "//last",        "//affiliation",
                            "//book//last", "/bib/book/title", "//*[@year]"};
-  std::vector<std::vector<std::string>> baseline(std::size(queries));
-  bool first = true;
-  for (bool header_skip : {true, false}) {
-    for (bool tag_summaries : {true, false}) {
-      DocumentStore::Options store_options;
-      store_options.page_size = 64;
-      store_options.use_header_skip = header_skip;
-      store_options.use_tag_summaries = tag_summaries;
-      auto store = DocumentStore::Build(kBibXml, store_options);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      QueryEngine engine(store->get());
-      QueryOptions options;
-      options.strategy = StartStrategy::kScan;
-      for (size_t q = 0; q < std::size(queries); ++q) {
-        auto r = engine.Evaluate(queries[q], options);
-        ASSERT_TRUE(r.ok()) << queries[q];
-        std::vector<std::string> s;
-        for (const auto& d : *r) s.push_back(d.ToString());
-        if (first) {
-          baseline[q] = std::move(s);
-        } else {
-          EXPECT_EQ(s, baseline[q])
-              << queries[q] << " header_skip=" << header_skip
-              << " tag_summaries=" << tag_summaries;
-        }
-      }
-      first = false;
+  auto dom = DomTree::Parse(kBibXml);
+  ASSERT_TRUE(dom.ok());
+  std::vector<std::vector<StringStore::NavStats>> nav(std::size(queries));
+  for (bool header_skip : {false, true}) {
+    DocumentStore::Options store_options;
+    store_options.page_size = 64;
+    store_options.use_header_skip = header_skip;
+    auto store = DocumentStore::Build(kBibXml, store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    QueryEngine engine(store->get());
+    QueryOptions options;
+    options.strategy = StartStrategy::kScan;
+    for (size_t q = 0; q < std::size(queries); ++q) {
+      (*store)->tree()->ResetNavStats();
+      auto r = engine.Evaluate(queries[q], options);
+      ASSERT_TRUE(r.ok()) << queries[q];
+      auto want = OracleEvaluateDewey(queries[q], *dom);
+      ASSERT_TRUE(want.ok()) << queries[q];
+      std::vector<std::string> got_s, want_s;
+      for (const auto& d : *r) got_s.push_back(d.ToString());
+      for (const auto& d : *want) want_s.push_back(d.ToString());
+      EXPECT_EQ(got_s, want_s)
+          << queries[q] << " header_skip=" << header_skip;
+      nav[q].push_back((*store)->tree()->nav_stats());
     }
+  }
+  for (size_t q = 0; q < std::size(queries); ++q) {
+    EXPECT_EQ(nav[q][0].pages_skipped, 0u) << queries[q];
+    EXPECT_LE(nav[q][1].pages_scanned, nav[q][0].pages_scanned)
+        << queries[q];
   }
 }
 

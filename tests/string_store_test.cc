@@ -1,12 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <functional>
 
 #include "common/random.h"
 #include "encoding/string_store.h"
 #include "encoding/tag_dictionary.h"
-#include "encoding/tag_summary.h"
 #include "storage/file.h"
 #include "tests/test_util.h"
 #include "xml/dom.h"
@@ -382,54 +380,17 @@ TEST(StringStoreTest, FullTraversalReadsEachPageOnceWithEnoughFrames) {
 }
 
 // ---------------------------------------------------------------------------
-// Per-page tag summaries and the fused tag-filtered scan (format v3/v4).
-
-TEST(TagSummaryTest, SmallTagsGetExactBits) {
-  EXPECT_EQ(TagSummaryBits(kInvalidTag), 0u);
-  for (TagId t = 1; t <= kTagSummaryExactBits; ++t) {
-    EXPECT_EQ(TagSummaryBits(t), uint64_t{1} << (t - 1)) << t;
-  }
-  // Exact range: distinct tags never collide, so absence is definite.
-  const uint64_t summary = TagSummaryBits(1) | TagSummaryBits(3);
-  EXPECT_TRUE(SummaryMayContain(summary, 1));
-  EXPECT_FALSE(SummaryMayContain(summary, 2));
-  EXPECT_TRUE(SummaryMayContain(summary, 3));
-}
-
-TEST(TagSummaryTest, BloomRangeHasNoFalseNegatives) {
-  for (TagId t = kTagSummaryExactBits + 1; t < 2000; ++t) {
-    EXPECT_TRUE(SummaryMayContain(TagSummaryBits(t), t)) << t;
-  }
-  // An empty summary contains nothing.
-  EXPECT_FALSE(SummaryMayContain(0, 1));
-  EXPECT_FALSE(SummaryMayContain(0, 500));
-}
-
-TEST(StringStoreTest, TagSummariesMatchPageBodies) {
-  Random rng(7);
-  for (int round = 0; round < 6; ++round) {
-    BuiltStore built;
-    ASSERT_TRUE(Build(testutil::RandomXml(&rng), 64, true, &built).ok());
-    StringStore* store = built.store.get();
-    for (size_t i = 0; i < store->chain_length(); ++i) {
-      const PageId page = store->chain_page(i);
-      auto expect = store->ComputeTagSummary(page);
-      ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-      EXPECT_EQ(store->tag_summary(page), *expect) << "page " << page;
-    }
-  }
-}
+// The fused tag-filtered scan.
 
 TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
   Random rng(11);
-  for (bool summaries : {true, false}) {
+  for (int round = 0; round < 2; ++round) {
     const std::string xml = testutil::RandomXml(&rng);
     auto tree = DomTree::Parse(xml);
     ASSERT_TRUE(tree.ok());
     BuiltStore built;
     StringStore::Options options;
     options.page_size = 64;
-    options.use_tag_summaries = summaries;
     ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
     StringStore* store = built.store.get();
 
@@ -462,7 +423,7 @@ TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
         got.push_back(store->GlobalPos(**next));
         pos = **next;
       }
-      EXPECT_EQ(got, expect) << name << " summaries=" << summaries;
+      EXPECT_EQ(got, expect) << name << " round=" << round;
     }
   }
 }
@@ -474,143 +435,6 @@ TEST(StringStoreTest, NextOpenWithTagRejectsInvalidTag) {
                                            kInvalidTag)
                   .status()
                   .IsInvalidArgument());
-}
-
-TEST(StringStoreTest, TagSummariesSkipPagesForRareTag) {
-  // A long run of <d> elements with a single <z> near the end: the scan
-  // for z must rule out the d-only pages from their summaries alone.
-  std::string xml = "<a>";
-  for (int i = 0; i < 300; ++i) xml += "<d/>";
-  xml += "<z/></a>";
-
-  BuiltStore built;
-  ASSERT_TRUE(Build(xml, 64, true, &built).ok());
-  StringStore* store = built.store.get();
-  ASSERT_GT(store->chain_length(), 10u);
-
-  store->ResetNavStats();
-  auto hit = store->NextOpenWithTag(store->RootPos(), built.Tag("z"));
-  ASSERT_TRUE(hit.ok() && hit->has_value());
-  EXPECT_EQ(*store->TagAt(**hit), built.Tag("z"));
-  const auto nav = store->nav_stats();
-  EXPECT_GT(nav.pages_skipped_by_tag, 5u);
-  EXPECT_LT(nav.pages_scanned,
-            static_cast<uint64_t>(store->chain_length()));
-
-  // Ablation: with summaries off the same scan reads every chain page but
-  // still finds the same symbol.
-  BuiltStore plain;
-  StringStore::Options options;
-  options.page_size = 64;
-  options.use_tag_summaries = false;
-  auto tree = DomTree::Parse(xml);
-  ASSERT_TRUE(tree.ok());
-  ASSERT_TRUE(BuildFromDom(*tree, options, &plain).ok());
-  plain.store->ResetNavStats();
-  auto hit2 = plain.store->NextOpenWithTag(plain.store->RootPos(),
-                                           plain.Tag("z"));
-  ASSERT_TRUE(hit2.ok() && hit2->has_value());
-  EXPECT_EQ(plain.store->GlobalPos(**hit2), store->GlobalPos(**hit));
-  EXPECT_EQ(plain.store->nav_stats().pages_skipped_by_tag, 0u);
-  EXPECT_GT(plain.store->nav_stats().pages_scanned, nav.pages_scanned);
-}
-
-TEST(StringStoreTest, PersistedSummariesRoundtripThroughDisk) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("nokxml_tagsum_" + std::to_string(::getpid()) + ".nok"))
-          .string();
-  for (bool checksum : {false, true}) {
-    std::filesystem::remove(path);
-    auto tree = DomTree::Parse(kBibXml);
-    ASSERT_TRUE(tree.ok());
-    StringStore::Options options;
-    options.page_size = 128;  // Extension fits and the bib spans pages.
-    options.checksum_pages = checksum;
-    auto file = OpenPosixFile(path, /*create=*/true);
-    ASSERT_TRUE(file.ok());
-    TagDictionary tags;
-    {
-      StringStore::Builder builder(std::move(*file), options);
-      std::function<Status(const DomNode*)> emit =
-          [&](const DomNode* node) -> Status {
-        NOK_ASSIGN_OR_RETURN(TagId tag, tags.Intern(node->name));
-        NOK_RETURN_IF_ERROR(builder.Open(tag));
-        for (const auto& child : node->children) {
-          NOK_RETURN_IF_ERROR(emit(child.get()));
-        }
-        return builder.Close();
-      };
-      ASSERT_TRUE(emit(tree->root()).ok());
-      auto built = builder.Finish();
-      ASSERT_TRUE(built.ok()) << built.status().ToString();
-      ASSERT_TRUE((*built)->Flush().ok());
-    }
-
-    auto reopened_file = OpenPosixFile(path, /*create=*/false);
-    ASSERT_TRUE(reopened_file.ok());
-    auto store = StringStore::Open(std::move(*reopened_file), options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->summaries_persisted()) << "checksum=" << checksum;
-    ASSERT_GT((*store)->chain_length(), 1u);
-    for (size_t i = 0; i < (*store)->chain_length(); ++i) {
-      const PageId page = (*store)->chain_page(i);
-      auto expect = (*store)->ComputeTagSummary(page);
-      ASSERT_TRUE(expect.ok());
-      EXPECT_NE(*expect, 0u);
-      EXPECT_EQ((*store)->tag_summary(page), *expect);
-    }
-  }
-  std::filesystem::remove(path);
-}
-
-TEST(StringStoreTest, LegacyFormatRebuildsSummariesOnOpen) {
-  // A store written with summaries disabled is a plain v1 file; opening
-  // it with summaries enabled rebuilds them from the page bodies.
-  const std::string path =
-      (std::filesystem::temp_directory_path() /
-       ("nokxml_tagsum_legacy_" + std::to_string(::getpid()) + ".nok"))
-          .string();
-  std::filesystem::remove(path);
-  auto tree = DomTree::Parse(kBibXml);
-  ASSERT_TRUE(tree.ok());
-  StringStore::Options off;
-  off.page_size = 256;
-  off.use_tag_summaries = false;
-  {
-    auto file = OpenPosixFile(path, /*create=*/true);
-    ASSERT_TRUE(file.ok());
-    StringStore::Builder builder(std::move(*file), off);
-    TagDictionary tags;
-    std::function<Status(const DomNode*)> emit =
-        [&](const DomNode* node) -> Status {
-      NOK_ASSIGN_OR_RETURN(TagId tag, tags.Intern(node->name));
-      NOK_RETURN_IF_ERROR(builder.Open(tag));
-      for (const auto& child : node->children) {
-        NOK_RETURN_IF_ERROR(emit(child.get()));
-      }
-      return builder.Close();
-    };
-    ASSERT_TRUE(emit(tree->root()).ok());
-    auto built = builder.Finish();
-    ASSERT_TRUE(built.ok());
-    ASSERT_TRUE((*built)->Flush().ok());
-  }
-
-  StringStore::Options on = off;
-  on.use_tag_summaries = true;
-  auto file = OpenPosixFile(path, /*create=*/false);
-  ASSERT_TRUE(file.ok());
-  auto store = StringStore::Open(std::move(*file), on);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_FALSE((*store)->summaries_persisted());
-  for (size_t i = 0; i < (*store)->chain_length(); ++i) {
-    const PageId page = (*store)->chain_page(i);
-    auto expect = (*store)->ComputeTagSummary(page);
-    ASSERT_TRUE(expect.ok());
-    EXPECT_EQ((*store)->tag_summary(page), *expect);
-  }
-  std::filesystem::remove(path);
 }
 
 TEST(StringStoreTest, ReopenFromDisk) {

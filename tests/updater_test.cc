@@ -4,7 +4,6 @@
 
 #include "common/random.h"
 #include "encoding/document_store.h"
-#include "encoding/tag_summary.h"
 #include "encoding/updater.h"
 #include "nok/query_engine.h"
 #include "tests/oracle.h"
@@ -310,54 +309,6 @@ TEST(UpdaterTest, DeleteFirstChildAtPageStart) {
   auto none = engine.Evaluate("//book");
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none->empty());
-}
-
-/// Every chain page's in-memory tag summary must match a fresh recompute
-/// from the page body (RecomputeHeader maintains it through edits).
-void ExpectSummariesConsistent(DocumentStore* store) {
-  StringStore* tree = store->tree();
-  for (size_t i = 0; i < tree->chain_length(); ++i) {
-    const PageId page = tree->chain_page(i);
-    auto expect = tree->ComputeTagSummary(page);
-    ASSERT_TRUE(expect.ok()) << expect.status().ToString();
-    EXPECT_EQ(tree->tag_summary(page), *expect) << "page " << page;
-  }
-}
-
-TEST(UpdaterTest, TagSummariesTrackInsertsAndDeletes) {
-  DocumentStore::Options options;
-  options.page_size = 256;
-  auto store_r = DocumentStore::Build(kBase, options);
-  ASSERT_TRUE(store_r.ok());
-  auto& store = *store_r;
-  ExpectSummariesConsistent(store.get());
-
-  // In-place insert introduces a new tag on an existing page.
-  ASSERT_TRUE(
-      store->InsertSubtree(DeweyId({0, 0}), 2, "<isbn>1</isbn>").ok());
-  ExpectSummariesConsistent(store.get());
-
-  // A multi-page insert splits pages and allocates new ones.
-  std::string frag = "<appendix>";
-  for (int i = 0; i < 120; ++i) {
-    frag += "<entry>e" + std::to_string(i) + "</entry>";
-  }
-  frag += "</appendix>";
-  ASSERT_TRUE(store->InsertSubtree(DeweyId({0}), 1, frag).ok());
-  ExpectSummariesConsistent(store.get());
-
-  // Deleting the only <appendix> subtree must drop its bit from the
-  // affected pages (stale bits would be permanent false positives).
-  ASSERT_TRUE(store->DeleteSubtree(DeweyId({0, 1})).ok());
-  ExpectSummariesConsistent(store.get());
-  auto appendix = store->tags()->Lookup("appendix");
-  ASSERT_TRUE(appendix.has_value());
-  StringStore* tree = store->tree();
-  for (size_t i = 0; i < tree->chain_length(); ++i) {
-    EXPECT_FALSE(SummaryMayContain(tree->tag_summary(tree->chain_page(i)),
-                                   *appendix))
-        << "stale appendix bit on page " << tree->chain_page(i);
-  }
 }
 
 TEST(UpdaterTest, PositionsGoStaleAndRefresh) {

@@ -1,5 +1,5 @@
-// Conforming fixture modeled on encoding/tag_summary.h: a header-only
-// constexpr utility in the encoding layer with a same-layer include.  The
+// Conforming fixture: a header-only constexpr utility in the encoding
+// layer with a same-layer include.  The
 // self-test asserts nok_lint reports nothing for this shape (guard name,
 // layering, formatting).
 

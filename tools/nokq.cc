@@ -3,8 +3,7 @@
 //   nokq build  <file.xml> <store-dir> [--checksum]   build a store
 //   nokq query  <store-dir> <xpath> [--values] [--strategy auto|scan|tag|
 //               value|path] [--explain] [--no-header-skip]
-//               [--no-tag-summaries] [--nav-mode paged|bp]
-//               [--no-synopsis]
+//               [--nav-mode paged|bp] [--no-synopsis]
 //   nokq explain <store-dir> <xpath> [--strategy ...] [--fixed-order]
 //               [--plan-cache] [--nav-mode paged|bp] [--no-synopsis]
 //                                  print the query plan + operator trace
@@ -55,8 +54,8 @@ int Usage() {
           "  nokq build  <file.xml> <store-dir> [--checksum]\n"
           "  nokq query  <store-dir> <xpath> [--values] [--explain]\n"
           "              [--strategy auto|scan|tag|value|path]\n"
-          "              [--no-header-skip] [--no-tag-summaries]\n"
-          "              [--nav-mode paged|bp] [--no-synopsis]\n"
+          "              [--no-header-skip] [--nav-mode paged|bp]\n"
+          "              [--no-synopsis]\n"
           "  nokq explain <store-dir> <xpath> [--fixed-order]\n"
           "              [--plan-cache] [--nav-mode paged|bp]\n"
           "              [--no-synopsis]\n"
@@ -129,14 +128,12 @@ nok::Result<nok::DeweyId> ParseDewey(const std::string& text) {
 }
 
 nok::Result<std::unique_ptr<nok::DocumentStore>> OpenStore(
-    const std::string& dir, bool use_header_skip = true,
-    bool use_tag_summaries = true, bool wal = false,
+    const std::string& dir, bool use_header_skip = true, bool wal = false,
     nok::NavMode nav_mode = nok::NavMode::kPaged,
     bool use_synopsis = true) {
   nok::DocumentStore::Options options;
   options.dir = dir;
   options.use_header_skip = use_header_skip;
-  options.use_tag_summaries = use_tag_summaries;
   options.wal.enabled = wal;
   options.nav_mode = nav_mode;
   options.use_synopsis = use_synopsis;
@@ -200,7 +197,7 @@ int CmdExplain(int argc, char** argv) {
       return Usage();
     }
   }
-  auto store = OpenStore(dir, true, true, false, nav_mode,
+  auto store = OpenStore(dir, true, false, nav_mode,
                          options.use_synopsis);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
@@ -214,7 +211,7 @@ int CmdQuery(int argc, char** argv) {
   const std::string dir = argv[2];
   const std::string xpath = argv[3];
   bool values = false, explain = false;
-  bool header_skip = true, tag_summaries = true;
+  bool header_skip = true;
   nok::QueryOptions options;
   nok::NavMode nav_mode = nok::NavMode::kPaged;
   for (int i = 4; i < argc; ++i) {
@@ -224,8 +221,6 @@ int CmdQuery(int argc, char** argv) {
       explain = true;
     } else if (strcmp(argv[i], "--no-header-skip") == 0) {
       header_skip = false;
-    } else if (strcmp(argv[i], "--no-tag-summaries") == 0) {
-      tag_summaries = false;
     } else if (strcmp(argv[i], "--no-synopsis") == 0) {
       options.use_synopsis = false;
     } else if (strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
@@ -237,7 +232,7 @@ int CmdQuery(int argc, char** argv) {
     }
   }
 
-  auto store = OpenStore(dir, header_skip, tag_summaries, false, nav_mode,
+  auto store = OpenStore(dir, header_skip, false, nav_mode,
                          options.use_synopsis);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
@@ -271,10 +266,9 @@ int CmdQuery(int argc, char** argv) {
     const auto nav = (*store)->tree()->nav_stats();
     fprintf(stderr,
             "  pages: %llu scanned, %llu skipped by (st,lo,hi), "
-            "%llu skipped by tag summary, %llu decode-cache hits\n",
+            "%llu decode-cache hits\n",
             static_cast<unsigned long long>(nav.pages_scanned),
             static_cast<unsigned long long>(nav.pages_skipped),
-            static_cast<unsigned long long>(nav.pages_skipped_by_tag),
             static_cast<unsigned long long>(nav.decode_cache_hits));
     if ((*store)->nav_mode() == nok::NavMode::kBp) {
       fprintf(stderr,
@@ -330,7 +324,7 @@ int CmdStats(const std::string& dir) {
 int CmdInsert(const std::string& dir, const std::string& dewey_text,
               const std::string& index_text,
               const std::string& fragment_path, bool wal) {
-  auto store = OpenStore(dir, true, true, wal);
+  auto store = OpenStore(dir, true, wal);
   if (!store.ok()) return Fail(store.status());
   auto dewey = ParseDewey(dewey_text);
   if (!dewey.ok()) return Fail(dewey.status());
@@ -348,7 +342,7 @@ int CmdInsert(const std::string& dir, const std::string& dewey_text,
 
 int CmdDelete(const std::string& dir, const std::string& dewey_text,
               bool wal) {
-  auto store = OpenStore(dir, true, true, wal);
+  auto store = OpenStore(dir, true, wal);
   if (!store.ok()) return Fail(store.status());
   auto dewey = ParseDewey(dewey_text);
   if (!dewey.ok()) return Fail(dewey.status());
@@ -360,7 +354,7 @@ int CmdDelete(const std::string& dir, const std::string& dewey_text,
 }
 
 int CmdRefresh(const std::string& dir, bool wal) {
-  auto store = OpenStore(dir, true, true, wal);
+  auto store = OpenStore(dir, true, wal);
   if (!store.ok()) return Fail(store.status());
   nok::Timer timer;
   nok::Status s = (*store)->RefreshPositions();
@@ -779,11 +773,10 @@ int CmdBench(int argc, char** argv) {
     const nok::StringStore::NavStats nav = store->tree()->nav_stats();
     snprintf(buf, sizeof(buf),
              "  \"nav\": {\"pages_scanned\": %llu, "
-             "\"pages_skipped\": %llu, \"pages_skipped_by_tag\": %llu, "
+             "\"pages_skipped\": %llu, "
              "\"bp_steps\": %llu, \"bp_tag_blocks_skipped\": %llu},\n",
              static_cast<unsigned long long>(nav.pages_scanned),
              static_cast<unsigned long long>(nav.pages_skipped),
-             static_cast<unsigned long long>(nav.pages_skipped_by_tag),
              static_cast<unsigned long long>(nav.bp_steps),
              static_cast<unsigned long long>(nav.bp_tag_blocks_skipped));
     json += buf;
