@@ -1,5 +1,6 @@
 #include "encoding/bp_index.h"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
 #include <string>
@@ -99,6 +100,14 @@ Status BpIndex::BuildSupport() {
   tree_min_.assign(2 * tree_leaves_, kMinSentinel);
   select_sample_.clear();
   select_sample_.reserve(static_cast<size_t>(node_count_ / 64) + 1);
+  // open_path[d] is the open node at depth d + 1 with its children seen
+  // so far; every kChildSampleRate-th child is paired with its parent.
+  struct OpenNode {
+    uint64_t pos;
+    uint64_t children;
+  };
+  std::vector<OpenNode> open_path;
+  std::vector<std::pair<uint64_t, uint64_t>> sampled;  // (parent, child)
   int64_t e = 0;
   uint64_t ones = 0;
   for (size_t w = 0; w < nwords; ++w) {
@@ -108,7 +117,19 @@ Status BpIndex::BuildSupport() {
     const uint32_t nb = WordBits(w);
     for (uint32_t i = 0; i < nb; ++i) {
       if ((word >> i) & 1u) {
-        if (ones % 64 == 0) select_sample_.push_back((w << 6) + i);
+        const uint64_t pos = (w << 6) + i;
+        if (ones % 64 == 0) select_sample_.push_back(pos);
+        const size_t depth = static_cast<size_t>(e);
+        if (depth > 0) {
+          OpenNode& parent = open_path[depth - 1];
+          if (parent.children != 0 &&
+              parent.children % kChildSampleRate == 0) {
+            sampled.emplace_back(parent.pos, pos);
+          }
+          ++parent.children;
+        }
+        if (open_path.size() <= depth) open_path.resize(depth + 1);
+        open_path[depth] = OpenNode{pos, 0};
         ++ones;
         ++e;
       } else {
@@ -132,6 +153,22 @@ Status BpIndex::BuildSupport() {
     const int64_t left = tree_min_[2 * i];
     const int64_t right = tree_min_[2 * i + 1];
     tree_min_[i] = left < right ? left : right;
+  }
+  // Nested wide parents interleave their samples; group them by parent.
+  // Each parent's samples were produced in document order, so the pair
+  // sort keeps them ascending.
+  std::sort(sampled.begin(), sampled.end());
+  child_samples_ = ChildSamples{};
+  for (const auto& [parent, child] : sampled) {
+    if (child_samples_.parents.empty() ||
+        child_samples_.parents.back() != parent) {
+      child_samples_.parents.push_back(parent);
+      child_samples_.offsets.push_back(child_samples_.samples.size());
+    }
+    child_samples_.samples.push_back(child);
+  }
+  if (!child_samples_.parents.empty()) {
+    child_samples_.offsets.push_back(child_samples_.samples.size());
   }
   return Status::OK();
 }
@@ -224,10 +261,26 @@ std::optional<uint64_t> BpIndex::Enclose(uint64_t pos) const {
   const uint32_t nb = WordBits(bw);
   for (uint32_t i = 0; i < nb; ++i) {
     e2 += ((word >> i) & 1u) ? 1 : -1;
-    if (e2 == target) best = static_cast<int64_t>((static_cast<uint64_t>(bw) << 6) + i);
+    if (e2 == target) {
+      best = static_cast<int64_t>((static_cast<uint64_t>(bw) << 6) + i);
+    }
   }
   if (best < 0) return std::nullopt;  // Unreachable: bw's min covers target.
   return static_cast<uint64_t>(best) + 1;
+}
+
+std::optional<uint64_t> BpIndex::JumpToChild(uint64_t parent, uint64_t k,
+                                             uint64_t* child) const {
+  if (k < kChildSampleRate) return std::nullopt;
+  const std::vector<uint64_t>& parents = child_samples_.parents;
+  const auto it = std::lower_bound(parents.begin(), parents.end(), parent);
+  if (it == parents.end() || *it != parent) return std::nullopt;
+  const size_t i = static_cast<size_t>(it - parents.begin());
+  const uint64_t first = child_samples_.offsets[i];
+  const uint64_t count = child_samples_.offsets[i + 1] - first;
+  const uint64_t j = std::min(k / kChildSampleRate, count);  // >= 1.
+  *child = j * kChildSampleRate;
+  return child_samples_.samples[static_cast<size_t>(first + j - 1)];
 }
 
 std::optional<uint64_t> BpIndex::NextOpenWithTag(
@@ -378,7 +431,8 @@ uint64_t BpIndex::MemoryBytes() const {
   return bits_.size() * sizeof(uint64_t) + tags_.size() * sizeof(TagId) +
          word_excess_.size() * sizeof(int64_t) +
          tree_min_.size() * sizeof(int64_t) +
-         select_sample_.size() * sizeof(uint64_t);
+         select_sample_.size() * sizeof(uint64_t) +
+         child_samples_.MemoryBytes();
 }
 
 }  // namespace nok

@@ -16,13 +16,18 @@
 //                 excess(i) - 2) in O(log(n/64)) word probes;
 //   select_sample_  the bit position of every 64th open, making select1
 //                 a sample lookup plus a short popcount walk;
+//   child_samples_  for every node with more than 64 children, the open
+//                 position of its children 64, 128, ... (JumpToChild), so
+//                 reaching child k costs one jump plus at most 63
+//                 FOLLOWING-SIBLING steps however wide the parent is;
 //   tags_         the TagId of every node in preorder, scanned four
 //                 lanes at a time (SWAR) by NextOpenWithTag so 64-node
 //                 blocks without the tag are skipped in 16 word compares
 //                 — no BufferPool traffic at all.
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
-// unlike the paged cursor — PARENT is cheap too (an enclose).
+// unlike the paged cursor — PARENT is cheap too (an enclose).  The child
+// samples live in memory only: the sidecar below does not carry them.
 //
 // Thread safety: a BpIndex is immutable after construction; every method
 // is const and touches no shared mutable state, so any number of threads
@@ -114,6 +119,27 @@ class BpIndex {
   /// In-memory footprint of bits + tags + support structures.
   uint64_t MemoryBytes() const;
 
+  /// Children are sampled at this stride (see JumpToChild).
+  static constexpr uint64_t kChildSampleRate = 64;
+
+  /// The sampled-child table, as flat arrays sorted by parent position:
+  /// the children of parents[i] numbered kChildSampleRate * (j + 1) open
+  /// at samples[offsets[i] + j], for offsets[i] + j < offsets[i + 1].
+  /// Only parents with more than kChildSampleRate children appear; with
+  /// none, all three arrays are empty.
+  struct ChildSamples {
+    std::vector<uint64_t> parents;  ///< Open positions, ascending.
+    std::vector<uint64_t> offsets;  ///< parents.size() + 1 entries.
+    std::vector<uint64_t> samples;  ///< Open positions of sampled children.
+
+    uint64_t MemoryBytes() const {
+      return (parents.size() + offsets.size() + samples.size()) *
+             sizeof(uint64_t);
+    }
+    bool operator==(const ChildSamples&) const = default;
+  };
+  const ChildSamples& child_samples() const { return child_samples_; }
+
   // -------------------------------------------------------------------
   // Succinct primitives.  Positions are bit indexes in [0, bit_count());
   // node positions are open bits.  The root open is position 0.
@@ -169,6 +195,16 @@ class BpIndex {
 
   std::optional<uint64_t> Parent(uint64_t pos) const { return Enclose(pos); }
 
+  /// Sampled child jump: the open position of the last sampled child of
+  /// `parent` at or before child index k (0-based), with that child's
+  /// index in *child — child kChildSampleRate * floor(k /
+  /// kChildSampleRate) when `parent` has it.  nullopt when k is below the
+  /// sample rate or `parent` has no more than kChildSampleRate children.
+  /// One binary search over the wide parents; the caller steps right the
+  /// remaining k - *child siblings.
+  std::optional<uint64_t> JumpToChild(uint64_t parent, uint64_t k,
+                                      uint64_t* child) const;
+
   /// Next open bit strictly after pos (any tag / level), or nullopt.
   std::optional<uint64_t> NextOpen(uint64_t pos) const {
     const uint64_t rank = Rank1(pos + 1);
@@ -187,7 +223,7 @@ class BpIndex {
   BpIndex() = default;
 
   /// Validates balance and rebuilds word_excess_ / tree_min_ /
-  /// select_sample_ from bits_.
+  /// select_sample_ / child_samples_ from bits_.
   Status BuildSupport();
 
   /// Bits actually present in word w (the last word may be partial).
@@ -223,6 +259,7 @@ class BpIndex {
   std::vector<int64_t> tree_min_;     ///< Segment tree over word minima.
   size_t tree_leaves_ = 1;            ///< Leaf count (power of two).
   std::vector<uint64_t> select_sample_;  ///< Position of every 64th open.
+  ChildSamples child_samples_;
 };
 
 }  // namespace nok

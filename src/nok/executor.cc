@@ -9,6 +9,7 @@
 
 #include "common/logging.h"
 #include "nok/bp_cursor.h"
+#include "nok/dewey_walk.h"
 #include "nok/logical_matcher.h"
 #include "nok/physical_matcher.h"
 
@@ -297,6 +298,8 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 //   NextOpenWithTag                      tag-filtered scan step;
 //   VisitNodes                           (pos, level, tag) of every node
 //                                        in document order;
+//   JumpToChild                          sampled child jump for WalkTo
+//                                        (dewey_walk.h);
 //   NodeAt, ResolveHits                  Dewey IDs / index hits -> nodes;
 //   CountSteps                           commits the tree steps (and tag
 //                                        blocks skipped) an algorithm
@@ -306,68 +309,6 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 // in NavStats::pages_scanned by the store itself); BpNav navigates the
 // in-memory balanced-parentheses index (no page access at all, counted
 // in bp_steps).
-
-/// One level of a cached root..node path.
-template <typename Pos>
-struct PathStep {
-  uint32_t component;  ///< Child index: the Dewey component.
-  Pos pos;
-};
-
-/// The prefix-cached Dewey walk: the position of `dewey`'s node.  The
-/// tier's dewey_path() holds the root..node path of the previous walk,
-/// so sorted IDs sharing a prefix resume from it: equal components are
-/// reused, and at the first divergence the walk continues rightward
-/// from the cached sibling when the target lies to its right.  Tree
-/// steps are added to *steps.
-template <typename Nav>
-Result<typename Nav::Pos> WalkTo(Nav* nav, const DeweyId& dewey,
-                                 uint64_t* steps) {
-  using Pos = typename Nav::Pos;
-  const auto& comp = dewey.components();
-  if (comp.empty() || comp[0] != 0) {
-    return Status::InvalidArgument("bad Dewey ID " + dewey.ToString());
-  }
-  std::vector<PathStep<Pos>>& cached = *nav->dewey_path();
-  size_t keep = 0;
-  while (keep < cached.size() && keep < comp.size() &&
-         cached[keep].component == comp[keep]) {
-    ++keep;
-  }
-  const bool resume_sideways = keep < cached.size() && keep < comp.size() &&
-                               keep > 0 && cached[keep].component < comp[keep];
-  cached.resize(keep + (resume_sideways ? 1 : 0));
-  if (cached.empty()) {
-    cached.push_back(PathStep<Pos>{0, nav->Root()});
-    ++*steps;
-  }
-  for (;;) {
-    PathStep<Pos>& last = cached.back();
-    const size_t level = cached.size();  // 1-based depth reached.
-    std::optional<Pos> next;
-    if (last.component < comp[level - 1]) {
-      // Walk right to the desired sibling.
-      ++*steps;
-      NOK_ASSIGN_OR_RETURN(next, nav->FollowingSibling(last.pos));
-      if (next.has_value()) {
-        last.pos = *next;
-        ++last.component;
-        continue;
-      }
-    } else if (level == comp.size()) {
-      return last.pos;  // Arrived.
-    } else {
-      ++*steps;
-      NOK_ASSIGN_OR_RETURN(next, nav->FirstChild(last.pos));
-      if (next.has_value()) {
-        cached.push_back(PathStep<Pos>{0, *next});
-        continue;
-      }
-    }
-    return Status::Corruption("index references missing node " +
-                              dewey.ToString());
-  }
-}
 
 /// Candidate Dewey IDs -> nodes (sorted, deduplicated), each found by
 /// the cached walk, so consecutive IDs share the navigation path.
@@ -591,12 +532,24 @@ class PagedNav {
     return Status::OK();
   }
 
+  /// The page chain keeps no child samples: WalkTo steps right.
+  bool JumpToChild(Pos, uint32_t, PathStep<Pos>*) { return false; }
+
   /// Paged work is counted as page fetches by the store itself.
   void CountSteps(uint64_t, uint64_t = 0) {}
 
-  /// Physical node for one Dewey ID via the B+i index.
+  /// Physical node for one Dewey ID: a B+i lookup while positions are
+  /// fresh, else the cached walk, so the sorted candidates and their
+  /// trunk ancestors share one sweep instead of each walking from the
+  /// root.
   Result<NodeT> NodeAt(const DeweyId& dewey) {
-    NOK_ASSIGN_OR_RETURN(Pos pos, store_->Locate(dewey));
+    Pos pos;
+    if (store_->positions_fresh()) {
+      NOK_ASSIGN_OR_RETURN(pos, store_->Locate(dewey));
+    } else {
+      uint64_t steps = 0;
+      NOK_ASSIGN_OR_RETURN(pos, WalkTo(this, dewey, &steps));
+    }
     return NodeT{pos, dewey, false};
   }
 
@@ -687,6 +640,18 @@ class BpNav {
     return Status::OK();
   }
 
+  /// Moves *step to the child sample at or before child k of `parent`
+  /// when one lies at least one sample past it.
+  bool JumpToChild(Pos parent, uint32_t k, PathStep<Pos>* step) {
+    constexpr uint64_t kRate = BpIndex::kChildSampleRate;
+    if (k / kRate <= step->component / kRate) return false;
+    uint64_t child = 0;
+    const std::optional<Pos> pos = bp_->JumpToChild(parent, k, &child);
+    if (!pos.has_value() || child <= step->component) return false;
+    *step = PathStep<Pos>{static_cast<uint32_t>(child), *pos};
+    return true;
+  }
+
   void CountSteps(uint64_t steps, uint64_t tag_blocks_skipped = 0) {
     store_->tree()->BumpBpSteps(steps);
     if (tag_blocks_skipped != 0) {
@@ -725,7 +690,8 @@ class BpNav {
 /// subtree is matched in full.  Every trunk edge is a child axis, so the
 /// subject ancestors are exactly the Dewey prefixes -- no search needed.
 /// Templated over the navigation backend: trunk nodes come from
-/// Nav::NodeAt (B+i lookups in paged mode, BP walks in bp mode).
+/// Nav::NodeAt (B+i lookups on fresh paged positions, else the cached
+/// Dewey walk).
 template <typename Nav>
 class AnchoredMatcherT {
  public:

@@ -271,6 +271,116 @@ TEST(BpIndexTest, RandomizedFusedTagScanMatchesNaive) {
 }
 
 // ---------------------------------------------------------------------
+// Sampled child jumps.
+
+/// Open positions of the children of the node opening at `parent`.
+std::vector<uint64_t> NaiveChildren(const std::string& parens,
+                                    uint64_t parent) {
+  std::vector<uint64_t> out;
+  int64_t depth = 0;
+  for (uint64_t i = parent + 1; i < parens.size(); ++i) {
+    if (parens[i] == '(') {
+      if (depth == 0) out.push_back(i);
+      ++depth;
+    } else if (depth-- == 0) {
+      break;  // The parent's own close.
+    }
+  }
+  return out;
+}
+
+/// A root with `fanout` children, child i holding i % 3 leaves, and —
+/// so wide parents nest and their samples interleave — child 1 holding
+/// `fanout` leaves of its own.
+std::string WideParens(uint64_t fanout) {
+  std::string out = "(";
+  for (uint64_t i = 0; i < fanout; ++i) {
+    out += '(';
+    const uint64_t leaves = i == 1 ? fanout : i % 3;
+    for (uint64_t j = 0; j < leaves; ++j) out += "()";
+    out += ')';
+  }
+  return out + ")";
+}
+
+TEST(BpIndexTest, ChildJumpMatchesNaiveChildren) {
+  constexpr uint64_t kRate = BpIndex::kChildSampleRate;
+  for (const uint64_t fanout : {1u, 63u, 64u, 65u, 128u, 129u, 1000u}) {
+    SCOPED_TRACE("fanout " + std::to_string(fanout));
+    const std::string parens = WideParens(fanout);
+    auto bp_or = BpIndex::FromParens(parens, {}, 1);
+    ASSERT_TRUE(bp_or.ok()) << bp_or.status().ToString();
+    const BpIndex& bp = *bp_or.ValueOrDie();
+
+    uint64_t wide = 0, sampled = 0;
+    for (uint64_t pos = 0; pos < parens.size(); ++pos) {
+      if (parens[pos] != '(') continue;
+      const std::vector<uint64_t> kids = NaiveChildren(parens, pos);
+      const uint64_t degree = kids.size();
+      if (degree > kRate) {
+        ++wide;
+        sampled += (degree - 1) / kRate;
+      }
+      for (uint64_t k = 0; k <= degree; ++k) {
+        uint64_t child = 0;
+        std::optional<uint64_t> at = bp.JumpToChild(pos, k, &child);
+        if (at.has_value()) {
+          EXPECT_GT(degree, kRate) << pos;
+          EXPECT_EQ(child, std::min(k / kRate, (degree - 1) / kRate) * kRate);
+          ASSERT_EQ(*at, kids[child]) << pos << " k=" << k;
+        } else {
+          EXPECT_TRUE(k < kRate || degree <= kRate) << pos << " k=" << k;
+          at = bp.FirstChild(pos);
+          child = 0;
+        }
+        while (at.has_value() && child < k) {
+          at = bp.FollowingSibling(*at);
+          ++child;
+        }
+        if (k == degree) {
+          EXPECT_FALSE(at.has_value()) << pos << " k=" << k;
+        } else {
+          ASSERT_TRUE(at.has_value()) << pos << " k=" << k;
+          EXPECT_EQ(*at, kids[k]) << pos << " k=" << k;
+        }
+      }
+    }
+    const BpIndex::ChildSamples& table = bp.child_samples();
+    EXPECT_EQ(table.parents.size(), wide);
+    EXPECT_EQ(table.samples.size(), sampled);
+    EXPECT_TRUE(std::is_sorted(table.parents.begin(), table.parents.end()));
+  }
+}
+
+TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
+  const std::string parens = WideParens(1000);
+  auto bp_or = BpIndex::FromParens(parens, {}, 3);
+  ASSERT_TRUE(bp_or.ok());
+  const BpIndex& bp = *bp_or.ValueOrDie();
+  const BpIndex::ChildSamples& table = bp.child_samples();
+  ASSERT_EQ(table.parents.size(), 2u);  // The root and its child 1.
+  EXPECT_EQ(table.offsets.size(), 3u);
+  EXPECT_EQ(table.samples.size(), 2 * (999u / 64));
+
+  auto back = BpIndex::Deserialize(bp.Serialize());
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  EXPECT_TRUE((*back)->child_samples() == table);
+
+  // Every other structure depends on the node count alone, so a chain of
+  // the same size (no node wider than one child) differs by the table.
+  const uint64_t nodes = parens.size() / 2;
+  auto chain = BpIndex::FromParens(
+      std::string(nodes, '(') + std::string(nodes, ')'), {}, 3);
+  ASSERT_TRUE(chain.ok());
+  EXPECT_EQ((*chain)->child_samples().MemoryBytes(), 0u);
+  EXPECT_EQ(table.MemoryBytes(),
+            (table.parents.size() + table.offsets.size() +
+             table.samples.size()) *
+                sizeof(uint64_t));
+  EXPECT_EQ(bp.MemoryBytes(), (*chain)->MemoryBytes() + table.MemoryBytes());
+}
+
+// ---------------------------------------------------------------------
 // Serialization.
 
 TEST(BpIndexTest, SerializeDeserializeRoundTrip) {

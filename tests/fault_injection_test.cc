@@ -153,8 +153,9 @@ TEST(FaultInjectorTest, PartialCrashKeepsASeededSubsetOfUnsyncedOps) {
     FaultInjectionFile file(std::move(base), injector);
     EXPECT_TRUE(file.WriteAt(0, Slice("DDDDDDDD")).ok());
     EXPECT_TRUE(file.Sync().ok());  // Durable image: 8 D's.
-    for (int i = 0; i < 8; ++i) {
-      EXPECT_TRUE(file.WriteAt(i, Slice(std::string(1, 'a' + i))).ok());
+    for (uint64_t i = 0; i < 8; ++i) {
+      const char c = static_cast<char>('a' + i);
+      EXPECT_TRUE(file.WriteAt(i, Slice(std::string(1, c))).ok());
     }
     injector->EnablePartialCrash(seed, keep_p);
     EXPECT_TRUE(injector->DropAllUnsyncedData().ok());

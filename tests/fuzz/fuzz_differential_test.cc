@@ -16,6 +16,7 @@
 
 #include "baseline/region_engine.h"
 #include "tests/fuzz/fuzz_harness.h"
+#include "xml/dom.h"
 
 namespace nok {
 namespace fuzz {
@@ -35,6 +36,22 @@ TEST(FuzzHarnessTest, GenerateCaseIsDeterministic) {
   EXPECT_EQ(a.queries, b.queries);
   const FuzzCase c = GenerateCase(124);
   EXPECT_NE(a.xml, c.xml);
+}
+
+// Some of the default sweep's documents have a root wider than the BP
+// index's child-sample stride, so the sweep covers the sampled jumps.
+TEST(FuzzHarnessTest, SomeCasesHaveWideRoots) {
+  size_t wide = 0;
+  for (uint64_t seed = 1; seed <= 60; ++seed) {
+    const FuzzCase fuzz_case = GenerateCase(seed);
+    auto dom = DomTree::Parse(fuzz_case.xml);
+    ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+    const size_t fanout = dom->root()->children.size();
+    if (fanout <= 64) continue;
+    ++wide;
+    EXPECT_LE(fanout, 300u) << "seed " << seed;
+  }
+  EXPECT_GT(wide, 0u);
 }
 
 TEST(FuzzHarnessTest, ReproFormatRoundTrips) {

@@ -73,6 +73,34 @@ void Judge(const std::string& engine, const std::string& query,
   }
 }
 
+/// Pads the root to `fanout` children with leaves named like its element
+/// children, spread at seeded positions among them.  The wide root
+/// carries Dewey resolution past the BP index's child samples (one per
+/// 64 children) while the document stays small enough for the oracle.
+std::string WidenRoot(const std::string& xml, size_t fanout, Random* rng) {
+  auto dom = DomTree::Parse(xml);
+  if (!dom.ok()) return xml;
+  DomNode* root = dom->mutable_root();
+  auto& children = root->children;
+  size_t first = 0;  // Attribute nodes stay in front.
+  while (first < children.size() && children[first]->is_attribute()) ++first;
+  std::vector<std::string> names;
+  for (size_t i = first; i < children.size(); ++i) {
+    names.push_back(children[i]->name);
+  }
+  if (names.empty()) return xml;
+  while (children.size() - first < fanout) {
+    auto pad = std::make_unique<DomNode>();
+    pad->name = names[rng->Uniform(names.size())];
+    pad->parent = root;
+    const size_t at = first + rng->Uniform(children.size() - first + 1);
+    children.insert(children.begin() + static_cast<long>(at),
+                    std::move(pad));
+  }
+  dom->Renumber();
+  return SerializeTree(*dom);
+}
+
 }  // namespace
 
 FuzzCase GenerateCase(uint64_t seed) {
@@ -115,6 +143,15 @@ FuzzCase GenerateCase(uint64_t seed) {
   // oracle's genuinely empty answers.
   if (rng.Bernoulli(0.5)) queries.absent_bias = 0.15;
   out.queries = RandomQueries(ds, queries);
+
+  // An eighth of the cases get a root with 65-300 children.  The choice
+  // draws from its own stream, so every other case stays exactly as
+  // earlier versions of the generator produced it.
+  Random wide_rng(seed * 0xc2b2ae3d27d4eb4full + 7);
+  if (wide_rng.Uniform(8) == 0) {
+    out.xml = WidenRoot(out.xml, 65 + wide_rng.Uniform(236), &wide_rng);
+    out.name += "-wide";
+  }
   return out;
 }
 

@@ -1,8 +1,9 @@
 // Seeded, grammar-driven randomized differential testing harness.
 //
 // One iteration: GenerateCase(seed) derives a (document, query set) pair
-// — deep-recursion parts documents and scale-zero Table 1 documents,
-// with QueryGen-v2 grammar samples over the document's schema — and
+// — deep-recursion parts documents and scale-zero Table 1 documents, an
+// eighth of them with the root padded to 65-300 children, with
+// QueryGen-v2 grammar samples over the document's schema — and
 // CheckCase runs every query through the full engine matrix
 //   {DI, TwigStack, navigational, region, NoK} x
 //   {planner strategies} x {paged, bp, paged without synopsis} x

@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/random.h"
 #include "encoding/document_store.h"
+#include "nok/dewey_walk.h"
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
 #include "tests/oracle.h"
@@ -408,6 +410,222 @@ INSTANTIATE_TEST_SUITE_P(
                       "//book[preceding::editor]",
                       "//author[last=\"Suciu\"]/preceding::title",
                       "//price/preceding::price"));
+
+}  // namespace
+}  // namespace nok
+
+// ---------------------------------------------------------------------------
+// Dewey ID resolution under a wide root: cost follows depth, not fanout.
+
+namespace nok {
+namespace {
+
+constexpr int kWideFanout = 2400;
+
+/// <r> holding `first` (an extra leading element, or nothing) and then
+/// kWideFanout <a> children; each <a> holds a <b>, and every 300th one a
+/// <c>, valued "needle" in every 900th <a>.  The anchors lie hundreds of
+/// siblings apart, so a sweep that steps over every sibling between
+/// them costs more than the per-candidate bound below.
+std::string WideXml(const std::string& first = "") {
+  std::string xml = "<r>" + first;
+  for (int i = 0; i < kWideFanout; ++i) {
+    xml += "<a><b>" + std::to_string(i) + "</b>";
+    if (i % 300 == 107) {
+      xml += std::string("<c>") + (i % 900 == 107 ? "needle" : "hay") +
+             "</c>";
+    }
+    xml += "</a>";
+  }
+  return xml + "</r>";
+}
+
+struct WideCase {
+  const char* query;
+  StartStrategy strategy;
+  const char* probe;  ///< The operator that must anchor the query.
+};
+
+const WideCase kWideCases[] = {
+    {"/r/a/c", StartStrategy::kTagIndex, "TagIndexProbe"},
+    {"/r/a/c[.=\"needle\"]", StartStrategy::kValueIndex, "ValueIndexProbe"},
+};
+
+std::vector<std::string> Canon(const std::vector<DeweyId>& ids) {
+  std::vector<std::string> out;
+  for (const DeweyId& id : ids) out.push_back(id.ToString());
+  return out;
+}
+
+/// Evaluates one wide case and checks it against the oracle and the
+/// expected anchoring operator; returns the candidate count.
+size_t EvaluateWideCase(QueryEngine* engine, const DomTree& dom,
+                        const WideCase& c) {
+  QueryOptions options;
+  options.strategy = c.strategy;
+  auto got = engine->Evaluate(c.query, options);
+  EXPECT_TRUE(got.ok()) << c.query << ": " << got.status().ToString();
+  if (!got.ok()) return 0;
+  auto want = OracleEvaluateDewey(c.query, dom);
+  EXPECT_TRUE(want.ok()) << c.query;
+  if (!want.ok()) return 0;
+  EXPECT_FALSE(want->empty()) << c.query;
+  EXPECT_EQ(Canon(*got), Canon(*want)) << c.query;
+  bool probed = false;
+  for (const OperatorStats& op : engine->last_trace().operators) {
+    probed = probed || op.op == c.probe;
+  }
+  EXPECT_TRUE(probed) << c.query << " was not anchored by " << c.probe;
+  size_t candidates = 0;
+  for (const auto& tree : engine->last_stats().trees) {
+    candidates += tree.candidates;
+  }
+  return candidates;
+}
+
+TEST(WideRootTest, BpStepsBoundedByDepthPerCandidate) {
+  const std::string xml = WideXml();
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok());
+  DocumentStore::Options store_options;
+  store_options.nav_mode = NavMode::kBp;
+  auto store = DocumentStore::Build(xml, store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  QueryEngine engine(store->get());
+  constexpr uint64_t kDepth = 3;  // r/a/c
+  for (const WideCase& c : kWideCases) {
+    const size_t candidates = EvaluateWideCase(&engine, *dom, c);
+    EXPECT_GT(candidates, 0u) << c.query;
+    EXPECT_LE(engine.last_trace().bp_steps,
+              candidates * kDepth * BpIndex::kChildSampleRate)
+        << c.query;
+  }
+}
+
+TEST(WideRootTest, StalePagedPositionsResolveInOneSweep) {
+  DocumentStore::Options store_options;
+  store_options.page_size = 512;
+  auto store = DocumentStore::Build(WideXml(), store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  const std::string inserted = "<a><b>new</b></a>";
+  ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, inserted).ok());
+  ASSERT_FALSE((*store)->positions_fresh());
+  auto dom = DomTree::Parse(WideXml(inserted));
+  ASSERT_TRUE(dom.ok());
+  QueryEngine engine(store->get());
+  // Twice the page fetches measured (6714 and 5774) when the candidates
+  // and their trunk ancestors share one left-to-right sweep of the page
+  // chain.  Walking from the root for each candidate took 55928 and
+  // 18259.
+  const uint64_t kMaxPages[] = {2 * 6714, 2 * 5774};
+  for (size_t i = 0; i < std::size(kWideCases); ++i) {
+    const StringStore::NavStats before = (*store)->tree()->nav_stats();
+    EvaluateWideCase(&engine, *dom, kWideCases[i]);
+    const uint64_t pages =
+        (*store)->tree()->nav_stats().pages_scanned - before.pages_scanned;
+    EXPECT_LE(pages, kMaxPages[i]) << kWideCases[i].query;
+  }
+}
+
+/// WalkTo tiers as the executor builds them: the store's page chain, and
+/// the BP index with its child samples.
+struct PagedWalkTier {
+  using Pos = StorePos;
+  StringStore* tree;
+  std::vector<PathStep<Pos>> path;
+
+  Pos Root() const { return tree->RootPos(); }
+  Result<std::optional<Pos>> FirstChild(Pos pos) {
+    return tree->FirstChild(pos);
+  }
+  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
+    return tree->FollowingSibling(pos);
+  }
+  bool JumpToChild(Pos, uint32_t, PathStep<Pos>*) { return false; }
+  std::vector<PathStep<Pos>>* dewey_path() { return &path; }
+};
+
+struct BpWalkTier {
+  using Pos = uint64_t;
+  const BpIndex* bp;
+  std::vector<PathStep<Pos>> path;
+
+  Pos Root() const { return 0; }
+  Result<std::optional<Pos>> FirstChild(Pos pos) {
+    return bp->FirstChild(pos);
+  }
+  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
+    return bp->FollowingSibling(pos);
+  }
+  bool JumpToChild(Pos parent, uint32_t k, PathStep<Pos>* step) {
+    uint64_t child = 0;
+    const std::optional<uint64_t> pos = bp->JumpToChild(parent, k, &child);
+    if (!pos.has_value() || child <= step->component) return false;
+    *step = PathStep<Pos>{static_cast<uint32_t>(child), *pos};
+    return true;
+  }
+  std::vector<PathStep<Pos>>* dewey_path() { return &path; }
+};
+
+/// The BP position of `id` by plain FIRST-CHILD / FOLLOWING-SIBLING steps.
+uint64_t NaiveBpWalk(const BpIndex& bp, const DeweyId& id) {
+  uint64_t pos = 0;
+  for (size_t level = 1; level < id.components().size(); ++level) {
+    pos = *bp.FirstChild(pos);
+    for (uint32_t i = 0; i < id.components()[level]; ++i) {
+      pos = *bp.FollowingSibling(pos);
+    }
+  }
+  return pos;
+}
+
+TEST(WideRootTest, WalkToAnswersAncestorsWithoutLosingItsPlace) {
+  DocumentStore::Options store_options;
+  store_options.page_size = 512;
+  store_options.nav_mode = NavMode::kBp;
+  auto store = DocumentStore::Build(WideXml(), store_options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto bp = (*store)->bp_index();
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+  PagedWalkTier paged{(*store)->tree(), {}};
+  BpWalkTier bp_tier{*bp, {}};
+
+  // Trunk-verification order: each ancestor is asked for between two
+  // descendants, and the walk also moves backwards and to the root.  An
+  // ID that is a prefix of the previous walk's path is answered from the
+  // cached path in zero steps.
+  struct Step {
+    DeweyId id;
+    bool cached;
+  };
+  const std::vector<Step> steps = {
+      {DeweyId({0, 1507, 0}), false}, {DeweyId({0}), true},
+      {DeweyId({0, 1507}), true},     {DeweyId({0, 1607, 1}), false},
+      {DeweyId({0, 1607}), true},     {DeweyId({0, 2399, 0}), false},
+      {DeweyId({0, 3, 0}), false},    {DeweyId({0, 3}), true},
+      {DeweyId({0, 2398}), false},    {DeweyId({0, 64, 0}), false},
+      {DeweyId({0, 63}), false},      {DeweyId({0, 407, 1}), false}};
+  for (const Step& step : steps) {
+    const DeweyId& id = step.id;
+    SCOPED_TRACE(id.ToString());
+    uint64_t paged_steps = 0;
+    auto at = WalkTo(&paged, id, &paged_steps);
+    ASSERT_TRUE(at.ok()) << at.status().ToString();
+    auto fresh = (*store)->Navigate(id);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_TRUE(*at == *fresh);
+
+    uint64_t bp_steps = 0;
+    auto bp_at = WalkTo(&bp_tier, id, &bp_steps);
+    ASSERT_TRUE(bp_at.ok()) << bp_at.status().ToString();
+    EXPECT_EQ(*bp_at, NaiveBpWalk(**bp, id));
+    EXPECT_LE(bp_steps, id.depth() * (BpIndex::kChildSampleRate + 1));
+    if (step.cached) {
+      EXPECT_EQ(paged_steps, 0u);
+      EXPECT_EQ(bp_steps, 0u);
+    }
+  }
+}
 
 }  // namespace
 }  // namespace nok
