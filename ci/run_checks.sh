@@ -15,7 +15,8 @@
 #                               # the whole tree + negative-compile of
 #                               # the committed broken fixture
 #   ci/run_checks.sh bench-smoke # page-skip ablation bench on a tiny
-#                                # dataset + JSON report validation
+#                                # dataset + JSON report validation +
+#                                # a timed front insert on dblp 0.05
 #   ci/run_checks.sh fuzz-smoke  # seeded differential fuzzer under ASan:
 #                                # 500 iterations across all engines x
 #                                # planner strategies + corpus replay +
@@ -226,6 +227,22 @@ print("BENCH_bp.json: schema ok,",
       len(report["measurements"]), "measurements,",
       f"best speedup {report['best_speedup']:.2f}x")
 EOF
+
+  step "Front insert under a 20,000-entry root (index upkeep guard)"
+  # Inserting child 0 of /dblp shifts every entry's Dewey ID.  Each
+  # shifted node costs O(log n) index work, a second or two in all; a
+  # per-node scan of its tag's B+t entries took minutes here.
+  cmake --build build-ci/bench -j "$JOBS" --target nokq
+  local nokq=build-ci/bench/tools/nokq
+  local store=build-ci/bench/front-insert-store
+  rm -rf "$store"
+  "$nokq" gen dblp "$store" --scale 0.05
+  printf '%s%s\n' '<article key="ci/front"><author>CI</author>' \
+      '<title>Front</title><year>2004</year></article>' \
+      > build-ci/bench/front-frag.xml
+  timeout 30 "$nokq" insert "$store" 0 0 build-ci/bench/front-frag.xml
+  "$nokq" verify "$store"
+  "$nokq" stats "$store"
 }
 
 run_fuzz_smoke() {

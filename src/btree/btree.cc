@@ -318,27 +318,6 @@ Result<bool> BTree::Delete(const Slice& key) {
   return true;
 }
 
-Result<bool> BTree::DeleteExact(const Slice& key, const Slice& value) {
-  if (options_.read_only) {
-    return Status::InvalidArgument(
-        "DeleteExact on a btree opened read-only");
-  }
-  BTreeIterator it = NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(key));
-  while (it.Valid() && it.key() == key) {
-    if (it.value() == value) {
-      NodeRef node(it.leaf_.mutable_data(), options_.page_size);
-      node.RemoveCell(it.slot_);
-      it.leaf_.MarkDirty();
-      --num_entries_;
-      meta_dirty_ = true;
-      return true;
-    }
-    NOK_RETURN_IF_ERROR(it.Next());
-  }
-  return false;
-}
-
 BTreeIterator BTree::NewIterator() { return BTreeIterator(this); }
 
 Status BTreeIterator::SeekToFirst() {

@@ -5,9 +5,10 @@
 // B+i are all instances of this tree with different key encodings.
 //
 // Properties:
-//   * duplicate keys are allowed (B+v maps one hash to many Dewey IDs);
-//     duplicates are stored contiguously in key order and enumerated with
-//     an iterator;
+//   * duplicate keys are allowed (B+p maps one rooted tag path to many
+//     nodes); duplicates are stored contiguously in key order and
+//     enumerated with an iterator.  B+t and B+v append the Dewey ID to
+//     their keys instead, so every entry there is unique;
 //   * keys compare byte-wise, so callers use order-preserving encodings
 //     (big-endian integers, Dewey component vectors);
 //   * deletion removes entries without structural rebalancing — the
@@ -84,9 +85,6 @@ class BTree {
   /// Removes the first entry with exactly this key; returns whether an
   /// entry was removed.
   Result<bool> Delete(const Slice& key);
-
-  /// Removes the first entry matching both key and value.
-  Result<bool> DeleteExact(const Slice& key, const Slice& value);
 
   /// Number of live entries.
   uint64_t num_entries() const { return num_entries_; }

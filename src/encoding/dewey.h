@@ -89,6 +89,26 @@ class DeweyId {
   std::vector<uint32_t> components_;
 };
 
+/// Dewey IDs of the nodes of a document-order (preorder) walk, derived
+/// from each node's level alone (the root is level 1).
+class DeweyCounter {
+ public:
+  /// Components of the next node in document order, at `level` >= 1.
+  /// The reference is valid until the next call.
+  const std::vector<uint32_t>& Next(size_t level) {
+    if (next_child_.size() < level + 2) next_child_.resize(level + 2, 0);
+    path_.resize(level);
+    path_[level - 1] = next_child_[level]++;
+    next_child_[level + 1] = 0;
+    return path_;
+  }
+
+ private:
+  std::vector<uint32_t> path_;
+  /// Per level: children seen so far under the current parent.
+  std::vector<uint32_t> next_child_;
+};
+
 }  // namespace nok
 
 #endif  // NOKXML_ENCODING_DEWEY_H_

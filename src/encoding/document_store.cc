@@ -1,5 +1,8 @@
 #include "encoding/document_store.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
@@ -16,10 +19,39 @@ std::string TagKey(TagId tag) {
   return key;
 }
 
+std::string TagKey(TagId tag, const DeweyId& dewey) {
+  return TagKey(tag) + dewey.Encode();
+}
+
 std::string ValueKey(const Slice& value) {
   std::string key;
   PutBigEndian64(&key, Hash64(value));
   return key;
+}
+
+std::string ValueKey(const Slice& value, const DeweyId& dewey) {
+  return ValueKey(value) + dewey.Encode();
+}
+
+std::string PositionPayload(uint64_t pos) {
+  std::string payload;
+  PutVarint64(&payload, pos);
+  return payload;
+}
+
+Status ParseNodeRefEntry(const Slice& key, const Slice& value,
+                         size_t prefix_len, uint64_t* pos, DeweyId* dewey) {
+  if (key.size() == prefix_len) {
+    return ParseNodeRefPayload(value, pos, dewey);
+  }
+  Slice input = value;
+  if (key.size() < prefix_len || !GetVarint64(&input, pos)) {
+    return Status::Corruption("bad node-ref entry");
+  }
+  NOK_ASSIGN_OR_RETURN(*dewey,
+                       DeweyId::Decode(Slice(key.data() + prefix_len,
+                                             key.size() - prefix_len)));
+  return Status::OK();
 }
 
 std::string PathKey(const std::vector<TagId>& path) {
@@ -161,10 +193,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   NOK_ASSIGN_OR_RETURN(store->values_, ValueStore::Open(
                                            std::move(values_file),
                                            value_options));
-  BTree::Options idx_options;
-  idx_options.page_size = options.index_page_size;
-  idx_options.pool_frames = options.index_pool_frames;
-  idx_options.checksum_pages = options.checksum_pages;
+  const BTree::Options idx_options = store->IndexOptions();
   NOK_ASSIGN_OR_RETURN(store->tag_index_,
                        BTree::Open(std::move(tag_idx_file), idx_options));
   NOK_ASSIGN_OR_RETURN(store->value_index_,
@@ -199,8 +228,8 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(store->values_->Append(Slice(value), &offset));
       NOK_RETURN_IF_ERROR(store->value_index_->Insert(
-          index_keys::ValueKey(Slice(value)),
-          index_keys::NodeRefPayload(frame.pos, dewey)));
+          index_keys::ValueKey(Slice(value), dewey),
+          index_keys::PositionPayload(frame.pos)));
       NOK_RETURN_IF_ERROR(store->id_index_->Insert(
           Slice(key), index_keys::IdPayload(frame.pos, true, offset)));
     } else {
@@ -235,7 +264,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     tag_path.push_back(tag);
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
-        index_keys::TagKey(tag), index_keys::NodeRefPayload(pos, dewey)));
+        index_keys::TagKey(tag, dewey), index_keys::PositionPayload(pos)));
     NOK_RETURN_IF_ERROR(store->path_index_->Insert(
         index_keys::PathKey(tag_path),
         index_keys::NodeRefPayload(pos, dewey)));
@@ -390,12 +419,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
                                            std::move(values_file),
                                            value_options));
 
-  BTree::Options idx_options;
-  idx_options.page_size = options.index_page_size;
-  idx_options.pool_frames = options.index_pool_frames;
-  idx_options.pool_shards = options.index_pool_shards;
-  idx_options.checksum_pages = checksummed;
-  idx_options.read_only = options.read_only;
+  BTree::Options idx_options = store->IndexOptions();
   // A zero-length index file here means the index was lost (e.g. a crash
   // truncated it); formatting a fresh empty index would silently answer
   // queries with no results.
@@ -486,7 +510,87 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
       NOK_RETURN_IF_ERROR(store->PersistSynopsisSidecar());
     }
   }
+  if (!options.read_only) {
+    NOK_RETURN_IF_ERROR(store->UpgradeLegacyIndexes());
+  }
   return store;
+}
+
+BTree::Options DocumentStore::IndexOptions() const {
+  BTree::Options idx_options;
+  idx_options.page_size = options_.index_page_size;
+  idx_options.pool_frames = options_.index_pool_frames;
+  idx_options.pool_shards = options_.index_pool_shards;
+  idx_options.checksum_pages = options_.checksum_pages;
+  idx_options.read_only = options_.read_only;
+  return idx_options;
+}
+
+namespace {
+
+/// Whether `index` holds legacy B+t / B+v entries, whose key is the bare
+/// prefix.  No writer mixes the layouts in one tree (the upgrade rewrites
+/// a whole tree), so the first entry decides.
+Result<bool> HasLegacyLayout(BTree* index, size_t prefix_len) {
+  BTreeIterator it = index->NewIterator();
+  NOK_RETURN_IF_ERROR(it.SeekToFirst());
+  return it.Valid() && it.key().size() == prefix_len;
+}
+
+}  // namespace
+
+Status DocumentStore::UpgradeLegacyIndexes() {
+  NOK_ASSIGN_OR_RETURN(
+      const bool tag_legacy,
+      HasLegacyLayout(tag_index_.get(), index_keys::kTagKeySize));
+  NOK_ASSIGN_OR_RETURN(
+      const bool value_legacy,
+      HasLegacyLayout(value_index_.get(), index_keys::kValueKeySize));
+  if (!tag_legacy && !value_legacy) return Status::OK();
+  NOK_RETURN_IF_ERROR(BeginWalTxn());
+  if (tag_legacy) {
+    NOK_RETURN_IF_ERROR(RewriteLegacyIndex(
+        kTagIdxFile, index_keys::kTagKeySize, &tag_index_));
+  }
+  if (value_legacy) {
+    NOK_RETURN_IF_ERROR(RewriteLegacyIndex(
+        kValIdxFile, index_keys::kValueKeySize, &value_index_));
+  }
+  RefreshSizeStats();
+  return Flush();
+}
+
+Status DocumentStore::RewriteLegacyIndex(const char* name, size_t prefix_len,
+                                         std::unique_ptr<BTree>* index) {
+  std::vector<std::pair<std::string, std::string>> entries;
+  entries.reserve((*index)->num_entries());
+  {
+    BTreeIterator it = (*index)->NewIterator();
+    NOK_RETURN_IF_ERROR(it.SeekToFirst());
+    while (it.Valid()) {
+      uint64_t pos = 0;
+      DeweyId dewey = DeweyId::Root();
+      NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
+          it.key(), it.value(), prefix_len, &pos, &dewey));
+      entries.emplace_back(
+          std::string(it.key().data(), prefix_len) + dewey.Encode(),
+          index_keys::PositionPayload(pos));
+      NOK_RETURN_IF_ERROR(it.Next());
+    }
+  }
+  // A legacy run of one prefix is in insertion order, which updates left
+  // out of document order.
+  std::sort(entries.begin(), entries.end());
+  // The old tree is clean (just opened), so dropping it writes nothing;
+  // it must go before its file is reopened and truncated underneath it.
+  index->reset();
+  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(name, /*create=*/true));
+  NOK_RETURN_IF_ERROR(file->Truncate(0));
+  NOK_ASSIGN_OR_RETURN(*index, BTree::Open(std::move(file), IndexOptions()));
+  for (const auto& [key, value] : entries) {
+    NOK_RETURN_IF_ERROR((*index)->Insert(Slice(key), Slice(value)));
+  }
+  return Status::OK();
 }
 
 Status DocumentStore::SaveDictionary() {
@@ -706,17 +810,19 @@ Result<std::optional<std::string>> DocumentStore::ValueOf(
   return std::optional<std::string>(std::move(value));
 }
 
-Result<std::vector<DocumentStore::IndexedNode>> DocumentStore::NodesWithTag(
-    TagId tag, size_t limit) {
-  std::vector<IndexedNode> out;
-  const std::string key = index_keys::TagKey(tag);
-  BTreeIterator it = tag_index_->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(key)));
-  while (it.Valid() && it.key() == Slice(key)) {
-    IndexedNode node;
-    NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefPayload(it.value(),
-                                                        &node.pos,
-                                                        &node.dewey));
+namespace {
+
+/// The B+t / B+v entries whose key starts with `prefix` (a TagKey or a
+/// ValueKey), in key order: document order.  limit = 0 means unbounded.
+Result<std::vector<DocumentStore::IndexedNode>> ReadNodeRefs(
+    BTree* index, const std::string& prefix, size_t limit) {
+  std::vector<DocumentStore::IndexedNode> out;
+  BTreeIterator it = index->NewIterator();
+  NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
+  while (it.Valid() && it.key().starts_with(Slice(prefix))) {
+    DocumentStore::IndexedNode node;
+    NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
+        it.key(), it.value(), prefix.size(), &node.pos, &node.dewey));
     out.push_back(std::move(node));
     if (limit != 0 && out.size() >= limit) break;
     NOK_RETURN_IF_ERROR(it.Next());
@@ -724,23 +830,25 @@ Result<std::vector<DocumentStore::IndexedNode>> DocumentStore::NodesWithTag(
   return out;
 }
 
+}  // namespace
+
+Result<std::vector<DocumentStore::IndexedNode>> DocumentStore::NodesWithTag(
+    TagId tag, size_t limit) {
+  return ReadNodeRefs(tag_index_.get(), index_keys::TagKey(tag), limit);
+}
+
 Result<std::vector<DocumentStore::IndexedNode>>
 DocumentStore::NodesWithValue(const Slice& value) {
+  NOK_ASSIGN_OR_RETURN(
+      std::vector<IndexedNode> candidates,
+      ReadNodeRefs(value_index_.get(), index_keys::ValueKey(value), 0));
   std::vector<IndexedNode> out;
-  const std::string key = index_keys::ValueKey(value);
-  BTreeIterator it = value_index_->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(key)));
-  while (it.Valid() && it.key() == Slice(key)) {
-    IndexedNode node;
-    NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefPayload(it.value(),
-                                                        &node.pos,
-                                                        &node.dewey));
+  for (IndexedNode& node : candidates) {
     // Verify against the data file to rule out hash collisions.
     NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(node.dewey));
     if (actual.has_value() && Slice(*actual) == value) {
       out.push_back(std::move(node));
     }
-    NOK_RETURN_IF_ERROR(it.Next());
   }
   return out;
 }
@@ -923,10 +1031,10 @@ Status DocumentStore::PersistBpSidecar() {
 Result<size_t> DocumentStore::EstimateValueCount(const Slice& value,
                                                  size_t cap) {
   size_t count = 0;
-  const std::string key = index_keys::ValueKey(value);
+  const std::string prefix = index_keys::ValueKey(value);
   BTreeIterator it = value_index_->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(key)));
-  while (it.Valid() && it.key() == Slice(key)) {
+  NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
+  while (it.Valid() && it.key().starts_with(Slice(prefix))) {
     ++count;
     if (cap != 0 && count >= cap) break;
     NOK_RETURN_IF_ERROR(it.Next());

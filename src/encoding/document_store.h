@@ -5,8 +5,8 @@
 //   * the succinct tree string (StringStore)          -- |tree| in Table 1
 //   * the tag dictionary (name <-> Sigma symbol)
 //   * the value data file (ValueStore)
-//   * B+t: tag  -> Dewey IDs of nodes with that tag   -- |B+t|
-//   * B+v: hash(value) -> Dewey IDs of nodes with it  -- |B+v|
+//   * B+t: (tag, Dewey ID) -> position              -- |B+t|
+//   * B+v: (hash(value), Dewey ID) -> position      -- |B+v|
 //   * B+i: Dewey ID -> value-record offset            -- |B+i|
 //
 // Indexes reference nodes by Dewey ID (never by physical position):
@@ -237,13 +237,13 @@ class DocumentStore {
   };
 
   // -- index access ------------------------------------------------------
-  /// All nodes with the given tag, in index order.  limit = 0 means
+  /// All nodes with the given tag, in document order.  limit = 0 means
   /// unbounded.
   Result<std::vector<IndexedNode>> NodesWithTag(TagId tag,
                                                 size_t limit = 0);
 
-  /// Nodes whose value equals `value` exactly (hash collisions are
-  /// resolved against the data file).
+  /// Nodes whose value equals `value` exactly, in document order (hash
+  /// collisions are resolved against the data file).
   Result<std::vector<IndexedNode>> NodesWithValue(const Slice& value);
 
   /// Nodes whose rooted tag path equals `path` (root tag first) — the
@@ -327,6 +327,19 @@ class DocumentStore {
 
   Status InitFiles(const Options& options);
   Status SaveDictionary();
+
+  /// B+ tree options for every index, from the store options.
+  BTree::Options IndexOptions() const;
+
+  /// Writable opens: when B+t or B+v still holds legacy entries (the Dewey
+  /// ID in the value, not the key), rewrites both trees to the keyed layout
+  /// and commits that as one generation — one WAL transaction in WAL mode
+  /// — so no update ever meets a legacy entry.
+  Status UpgradeLegacyIndexes();
+  /// Rereads every entry of one legacy tree and writes it back keyed by
+  /// (prefix, Dewey ID) into a fresh tree on the same component file.
+  Status RewriteLegacyIndex(const char* name, size_t prefix_len,
+                            std::unique_ptr<BTree>* index);
 
   /// Opens one component file, honoring options_.file_factory and, in
   /// WAL mode, wrapping it for transactional capture.
@@ -425,21 +438,43 @@ class DocumentStore {
 
 /// Encoding helpers shared by the builder, the query engine and tests.
 ///
-/// Index payloads carry the node's global position alongside its Dewey ID
-/// as a navigation shortcut.  Positions shift when the structure is
-/// edited, so DocumentStore tracks freshness: after an update the stored
-/// positions are stale and lookups fall back to Dewey navigation (the
-/// paper's "the node ID B+ tree may need to be reconstructed" trade-off).
+/// Index entries carry the node's global position as a navigation
+/// shortcut.  Positions shift when the structure is edited, so
+/// DocumentStore tracks freshness: after an update the stored positions
+/// are stale and lookups fall back to Dewey navigation (the paper's "the
+/// node ID B+ tree may need to be reconstructed" trade-off).
+///
+/// B+t and B+v entries are keyed by (tag or value hash, Dewey ID), so each
+/// entry is unique: an update deletes exactly the entry it moves in one
+/// O(log n) descent, and one tag's (or value's) entries iterate in
+/// document order.  The value is the varint position alone.
 namespace index_keys {
 
-/// B+t key for a tag.
+/// Width of the B+t key prefix (the big-endian tag id).
+inline constexpr size_t kTagKeySize = 2;
+/// Width of the B+v key prefix (the big-endian value hash).
+inline constexpr size_t kValueKeySize = 8;
+
+/// B+t key prefix shared by every node with this tag.
 std::string TagKey(TagId tag);
-/// B+v key for a value.
+/// B+t entry key: TagKey(tag) followed by dewey.Encode().
+std::string TagKey(TagId tag, const DeweyId& dewey);
+/// B+v key prefix shared by every node with this value.
 std::string ValueKey(const Slice& value);
+/// B+v entry key: ValueKey(value) followed by dewey.Encode().
+std::string ValueKey(const Slice& value, const DeweyId& dewey);
+/// B+t / B+v entry value: the node's global position.
+std::string PositionPayload(uint64_t pos);
+/// Decodes a B+t / B+v entry whose key starts with a prefix_len-byte
+/// prefix.  A key of exactly prefix_len bytes is a legacy entry, written
+/// before the Dewey ID moved into the key: its value is a NodeRefPayload.
+Status ParseNodeRefEntry(const Slice& key, const Slice& value,
+                         size_t prefix_len, uint64_t* pos, DeweyId* dewey);
 /// B+p key for a rooted tag path (root tag first).  Big-endian per
 /// component, so byte prefixes are path prefixes.
 std::string PathKey(const std::vector<TagId>& path);
-/// B+t / B+v value payload: global position + Dewey ID.
+/// B+p value payload (and the legacy B+t / B+v one): global position +
+/// Dewey ID.
 std::string NodeRefPayload(uint64_t pos, const DeweyId& dewey);
 Status ParseNodeRefPayload(const Slice& payload, uint64_t* pos,
                            DeweyId* dewey);

@@ -1,7 +1,9 @@
 #include "encoding/store_verifier.h"
 
 #include <memory>
+#include <optional>
 #include <utility>
+#include <vector>
 
 #include "btree/btree.h"
 #include "encoding/bp_index.h"
@@ -56,6 +58,47 @@ void ScrubPagedFile(const std::string& dir, const char* name,
     if (!s.ok()) {
       AddIssue(report, name, s.ToString());
     }
+  }
+}
+
+/// Checks one B+t / B+v tree (either entry layout) against B+i: every
+/// entry's Dewey ID must have a B+i entry, and the tree must hold exactly
+/// `expected` entries.
+void CrossCheckNodeRefs(BTree* id_index, BTree* index,
+                        const char* component, size_t prefix_len,
+                        uint64_t expected, const char* what,
+                        VerifyReport* report) {
+  uint64_t count = 0;
+  BTreeIterator it = index->NewIterator();
+  Status s = it.SeekToFirst();
+  while (s.ok() && it.Valid()) {
+    ++count;
+    uint64_t pos = 0;
+    DeweyId dewey = DeweyId::Root();
+    Status ps = index_keys::ParseNodeRefEntry(it.key(), it.value(),
+                                              prefix_len, &pos, &dewey);
+    if (!ps.ok()) {
+      AddIssue(report, component, "undecodable entry: " + ps.ToString());
+    } else {
+      auto id = id_index->Get(Slice(dewey.Encode()));
+      if (!id.ok()) {
+        AddIssue(report, component,
+                 "entry for " + dewey.ToString() +
+                     " has no B+i entry: " + id.status().ToString());
+      }
+    }
+    if (report->issues.size() >= kMaxIssues) {
+      report->truncated = true;
+      return;
+    }
+    s = it.Next();
+  }
+  if (!s.ok()) {
+    AddIssue(report, component, s.ToString());
+  } else if (count != expected) {
+    AddIssue(report, component,
+             "index holds " + std::to_string(count) + " entries but B+i "
+                 "records " + std::to_string(expected) + " " + what);
   }
 }
 
@@ -117,8 +160,27 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   auto store = std::move(store_or).ValueOrDie();
 
-  // Pass 3: every B+i entry against an independent navigation of the
-  // tree string, and its value record against the data file.
+  // Pass 3: every B+i entry against an independent document-order walk
+  // of the tree string, and its value record against the data file.  B+i
+  // keys sort in document order, so one merged sweep pairs each entry
+  // with its node: O(n), whatever the fanout.
+  StringStore* tree = store->tree();
+  std::optional<StorePos> node = tree->RootPos();
+  DeweyId node_dewey = DeweyId::Root();
+  DeweyCounter deweys;
+  // Derives node_dewey from the level of *node.
+  auto derive = [&]() -> Status {
+    if (!node.has_value()) return Status::OK();
+    NOK_ASSIGN_OR_RETURN(const int level, tree->LevelAt(*node));
+    if (level < 1) {
+      return Status::Corruption("open symbol at level " +
+                                std::to_string(level));
+    }
+    node_dewey = DeweyId(deweys.Next(static_cast<size_t>(level)));
+    return Status::OK();
+  };
+  Status walk = derive();
+  uint64_t valued_entries = 0;
   BTreeIterator it = store->id_index()->NewIterator();
   Status s = it.SeekToFirst();
   if (!s.ok()) {
@@ -133,12 +195,26 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                "undecodable Dewey key: " + dewey_or.status().ToString());
     } else {
       const DeweyId dewey = std::move(dewey_or).ValueOrDie();
-      auto nav = store->Navigate(dewey);
-      if (!nav.ok()) {
+      // Nodes the walk passes over have no B+i entry; the count check
+      // below reports them.
+      while (walk.ok() && node.has_value() &&
+             node_dewey.Compare(dewey) < 0) {
+        auto next = tree->NextOpen(*node);
+        walk = next.status();
+        if (walk.ok()) {
+          node = next.ValueOrDie();
+          walk = derive();
+        }
+      }
+      if (!walk.ok()) {
+        AddIssue(&report, store_files::kTree,
+                 "document-order walk failed: " + walk.ToString());
+        return report;
+      }
+      if (!node.has_value() || !(node_dewey == dewey)) {
         AddIssue(&report, "B+i",
                  "entry for " + dewey.ToString() +
-                     " has no matching node in the tree string: " +
-                     nav.status().ToString());
+                     " has no matching node in the tree string");
       } else {
         uint64_t pos = 0, offset = 0;
         bool has_value = false;
@@ -149,16 +225,16 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                    "bad payload for " + dewey.ToString() + ": " +
                        ps.ToString());
         } else {
-          if (store->positions_fresh() &&
-              pos != store->tree()->GlobalPos(nav.ValueOrDie())) {
+          const uint64_t actual = tree->GlobalPos(*node);
+          if (store->positions_fresh() && pos != actual) {
             AddIssue(&report, "B+i",
                      "stored position " + std::to_string(pos) + " for " +
                          dewey.ToString() + " disagrees with the tree (" +
-                         std::to_string(store->tree()->GlobalPos(
-                             nav.ValueOrDie())) +
+                         std::to_string(actual) +
                          ") although positions are marked fresh");
           }
           if (has_value) {
+            ++valued_entries;
             auto value = store->values()->Read(offset);
             if (!value.ok()) {
               AddIssue(&report, "values.dat",
@@ -183,11 +259,26 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   // The node count in the tree meta must agree with the B+i entry count
   // (every node has exactly one entry).
   if (!report.truncated &&
-      report.entries_checked != store->tree()->node_count()) {
+      report.entries_checked != tree->node_count()) {
     AddIssue(&report, "B+i",
              "index holds " + std::to_string(report.entries_checked) +
                  " entries but the tree records " +
-                 std::to_string(store->tree()->node_count()) + " nodes");
+                 std::to_string(tree->node_count()) + " nodes");
+  }
+
+  // Pass 3b: B+t and B+v against B+i.  Every entry must name a node B+i
+  // knows, B+t must hold one entry per node and B+v one per node with a
+  // value.  Otherwise a lost entry would only surface as a Corruption in
+  // the middle of a later update.
+  if (!report.truncated) {
+    CrossCheckNodeRefs(store->id_index(), store->tag_index(), "B+t",
+                       index_keys::kTagKeySize, report.entries_checked,
+                       "nodes", &report);
+  }
+  if (!report.truncated) {
+    CrossCheckNodeRefs(store->id_index(), store->value_index(), "B+v",
+                       index_keys::kValueKeySize, valued_entries,
+                       "nodes with a value", &report);
   }
 
   // Pass 4: the balanced-parentheses sidecar, when one was persisted.

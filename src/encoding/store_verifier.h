@@ -9,9 +9,11 @@
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
 //      format versions, the page-chain walk, and cross-component epochs.
 //   3. Index cross-check: every B+i (Dewey -> position/value) entry is
-//      re-derived by pure FIRST-CHILD / FOLLOWING-SIBLING navigation of
-//      the tree string and compared against the stored entry, and its
-//      value record is read (which verifies the record CRC).
+//      paired with its node by one document-order walk of the tree string
+//      (B+i keys sort in document order) and compared against the stored
+//      entry, and its value record is read (which verifies the record
+//      CRC).  Then every B+t and B+v entry must name a node B+i knows,
+//      B+t must hold one entry per node and B+v one per valued node.
 //   4. BP-sidecar cross-check: when a tree.bpx balanced-parentheses
 //      sidecar is present, it is parsed (magic, version, CRC-32C) and its
 //      parenthesis bits and preorder tags are compared against a fresh

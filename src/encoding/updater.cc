@@ -334,25 +334,18 @@ Status CollectSubtree(StringStore* tree, StorePos pos, const DeweyId& dewey,
   return Status::OK();
 }
 
-/// Deletes the (key -> {pos, dewey}) entry whose dewey matches, ignoring
-/// the stored position (positions are stale during updates).  Returns the
-/// removed entry's payload position via *old_pos (0 if unused).
-Result<bool> DeleteNodeRef(BTree* index, const Slice& key,
-                           const DeweyId& dewey) {
-  BTreeIterator it = index->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(key));
-  while (it.Valid() && it.key() == key) {
-    uint64_t pos = 0;
-    DeweyId stored = DeweyId::Root();
-    NOK_RETURN_IF_ERROR(
-        index_keys::ParseNodeRefPayload(it.value(), &pos, &stored));
-    if (stored == dewey) {
-      const std::string payload = it.value().ToString();
-      return index->DeleteExact(key, Slice(payload));
-    }
-    NOK_RETURN_IF_ERROR(it.Next());
+/// Moves a B+t / B+v entry from old_key to new_key with a new position;
+/// each key names exactly one entry, so this is two O(log n) descents.
+/// A missing entry means the index lost track of a node: Corruption.
+Status ReplaceNodeRef(BTree* index, const std::string& old_key,
+                      const std::string& new_key, uint64_t pos,
+                      const char* index_name, const DeweyId& dewey) {
+  NOK_ASSIGN_OR_RETURN(bool removed, index->Delete(Slice(old_key)));
+  if (!removed) {
+    return Status::Corruption(std::string("missing ") + index_name +
+                              " entry for " + dewey.ToString());
   }
-  return false;
+  return index->Insert(Slice(new_key), index_keys::PositionPayload(pos));
 }
 
 /// Returns dewey with the component at `depth` (0-based) shifted by delta.
@@ -484,14 +477,14 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   for (const NewNode& node : additions) {
     const std::string key = node.dewey.Encode();
     NOK_RETURN_IF_ERROR(
-        tag_index_->Insert(index_keys::TagKey(node.tag),
-                           index_keys::NodeRefPayload(0, node.dewey)));
+        tag_index_->Insert(index_keys::TagKey(node.tag, node.dewey),
+                           index_keys::PositionPayload(0)));
     if (!node.value.empty()) {
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(values_->Append(Slice(node.value), &offset));
       NOK_RETURN_IF_ERROR(value_index_->Insert(
-          index_keys::ValueKey(Slice(node.value)),
-          index_keys::NodeRefPayload(0, node.dewey)));
+          index_keys::ValueKey(Slice(node.value), node.dewey),
+          index_keys::PositionPayload(0)));
       NOK_RETURN_IF_ERROR(id_index_->Insert(
           Slice(key), index_keys::IdPayload(0, true, offset)));
     } else {
@@ -585,16 +578,9 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
   }
   NOK_RETURN_IF_ERROR(id_index_->Insert(Slice(new_key), Slice(payload)));
 
-  NOK_ASSIGN_OR_RETURN(bool tag_removed,
-                       DeleteNodeRef(tag_index_.get(),
-                                     index_keys::TagKey(tag), old_dewey));
-  if (!tag_removed) {
-    return Status::Corruption("missing B+t entry for " +
-                              old_dewey.ToString());
-  }
-  NOK_RETURN_IF_ERROR(
-      tag_index_->Insert(index_keys::TagKey(tag),
-                         index_keys::NodeRefPayload(0, new_dewey)));
+  NOK_RETURN_IF_ERROR(ReplaceNodeRef(
+      tag_index_.get(), index_keys::TagKey(tag, old_dewey),
+      index_keys::TagKey(tag, new_dewey), 0, "B+t", old_dewey));
 
   bool has_value = false;
   uint64_t pos = 0, offset = 0;
@@ -602,17 +588,9 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
                                                  &has_value, &offset));
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-    NOK_ASSIGN_OR_RETURN(
-        bool value_removed,
-        DeleteNodeRef(value_index_.get(),
-                      index_keys::ValueKey(Slice(value)), old_dewey));
-    if (!value_removed) {
-      return Status::Corruption("missing B+v entry for " +
-                                old_dewey.ToString());
-    }
-    NOK_RETURN_IF_ERROR(value_index_->Insert(
-        index_keys::ValueKey(Slice(value)),
-        index_keys::NodeRefPayload(0, new_dewey)));
+    NOK_RETURN_IF_ERROR(ReplaceNodeRef(
+        value_index_.get(), index_keys::ValueKey(Slice(value), old_dewey),
+        index_keys::ValueKey(Slice(value), new_dewey), 0, "B+v", old_dewey));
   }
   return Status::OK();
 }
@@ -622,8 +600,7 @@ Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey, TagId tag) {
   NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(key)));
   NOK_RETURN_IF_ERROR(id_index_->Delete(Slice(key)).status());
   NOK_RETURN_IF_ERROR(
-      DeleteNodeRef(tag_index_.get(), index_keys::TagKey(tag), dewey)
-          .status());
+      tag_index_->Delete(Slice(index_keys::TagKey(tag, dewey))).status());
   bool has_value = false;
   uint64_t pos = 0, offset = 0;
   NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(Slice(payload), &pos,
@@ -631,8 +608,7 @@ Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey, TagId tag) {
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
     NOK_RETURN_IF_ERROR(
-        DeleteNodeRef(value_index_.get(),
-                      index_keys::ValueKey(Slice(value)), dewey)
+        value_index_->Delete(Slice(index_keys::ValueKey(Slice(value), dewey)))
             .status());
   }
   // The value record itself stays in the data file (orphaned); the data
@@ -662,33 +638,24 @@ Status DocumentStore::RefreshPositionsImpl() {
         auto fresh_file,
         OpenComponent(store_files::kPathIdx, /*create=*/true));
     NOK_RETURN_IF_ERROR(fresh_file->Truncate(0));
-    BTree::Options idx_options;
-    idx_options.page_size = options_.index_page_size;
-    idx_options.pool_frames = options_.index_pool_frames;
-    idx_options.checksum_pages = options_.checksum_pages;
     NOK_ASSIGN_OR_RETURN(path_index_,
-                         BTree::Open(std::move(fresh_file), idx_options));
+                         BTree::Open(std::move(fresh_file), IndexOptions()));
     path_index_->set_epoch(epoch_);
   }
 
   // One document-order pass deriving (dewey, position, tag path) for
   // every node.
   StringStore* tree = tree_.get();
-  std::vector<uint32_t> child_counter(
-      static_cast<size_t>(tree->max_level()) + 2, 0);
-  std::vector<uint32_t> path;
+  DeweyCounter deweys;
   std::vector<TagId> tag_path;
   std::optional<StorePos> pos = tree->RootPos();
   while (pos.has_value()) {
     NOK_ASSIGN_OR_RETURN(int level, tree->LevelAt(*pos));
     NOK_ASSIGN_OR_RETURN(TagId tag, tree->TagAt(*pos));
     const size_t l = static_cast<size_t>(level);
-    path.resize(l);
-    path[l - 1] = child_counter[l]++;
-    child_counter[l + 1] = 0;
+    const DeweyId dewey(deweys.Next(l));
     tag_path.resize(l);
     tag_path[l - 1] = tag;
-    const DeweyId dewey{std::vector<uint32_t>(path)};
     const uint64_t global = tree->GlobalPos(*pos);
     const std::string key = dewey.Encode();
 
@@ -707,32 +674,15 @@ Status DocumentStore::RefreshPositionsImpl() {
     NOK_RETURN_IF_ERROR(id_index_->Insert(
         Slice(key), index_keys::IdPayload(global, has_value, offset)));
 
-    // B+t: rewrite this node's entry under its tag.
-    NOK_ASSIGN_OR_RETURN(
-        bool tag_removed,
-        DeleteNodeRef(tag_index_.get(), index_keys::TagKey(tag), dewey));
-    if (!tag_removed) {
-      return Status::Corruption("B+t entry missing during refresh for " +
-                                dewey.ToString());
-    }
-    NOK_RETURN_IF_ERROR(tag_index_->Insert(
-        index_keys::TagKey(tag), index_keys::NodeRefPayload(global,
-                                                            dewey)));
-
-    // B+v: rewrite when the node carries a value.
+    // B+t / B+v: rewrite this node's entries in place.
+    const std::string tag_key = index_keys::TagKey(tag, dewey);
+    NOK_RETURN_IF_ERROR(ReplaceNodeRef(tag_index_.get(), tag_key, tag_key,
+                                       global, "B+t", dewey));
     if (has_value) {
       NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-      NOK_ASSIGN_OR_RETURN(
-          bool value_removed,
-          DeleteNodeRef(value_index_.get(),
-                        index_keys::ValueKey(Slice(value)), dewey));
-      if (!value_removed) {
-        return Status::Corruption("B+v entry missing during refresh for " +
-                                  dewey.ToString());
-      }
-      NOK_RETURN_IF_ERROR(value_index_->Insert(
-          index_keys::ValueKey(Slice(value)),
-          index_keys::NodeRefPayload(global, dewey)));
+      const std::string value_key = index_keys::ValueKey(Slice(value), dewey);
+      NOK_RETURN_IF_ERROR(ReplaceNodeRef(value_index_.get(), value_key,
+                                         value_key, global, "B+v", dewey));
     }
 
     NOK_ASSIGN_OR_RETURN(auto next, tree->NextOpen(*pos));

@@ -449,17 +449,13 @@ Result<std::vector<typename Nav::NodeT>> ScanCandidates(
     return DeweysForHits(nav, hits);
   }
 
-  std::vector<uint32_t> child_counter(
-      static_cast<size_t>(store->tree()->max_level()) + 2, 0);
-  std::vector<uint32_t> path;
+  DeweyCounter deweys;
   NOK_RETURN_IF_ERROR(
       nav->VisitNodes([&](const Pos& pos, int level, TagId tag) {
-        const size_t l = static_cast<size_t>(level);
-        path.resize(l);
-        path[l - 1] = child_counter[l]++;
-        child_counter[l + 1] = 0;
+        const std::vector<uint32_t>& path =
+            deweys.Next(static_cast<size_t>(level));
         if (root_pattern.wildcard || tag == want) {
-          out.push_back({pos, DeweyId(std::vector<uint32_t>(path)), false});
+          out.push_back({pos, DeweyId(path), false});
         }
       }));
   return out;

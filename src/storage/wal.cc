@@ -190,30 +190,33 @@ void TxnFile::OverlayWrite(uint64_t offset, const Slice& data) {
     virtual_size_ = base_->Size();
     truncate_floor_.reset();
   }
-  const uint64_t end = offset + data.size();
-  // Absorb every existing range that overlaps or abuts [offset, end) into
-  // one contiguous replacement range so the map stays non-overlapping.
-  uint64_t new_start = offset;
-  std::string merged;
+  // Write into the range that overlaps or abuts `offset` from the left
+  // (or a new one), in place, then absorb every later range the write
+  // reaches, so the map stays non-overlapping and coalesced.  Rewriting or
+  // appending a page costs O(page), never O(range): a commit that evicts
+  // thousands of pages of one index file stays linear.
   auto it = ranges_.upper_bound(offset);
   if (it != ranges_.begin()) {
     auto prev = std::prev(it);
     if (prev->first + prev->second.size() >= offset) it = prev;
   }
-  if (it != ranges_.end() && it->first < offset) {
-    new_start = it->first;
-    merged.append(it->second, 0, offset - it->first);
+  if (it == ranges_.end() || it->first > offset) {
+    it = ranges_.emplace_hint(it, offset, std::string());
   }
-  merged.append(data.data(), data.size());
-  while (it != ranges_.end() && it->first <= end) {
-    const uint64_t range_end = it->first + it->second.size();
-    if (range_end > end) {
-      merged.append(it->second, end - it->first, std::string::npos);
+  std::string& range = it->second;
+  const size_t at = static_cast<size_t>(offset - it->first);
+  if (range.size() < at + data.size()) range.resize(at + data.size());
+  std::memcpy(range.data() + at, data.data(), data.size());
+  const uint64_t range_end = it->first + range.size();
+  for (auto next = std::next(it);
+       next != ranges_.end() && next->first <= range_end;) {
+    const uint64_t next_end = next->first + next->second.size();
+    if (next_end > range_end) {
+      range.append(next->second, range_end - next->first, std::string::npos);
     }
-    it = ranges_.erase(it);
+    next = ranges_.erase(next);
   }
-  ranges_[new_start] = std::move(merged);
-  virtual_size_ = std::max(virtual_size_, end);
+  virtual_size_ = std::max(virtual_size_, offset + data.size());
 }
 
 Status TxnFile::ReadAt(uint64_t offset, size_t n, char* scratch,

@@ -135,21 +135,6 @@ TEST(BTreeTest, DeleteFirstMatchOnly) {
   EXPECT_FALSE(*missing);
 }
 
-TEST(BTreeTest, DeleteExactPicksByValue) {
-  auto tree = MakeTree();
-  for (int i = 0; i < 10; ++i) {
-    ASSERT_TRUE(
-        tree->Insert(Slice("k"), Slice("v" + std::to_string(i))).ok());
-  }
-  auto deleted = tree->DeleteExact(Slice("k"), Slice("v7"));
-  ASSERT_TRUE(deleted.ok());
-  EXPECT_TRUE(*deleted);
-  auto again = tree->DeleteExact(Slice("k"), Slice("v7"));
-  ASSERT_TRUE(again.ok());
-  EXPECT_FALSE(*again);
-  EXPECT_EQ(tree->num_entries(), 9u);
-}
-
 TEST(BTreeTest, OversizedEntryRejected) {
   auto tree = MakeTree(512);
   std::string big(400, 'x');

@@ -266,6 +266,34 @@ TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
 }
 
 // ---------------------------------------------------------------------------
+// Lost index entries: checksums pass, but B+t no longer covers B+i.
+
+TEST(CorruptionTest, MissingTagIndexEntryIsReported) {
+  const std::string dir = TempDir("lost_tag_entry");
+  BuildChecksummedStore(dir);
+  {
+    auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    auto title = (*store)->tags()->Lookup("title");
+    ASSERT_TRUE(title.has_value());
+    // The second book's title, 0.1.1 (the year attribute is child 0).
+    auto removed = (*store)->tag_index()->Delete(
+        Slice(index_keys::TagKey(*title, DeweyId({0, 1, 1}))));
+    ASSERT_TRUE(removed.ok()) << removed.status().ToString();
+    ASSERT_TRUE(*removed);
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+
+  auto report = VerifyStoreDir(dir, ChecksummedOptions(dir));
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_FALSE(report->ok()) << "a lost B+t entry verified clean";
+  EXPECT_EQ(report->issues[0].component, "B+t");
+  EXPECT_NE(report->issues[0].detail.find("entries"), std::string::npos)
+      << report->issues[0].detail;
+  std::filesystem::remove_all(dir);
+}
+
+// ---------------------------------------------------------------------------
 // Value records and the dictionary.
 
 TEST(CorruptionTest, ValueRecordChecksumDetectsFlippedPayloadByte) {

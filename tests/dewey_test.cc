@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 
 #include "common/random.h"
 #include "encoding/dewey.h"
@@ -108,6 +109,17 @@ TEST(DeweyTest, PrefixEncodingMatchesAncestor) {
     DeweyId parent = *child.Parent();
     EXPECT_TRUE(parent.IsAncestorOf(child));
     EXPECT_TRUE(Slice(child.Encode()).starts_with(Slice(parent.Encode())));
+  }
+}
+
+TEST(DeweyTest, CounterDerivesIdsFromPreorderLevels) {
+  // <r><a><x/><y/></a><b><z/></b><c/></r> visited in document order.
+  const size_t levels[] = {1, 2, 3, 3, 2, 3, 2};
+  const char* const want[] = {"0",   "0.0",   "0.0.0", "0.0.1",
+                              "0.1", "0.1.0", "0.2"};
+  DeweyCounter counter;
+  for (size_t i = 0; i < std::size(levels); ++i) {
+    EXPECT_EQ(DeweyId(counter.Next(levels[i])).ToString(), want[i]) << i;
   }
 }
 

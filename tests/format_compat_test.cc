@@ -120,6 +120,19 @@ TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
                                     "<book><title>New</title></book>")
                     .ok());
     ASSERT_TRUE((*store)->Flush().ok());
+    // The writable open rewrote the legacy B+t / B+v entries: every key
+    // now carries its Dewey ID after the tag / value-hash prefix.
+    for (const auto& [index, prefix_len] :
+         {std::pair{(*store)->tag_index(), index_keys::kTagKeySize},
+          std::pair{(*store)->value_index(), index_keys::kValueKeySize}}) {
+      BTreeIterator it = index->NewIterator();
+      ASSERT_TRUE(it.SeekToFirst().ok());
+      ASSERT_TRUE(it.Valid());
+      while (it.Valid()) {
+        EXPECT_GT(it.key().size(), prefix_len);
+        ASSERT_TRUE(it.Next().ok());
+      }
+    }
   }
   // 3 -> 1 (raw), 4 -> 2 (checksummed); the data pages never changed.
   EXPECT_EQ(MetaVersion(dir), version - 2);

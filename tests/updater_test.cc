@@ -1,8 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <set>
+#include <string>
+#include <vector>
 
 #include "common/random.h"
+#include "datagen/dataset_gen.h"
 #include "encoding/document_store.h"
 #include "encoding/updater.h"
 #include "nok/query_engine.h"
@@ -357,6 +361,157 @@ TEST(UpdaterTest, PositionsGoStaleAndRefresh) {
   ASSERT_TRUE(result.ok());
   ASSERT_EQ(result->size(), 1u);
   EXPECT_EQ((*result)[0].ToString(), "0.1");
+}
+
+/// Buffer-pool fetches of one lookup of the tree's first key: one per
+/// level, since the descent ends in the leftmost leaf at slot 0.
+uint64_t TreeHeight(BTree* index) {
+  BTreeIterator it = index->NewIterator();
+  EXPECT_TRUE(it.SeekToFirst().ok());
+  EXPECT_TRUE(it.Valid());
+  const std::string first = it.key().ToString();
+  it = index->NewIterator();  // Unpin before counting.
+  index->buffer_pool()->ResetStats();
+  EXPECT_TRUE(index->Get(Slice(first)).ok());
+  return index->buffer_pool()->stats().fetches;
+}
+
+TEST(UpdaterTest, FrontUpdatesCostLogarithmicIndexWorkPerShiftedNode) {
+  // A wide root: a front insert or delete shifts all 2,000 following
+  // items and their valued children, 4,000 nodes each time.
+  constexpr int kItems = 2000;
+  std::string xml = "<r>";
+  for (int i = 0; i < kItems; ++i) {
+    xml += "<item><name>n" + std::to_string(i % 97) + "</name></item>";
+  }
+  xml += "</r>";
+  auto store_r = DocumentStore::Build(xml, DocumentStore::Options());
+  ASSERT_TRUE(store_r.ok()) << store_r.status().ToString();
+  auto& store = *store_r;
+  BTree* tag_index = store->tag_index();
+  BTree* value_index = store->value_index();
+  const uint64_t tag_height = TreeHeight(tag_index);
+  const uint64_t value_height = TreeHeight(value_index);
+  ASSERT_GE(tag_height, 2u);
+
+  const std::string frag = "<item><name>front</name></item>";
+  auto cycle = [&]() {
+    ASSERT_TRUE(store->InsertSubtree(DeweyId({0}), 0, frag).ok());
+    ASSERT_TRUE(store->DeleteSubtree(DeweyId({0, 0})).ok());
+  };
+  tag_index->buffer_pool()->ResetStats();
+  value_index->buffer_pool()->ResetStats();
+  cycle();
+  const uint64_t shifted = 2 * 2 * kItems;
+  // Each shifted entry is one exact delete plus one insert.  A scan of
+  // the tag's duplicate run would cost hundreds of fetches per node.
+  EXPECT_LE(tag_index->buffer_pool()->stats().fetches,
+            4 * tag_height * shifted);
+  EXPECT_LE(value_index->buffer_pool()->stats().fetches,
+            4 * value_height * shifted);
+
+  // Churn at the front reuses the leaves it empties: every rewritten key
+  // lands next to the one it replaces.
+  const uint64_t tag_bytes = tag_index->SizeBytes();
+  for (int i = 1; i < 50; ++i) cycle();
+  EXPECT_LE(tag_index->SizeBytes(), 2 * tag_bytes);
+  EXPECT_EQ(tag_index->num_entries(), store->stats().node_count);
+}
+
+/// Dewey IDs of an index answer, in document order.
+std::vector<std::string> DeweyStrings(
+    const std::vector<DocumentStore::IndexedNode>& nodes) {
+  std::vector<std::string> out;
+  for (const auto& node : nodes) out.push_back(node.dewey.ToString());
+  return out;
+}
+
+TEST(UpdaterTest, IndexContentsMatchAFreshBuildAfterUpdates) {
+  GenOptions gen;
+  gen.scale = 0.002;
+  gen.seed = 5;
+  const std::string xml = GenerateDataset(Dataset::kDblp, gen).xml;
+  auto store_r = DocumentStore::Build(xml, DocumentStore::Options());
+  ASSERT_TRUE(store_r.ok()) << store_r.status().ToString();
+  auto& store = *store_r;
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok());
+
+  // Seeded batches: copies of existing entries inserted anywhere under
+  // the root or inside an entry, and entries or their fields deleted.
+  Random rng(11);
+  for (int batch = 0; batch < 5; ++batch) {
+    for (int op = 0; op < 4; ++op) {
+      const DomNode* root = dom->root();
+      const size_t entries = root->children.size();
+      const DomNode* entry = root->children[rng.Uniform(entries)].get();
+      const bool deep = rng.Bernoulli(0.3) && !entry->children.empty();
+      if (rng.Bernoulli(0.5)) {
+        // A copy of an entry, or of an entry's last field.
+        const DomNode* model = root->children[rng.Uniform(entries)].get();
+        if (deep) model = model->children.back().get();
+        ASSERT_NE(model->name[0], '@');
+        const std::string frag = SerializeNode(model);
+        const DomNode* parent = deep ? entry : root;
+        const DeweyId parent_id = DomDewey(parent);
+        // Attribute pseudo-children stay first: serialization puts them
+        // there, and the fresh build must see the same document.
+        size_t attributes = 0;
+        while (attributes < parent->children.size() &&
+               parent->children[attributes]->name[0] == '@') {
+          ++attributes;
+        }
+        const auto position = static_cast<uint32_t>(
+            attributes +
+            rng.Uniform(parent->children.size() - attributes + 1));
+        ASSERT_TRUE(store->InsertSubtree(parent_id, position, frag).ok())
+            << parent_id.ToString() << " @ " << position;
+        DomInsert(&*dom, parent_id, position, frag);
+      } else {
+        const DomNode* victim =
+            deep ? entry->children[rng.Uniform(entry->children.size())]
+                       .get()
+                 : entry;
+        const DeweyId id = DomDewey(victim);
+        ASSERT_TRUE(store->DeleteSubtree(id).ok()) << id.ToString();
+        DomDelete(&*dom, id);
+      }
+    }
+    ASSERT_TRUE(store->Flush().ok());
+  }
+
+  auto fresh_r = DocumentStore::Build(SerializeTree(*dom),
+                                      DocumentStore::Options());
+  ASSERT_TRUE(fresh_r.ok()) << fresh_r.status().ToString();
+  auto& fresh = *fresh_r;
+  ASSERT_EQ(store->stats().node_count, fresh->stats().node_count);
+  EXPECT_EQ(store->tag_index()->num_entries(), store->stats().node_count);
+  EXPECT_EQ(store->value_index()->num_entries(),
+            fresh->value_index()->num_entries());
+
+  for (TagId tag = 1; tag <= store->tags()->size(); ++tag) {
+    const std::string& name = store->tags()->Name(tag);
+    auto got = store->NodesWithTag(tag);
+    ASSERT_TRUE(got.ok()) << name;
+    std::vector<std::string> want;
+    if (auto fresh_tag = fresh->tags()->Lookup(name)) {
+      auto nodes = fresh->NodesWithTag(*fresh_tag);
+      ASSERT_TRUE(nodes.ok()) << name;
+      want = DeweyStrings(*nodes);
+    }
+    EXPECT_EQ(DeweyStrings(*got), want) << "B+t differs for " << name;
+  }
+  std::set<std::string> values;
+  ForEachNode(dom->root(), [&](const DomNode* node) {
+    if (!node->value.empty()) values.insert(node->value);
+  });
+  for (const std::string& value : values) {
+    auto got = store->NodesWithValue(Slice(value));
+    auto want = fresh->NodesWithValue(Slice(value));
+    ASSERT_TRUE(got.ok() && want.ok()) << value;
+    EXPECT_EQ(DeweyStrings(*got), DeweyStrings(*want))
+        << "B+v differs for " << value;
+  }
 }
 
 class UpdaterFuzz : public ::testing::TestWithParam<uint64_t> {};

@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "encoding/document_store.h"
 #include "encoding/swmr_store.h"
 #include "nok/query_engine.h"
@@ -271,6 +272,32 @@ TEST(TxnFileTest, BuffersWritesUntilCommit) {
 
   ASSERT_TRUE(fx.wal->Commit(1).ok());
   EXPECT_EQ(ReadAll(fx.base), "01AB456789tail");
+  fx.file.reset();
+}
+
+TEST(TxnFileTest, OverlappingAndBridgingWritesMatchAPlainBuffer) {
+  auto fx = MakeWriter(TempDir("overlap"));
+  std::string model(64, '.');
+  ASSERT_TRUE(fx.file->WriteAt(0, Slice(model)).ok());
+
+  // Seeded writes that land inside, abut, straddle and bridge earlier
+  // overlay ranges, and extend the file; the overlay must read back as
+  // the same bytes a plain buffer holds.
+  fx.wal->Begin();
+  Random rng(7);
+  for (int i = 0; i < 400; ++i) {
+    const uint64_t offset = rng.Uniform(model.size() + 8);
+    const std::string data(1 + rng.Uniform(12),
+                           static_cast<char>('a' + i % 26));
+    if (offset + data.size() > model.size()) {
+      model.resize(offset + data.size(), '\0');
+    }
+    model.replace(offset, data.size(), data);
+    ASSERT_TRUE(fx.file->WriteAt(offset, Slice(data)).ok());
+    ASSERT_EQ(ReadAll(fx.file.get()), model) << "write " << i;
+  }
+  ASSERT_TRUE(fx.wal->Commit(1).ok());
+  EXPECT_EQ(ReadAll(fx.base), model);
   fx.file.reset();
 }
 

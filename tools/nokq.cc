@@ -32,6 +32,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "baseline/di_engine.h"
@@ -306,14 +307,17 @@ int CmdStats(const std::string& dir) {
          static_cast<unsigned long long>(s.distinct_tags));
   printf("|tree|:       %llu bytes\n",
          static_cast<unsigned long long>(s.tree_bytes));
-  printf("|B+t|:        %llu bytes\n",
-         static_cast<unsigned long long>(s.tag_index_bytes));
-  printf("|B+v|:        %llu bytes\n",
-         static_cast<unsigned long long>(s.value_index_bytes));
-  printf("|B+i|:        %llu bytes\n",
-         static_cast<unsigned long long>(s.id_index_bytes));
-  printf("|B+p|:        %llu bytes\n",
-         static_cast<unsigned long long>(s.path_index_bytes));
+  // Entries beside bytes, so index bloat shows as bytes per entry.
+  const std::pair<const char*, nok::BTree*> indexes[] = {
+      {"|B+t|:", (*store)->tag_index()},
+      {"|B+v|:", (*store)->value_index()},
+      {"|B+i|:", (*store)->id_index()},
+      {"|B+p|:", (*store)->path_index()}};
+  for (const auto& [label, index] : indexes) {
+    printf("%-13s %llu bytes, %llu entries\n", label,
+           static_cast<unsigned long long>(index->SizeBytes()),
+           static_cast<unsigned long long>(index->num_entries()));
+  }
   printf("data file:    %llu bytes\n",
          static_cast<unsigned long long>(s.data_bytes));
   printf("positions:    %s\n",
