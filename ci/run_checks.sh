@@ -9,7 +9,8 @@
 #                               # snapshot-isolation suites
 #   ci/run_checks.sh crash-recovery # WAL kill-point sweep under ASan:
 #                               # crash at every write/fsync, reopen,
-#                               # expect replay or clean restore
+#                               # expect replay or clean restore;
+#                               # plus the sidecar fault sweep
 #   ci/run_checks.sh werror     # strict-warning build (NOK_WERROR=ON)
 #   ci/run_checks.sh thread-safety # clang -Werror=thread-safety build of
 #                               # the whole tree + negative-compile of
@@ -73,13 +74,15 @@ run_crash_recovery() {
   # WAL-backed update, including partial-writeback crashes that drop a
   # random subset of unsynced writes; every reopen must either replay
   # the committed txn or restore the pre-update state -- zero Corruption
-  # aborts, verified against a never-crashed oracle.
+  # aborts, verified against a never-crashed oracle.  Then an I/O error or
+  # torn write at every op after a bp-mode commit: the sidecar rewrites
+  # must leave a store that verifies clean.
   cmake -S . -B build-ci/sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo \
         -DNOK_SANITIZE=address,undefined
   cmake --build build-ci/sanitize -j "$JOBS" \
         --target fault_injection_test wal_test
   build-ci/sanitize/tests/fault_injection_test \
-      --gtest_filter='WalKillPointSweep.*'
+      --gtest_filter='WalKillPointSweep.*:SidecarFaultSweep.*'
   build-ci/sanitize/tests/wal_test
 }
 

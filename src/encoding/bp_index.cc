@@ -7,16 +7,10 @@
 #include <utility>
 
 #include "common/coding.h"
-#include "common/hash.h"
-#include "common/slice.h"
 #include "encoding/string_store.h"
 
 namespace nok {
 namespace {
-
-constexpr uint64_t kBpMagic = 0x4e4f4b4250494458ull;  // "NOKBPIDX"
-constexpr uint32_t kBpFormatVersion = 1;
-constexpr size_t kBpHeaderSize = 32;
 
 // SWAR lane constants for 4x16-bit equality probing (the classic
 // zero-halfword detector: (x - kLaneLow) & ~x & kLaneHigh).
@@ -26,10 +20,8 @@ constexpr uint64_t kLaneHigh = 0x8000800080008000ull;
 }  // namespace
 
 Result<std::unique_ptr<BpIndex>> BpIndex::Build(
-    StringStore* tree, uint64_t epoch,
-    const std::function<void(bool, TagId)>& observer) {
+    StringStore* tree, const std::function<void(bool, TagId)>& observer) {
   auto index = std::unique_ptr<BpIndex>(new BpIndex());
-  index->epoch_ = epoch;
   index->node_count_ = tree->node_count();
   index->n_bits_ = 2 * index->node_count_;
   index->bits_.assign(static_cast<size_t>((index->n_bits_ + 63) / 64), 0);
@@ -57,10 +49,8 @@ Result<std::unique_ptr<BpIndex>> BpIndex::Build(
 }
 
 Result<std::unique_ptr<BpIndex>> BpIndex::FromParens(std::string_view parens,
-                                                     std::vector<TagId> tags,
-                                                     uint64_t epoch) {
+                                                     std::vector<TagId> tags) {
   auto index = std::unique_ptr<BpIndex>(new BpIndex());
-  index->epoch_ = epoch;
   index->n_bits_ = parens.size();
   if (index->n_bits_ % 2 != 0) {
     return Status::InvalidArgument("bp index: odd parenthesis count");
@@ -345,86 +335,40 @@ bool BpIndex::BlockHasTag(uint64_t rank, TagId tag) const {
   return false;
 }
 
-std::string BpIndex::Serialize() const {
+std::string BpIndex::EncodePayload() const {
   std::string payload;
   payload.reserve(bits_.size() * 8 + tags_.size() * 2);
   for (const uint64_t word : bits_) PutFixed64(&payload, word);
   for (const TagId tag : tags_) PutFixed16(&payload, tag);
-  // The CRC covers the epoch and node-count header fields too: a flipped
-  // epoch byte would otherwise deserialize cleanly and masquerade as a
-  // (stale or, worse, current) generation stamp.
-  std::string stamped;
-  PutFixed64(&stamped, epoch_);
-  PutFixed64(&stamped, node_count_);
-  uint32_t crc = Crc32c(Slice(stamped));
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  std::string out;
-  out.reserve(kBpHeaderSize + payload.size());
-  PutFixed64(&out, kBpMagic);
-  PutFixed32(&out, kBpFormatVersion);
-  out += stamped;
-  PutFixed32(&out, crc);
-  out += payload;
-  return out;
+  return payload;
 }
 
-Result<std::unique_ptr<BpIndex>> BpIndex::Deserialize(std::string_view bytes) {
-  if (bytes.size() < kBpHeaderSize) {
-    return Status::Corruption("bp sidecar: truncated header");
-  }
-  const char* p = bytes.data();
-  if (DecodeFixed64(p) != kBpMagic) {
-    return Status::Corruption("bp sidecar: bad magic");
-  }
-  const uint32_t version = DecodeFixed32(p + 8);
-  if (version != kBpFormatVersion) {
-    return Status::Corruption("bp sidecar: unsupported format version " +
-                              std::to_string(version));
-  }
-  auto index = std::unique_ptr<BpIndex>(new BpIndex());
-  index->epoch_ = DecodeFixed64(p + 12);
-  index->node_count_ = DecodeFixed64(p + 20);
-  const uint32_t crc = DecodeFixed32(p + 28);
-  index->n_bits_ = 2 * index->node_count_;
-  const size_t nwords = static_cast<size_t>((index->n_bits_ + 63) / 64);
-  const size_t payload_size =
-      nwords * 8 + static_cast<size_t>(index->node_count_) * 2;
-  if (bytes.size() != kBpHeaderSize + payload_size) {
+Result<std::unique_ptr<BpIndex>> BpIndex::DecodePayload(
+    std::string_view payload, uint64_t node_count) {
+  // Every node takes at least its two tag bytes; checking that first keeps
+  // the size arithmetic below from overflowing on a hostile node count.
+  if (node_count > payload.size() / 2) {
     return Status::Corruption("bp sidecar: payload size mismatch");
   }
-  const char* payload = p + kBpHeaderSize;
-  uint32_t want_crc = Crc32c(Slice(p + 12, 16));  // epoch + node count.
-  want_crc = Crc32cExtend(want_crc, payload, payload_size);
-  if (want_crc != crc) {
-    return Status::Corruption("bp sidecar: payload checksum mismatch");
+  auto index = std::unique_ptr<BpIndex>(new BpIndex());
+  index->node_count_ = node_count;
+  index->n_bits_ = 2 * node_count;
+  const size_t nwords = static_cast<size_t>((index->n_bits_ + 63) / 64);
+  if (payload.size() != nwords * 8 + static_cast<size_t>(node_count) * 2) {
+    return Status::Corruption("bp sidecar: payload size mismatch");
   }
+  const char* p = payload.data();
   index->bits_.resize(nwords);
   for (size_t i = 0; i < nwords; ++i) {
-    index->bits_[i] = DecodeFixed64(payload + 8 * i);
+    index->bits_[i] = DecodeFixed64(p + 8 * i);
   }
-  index->tags_.resize(static_cast<size_t>(index->node_count_));
-  const char* tag_bytes = payload + nwords * 8;
+  index->tags_.resize(static_cast<size_t>(node_count));
+  const char* tag_bytes = p + nwords * 8;
   for (size_t i = 0; i < index->tags_.size(); ++i) {
     index->tags_[i] = DecodeFixed16(tag_bytes + 2 * i);
   }
   NOK_RETURN_IF_ERROR(index->BuildSupport());
   return index;
-}
-
-Status BpIndex::SaveTo(File* file) const {
-  const std::string bytes = Serialize();
-  NOK_RETURN_IF_ERROR(file->Truncate(0));
-  NOK_RETURN_IF_ERROR(file->WriteAt(0, Slice(bytes)));
-  return file->Sync();
-}
-
-Result<std::unique_ptr<BpIndex>> BpIndex::LoadFrom(File* file) {
-  const uint64_t size = file->Size();
-  std::string bytes(static_cast<size_t>(size), '\0');
-  Slice out;
-  NOK_RETURN_IF_ERROR(
-      file->ReadAt(0, static_cast<size_t>(size), bytes.data(), &out));
-  return Deserialize(out.ToStringView());
 }
 
 uint64_t BpIndex::MemoryBytes() const {

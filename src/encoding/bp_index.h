@@ -27,25 +27,18 @@
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
 // unlike the paged cursor — PARENT is cheap too (an enclose).  The child
-// samples live in memory only: the sidecar below does not carry them.
+// samples live in memory only: the sidecar payload does not carry them.
 //
 // Thread safety: a BpIndex is immutable after construction; every method
 // is const and touches no shared mutable state, so any number of threads
 // may navigate one instance concurrently.  Versioning against the store
 // is the owner's job: DocumentStore keys the in-memory instance to
-// structure_version() and the persisted sidecar to epoch() (see
-// DESIGN.md section 14).
+// structure_version() and the persisted tree.bpx sidecar to the store
+// epoch (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
 //
-// Sidecar format (*.bpx), all integers little-endian fixed-width:
-//
-//   +0   magic "NOKBPIDX"           (8 bytes)
-//   +8   format version, currently 1 (4 bytes)
-//   +12  epoch the index was built against (8 bytes)
-//   +20  node count n                (8 bytes)
-//   +28  CRC-32C of bytes [12, 28) + the payload (4 bytes), so a flipped
-//        epoch or node-count byte is detected, not just payload damage
-//   +32  payload: ceil(2n/64) bit words (8 bytes each, LSB-first bits),
-//        then n TagIds (2 bytes each, preorder)
+// Sidecar payload, all integers little-endian fixed-width: ceil(2n/64)
+// bit words (8 bytes each, LSB-first bits), then n TagIds (2 bytes each,
+// preorder).
 
 #ifndef NOKXML_ENCODING_BP_INDEX_H_
 #define NOKXML_ENCODING_BP_INDEX_H_
@@ -62,7 +55,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/file.h"
+#include "storage/sidecar.h"
 
 namespace nok {
 
@@ -75,47 +68,38 @@ class BpIndex {
   /// that respect the contract never see it).
   static constexpr uint64_t kNpos = ~uint64_t{0};
 
+  /// Envelope identity of the tree.bpx sidecar ("NOKBPIDX", version 1).
+  static constexpr SidecarFormat kSidecarFormat = {0x4e4f4b4250494458ull, 1,
+                                                   "bp sidecar"};
+
   /// Builds the index in one sequential scan of the paged string
   /// (chain-order page decodes; the only time the BufferPool is touched).
-  /// `epoch` stamps the result for sidecar versioning.  `observer`, when
-  /// non-null, sees every (is_open, tag) symbol of the same scan —
-  /// DocumentStore rides it to rebuild the path synopsis without a
-  /// second pass over the page chain.
+  /// `observer`, when non-null, sees every (is_open, tag) symbol of the
+  /// same scan — DocumentStore rides it to rebuild the path synopsis
+  /// without a second pass over the page chain.
   static Result<std::unique_ptr<BpIndex>> Build(
-      StringStore* tree, uint64_t epoch,
+      StringStore* tree,
       const std::function<void(bool, TagId)>& observer = nullptr);
 
   /// Builds from a parenthesis string like "(()())" — unit tests and
   /// golden fixtures.  `tags` gives the preorder TagIds and may be empty
   /// (all nodes get kInvalidTag + 1 = 1).
   static Result<std::unique_ptr<BpIndex>> FromParens(std::string_view parens,
-                                                     std::vector<TagId> tags,
-                                                     uint64_t epoch);
+                                                     std::vector<TagId> tags);
 
-  /// Serializes to the checksummed sidecar byte format described above.
-  std::string Serialize() const;
+  /// Encodes the sidecar payload described above.
+  std::string EncodePayload() const;
 
-  /// Parses and validates a serialized sidecar (magic, version, shape,
-  /// CRC-32C) and rebuilds the in-memory support structures.
-  static Result<std::unique_ptr<BpIndex>> Deserialize(std::string_view bytes);
-
-  /// Writes the serialized form at offset 0 of `file`, truncating any
-  /// previous content, and syncs.
-  Status SaveTo(File* file) const;
-
-  /// Reads and Deserializes a whole sidecar file.
-  static Result<std::unique_ptr<BpIndex>> LoadFrom(File* file);
+  /// Decodes a payload of `node_count` nodes (shape and balance checked)
+  /// and rebuilds the in-memory support structures.
+  static Result<std::unique_ptr<BpIndex>> DecodePayload(
+      std::string_view payload, uint64_t node_count);
 
   // -------------------------------------------------------------------
   // Shape.
 
   uint64_t node_count() const { return node_count_; }
   uint64_t bit_count() const { return n_bits_; }
-  /// Store epoch the index was built against.
-  uint64_t epoch() const { return epoch_; }
-  /// Re-stamps the epoch (DocumentStore::Flush: the topology is
-  /// unchanged, the generation advanced; navigation state is untouched).
-  void set_epoch(uint64_t epoch) { epoch_ = epoch; }
   /// In-memory footprint of bits + tags + support structures.
   uint64_t MemoryBytes() const;
 
@@ -253,7 +237,6 @@ class BpIndex {
   std::vector<TagId> tags_;           ///< Preorder TagIds, size node_count_.
   uint64_t n_bits_ = 0;               ///< 2 * node_count_.
   uint64_t node_count_ = 0;
-  uint64_t epoch_ = 0;
 
   std::vector<int64_t> word_excess_;  ///< Excess at the start of each word.
   std::vector<int64_t> tree_min_;     ///< Segment tree over word minima.

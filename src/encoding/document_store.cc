@@ -6,6 +6,7 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "storage/sidecar.h"
 #include "xml/escape.h"
 #include "xml/sax_parser.h"
 
@@ -241,7 +242,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       leaf_depth_sum += dewey_path.size();
     }
     NOK_RETURN_IF_ERROR(builder.Close());
-    if (store->options_.use_synopsis) synopsis_builder.Close();
+    synopsis_builder.Close();
     frames.pop_back();
     dewey_path.pop_back();
     tag_path.pop_back();
@@ -260,7 +261,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     }
     uint64_t pos = 0;
     NOK_RETURN_IF_ERROR(builder.Open(tag, &pos));
-    if (store->options_.use_synopsis) synopsis_builder.Open(tag);
+    synopsis_builder.Open(tag);
     tag_path.push_back(tag);
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
@@ -334,17 +335,13 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                             static_cast<double>(leaf_count);
   store->stats_.distinct_tags = store->tags_.size();
   store->RefreshSizeStats();
+  NOK_ASSIGN_OR_RETURN(store->synopsis_.value, synopsis_builder.Finish());
+  NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
   if (store->options_.nav_mode == NavMode::kBp) {
     // Materialize the BP tier eagerly so the first query pays nothing,
     // and persist the sidecar next to the freshly committed generation.
     NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    NOK_RETURN_IF_ERROR(store->PersistBpSidecar());
-  }
-  if (store->options_.use_synopsis) {
-    NOK_ASSIGN_OR_RETURN(store->synopsis_,
-                         synopsis_builder.Finish(store->epoch_));
-    store->synopsis_version_ = store->structure_version_;
-    NOK_RETURN_IF_ERROR(store->PersistSynopsisSidecar());
+    NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
   }
   return store;
 }
@@ -495,20 +492,18 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
     // Eager so that concurrent readers of a read-only handle never race
     // an on-demand build; loads the sidecar when its epoch matches.
     NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    if (!store->bp_from_sidecar_) {
+    if (!store->bp_.from_sidecar) {
       // Missing/stale/damaged sidecar was rebuilt from the page chain;
       // re-persist for the next open (no-op for read-only/WAL handles).
-      NOK_RETURN_IF_ERROR(store->PersistBpSidecar());
+      NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
     }
   }
-  if (options.use_synopsis) {
-    // Eager for the same reason as the BP index; when EnsureBpIndex just
-    // rebuilt from the page chain, the synopsis rode that scan and this
-    // is a no-op.  A missing/stale/damaged sidecar is silently replaced.
-    NOK_RETURN_IF_ERROR(store->EnsureSynopsis());
-    if (!store->synopsis_from_sidecar_) {
-      NOK_RETURN_IF_ERROR(store->PersistSynopsisSidecar());
-    }
+  // Eager for the same reason as the BP index; when EnsureBpIndex just
+  // rebuilt from the page chain, the synopsis rode that scan and this is
+  // a no-op.  A missing/stale/damaged sidecar is silently replaced.
+  NOK_RETURN_IF_ERROR(store->EnsureSynopsis());
+  if (!store->synopsis_.from_sidecar) {
+    NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
   }
   if (!options.read_only) {
     NOK_RETURN_IF_ERROR(store->UpgradeLegacyIndexes());
@@ -660,14 +655,6 @@ Status DocumentStore::Flush() {
     // Nothing captured, nothing to commit: keep the epoch stable so
     // snapshot readers and the plan cache see no phantom generation.
     if (!wal_writer_->in_transaction()) return Status::OK();
-    if (options_.wal.refresh_positions_on_commit && !positions_fresh_) {
-      // Fold the position refresh into this commit: the rebuilt index
-      // pages and the staleness-flag removal join the open transaction
-      // and ride the same single WAL fsync, instead of each commit
-      // leaving stale positions behind for a separate refresh
-      // transaction later (ROADMAP item 1 follow-up).
-      NOK_RETURN_IF_ERROR(RefreshPositionsImpl());
-    }
     // Run the legacy flush sequence against the TxnFile wrappers: every
     // page and meta write lands in the overlay (component Syncs are
     // deferred), then Commit makes the batch durable with one WAL fsync
@@ -689,16 +676,10 @@ Status DocumentStore::Flush() {
       return commit;
     }
     wal_ops_pending_ = 0;
-    if (options_.use_synopsis) {
-      // The structural updates of this batch dropped the in-memory
-      // synopsis; rebuild it against the committed generation so the
-      // planner keeps its cardinality estimates.  In-memory only — the
-      // sidecar write is not transaction-captured (PersistSynopsisSidecar
-      // no-ops on WAL handles).
-      NOK_RETURN_IF_ERROR(EnsureSynopsis());
-      synopsis_->set_epoch(epoch_);
-    }
-    return Status::OK();
+    // The structural updates of this batch dropped the in-memory
+    // synopsis; rebuild it so the planner keeps its cardinality
+    // estimates.  In-memory only: WAL handles persist no sidecar.
+    return EnsureSynopsis();
   }
   // One new generation.  Order: value file and indexes (data synced before
   // each component's own meta), then the dictionary, then the tree string
@@ -714,21 +695,15 @@ Status DocumentStore::Flush() {
   NOK_RETURN_IF_ERROR(SaveDictionary());
   tree_->set_epoch(epoch_);
   NOK_RETURN_IF_ERROR(tree_->Flush());
+  // Keep each sidecar in lockstep with the generation it describes: a
+  // structural update dropped the in-memory structure, so rebuild it from
+  // the just-flushed pages and persist it stamped with the new epoch.
   if (options_.nav_mode == NavMode::kBp) {
-    // Keep the sidecar in lockstep with the generation it describes: a
-    // structural update dropped the in-memory index, so rebuild from the
-    // just-flushed pages, stamp the new epoch, persist.
     NOK_RETURN_IF_ERROR(EnsureBpIndex());
-    bp_index_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(PersistBpSidecar());
+    NOK_RETURN_IF_ERROR(PersistSidecar(kBpFile, bp_));
   }
-  if (options_.use_synopsis) {
-    // Same lockstep for the synopsis sidecar.
-    NOK_RETURN_IF_ERROR(EnsureSynopsis());
-    synopsis_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(PersistSynopsisSidecar());
-  }
-  return Status::OK();
+  NOK_RETURN_IF_ERROR(EnsureSynopsis());
+  return PersistSidecar(kSynopsisFile, synopsis_);
 }
 
 Status DocumentStore::DropCaches() {
@@ -894,14 +869,12 @@ Status DocumentStore::MarkPositionsStale() {
   ++structure_version_;
   // The topology changed: the BP bitvector is invalid from here on.  It
   // is rebuilt lazily on the next bp_index() call (or at Flush).
-  bp_index_.reset();
-  bp_from_sidecar_ = false;
+  bp_ = {};
   // The synopsis too — an inserted subtree can create rooted paths the
   // old trie never saw, and pruning on those would wrongly prove queries
   // empty.  The planner falls back to flat tag counts until Flush
   // rebuilds it.
-  synopsis_.reset();
-  synopsis_from_sidecar_ = false;
+  synopsis_ = {};
   if (!options_.dir.empty()) {
     if (wal_writer_ != nullptr && wal_writer_->in_transaction()) {
       wal_writer_->StageReplace(kStaleFile, "1");
@@ -914,44 +887,59 @@ Status DocumentStore::MarkPositionsStale() {
 
 Result<const BpIndex*> DocumentStore::bp_index() {
   NOK_RETURN_IF_ERROR(EnsureBpIndex());
-  return bp_index_.get();
+  return bp_.value.get();
+}
+
+template <typename T>
+bool DocumentStore::LoadSidecar(const char* name, Derived<T>* derived) {
+  // structure_version_ is in-memory and resets on open: a sidecar can only
+  // describe the generation the components were opened at.
+  if (options_.dir.empty() || structure_version_ != 0 ||
+      !FileExists(options_.dir + "/" + name)) {
+    return false;
+  }
+  auto file = OpenComponent(name, /*create=*/false);
+  if (!file.ok()) return false;
+  auto bytes = ReadWholeFile(*file.ValueOrDie());
+  if (!bytes.ok()) return false;
+  auto contents = UnsealSidecar(T::kSidecarFormat, bytes.ValueOrDie());
+  if (!contents.ok() || contents->epoch != epoch_ ||
+      contents->node_count != tree_->node_count()) {
+    return false;
+  }
+  auto value = T::DecodePayload(contents->payload, contents->node_count);
+  if (!value.ok()) return false;
+  *derived = {std::move(value).ValueOrDie(), structure_version_, true};
+  return true;
+}
+
+template <typename T>
+Status DocumentStore::PersistSidecar(const char* name,
+                                     const Derived<T>& derived) {
+  if (options_.dir.empty() || options_.read_only || wal_writer_ != nullptr) {
+    return Status::OK();
+  }
+  const std::string temp = name + std::string(kSidecarTempSuffix);
+  NOK_ASSIGN_OR_RETURN(auto file,
+                       OpenComponent(temp.c_str(), /*create=*/true));
+  const T& value = *derived.value;
+  return ReplaceFileAtomically(
+      file.get(), options_.dir, name,
+      SealSidecar(T::kSidecarFormat, epoch_, value.node_count(),
+                  value.EncodePayload()));
 }
 
 Status DocumentStore::EnsureBpIndex() {
-  if (bp_index_ != nullptr && bp_version_ == structure_version_) {
-    return Status::OK();
-  }
-  bp_index_.reset();
-  bp_from_sidecar_ = false;
-  // Prefer the persisted sidecar.  It only counts as current before any
-  // in-process structural update (structure_version_ is in-memory and
-  // resets on open) and when its stamped epoch matches the generation
-  // the components were opened at.
-  if (!options_.dir.empty() && structure_version_ == 0 &&
-      FileExists(options_.dir + "/" + kBpFile)) {
-    auto file = OpenComponent(kBpFile, /*create=*/false);
-    if (file.ok()) {
-      auto loaded = BpIndex::LoadFrom(file.ValueOrDie().get());
-      if (loaded.ok() && loaded.ValueOrDie()->epoch() == epoch_ &&
-          loaded.ValueOrDie()->node_count() == tree_->node_count()) {
-        bp_index_ = std::move(loaded).ValueOrDie();
-        bp_version_ = structure_version_;
-        bp_from_sidecar_ = true;
-        return Status::OK();
-      }
-      // Stale or damaged sidecar (the CRC rejects torn writes): fall
-      // through to a rebuild; `nokq verify` reports the details.
-    }
-  }
+  if (IsCurrent(bp_)) return Status::OK();
+  bp_ = {};
+  if (LoadSidecar(kBpFile, &bp_)) return Status::OK();
   // Rebuild from the page chain.  When the synopsis is also out of date
   // and its own sidecar cannot supply it, its trie rides the same
   // VisitSymbols scan via the build observer — one pass, two indexes.
   PathSynopsis::Builder synopsis_builder;
   std::function<void(bool, TagId)> observer;
   const bool feed_synopsis =
-      options_.use_synopsis &&
-      (synopsis_ == nullptr || synopsis_version_ != structure_version_) &&
-      !TrySynopsisSidecar();
+      !IsCurrent(synopsis_) && !LoadSidecar(kSynopsisFile, &synopsis_);
   if (feed_synopsis) {
     observer = [&synopsis_builder](bool is_open, TagId tag) {
       if (is_open) {
@@ -961,71 +949,23 @@ Status DocumentStore::EnsureBpIndex() {
       }
     };
   }
-  NOK_ASSIGN_OR_RETURN(bp_index_,
-                       BpIndex::Build(tree_.get(), epoch_, observer));
-  bp_version_ = structure_version_;
+  NOK_ASSIGN_OR_RETURN(bp_.value, BpIndex::Build(tree_.get(), observer));
+  bp_.version = structure_version_;
   if (feed_synopsis) {
-    NOK_ASSIGN_OR_RETURN(synopsis_, synopsis_builder.Finish(epoch_));
-    synopsis_version_ = structure_version_;
-    synopsis_from_sidecar_ = false;
+    synopsis_ = {};
+    NOK_ASSIGN_OR_RETURN(synopsis_.value, synopsis_builder.Finish());
+    synopsis_.version = structure_version_;
   }
   return Status::OK();
-}
-
-bool DocumentStore::TrySynopsisSidecar() {
-  if (options_.dir.empty() || structure_version_ != 0 ||
-      !FileExists(options_.dir + "/" + kSynopsisFile)) {
-    return false;
-  }
-  auto file = OpenComponent(kSynopsisFile, /*create=*/false);
-  if (!file.ok()) return false;
-  auto loaded = PathSynopsis::LoadFrom(file.ValueOrDie().get());
-  if (loaded.ok() && loaded.ValueOrDie()->epoch() == epoch_ &&
-      loaded.ValueOrDie()->node_count() == tree_->node_count()) {
-    synopsis_ = std::move(loaded).ValueOrDie();
-    synopsis_version_ = structure_version_;
-    synopsis_from_sidecar_ = true;
-    return true;
-  }
-  // Stale or damaged sidecar (the CRC rejects torn writes): the caller
-  // rebuilds from the page chain; `nokq verify` pass 5 reports details.
-  return false;
 }
 
 Status DocumentStore::EnsureSynopsis() {
-  if (!options_.use_synopsis) return Status::OK();
-  if (synopsis_ != nullptr && synopsis_version_ == structure_version_) {
-    return Status::OK();
-  }
-  synopsis_.reset();
-  synopsis_from_sidecar_ = false;
-  if (TrySynopsisSidecar()) return Status::OK();
-  NOK_ASSIGN_OR_RETURN(synopsis_, PathSynopsis::Build(tree_.get(), epoch_));
-  synopsis_version_ = structure_version_;
+  if (IsCurrent(synopsis_)) return Status::OK();
+  synopsis_ = {};
+  if (LoadSidecar(kSynopsisFile, &synopsis_)) return Status::OK();
+  NOK_ASSIGN_OR_RETURN(synopsis_.value, PathSynopsis::Build(tree_.get()));
+  synopsis_.version = structure_version_;
   return Status::OK();
-}
-
-Status DocumentStore::PersistSynopsisSidecar() {
-  if (options_.dir.empty() || options_.read_only ||
-      wal_writer_ != nullptr || synopsis_ == nullptr) {
-    // WAL handles keep the synopsis in-memory only: the sidecar write is
-    // not transaction-captured, so it must not join a WAL commit.
-    return Status::OK();
-  }
-  NOK_ASSIGN_OR_RETURN(auto file,
-                       OpenComponent(kSynopsisFile, /*create=*/true));
-  return synopsis_->SaveTo(file.get());
-}
-
-Status DocumentStore::PersistBpSidecar() {
-  if (options_.dir.empty() || options_.read_only ||
-      wal_writer_ != nullptr || bp_index_ == nullptr) {
-    // WAL handles keep the BP tier in-memory only: the sidecar write is
-    // not transaction-captured, so it must not join a WAL commit.
-    return Status::OK();
-  }
-  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(kBpFile, /*create=*/true));
-  return bp_index_->SaveTo(file.get());
 }
 
 Result<size_t> DocumentStore::EstimateValueCount(const Slice& value,

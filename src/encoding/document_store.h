@@ -104,13 +104,6 @@ struct DocumentStoreOptions {
   /// and persist the sidecar on commit; the paged cursor remains
   /// available for verification and updates.
   NavMode nav_mode = NavMode::kPaged;
-  /// Maintain the DataGuide-style path synopsis (path_synopsis.h): built
-  /// in the same pass as the rest of the store (or loaded from the
-  /// synopsis.pds sidecar when its epoch matches) and fed to the Planner
-  /// for per-pattern-node cardinality estimates and schema-impossible
-  /// pruning.  Off = the planner falls back to flat tag counts (the
-  /// `--no-synopsis` ablation).
-  bool use_synopsis = true;
   /// Directory for the store files; empty = fully in-memory.
   std::string dir;
   /// Hook for wrapping component files (fault injection in tests).  When
@@ -131,12 +124,6 @@ struct DocumentStoreOptions {
     /// Auto-commit (Flush) after this many update operations;
     /// 0 = only an explicit Flush commits.
     uint64_t group_commit_ops = 0;
-    /// Fold a position refresh into each commit: when the batch left
-    /// positions stale, Flush runs RefreshPositions inside the same WAL
-    /// transaction, so the rebuilt index pages and the staleness-flag
-    /// removal ride the one commit fsync instead of needing a separate
-    /// post-commit transaction (ROADMAP item 1 follow-up).
-    bool refresh_positions_on_commit = false;
   };
   WalOptions wal;
 };
@@ -199,18 +186,19 @@ class DocumentStore {
 
   /// Whether the current in-memory BP index came from a matching
   /// tree.bpx sidecar (vs a rebuild scan of the page chain).
-  bool bp_loaded_from_sidecar() const { return bp_from_sidecar_; }
+  bool bp_loaded_from_sidecar() const { return bp_.from_sidecar; }
 
-  /// The path synopsis for the current structure (path_synopsis.h), or
-  /// null when Options::use_synopsis is off.  Materialized eagerly by
-  /// Build/OpenDir and kept current across updates via
-  /// structure_version(), so read-only concurrent readers only ever see
-  /// the already-built immutable instance.
-  const PathSynopsis* path_synopsis() const { return synopsis_.get(); }
+  /// The DataGuide-style path synopsis for the current structure
+  /// (path_synopsis.h), fed to the Planner for per-pattern-node
+  /// cardinality estimates and schema-impossible pruning.  Materialized
+  /// eagerly by Build/OpenDir and rebuilt by Flush, so read-only
+  /// concurrent readers only ever see the already-built immutable
+  /// instance.  Null between a structural update and the next Flush.
+  const PathSynopsis* path_synopsis() const { return synopsis_.value.get(); }
 
   /// Whether the current in-memory synopsis came from a matching
   /// synopsis.pds sidecar (vs a rebuild scan).
-  bool synopsis_loaded_from_sidecar() const { return synopsis_from_sidecar_; }
+  bool synopsis_loaded_from_sidecar() const { return synopsis_.from_sidecar; }
 
   // -- navigation helpers ----------------------------------------------
   /// Physical position of the node with the given Dewey ID: a B+i lookup
@@ -377,29 +365,47 @@ class DocumentStore {
   /// bitvector is rebuilt lazily (or at the next Flush).
   Status MarkPositionsStale();
 
-  /// Makes bp_index_ match the current structure: loads the sidecar when
-  /// its epoch and shape agree, else rebuilds by one sequential scan.
-  /// When the synopsis is also missing, its trie is accumulated from the
-  /// same scan (the BpIndex::Build observer) — one pass builds both.
+  /// A structure derived from the tree string and persisted beside it as
+  /// a sidecar file (storage/sidecar.h): the BP index or the synopsis.
+  /// Immutable once built; describes the current structure while
+  /// `version` equals structure_version_.
+  template <typename T>
+  struct Derived {
+    std::unique_ptr<T> value;
+    uint64_t version = 0;
+    bool from_sidecar = false;
+  };
+
+  template <typename T>
+  bool IsCurrent(const Derived<T>& derived) const {
+    return derived.value != nullptr && derived.version == structure_version_;
+  }
+
+  /// Adopts sidecar `name` into *derived when it describes the structure
+  /// this handle opened: no in-process structural update yet
+  /// (structure_version_ == 0) and an epoch and node count that match.
+  /// Returns whether it did.  A missing, stale or damaged sidecar leaves
+  /// *derived alone; the caller rebuilds and `nokq verify` reports damage.
+  template <typename T>
+  bool LoadSidecar(const char* name, Derived<T>* derived);
+
+  /// Writes derived's structure to sidecar `name`, stamped with the
+  /// current epoch and replaced atomically.  No-op for in-memory,
+  /// read-only and WAL handles: the write is not transaction-captured, so
+  /// it must not join a WAL commit.
+  template <typename T>
+  Status PersistSidecar(const char* name, const Derived<T>& derived);
+
+  /// Makes bp_ match the current structure: loads the sidecar, else
+  /// rebuilds by one sequential scan.  When the synopsis is out of date
+  /// too and its own sidecar cannot supply it, its trie is accumulated
+  /// from the same scan (the BpIndex::Build observer) — one pass builds
+  /// both.
   Status EnsureBpIndex();
 
-  /// Writes the tree.bpx sidecar (dir-backed, non-WAL stores only; the
-  /// CRC-32C payload checksum makes a torn write detectable).
-  Status PersistBpSidecar();
-
-  /// Makes synopsis_ match the current structure: loads the synopsis.pds
-  /// sidecar when its epoch and shape agree, else rebuilds by one
-  /// sequential scan (unless EnsureBpIndex already piggy-backed the
-  /// build onto its own scan).  No-op when Options::use_synopsis is off.
+  /// Makes synopsis_ match the current structure: loads the sidecar, else
+  /// rebuilds by one sequential scan.
   Status EnsureSynopsis();
-
-  /// Loads the synopsis.pds sidecar when it is usable (no in-process
-  /// structural updates, epoch and node count match); returns whether it
-  /// was adopted.
-  bool TrySynopsisSidecar();
-
-  /// Writes the synopsis.pds sidecar (same guards as PersistBpSidecar).
-  Status PersistSynopsisSidecar();
 
   Options options_;
   /// Declared before the components: members destroy in reverse order,
@@ -424,16 +430,10 @@ class DocumentStore {
   uint64_t epoch_ = 0;
   uint64_t structure_version_ = 0;
   bool positions_fresh_ = true;
-  /// Balanced-parentheses navigation tier (bp_index.h).  Immutable once
-  /// built; valid while bp_version_ == structure_version_.
-  std::unique_ptr<BpIndex> bp_index_;
-  uint64_t bp_version_ = 0;
-  bool bp_from_sidecar_ = false;
-  /// DataGuide-style path synopsis (path_synopsis.h).  Immutable once
-  /// built; valid while synopsis_version_ == structure_version_.
-  std::unique_ptr<PathSynopsis> synopsis_;
-  uint64_t synopsis_version_ = 0;
-  bool synopsis_from_sidecar_ = false;
+  /// Balanced-parentheses navigation tier (bp_index.h), tree.bpx.
+  Derived<BpIndex> bp_;
+  /// DataGuide-style path synopsis (path_synopsis.h), synopsis.pds.
+  Derived<PathSynopsis> synopsis_;
 };
 
 /// Encoding helpers shared by the builder, the query engine and tests.

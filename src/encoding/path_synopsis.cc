@@ -5,16 +5,11 @@
 #include <utility>
 
 #include "common/coding.h"
-#include "common/hash.h"
-#include "common/slice.h"
 #include "encoding/string_store.h"
 
 namespace nok {
 namespace {
 
-constexpr uint64_t kSynopsisMagic = 0x4e4f4b5053594e50ull;  // "NOKPSYNP"
-constexpr uint32_t kSynopsisFormatVersion = 1;
-constexpr size_t kSynopsisHeaderSize = 32;
 constexpr size_t kSynopsisRecordSize = 2 + 8 + 4;  // tag, count, parent+1.
 // A trie can never have more nodes than the document, but a corrupt
 // sidecar can claim anything; cap before allocating.
@@ -57,13 +52,11 @@ void PathSynopsis::Builder::Close() {
   stack_.pop_back();
 }
 
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Builder::Finish(
-    uint64_t epoch) {
+Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Builder::Finish() {
   if (unbalanced_ || !stack_.empty()) {
     return Status::Corruption("path synopsis: unbalanced open/close events");
   }
   auto synopsis = std::unique_ptr<PathSynopsis>(new PathSynopsis());
-  synopsis->epoch_ = epoch;
   synopsis->node_count_ = opens_;
   synopsis->nodes_.reserve(trie_.size());
   // Flatten the trie to preorder with an explicit stack (document depth
@@ -104,8 +97,7 @@ Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Builder::Finish(
   return synopsis;
 }
 
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Build(StringStore* tree,
-                                                          uint64_t epoch) {
+Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Build(StringStore* tree) {
   Builder builder;
   uint64_t symbols = 0;
   NOK_RETURN_IF_ERROR(tree->VisitSymbols([&](bool is_open, TagId tag) {
@@ -122,7 +114,7 @@ Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Build(StringStore* tree,
         std::to_string(symbols) + " symbols, expected " +
         std::to_string(2 * tree->node_count()) + ")");
   }
-  return builder.Finish(epoch);
+  return builder.Finish();
 }
 
 Status PathSynopsis::Validate() {
@@ -175,7 +167,7 @@ Status PathSynopsis::Validate() {
   return Status::OK();
 }
 
-std::string PathSynopsis::Serialize() const {
+std::string PathSynopsis::EncodePayload() const {
   std::string payload;
   payload.reserve(4 + nodes_.size() * kSynopsisRecordSize);
   PutFixed32(&payload, static_cast<uint32_t>(nodes_.size()));
@@ -184,61 +176,27 @@ std::string PathSynopsis::Serialize() const {
     PutFixed64(&payload, node.count);
     PutFixed32(&payload, static_cast<uint32_t>(node.parent + 1));
   }
-  // The CRC covers the epoch and node-count header fields too: a flipped
-  // epoch byte would otherwise deserialize cleanly and masquerade as a
-  // (stale or, worse, current) generation stamp.
-  std::string stamped;
-  PutFixed64(&stamped, epoch_);
-  PutFixed64(&stamped, node_count_);
-  uint32_t crc = Crc32c(Slice(stamped));
-  crc = Crc32cExtend(crc, payload.data(), payload.size());
-  std::string out;
-  out.reserve(kSynopsisHeaderSize + payload.size());
-  PutFixed64(&out, kSynopsisMagic);
-  PutFixed32(&out, kSynopsisFormatVersion);
-  out += stamped;
-  PutFixed32(&out, crc);
-  out += payload;
-  return out;
+  return payload;
 }
 
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Deserialize(
-    std::string_view bytes) {
-  if (bytes.size() < kSynopsisHeaderSize + 4) {
-    return Status::Corruption("synopsis sidecar: truncated header");
+Result<std::unique_ptr<PathSynopsis>> PathSynopsis::DecodePayload(
+    std::string_view payload, uint64_t node_count) {
+  if (payload.size() < 4) {
+    return Status::Corruption("synopsis sidecar: truncated payload");
   }
-  const char* p = bytes.data();
-  if (DecodeFixed64(p) != kSynopsisMagic) {
-    return Status::Corruption("synopsis sidecar: bad magic");
-  }
-  const uint32_t version = DecodeFixed32(p + 8);
-  if (version != kSynopsisFormatVersion) {
-    return Status::Corruption(
-        "synopsis sidecar: unsupported format version " +
-        std::to_string(version));
-  }
-  auto synopsis = std::unique_ptr<PathSynopsis>(new PathSynopsis());
-  synopsis->epoch_ = DecodeFixed64(p + 12);
-  synopsis->node_count_ = DecodeFixed64(p + 20);
-  const uint32_t crc = DecodeFixed32(p + 28);
-  const char* payload = p + kSynopsisHeaderSize;
-  const uint32_t path_count = DecodeFixed32(payload);
+  const uint32_t path_count = DecodeFixed32(payload.data());
   if (path_count > kMaxPaths) {
     return Status::Corruption("synopsis sidecar: implausible path count");
   }
-  const size_t payload_size =
-      4 + static_cast<size_t>(path_count) * kSynopsisRecordSize;
-  if (bytes.size() != kSynopsisHeaderSize + payload_size) {
+  if (payload.size() !=
+      4 + static_cast<size_t>(path_count) * kSynopsisRecordSize) {
     return Status::Corruption("synopsis sidecar: payload size mismatch");
   }
-  uint32_t want_crc = Crc32c(Slice(p + 12, 16));  // epoch + node count.
-  want_crc = Crc32cExtend(want_crc, payload, payload_size);
-  if (want_crc != crc) {
-    return Status::Corruption("synopsis sidecar: payload checksum mismatch");
-  }
+  auto synopsis = std::unique_ptr<PathSynopsis>(new PathSynopsis());
+  synopsis->node_count_ = node_count;
   synopsis->nodes_.resize(path_count);
   for (size_t i = 0; i < path_count; ++i) {
-    const char* rec = payload + 4 + i * kSynopsisRecordSize;
+    const char* rec = payload.data() + 4 + i * kSynopsisRecordSize;
     PathNode& node = synopsis->nodes_[i];
     node.tag = DecodeFixed16(rec);
     node.count = DecodeFixed64(rec + 2);
@@ -250,22 +208,6 @@ Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Deserialize(
   }
   NOK_RETURN_IF_ERROR(synopsis->Validate());
   return synopsis;
-}
-
-Status PathSynopsis::SaveTo(File* file) const {
-  const std::string bytes = Serialize();
-  NOK_RETURN_IF_ERROR(file->Truncate(0));
-  NOK_RETURN_IF_ERROR(file->WriteAt(0, Slice(bytes)));
-  return file->Sync();
-}
-
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::LoadFrom(File* file) {
-  const uint64_t size = file->Size();
-  std::string bytes(static_cast<size_t>(size), '\0');
-  Slice out;
-  NOK_RETURN_IF_ERROR(
-      file->ReadAt(0, static_cast<size_t>(size), bytes.data(), &out));
-  return Deserialize(out.ToStringView());
 }
 
 void PathSynopsis::CollectChildren(uint32_t parent, TagId tag, bool wildcard,

@@ -22,25 +22,19 @@
 // so any number of threads may query one instance concurrently.
 // Versioning against the store is the owner's job: DocumentStore keys
 // the in-memory instance to structure_version() and the persisted
-// sidecar to epoch(), exactly like the BP index (DESIGN.md section 15).
+// synopsis.pds sidecar to the store epoch, exactly like the BP index
+// (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
 //
 // Storage is a preorder-flattened array with subtree spans: node i's
 // descendants are exactly the indexes in (i, subtree_end(i)), and its
 // children are found by hopping j -> subtree_end(j) — no child pointers
 // needed at query time.
 //
-// Sidecar format (*.pds), all integers little-endian fixed-width:
-//
-//   +0   magic "NOKPSYNP"            (8 bytes)
-//   +8   format version, currently 1 (4 bytes)
-//   +12  epoch the synopsis was built against (8 bytes)
-//   +20  document node count n        (8 bytes)
-//   +28  CRC-32C of bytes [12, 28) + the payload (4 bytes), so a flipped
-//        epoch or node-count byte is detected, not just payload damage
-//   +32  payload: path count (4 bytes), then one record per path node in
-//        preorder: TagId (2 bytes), count (8 bytes), parent index + 1
-//        (4 bytes, 0 for a top-level path).  Levels and subtree spans
-//        are recomputed on load and validated against the preorder.
+// Sidecar payload, all integers little-endian fixed-width: path count
+// (4 bytes), then one record per path node in preorder: TagId (2 bytes),
+// count (8 bytes), parent index + 1 (4 bytes, 0 for a top-level path).
+// Levels and subtree spans are recomputed on load and validated against
+// the preorder.
 
 #ifndef NOKXML_ENCODING_PATH_SYNOPSIS_H_
 #define NOKXML_ENCODING_PATH_SYNOPSIS_H_
@@ -54,7 +48,7 @@
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/file.h"
+#include "storage/sidecar.h"
 
 namespace nok {
 
@@ -90,9 +84,9 @@ class PathSynopsis {
     /// Ascends one level.
     void Close();
 
-    /// Validates balance, flattens the trie to preorder, and stamps the
-    /// result with `epoch`.  The builder is spent afterwards.
-    Result<std::unique_ptr<PathSynopsis>> Finish(uint64_t epoch);
+    /// Validates balance and flattens the trie to preorder.  The builder
+    /// is spent afterwards.
+    Result<std::unique_ptr<PathSynopsis>> Finish();
 
    private:
     struct TrieNode {
@@ -109,26 +103,22 @@ class PathSynopsis {
     bool unbalanced_ = false;  ///< A Close arrived with nothing open.
   };
 
+  /// Envelope identity of the synopsis.pds sidecar ("NOKPSYNP",
+  /// version 1).
+  static constexpr SidecarFormat kSidecarFormat = {0x4e4f4b5053594e50ull, 1,
+                                                   "synopsis sidecar"};
+
   /// Builds the synopsis in one sequential scan of the paged string
-  /// (chain-order page decodes).  `epoch` stamps the result for sidecar
-  /// versioning.
-  static Result<std::unique_ptr<PathSynopsis>> Build(StringStore* tree,
-                                                     uint64_t epoch);
+  /// (chain-order page decodes).
+  static Result<std::unique_ptr<PathSynopsis>> Build(StringStore* tree);
 
-  /// Serializes to the checksummed sidecar byte format described above.
-  std::string Serialize() const;
+  /// Encodes the sidecar payload described above.
+  std::string EncodePayload() const;
 
-  /// Parses and validates a serialized sidecar (magic, version, shape,
-  /// CRC-32C, preorder consistency, count totals).
-  static Result<std::unique_ptr<PathSynopsis>> Deserialize(
-      std::string_view bytes);
-
-  /// Writes the serialized form at offset 0 of `file`, truncating any
-  /// previous content, and syncs.
-  Status SaveTo(File* file) const;
-
-  /// Reads and Deserializes a whole sidecar file.
-  static Result<std::unique_ptr<PathSynopsis>> LoadFrom(File* file);
+  /// Decodes the payload of a synopsis over `node_count` document nodes
+  /// and validates it (shape, preorder consistency, count totals).
+  static Result<std::unique_ptr<PathSynopsis>> DecodePayload(
+      std::string_view payload, uint64_t node_count);
 
   // -------------------------------------------------------------------
   // Shape.
@@ -137,11 +127,6 @@ class PathSynopsis {
   size_t path_count() const { return nodes_.size(); }
   /// Document nodes the synopsis was built from.
   uint64_t node_count() const { return node_count_; }
-  /// Store epoch the synopsis was built against.
-  uint64_t epoch() const { return epoch_; }
-  /// Re-stamps the epoch (DocumentStore::Flush: the structure is
-  /// unchanged, the generation advanced).
-  void set_epoch(uint64_t epoch) { epoch_ = epoch; }
   /// Shallowest / deepest path length present (0 when empty).
   uint32_t min_level() const { return min_level_; }
   uint32_t max_level() const { return max_level_; }
@@ -193,7 +178,6 @@ class PathSynopsis {
 
   std::vector<PathNode> nodes_;  ///< Preorder.
   uint64_t node_count_ = 0;
-  uint64_t epoch_ = 0;
   uint32_t min_level_ = 0;
   uint32_t max_level_ = 0;
 };

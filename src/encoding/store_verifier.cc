@@ -12,6 +12,7 @@
 #include "encoding/string_store.h"
 #include "storage/file.h"
 #include "storage/pager.h"
+#include "storage/sidecar.h"
 
 namespace nok {
 
@@ -99,6 +100,54 @@ void CrossCheckNodeRefs(BTree* id_index, BTree* index,
     AddIssue(report, component,
              "index holds " + std::to_string(count) + " entries but B+i "
                  "records " + std::to_string(expected) + " " + what);
+  }
+}
+
+/// Pass 4 for one sidecar file.  Unsealing catches envelope damage
+/// (magic, version, CRC-32C).  The CRC only vouches that the bytes match
+/// what was written, so the payload is then compared with the one a
+/// rebuild from the tree string encodes.
+template <typename T>
+void CheckSidecar(const std::string& dir, const char* name,
+                  DocumentStore* store, VerifyReport* report) {
+  const std::string path = dir + "/" + name;
+  if (!FileExists(path)) return;
+  auto file = OpenPosixFileReadOnly(path);
+  if (!file.ok()) {
+    AddIssue(report, name, file.status().ToString());
+    return;
+  }
+  auto bytes = ReadWholeFile(*file.ValueOrDie());
+  if (!bytes.ok()) {
+    AddIssue(report, name, bytes.status().ToString());
+    return;
+  }
+  auto contents = UnsealSidecar(T::kSidecarFormat, bytes.ValueOrDie());
+  if (!contents.ok()) {
+    AddIssue(report, name, contents.status().ToString());
+    return;
+  }
+  // A mismatched-epoch sidecar is stale, not damaged: no open ever trusts
+  // it (it is rebuilt from the page chain, exactly as if the file were
+  // missing), and a crash between a WAL commit and the next writable open
+  // legitimately leaves one behind.
+  if (contents->epoch != store->epoch()) return;
+  auto fresh = T::Build(store->tree());
+  if (!fresh.ok()) {
+    AddIssue(report, name,
+             "cannot rebuild from the page chain: " +
+                 fresh.status().ToString());
+    return;
+  }
+  if (contents->node_count != fresh.ValueOrDie()->node_count()) {
+    AddIssue(report, name,
+             "sidecar holds " + std::to_string(contents->node_count) +
+                 " nodes but the tree string holds " +
+                 std::to_string(fresh.ValueOrDie()->node_count()));
+  } else if (contents->payload != fresh.ValueOrDie()->EncodePayload()) {
+    AddIssue(report, name,
+             "sidecar payload disagrees with a rebuild from the tree "
+             "string");
   }
 }
 
@@ -281,118 +330,10 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                        "nodes with a value", &report);
   }
 
-  // Pass 4: the balanced-parentheses sidecar, when one was persisted.
-  // LoadFrom validates the envelope (magic, format version, shape,
-  // CRC-32C) — a flipped payload byte surfaces here as Corruption.  The
-  // CRC only vouches that the bytes match what was written; the compare
-  // below checks what was written against the current tree string.
-  const std::string bpx_path =
-      dir + "/" + store_files::kBpIndex;
-  if (FileExists(bpx_path)) {
-    auto bpx_file = OpenPosixFile(bpx_path, /*create=*/false);
-    if (!bpx_file.ok()) {
-      AddIssue(&report, store_files::kBpIndex,
-               bpx_file.status().ToString());
-      return report;
-    }
-    auto side_or = BpIndex::LoadFrom(bpx_file.ValueOrDie().get());
-    if (!side_or.ok()) {
-      AddIssue(&report, store_files::kBpIndex,
-               side_or.status().ToString());
-      return report;
-    }
-    const BpIndex& side = *side_or.ValueOrDie();
-    // A mismatched-epoch sidecar is stale, not damaged: no open ever
-    // trusts it (it is rebuilt from the page chain, exactly as if the
-    // file were missing), and a crash between a WAL commit and the
-    // next writable open legitimately leaves one behind.  Diffing its
-    // content against a different generation would be noise, so the
-    // comparison only runs when the epochs agree.
-    if (side.epoch() == store->epoch()) {
-      auto fresh_or = BpIndex::Build(store->tree(), side.epoch());
-      if (!fresh_or.ok()) {
-        AddIssue(&report, store_files::kBpIndex,
-                 "cannot recompute the bitvector from the page chain: " +
-                     fresh_or.status().ToString());
-        return report;
-      }
-      const BpIndex& fresh = *fresh_or.ValueOrDie();
-      if (side.node_count() != fresh.node_count()) {
-        AddIssue(&report, store_files::kBpIndex,
-                 "sidecar holds " + std::to_string(side.node_count()) +
-                     " nodes but the tree string holds " +
-                     std::to_string(fresh.node_count()));
-      } else {
-        uint64_t bad_bits = 0;
-        for (uint64_t pos = 0; pos < fresh.bit_count(); ++pos) {
-          if (side.IsOpen(pos) != fresh.IsOpen(pos)) ++bad_bits;
-        }
-        uint64_t bad_tags = 0;
-        for (uint64_t rank = 0; rank < fresh.node_count(); ++rank) {
-          if (side.TagAtRank(rank) != fresh.TagAtRank(rank)) ++bad_tags;
-        }
-        if (bad_bits != 0 || bad_tags != 0) {
-          AddIssue(&report, store_files::kBpIndex,
-                   "sidecar disagrees with the tree string: " +
-                       std::to_string(bad_bits) + " parenthesis bit(s), " +
-                       std::to_string(bad_tags) + " preorder tag(s)");
-        }
-      }
-    }
-  }
-
-  // Pass 5: the path-synopsis sidecar, when one was persisted.  Same
-  // shape as pass 4: LoadFrom catches envelope damage (magic, version,
-  // CRC-32C over the trie records), and when the epochs agree a rebuild
-  // from the tree string catches a sidecar whose bytes are internally
-  // consistent but no longer describe this document.
-  const std::string pds_path = dir + "/" + store_files::kSynopsis;
-  if (FileExists(pds_path)) {
-    auto pds_file = OpenPosixFile(pds_path, /*create=*/false);
-    if (!pds_file.ok()) {
-      AddIssue(&report, store_files::kSynopsis,
-               pds_file.status().ToString());
-      return report;
-    }
-    auto side_or = PathSynopsis::LoadFrom(pds_file.ValueOrDie().get());
-    if (!side_or.ok()) {
-      AddIssue(&report, store_files::kSynopsis,
-               side_or.status().ToString());
-      return report;
-    }
-    const PathSynopsis& side = *side_or.ValueOrDie();
-    // Stale-not-damaged: same policy as pass 4 above.
-    if (side.epoch() == store->epoch()) {
-      auto fresh_or = PathSynopsis::Build(store->tree(), side.epoch());
-      if (!fresh_or.ok()) {
-        AddIssue(&report, store_files::kSynopsis,
-                 "cannot recompute the path trie from the page chain: " +
-                     fresh_or.status().ToString());
-        return report;
-      }
-      const PathSynopsis& fresh = *fresh_or.ValueOrDie();
-      if (side.path_count() != fresh.path_count()) {
-        AddIssue(&report, store_files::kSynopsis,
-                 "sidecar holds " + std::to_string(side.path_count()) +
-                     " distinct paths but the tree string holds " +
-                     std::to_string(fresh.path_count()));
-      } else {
-        uint64_t bad_paths = 0;
-        for (uint32_t i = 0; i < fresh.path_count(); ++i) {
-          if (side.node(i).tag != fresh.node(i).tag ||
-              side.node(i).count != fresh.node(i).count ||
-              side.node(i).parent != fresh.node(i).parent) {
-            ++bad_paths;
-          }
-        }
-        if (bad_paths != 0) {
-          AddIssue(&report, store_files::kSynopsis,
-                   "sidecar disagrees with the tree string on " +
-                       std::to_string(bad_paths) + " path record(s)");
-        }
-      }
-    }
-  }
+  // Pass 4: the sidecars, when persisted.
+  CheckSidecar<BpIndex>(dir, store_files::kBpIndex, store.get(), &report);
+  CheckSidecar<PathSynopsis>(dir, store_files::kSynopsis, store.get(),
+                             &report);
   return report;
 }
 

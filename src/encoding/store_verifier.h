@@ -1,6 +1,6 @@
 // Offline integrity scrub for a document store directory (`nokq verify`).
 //
-// Five passes, each independent of the machinery it checks:
+// Four passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
 //      string and the four B+ tree indexes) is read raw through a Pager in
@@ -14,14 +14,12 @@
 //      entry, and its value record is read (which verifies the record
 //      CRC).  Then every B+t and B+v entry must name a node B+i knows,
 //      B+t must hold one entry per node and B+v one per valued node.
-//   4. BP-sidecar cross-check: when a tree.bpx balanced-parentheses
-//      sidecar is present, it is parsed (magic, version, CRC-32C) and its
-//      parenthesis bits and preorder tags are compared against a fresh
-//      recompute from the page chain.  A stale-epoch sidecar is never
-//      trusted by any open, so it counts as missing, not damaged.
-//   5. Synopsis-sidecar cross-check: the same for synopsis.pds, whose
-//      path records are compared against a rebuild from the page chain.
-//
+//   4. Sidecar cross-check: each sidecar present (tree.bpx, synopsis.pds)
+//      is unsealed (magic, version, CRC-32C) and its payload compared with
+//      the payload of a rebuild from the page chain.  A stale-epoch
+//      sidecar is never trusted by any open, so it counts as missing, not
+//      damaged; so does a stray temp file (storage/sidecar.h).
+
 // The scrub never repairs anything; it reports.  Repair is rebuilding
 // from the source document or restoring from a copy.
 

@@ -2,6 +2,7 @@
 
 #include <errno.h>
 #include <fcntl.h>
+#include <stdio.h>
 #include <string.h>
 #include <sys/stat.h>
 #include <sys/types.h>
@@ -202,6 +203,28 @@ bool FileExists(const std::string& path) {
 Status RemoveFile(const std::string& path) {
   if (::unlink(path.c_str()) != 0 && errno != ENOENT) {
     return Status::IOError("unlink " + path + ": " + strerror(errno));
+  }
+  return Status::OK();
+}
+
+Status RenameFile(const std::string& from, const std::string& to) {
+  if (::rename(from.c_str(), to.c_str()) != 0) {
+    return WriteErrnoToStatus(("rename " + from + " -> " + to).c_str(),
+                              errno);
+  }
+  return Status::OK();
+}
+
+Status SyncDir(const std::string& dir) {
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("open " + dir + ": " + strerror(errno));
+  }
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) {
+    return Status::IOError("fsync " + dir + ": " + strerror(err));
   }
   return Status::OK();
 }

@@ -3,13 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <filesystem>
-#include <fstream>
 #include <optional>
 #include <string>
 #include <vector>
-
-#include <unistd.h>
 
 #include "common/random.h"
 #include "encoding/document_store.h"
@@ -116,7 +112,7 @@ std::vector<TagId> RandomTags(Random* rng, uint64_t nodes, int pool) {
 // A root with two children; the second child has two leaf children.
 
 std::unique_ptr<BpIndex> Golden() {
-  auto bp = BpIndex::FromParens("(()(()()))", {10, 20, 30, 40, 50}, 7);
+  auto bp = BpIndex::FromParens("(()(()()))", {10, 20, 30, 40, 50});
   EXPECT_TRUE(bp.ok()) << bp.status().ToString();
   return std::move(bp).ValueOrDie();
 }
@@ -125,7 +121,6 @@ TEST(BpIndexTest, GoldenShape) {
   auto bp = Golden();
   EXPECT_EQ(bp->node_count(), 5u);
   EXPECT_EQ(bp->bit_count(), 10u);
-  EXPECT_EQ(bp->epoch(), 7u);
   EXPECT_GT(bp->MemoryBytes(), 0u);
 }
 
@@ -193,9 +188,9 @@ TEST(BpIndexTest, GoldenTagsAndFusedScan) {
 }
 
 TEST(BpIndexTest, RejectsUnbalancedParens) {
-  EXPECT_FALSE(BpIndex::FromParens("(()", {}, 0).ok());
-  EXPECT_FALSE(BpIndex::FromParens("())(", {}, 0).ok());
-  EXPECT_FALSE(BpIndex::FromParens(")(", {}, 0).ok());
+  EXPECT_FALSE(BpIndex::FromParens("(()", {}).ok());
+  EXPECT_FALSE(BpIndex::FromParens("())(", {}).ok());
+  EXPECT_FALSE(BpIndex::FromParens(")(", {}).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -209,8 +204,7 @@ TEST(BpIndexTest, RandomizedMatchesNaiveReference) {
   for (const uint64_t nodes : {1u, 3u, 17u, 64u, 65u, 333u, 2500u}) {
     for (int round = 0; round < 3; ++round) {
       const std::string parens = RandomParens(&rng, nodes);
-      auto bp_or = BpIndex::FromParens(
-          parens, RandomTags(&rng, nodes, 4), 0);
+      auto bp_or = BpIndex::FromParens(parens, RandomTags(&rng, nodes, 4));
       ASSERT_TRUE(bp_or.ok()) << bp_or.status().ToString();
       const BpIndex& bp = *bp_or.ValueOrDie();
       ASSERT_EQ(bp.node_count(), nodes);
@@ -244,7 +238,7 @@ TEST(BpIndexTest, RandomizedFusedTagScanMatchesNaive) {
   for (int i = 0; i < 5; ++i) {
     tags[rng.Uniform(nodes)] = 99;
   }
-  auto bp_or = BpIndex::FromParens(parens, tags, 0);
+  auto bp_or = BpIndex::FromParens(parens, tags);
   ASSERT_TRUE(bp_or.ok());
   const BpIndex& bp = *bp_or.ValueOrDie();
 
@@ -308,7 +302,7 @@ TEST(BpIndexTest, ChildJumpMatchesNaiveChildren) {
   for (const uint64_t fanout : {1u, 63u, 64u, 65u, 128u, 129u, 1000u}) {
     SCOPED_TRACE("fanout " + std::to_string(fanout));
     const std::string parens = WideParens(fanout);
-    auto bp_or = BpIndex::FromParens(parens, {}, 1);
+    auto bp_or = BpIndex::FromParens(parens, {});
     ASSERT_TRUE(bp_or.ok()) << bp_or.status().ToString();
     const BpIndex& bp = *bp_or.ValueOrDie();
 
@@ -354,7 +348,7 @@ TEST(BpIndexTest, ChildJumpMatchesNaiveChildren) {
 
 TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
   const std::string parens = WideParens(1000);
-  auto bp_or = BpIndex::FromParens(parens, {}, 3);
+  auto bp_or = BpIndex::FromParens(parens, {});
   ASSERT_TRUE(bp_or.ok());
   const BpIndex& bp = *bp_or.ValueOrDie();
   const BpIndex::ChildSamples& table = bp.child_samples();
@@ -362,7 +356,7 @@ TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
   EXPECT_EQ(table.offsets.size(), 3u);
   EXPECT_EQ(table.samples.size(), 2 * (999u / 64));
 
-  auto back = BpIndex::Deserialize(bp.Serialize());
+  auto back = BpIndex::DecodePayload(bp.EncodePayload(), bp.node_count());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
   EXPECT_TRUE((*back)->child_samples() == table);
 
@@ -370,7 +364,7 @@ TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
   // the same size (no node wider than one child) differs by the table.
   const uint64_t nodes = parens.size() / 2;
   auto chain = BpIndex::FromParens(
-      std::string(nodes, '(') + std::string(nodes, ')'), {}, 3);
+      std::string(nodes, '(') + std::string(nodes, ')'), {});
   ASSERT_TRUE(chain.ok());
   EXPECT_EQ((*chain)->child_samples().MemoryBytes(), 0u);
   EXPECT_EQ(table.MemoryBytes(),
@@ -381,24 +375,24 @@ TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
 }
 
 // ---------------------------------------------------------------------
-// Serialization.
+// Sidecar payload (the envelope is storage/sidecar.h's, tested in
+// sidecar_test).
 
-TEST(BpIndexTest, SerializeDeserializeRoundTrip) {
+TEST(BpIndexTest, PayloadRoundTrip) {
   Random rng(99);
   const uint64_t nodes = 300;
   const std::string parens = RandomParens(&rng, nodes);
   auto bp_or =
-      BpIndex::FromParens(parens, RandomTags(&rng, nodes, 6), 41);
+      BpIndex::FromParens(parens, RandomTags(&rng, nodes, 6));
   ASSERT_TRUE(bp_or.ok());
   const BpIndex& bp = *bp_or.ValueOrDie();
 
-  const std::string bytes = bp.Serialize();
-  auto back_or = BpIndex::Deserialize(bytes);
+  const std::string bytes = bp.EncodePayload();
+  auto back_or = BpIndex::DecodePayload(bytes, bp.node_count());
   ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
   const BpIndex& back = *back_or.ValueOrDie();
   EXPECT_EQ(back.node_count(), bp.node_count());
   EXPECT_EQ(back.bit_count(), bp.bit_count());
-  EXPECT_EQ(back.epoch(), 41u);
   for (uint64_t pos = 0; pos < bp.bit_count(); ++pos) {
     ASSERT_EQ(back.IsOpen(pos), bp.IsOpen(pos)) << pos;
     if (bp.IsOpen(pos)) {
@@ -406,28 +400,28 @@ TEST(BpIndexTest, SerializeDeserializeRoundTrip) {
       ASSERT_EQ(back.FindClose(pos), bp.FindClose(pos)) << pos;
     }
   }
-  // Deterministic encode: a round-tripped index re-serializes
+  // Deterministic encode: a round-tripped index re-encodes
   // byte-identically.
-  EXPECT_EQ(back.Serialize(), bytes);
+  EXPECT_EQ(back.EncodePayload(), bytes);
 }
 
-TEST(BpIndexTest, DeserializeRejectsCorruption) {
+TEST(BpIndexTest, DecodePayloadRejectsBadShapes) {
   auto bp = Golden();
-  const std::string bytes = bp->Serialize();
-  // Any single flipped byte must be rejected: header bytes break the
-  // magic/version/shape checks, payload bytes break the CRC.
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string bad = bytes;
-    bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    EXPECT_FALSE(BpIndex::Deserialize(bad).ok()) << "byte " << i;
-  }
-  EXPECT_FALSE(BpIndex::Deserialize(bytes.substr(0, 10)).ok());
-  EXPECT_FALSE(BpIndex::Deserialize(bytes + "x").ok());
+  const std::string bytes = bp->EncodePayload();
+  const uint64_t n = bp->node_count();
+  EXPECT_FALSE(BpIndex::DecodePayload(bytes.substr(0, 10), n).ok());
+  EXPECT_FALSE(BpIndex::DecodePayload(bytes + "x", n).ok());
+  EXPECT_FALSE(BpIndex::DecodePayload(bytes, n + 1).ok());
+  EXPECT_FALSE(BpIndex::DecodePayload(bytes, ~uint64_t{0}).ok());
+  // Unbalanced bits: the root's close turned into an open.
+  std::string unbalanced = bytes;
+  unbalanced[1] = static_cast<char>(unbalanced[1] | 0x02);
+  EXPECT_FALSE(BpIndex::DecodePayload(unbalanced, n).ok());
 }
 
 // ---------------------------------------------------------------------
 // Store-level: bp navigation must answer every query exactly like the
-// paged tier, and the sidecar must persist and invalidate correctly.
+// paged tier (the tree.bpx lifecycle is covered by sidecar_test).
 
 TEST(BpIndexTest, BpModeMatchesPagedOnRandomDocuments) {
   Random rng(777);
@@ -467,72 +461,6 @@ TEST(BpIndexTest, BpModeMatchesPagedOnRandomDocuments) {
       EXPECT_GT((*bp)->tree()->nav_stats().bp_steps, 0u);
     }
   }
-}
-
-TEST(BpIndexTest, SidecarPersistsAndGoesStale) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("nokxml_bpx_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-  DocumentStore::Options options;
-  options.dir = dir;
-  options.nav_mode = NavMode::kBp;
-  {
-    auto store = DocumentStore::Build(
-        "<a><b><c/></b><b/><d>x</d></a>", options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-    // Build materializes eagerly from the page chain, not the sidecar.
-    EXPECT_FALSE((*store)->bp_loaded_from_sidecar());
-  }
-  ASSERT_TRUE(std::filesystem::exists(dir + "/tree.bpx"));
-  {
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->bp_loaded_from_sidecar());
-    uint64_t nodes_before = 0;
-    {
-      auto bp = (*store)->bp_index();
-      ASSERT_TRUE(bp.ok());
-      EXPECT_EQ((*bp)->node_count(), (*store)->stats().node_count);
-      nodes_before = (*bp)->node_count();
-    }  // The insert below invalidates this pointer.
-
-    // A structural update invalidates the in-memory index; the rebuilt
-    // one reflects the new topology.
-    ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<e/>").ok());
-    auto bp2 = (*store)->bp_index();
-    ASSERT_TRUE(bp2.ok());
-    EXPECT_FALSE((*store)->bp_loaded_from_sidecar());
-    EXPECT_EQ((*bp2)->node_count(), nodes_before + 1);
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    // The Flush above re-persisted the sidecar for the new generation.
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->bp_loaded_from_sidecar());
-  }
-  {
-    // A flipped sidecar byte fails the CRC: the open silently rebuilds
-    // from the page chain instead of trusting the damaged file.
-    std::fstream f(dir + "/tree.bpx",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(40);
-    const char flipped = static_cast<char>(f.get() ^ 0xff);
-    f.seekp(40);
-    f.put(flipped);
-    f.close();
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_FALSE((*store)->bp_loaded_from_sidecar());
-    auto bp = (*store)->bp_index();
-    ASSERT_TRUE(bp.ok());
-    EXPECT_EQ((*bp)->node_count(), (*store)->stats().node_count);
-  }
-  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

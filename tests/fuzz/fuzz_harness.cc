@@ -179,26 +179,26 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
   NavigationalEngine nav(&*dom);
   RegionEngine region(&*interval);
 
-  // Store matrix: {paged, bp navigation} plus a synopsis-less paged
-  // store; small pages so paging is real.  The synopsis-less store pins
-  // the planner's flat-estimate fallback: three stores cover all
+  // Store matrix: {paged, bp navigation}, small pages so paging is real.
+  // The paged store is also queried without the synopsis, which pins the
+  // planner's flat-estimate fallback: three configs cover all
   // engine-visible combinations.
   struct StoreConfig {
-    NavMode nav_mode;
+    size_t store;  ///< Index into nav_modes / stores.
     bool synopsis;
     const char* suffix;
   };
+  const NavMode nav_modes[] = {NavMode::kPaged, NavMode::kBp};
   const StoreConfig configs[] = {
-      {NavMode::kPaged, true, ""},
-      {NavMode::kBp, true, " bp"},
-      {NavMode::kPaged, false, " nosyn"},
+      {0, true, ""},
+      {1, true, " bp"},
+      {0, false, " nosyn"},
   };
   std::vector<std::unique_ptr<DocumentStore>> stores;
-  for (const StoreConfig& config : configs) {
+  for (const NavMode nav_mode : nav_modes) {
     DocumentStore::Options options;
     options.page_size = 512;
-    options.nav_mode = config.nav_mode;
-    options.use_synopsis = config.synopsis;
+    options.nav_mode = nav_mode;
     auto store = DocumentStore::Build(fuzz_case.xml, options);
     if (!store.ok()) {
       out.push_back(
@@ -265,18 +265,18 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
     }
 
     // NoK engine matrix: store knobs x strategy x plan cache.
-    for (size_t s = 0; s < stores.size(); ++s) {
-      QueryEngine engine(stores[s].get());
+    for (const StoreConfig& config : configs) {
+      QueryEngine engine(stores[config.store].get());
       for (StartStrategy strategy : strategies) {
         for (bool cache : {false, true}) {
           QueryOptions qo;
           qo.strategy = strategy;
           qo.use_plan_cache = cache;
-          qo.use_synopsis = configs[s].synopsis;
+          qo.use_synopsis = config.synopsis;
           auto r = engine.Evaluate(query, qo);
           const std::string name =
               std::string("nok ") + StrategyName(strategy) +
-              configs[s].suffix + (cache ? " cache" : "");
+              config.suffix + (cache ? " cache" : "");
           Judge(name, query, want, r.status(),
                 r.ok() ? CanonDewey(*r) : std::vector<std::string>{},
                 &out);

@@ -3,14 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
 #include "encoding/document_store.h"
-#include "encoding/store_verifier.h"
 #include "nok/query_engine.h"
 
 namespace nok {
@@ -27,7 +25,7 @@ namespace {
 //
 // Distinct rooted paths: /a (1 node), /a/b (2), /a/b/c (1), /a/d (1).
 
-std::unique_ptr<PathSynopsis> Golden(uint64_t epoch = 7) {
+std::unique_ptr<PathSynopsis> Golden() {
   PathSynopsis::Builder builder;
   builder.Open(1);
   builder.Open(2);
@@ -39,7 +37,7 @@ std::unique_ptr<PathSynopsis> Golden(uint64_t epoch = 7) {
   builder.Open(4);
   builder.Close();
   builder.Close();
-  auto synopsis = builder.Finish(epoch);
+  auto synopsis = builder.Finish();
   EXPECT_TRUE(synopsis.ok()) << synopsis.status().ToString();
   return std::move(synopsis).ValueOrDie();
 }
@@ -48,7 +46,6 @@ TEST(PathSynopsisTest, BuilderGoldenTrie) {
   auto syn = Golden();
   ASSERT_EQ(syn->path_count(), 4u);
   EXPECT_EQ(syn->node_count(), 5u);
-  EXPECT_EQ(syn->epoch(), 7u);
   EXPECT_EQ(syn->min_level(), 1u);
   EXPECT_EQ(syn->max_level(), 3u);
 
@@ -79,14 +76,14 @@ TEST(PathSynopsisTest, BuilderRejectsUnbalancedEvents) {
   {
     PathSynopsis::Builder builder;
     builder.Open(1);
-    EXPECT_FALSE(builder.Finish(1).ok());  // Never closed.
+    EXPECT_FALSE(builder.Finish().ok());  // Never closed.
   }
   {
     PathSynopsis::Builder builder;
     builder.Open(1);
     builder.Close();
     builder.Close();  // Underflow.
-    EXPECT_FALSE(builder.Finish(1).ok());
+    EXPECT_FALSE(builder.Finish().ok());
   }
 }
 
@@ -128,17 +125,17 @@ TEST(PathSynopsisTest, MatchSetQueries) {
 }
 
 // ---------------------------------------------------------------------
-// Serialization.
+// Sidecar payload (the envelope is storage/sidecar.h's, tested in
+// sidecar_test).
 
-TEST(PathSynopsisTest, SerializeDeserializeRoundTrip) {
-  auto syn = Golden(41);
-  const std::string bytes = syn->Serialize();
-  auto back_or = PathSynopsis::Deserialize(bytes);
+TEST(PathSynopsisTest, PayloadRoundTrip) {
+  auto syn = Golden();
+  const std::string bytes = syn->EncodePayload();
+  auto back_or = PathSynopsis::DecodePayload(bytes, syn->node_count());
   ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
   const PathSynopsis& back = *back_or.ValueOrDie();
   ASSERT_EQ(back.path_count(), syn->path_count());
   EXPECT_EQ(back.node_count(), syn->node_count());
-  EXPECT_EQ(back.epoch(), 41u);
   EXPECT_EQ(back.min_level(), syn->min_level());
   EXPECT_EQ(back.max_level(), syn->max_level());
   for (size_t i = 0; i < back.path_count(); ++i) {
@@ -148,217 +145,28 @@ TEST(PathSynopsisTest, SerializeDeserializeRoundTrip) {
     EXPECT_EQ(back.node(i).parent, syn->node(i).parent) << i;
     EXPECT_EQ(back.node(i).subtree_end, syn->node(i).subtree_end) << i;
   }
-  // Deterministic encode: a round-tripped trie re-serializes
+  // Deterministic encode: a round-tripped trie re-encodes
   // byte-identically.
-  EXPECT_EQ(back.Serialize(), bytes);
+  EXPECT_EQ(back.EncodePayload(), bytes);
 }
 
-TEST(PathSynopsisTest, DeserializeRejectsCorruption) {
-  const std::string bytes = Golden()->Serialize();
-  // Any single flipped byte must be rejected: header bytes break the
-  // magic/version/shape checks, everything else breaks the CRC.
-  for (size_t i = 0; i < bytes.size(); ++i) {
-    std::string bad = bytes;
-    bad[i] = static_cast<char>(bad[i] ^ 0x40);
-    EXPECT_FALSE(PathSynopsis::Deserialize(bad).ok()) << "byte " << i;
-  }
-  EXPECT_FALSE(PathSynopsis::Deserialize(bytes.substr(0, 16)).ok());
-  EXPECT_FALSE(PathSynopsis::Deserialize(bytes + "x").ok());
-}
-
-// ---------------------------------------------------------------------
-// Store-level sidecar lifecycle (mirrors the tree.bpx suite).
-
-std::string TestDir() {
-  return (std::filesystem::temp_directory_path() /
-          ("nokxml_pds_" + std::to_string(::getpid())))
-      .string();
-}
-
-TEST(PathSynopsisTest, SidecarPersistsAndGoesStale) {
-  const std::string dir = TestDir();
-  std::filesystem::remove_all(dir);
-  DocumentStore::Options options;
-  options.dir = dir;
-  {
-    auto store = DocumentStore::Build(
-        "<a><b><c/></b><b/><d>x</d></a>", options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-    // Build accumulates the trie from its own SAX pass, not the sidecar.
-    EXPECT_FALSE((*store)->synopsis_loaded_from_sidecar());
-    ASSERT_NE((*store)->path_synopsis(), nullptr);
-    EXPECT_EQ((*store)->path_synopsis()->path_count(), 4u);
-  }
-  ASSERT_TRUE(std::filesystem::exists(dir + "/synopsis.pds"));
-  {
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->synopsis_loaded_from_sidecar());
-    ASSERT_NE((*store)->path_synopsis(), nullptr);
-    EXPECT_EQ((*store)->path_synopsis()->node_count(),
-              (*store)->stats().node_count);
-
-    // A structural update drops the synopsis (pruning on the old trie
-    // could wrongly prove queries empty); Flush rebuilds and re-persists
-    // it for the new generation.
-    ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<e/>").ok());
-    EXPECT_EQ((*store)->path_synopsis(), nullptr);
-    ASSERT_TRUE((*store)->Flush().ok());
-    EXPECT_FALSE((*store)->synopsis_loaded_from_sidecar());
-    ASSERT_NE((*store)->path_synopsis(), nullptr);
-    EXPECT_EQ((*store)->path_synopsis()->path_count(), 5u);  // New /a/e.
-  }
-  {
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->synopsis_loaded_from_sidecar());
-    EXPECT_EQ((*store)->path_synopsis()->path_count(), 5u);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PathSynopsisTest, StaleEpochSidecarIsNeverTrusted) {
-  const std::string dir = TestDir() + "_stale";
-  std::filesystem::remove_all(dir);
-  DocumentStore::Options options;
-  options.dir = dir;
-  std::string old_sidecar;
-  {
-    auto store = DocumentStore::Build(
-        "<a><b><c/></b><b/><d>x</d></a>", options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-    std::ifstream in(dir + "/synopsis.pds", std::ios::binary);
-    ASSERT_TRUE(in.is_open());
-    old_sidecar.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  {
-    // Advance the store a generation, then put the old sidecar back.
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<e/>").ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    std::ofstream out(dir + "/synopsis.pds",
-                      std::ios::binary | std::ios::trunc);
-    out << old_sidecar;
-  }
-  {
-    // The stale sidecar parses fine but its epoch diverges: the open
-    // must rebuild from the page chain instead of trusting it.
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_FALSE((*store)->synopsis_loaded_from_sidecar());
-    ASSERT_NE((*store)->path_synopsis(), nullptr);
-    EXPECT_EQ((*store)->path_synopsis()->path_count(), 5u);
-    EXPECT_EQ((*store)->path_synopsis()->node_count(),
-              (*store)->stats().node_count);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PathSynopsisTest, CorruptSidecarIsRebuiltSilently) {
-  const std::string dir = TestDir() + "_crc";
-  std::filesystem::remove_all(dir);
-  DocumentStore::Options options;
-  options.dir = dir;
-  {
-    auto store = DocumentStore::Build(
-        "<a><b><c/></b><b/><d>x</d></a>", options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  {
-    // Flip one payload byte: the CRC check must reject the sidecar.
-    std::fstream f(dir + "/synopsis.pds",
-                   std::ios::in | std::ios::out | std::ios::binary);
-    ASSERT_TRUE(f.is_open());
-    f.seekg(36);
-    const char flipped = static_cast<char>(f.get() ^ 0xff);
-    f.seekp(36);
-    f.put(flipped);
-  }
-  {
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_FALSE((*store)->synopsis_loaded_from_sidecar());
-    ASSERT_NE((*store)->path_synopsis(), nullptr);
-    EXPECT_EQ((*store)->path_synopsis()->path_count(), 4u);
-  }
-  std::filesystem::remove_all(dir);
-}
-
-TEST(PathSynopsisTest, VerifierReportsSidecarDamageButNotStaleness) {
-  const std::string dir = TestDir() + "_verify";
-  std::filesystem::remove_all(dir);
-  DocumentStore::Options options;
-  options.dir = dir;
-  std::string good_sidecar;
-  {
-    auto store = DocumentStore::Build(
-        "<a><b><c/></b><b/><d>x</d></a>", options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-    std::ifstream in(dir + "/synopsis.pds", std::ios::binary);
-    good_sidecar.assign(std::istreambuf_iterator<char>(in), {});
-  }
-  {
-    auto report = VerifyStoreDir(dir);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->ok()) << report->issues.front().detail;
-  }
-  {
-    // One flipped payload byte must surface as a synopsis.pds issue.
-    std::string bad = good_sidecar;
-    bad[36] = static_cast<char>(bad[36] ^ 0x01);
-    std::ofstream out(dir + "/synopsis.pds",
-                      std::ios::binary | std::ios::trunc);
-    out << bad;
-    out.close();
-    auto report = VerifyStoreDir(dir);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    bool found = false;
-    for (const VerifyIssue& issue : report->issues) {
-      found = found || issue.component == "synopsis.pds";
-    }
-    EXPECT_TRUE(found) << "flipped synopsis byte not detected";
-  }
-  {
-    // Restore the good bytes: the scrub must come back clean.  The
-    // verifier's own open is read-only, so the previous scrub cannot
-    // have "healed" the file — restoring the bytes must be sufficient.
-    std::ofstream out(dir + "/synopsis.pds",
-                      std::ios::binary | std::ios::trunc);
-    out << good_sidecar;
-    out.close();
-    auto report = VerifyStoreDir(dir);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->ok());
-  }
-  {
-    // A stale-epoch sidecar is not an integrity issue: no open ever
-    // trusts it (equivalent to a missing file), and a crash between a
-    // WAL commit and the next writable open leaves one behind
-    // legitimately.  Advance the store a generation, restore the old
-    // sidecar, and expect a clean scrub.
-    {
-      auto store = DocumentStore::OpenDir(options);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      ASSERT_TRUE(
-          (*store)->InsertSubtree(DeweyId({0}), 0, "<e/>").ok());
-      ASSERT_TRUE((*store)->Flush().ok());
-    }
-    std::ofstream out(dir + "/synopsis.pds",
-                      std::ios::binary | std::ios::trunc);
-    out << good_sidecar;
-    out.close();
-    auto report = VerifyStoreDir(dir);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    EXPECT_TRUE(report->ok()) << report->issues.front().detail;
-  }
-  std::filesystem::remove_all(dir);
+TEST(PathSynopsisTest, DecodePayloadRejectsBadShapes) {
+  auto syn = Golden();
+  const std::string bytes = syn->EncodePayload();
+  const uint64_t n = syn->node_count();
+  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes.substr(0, 3), n).ok());
+  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes.substr(0, 16), n).ok());
+  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes + "x", n).ok());
+  // Counts must sum to the document's node count.
+  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes, n + 1).ok());
+  // Record 1's parent index + 1 (bytes 10..13 of its record) past the end.
+  std::string bad_parent = bytes;
+  bad_parent[4 + 14 + 10] = 9;
+  EXPECT_FALSE(PathSynopsis::DecodePayload(bad_parent, n).ok());
+  // An implausible path count is rejected before any allocation.
+  std::string huge = bytes;
+  huge[3] = static_cast<char>(0x7f);
+  EXPECT_FALSE(PathSynopsis::DecodePayload(huge, n).ok());
 }
 
 // ---------------------------------------------------------------------
@@ -409,8 +217,15 @@ TEST(PathSynopsisTest, EmptyResultPlanReadsZeroPages) {
 }
 
 // ---------------------------------------------------------------------
-// WAL: refresh_positions_on_commit folds the position refresh into the
-// update's own commit instead of leaving the store stale.
+// WAL: RefreshPositions before Flush folds the position refresh into the
+// update's own commit instead of leaving the store stale.  (The
+// synopsis.pds sidecar lifecycle is covered by sidecar_test.)
+
+std::string TestDir() {
+  return (std::filesystem::temp_directory_path() /
+          ("nokxml_pds_" + std::to_string(::getpid())))
+      .string();
+}
 
 TEST(PathSynopsisTest, WalRefreshPositionsOnCommit) {
   const std::string dir = TestDir() + "_wal";
@@ -424,7 +239,7 @@ TEST(PathSynopsisTest, WalRefreshPositionsOnCommit) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
   {
-    // Without the knob, a committed batch leaves positions stale.
+    // A committed batch of updates leaves positions stale.
     DocumentStore::Options wal;
     wal.dir = dir;
     wal.wal.enabled = true;
@@ -438,14 +253,15 @@ TEST(PathSynopsisTest, WalRefreshPositionsOnCommit) {
     EXPECT_TRUE((*store)->positions_fresh());
   }
   {
-    // With it, the refresh rides the same single WAL commit.
+    // Refreshing before the Flush joins the open transaction: the
+    // refresh rides the same single WAL commit.
     DocumentStore::Options wal;
     wal.dir = dir;
     wal.wal.enabled = true;
-    wal.wal.refresh_positions_on_commit = true;
     auto store = DocumentStore::OpenDir(wal);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<f>w</f>").ok());
+    ASSERT_TRUE((*store)->RefreshPositions().ok());
     ASSERT_TRUE((*store)->Flush().ok());
     EXPECT_TRUE((*store)->positions_fresh());
     EXPECT_EQ((*store)->wal_stats().commits, 1u);

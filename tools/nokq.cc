@@ -130,14 +130,12 @@ nok::Result<nok::DeweyId> ParseDewey(const std::string& text) {
 
 nok::Result<std::unique_ptr<nok::DocumentStore>> OpenStore(
     const std::string& dir, bool use_header_skip = true, bool wal = false,
-    nok::NavMode nav_mode = nok::NavMode::kPaged,
-    bool use_synopsis = true) {
+    nok::NavMode nav_mode = nok::NavMode::kPaged) {
   nok::DocumentStore::Options options;
   options.dir = dir;
   options.use_header_skip = use_header_skip;
   options.wal.enabled = wal;
   options.nav_mode = nav_mode;
-  options.use_synopsis = use_synopsis;
   return nok::DocumentStore::OpenDir(options);
 }
 
@@ -198,8 +196,7 @@ int CmdExplain(int argc, char** argv) {
       return Usage();
     }
   }
-  auto store = OpenStore(dir, true, false, nav_mode,
-                         options.use_synopsis);
+  auto store = OpenStore(dir, true, false, nav_mode);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
   auto result = engine.Evaluate(xpath, options);
@@ -233,8 +230,7 @@ int CmdQuery(int argc, char** argv) {
     }
   }
 
-  auto store = OpenStore(dir, header_skip, false, nav_mode,
-                         options.use_synopsis);
+  auto store = OpenStore(dir, header_skip, false, nav_mode);
   if (!store.ok()) return Fail(store.status());
   nok::QueryEngine engine(store->get());
   nok::Timer timer;
