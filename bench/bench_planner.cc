@@ -19,9 +19,24 @@
 // workload, and requires a schema-impossible composition of present
 // tags to execute with zero pages read via the EmptyResult fast path.
 //
+// A third phase, on with --work-gate, is a counter gate with no timing
+// in it: dblp's 24 Table-2 queries (the 12 categories plus their
+// descendant variants, variant seed 42 as `nokq gen` draws them), at
+// --scale and --seed, run on a paged and a bp store, under the auto plan
+// and under each forced start strategy (scan, tag, value).  Each query
+// runs twice through the plan cache; the second run's deterministic work
+// is the plan's: subject-tree pages + bp steps + B+ tree fetches (all
+// four indexes).  The first run's extra B+ fetches are the planner's
+// estimate probes, recorded apart: forced strategies skip the probes
+// they cannot use, so counting those would gate the estimator, not the
+// choice.  planner_work_never_worse requires the auto plan's work to
+// stay within kWorkBound (1.1x) of the cheapest forced strategy's on
+// every query in both nav modes.
+//
 // Usage: bench_planner [--dataset catalog] [--scale 0.05] [--seed 42]
 //                      [--page-size 512] [--runs 5]
 //                      [--target-speedup 1.2] [--tolerance 0.10]
+//                      [--work-gate]
 //                      [--json BENCH_planner.json]
 
 #include <algorithm>
@@ -73,6 +88,99 @@ struct SynopsisCell {
   std::vector<std::string> deweys;
 };
 
+/// The work gate's bound: auto plan work / cheapest forced strategy's.
+constexpr double kWorkBound = 1.1;
+
+/// Deterministic work of one query plan's execution (see the file
+/// comment), plus the B+ fetches its planning cost.
+struct Work {
+  uint64_t pages = 0;
+  uint64_t bp_steps = 0;
+  uint64_t btree_fetches = 0;
+  uint64_t plan_btree_fetches = 0;
+  uint64_t total() const { return pages + bp_steps + btree_fetches; }
+};
+
+uint64_t BTreeFetches(DocumentStore* store) {
+  uint64_t total = 0;
+  for (BTree* index : {store->tag_index(), store->value_index(),
+                       store->id_index(), store->path_index()}) {
+    total += index->buffer_pool()->stats().fetches;
+  }
+  return total;
+}
+
+/// The counter phase: one row per (query, nav mode, strategy).
+struct WorkRow {
+  std::string query;
+  const char* nav_mode;
+  StartStrategy strategy;
+  Work work;
+};
+
+/// Runs the work phase on dblp; fills *rows and returns false on a
+/// failed query or a result that differs between strategies.
+bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
+                  std::vector<WorkRow>* rows) {
+  const GeneratedDataset ds = GenerateDataset(Dataset::kDblp, gen);
+  std::vector<CategoryQuery> queries = QueriesForDataset(ds);
+  const std::vector<CategoryQuery> variants = DescendantVariants(queries, 42);
+  queries.insert(queries.end(), variants.begin(), variants.end());
+
+  constexpr StartStrategy kStrategies[] = {
+      StartStrategy::kAuto, StartStrategy::kScan, StartStrategy::kTagIndex,
+      StartStrategy::kValueIndex};
+  bool ok = true;
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    DocumentStore::Options options;
+    options.page_size = page_size;
+    options.nav_mode = mode;
+    auto store = DocumentStore::Build(ds.xml, options);
+    if (!store.ok()) {
+      fprintf(stderr, "build failed: %s\n",
+              store.status().ToString().c_str());
+      return false;
+    }
+    DocumentStore* s = store->get();
+    for (const CategoryQuery& q : queries) {
+      std::vector<DeweyId> want;
+      for (const StartStrategy strategy : kStrategies) {
+        QueryEngine engine(s);
+        QueryOptions qo;
+        qo.strategy = strategy;
+        qo.use_plan_cache = true;
+        uint64_t fetches_before = BTreeFetches(s);
+        auto result = engine.Evaluate(q.xpath, qo);  // Plans and caches.
+        const uint64_t first_fetches = BTreeFetches(s) - fetches_before;
+        const StringStore::NavStats nav_before = s->tree()->nav_stats();
+        fetches_before = BTreeFetches(s);
+        if (result.ok()) result = engine.Evaluate(q.xpath, qo);
+        if (!result.ok()) {
+          fprintf(stderr, "%s [%s] failed: %s\n", q.xpath.c_str(),
+                  StrategyName(strategy), result.status().ToString().c_str());
+          return false;
+        }
+        if (strategy == StartStrategy::kAuto) {
+          want = *result;
+        } else if (*result != want) {
+          ok = false;
+          fprintf(stderr, "RESULT MISMATCH: %s %s on %s\n",
+                  StrategyName(strategy), NavModeName(mode),
+                  q.xpath.c_str());
+        }
+        const StringStore::NavStats nav_after = s->tree()->nav_stats();
+        WorkRow row{q.id, NavModeName(mode), strategy, {}};
+        row.work.pages = nav_after.pages_scanned - nav_before.pages_scanned;
+        row.work.bp_steps = nav_after.bp_steps - nav_before.bp_steps;
+        row.work.btree_fetches = BTreeFetches(s) - fetches_before;
+        row.work.plan_btree_fetches = first_fetches - row.work.btree_fetches;
+        rows->push_back(row);
+      }
+    }
+  }
+  return ok;
+}
+
 double Median(std::vector<double> v) {
   if (v.empty()) return 0;
   std::sort(v.begin(), v.end());
@@ -114,6 +222,7 @@ int Run(int argc, char** argv) {
   const double tolerance = bench::FlagDouble(argc, argv, "tolerance", 0.10);
   const std::string json_path =
       bench::FlagValue(argc, argv, "json", "BENCH_planner.json");
+  const bool work_gate = bench::FlagBool(argc, argv, "work-gate");
 
   Dataset dataset = Dataset::kCatalog;
   bool found = false;
@@ -360,6 +469,49 @@ int Run(int argc, char** argv) {
     fprintf(stderr, "IMPOSSIBLE-PATH CHECK FAILED\n");
   }
 
+  // ------------------------------------------------------------------
+  // Work phase: the auto plan against the cheapest forced strategy.
+  std::vector<WorkRow> work_rows;
+  bool work_ok = true;
+  bool work_never_worse = true;
+  double work_max_ratio = 0;
+  if (work_gate) {
+    work_ok = RunWorkPhase(gen, page_size, &work_rows);
+    printf("\nplanner work gate: dblp, auto vs cheapest forced strategy\n");
+    printf("%-5s %-6s %10s %10s %10s %7s\n", "id", "nav", "auto",
+           "cheapest", "forced", "ratio");
+    constexpr size_t kPerQuery = 4;  // auto, scan, tag, value.
+    for (size_t i = 0; i + kPerQuery <= work_rows.size(); i += kPerQuery) {
+      const WorkRow& auto_row = work_rows[i];
+      const WorkRow* cheapest = &work_rows[i + 1];
+      for (size_t j = i + 2; j < i + kPerQuery; ++j) {
+        if (work_rows[j].work.total() < cheapest->work.total()) {
+          cheapest = &work_rows[j];
+        }
+      }
+      const double ratio =
+          static_cast<double>(auto_row.work.total()) /
+          static_cast<double>(std::max<uint64_t>(cheapest->work.total(), 1));
+      work_max_ratio = std::max(work_max_ratio, ratio);
+      if (ratio > kWorkBound) {
+        work_never_worse = false;
+        fprintf(stderr,
+                "PLANNER WORK REGRESSION: %s (%s) auto %llu > %.2fx "
+                "%s %llu\n",
+                auto_row.query.c_str(), auto_row.nav_mode,
+                static_cast<unsigned long long>(auto_row.work.total()),
+                kWorkBound, StrategyName(cheapest->strategy),
+                static_cast<unsigned long long>(cheapest->work.total()));
+      }
+      printf("%-5s %-6s %10llu %10llu %10s %7.3f\n", auto_row.query.c_str(),
+             auto_row.nav_mode,
+             static_cast<unsigned long long>(auto_row.work.total()),
+             static_cast<unsigned long long>(cheapest->work.total()),
+             StrategyName(cheapest->strategy), ratio);
+    }
+    work_never_worse = work_never_worse && work_ok;
+  }
+
   std::string json = "{\n";
   char buf[512];
   snprintf(buf, sizeof(buf),
@@ -414,19 +566,46 @@ int Run(int argc, char** argv) {
            median_err_syn, median_err_flat, impossible_query.c_str(),
            static_cast<unsigned long long>(impossible_pages));
   json += buf;
+  if (work_gate) {
+    snprintf(buf, sizeof(buf),
+             "  \"work\": {\n    \"dataset\": \"dblp\",\n"
+             "    \"bound\": %.3f,\n    \"max_ratio\": %.4f,\n"
+             "    \"runs\": [\n",
+             kWorkBound, work_max_ratio);
+    json += buf;
+    for (size_t i = 0; i < work_rows.size(); ++i) {
+      const WorkRow& row = work_rows[i];
+      snprintf(buf, sizeof(buf),
+               "      {\"query\": \"%s\", \"nav_mode\": \"%s\", "
+               "\"strategy\": \"%s\", \"pages\": %llu, "
+               "\"bp_steps\": %llu, \"btree_fetches\": %llu, "
+               "\"plan_btree_fetches\": %llu, \"work\": %llu}%s\n",
+               row.query.c_str(), row.nav_mode, StrategyName(row.strategy),
+               static_cast<unsigned long long>(row.work.pages),
+               static_cast<unsigned long long>(row.work.bp_steps),
+               static_cast<unsigned long long>(row.work.btree_fetches),
+               static_cast<unsigned long long>(row.work.plan_btree_fetches),
+               static_cast<unsigned long long>(row.work.total()),
+               i + 1 == work_rows.size() ? "" : ",");
+      json += buf;
+    }
+    json += "    ]\n  },\n";
+  }
   snprintf(buf, sizeof(buf),
            "  \"checks\": {\"results_identical\": %s, "
            "\"never_slower\": %s, \"speedup_target_met\": %s, "
            "\"max_speedup\": %.3f, \"synopsis_identical\": %s, "
            "\"synopsis_error_collapses\": %s, "
            "\"synopsis_schedule_never_worse\": %s, "
-           "\"impossible_zero_pages\": %s}\n}\n",
+           "\"impossible_zero_pages\": %s, "
+           "\"planner_work_never_worse\": %s}\n}\n",
            identical ? "true" : "false", never_slower ? "true" : "false",
            target_met ? "true" : "false", max_speedup,
            synopsis_identical ? "true" : "false",
            error_collapses ? "true" : "false",
            schedule_never_worse ? "true" : "false",
-           impossible_zero_pages ? "true" : "false");
+           impossible_zero_pages ? "true" : "false",
+           work_never_worse ? "true" : "false");
   json += buf;
 
   Status s = WriteStringToFile(json_path, Slice(json));
@@ -437,7 +616,8 @@ int Run(int argc, char** argv) {
   }
   const bool ok = identical && never_slower && target_met &&
                   synopsis_identical && error_collapses &&
-                  schedule_never_worse && impossible_zero_pages;
+                  schedule_never_worse && impossible_zero_pages &&
+                  work_never_worse;
   printf("\nbest speedup %.2fx; report: %s (%s)\n", max_speedup,
          json_path.c_str(), ok ? "checks passed" : "CHECKS FAILED");
   return ok ? 0 : 1;

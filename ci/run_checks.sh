@@ -15,9 +15,10 @@
 #   ci/run_checks.sh thread-safety # clang -Werror=thread-safety build of
 #                               # the whole tree + negative-compile of
 #                               # the committed broken fixture
-#   ci/run_checks.sh bench-smoke # page-skip ablation bench on a tiny
-#                                # dataset + JSON report validation +
-#                                # a timed front insert on dblp 0.05
+#   ci/run_checks.sh bench-smoke # planner and BP ablation benches on a
+#                                # tiny dataset + JSON report validation
+#                                # + the planner work counter gate on
+#                                # dblp + a timed front insert on dblp 0.05
 #   ci/run_checks.sh fuzz-smoke  # seeded differential fuzzer under ASan:
 #                                # 500 iterations across all engines x
 #                                # planner strategies + corpus replay +
@@ -143,9 +144,13 @@ run_bench_smoke() {
   # cost-based order regresses any query, or if no branchy query reaches
   # the target speedup.  The tiny smoke run keeps the result-identity
   # check but relaxes the timing assertions (noise dominates at this
-  # scale; EXPERIMENTS.md records the full-size run).
+  # scale; EXPERIMENTS.md records the full-size run).  The work phase is
+  # a counter gate with no timing in it: on the 24 dblp queries, in both
+  # nav modes, the auto plan's subject-tree pages + bp steps + B+ fetches
+  # must stay within 1.1x of the cheapest forced start strategy's.
   build-ci/bench/bench/bench_planner --scale 0.02 --runs 2 \
       --target-speedup 1.0 --tolerance 2.0 \
+      --work-gate \
       --json build-ci/bench/BENCH_planner.json
 
   step "BENCH_planner.json schema check"
@@ -180,14 +185,35 @@ for q in syn["queries"]:
                 "pages_syn", "pages_flat"):
         assert key in q, f"synopsis query missing key: {key}"
 assert syn["impossible_pages"] == 0, "impossible path read pages"
+work = report["work"]
+for key in ("dataset", "bound", "max_ratio", "runs"):
+    assert key in work, f"work missing key: {key}"
+assert work["dataset"] == "dblp", f"work gate ran on {work['dataset']}"
+cells = {}
+for run in work["runs"]:
+    for key in ("query", "nav_mode", "strategy", "pages", "bp_steps",
+                "btree_fetches", "plan_btree_fetches", "work"):
+        assert key in run, f"work run missing key: {key}"
+    assert run["work"] == run["pages"] + run["bp_steps"] + \
+        run["btree_fetches"], f"work is not the counter sum: {run}"
+    cells.setdefault((run["query"], run["nav_mode"]), set()).add(
+        run["strategy"])
+assert len(cells) == 48, f"expected 24 queries x 2 nav modes: {len(cells)}"
+for cell, strategies in cells.items():
+    assert strategies == {"auto", "scan", "tag-index", "value-index"}, \
+        f"bad strategy set for {cell}: {strategies}"
+assert work["max_ratio"] <= work["bound"], "planner work regressed"
 checks = report["checks"]
 assert checks["results_identical"] is True
 for key in ("synopsis_identical", "synopsis_error_collapses",
-            "synopsis_schedule_never_worse", "impossible_zero_pages"):
+            "synopsis_schedule_never_worse", "impossible_zero_pages",
+            "planner_work_never_worse"):
     assert checks[key] is True, f"check failed: {key}"
 print("BENCH_planner.json: schema ok,",
       len(report["measurements"]), "measurements,",
-      len(syn["queries"]), "synopsis cells")
+      len(syn["queries"]), "synopsis cells,",
+      len(work["runs"]), "work runs",
+      f"(max auto/cheapest {work['max_ratio']:.3f})")
 EOF
 
   step "BP navigation-tier ablation bench (tiny dataset)"

@@ -274,16 +274,18 @@ std::optional<uint64_t> BpIndex::JumpToChild(uint64_t parent, uint64_t k,
 }
 
 std::optional<uint64_t> BpIndex::NextOpenWithTag(
-    uint64_t pos, TagId tag, uint64_t* blocks_skipped) const {
+    uint64_t pos, TagId tag, uint64_t* blocks_skipped, uint64_t end) const {
+  // Ranks of the opens before `end`: [0, rank_end).
+  const uint64_t rank_end = end < n_bits_ ? Rank1(end) : node_count_;
   uint64_t r = Rank1(pos + 1);  // Preorder rank of the next open, if any.
-  while (r < node_count_) {
-    if ((r & 63) == 0 && r + 64 <= node_count_ && !BlockHasTag(r, tag)) {
+  while (r < rank_end) {
+    if ((r & 63) == 0 && r + 64 <= rank_end && !BlockHasTag(r, tag)) {
       r += 64;
       if (blocks_skipped != nullptr) ++*blocks_skipped;
       continue;
     }
     uint64_t stop = (r | 63) + 1;
-    if (stop > node_count_) stop = node_count_;
+    if (stop > rank_end) stop = rank_end;
     for (; r < stop; ++r) {
       if (tags_[static_cast<size_t>(r)] == tag) return Select1(r);
     }

@@ -200,8 +200,12 @@ class BpIndex {
   /// tag equals `tag`.  Scans the preorder tag array four lanes per word;
   /// aligned 64-node blocks with no matching lane are dismissed in 16
   /// word compares and counted into *blocks_skipped (when non-null).
+  /// `end` bounds the scan: only opens before bit position `end` are
+  /// considered, and no tag at or past it is read — a subtree scan
+  /// passes the subtree's FindClose.
   std::optional<uint64_t> NextOpenWithTag(uint64_t pos, TagId tag,
-                                          uint64_t* blocks_skipped) const;
+                                          uint64_t* blocks_skipped,
+                                          uint64_t end = kNpos) const;
 
  private:
   BpIndex() = default;

@@ -242,4 +242,13 @@ uint64_t PathSynopsis::TotalCount(const std::vector<uint32_t>& set) const {
   return total;
 }
 
+uint64_t PathSynopsis::DescendantCount(uint32_t node) const {
+  if (node == kVirtualRoot) return node_count_;
+  uint64_t total = 0;
+  for (uint32_t j = node + 1; j < nodes_[node].subtree_end; ++j) {
+    total += nodes_[j].count;
+  }
+  return total;
+}
+
 }  // namespace nok

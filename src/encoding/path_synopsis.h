@@ -168,6 +168,11 @@ class PathSynopsis {
   /// Sum of counts over a match set (kVirtualRoot counts as one node).
   uint64_t TotalCount(const std::vector<uint32_t>& set) const;
 
+  /// Document nodes strictly below the nodes whose rooted path is
+  /// `node`: the counts summed over (node, subtree_end).  Every node
+  /// for kVirtualRoot.
+  uint64_t DescendantCount(uint32_t node) const;
+
  private:
   PathSynopsis() = default;
 

@@ -599,6 +599,22 @@ Result<std::optional<StorePos>> StringStore::NextOpenWithTag(StorePos pos,
                      });
 }
 
+Result<std::optional<StorePos>> StringStore::NextOpenInSubtree(
+    StorePos pos, TagId tag, int root_level) {
+  // Inside the subtree every symbol sits at root_level or deeper; the
+  // root's own close is the first symbol above it.  Any page before that
+  // close may hold a hit, so (st,lo,hi) can skip none of them.
+  return ScanForward(pos, /*skip_level=*/std::numeric_limits<int>::max(),
+                     [&](int lv, TagId t) {
+                       if (lv < root_level) return ScanAction::kStop;
+                       if (t != kInvalidTag &&
+                           (tag == kInvalidTag || t == tag)) {
+                         return ScanAction::kFound;
+                       }
+                       return ScanAction::kContinue;
+                     });
+}
+
 Status StringStore::VisitSymbols(
     const std::function<void(bool, TagId)>& visit) {
   for (const PageId page : chain_) {

@@ -216,6 +216,14 @@ class StringStore {
   /// whose tag equals `tag` (one forward scan, no per-symbol calls).
   Result<std::optional<StorePos>> NextOpenWithTag(StorePos pos, TagId tag);
 
+  /// NextOpenWithTag bounded by a subtree: the next open symbol strictly
+  /// after pos whose tag equals `tag` (any tag when kInvalidTag), or
+  /// nullopt once the scan reaches the close of the subtree whose root
+  /// open sits at `root_level` (pos must lie inside that subtree).  The
+  /// page holding that close is the last one fetched.
+  Result<std::optional<StorePos>> NextOpenInSubtree(StorePos pos, TagId tag,
+                                                    int root_level);
+
   /// Visits every symbol in document order — one sequential chain scan
   /// through the BufferPool.  `visit(is_open, tag)` receives kInvalidTag
   /// for close symbols.  Feeds BP-index construction (bp_index.h) and the

@@ -135,17 +135,18 @@ TagId ResolvedTag(const std::vector<TagId>& tag_table,
   return id < tag_table.size() ? tag_table[id] : kInvalidTag;
 }
 
-/// Wall-clock + subject-tree-page accounting for one operator.
+/// Wall-clock + subject-tree-page + bp-step accounting for one operator.
 class OpTimer {
  public:
   explicit OpTimer(DocumentStore* store)
       : store_(store),
-        pages_before_(store->tree()->nav_stats().pages_scanned),
+        before_(store->tree()->nav_stats()),
         start_(std::chrono::steady_clock::now()) {}
 
   void Finish(OperatorStats* op) const {
-    op->pages =
-        store_->tree()->nav_stats().pages_scanned - pages_before_;
+    const StringStore::NavStats after = store_->tree()->nav_stats();
+    op->pages = after.pages_scanned - before_.pages_scanned;
+    op->bp_steps = after.bp_steps - before_.bp_steps;
     op->seconds = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - start_)
                       .count();
@@ -153,7 +154,7 @@ class OpTimer {
 
  private:
   DocumentStore* store_;
-  uint64_t pages_before_;
+  StringStore::NavStats before_;
   std::chrono::steady_clock::time_point start_;
 };
 
@@ -174,7 +175,7 @@ struct TrunkArcCheck {
 /// outgoing arc's source sits on the trunk.
 std::vector<TrunkArcCheck> TrunkArcChecks(
     const NokPartition& partition, const NokTree& tree, int tree_id,
-    int anchor, size_t* trunk_len,
+    int anchor, size_t* trunk_len, const std::vector<char>& evaluated,
     const std::vector<std::vector<NodeMatch>>& qualified_roots) {
   std::vector<int> trunk;
   const std::vector<int> parents = NokParents(tree);
@@ -185,6 +186,7 @@ std::vector<TrunkArcCheck> TrunkArcChecks(
   *trunk_len = trunk.size();
   std::vector<TrunkArcCheck> checks;
   for (const GlobalArc* arc : partition.ArcsFrom(tree_id)) {
+    if (!evaluated[static_cast<size_t>(arc->to_tree)]) continue;
     for (size_t j = 0; j < trunk.size(); ++j) {
       if (trunk[j] != arc->from_node) continue;
       TrunkArcCheck check;
@@ -201,38 +203,34 @@ std::vector<TrunkArcCheck> TrunkArcChecks(
   return checks;
 }
 
-/// Keeps only anchor hits that pass depth feasibility and every trunk
-/// arc check (see TrunkArcCheck; both conditions are re-verified during
-/// matching, so this is a pure pre-filter).
-void PrefilterAnchorHits(const NokTree& tree, size_t trunk_len,
-                         const std::vector<TrunkArcCheck>& checks,
-                         std::vector<DocumentStore::IndexedNode>* hits) {
+/// Whether an anchor hit passes depth feasibility and every trunk arc
+/// check (see TrunkArcCheck; both conditions are re-verified during
+/// matching, so filtering on this is a pure pre-filter).
+bool PassesTrunkChecks(const NokTree& tree, size_t trunk_len,
+                       const std::vector<TrunkArcCheck>& checks,
+                       const DocumentStore::IndexedNode& hit) {
   const bool doc_root = tree.root_is_doc_root;
-  auto rejected = [&](const DocumentStore::IndexedNode& hit) {
-    const size_t depth = hit.dewey.depth();
-    if (doc_root) {
-      if (depth != trunk_len - 1) return true;
-    } else if (depth < trunk_len) {
-      return true;
-    }
-    for (const TrunkArcCheck& check : checks) {
-      NodeMatch as_match;
-      if (check.source_is_doc_root) {
-        as_match.virtual_root = true;
-      } else {
-        const size_t subject_depth =
-            doc_root ? check.trunk_index
-                     : depth - (trunk_len - 1) + check.trunk_index;
-        auto dewey = hit.dewey.Ancestor(depth - subject_depth);
-        NOK_CHECK(dewey.has_value());
-        as_match.dewey = std::move(*dewey);
-      }
-      if (!AnyRelated(as_match, *check.inners, check.axis)) return true;
-    }
+  const size_t depth = hit.dewey.depth();
+  if (doc_root) {
+    if (depth != trunk_len - 1) return false;
+  } else if (depth < trunk_len) {
     return false;
-  };
-  hits->erase(std::remove_if(hits->begin(), hits->end(), rejected),
-              hits->end());
+  }
+  for (const TrunkArcCheck& check : checks) {
+    NodeMatch as_match;
+    if (check.source_is_doc_root) {
+      as_match.virtual_root = true;
+    } else {
+      const size_t subject_depth =
+          doc_root ? check.trunk_index
+                   : depth - (trunk_len - 1) + check.trunk_index;
+      auto dewey = hit.dewey.Ancestor(depth - subject_depth);
+      NOK_CHECK(dewey.has_value());
+      as_match.dewey = std::move(*dewey);
+    }
+    if (!AnyRelated(as_match, *check.inners, check.axis)) return false;
+  }
+  return true;
 }
 
 /// Arc checks for whole-tree evaluation: only arcs whose source is the
@@ -245,10 +243,12 @@ struct RootArcCheck {
 
 std::vector<RootArcCheck> RootArcChecks(
     const NokPartition& partition, int tree_id,
+    const std::vector<char>& evaluated,
     const std::vector<std::vector<NodeMatch>>& qualified_roots) {
   std::vector<RootArcCheck> checks;
   for (const GlobalArc* arc : partition.ArcsFrom(tree_id)) {
     if (arc->from_node != 0) continue;
+    if (!evaluated[static_cast<size_t>(arc->to_tree)]) continue;
     checks.push_back(RootArcCheck{
         arc->axis, &qualified_roots[static_cast<size_t>(arc->to_tree)]});
   }
@@ -263,6 +263,33 @@ bool PassesRootChecks(const DeweyId& dewey,
     if (!AnyRelated(as_match, *check.inners, check.axis)) return false;
   }
   return true;
+}
+
+/// A top-down arc's scope: the scout's source matches, sorted, keeping
+/// only the outermost ones (a source inside another's subtree adds
+/// nothing to it), so the subtrees are disjoint and in document order.
+std::vector<NodeMatch> OutermostSources(std::vector<NodeMatch> sources) {
+  SortUnique(&sources);
+  std::vector<NodeMatch> out;
+  for (NodeMatch& source : sources) {
+    if (!out.empty() && IsRelated(out.back(), source, Axis::kDescendant,
+                                  JoinMode::kDewey)) {
+      continue;
+    }
+    out.push_back(std::move(source));
+  }
+  return out;
+}
+
+/// True iff `dewey` lies strictly inside one subtree of `scope`
+/// (OutermostSources): the only candidate is the last source at or
+/// before it in document order.
+bool InScope(const DeweyId& dewey, const std::vector<NodeMatch>& scope) {
+  NodeMatch node;
+  node.dewey = dewey;
+  auto it = std::upper_bound(scope.begin(), scope.end(), node, DocOrderLess);
+  return it != scope.begin() &&
+         IsRelated(*std::prev(it), node, Axis::kDescendant, JoinMode::kDewey);
 }
 
 /// Index hits for one access path (the probe operators' body; shared by
@@ -296,6 +323,8 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 //   Order, SubtreeEnd                    a node's interval in one
 //                                        document-order numbering;
 //   NextOpenWithTag                      tag-filtered scan step;
+//   SubtreeBound, NextInSubtree          the same step bounded by one
+//                                        subtree's close (ScopedScan);
 //   VisitNodes                           (pos, level, tag) of every node
 //                                        in document order;
 //   JumpToChild                          sampled child jump for WalkTo
@@ -339,15 +368,17 @@ std::vector<DeweyId> DeweysOf(
   return deweys;
 }
 
-/// Dewey IDs for tag-scan hit positions (ascending): an interval-guided
-/// descent.  The stack holds the path from the root to the node most
-/// recently visited: (child index, position, subtree end).  For each
-/// hit, entries whose subtree ends before the hit are popped, and the
-/// walk resumes from the shallowest popped sibling — so each level's
-/// sibling chain is traversed at most once across all hits.
+/// Dewey IDs for tag-scan hit positions (ascending, all inside `root`'s
+/// subtree — the document root, or a ScopedScan source): an
+/// interval-guided descent.  The stack holds the path from `root` to the
+/// node most recently visited: (child index, position, subtree end).
+/// For each hit, entries whose subtree ends before the hit are popped,
+/// and the walk resumes from the shallowest popped sibling — so each
+/// level's sibling chain is traversed at most once across all hits.
 template <typename Nav>
 Result<std::vector<typename Nav::NodeT>> DeweysForHits(
-    Nav* nav, const std::vector<typename Nav::Pos>& hits) {
+    Nav* nav, const std::vector<typename Nav::Pos>& hits,
+    const typename Nav::NodeT& root) {
   using Pos = typename Nav::Pos;
   struct Entry {
     uint32_t component;
@@ -357,6 +388,7 @@ Result<std::vector<typename Nav::NodeT>> DeweysForHits(
   std::vector<typename Nav::NodeT> out;
   out.reserve(hits.size());
   std::vector<Entry> stack;
+  const std::vector<uint32_t>& root_path = root.dewey.components();
   std::vector<uint32_t> components;
   uint64_t steps = 0;
 
@@ -368,9 +400,8 @@ Result<std::vector<typename Nav::NodeT>> DeweysForHits(
       stack.pop_back();
     }
     if (stack.empty()) {
-      const Pos root = nav->Root();
-      NOK_ASSIGN_OR_RETURN(uint64_t root_end, nav->SubtreeEnd(root));
-      stack.push_back(Entry{0, root, root_end});
+      NOK_ASSIGN_OR_RETURN(uint64_t root_end, nav->SubtreeEnd(root.pos));
+      stack.push_back(Entry{root_path.back(), root.pos, root_end});
       resume.reset();  // The root has no siblings to resume from.
     }
     while (nav->Order(stack.back().pos) != g) {
@@ -408,8 +439,7 @@ Result<std::vector<typename Nav::NodeT>> DeweysForHits(
       }
       stack.push_back(child);
     }
-    components.clear();
-    components.reserve(stack.size());
+    components.assign(root_path.begin(), root_path.end() - 1);
     for (const Entry& entry : stack) components.push_back(entry.component);
     out.push_back({hit, DeweyId(std::vector<uint32_t>(components)), false});
   }
@@ -446,7 +476,9 @@ Result<std::vector<typename Nav::NodeT>> ScanCandidates(
       hits.push_back(*pos);
     }
     nav->CountSteps(hits.size(), blocks_skipped);
-    return DeweysForHits(nav, hits);
+    return DeweysForHits(nav, hits,
+                         typename Nav::NodeT{nav->Root(), DeweyId::Root(),
+                                             false});
   }
 
   DeweyCounter deweys;
@@ -458,6 +490,43 @@ Result<std::vector<typename Nav::NodeT>> ScanCandidates(
           out.push_back({pos, DeweyId(path), false});
         }
       }));
+  return out;
+}
+
+/// The ScopedScan operator's body: the nodes satisfying the NoK root's
+/// name test strictly inside the subtrees of `scope` (OutermostSources).
+/// Each source is located by its Dewey ID and scanned with the tier's
+/// tag-filtered step up to its own close; the hits' Dewey IDs come from
+/// a descent rooted at the source.  A wildcard root takes every node.
+template <typename Nav>
+Result<std::vector<typename Nav::NodeT>> ScopedScan(
+    Nav* nav, const std::vector<NodeMatch>& scope,
+    const PatternNode& root_pattern, TagId want) {
+  using NodeT = typename Nav::NodeT;
+  using Pos = typename Nav::Pos;
+  std::vector<NodeT> out;
+  if (!root_pattern.wildcard && want == kInvalidTag) {
+    return out;  // Tag absent: no matches anywhere.
+  }
+  const TagId tag = root_pattern.wildcard ? kInvalidTag : want;
+  std::vector<Pos> hits;
+  for (const NodeMatch& source : scope) {
+    NOK_ASSIGN_OR_RETURN(NodeT root, nav->NodeAt(source.dewey));
+    NOK_ASSIGN_OR_RETURN(auto bound, nav->SubtreeBound(root.pos));
+    hits.clear();
+    uint64_t blocks_skipped = 0;
+    std::optional<Pos> pos = root.pos;
+    for (;;) {
+      NOK_ASSIGN_OR_RETURN(
+          pos, nav->NextInSubtree(*pos, bound, tag, &blocks_skipped));
+      if (!pos.has_value()) break;
+      hits.push_back(*pos);
+    }
+    nav->CountSteps(hits.size() + 1, blocks_skipped);  // +1: the bound.
+    NOK_ASSIGN_OR_RETURN(std::vector<NodeT> nodes,
+                         DeweysForHits(nav, hits, root));
+    for (NodeT& node : nodes) out.push_back(std::move(node));
+  }
   return out;
 }
 
@@ -514,6 +583,15 @@ class PagedNav {
     NOK_ASSIGN_OR_RETURN(TagId root_tag, tree_->TagAt(root));
     if (root_tag == tag) return std::optional<Pos>(root);
     return tree_->NextOpenWithTag(root, tag);
+  }
+
+  /// A subtree is bounded by its root's level: the scan stops at the
+  /// first symbol above it, the root's own close.
+  using Bound = int;
+  Result<Bound> SubtreeBound(Pos pos) { return tree_->LevelAt(pos); }
+  Result<std::optional<Pos>> NextInSubtree(Pos after, Bound root_level,
+                                           TagId tag, uint64_t*) {
+    return tree_->NextOpenInSubtree(after, tag, root_level);
   }
 
   template <typename Visit>
@@ -615,6 +693,19 @@ class BpNav {
       after = 0;
     }
     return bp_->NextOpenWithTag(*after, tag, blocks_skipped);
+  }
+
+  /// A subtree is bounded by its root's close bit (one FindClose).
+  using Bound = uint64_t;
+  Result<Bound> SubtreeBound(Pos pos) { return bp_->FindClose(pos); }
+  Result<std::optional<Pos>> NextInSubtree(Pos after, Bound close, TagId tag,
+                                           uint64_t* blocks_skipped) {
+    if (tag != kInvalidTag) {
+      return bp_->NextOpenWithTag(after, tag, blocks_skipped, close);
+    }
+    std::optional<Pos> next = bp_->NextOpen(after);
+    if (next.has_value() && *next >= close) next.reset();
+    return next;
   }
 
   /// One pass over the raw bits: the running depth gives every open's
@@ -861,345 +952,541 @@ const char* ProbeOpName(StartStrategy strategy) {
   return "AnchorScan";
 }
 
+/// One tree's candidates in the form its evaluation consumes: anchor
+/// index hits (anchored evaluation) or candidate root nodes (whole-tree
+/// matching).
+template <typename NodeT>
+struct Candidates {
+  std::vector<DocumentStore::IndexedNode> hits;
+  std::vector<NodeT> nodes;
+};
+
 /// The plan-execution body, templated over the navigation backend; the
 /// control flow is identical across backends, so results are too.
+///
+/// Trees are matched in plan.schedule order, children first, each
+/// evaluated arc injected into the parent's matching as a node
+/// predicate.  A top-down arc P -> C adds a scout pass over P before C
+/// is matched (Match with scout=true): P's access path and matching
+/// without C's constraint, whose source matches become C's scope.  C's
+/// candidates are then produced inside that scope only, and P's final
+/// match runs over the scout's surviving candidates, not a new probe.
 template <typename Nav>
-Result<std::vector<DeweyId>> RunImpl(DocumentStore* store, Nav* nav,
-                                     const QueryPlan& plan,
-                                     const NokPartition& partition,
-                                     const std::vector<TagId>& tag_table,
-                                     const QueryOptions& options,
-                                     QueryStats* stats,
-                                     ExecutionTrace* trace) {
+class PlanRun {
+ public:
   using NodeT = typename Nav::NodeT;
   using CCursor = ConstrainedCursorT<typename Nav::Cursor>;
 
-  NOK_CHECK(stats != nullptr && trace != nullptr);
-  const size_t n_trees = partition.trees.size();
-  NOK_CHECK(plan.trees.size() == n_trees &&
-            plan.schedule.size() == n_trees)
-      << "plan does not fit the partition";
-  *stats = QueryStats{};
-  stats->trees.resize(n_trees);
-  trace->operators.clear();
+  PlanRun(DocumentStore* store, Nav* nav, const QueryPlan& plan,
+          const NokPartition& partition, const std::vector<TagId>& tag_table,
+          const QueryOptions& options, QueryStats* stats,
+          ExecutionTrace* trace)
+      : store_(store),
+        nav_(nav),
+        plan_(plan),
+        partition_(partition),
+        tag_table_(tag_table),
+        options_(options),
+        stats_(stats),
+        trace_(trace),
+        cursor_(nav->cursor()) {}
 
-  nav->cursor()->set_tag_table(&tag_table);
-  CCursor cursor(nav->cursor());
+  Result<std::vector<DeweyId>> Run() {
+    const size_t n_trees = partition_.trees.size();
+    NOK_CHECK(plan_.trees.size() == n_trees &&
+              plan_.schedule.size() == n_trees)
+        << "plan does not fit the partition";
+    *stats_ = QueryStats{};
+    stats_->trees.resize(n_trees);
+    trace_->operators.clear();
+    nav_->cursor()->set_tag_table(&tag_table_);
 
-  // NoK matching per tree in plan order — always children before parents
-  // (checked below), with each evaluated arc injected into the parent's
-  // matching as a node predicate.
-  std::vector<std::vector<NokBinding>> bindings(n_trees);
-  std::vector<std::vector<NodeMatch>> qualified_roots(n_trees);
-  std::vector<char> evaluated(n_trees, 0);
-  for (const int tree_id : plan.schedule) {
-    const size_t t = static_cast<size_t>(tree_id);
-    const NokTree& tree = partition.trees[t];
-    const AccessPath& access = plan.trees[t].access;
-    QueryStats::TreeStats& tree_stats = stats->trees[t];
-    const std::vector<bool> designated =
-        ComputeDesignated(partition, tree_id);
-    tree_stats.strategy = access.strategy;
-    for (const GlobalArc* arc : partition.ArcsFrom(tree_id)) {
-      NOK_CHECK(evaluated[static_cast<size_t>(arc->to_tree)])
-          << "plan schedule is not children-first";
+    bindings_.assign(n_trees, {});
+    qualified_roots_.assign(n_trees, {});
+    evaluated_.assign(n_trees, 0);
+    scouted_.assign(n_trees, 0);
+    survivors_.assign(n_trees, {});
+    scope_.assign(n_trees, {});
+    for (size_t a = 0; a < partition_.arcs.size(); ++a) {
+      if (plan_.DirectionOf(a) != ArcDirection::kTopDown) continue;
+      if (!TopDownEligible(partition_, partition_.arcs[a])) {
+        return Status::InvalidArgument(
+            "plan marks an ineligible arc top-down");
+      }
     }
 
+    for (const int tree_id : plan_.schedule) {
+      NOK_RETURN_IF_ERROR(Match(tree_id, /*scout=*/false));
+    }
+    return LivenessAndOutput();
+  }
+
+ private:
+  /// Whether the arc into `tree_id` (if any) runs top-down.
+  bool TopDownInto(int tree_id) const {
+    const GlobalArc* arc = partition_.ArcInto(tree_id);
+    if (arc == nullptr) return false;
+    const size_t index = static_cast<size_t>(arc - partition_.arcs.data());
+    return plan_.DirectionOf(index) == ArcDirection::kTopDown;
+  }
+
+  /// What one NokMatch pass produced.
+  struct Matched {
+    std::vector<NokBinding> bindings;
+    std::vector<size_t> bound;   ///< Candidate indexes that bound.
+    size_t candidates = 0;       ///< Candidates after the pre-filters.
+  };
+
+  /// Matches one tree.  scout=false is the tree's real evaluation: its
+  /// bindings and qualified roots are kept and its roots become a
+  /// constraint on the parent arc's source.  scout=true (top-down arcs
+  /// only) keeps just the surviving candidates and, per top-down arc
+  /// leaving the tree, the sources that scope the child tree.
+  Status Match(int tree_id, bool scout) {
+    const size_t t = static_cast<size_t>(tree_id);
+    const NokTree& tree = partition_.trees[t];
+    const AccessPath& access = plan_.trees[t].access;
+    if (TopDownInto(tree_id)) {
+      // The parent's scout scopes this tree (and is reused afterwards).
+      const int parent = partition_.ArcInto(tree_id)->from_tree;
+      if (!scouted_[static_cast<size_t>(parent)]) {
+        NOK_RETURN_IF_ERROR(Match(parent, /*scout=*/true));
+      }
+    }
+    if (!scout) {
+      for (const GlobalArc* arc : partition_.ArcsFrom(tree_id)) {
+        NOK_CHECK(evaluated_[static_cast<size_t>(arc->to_tree)])
+            << "plan schedule is not children-first";
+      }
+    }
+    const bool reuse = !scout && scouted_[t];
     const bool anchored = access.strategy != StartStrategy::kScan &&
                           access.anchor != 0 && !HasSiblingOrder(tree);
-
+    Candidates<NodeT> cands;
+    if (reuse) cands = std::move(survivors_[t]);
+    Matched matched;
     if (anchored) {
-      // Index-anchored evaluation.
-      OperatorStats probe;
-      probe.op = ProbeOpName(access.strategy);
-      probe.tree = tree_id;
-      probe.detail = access.display;
-      probe.has_estimate = true;
-      probe.estimated = access.cardinality.candidates;
-      OpTimer probe_timer(store);
-      NOK_ASSIGN_OR_RETURN(auto anchor_hits, FetchHits(store, access));
-      probe.rows_out = anchor_hits.size();
-      probe_timer.Finish(&probe);
-      trace->operators.push_back(std::move(probe));
-
-      if (plan.cost_based) {
-        size_t trunk_len = 0;
-        const std::vector<TrunkArcCheck> checks = TrunkArcChecks(
-            partition, tree, tree_id, access.anchor, &trunk_len,
-            qualified_roots);
-        if (!checks.empty()) {
-          OperatorStats filter;
-          filter.op = "SemiJoinFilter";
-          filter.tree = tree_id;
-          filter.detail = "arcs=" + std::to_string(checks.size());
-          filter.rows_in = anchor_hits.size();
-          OpTimer filter_timer(store);
-          PrefilterAnchorHits(tree, trunk_len, checks, &anchor_hits);
-          filter.rows_out = anchor_hits.size();
-          filter_timer.Finish(&filter);
-          trace->operators.push_back(std::move(filter));
-        }
-      }
-
-      tree_stats.candidates = anchor_hits.size();
-      std::sort(anchor_hits.begin(), anchor_hits.end(),
-                [](const DocumentStore::IndexedNode& a,
-                   const DocumentStore::IndexedNode& b) {
-                  return a.dewey.Compare(b.dewey) < 0;
-                });
-      anchor_hits.erase(
-          std::unique(anchor_hits.begin(), anchor_hits.end(),
-                      [](const DocumentStore::IndexedNode& a,
-                         const DocumentStore::IndexedNode& b) {
-                        return a.dewey == b.dewey;
-                      }),
-          anchor_hits.end());
-
-      OperatorStats match;
-      match.op = "NokMatch";
-      match.tree = tree_id;
-      match.detail = "anchored";
-      match.has_estimate = true;
-      match.estimated = access.cardinality.matches;
-      match.rows_in = anchor_hits.size();
-      OpTimer match_timer(store);
-      AnchoredMatcherT<Nav> matcher(nav, &cursor, tree, designated,
-                                    access.anchor, options.join_mode);
-      for (const auto& hit : anchor_hits) {
-        NOK_ASSIGN_OR_RETURN(auto binding, matcher.MatchCandidate(hit));
-        if (!binding.has_value()) continue;
-        qualified_roots[t].push_back(binding->matches[0].front());
-        bindings[t].push_back(std::move(*binding));
-      }
-      match.rows_out = bindings[t].size();
-      match_timer.Finish(&match);
-      trace->operators.push_back(std::move(match));
+      NOK_RETURN_IF_ERROR(
+          MatchAnchored(tree_id, scout, reuse, &cands.hits, &matched));
     } else {
-      // Whole-tree matching from root candidates.
-      std::vector<NodeT> candidates;
-      const std::vector<RootArcCheck> root_checks =
-          plan.cost_based && !tree.root_is_doc_root
-              ? RootArcChecks(partition, tree_id, qualified_roots)
-              : std::vector<RootArcCheck>();
-      if (tree.root_is_doc_root) {
-        OperatorStats scan;
-        scan.op = "AnchorScan";
-        scan.tree = tree_id;
-        scan.detail = "root=(doc-root)";
-        scan.has_estimate = true;
-        scan.estimated = 1;
-        scan.rows_out = 1;
-        candidates.push_back(nav->cursor()->VirtualRoot());
-        trace->operators.push_back(std::move(scan));
-      } else if (access.strategy == StartStrategy::kScan) {
-        OperatorStats scan;
-        scan.op = "AnchorScan";
-        scan.tree = tree_id;
-        scan.detail = access.display;
-        scan.has_estimate = true;
-        scan.estimated = access.cardinality.candidates;
-        OpTimer scan_timer(store);
-        NOK_ASSIGN_OR_RETURN(
-            candidates,
-            ScanCandidates(
-                nav, store, *tree.nodes[0].pattern,
-                ResolvedTag(tag_table, tree.nodes[0].pattern)));
-        scan.rows_out = candidates.size();
-        scan_timer.Finish(&scan);
-        trace->operators.push_back(std::move(scan));
-        if (!root_checks.empty()) {
-          OperatorStats filter;
-          filter.op = "SemiJoinFilter";
-          filter.tree = tree_id;
-          filter.detail = "arcs=" + std::to_string(root_checks.size());
-          filter.rows_in = candidates.size();
-          OpTimer filter_timer(store);
-          candidates.erase(
-              std::remove_if(candidates.begin(), candidates.end(),
-                             [&](const NodeT& node) {
-                               return !PassesRootChecks(node.dewey,
-                                                        root_checks);
-                             }),
-              candidates.end());
-          filter.rows_out = candidates.size();
-          filter_timer.Finish(&filter);
-          trace->operators.push_back(std::move(filter));
-        }
-      } else {
-        OperatorStats probe;
-        probe.op = ProbeOpName(access.strategy);
-        probe.tree = tree_id;
-        probe.detail = access.display;
-        probe.has_estimate = true;
-        probe.estimated = access.cardinality.candidates;
-        OpTimer probe_timer(store);
-        NOK_ASSIGN_OR_RETURN(auto anchor_hits, FetchHits(store, access));
-        probe.rows_out = anchor_hits.size();
-        probe_timer.Finish(&probe);
-        trace->operators.push_back(std::move(probe));
-
-        if (access.anchor == 0) {
-          if (!root_checks.empty()) {
-            OperatorStats filter;
-            filter.op = "SemiJoinFilter";
-            filter.tree = tree_id;
-            filter.detail = "arcs=" + std::to_string(root_checks.size());
-            filter.rows_in = anchor_hits.size();
-            OpTimer filter_timer(store);
-            anchor_hits.erase(
-                std::remove_if(
-                    anchor_hits.begin(), anchor_hits.end(),
-                    [&](const DocumentStore::IndexedNode& hit) {
-                      return !PassesRootChecks(hit.dewey, root_checks);
-                    }),
-                anchor_hits.end());
-            filter.rows_out = anchor_hits.size();
-            filter_timer.Finish(&filter);
-            trace->operators.push_back(std::move(filter));
-          }
-          NOK_ASSIGN_OR_RETURN(candidates, nav->ResolveHits(anchor_hits));
-        } else {
-          // Index hits below the root but ordering constraints force a
-          // whole-tree match: map the hits up to candidate roots.
-          const int depth = tree.DepthOf(access.anchor);
-          std::vector<DeweyId> roots;
-          for (const auto& hit : anchor_hits) {
-            auto up = hit.dewey.Ancestor(static_cast<size_t>(depth - 1));
-            if (up.has_value()) roots.push_back(std::move(*up));
-          }
-          NOK_ASSIGN_OR_RETURN(candidates,
-                               LocateAll(nav, std::move(roots)));
-        }
-      }
-      tree_stats.candidates = candidates.size();
-
-      OperatorStats match;
-      match.op = "NokMatch";
-      match.tree = tree_id;
-      match.detail = "whole-tree";
-      match.has_estimate = true;
-      match.estimated = access.cardinality.matches;
-      match.rows_in = candidates.size();
-      OpTimer match_timer(store);
-      NokMatcher<CCursor> matcher(&tree, &cursor, designated);
-      for (const NodeT& start : candidates) {
-        typename NokMatcher<CCursor>::MatchLists lists(tree.nodes.size());
-        NOK_ASSIGN_OR_RETURN(bool ok, matcher.Match(start, &lists));
-        if (!ok) continue;
-        NokBinding binding;
-        binding.matches.resize(tree.nodes.size());
-        for (size_t i = 0; i < lists.size(); ++i) {
-          for (const NodeT& node : lists[i]) {
-            NOK_ASSIGN_OR_RETURN(NodeMatch node_match,
-                                 ToMatch(nav, node, options.join_mode));
-            binding.matches[i].push_back(std::move(node_match));
-          }
-          SortUnique(&binding.matches[i]);
-        }
-        qualified_roots[t].push_back(binding.matches[0].front());
-        bindings[t].push_back(std::move(binding));
-      }
-      match.rows_out = bindings[t].size();
-      match_timer.Finish(&match);
-      trace->operators.push_back(std::move(match));
+      NOK_RETURN_IF_ERROR(
+          MatchWholeTree(tree_id, scout, reuse, &cands.nodes, &matched));
     }
-    tree_stats.bindings = bindings[t].size();
-    SortUnique(&qualified_roots[t]);
-    evaluated[t] = 1;
+
+    if (scout) {
+      KeepSurvivors(tree_id, anchored, matched.bound, &cands);
+      ScopeChildren(tree_id, matched.bindings);
+      return Status::OK();
+    }
+    QueryStats::TreeStats& tree_stats = stats_->trees[t];
+    tree_stats.strategy = access.strategy;
+    tree_stats.candidates = matched.candidates;
+    tree_stats.bindings = matched.bindings.size();
+    for (const NokBinding& binding : matched.bindings) {
+      qualified_roots_[t].push_back(binding.matches[0].front());
+    }
+    bindings_[t] = std::move(matched.bindings);
+    SortUnique(&qualified_roots_[t]);
+    evaluated_[t] = 1;
 
     // Make this tree's qualified roots a predicate on its parent arc's
     // source node.
-    const GlobalArc* arc = partition.ArcInto(tree_id);
+    const GlobalArc* arc = partition_.ArcInto(tree_id);
     if (arc != nullptr) {
       const NokTree& parent_tree =
-          partition.trees[static_cast<size_t>(arc->from_tree)];
+          partition_.trees[static_cast<size_t>(arc->from_tree)];
       const PatternNode* source =
           parent_tree.nodes[static_cast<size_t>(arc->from_node)].pattern;
-      cursor.AddConstraint(
+      cursor_.AddConstraint(
           source, typename CCursor::ArcConstraint{arc->axis,
-                                                  &qualified_roots[t]});
+                                                  &qualified_roots_[t]});
     }
+    return Status::OK();
   }
 
-  // Top-down: a binding is alive when its root is related to an alive
-  // parent binding's source match (bindings' injected constraints are
-  // already satisfied bottom-up).  Increasing id order visits parents
-  // first.
-  std::vector<std::vector<char>> alive(n_trees);
-  alive[0].assign(bindings[0].size(), 1);
-  for (size_t t = 1; t < n_trees; ++t) {
-    const GlobalArc* arc = partition.ArcInto(static_cast<int>(t));
-    NOK_CHECK(arc != nullptr);
-
-    OperatorStats join;
-    join.op = "StructuralSemiJoin";
-    join.tree = static_cast<int>(t);
-    join.detail = "tree " + std::to_string(arc->from_tree) + " node " +
-                  std::to_string(arc->from_node) + " -" +
-                  std::string(AxisName(arc->axis)) + "-> tree " +
-                  std::to_string(t);
-    join.has_estimate = true;
-    join.estimated = plan.trees[t].access.cardinality.matches;
-    join.rows_in = bindings[t].size();
-    OpTimer join_timer(store);
-
-    const size_t parent = static_cast<size_t>(arc->from_tree);
-    std::vector<NodeMatch> parent_sources;
-    for (size_t b = 0; b < bindings[parent].size(); ++b) {
-      if (!alive[parent][b]) continue;
-      const auto& sources =
-          bindings[parent][b].matches[static_cast<size_t>(arc->from_node)];
-      parent_sources.insert(parent_sources.end(), sources.begin(),
-                            sources.end());
-    }
-    SortUnique(&parent_sources);
-    alive[t].assign(bindings[t].size(), 0);
-    size_t alive_count = 0;
-    for (size_t b = 0; b < bindings[t].size(); ++b) {
-      const NodeMatch& root = bindings[t][b].matches[0].front();
-      for (const NodeMatch& src : parent_sources) {
-        if (IsRelated(src, root, arc->axis, options.join_mode)) {
-          alive[t][b] = 1;
-          ++alive_count;
-          break;
-        }
+  /// Index-anchored evaluation: probe (unless reusing a scout's
+  /// survivors), scope, pre-filter, then the anchored NokMatch.
+  Status MatchAnchored(int tree_id, bool scout, bool reuse,
+                       std::vector<DocumentStore::IndexedNode>* hits,
+                       Matched* out) {
+    const size_t t = static_cast<size_t>(tree_id);
+    const NokTree& tree = partition_.trees[t];
+    const AccessPath& access = plan_.trees[t].access;
+    if (!reuse) {
+      NOK_ASSIGN_OR_RETURN(*hits, Probe(tree_id, access));
+      if (TopDownInto(tree_id)) {
+        // The anchor's NoK root must lie inside the scope.
+        const size_t trunk_len =
+            static_cast<size_t>(tree.DepthOf(access.anchor));
+        Filter(tree_id, ScopeDetail(tree_id), hits, [&](const auto& hit) {
+          if (hit.dewey.depth() < trunk_len) return false;
+          auto root = hit.dewey.Ancestor(trunk_len - 1);
+          return root.has_value() && InScope(*root, scope_[t]);
+        });
       }
     }
-    join.rows_out = alive_count;
-    join_timer.Finish(&join);
-    trace->operators.push_back(std::move(join));
+    if (plan_.cost_based) {
+      size_t trunk_len = 0;
+      const std::vector<TrunkArcCheck> checks =
+          TrunkArcChecks(partition_, tree, tree_id, access.anchor,
+                         &trunk_len, evaluated_, qualified_roots_);
+      if (!checks.empty()) {
+        Filter(tree_id, "arcs=" + std::to_string(checks.size()), hits,
+               [&](const DocumentStore::IndexedNode& hit) {
+                 return PassesTrunkChecks(tree, trunk_len, checks, hit);
+               });
+      }
+    }
+    out->candidates = hits->size();
+    std::sort(hits->begin(), hits->end(),
+              [](const DocumentStore::IndexedNode& a,
+                 const DocumentStore::IndexedNode& b) {
+                return a.dewey.Compare(b.dewey) < 0;
+              });
+    hits->erase(std::unique(hits->begin(), hits->end(),
+                            [](const DocumentStore::IndexedNode& a,
+                               const DocumentStore::IndexedNode& b) {
+                              return a.dewey == b.dewey;
+                            }),
+                hits->end());
+
+    OperatorStats match =
+        Op("NokMatch", tree_id, scout ? "scout anchored" : "anchored");
+    match.has_estimate = true;
+    match.estimated = access.cardinality.matches;
+    match.rows_in = hits->size();
+    OpTimer match_timer(store_);
+    const std::vector<bool> designated =
+        ComputeDesignated(partition_, tree_id);  // The matcher keeps a ref.
+    AnchoredMatcherT<Nav> matcher(nav_, &cursor_, tree, designated,
+                                  access.anchor, options_.join_mode);
+    for (size_t i = 0; i < hits->size(); ++i) {
+      NOK_ASSIGN_OR_RETURN(auto binding, matcher.MatchCandidate((*hits)[i]));
+      if (!binding.has_value()) continue;
+      out->bound.push_back(i);
+      out->bindings.push_back(std::move(*binding));
+    }
+    match.rows_out = out->bindings.size();
+    match_timer.Finish(&match);
+    trace_->operators.push_back(std::move(match));
+    return Status::OK();
   }
 
-  // Collect the returning node's matches over alive bindings.
-  const size_t rt = static_cast<size_t>(partition.returning_tree);
-  const int rn = partition.trees[rt].returning_node;
-  NOK_CHECK(rn >= 0) << "partition lost the returning node";
-  OperatorStats output;
-  output.op = "Output";
-  output.tree = partition.returning_tree;
-  output.detail = "node " + std::to_string(rn);
-  std::vector<NodeMatch> results;
-  size_t alive_in = 0;
-  for (size_t b = 0; b < bindings[rt].size(); ++b) {
-    if (!alive[rt][b]) continue;
-    ++alive_in;
-    const auto& matches = bindings[rt][b].matches[static_cast<size_t>(rn)];
-    results.insert(results.end(), matches.begin(), matches.end());
-  }
-  SortUnique(&results);
+  /// Whole-tree matching from candidate roots (produced per the access
+  /// path, or a scout's survivors re-filtered), one NokMatch each.
+  Status MatchWholeTree(int tree_id, bool scout, bool reuse,
+                        std::vector<NodeT>* candidates, Matched* out) {
+    const size_t t = static_cast<size_t>(tree_id);
+    const NokTree& tree = partition_.trees[t];
+    const AccessPath& access = plan_.trees[t].access;
+    if (!reuse) {
+      NOK_RETURN_IF_ERROR(RootCandidates(tree_id, access, candidates));
+    } else if (plan_.cost_based) {
+      FilterRoots(tree_id, candidates);
+    }
+    out->candidates = candidates->size();
 
-  std::vector<DeweyId> out;
-  out.reserve(results.size());
-  for (NodeMatch& match : results) {
-    NOK_CHECK(!match.virtual_root);
-    out.push_back(std::move(match.dewey));
+    OperatorStats match =
+        Op("NokMatch", tree_id, scout ? "scout whole-tree" : "whole-tree");
+    match.has_estimate = true;
+    match.estimated = access.cardinality.matches;
+    match.rows_in = candidates->size();
+    OpTimer match_timer(store_);
+    NokMatcher<CCursor> matcher(&tree, &cursor_,
+                                ComputeDesignated(partition_, tree_id));
+    for (size_t c = 0; c < candidates->size(); ++c) {
+      typename NokMatcher<CCursor>::MatchLists lists(tree.nodes.size());
+      NOK_ASSIGN_OR_RETURN(bool ok, matcher.Match((*candidates)[c], &lists));
+      if (!ok) continue;
+      NokBinding binding;
+      binding.matches.resize(tree.nodes.size());
+      for (size_t i = 0; i < lists.size(); ++i) {
+        for (const NodeT& node : lists[i]) {
+          NOK_ASSIGN_OR_RETURN(NodeMatch node_match,
+                               ToMatch(nav_, node, options_.join_mode));
+          binding.matches[i].push_back(std::move(node_match));
+        }
+        SortUnique(&binding.matches[i]);
+      }
+      out->bound.push_back(c);
+      out->bindings.push_back(std::move(binding));
+    }
+    match.rows_out = out->bindings.size();
+    match_timer.Finish(&match);
+    trace_->operators.push_back(std::move(match));
+    return Status::OK();
   }
-  stats->results = out.size();
-  output.rows_in = alive_in;
-  output.rows_out = out.size();
-  trace->operators.push_back(std::move(output));
-  return out;
-}
+
+  OperatorStats Op(const char* name, int tree_id, std::string detail) const {
+    OperatorStats op;
+    op.op = name;
+    op.tree = tree_id;
+    op.detail = std::move(detail);
+    return op;
+  }
+
+  /// The probe operator of an index access path.
+  Result<std::vector<DocumentStore::IndexedNode>> Probe(
+      int tree_id, const AccessPath& access) {
+    OperatorStats probe = Op(ProbeOpName(access.strategy), tree_id,
+                             access.display);
+    probe.has_estimate = true;
+    probe.estimated = access.cardinality.candidates;
+    OpTimer probe_timer(store_);
+    NOK_ASSIGN_OR_RETURN(auto hits, FetchHits(store_, access));
+    probe.rows_out = hits.size();
+    probe_timer.Finish(&probe);
+    trace_->operators.push_back(std::move(probe));
+    return hits;
+  }
+
+  /// A SemiJoinFilter operator: keeps the items `keep` accepts (sorted
+  /// Dewey merges, no I/O).
+  template <typename T, typename Keep>
+  void Filter(int tree_id, std::string detail, std::vector<T>* items,
+              Keep keep) {
+    OperatorStats filter = Op("SemiJoinFilter", tree_id, std::move(detail));
+    filter.rows_in = items->size();
+    OpTimer filter_timer(store_);
+    items->erase(std::remove_if(items->begin(), items->end(),
+                                [&](const T& item) { return !keep(item); }),
+                 items->end());
+    filter.rows_out = items->size();
+    filter_timer.Finish(&filter);
+    trace_->operators.push_back(std::move(filter));
+  }
+
+  /// Detail of the filter that bounds an index-probed tree of a top-down
+  /// arc to its scope.
+  std::string ScopeDetail(int tree_id) const {
+    const GlobalArc* arc = partition_.ArcInto(tree_id);
+    return "scope=tree " + std::to_string(arc->from_tree) + " node " +
+           std::to_string(arc->from_node);
+  }
+
+  /// Whole-tree pre-filter: candidate roots against the evaluated child
+  /// trees of arcs leaving the root (cost-based plans only).
+  template <typename T, typename DeweyOf>
+  void FilterRootsBy(int tree_id, std::vector<T>* items, DeweyOf dewey_of) {
+    const std::vector<RootArcCheck> checks =
+        RootArcChecks(partition_, tree_id, evaluated_, qualified_roots_);
+    if (checks.empty()) return;
+    Filter(tree_id, "arcs=" + std::to_string(checks.size()), items,
+           [&](const T& item) {
+             return PassesRootChecks(dewey_of(item), checks);
+           });
+  }
+
+  void FilterRoots(int tree_id, std::vector<NodeT>* nodes) {
+    if (partition_.trees[static_cast<size_t>(tree_id)].root_is_doc_root) {
+      return;
+    }
+    FilterRootsBy(tree_id, nodes,
+                  [](const NodeT& node) -> const DeweyId& {
+                    return node.dewey;
+                  });
+  }
+
+  /// Candidate roots for whole-tree matching, per the access path (and
+  /// inside the scope when the tree's incoming arc is top-down).
+  Status RootCandidates(int tree_id, const AccessPath& access,
+                        std::vector<NodeT>* candidates) {
+    const size_t t = static_cast<size_t>(tree_id);
+    const NokTree& tree = partition_.trees[t];
+    const bool scoped = TopDownInto(tree_id);
+    const bool filter_roots = plan_.cost_based && !tree.root_is_doc_root;
+    if (tree.root_is_doc_root) {
+      OperatorStats scan = Op("AnchorScan", tree_id, "root=(doc-root)");
+      scan.has_estimate = true;
+      scan.estimated = 1;
+      scan.rows_out = 1;
+      candidates->push_back(nav_->cursor()->VirtualRoot());
+      trace_->operators.push_back(std::move(scan));
+      return Status::OK();
+    }
+    const PatternNode& root = *tree.nodes[0].pattern;
+    if (access.strategy == StartStrategy::kScan) {
+      OperatorStats scan =
+          Op(scoped ? "ScopedScan" : "AnchorScan", tree_id, access.display);
+      scan.has_estimate = true;
+      scan.estimated = access.cardinality.candidates;
+      OpTimer scan_timer(store_);
+      if (scoped) {
+        scan.rows_in = scope_[t].size();
+        NOK_ASSIGN_OR_RETURN(
+            *candidates, ScopedScan(nav_, scope_[t], root,
+                                    ResolvedTag(tag_table_, &root)));
+      } else {
+        NOK_ASSIGN_OR_RETURN(
+            *candidates, ScanCandidates(nav_, store_, root,
+                                        ResolvedTag(tag_table_, &root)));
+      }
+      scan.rows_out = candidates->size();
+      scan_timer.Finish(&scan);
+      trace_->operators.push_back(std::move(scan));
+      if (filter_roots) FilterRoots(tree_id, candidates);
+      return Status::OK();
+    }
+    NOK_ASSIGN_OR_RETURN(auto hits, Probe(tree_id, access));
+    if (access.anchor == 0) {
+      if (scoped) {
+        Filter(tree_id, ScopeDetail(tree_id), &hits, [&](const auto& hit) {
+          return InScope(hit.dewey, scope_[t]);
+        });
+      }
+      if (filter_roots) {
+        FilterRootsBy(tree_id, &hits,
+                      [](const DocumentStore::IndexedNode& hit)
+                          -> const DeweyId& { return hit.dewey; });
+      }
+      NOK_ASSIGN_OR_RETURN(*candidates, nav_->ResolveHits(hits));
+      return Status::OK();
+    }
+    // Index hits below the root but ordering constraints force a
+    // whole-tree match: map the hits up to candidate roots.
+    const int depth = tree.DepthOf(access.anchor);
+    std::vector<DeweyId> roots;
+    for (const auto& hit : hits) {
+      auto up = hit.dewey.Ancestor(static_cast<size_t>(depth - 1));
+      if (up.has_value()) roots.push_back(std::move(*up));
+    }
+    if (scoped) {
+      Filter(tree_id, ScopeDetail(tree_id), &roots,
+             [&](const DeweyId& dewey) { return InScope(dewey, scope_[t]); });
+    }
+    NOK_ASSIGN_OR_RETURN(*candidates, LocateAll(nav_, std::move(roots)));
+    return Status::OK();
+  }
+
+  /// Keeps the scout's candidates that produced a binding: the parent's
+  /// final match runs over these alone.
+  void KeepSurvivors(int tree_id, bool anchored,
+                     const std::vector<size_t>& matched,
+                     Candidates<NodeT>* cands) {
+    Candidates<NodeT>& kept = survivors_[static_cast<size_t>(tree_id)];
+    for (const size_t i : matched) {
+      if (anchored) {
+        kept.hits.push_back(std::move(cands->hits[i]));
+      } else {
+        kept.nodes.push_back(std::move(cands->nodes[i]));
+      }
+    }
+    scouted_[static_cast<size_t>(tree_id)] = 1;
+  }
+
+  /// The scope of every top-down arc leaving a scouted tree: the scout
+  /// bindings' matches of the arc's source node.
+  void ScopeChildren(int tree_id, const std::vector<NokBinding>& bindings) {
+    for (const GlobalArc* arc : partition_.ArcsFrom(tree_id)) {
+      if (!TopDownInto(arc->to_tree)) continue;
+      std::vector<NodeMatch> sources;
+      for (const NokBinding& binding : bindings) {
+        const auto& matches =
+            binding.matches[static_cast<size_t>(arc->from_node)];
+        sources.insert(sources.end(), matches.begin(), matches.end());
+      }
+      scope_[static_cast<size_t>(arc->to_tree)] =
+          OutermostSources(std::move(sources));
+    }
+  }
+
+  /// Top-down: a binding is alive when its root is related to an alive
+  /// parent binding's source match (bindings' injected constraints are
+  /// already satisfied bottom-up).  Increasing id order visits parents
+  /// first.  Then the returning node's matches over alive bindings.
+  Result<std::vector<DeweyId>> LivenessAndOutput() {
+    const size_t n_trees = partition_.trees.size();
+    std::vector<std::vector<char>> alive(n_trees);
+    alive[0].assign(bindings_[0].size(), 1);
+    for (size_t t = 1; t < n_trees; ++t) {
+      const GlobalArc* arc = partition_.ArcInto(static_cast<int>(t));
+      NOK_CHECK(arc != nullptr);
+
+      OperatorStats join =
+          Op("StructuralSemiJoin", static_cast<int>(t),
+             "tree " + std::to_string(arc->from_tree) + " node " +
+                 std::to_string(arc->from_node) + " -" +
+                 std::string(AxisName(arc->axis)) + "-> tree " +
+                 std::to_string(t));
+      join.has_estimate = true;
+      join.estimated = plan_.trees[t].access.cardinality.matches;
+      join.rows_in = bindings_[t].size();
+      OpTimer join_timer(store_);
+
+      const size_t parent = static_cast<size_t>(arc->from_tree);
+      std::vector<NodeMatch> parent_sources;
+      for (size_t b = 0; b < bindings_[parent].size(); ++b) {
+        if (!alive[parent][b]) continue;
+        const auto& sources =
+            bindings_[parent][b].matches[static_cast<size_t>(arc->from_node)];
+        parent_sources.insert(parent_sources.end(), sources.begin(),
+                              sources.end());
+      }
+      SortUnique(&parent_sources);
+      alive[t].assign(bindings_[t].size(), 0);
+      size_t alive_count = 0;
+      for (size_t b = 0; b < bindings_[t].size(); ++b) {
+        const NodeMatch& root = bindings_[t][b].matches[0].front();
+        for (const NodeMatch& src : parent_sources) {
+          if (IsRelated(src, root, arc->axis, options_.join_mode)) {
+            alive[t][b] = 1;
+            ++alive_count;
+            break;
+          }
+        }
+      }
+      join.rows_out = alive_count;
+      join_timer.Finish(&join);
+      trace_->operators.push_back(std::move(join));
+    }
+
+    const size_t rt = static_cast<size_t>(partition_.returning_tree);
+    const int rn = partition_.trees[rt].returning_node;
+    NOK_CHECK(rn >= 0) << "partition lost the returning node";
+    OperatorStats output =
+        Op("Output", partition_.returning_tree, "node " + std::to_string(rn));
+    std::vector<NodeMatch> results;
+    size_t alive_in = 0;
+    for (size_t b = 0; b < bindings_[rt].size(); ++b) {
+      if (!alive[rt][b]) continue;
+      ++alive_in;
+      const auto& matches = bindings_[rt][b].matches[static_cast<size_t>(rn)];
+      results.insert(results.end(), matches.begin(), matches.end());
+    }
+    SortUnique(&results);
+
+    std::vector<DeweyId> out;
+    out.reserve(results.size());
+    for (NodeMatch& match : results) {
+      NOK_CHECK(!match.virtual_root);
+      out.push_back(std::move(match.dewey));
+    }
+    stats_->results = out.size();
+    output.rows_in = alive_in;
+    output.rows_out = out.size();
+    trace_->operators.push_back(std::move(output));
+    return out;
+  }
+
+  DocumentStore* store_;
+  Nav* nav_;
+  const QueryPlan& plan_;
+  const NokPartition& partition_;
+  const std::vector<TagId>& tag_table_;
+  const QueryOptions& options_;
+  QueryStats* stats_;
+  ExecutionTrace* trace_;
+  CCursor cursor_;
+
+  std::vector<std::vector<NokBinding>> bindings_;
+  std::vector<std::vector<NodeMatch>> qualified_roots_;
+  std::vector<char> evaluated_;
+  /// Scout state, per tree: whether it ran, its surviving candidates, and
+  /// (indexed by child tree) the scope of each top-down arc.
+  std::vector<char> scouted_;
+  std::vector<Candidates<NodeT>> survivors_;
+  std::vector<std::vector<NodeMatch>> scope_;
+};
 
 }  // namespace
 
@@ -1232,8 +1519,9 @@ Result<std::vector<DeweyId>> Executor::Run(
     const StringStore::NavStats before = store_->tree()->nav_stats();
     BpNav nav(store_, bp);
     NOK_ASSIGN_OR_RETURN(
-        auto out, RunImpl(store_, &nav, plan, partition, tag_table,
-                          options, stats, trace));
+        auto out, PlanRun<BpNav>(store_, &nav, plan, partition, tag_table,
+                                 options, stats, trace)
+                      .Run());
     const StringStore::NavStats after = store_->tree()->nav_stats();
     trace->nav_mode = NavMode::kBp;
     trace->bp_steps = after.bp_steps - before.bp_steps;
@@ -1242,8 +1530,9 @@ Result<std::vector<DeweyId>> Executor::Run(
     return out;
   }
   PagedNav nav(store_);
-  return RunImpl(store_, &nav, plan, partition, tag_table, options, stats,
-                 trace);
+  return PlanRun<PagedNav>(store_, &nav, plan, partition, tag_table, options,
+                           stats, trace)
+      .Run();
 }
 
 }  // namespace nok

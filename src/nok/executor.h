@@ -5,23 +5,33 @@
 //
 //   AnchorScan / TagIndexProbe / ValueIndexProbe / PathIndexProbe
 //       produce candidate subject nodes per the tree's access path;
+//   ScopedScan
+//       the AnchorScan of a tree whose incoming arc runs top-down: the
+//       root's tag-filtered scan inside each outermost source match of
+//       the parent's scout pass, bounded by that source's close, with
+//       Dewey IDs derived from the source's own;
 //   SemiJoinFilter
 //       (cost-based plans only) prunes anchor candidates against the
 //       already-evaluated child trees' qualified roots before any page
-//       is fetched for them — a sorted Dewey merge, no I/O;
+//       is fetched for them — a sorted Dewey merge, no I/O.  With a
+//       "scope=" detail it bounds an index-probed tree of a top-down arc
+//       to the scout's source subtrees instead (any plan);
 //   NokMatch
 //       Algorithm 1 over Algorithm 2 per candidate (anchored trunk
 //       verification or whole-tree matching), with global-arc
-//       constraints injected into witness selection;
+//       constraints injected into witness selection.  A "scout" detail
+//       marks a top-down arc's first pass over the parent tree, which
+//       runs without that arc's constraint and keeps only the matched
+//       candidates for the parent's final NokMatch;
 //   StructuralSemiJoin
 //       the top-down liveness pass along each global arc;
 //   Output
 //       collects the returning node's matches in document order.
 //
 // Each operator records runtime stats — estimated vs. actual
-// cardinality, rows in/out, subject-tree pages touched (NavStats
-// deltas) and wall time — into an ExecutionTrace, which is what
-// QueryEngine::ExplainLast() and `nokq explain` render.
+// cardinality, rows in/out, subject-tree pages touched and BP-index
+// steps taken (NavStats deltas) and wall time — into an ExecutionTrace,
+// which is what QueryEngine::ExplainLast() and `nokq explain` render.
 
 #ifndef NOKXML_NOK_EXECUTOR_H_
 #define NOKXML_NOK_EXECUTOR_H_
@@ -66,6 +76,7 @@ struct OperatorStats {
   uint64_t rows_in = 0;
   uint64_t rows_out = 0;
   uint64_t pages = 0;      ///< Subject-tree pages materialized (NavStats).
+  uint64_t bp_steps = 0;   ///< BP-index steps taken (NavStats).
   double seconds = 0;      ///< Wall time inside the operator.
 };
 

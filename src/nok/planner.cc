@@ -181,6 +181,17 @@ SynopsisEstimates ComputeSynopsisEstimates(
     }
     cards.expected[i] = expect;
   }
+  // Average subtree size of every arc source (the top-down cost rule).
+  cards.below.assign(n, 0.0);
+  for (const GlobalArc& arc : partition.arcs) {
+    const size_t i = static_cast<size_t>(
+        partition.trees[static_cast<size_t>(arc.from_tree)]
+            .nodes[static_cast<size_t>(arc.from_node)]
+            .pattern->id);
+    uint64_t inside = 0;
+    for (const uint32_t m : match[i]) inside += synopsis.DescendantCount(m);
+    cards.below[i] = static_cast<double>(inside) / cards.total[i];
+  }
   return out;
 }
 
@@ -191,6 +202,13 @@ bool TreeHasSiblingOrder(const NokTree& tree) {
     if (!node.sibling_order.empty()) return true;
   }
   return false;
+}
+
+/// Whether the executor evaluates the tree anchored on its access path's
+/// index hits (else it matches whole trees from candidate roots).
+bool IsAnchored(const NokTree& tree, const AccessPath& access) {
+  return access.strategy != StartStrategy::kScan && access.anchor != 0 &&
+         !TreeHasSiblingOrder(tree);
 }
 
 /// Expected bindings of an anchored tree: the anchor's subtree estimate
@@ -217,7 +235,72 @@ double AnchoredBindings(const SynopsisCardinalities& cards,
   return est;
 }
 
+/// Expected source matches of `arc` that one scout pass over its source
+/// tree yields: the tree's expected bindings, times the matches per
+/// binding.  A source on the chain from the tree root to the node the
+/// bindings are counted for (the anchor, or the root when the whole tree
+/// is matched) has one match per binding; any other source fans out
+/// below the nearest chain node by the ratio of their occurrences.
+double ScoutSources(const SynopsisCardinalities& cards, const NokTree& tree,
+                    const AccessPath& access, int source) {
+  const std::vector<int> parents = NokParents(tree);
+  std::vector<char> on_chain(tree.nodes.size(), 0);
+  for (int a = IsAnchored(tree, access) ? access.anchor : 0; a >= 0;
+       a = parents[static_cast<size_t>(a)]) {
+    on_chain[static_cast<size_t>(a)] = 1;
+  }
+  int a = source;
+  while (!on_chain[static_cast<size_t>(a)]) {
+    a = parents[static_cast<size_t>(a)];
+  }
+  double per_binding = 1.0;
+  if (a != source) {
+    const auto total = [&](int local) {
+      return cards.total[static_cast<size_t>(
+          tree.nodes[static_cast<size_t>(local)].pattern->id)];
+    };
+    per_binding = total(source) / total(a);
+  }
+  return static_cast<double>(access.cardinality.matches) * per_binding;
+}
+
+/// The top-down cost rule (see Planner::Plan): a scout bounds the child
+/// tree's candidates to the nodes inside its source matches, so the arc
+/// runs top-down when those are fewer than the child's own candidates.
+std::vector<ArcDirection> ArcDirections(const NokPartition& partition,
+                                        const QueryPlan& plan,
+                                        const SynopsisCardinalities& cards) {
+  std::vector<ArcDirection> out(partition.arcs.size(),
+                                ArcDirection::kBottomUp);
+  for (size_t i = 0; i < partition.arcs.size(); ++i) {
+    const GlobalArc& arc = partition.arcs[i];
+    if (!TopDownEligible(partition, arc)) continue;
+    const NokTree& tree = partition.trees[static_cast<size_t>(arc.from_tree)];
+    const AccessPath& access =
+        plan.trees[static_cast<size_t>(arc.from_tree)].access;
+    const int source_id =
+        tree.nodes[static_cast<size_t>(arc.from_node)].pattern->id;
+    const double scoped =
+        ScoutSources(cards, tree, access, arc.from_node) *
+        cards.below[static_cast<size_t>(source_id)];
+    const uint64_t child_candidates =
+        plan.trees[static_cast<size_t>(arc.to_tree)]
+            .access.cardinality.candidates;
+    if (scoped < static_cast<double>(child_candidates)) {
+      out[i] = ArcDirection::kTopDown;
+    }
+  }
+  return out;
+}
+
 }  // namespace
+
+bool TopDownEligible(const NokPartition& partition, const GlobalArc& arc) {
+  return arc.axis == Axis::kDescendant &&
+         !partition.trees[static_cast<size_t>(arc.from_tree)]
+              .nodes[static_cast<size_t>(arc.from_node)]
+              .pattern->is_doc_root;
+}
 
 const char* StrategyName(StartStrategy strategy) {
   switch (strategy) {
@@ -468,10 +551,8 @@ Result<AccessPath> Planner::PlanTree(
     // Estimate what the tree's NokMatch emits.  Anchored evaluation
     // binds per qualifying anchor hit (never more than the probe
     // produced); whole-tree evaluation binds per qualifying root.
-    const bool anchored = access.strategy != StartStrategy::kScan &&
-                          access.anchor != 0 && !TreeHasSiblingOrder(tree);
     double est;
-    if (anchored) {
+    if (IsAnchored(tree, access)) {
       est = std::min(AnchoredBindings(*cards, tree, access.anchor),
                      static_cast<double>(access.cardinality.candidates));
     } else {
@@ -573,6 +654,11 @@ Result<QueryPlan> Planner::Plan(const NokPartition& partition,
   plan.schedule = plan.cost_based
                       ? SelectivitySchedule(partition, plan.trees)
                       : FixedSchedule(partition.trees.size());
+  plan.arc_directions =
+      plan.cost_based && synopsis != nullptr
+          ? ArcDirections(partition, plan, syn.cards)
+          : std::vector<ArcDirection>(partition.arcs.size(),
+                                      ArcDirection::kBottomUp);
   return plan;
 }
 
@@ -606,11 +692,15 @@ std::string QueryPlan::ToString(const NokPartition& partition) const {
     }
     out += "\n";
   }
-  for (const GlobalArc& arc : partition.arcs) {
+  for (size_t i = 0; i < partition.arcs.size(); ++i) {
+    const GlobalArc& arc = partition.arcs[i];
     out += "  arc: tree " + std::to_string(arc.from_tree) + " node " +
            std::to_string(arc.from_node) + " -" +
            std::string(AxisName(arc.axis)) + "-> tree " +
-           std::to_string(arc.to_tree) + "\n";
+           std::to_string(arc.to_tree);
+    // Bottom-up is the default and stays unmarked.
+    if (DirectionOf(i) == ArcDirection::kTopDown) out += " top-down";
+    out += "\n";
   }
   return out;
 }

@@ -102,6 +102,10 @@ struct SynopsisCardinalities {
   std::vector<double> expected;       ///< Subtree-pattern match estimate.
   std::vector<double> total;          ///< Occurrences on surviving paths.
   std::vector<std::vector<int>> kids; ///< Structural pattern children.
+  /// Average document nodes strictly inside one occurrence of node i
+  /// (synopsis counts summed over the subtrees of its match set, divided
+  /// by total[i]).  Filled for global-arc source nodes only; 0 elsewhere.
+  std::vector<double> below;
 };
 
 /// How one NoK tree's candidates are produced.  The operands (tag,
@@ -128,6 +132,23 @@ struct AccessPath {
   std::string display;
 };
 
+/// Evaluation direction of one global arc P -> C (P the arc's source
+/// tree, C its target tree).
+enum class ArcDirection {
+  /// C is matched over the whole document first; its qualified roots
+  /// then constrain P's matching.
+  kBottomUp,
+  /// A scout pass matches P without the arc's constraint, C is matched
+  /// only inside the subtrees of the scout's source matches, and P is
+  /// then matched over the scout's surviving candidates alone.
+  kTopDown,
+};
+
+/// Whether an arc may run top-down: a descendant arc whose source is not
+/// the document root (the root's subtree is the whole document, and
+/// order axes relate nodes outside the source's subtree).
+bool TopDownEligible(const NokPartition& partition, const GlobalArc& arc);
+
 /// Plan for one NoK tree.
 struct TreeAccessPlan {
   int tree = 0;
@@ -136,15 +157,27 @@ struct TreeAccessPlan {
 
 /// A complete plan for one partitioned pattern.
 ///
-/// `schedule` lists tree ids in evaluation order.  It is always a valid
-/// children-before-parents order: a tree's arc constraints must be
-/// installed before its parent tree is matched (witness selection during
-/// matching is what keeps the semi-joins sound; a binding-level
-/// post-filter could not be).  The legacy order is n-1..0; the
-/// cost-based order picks the most selective ready tree first.
+/// `schedule` lists tree ids in the order their bindings are matched.
+/// It is always a valid children-before-parents order: a tree's arc
+/// constraints must be installed before its parent tree is matched
+/// (witness selection during matching is what keeps the semi-joins
+/// sound; a binding-level post-filter could not be).  The legacy order
+/// is n-1..0; the cost-based order picks the most selective ready tree
+/// first.  A top-down arc P -> C adds one step the schedule does not
+/// list: before C is matched, P runs a scout pass (its access path and
+/// matching, without C's constraint) whose source matches bound C's
+/// candidates.  Constraints only shrink match sets, so the scout's
+/// sources are a superset of P's final ones and no C binding P needs is
+/// lost; P's final match still runs after C, over the scout's surviving
+/// candidates.
 struct QueryPlan {
   std::vector<TreeAccessPlan> trees;  ///< Indexed by tree id.
   std::vector<int> schedule;          ///< Tree ids, evaluation order.
+  /// Direction per global arc, indexed like NokPartition::arcs.  The
+  /// planner marks an eligible arc top-down only on cost-based plans
+  /// with synopsis estimates (see Planner::Plan); an empty vector means
+  /// every arc runs bottom-up.
+  std::vector<ArcDirection> arc_directions;
   /// Whether the executor may prune anchor candidates with the semi-join
   /// pre-filter (mirrors QueryOptions::cost_based_join_order at plan
   /// time so a cached plan replays identically).
@@ -164,6 +197,12 @@ struct QueryPlan {
   /// Names the pattern node with the empty match set.
   std::string empty_reason;
 
+  /// Direction of arc `arc_index` (bottom-up when unset).
+  ArcDirection DirectionOf(size_t arc_index) const {
+    return arc_index < arc_directions.size() ? arc_directions[arc_index]
+                                             : ArcDirection::kBottomUp;
+  }
+
   /// Serialized human-readable form (stable; `nokq explain` prints it).
   std::string ToString(const NokPartition& partition) const;
 };
@@ -176,7 +215,11 @@ class Planner {
   /// Plans every tree of the partition and computes the semi-join
   /// schedule.  tag_table maps PatternNode::id -> resolved TagId (see
   /// ResolvePatternTags); estimates come from the dictionary and capped
-  /// index probes only — no hits are fetched.
+  /// index probes only — no hits are fetched.  An eligible arc P -> C of
+  /// a cost-based synopsis plan runs top-down when the nodes a scout
+  /// would scan are fewer than C's candidates: P's expected bindings x
+  /// source matches per binding x the source's average subtree size <
+  /// C's candidate count.  Everything else stays bottom-up.
   Result<QueryPlan> Plan(const NokPartition& partition,
                          const std::vector<TagId>& tag_table,
                          const QueryOptions& options);

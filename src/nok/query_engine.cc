@@ -112,9 +112,13 @@ std::string QueryEngine::ExplainLast() const {
     if (op.has_estimate) row += " est=" + std::to_string(op.estimated);
     row += " in=" + std::to_string(op.rows_in);
     row += " out=" + std::to_string(op.rows_out);
-    std::snprintf(line, sizeof(line), " pages=%llu time=%.3fms\n",
-                  static_cast<unsigned long long>(op.pages),
-                  op.seconds * 1e3);
+    std::snprintf(line, sizeof(line), " pages=%llu",
+                  static_cast<unsigned long long>(op.pages));
+    row += line;
+    if (last_trace_.nav_mode == NavMode::kBp) {
+      row += " bp_steps=" + std::to_string(op.bp_steps);
+    }
+    std::snprintf(line, sizeof(line), " time=%.3fms\n", op.seconds * 1e3);
     row += line;
     out += row;
   }

@@ -264,6 +264,46 @@ TEST(BpIndexTest, RandomizedFusedTagScanMatchesNaive) {
   }
 }
 
+// The subtree-bounded scan behind ScopedScan: from every node, with the
+// node's FindClose as the bound, the hits are exactly the tag's nodes
+// strictly inside the subtree, and every skipped block lies inside it
+// (the last node of the document has an empty subtree).
+TEST(BpIndexTest, BoundedTagScanStaysInsideTheSubtree) {
+  Random rng(5150);
+  const uint64_t nodes = 900;
+  const std::string parens = RandomParens(&rng, nodes);
+  std::vector<TagId> tags(nodes, 1);
+  for (int i = 0; i < 12; ++i) tags[rng.Uniform(nodes)] = 99;
+  for (int i = 0; i < 200; ++i) tags[rng.Uniform(nodes)] = 2;
+  auto bp_or = BpIndex::FromParens(parens, tags);
+  ASSERT_TRUE(bp_or.ok());
+  const BpIndex& bp = *bp_or.ValueOrDie();
+
+  uint64_t total_skipped = 0;
+  for (uint64_t rank = 0; rank < nodes; ++rank) {
+    const uint64_t source = bp.Select1(rank);
+    const uint64_t close = bp.FindClose(source);
+    const uint64_t inside = (close - source - 1) / 2;  // Strict descendants.
+    for (const TagId want : {TagId{99}, TagId{2}, TagId{1}, TagId{7}}) {
+      std::vector<uint64_t> expect;
+      for (uint64_t r = rank + 1; r <= rank + inside; ++r) {
+        if (tags[r] == want) expect.push_back(NaiveSelect1(parens, r));
+      }
+      std::vector<uint64_t> got;
+      uint64_t skipped = 0;
+      for (std::optional<uint64_t> pos = source;;) {
+        pos = bp.NextOpenWithTag(*pos, want, &skipped, close);
+        if (!pos.has_value()) break;
+        got.push_back(*pos);
+      }
+      ASSERT_EQ(got, expect) << "node " << rank << " tag " << want;
+      EXPECT_LE(skipped * 64, inside) << "skipped past node " << rank;
+      total_skipped += skipped;
+    }
+  }
+  EXPECT_GT(total_skipped, 0u) << "no block was ever skipped";
+}
+
 // ---------------------------------------------------------------------
 // Sampled child jumps.
 

@@ -26,7 +26,9 @@
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
 #include "tests/oracle.h"
+#include "tests/test_util.h"
 #include "xml/dom.h"
+#include "xml/serializer.h"
 
 namespace nok {
 namespace {
@@ -325,6 +327,106 @@ void RunStrategySweep(Dataset dataset, uint64_t seed) {
       EXPECT_EQ(CanonDewey(*result), want) << "cache round " << round;
     }
   }
+}
+
+/// Forced arc directions: every query of the document runs with every
+/// eligible `//` arc forced top-down and forced bottom-up (the test
+/// helper rewrites the plan; no QueryOptions field exists for it), under
+/// each start strategy, both join modes and both navigation tiers, on
+/// fresh positions and again after one insert has made them stale.  The
+/// insert duplicates the root's first child at child 0, shifting every
+/// later Dewey ID.  Every answer must equal the oracle's.
+void RunForcedDirections(const std::string& name, const std::string& xml,
+                         const std::vector<std::string>& queries) {
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+  ASSERT_FALSE(dom->root()->children.empty());
+  const std::string fragment =
+      SerializeNode(dom->root()->children.front().get());
+  std::string stale_xml = SerializeTree(*dom);
+  stale_xml.insert(stale_xml.find('>') + 1, fragment);
+  auto stale_dom = DomTree::Parse(stale_xml);
+  ASSERT_TRUE(stale_dom.ok()) << stale_dom.status().ToString();
+
+  const StartStrategy strategies[] = {
+      StartStrategy::kAuto, StartStrategy::kScan, StartStrategy::kTagIndex,
+      StartStrategy::kValueIndex};
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    DocumentStore::Options options;
+    options.page_size = 512;
+    options.nav_mode = mode;
+    auto store = DocumentStore::Build(xml, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    for (const bool stale : {false, true}) {
+      if (stale) {
+        ASSERT_TRUE(
+            (*store)->InsertSubtree(DeweyId::Root(), 0, fragment).ok());
+        ASSERT_FALSE((*store)->positions_fresh());
+      }
+      for (const std::string& xpath : queries) {
+        SCOPED_TRACE(name + (mode == NavMode::kBp ? " bp" : " paged") +
+                     (stale ? " stale: " : " fresh: ") + xpath);
+        auto oracle = OracleEvaluateDewey(xpath, stale ? *stale_dom : *dom);
+        if (!oracle.ok() && oracle.status().IsNotSupported()) continue;
+        ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
+        const std::vector<std::string> want = CanonDewey(*oracle);
+        for (const StartStrategy strategy : strategies) {
+          for (const JoinMode join : {JoinMode::kDewey, JoinMode::kInterval}) {
+            for (const ArcDirection direction :
+                 {ArcDirection::kTopDown, ArcDirection::kBottomUp}) {
+              QueryOptions qo;
+              qo.strategy = strategy;
+              qo.join_mode = join;
+              auto result = testutil::EvaluateWithArcDirection(
+                  store->get(), xpath, qo, direction);
+              if (!result.ok() && result.status().IsNotSupported()) continue;
+              ASSERT_TRUE(result.ok()) << result.status().ToString();
+              EXPECT_EQ(CanonDewey(*result), want)
+                  << StrategyName(strategy) << " join "
+                  << (join == JoinMode::kDewey ? "dewey" : "interval")
+                  << (direction == ArcDirection::kTopDown ? " top-down"
+                                                          : " bottom-up");
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+void RunForcedDirections(Dataset dataset, uint64_t seed) {
+  GenOptions gen;
+  gen.scale = 0.0;
+  gen.seed = seed;
+  const GeneratedDataset ds = GenerateDataset(dataset, gen);
+  std::vector<std::string> queries;
+  const std::vector<CategoryQuery> table2 = QueriesForDataset(ds);
+  for (const CategoryQuery& q : table2) queries.push_back(q.xpath);
+  for (const CategoryQuery& q : DescendantVariants(table2, seed)) {
+    queries.push_back(q.xpath);
+  }
+  RunForcedDirections(ds.name + " seed " + std::to_string(seed), ds.xml,
+                      queries);
+}
+
+TEST(DifferentialTest, ForcedArcDirectionsMatchOracle) {
+  RunForcedDirections(Dataset::kAuthor, 7);
+  RunForcedDirections(Dataset::kCatalog, 3);
+  RunForcedDirections(Dataset::kDblp, 2);
+  RunForcedDirections(Dataset::kTreebank, 5);
+  // Deep recursion: nested `//` arcs, so scouts scope scouts.
+  RecursiveGenOptions gen;
+  gen.seed = 4;
+  gen.entries = 6;
+  gen.max_depth = 8;
+  const GeneratedDataset ds = GenerateRecursiveDataset(gen);
+  RandomQueryOptions qopt;
+  qopt.seed = 4;
+  qopt.count = 24;
+  std::vector<std::string> queries = RandomQueries(ds, qopt);
+  queries.push_back("/parts/part//assembly//part[pname]//pname");
+  queries.push_back("//part[.//assembly]//part//pname");
+  RunForcedDirections("parts seed 4", ds.xml, queries);
 }
 
 /// One wide document through both navigation tiers: /dblp gets more

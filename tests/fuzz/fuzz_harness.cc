@@ -17,6 +17,7 @@
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
 #include "tests/oracle.h"
+#include "tests/test_util.h"
 #include "xml/dom.h"
 #include "xml/serializer.h"
 
@@ -264,23 +265,28 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
             &out);
     }
 
-    // NoK engine matrix: store knobs x strategy x plan cache.
+    // NoK engine matrix: store knobs x strategy x {plan cache off, on,
+    // every eligible `//` arc forced top-down}.
     for (const StoreConfig& config : configs) {
       QueryEngine engine(stores[config.store].get());
       for (StartStrategy strategy : strategies) {
+        QueryOptions qo;
+        qo.strategy = strategy;
+        qo.use_synopsis = config.synopsis;
+        const std::string name =
+            std::string("nok ") + StrategyName(strategy) + config.suffix;
         for (bool cache : {false, true}) {
-          QueryOptions qo;
-          qo.strategy = strategy;
           qo.use_plan_cache = cache;
-          qo.use_synopsis = config.synopsis;
           auto r = engine.Evaluate(query, qo);
-          const std::string name =
-              std::string("nok ") + StrategyName(strategy) +
-              config.suffix + (cache ? " cache" : "");
-          Judge(name, query, want, r.status(),
+          Judge(name + (cache ? " cache" : ""), query, want, r.status(),
                 r.ok() ? CanonDewey(*r) : std::vector<std::string>{},
                 &out);
         }
+        qo.use_plan_cache = false;
+        auto r = testutil::EvaluateWithArcDirection(
+            stores[config.store].get(), query, qo, ArcDirection::kTopDown);
+        Judge(name + " top-down", query, want, r.status(),
+              r.ok() ? CanonDewey(*r) : std::vector<std::string>{}, &out);
       }
     }
   }

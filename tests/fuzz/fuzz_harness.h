@@ -7,7 +7,7 @@
 // CheckCase runs every query through the full engine matrix
 //   {DI, TwigStack, navigational, region, NoK} x
 //   {planner strategies} x {paged, bp, paged without synopsis} x
-//   {plan cache on/off}
+//   {plan cache on/off, every eligible `//` arc forced top-down}
 // against the brute-force oracle.  Engines rejecting a fragment with
 // Status::NotSupported are skipped (a typed rejection is never a wrong
 // answer); any other status, or any result-set difference, is a

@@ -2,11 +2,13 @@
 """Golden-file test for `nokq explain`.
 
 Builds a store from tests/golden/explain_doc.xml in a temp directory,
-runs `nokq explain` for three representative queries (tag-index probe,
-value-index probe, and a branchy scan + structural semi-join, the last
-one under both join orders), normalizes the volatile fields (page and
-timing counters vary with build flags and machine speed) and compares
-the result against the checked-in .golden files.
+runs `nokq explain` for four representative queries (tag-index probe,
+value-index probe, a branchy scan + structural semi-join under both join
+orders, and a value-anchored parent whose `//` child runs top-down
+through a scout pass and a ScopedScan, on the bp tier so the operators'
+bp steps show), normalizes the volatile fields (page and timing counters
+vary with build flags and machine speed) and compares the result against
+the checked-in .golden files.
 
 Usage:
   check_explain.py --nokq build/tools/nokq [--update]
@@ -26,6 +28,7 @@ CASES = [
     ("explain_value_index", '//item[name="needle"]', []),
     ("explain_branchy", "//item[.//special]", []),
     ("explain_branchy_fixed", "//item[.//special]", ["--fixed-order"]),
+    ("explain_top_down", '//item[name="needle"]//price', ["--nav-mode", "bp"]),
 ]
 
 

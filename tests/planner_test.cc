@@ -11,6 +11,7 @@
 #include <string>
 #include <vector>
 
+#include "datagen/dataset_gen.h"
 #include "encoding/document_store.h"
 #include "nok/nok_partition.h"
 #include "nok/physical_matcher.h"
@@ -50,6 +51,7 @@ std::unique_ptr<DocumentStore> MakeStore(const std::string& xml) {
 }
 
 struct Planned {
+  PatternTree pattern;  ///< Owns the nodes the partition points into.
   NokPartition partition;
   QueryPlan plan;
 };
@@ -59,9 +61,10 @@ Planned PlanFor(DocumentStore* store, const std::string& xpath,
   Planned out;
   auto pattern = ParseXPath(xpath);
   EXPECT_TRUE(pattern.ok()) << pattern.status().ToString();
-  out.partition = PartitionPattern(*pattern);
+  out.pattern = std::move(pattern).ValueOrDie();
+  out.partition = PartitionPattern(out.pattern);
   const std::vector<TagId> tag_table =
-      ResolvePatternTags(*pattern, *store->tags());
+      ResolvePatternTags(out.pattern, *store->tags());
   Planner planner(store);
   auto plan = planner.Plan(out.partition, tag_table, options);
   EXPECT_TRUE(plan.ok()) << plan.status().ToString();
@@ -191,6 +194,138 @@ TEST(PlannerTest, PlanToStringIsStable) {
   EXPECT_NE(text.find("value-index value=\"Stevens\""), std::string::npos);
   EXPECT_NE(text.find("arc: tree 0 node 0 -//-> tree 1"),
             std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Arc directions: the top-down cost rule on a small dblp store.
+
+std::unique_ptr<DocumentStore> MakeDblpStore() {
+  GenOptions gen;
+  gen.scale = 0.002;  // 800 articles, 4 of them carrying needle-hi-*.
+  gen.seed = 1;
+  return MakeStore(GenerateDataset(Dataset::kDblp, gen).xml);
+}
+
+/// Directions of the plan's arcs, one letter each: 'T' top-down, 'B'
+/// bottom-up.
+std::string Directions(const Planned& planned) {
+  std::string out;
+  for (size_t a = 0; a < planned.partition.arcs.size(); ++a) {
+    out += planned.plan.DirectionOf(a) == ArcDirection::kTopDown ? 'T' : 'B';
+  }
+  return out;
+}
+
+/// B+ tree fetches across all four indexes.
+uint64_t IndexFetches(DocumentStore* store) {
+  uint64_t total = 0;
+  for (BTree* index : {store->tag_index(), store->value_index(),
+                       store->id_index(), store->path_index()}) {
+    total += index->buffer_pool()->stats().fetches;
+  }
+  return total;
+}
+
+constexpr const char* kQ3d =
+    "/dblp/article[journal=\"needle-hi-a\"][volume=\"needle-hi-b\"]//title";
+
+TEST(PlannerTest, SelectiveParentRunsItsDescendantArcTopDown) {
+  auto store = MakeDblpStore();
+  Planned q3d = PlanFor(store.get(), kQ3d);
+  ASSERT_EQ(q3d.partition.arcs.size(), 1u);
+  EXPECT_EQ(Directions(q3d), "T");
+  EXPECT_NE(q3d.plan.ToString(q3d.partition).find("-//-> tree 1 top-down"),
+            std::string::npos);
+  // The plan stays children-first: the scout is not a schedule entry.
+  ExpectChildrenFirst(q3d.partition, q3d.plan.schedule);
+
+  // A predicate arc from the same selective parent (arc 0) goes top-down
+  // too; the arc from the document root (arc 1) never does.
+  Planned branch =
+      PlanFor(store.get(), "//article[journal=\"needle-hi-a\"][.//title]");
+  EXPECT_EQ(Directions(branch), "TB");
+}
+
+TEST(PlannerTest, UnselectiveAndDocRootArcsStayBottomUp) {
+  auto store = MakeDblpStore();
+  for (const char* xpath : {
+           "/dblp/article//cite",  // Q10d: 800 sources, few cites.
+           "/dblp//title",         // One source spanning the document.
+           "//title",
+           "//dblp/article[journal=\"needle-hi-a\"]",
+       }) {
+    SCOPED_TRACE(xpath);
+    Planned planned = PlanFor(store.get(), xpath);
+    ASSERT_FALSE(planned.partition.arcs.empty());
+    EXPECT_EQ(Directions(planned),
+              std::string(planned.partition.arcs.size(), 'B'));
+    for (const GlobalArc& arc : planned.partition.arcs) {
+      const bool from_doc_root =
+          planned.partition.trees[static_cast<size_t>(arc.from_tree)]
+              .nodes[static_cast<size_t>(arc.from_node)]
+              .pattern->is_doc_root;
+      EXPECT_EQ(TopDownEligible(planned.partition, arc), !from_doc_root);
+    }
+  }
+}
+
+TEST(PlannerTest, OrderAxesFixedOrderAndNoSynopsisNeverRunTopDown) {
+  auto store = MakeDblpStore();
+  for (const char* xpath :
+       {"/dblp/article[journal=\"needle-hi-a\"]/following::title",
+        "/dblp/article[journal=\"needle-hi-a\"]/preceding::title"}) {
+    SCOPED_TRACE(xpath);
+    Planned planned = PlanFor(store.get(), xpath);
+    ASSERT_EQ(planned.partition.arcs.size(), 1u);
+    EXPECT_FALSE(TopDownEligible(planned.partition,
+                                 planned.partition.arcs[0]));
+    EXPECT_EQ(Directions(planned), "B");
+  }
+  QueryOptions fixed;
+  fixed.cost_based_join_order = false;
+  EXPECT_EQ(Directions(PlanFor(store.get(), kQ3d, fixed)), "B");
+  QueryOptions flat;
+  flat.use_synopsis = false;
+  EXPECT_EQ(Directions(PlanFor(store.get(), kQ3d, flat)), "B");
+}
+
+TEST(PlannerTest, ArcDirectionsAddNoIndexProbes) {
+  // The direction rule reads only synopsis counts and the trees' own
+  // estimates: a cost-based plan (top-down chosen) probes the B+ trees
+  // exactly as often as a fixed-order plan of the same query (no
+  // direction rule at all).
+  auto store = MakeDblpStore();
+  uint64_t before = IndexFetches(store.get());
+  Planned cost = PlanFor(store.get(), kQ3d);
+  const uint64_t cost_fetches = IndexFetches(store.get()) - before;
+  ASSERT_EQ(Directions(cost), "T");
+  QueryOptions fixed;
+  fixed.cost_based_join_order = false;
+  before = IndexFetches(store.get());
+  PlanFor(store.get(), kQ3d, fixed);
+  EXPECT_EQ(IndexFetches(store.get()) - before, cost_fetches);
+  EXPECT_GT(cost_fetches, 0u);  // The value-count estimate probes B+v.
+}
+
+TEST(QueryEngineTest, TopDownPlanMatchesBottomUpAndScansOnlyTheScope) {
+  auto store = MakeDblpStore();
+  QueryEngine engine(store.get());
+  auto top_down = engine.Evaluate(kQ3d);
+  ASSERT_TRUE(top_down.ok()) << top_down.status().ToString();
+  EXPECT_EQ(top_down->size(), 4u);
+  const std::string explain = engine.ExplainLast();
+  EXPECT_NE(explain.find("NokMatch scout anchored"), std::string::npos)
+      << explain;
+  // Four articles scoped, four titles found in them.
+  EXPECT_NE(explain.find("ScopedScan root=title"), std::string::npos)
+      << explain;
+  EXPECT_NE(explain.find("in=4 out=4"), std::string::npos) << explain;
+
+  QueryOptions fixed;
+  fixed.cost_based_join_order = false;
+  auto bottom_up = engine.Evaluate(kQ3d, fixed);
+  ASSERT_TRUE(bottom_up.ok()) << bottom_up.status().ToString();
+  EXPECT_EQ(*top_down, *bottom_up);
 }
 
 TEST(PlanCacheTest, KeyCoversOptionsAndStoreGeneration) {

@@ -428,6 +428,84 @@ TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
   }
 }
 
+// The subtree-bounded scan behind ScopedScan: from every node of a random
+// multi-page tree, each tag's hits must be exactly that tag's opens
+// strictly inside the subtree, and no call may fetch a page past the
+// one holding the subtree's close.
+TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
+  Random rng(29);
+  testutil::RandomDocOptions doc;
+  doc.max_nodes = 300;
+  const std::string xml = testutil::RandomXml(&rng, doc);
+  auto tree = DomTree::Parse(xml);
+  ASSERT_TRUE(tree.ok());
+  BuiltStore built;
+  StringStore::Options options;
+  options.page_size = 64;
+  ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
+  StringStore* store = built.store.get();
+  ASSERT_GT(store->chain_length(), 4u);
+
+  // Every open in document order, with its tag and global position.
+  std::vector<StorePos> opens;
+  for (std::optional<StorePos> pos = store->RootPos(); pos.has_value();) {
+    opens.push_back(*pos);
+    auto next = store->NextOpen(*pos);
+    ASSERT_TRUE(next.ok());
+    pos = *next;
+  }
+  const auto seq = [&](PageId page) {
+    return store->GlobalPos(StorePos{page, 0}) / options.page_size;
+  };
+
+  size_t last_in_page = 0;
+  for (size_t i = 0; i < opens.size(); ++i) {
+    const StorePos source = opens[i];
+    auto level = store->LevelAt(source);
+    ASSERT_TRUE(level.ok());
+    auto end = store->SubtreeEndGlobal(source);
+    ASSERT_TRUE(end.ok());
+    auto close = store->PosForGlobal(*end);
+    ASSERT_TRUE(close.ok());
+    // The symbol after the source's open lives on another page: a first
+    // child there, or the leaf's own close there.
+    auto first = store->FirstChild(source);
+    ASSERT_TRUE(first.ok());
+    const PageId next_page =
+        first->has_value() ? (*first)->page : close->page;
+    if (next_page != source.page) ++last_in_page;
+
+    for (const char* name : {"a", "b", "c", "d", "e", ""}) {
+      const TagId tag = *name == '\0' ? kInvalidTag : built.Tag(name);
+      if (*name != '\0' && tag == kInvalidTag) continue;
+      std::vector<uint64_t> expect;
+      for (size_t j = i + 1; j < opens.size(); ++j) {
+        const uint64_t g = store->GlobalPos(opens[j]);
+        if (g > *end) break;
+        auto t = store->TagAt(opens[j]);
+        ASSERT_TRUE(t.ok());
+        if (tag == kInvalidTag || *t == tag) expect.push_back(g);
+      }
+      std::vector<uint64_t> got;
+      StorePos from = source;
+      for (;;) {
+        const uint64_t before = store->nav_stats().pages_scanned;
+        auto next = store->NextOpenInSubtree(from, tag, *level);
+        ASSERT_TRUE(next.ok()) << next.status().ToString();
+        const PageId stop = next->has_value() ? (*next)->page : close->page;
+        EXPECT_LE(store->nav_stats().pages_scanned - before,
+                  seq(stop) - seq(from.page) + 1)
+            << "fetched past the close of node " << i;
+        if (!next->has_value()) break;
+        got.push_back(store->GlobalPos(**next));
+        from = **next;
+      }
+      EXPECT_EQ(got, expect) << "node " << i << " tag '" << name << "'";
+    }
+  }
+  EXPECT_GT(last_in_page, 0u) << "no source ended its page";
+}
+
 TEST(StringStoreTest, NextOpenWithTagRejectsInvalidTag) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, 64, true, &built).ok());

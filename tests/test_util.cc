@@ -1,5 +1,9 @@
 #include "tests/test_util.h"
 
+#include "nok/executor.h"
+#include "nok/physical_matcher.h"
+#include "nok/xpath_parser.h"
+
 namespace nok {
 namespace testutil {
 
@@ -115,6 +119,31 @@ std::string RandomQuery(Random* rng, const RandomDocOptions& options) {
            /*allow_predicates=*/true);
   if (out.empty()) out = "/a";
   return out;
+}
+
+Result<std::vector<DeweyId>> EvaluateWithArcDirection(
+    DocumentStore* store, const std::string& xpath,
+    const QueryOptions& options, ArcDirection direction) {
+  NOK_ASSIGN_OR_RETURN(PatternTree pattern, ParseXPath(xpath));
+  if (HasPositionalPredicate(pattern)) {
+    return Status::NotSupported("positional predicates");
+  }
+  const NokPartition partition = PartitionPattern(pattern);
+  const std::vector<TagId> tag_table =
+      ResolvePatternTags(pattern, *store->tags());
+  Planner planner(store);
+  NOK_ASSIGN_OR_RETURN(QueryPlan plan,
+                       planner.Plan(partition, tag_table, options));
+  plan.arc_directions.resize(partition.arcs.size(), ArcDirection::kBottomUp);
+  for (size_t a = 0; a < partition.arcs.size(); ++a) {
+    if (TopDownEligible(partition, partition.arcs[a])) {
+      plan.arc_directions[a] = direction;
+    }
+  }
+  QueryStats stats;
+  ExecutionTrace trace;
+  return Executor(store).Run(plan, partition, tag_table, options, &stats,
+                             &trace);
 }
 
 }  // namespace testutil
