@@ -143,7 +143,7 @@ int Run(int argc, char** argv) {
     for (const char* f :
          {store_files::kTree, store_files::kValues, store_files::kDict,
           store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-          store_files::kPathIdx, store_files::kStale}) {
+          store_files::kStale}) {
       Status s = RemoveFile(dir + "/" + f);
       if (!s.ok()) {
         fprintf(stderr, "cleanup failed: %s\n", s.ToString().c_str());

@@ -75,7 +75,6 @@ int Run(int argc, char** argv) {
           case StartStrategy::kScan: return "scan";
           case StartStrategy::kTagIndex: return "tag-idx";
           case StartStrategy::kValueIndex: return "value-idx";
-          case StartStrategy::kPathIndex: return "path-idx";
           case StartStrategy::kAuto: return "auto";
         }
         return "?";
@@ -93,42 +92,6 @@ int Run(int argc, char** argv) {
   printf("expected shape: value-idx ~ constant in selectivity; scan ~\n"
          "constant in document size; auto picks the value index whenever\n"
          "a value constraint exists (the paper's heuristic).\n");
-
-  // --- Section 8 extension: path index vs tag index --------------------
-  // In the catalog document the filler tags occur under two paths
-  // (.../para/<tag> and .../para/emph/<tag>); the tag is common but each
-  // full path is rarer, which is exactly the case the paper's future-work
-  // section reserves for a path index.
-  GeneratedDataset cat = GenerateDataset(Dataset::kCatalog, gen);
-  auto cat_store = DocumentStore::Build(cat.xml, DocumentStore::Options());
-  if (!cat_store.ok()) return 1;
-  QueryEngine cat_engine(cat_store->get());
-  const std::string deep_query =
-      "/catalog/category/item/description/para/emph/feature0";
-  printf("\npath-index ablation (catalog-like, %llu nodes): %s\n",
-         static_cast<unsigned long long>(
-             (*cat_store)->stats().node_count),
-         deep_query.c_str());
-  for (bool use_path : {false, true}) {
-    QueryOptions options;
-    options.use_path_index = use_path;
-    options.index_fraction = 0.5;
-    double seconds = 0;
-    size_t results = 0, candidates = 0;
-    for (int r = 0; r < runs; ++r) {
-      if (!(*cat_store)->DropCaches().ok()) return 1;
-      Timer timer;
-      auto result = cat_engine.Evaluate(deep_query, options);
-      seconds += timer.ElapsedSeconds();
-      if (!result.ok()) return 1;
-      results = result->size();
-      candidates = cat_engine.last_stats().trees[0].candidates;
-    }
-    printf("  path index %-3s: %8.4fs  %6zu candidates  %6zu results\n",
-           use_path ? "ON" : "OFF", seconds / runs, candidates, results);
-  }
-  printf("expected shape: with the path index ON the candidate set is\n"
-         "the deep path's occurrences only, not every <feature0>.\n");
   return 0;
 }
 

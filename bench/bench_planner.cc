@@ -103,8 +103,8 @@ struct Work {
 
 uint64_t BTreeFetches(DocumentStore* store) {
   uint64_t total = 0;
-  for (BTree* index : {store->tag_index(), store->value_index(),
-                       store->id_index(), store->path_index()}) {
+  for (BTree* index :
+       {store->tag_index(), store->value_index(), store->id_index()}) {
     total += index->buffer_pool()->stats().fetches;
   }
   return total;

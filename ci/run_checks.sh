@@ -284,9 +284,11 @@ run_fuzz_smoke() {
   cmake --build build-ci/sanitize -j "$JOBS" \
         --target fuzz_differential_test
   # 500 seeded iterations, the committed-corpus replay, and the
-  # broken-engine tooth check all live in one gtest binary.
+  # broken-engine tooth check all live in one gtest binary.  A hang fails
+  # the leg instead of stalling it; the sweep prints each seed before
+  # checking it, so the last seed in the log is the runaway case.
   NOK_FUZZ_ITERATIONS=500 NOK_FUZZ_SEED=1 \
-      build-ci/sanitize/tests/fuzz_differential_test
+      timeout 900 build-ci/sanitize/tests/fuzz_differential_test
 }
 
 case "${1:-all}" in

@@ -52,7 +52,6 @@ const char* StrategyDisplay(nok::StartStrategy s) {
     case nok::StartStrategy::kScan: return "sequential scan";
     case nok::StartStrategy::kTagIndex: return "tag index";
     case nok::StartStrategy::kValueIndex: return "value index";
-    case nok::StartStrategy::kPathIndex: return "path index";
     case nok::StartStrategy::kAuto: return "auto";
   }
   return "?";

@@ -5,10 +5,11 @@
 // B+i are all instances of this tree with different key encodings.
 //
 // Properties:
-//   * duplicate keys are allowed (B+p maps one rooted tag path to many
-//     nodes); duplicates are stored contiguously in key order and
-//     enumerated with an iterator.  B+t and B+v append the Dewey ID to
-//     their keys instead, so every entry there is unique;
+//   * duplicate keys are allowed (legacy B+t / B+v trees file every
+//     node of one tag or value under the same bare key); duplicates are
+//     stored contiguously in key order and enumerated with an iterator.
+//     Current B+t and B+v keys append the Dewey ID, so every entry there
+//     is unique;
 //   * keys compare byte-wise, so callers use order-preserving encodings
 //     (big-endian integers, Dewey component vectors);
 //   * deletion removes entries without structural rebalancing — the

@@ -42,40 +42,17 @@ std::string PositionPayload(uint64_t pos) {
 
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
                          size_t prefix_len, uint64_t* pos, DeweyId* dewey) {
-  if (key.size() == prefix_len) {
-    return ParseNodeRefPayload(value, pos, dewey);
-  }
   Slice input = value;
   if (key.size() < prefix_len || !GetVarint64(&input, pos)) {
     return Status::Corruption("bad node-ref entry");
   }
-  NOK_ASSIGN_OR_RETURN(*dewey,
-                       DeweyId::Decode(Slice(key.data() + prefix_len,
-                                             key.size() - prefix_len)));
-  return Status::OK();
-}
-
-std::string PathKey(const std::vector<TagId>& path) {
-  std::string key;
-  key.reserve(path.size() * 2);
-  for (TagId tag : path) PutBigEndian16(&key, tag);
-  return key;
-}
-
-std::string NodeRefPayload(uint64_t pos, const DeweyId& dewey) {
-  std::string payload;
-  PutVarint64(&payload, pos);
-  payload += dewey.Encode();
-  return payload;
-}
-
-Status ParseNodeRefPayload(const Slice& payload, uint64_t* pos,
-                           DeweyId* dewey) {
-  Slice input = payload;
-  if (!GetVarint64(&input, pos)) {
-    return Status::Corruption("bad node-ref payload");
-  }
-  NOK_ASSIGN_OR_RETURN(*dewey, DeweyId::Decode(input));
+  // A legacy entry carries its Dewey ID after the position, a keyed one
+  // after the prefix.
+  const Slice encoded =
+      key.size() == prefix_len
+          ? input
+          : Slice(key.data() + prefix_len, key.size() - prefix_len);
+  NOK_ASSIGN_OR_RETURN(*dewey, DeweyId::Decode(encoded));
   return Status::OK();
 }
 
@@ -108,7 +85,6 @@ constexpr const char* kDictFile = store_files::kDict;
 constexpr const char* kTagIdxFile = store_files::kTagIdx;
 constexpr const char* kValIdxFile = store_files::kValIdx;
 constexpr const char* kIdIdxFile = store_files::kIdIdx;
-constexpr const char* kPathIdxFile = store_files::kPathIdx;
 constexpr const char* kStaleFile = store_files::kStale;
 constexpr const char* kBpFile = store_files::kBpIndex;
 constexpr const char* kSynopsisFile = store_files::kSynopsis;
@@ -146,6 +122,12 @@ Status DocumentStore::InitFiles(const Options& options) {
   if (!options.dir.empty()) {
     NOK_RETURN_IF_ERROR(CreateDirs(options.dir));
   }
+  // The retired B+p's stand-in (see path_index()): in memory, never
+  // touched.
+  BTree::Options stub_options;
+  stub_options.pool_frames = 4;
+  NOK_ASSIGN_OR_RETURN(path_index_, BTree::Open(NewMemFile(), stub_options));
+  path_index_->buffer_pool()->ResetStats();
   return Status::OK();
 }
 
@@ -178,8 +160,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                        store->OpenComponent(kValIdxFile, true));
   NOK_ASSIGN_OR_RETURN(auto id_idx_file,
                        store->OpenComponent(kIdIdxFile, true));
-  NOK_ASSIGN_OR_RETURN(auto path_idx_file,
-                       store->OpenComponent(kPathIdxFile, true));
 
   StringStore::Options tree_options;
   tree_options.page_size = options.page_size;
@@ -201,8 +181,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                        BTree::Open(std::move(val_idx_file), idx_options));
   NOK_ASSIGN_OR_RETURN(store->id_index_,
                        BTree::Open(std::move(id_idx_file), idx_options));
-  NOK_ASSIGN_OR_RETURN(store->path_index_,
-                       BTree::Open(std::move(path_idx_file), idx_options));
 
   // Single SAX pass: emit symbols, values, and index entries.
   struct Frame {
@@ -213,7 +191,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   };
   std::vector<Frame> frames;
   std::vector<uint32_t> dewey_path;
-  std::vector<TagId> tag_path;
   uint64_t leaf_count = 0;
   uint64_t leaf_depth_sum = 0;
   // The path synopsis trie rides the same SAX pass — no extra scan.
@@ -245,7 +222,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     synopsis_builder.Close();
     frames.pop_back();
     dewey_path.pop_back();
-    tag_path.pop_back();
     return Status::OK();
   };
 
@@ -262,13 +238,9 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     uint64_t pos = 0;
     NOK_RETURN_IF_ERROR(builder.Open(tag, &pos));
     synopsis_builder.Open(tag);
-    tag_path.push_back(tag);
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
         index_keys::TagKey(tag, dewey), index_keys::PositionPayload(pos)));
-    NOK_RETURN_IF_ERROR(store->path_index_->Insert(
-        index_keys::PathKey(tag_path),
-        index_keys::NodeRefPayload(pos, dewey)));
     Frame frame;
     frame.pos = pos;
     frames.push_back(std::move(frame));
@@ -319,7 +291,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   store->epoch_ = 1;
   NOK_RETURN_IF_ERROR(store->values_->Sync());
   for (BTree* index : {store->tag_index_.get(), store->value_index_.get(),
-                       store->id_index_.get(), store->path_index_.get()}) {
+                       store->id_index_.get()}) {
     index->set_epoch(store->epoch_);
     NOK_RETURN_IF_ERROR(index->Flush());
   }
@@ -433,15 +405,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
                        store->OpenComponent(kIdIdxFile, false));
   NOK_ASSIGN_OR_RETURN(store->id_index_,
                        BTree::Open(std::move(id_idx_file), idx_options));
-  // The path index is derived (RefreshPositions rebuilds it), so losing
-  // it is recoverable; open it permissively.
-  BTree::Options path_idx_options = idx_options;
-  path_idx_options.error_if_empty = false;
-  NOK_ASSIGN_OR_RETURN(auto path_idx_file,
-                       store->OpenComponent(kPathIdxFile, false));
-  NOK_ASSIGN_OR_RETURN(
-      store->path_index_,
-      BTree::Open(std::move(path_idx_file), path_idx_options));
 
   std::string dict_data;
   NOK_RETURN_IF_ERROR(
@@ -455,7 +418,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // the same epoch and writes the tree meta last, so a mismatch means a
   // torn multi-file commit: refusing to open beats silently mixing
   // generations.  All-zero means a legacy store that predates epochs.
-  // The path index is excluded — it is derived and rebuilt on refresh.
   {
     const uint64_t tree_epoch = store->tree_->epoch();
     const uint64_t epochs[] = {tree_epoch,
@@ -605,7 +567,6 @@ void DocumentStore::RefreshSizeStats() {
   stats_.tag_index_bytes = tag_index_->SizeBytes();
   stats_.value_index_bytes = value_index_->SizeBytes();
   stats_.id_index_bytes = id_index_->SizeBytes();
-  stats_.path_index_bytes = path_index_->SizeBytes();
   stats_.data_bytes = values_->SizeBytes();
 }
 
@@ -662,8 +623,7 @@ Status DocumentStore::Flush() {
     ++epoch_;
     NOK_RETURN_IF_ERROR(values_->Sync());
     for (BTree* index :
-         {tag_index_.get(), value_index_.get(), id_index_.get(),
-          path_index_.get()}) {
+         {tag_index_.get(), value_index_.get(), id_index_.get()}) {
       index->set_epoch(epoch_);
       NOK_RETURN_IF_ERROR(index->Flush());
     }
@@ -687,8 +647,7 @@ Status DocumentStore::Flush() {
   ++epoch_;
   NOK_RETURN_IF_ERROR(values_->Sync());
   for (BTree* index :
-       {tag_index_.get(), value_index_.get(), id_index_.get(),
-        path_index_.get()}) {
+       {tag_index_.get(), value_index_.get(), id_index_.get()}) {
     index->set_epoch(epoch_);
     NOK_RETURN_IF_ERROR(index->Flush());
   }
@@ -716,8 +675,6 @@ Status DocumentStore::DropCaches() {
   value_index_->buffer_pool()->ResetStats();
   NOK_RETURN_IF_ERROR(id_index_->buffer_pool()->DropAll());
   id_index_->buffer_pool()->ResetStats();
-  NOK_RETURN_IF_ERROR(path_index_->buffer_pool()->DropAll());
-  path_index_->buffer_pool()->ResetStats();
   return Status::OK();
 }
 
@@ -826,38 +783,6 @@ DocumentStore::NodesWithValue(const Slice& value) {
     }
   }
   return out;
-}
-
-Result<std::vector<DocumentStore::IndexedNode>> DocumentStore::NodesWithPath(
-    const std::vector<TagId>& path, size_t limit) {
-  std::vector<IndexedNode> out;
-  const std::string key = index_keys::PathKey(path);
-  BTreeIterator it = path_index_->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(key)));
-  while (it.Valid() && it.key() == Slice(key)) {
-    IndexedNode node;
-    NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefPayload(it.value(),
-                                                        &node.pos,
-                                                        &node.dewey));
-    out.push_back(std::move(node));
-    if (limit != 0 && out.size() >= limit) break;
-    NOK_RETURN_IF_ERROR(it.Next());
-  }
-  return out;
-}
-
-Result<size_t> DocumentStore::EstimatePathCount(
-    const std::vector<TagId>& path, size_t cap) {
-  size_t count = 0;
-  const std::string key = index_keys::PathKey(path);
-  BTreeIterator it = path_index_->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(key)));
-  while (it.Valid() && it.key() == Slice(key)) {
-    ++count;
-    if (cap != 0 && count >= cap) break;
-    NOK_RETURN_IF_ERROR(it.Next());
-  }
-  return count;
 }
 
 Status DocumentStore::MarkPositionsStale() {

@@ -47,6 +47,10 @@ inline constexpr const char* kDict = "tags.dict";
 inline constexpr const char* kTagIdx = "tag.idx";
 inline constexpr const char* kValIdx = "val.idx";
 inline constexpr const char* kIdIdx = "id.idx";
+/// The retired rooted tag-path index (B+p).  No store writes it any more;
+/// open, verify and snapshots ignore one a legacy store still carries.
+/// Kept only because e2ebench/e2e_bench.cc:1039 names it; the next
+/// benchmark change deletes it.
 inline constexpr const char* kPathIdx = "path.idx";
 inline constexpr const char* kStale = "positions.stale";
 inline constexpr const char* kBpIndex = "tree.bpx";
@@ -139,7 +143,6 @@ struct DocumentStoreStats {
   uint64_t tag_index_bytes = 0;  ///< |B+t|.
   uint64_t value_index_bytes = 0;///< |B+v|.
   uint64_t id_index_bytes = 0;   ///< |B+i|.
-  uint64_t path_index_bytes = 0; ///< |B+p| (Section 8 extension).
   uint64_t data_bytes = 0;       ///< Value data file.
 };
 
@@ -169,6 +172,10 @@ class DocumentStore {
   BTree* tag_index() { return tag_index_.get(); }
   BTree* value_index() { return value_index_.get(); }
   BTree* id_index() { return id_index_.get(); }
+  /// An empty in-memory B+ tree that nothing reads or writes (the
+  /// retired B+p), so its counters read 0.  Kept only because
+  /// e2ebench/e2e_bench.cc:186 names it; the next benchmark change
+  /// deletes it.
   BTree* path_index() { return path_index_.get(); }
 
   /// Navigation tier this store was opened with.
@@ -233,17 +240,6 @@ class DocumentStore {
   /// Nodes whose value equals `value` exactly, in document order (hash
   /// collisions are resolved against the data file).
   Result<std::vector<IndexedNode>> NodesWithValue(const Slice& value);
-
-  /// Nodes whose rooted tag path equals `path` (root tag first) — the
-  /// path index the paper's Section 8 proposes for queries where single
-  /// tags are unselective but the full path is rare.  limit = 0 means
-  /// unbounded.
-  Result<std::vector<IndexedNode>> NodesWithPath(
-      const std::vector<TagId>& path, size_t limit = 0);
-
-  /// Number of nodes with this rooted tag path, counted up to cap.
-  Result<size_t> EstimatePathCount(const std::vector<TagId>& path,
-                                   size_t cap);
 
   /// Occurrence count of a tag (exact, from the dictionary).
   uint64_t CountTag(TagId tag) const { return tags_.OccurrenceCount(tag); }
@@ -425,7 +421,7 @@ class DocumentStore {
   std::unique_ptr<BTree> tag_index_;
   std::unique_ptr<BTree> value_index_;
   std::unique_ptr<BTree> id_index_;
-  std::unique_ptr<BTree> path_index_;
+  std::unique_ptr<BTree> path_index_;  ///< Empty; see path_index().
   DocumentStoreStats stats_;
   uint64_t epoch_ = 0;
   uint64_t structure_version_ = 0;
@@ -467,17 +463,10 @@ std::string ValueKey(const Slice& value, const DeweyId& dewey);
 std::string PositionPayload(uint64_t pos);
 /// Decodes a B+t / B+v entry whose key starts with a prefix_len-byte
 /// prefix.  A key of exactly prefix_len bytes is a legacy entry, written
-/// before the Dewey ID moved into the key: its value is a NodeRefPayload.
+/// before the Dewey ID moved into the key: its value is the varint
+/// position followed by the encoded Dewey ID.
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
                          size_t prefix_len, uint64_t* pos, DeweyId* dewey);
-/// B+p key for a rooted tag path (root tag first).  Big-endian per
-/// component, so byte prefixes are path prefixes.
-std::string PathKey(const std::vector<TagId>& path);
-/// B+p value payload (and the legacy B+t / B+v one): global position +
-/// Dewey ID.
-std::string NodeRefPayload(uint64_t pos, const DeweyId& dewey);
-Status ParseNodeRefPayload(const Slice& payload, uint64_t* pos,
-                           DeweyId* dewey);
 /// B+i value payload: global position + optional value-record offset.
 std::string IdPayload(uint64_t pos, bool has_value, uint64_t value_offset);
 Status ParseIdPayload(const Slice& payload, uint64_t* pos, bool* has_value,

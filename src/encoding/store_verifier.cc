@@ -187,8 +187,7 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   ScrubPagedFile(dir, store_files::kTree, options.page_size, format,
                  &report);
   for (const char* idx :
-       {store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-        store_files::kPathIdx}) {
+       {store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx}) {
     ScrubPagedFile(dir, idx, options.index_page_size, format, &report);
   }
   if (!report.ok()) {

@@ -13,7 +13,7 @@ namespace {
 /// snapshot-open time (the writer is quiescent then), so they need none.
 const char* const kVersionedComponents[] = {
     store_files::kTree,   store_files::kValues, store_files::kTagIdx,
-    store_files::kValIdx, store_files::kIdIdx,  store_files::kPathIdx,
+    store_files::kValIdx, store_files::kIdIdx,
 };
 
 /// The component name is the path's last segment (OpenComponent builds

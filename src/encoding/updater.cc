@@ -630,39 +630,16 @@ Status DocumentStore::RefreshPositions() {
 }
 
 Status DocumentStore::RefreshPositionsImpl() {
-
-  // The path index is rebuilt wholesale: updates do not maintain it (its
-  // keys are whole root paths), so recreate it on a fresh file.
-  {
-    NOK_ASSIGN_OR_RETURN(
-        auto fresh_file,
-        OpenComponent(store_files::kPathIdx, /*create=*/true));
-    NOK_RETURN_IF_ERROR(fresh_file->Truncate(0));
-    NOK_ASSIGN_OR_RETURN(path_index_,
-                         BTree::Open(std::move(fresh_file), IndexOptions()));
-    path_index_->set_epoch(epoch_);
-  }
-
-  // One document-order pass deriving (dewey, position, tag path) for
-  // every node.
+  // One document-order pass deriving (dewey, position) for every node.
   StringStore* tree = tree_.get();
   DeweyCounter deweys;
-  std::vector<TagId> tag_path;
   std::optional<StorePos> pos = tree->RootPos();
   while (pos.has_value()) {
     NOK_ASSIGN_OR_RETURN(int level, tree->LevelAt(*pos));
     NOK_ASSIGN_OR_RETURN(TagId tag, tree->TagAt(*pos));
-    const size_t l = static_cast<size_t>(level);
-    const DeweyId dewey(deweys.Next(l));
-    tag_path.resize(l);
-    tag_path[l - 1] = tag;
+    const DeweyId dewey(deweys.Next(static_cast<size_t>(level)));
     const uint64_t global = tree->GlobalPos(*pos);
     const std::string key = dewey.Encode();
-
-    // B+p: reinsert into the fresh index.
-    NOK_RETURN_IF_ERROR(path_index_->Insert(
-        index_keys::PathKey(tag_path),
-        index_keys::NodeRefPayload(global, dewey)));
 
     // B+i: rewrite the payload, keeping the value-offset field.
     NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(key)));

@@ -303,9 +303,6 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
     case StartStrategy::kTagIndex:
       if (access.tag == kInvalidTag) return hits;  // Absent tag: empty.
       return store->NodesWithTag(access.tag);
-    case StartStrategy::kPathIndex:
-      if (access.tag_path.empty()) return hits;  // Unknown path: empty.
-      return store->NodesWithPath(access.tag_path);
     case StartStrategy::kAuto:
     case StartStrategy::kScan:
       break;
@@ -943,8 +940,6 @@ const char* ProbeOpName(StartStrategy strategy) {
       return "TagIndexProbe";
     case StartStrategy::kValueIndex:
       return "ValueIndexProbe";
-    case StartStrategy::kPathIndex:
-      return "PathIndexProbe";
     case StartStrategy::kAuto:
     case StartStrategy::kScan:
       break;

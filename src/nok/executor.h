@@ -3,7 +3,7 @@
 // The executor is the only layer that materializes candidates.  It is a
 // small set of pull-style operators wired per the plan:
 //
-//   AnchorScan / TagIndexProbe / ValueIndexProbe / PathIndexProbe
+//   AnchorScan / TagIndexProbe / ValueIndexProbe
 //       produce candidate subject nodes per the tree's access path;
 //   ScopedScan
 //       the AnchorScan of a tree whose incoming arc runs top-down: the

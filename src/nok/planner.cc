@@ -312,8 +312,6 @@ const char* StrategyName(StartStrategy strategy) {
       return "tag-index";
     case StartStrategy::kValueIndex:
       return "value-index";
-    case StartStrategy::kPathIndex:
-      return "path-index";
   }
   return "?";
 }
@@ -368,24 +366,6 @@ Result<AccessPath> Planner::PlanTree(
     int node = 0;
   };
   TagChoice best_tag;
-  struct PathChoice {
-    uint64_t score = kMaxScore;
-    uint64_t count = 0;
-    std::vector<TagId> path;
-    int node = 0;
-  };
-  PathChoice best_path;
-
-  // Rooted tag paths are only defined for the tree anchored at the
-  // document root, and the path index is only consistent while stored
-  // positions are fresh (it is rebuilt, not maintained, on update).
-  const bool paths_usable =
-      options.use_path_index && tree.root_is_doc_root &&
-      store_->positions_fresh() &&
-      (options.strategy == StartStrategy::kAuto ||
-       options.strategy == StartStrategy::kPathIndex);
-  const std::vector<int> parents =
-      paths_usable ? NokParents(tree) : std::vector<int>();
 
   for (size_t i = 0; i < n; ++i) {
     const PatternNode* p = tree.nodes[i].pattern;
@@ -410,46 +390,13 @@ Result<AccessPath> Planner::PlanTree(
                              static_cast<int>(i)};
       }
     }
-    if (paths_usable && !p->wildcard) {
-      // Rooted tag path to this node (fails on a wildcard ancestor).
-      std::vector<TagId> tag_path;
-      bool ok = true;
-      for (int a = static_cast<int>(i); a > 0;
-           a = parents[static_cast<size_t>(a)]) {
-        const PatternNode* ap = tree.nodes[static_cast<size_t>(a)].pattern;
-        if (ap->wildcard) {
-          ok = false;
-          break;
-        }
-        const TagId id = ResolvedTag(tag_table, ap);
-        if (id == kInvalidTag) {
-          tag_path.clear();  // Unknown tag: the path matches nothing.
-          break;
-        }
-        tag_path.push_back(id);
-      }
-      if (ok) {
-        std::reverse(tag_path.begin(), tag_path.end());
-        size_t count = 0;
-        if (!tag_path.empty()) {
-          NOK_ASSIGN_OR_RETURN(
-              count, store_->EstimatePathCount(tag_path,
-                                               options.value_estimate_cap));
-        }
-        const uint64_t score = count + below[i];
-        if (score < best_path.score) {
-          best_path = PathChoice{score, count, std::move(tag_path),
-                                 static_cast<int>(i)};
-        }
-      }
-    }
   }
 
   // Paper heuristic: value index whenever a value constraint exists; else
   // tag index when selective enough; else sequential scan.  Forced
   // strategies that cannot apply to this tree (no equality constraint, no
-  // usable rooted path, no named node to anchor a tag probe on) degrade
-  // to a scan rather than silently returning nothing.
+  // named node to anchor a tag probe on) degrade to a scan rather than
+  // silently returning nothing.
   AccessPath access;
   access.strategy = [&] {
     switch (options.strategy) {
@@ -465,11 +412,6 @@ Result<AccessPath> Planner::PlanTree(
           return StartStrategy::kValueIndex;
         }
         return StartStrategy::kScan;  // No usable equality constraint.
-      case StartStrategy::kPathIndex:
-        if (best_path.score != kMaxScore) {
-          return StartStrategy::kPathIndex;
-        }
-        return StartStrategy::kScan;  // No usable rooted path.
       case StartStrategy::kAuto:
         break;
     }
@@ -478,10 +420,6 @@ Result<AccessPath> Planner::PlanTree(
     }
     const double cutoff = options.index_fraction *
                           static_cast<double>(store_->stats().node_count);
-    if (best_path.score < best_tag.score &&
-        static_cast<double>(best_path.score) <= cutoff) {
-      return StartStrategy::kPathIndex;
-    }
     if (best_tag.tag != kInvalidTag &&
         static_cast<double>(best_tag.score) <= cutoff) {
       return StartStrategy::kTagIndex;
@@ -521,26 +459,6 @@ Result<AccessPath> Planner::PlanTree(
           "tag=" +
           DisplayName(
               tree.nodes[static_cast<size_t>(best_tag.node)].pattern);
-      break;
-    }
-    case StartStrategy::kPathIndex: {
-      access.anchor = best_path.node;
-      access.tag_path = best_path.path;
-      access.cardinality.candidates = best_path.count;
-      // Render the rooted path from the pattern chain root..anchor.
-      const std::vector<int> chain_parents = NokParents(tree);
-      std::vector<int> chain;
-      for (int a = best_path.node; a > 0;
-           a = chain_parents[static_cast<size_t>(a)]) {
-        chain.push_back(a);
-      }
-      access.display = "path=";
-      for (size_t j = chain.size(); j-- > 0;) {
-        access.display +=
-            "/" +
-            DisplayName(
-                tree.nodes[static_cast<size_t>(chain[j])].pattern);
-      }
       break;
     }
     case StartStrategy::kAuto:

@@ -2,11 +2,11 @@
 //
 // The planner consumes a NokPartition plus cheap cardinality estimates
 // (exact B+t tag counts from the dictionary, capped B+v value counts,
-// capped B+p path counts, the document node count) and emits a QueryPlan
-// — a serializable IR describing, per NoK tree, which access path feeds
-// the matcher (the paper's Section 6.2 heuristic: value index > selective
-// tag index > scan, with the Section 8 path index as a fourth option) and
-// in which order the trees are evaluated (the semi-join schedule).
+// the document node count) and emits a QueryPlan — a serializable IR
+// describing, per NoK tree, which access path feeds the matcher (the
+// paper's Section 6.2 heuristic: value index > selective tag index >
+// scan) and in which order the trees are evaluated (the semi-join
+// schedule).
 //
 // When the store carries a path synopsis (path_synopsis.h) the flat
 // tag-count estimates are replaced by per-pattern-node cardinalities:
@@ -35,11 +35,8 @@
 
 namespace nok {
 
-/// Starting-point strategy.  kPathIndex is the paper's Section 8
-/// extension: anchor on a whole rooted tag path when single tags are
-/// unselective but the path is rare.
-enum class StartStrategy { kAuto, kScan, kTagIndex, kValueIndex,
-                           kPathIndex };
+/// Starting-point strategy.
+enum class StartStrategy { kAuto, kScan, kTagIndex, kValueIndex };
 
 /// Per-query knobs.
 struct QueryOptions {
@@ -51,10 +48,6 @@ struct QueryOptions {
   double index_fraction = 1.0 / 16;
   /// Cap for value-selectivity estimation (counting stops here).
   size_t value_estimate_cap = 512;
-  /// Consider the path index (B+p) during planning.  Only applies while
-  /// the store's positions are fresh (the path index is rebuilt, not
-  /// maintained, across updates).
-  bool use_path_index = true;
   /// Cost-based semi-join schedule: evaluate the most selective ready
   /// tree first and pre-filter anchor candidates against already-
   /// evaluated child-tree results before any page is fetched for them.
@@ -77,7 +70,7 @@ struct QueryOptions {
 /// (est-vs-actual rows) and explain formatting.
 struct Cardinality {
   /// Expected candidates produced by the access-path probe (tag counts
-  /// exact; value/path counts capped at value_estimate_cap).
+  /// exact; value counts capped at value_estimate_cap).
   uint64_t candidates = 0;
   /// Expected bindings produced by this tree's structural match.  With
   /// the path synopsis this is the independence estimate of the node the
@@ -109,8 +102,8 @@ struct SynopsisCardinalities {
 };
 
 /// How one NoK tree's candidates are produced.  The operands (tag,
-/// value, rooted tag path) are recorded here so the executor can fetch
-/// hits without re-deriving the planner's choice.
+/// value) are recorded here so the executor can fetch hits without
+/// re-deriving the planner's choice.
 struct AccessPath {
   StartStrategy strategy = StartStrategy::kScan;
   /// Local node index the index hits refer to; 0 with kScan means a
@@ -122,9 +115,6 @@ struct AccessPath {
   TagId tag = kInvalidTag;
   /// kValueIndex: the equality operand.
   std::string value_operand;
-  /// kPathIndex: the rooted tag path (root tag first; empty when some
-  /// tag on the path is absent — again a correct empty probe).
-  std::vector<TagId> tag_path;
   /// Estimated probe candidates and refined tree matches (see
   /// Cardinality).
   Cardinality cardinality;

@@ -171,7 +171,7 @@ Status SnapshotFile::ReadAt(uint64_t offset, size_t n, char* scratch,
   const uint64_t end = offset + n;
   std::memset(scratch, 0, n);
   // 1. Best-effort base read.  The writer may truncate the base under us
-  //    (path-index rebuild); every byte the snapshot still needs beyond
+  //    (a legacy-index rewrite); every byte the snapshot still needs beyond
   //    the new size was retained as a pre-image, so a shrink mid-read is
   //    retried shorter and the zeros are patched by the overlay below.
   uint64_t avail_end = std::min<uint64_t>(end, base_->Size());

@@ -78,7 +78,7 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   for (const char* f :
        {store_files::kTree, store_files::kValues, store_files::kDict,
         store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-        store_files::kPathIdx, store_files::kStale}) {
+        store_files::kStale}) {
     ASSERT_TRUE(RemoveFile(dir + "/" + std::string(f)).ok());
   }
 
@@ -139,8 +139,6 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
                             (*store)->value_index()->buffer_pool());
   ExpectPoolStatsConsistent("id_index",
                             (*store)->id_index()->buffer_pool());
-  ExpectPoolStatsConsistent("path_index",
-                            (*store)->path_index()->buffer_pool());
   EXPECT_GT((*store)->tree()->buffer_pool()->stats().fetches, 0u);
   EXPECT_EQ((*store)->tree()->buffer_pool()->shard_count(), 16u);
 

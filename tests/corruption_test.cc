@@ -83,8 +83,7 @@ TEST(CorruptionTest, FlippedByteInAnyPageOfAnyFileIsDetected) {
        {Target{store_files::kTree, options.page_size},
         Target{store_files::kTagIdx, options.index_page_size},
         Target{store_files::kValIdx, options.index_page_size},
-        Target{store_files::kIdIdx, options.index_page_size},
-        Target{store_files::kPathIdx, options.index_page_size}}) {
+        Target{store_files::kIdIdx, options.index_page_size}}) {
     const std::string path = dir + "/" + t.name;
     const uint64_t slot = t.page_size + kPageTrailerSize;
     const uint64_t pages = FileSize(path) / slot;
@@ -151,16 +150,12 @@ TEST(CorruptionTest, TruncatedComponentFilesNeverCrashTheOpen) {
 
   const std::vector<const char*> components = {
       store_files::kTree,   store_files::kValues, store_files::kDict,
-      store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-      store_files::kPathIdx};
+      store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx};
   for (const char* name : components) {
     const uint64_t orig = FileSize(dir + "/" + name);
     ASSERT_GT(orig, 0u) << name;
     for (uint64_t size : std::vector<uint64_t>{0, 1, orig / 2, orig - 1}) {
       if (size >= orig) continue;
-      // path.idx is derived and rebuildable; an empty one is legitimately
-      // re-formatted on open rather than rejected.
-      if (std::string(name) == store_files::kPathIdx && size == 0) continue;
 
       std::filesystem::remove_all(scratch);
       std::filesystem::copy(dir, scratch);

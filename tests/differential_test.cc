@@ -292,7 +292,7 @@ void RunStrategySweep(Dataset dataset, uint64_t seed) {
 
   const StartStrategy forced[] = {
       StartStrategy::kScan, StartStrategy::kTagIndex,
-      StartStrategy::kValueIndex, StartStrategy::kPathIndex};
+      StartStrategy::kValueIndex};
   for (const CategoryQuery& q : queries) {
     SCOPED_TRACE(ds.name + " seed " + std::to_string(seed) + " " + q.id +
                  " (" + q.category + "): " + q.xpath);

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <set>
+#include <string>
 
 #include "encoding/document_store.h"
 #include "tests/oracle.h"
@@ -125,11 +127,25 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
   std::filesystem::remove_all(dir);
   DocumentStore::Options options;
   options.dir = dir;
+  // The files a paged store consists of: three B+ trees and no rooted
+  // tag-path index (path.idx).
+  const std::set<std::string> want_files = {
+      store_files::kTree,   store_files::kValues, store_files::kDict,
+      store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
+      store_files::kSynopsis};
+  auto files_in_dir = [&] {
+    std::set<std::string> names;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+      names.insert(entry.path().filename().string());
+    }
+    return names;
+  };
   {
     auto store = DocumentStore::Build(kBibXml, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->Flush().ok());
   }
+  EXPECT_EQ(files_in_dir(), want_files);
   {
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -141,6 +157,7 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
     ASSERT_TRUE(value.ok());
     EXPECT_EQ(**value, "Stevens");
   }
+  EXPECT_EQ(files_in_dir(), want_files);
   std::filesystem::remove_all(dir);
 }
 
@@ -153,68 +170,6 @@ TEST(DocumentStoreTest, IdIndexCoversEveryNode) {
   auto store = Build(kBibXml);
   EXPECT_EQ(store->id_index()->num_entries(), store->stats().node_count);
   EXPECT_EQ(store->tag_index()->num_entries(), store->stats().node_count);
-}
-
-}  // namespace
-}  // namespace nok
-
-// ---------------------------------------------------------------------------
-// Path index (B+p, the Section 8 extension).
-
-namespace nok {
-namespace {
-
-TEST(DocumentStoreTest, PathIndexCoversEveryNode) {
-  auto store = Build(kBibXml);
-  EXPECT_EQ(store->path_index()->num_entries(), store->stats().node_count);
-  EXPECT_GT(store->stats().path_index_bytes, 0u);
-
-  auto key_for = [&](std::initializer_list<const char*> names) {
-    std::vector<TagId> path;
-    for (const char* name : names) {
-      auto id = store->tags()->Lookup(name);
-      EXPECT_TRUE(id.has_value()) << name;
-      path.push_back(*id);
-    }
-    return path;
-  };
-
-  auto lasts = store->NodesWithPath(
-      key_for({"bib", "book", "author", "last"}));
-  ASSERT_TRUE(lasts.ok());
-  ASSERT_EQ(lasts->size(), 2u);
-  EXPECT_EQ((*lasts)[0].dewey.ToString(), "0.0.2.0");
-  EXPECT_EQ((*lasts)[1].dewey.ToString(), "0.1.2.0");
-
-  auto count = store->EstimatePathCount(key_for({"bib", "book"}), 0);
-  ASSERT_TRUE(count.ok());
-  EXPECT_EQ(*count, 2u);
-
-  // A path that exists tag-wise but not shape-wise.
-  auto none = store->NodesWithPath(key_for({"bib", "author"}));
-  ASSERT_TRUE(none.ok());
-  EXPECT_TRUE(none->empty());
-}
-
-TEST(DocumentStoreTest, PathIndexSurvivesRefreshAfterUpdate) {
-  auto store = Build(kBibXml);
-  ASSERT_TRUE(store
-                  ->InsertSubtree(DeweyId({0}), 0,
-                                  "<book year=\"1990\"><title>T0</title>"
-                                  "<author><last>New</last></author>"
-                                  "<price>5</price></book>")
-                  .ok());
-  ASSERT_TRUE(store->RefreshPositions().ok());
-  EXPECT_EQ(store->path_index()->num_entries(),
-            store->stats().node_count);
-  std::vector<TagId> path{*store->tags()->Lookup("bib"),
-                          *store->tags()->Lookup("book"),
-                          *store->tags()->Lookup("author"),
-                          *store->tags()->Lookup("last")};
-  auto lasts = store->NodesWithPath(path);
-  ASSERT_TRUE(lasts.ok());
-  EXPECT_EQ(lasts->size(), 3u);
-  EXPECT_EQ((*lasts)[0].dewey.ToString(), "0.0.2.0");  // The new book.
 }
 
 }  // namespace

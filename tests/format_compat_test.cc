@@ -3,7 +3,9 @@
 // summaries to the meta page, must keep opening, answering and verifying
 // as formats 1/2.  The fixtures under tests/fixtures/legacy_format/ were
 // built from doc.xml by the last writer of those formats, with 512-byte
-// pages for both the tree string and the B+ trees.
+// pages for both the tree string and the B+ trees.  They also carry the
+// retired rooted tag-path index, which no open, verify or commit reads or
+// touches any more.
 
 #include <gtest/gtest.h>
 
@@ -25,6 +27,8 @@ namespace {
 
 constexpr const char* kFixtureDir = NOK_FIXTURE_DIR "/legacy_format";
 constexpr uint64_t kMetaVersionOffset = 32;
+/// The retired rooted tag-path index file the fixtures still carry.
+constexpr const char* kLegacyPathIdx = "path.idx";
 
 const char* const kQueries[] = {
     "//book",
@@ -65,6 +69,13 @@ uint32_t MetaVersion(const std::string& dir) {
   return DecodeFixed32(got.data());
 }
 
+/// The bytes of one file of a store directory.
+std::string FileBytes(const std::string& dir, const char* name) {
+  std::string bytes;
+  EXPECT_TRUE(ReadFileToString(dir + "/" + name, &bytes).ok()) << name;
+  return bytes;
+}
+
 std::vector<std::string> Canon(const std::vector<DeweyId>& ids) {
   std::vector<std::string> out;
   for (const DeweyId& id : ids) out.push_back(id.ToString());
@@ -78,6 +89,8 @@ TEST_P(LegacyFormatTest, OpensVerifiesAndAnswersLikeTheOracle) {
   const auto [name, version] = GetParam();
   const std::string dir = CopyFixture(name);
   ASSERT_EQ(MetaVersion(dir), version);
+  const std::string path_idx = FileBytes(dir, kLegacyPathIdx);
+  ASSERT_FALSE(path_idx.empty());
 
   auto report = VerifyStoreDir(dir, FixtureOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -106,12 +119,14 @@ TEST_P(LegacyFormatTest, OpensVerifiesAndAnswersLikeTheOracle) {
           << query << " nav=" << NavModeName(nav_mode);
     }
   }
+  EXPECT_EQ(FileBytes(dir, kLegacyPathIdx), path_idx);
   std::filesystem::remove_all(dir);
 }
 
 TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
   const auto [name, version] = GetParam();
   const std::string dir = CopyFixture(name);
+  const std::string path_idx = FileBytes(dir, kLegacyPathIdx);
   {
     auto store = DocumentStore::OpenDir(FixtureOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -146,6 +161,9 @@ TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
   ASSERT_TRUE(titles.ok()) << titles.status().ToString();
   ASSERT_EQ(titles->size(), 1u);
   EXPECT_EQ((*titles)[0].ToString(), "0.0");
+  // The stray path index survived the upgrade, the commit and the
+  // reopen byte for byte.
+  EXPECT_EQ(FileBytes(dir, kLegacyPathIdx), path_idx);
   std::filesystem::remove_all(dir);
 }
 
@@ -172,6 +190,7 @@ TEST(FormatCompatTest, NewStoresWriteTheBaseFormatsWithIdenticalDataPages) {
       ASSERT_TRUE((*store)->Flush().ok());
     }
     EXPECT_EQ(MetaVersion(dir), checksum ? 2u : 1u);
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + kLegacyPathIdx));
     // Only the meta page (the first slot) may differ from the fixture.
     std::string fresh, legacy;
     ASSERT_TRUE(

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <string>
@@ -79,6 +80,11 @@ TEST(FuzzDifferentialTest, SeededSweep) {
   const uint64_t iterations = EnvOr("NOK_FUZZ_ITERATIONS", 60);
   const uint64_t seed_base = EnvOr("NOK_FUZZ_SEED", 1);
   for (uint64_t i = 0; i < iterations; ++i) {
+    // Named before it runs, so a case that hangs until a timeout kills
+    // the binary is identified by the last line printed.
+    printf("[ checking ] seed %llu\n",
+           static_cast<unsigned long long>(seed_base + i));
+    fflush(stdout);
     const FuzzCase fuzz_case = GenerateCase(seed_base + i);
     const auto mismatches = CheckCase(fuzz_case);
     if (mismatches.empty()) continue;

@@ -211,7 +211,7 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
 
   const StartStrategy strategies[] = {
       StartStrategy::kAuto, StartStrategy::kScan, StartStrategy::kTagIndex,
-      StartStrategy::kValueIndex, StartStrategy::kPathIndex};
+      StartStrategy::kValueIndex};
 
   for (const std::string& query : fuzz_case.queries) {
     auto pattern = ParseXPath(query);

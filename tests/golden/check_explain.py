@@ -8,7 +8,9 @@ orders, and a value-anchored parent whose `//` child runs top-down
 through a scout pass and a ScopedScan, on the bp tier so the operators'
 bp steps show), normalizes the volatile fields (page and timing counters
 vary with build flags and machine speed) and compares the result against
-the checked-in .golden files.
+the checked-in .golden files.  It also checks that an unknown
+--strategy (such as the retired "path") is a usage error naming the
+valid strategies on both `explain` and `query`.
 
 Usage:
   check_explain.py --nokq build/tools/nokq [--update]
@@ -103,6 +105,23 @@ def main() -> int:
                 failures += 1
             else:
                 print(f"{stem}: ok")
+
+        for command in ("explain", "query"):
+            run = subprocess.run(
+                [args.nokq, command, store, "//item", "--strategy", "path"],
+                capture_output=True,
+                text=True,
+            )
+            if run.returncode != 2 or "auto|scan|tag|value" not in run.stderr:
+                print(
+                    f"{command} --strategy path: want exit 2 listing "
+                    f"auto|scan|tag|value, got exit {run.returncode}:\n"
+                    f"{run.stdout}{run.stderr}",
+                    file=sys.stderr,
+                )
+                failures += 1
+            else:
+                print(f"{command} --strategy path: usage error, ok")
 
     if failures:
         print(

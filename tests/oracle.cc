@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
+#include <utility>
 
 #include "nok/xpath_parser.h"
 
@@ -26,9 +28,21 @@ class SatChecker {
   }
 
   /// Entry: does `node` (nullptr = virtual root) satisfy `pattern`'s
-  /// subtree, honouring the returning-node binding?
+  /// subtree, honouring the returning-node binding?  The answer depends
+  /// only on (node, pattern) and the fixed target, so it is memoized.
   bool CheckNode(const DomNode* node, const PatternNode* pattern,
                  bool is_virtual) {
+    const auto key = std::make_pair(node, pattern);
+    const auto it = memo_.find(key);
+    if (it != memo_.end()) return it->second;
+    const bool ok = CheckNodeUncached(node, pattern, is_virtual);
+    memo_.emplace(key, ok);
+    return ok;
+  }
+
+ private:
+  bool CheckNodeUncached(const DomNode* node, const PatternNode* pattern,
+                         bool is_virtual) {
     if (pattern->is_returning && node != target_) return false;
     if (pattern->is_doc_root) {
       if (!is_virtual) return false;
@@ -56,13 +70,9 @@ class SatChecker {
         if (position != pattern->position) return false;
       }
     }
-    // Backtracking assignment of witnesses to children.
-    return AssignChildren(node, pattern, is_virtual, 0,
-                          std::vector<const DomNode*>(
-                              pattern->children.size(), nullptr));
+    return AssignChildren(node, pattern, is_virtual);
   }
 
- private:
   const PatternNode* VirtualPattern() { return pattern_root_; }
 
  public:
@@ -112,35 +122,71 @@ class SatChecker {
     return out;
   }
 
+  /// Can every child of `pattern` be given a witness at once?  Each
+  /// child's passing witnesses are collected first; a child without one
+  /// fails the node.  A child no sibling_order pair names is independent
+  /// of the others, so any of its witnesses will do; only the named
+  /// children are enumerated jointly.
   bool AssignChildren(const DomNode* node, const PatternNode* pattern,
-                      bool is_virtual, size_t index,
-                      std::vector<const DomNode*> chosen) {
-    if (index == pattern->children.size()) {
-      // All chosen; verify sibling-order constraints.
-      for (auto [a, b] : pattern->sibling_order) {
-        const DomNode* wa = chosen[static_cast<size_t>(a)];
-        const DomNode* wb = chosen[static_cast<size_t>(b)];
-        if (wa->parent != wb->parent || wa->start >= wb->start) {
-          return false;
-        }
+                      bool is_virtual) {
+    const size_t n = pattern->children.size();
+    std::vector<std::vector<const DomNode*>> witnesses(n);
+    for (size_t c = 0; c < n; ++c) {
+      const PatternNode* child = pattern->children[c].get();
+      for (const DomNode* w : Candidates(node, is_virtual, child)) {
+        if (CheckNode(w, child, false)) witnesses[c].push_back(w);
       }
-      return true;
+      if (witnesses[c].empty()) return false;
     }
-    const PatternNode* child = pattern->children[index].get();
-    for (const DomNode* witness : Candidates(node, is_virtual, child)) {
-      if (!CheckNode(witness, child, false)) continue;
-      chosen[index] = witness;
-      if (AssignChildren(node, pattern, is_virtual, index + 1, chosen)) {
+    std::vector<size_t> ordered;
+    for (auto [a, b] : pattern->sibling_order) {
+      ordered.push_back(static_cast<size_t>(a));
+      ordered.push_back(static_cast<size_t>(b));
+    }
+    std::sort(ordered.begin(), ordered.end());
+    ordered.erase(std::unique(ordered.begin(), ordered.end()),
+                  ordered.end());
+    std::vector<const DomNode*> chosen(n, nullptr);
+    return ChooseOrdered(pattern, witnesses, ordered, 0, &chosen);
+  }
+
+  /// Backtracking over the witnesses of ordered[k..]; a partial choice is
+  /// dropped as soon as two chosen witnesses break a sibling_order pair.
+  bool ChooseOrdered(const PatternNode* pattern,
+                     const std::vector<std::vector<const DomNode*>>& witnesses,
+                     const std::vector<size_t>& ordered, size_t k,
+                     std::vector<const DomNode*>* chosen) {
+    if (k == ordered.size()) return true;
+    const size_t c = ordered[k];
+    for (const DomNode* w : witnesses[c]) {
+      (*chosen)[c] = w;
+      if (OrderHolds(pattern, *chosen) &&
+          ChooseOrdered(pattern, witnesses, ordered, k + 1, chosen)) {
         return true;
       }
     }
+    (*chosen)[c] = nullptr;
     return false;
+  }
+
+  /// Whether every sibling_order pair with both witnesses chosen relates
+  /// two siblings in document order.
+  static bool OrderHolds(const PatternNode* pattern,
+                         const std::vector<const DomNode*>& chosen) {
+    for (auto [a, b] : pattern->sibling_order) {
+      const DomNode* wa = chosen[static_cast<size_t>(a)];
+      const DomNode* wb = chosen[static_cast<size_t>(b)];
+      if (wa == nullptr || wb == nullptr) continue;
+      if (wa->parent != wb->parent || wa->start >= wb->start) return false;
+    }
+    return true;
   }
 
   const DomTree& tree_;
   const DomNode* target_;
   std::vector<const DomNode*> doc_order_;
   const PatternNode* pattern_root_ = nullptr;
+  std::map<std::pair<const DomNode*, const PatternNode*>, bool> memo_;
 };
 
 }  // namespace

@@ -2,9 +2,12 @@
 //
 // Deliberately written with a completely different strategy from every
 // engine in src/: for each candidate subject node r, it checks by
-// exhaustive backtracking whether the pattern tree is satisfiable with
-// the returning node bound to r.  Exponential in the worst case — tests
-// keep documents small — but obviously correct, which is the point.
+// exhaustive search whether the pattern tree is satisfiable with the
+// returning node bound to r.  Per r, each (subject node, pattern node)
+// answer is computed once, and only the children a sibling-order pair
+// ties together are enumerated jointly; the rest need any one witness.
+// Slow — tests keep documents small — but obviously correct, which is
+// the point.
 
 #ifndef NOKXML_TESTS_ORACLE_H_
 #define NOKXML_TESTS_ORACLE_H_

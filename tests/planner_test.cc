@@ -177,12 +177,6 @@ TEST(PlannerTest, ForcedStrategiesDegradeToScanWhenInapplicable) {
   force_tag.strategy = StartStrategy::kTagIndex;
   Planned all_wild = PlanFor(store.get(), "//*", force_tag);
   EXPECT_EQ(all_wild.plan.trees[1].access.strategy, StartStrategy::kScan);
-
-  QueryOptions force_path;
-  force_path.strategy = StartStrategy::kPathIndex;
-  Planned no_path = PlanFor(store.get(), "//book", force_path);
-  // `//book` has no rooted tag path (the arc crosses a descendant step).
-  EXPECT_EQ(no_path.plan.trees[1].access.strategy, StartStrategy::kScan);
 }
 
 TEST(PlannerTest, PlanToStringIsStable) {
@@ -216,11 +210,11 @@ std::string Directions(const Planned& planned) {
   return out;
 }
 
-/// B+ tree fetches across all four indexes.
+/// B+ tree fetches across the three indexes.
 uint64_t IndexFetches(DocumentStore* store) {
   uint64_t total = 0;
-  for (BTree* index : {store->tag_index(), store->value_index(),
-                       store->id_index(), store->path_index()}) {
+  for (BTree* index :
+       {store->tag_index(), store->value_index(), store->id_index()}) {
     total += index->buffer_pool()->stats().fetches;
   }
   return total;

@@ -264,60 +264,6 @@ TEST(QueryEngineTest, SmallPagesSameResults) {
   }
 }
 
-TEST(QueryEngineTest, PathIndexAnchorsUnselectiveTags) {
-  // Section 8 extension: the tag 'x' is everywhere, but the rooted path
-  // /a/b/x is rare.  The path index must anchor the query on the path.
-  std::string xml = "<a><b><x>hit</x></b>";
-  for (int i = 0; i < 200; ++i) xml += "<c><x>miss</x></c>";
-  xml += "</a>";
-  auto f = MakeFixture(xml);
-
-  QueryOptions options;
-  options.index_fraction = 0.5;  // Generous cutoff for the small doc.
-  auto r = f.engine->Evaluate("/a/b/x", options);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_EQ((*r)[0].ToString(), "0.0.0");
-  const auto& stats = f.engine->last_stats();
-  EXPECT_EQ(stats.trees[0].strategy, StartStrategy::kPathIndex);
-  EXPECT_EQ(stats.trees[0].candidates, 1u);  // One /a/b/x node.
-
-  // Forcing the path strategy and disabling it both stay correct.
-  QueryOptions forced;
-  forced.strategy = StartStrategy::kPathIndex;
-  auto r2 = f.engine->Evaluate("/a/b/x", forced);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->size(), 1u);
-  QueryOptions disabled;
-  disabled.use_path_index = false;
-  auto r3 = f.engine->Evaluate("/a/b/x", disabled);
-  ASSERT_TRUE(r3.ok());
-  EXPECT_EQ(r3->size(), 1u);
-  EXPECT_NE(f.engine->last_stats().trees[0].strategy,
-            StartStrategy::kPathIndex);
-}
-
-TEST(QueryEngineTest, PathIndexSkippedWhenPositionsStale) {
-  std::string xml = "<a><b><x>hit</x></b><c><x>miss</x></c></a>";
-  auto f = MakeFixture(xml);
-  ASSERT_TRUE(f.store->InsertSubtree(DeweyId({0}), 0, "<d/>").ok());
-  EXPECT_FALSE(f.store->positions_fresh());
-  QueryOptions options;
-  options.index_fraction = 0.5;
-  auto r = f.engine->Evaluate("/a/b/x", options);
-  ASSERT_TRUE(r.ok());
-  ASSERT_EQ(r->size(), 1u);
-  EXPECT_NE(f.engine->last_stats().trees[0].strategy,
-            StartStrategy::kPathIndex);
-  // After a refresh the path index is consistent again.
-  ASSERT_TRUE(f.store->RefreshPositions().ok());
-  auto r2 = f.engine->Evaluate("/a/b/x", options);
-  ASSERT_TRUE(r2.ok());
-  EXPECT_EQ(r2->size(), 1u);
-  EXPECT_EQ(f.engine->last_stats().trees[0].strategy,
-            StartStrategy::kPathIndex);
-}
-
 // The main differential property test: random documents x random queries
 // x all strategies, against the brute-force oracle.
 class EngineVsOracle : public ::testing::TestWithParam<uint64_t> {};

@@ -2,7 +2,7 @@
 //
 //   nokq build  <file.xml> <store-dir> [--checksum]   build a store
 //   nokq query  <store-dir> <xpath> [--values] [--strategy auto|scan|tag|
-//               value|path] [--explain] [--no-header-skip]
+//               value] [--explain] [--no-header-skip]
 //               [--nav-mode paged|bp] [--no-synopsis]
 //   nokq explain <store-dir> <xpath> [--strategy ...] [--fixed-order]
 //               [--plan-cache] [--nav-mode paged|bp] [--no-synopsis]
@@ -54,13 +54,13 @@ int Usage() {
           "usage:\n"
           "  nokq build  <file.xml> <store-dir> [--checksum]\n"
           "  nokq query  <store-dir> <xpath> [--values] [--explain]\n"
-          "              [--strategy auto|scan|tag|value|path]\n"
+          "              [--strategy auto|scan|tag|value]\n"
           "              [--no-header-skip] [--nav-mode paged|bp]\n"
           "              [--no-synopsis]\n"
           "  nokq explain <store-dir> <xpath> [--fixed-order]\n"
           "              [--plan-cache] [--nav-mode paged|bp]\n"
           "              [--no-synopsis]\n"
-          "              [--strategy auto|scan|tag|value|path]\n"
+          "              [--strategy auto|scan|tag|value]\n"
           "  nokq stream <file.xml> <xpath>\n"
           "  nokq stats  <store-dir>\n"
           "  nokq insert <store-dir> <parent-dewey> <index> <frag.xml>\n"
@@ -165,14 +165,20 @@ int CmdBuild(const std::string& xml_path, const std::string& dir,
   return FinishFlush(store->get());
 }
 
+/// Parses a --strategy value; an unknown name is a usage error naming
+/// the valid ones, never a fallback.
 bool ParseStrategyName(const char* name, nok::StartStrategy* out) {
   const std::string s = name;
   if (s == "auto") *out = nok::StartStrategy::kAuto;
   else if (s == "scan") *out = nok::StartStrategy::kScan;
   else if (s == "tag") *out = nok::StartStrategy::kTagIndex;
   else if (s == "value") *out = nok::StartStrategy::kValueIndex;
-  else if (s == "path") *out = nok::StartStrategy::kPathIndex;
-  else return false;
+  else {
+    fprintf(stderr,
+            "error: unknown strategy '%s' (expected auto|scan|tag|value)\n",
+            name);
+    return false;
+  }
   return true;
 }
 
@@ -307,8 +313,7 @@ int CmdStats(const std::string& dir) {
   const std::pair<const char*, nok::BTree*> indexes[] = {
       {"|B+t|:", (*store)->tag_index()},
       {"|B+v|:", (*store)->value_index()},
-      {"|B+i|:", (*store)->id_index()},
-      {"|B+p|:", (*store)->path_index()}};
+      {"|B+i|:", (*store)->id_index()}};
   for (const auto& [label, index] : indexes) {
     printf("%-13s %llu bytes, %llu entries\n", label,
            static_cast<unsigned long long>(index->SizeBytes()),
@@ -766,9 +771,6 @@ int CmdBench(int argc, char** argv) {
     json += ",\n";
     AppendPoolJson(&json, "id_index",
                    store->id_index()->buffer_pool()->stats());
-    json += ",\n";
-    AppendPoolJson(&json, "path_index",
-                   store->path_index()->buffer_pool()->stats());
     json += "\n  },\n";
     const nok::StringStore::NavStats nav = store->tree()->nav_stats();
     snprintf(buf, sizeof(buf),
