@@ -142,8 +142,8 @@ int Run(int argc, char** argv) {
     options.dir = dir;
     for (const char* f :
          {store_files::kTree, store_files::kValues, store_files::kDict,
-          store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-          store_files::kStale}) {
+          store_files::kTagIdx, store_files::kValIdx,
+          store_files::kIdIdx}) {
       Status s = RemoveFile(dir + "/" + f);
       if (!s.ok()) {
         fprintf(stderr, "cleanup failed: %s\n", s.ToString().c_str());
@@ -294,10 +294,8 @@ int Run(int argc, char** argv) {
   }
 
   // Baseline: readers only, a fixed number of passes each, over the
-  // final snapshot.  Measured AFTER the mixed phase so both phases pay
-  // the same stale-positions plans (the first commit retires the path
-  // index until RefreshPositions); the baseline isolates writer
-  // interference, not plan degradation.
+  // final snapshot.  Measured AFTER the mixed phase so both phases query
+  // the updated document; the baseline isolates writer interference.
   const uint64_t baseline_passes = 3;
   std::vector<MixedReaderResult> base_results(
       static_cast<size_t>(mixed_readers));

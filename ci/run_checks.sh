@@ -19,6 +19,7 @@
 #                                # tiny dataset + JSON report validation
 #                                # + the planner work counter gate on
 #                                # dblp + a timed front insert on dblp 0.05
+#                                # whose paged and bp answers must agree
 #   ci/run_checks.sh fuzz-smoke  # seeded differential fuzzer under ASan:
 #                                # 500 iterations across all engines x
 #                                # planner strategies + corpus replay +
@@ -270,6 +271,15 @@ EOF
       '<title>Front</title><year>2004</year></article>' \
       > build-ci/bench/front-frag.xml
   timeout 30 "$nokq" insert "$store" 0 0 build-ci/bench/front-frag.xml
+  # The insert shifted every Dewey ID under /dblp.  Both nav modes locate
+  # tag-index hits on the BP index, and must give the same answers.
+  local mode
+  for mode in paged bp; do
+    "$nokq" query "$store" '/dblp/article/cite/label' --strategy tag \
+        --nav-mode "$mode" > "build-ci/bench/front-$mode.txt"
+  done
+  test -s build-ci/bench/front-paged.txt
+  diff build-ci/bench/front-paged.txt build-ci/bench/front-bp.txt
   "$nokq" verify "$store"
   "$nokq" stats "$store"
 }

@@ -34,40 +34,39 @@ std::string ValueKey(const Slice& value, const DeweyId& dewey) {
   return ValueKey(value) + dewey.Encode();
 }
 
-std::string PositionPayload(uint64_t pos) {
-  std::string payload;
-  PutVarint64(&payload, pos);
-  return payload;
-}
-
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         size_t prefix_len, uint64_t* pos, DeweyId* dewey) {
-  Slice input = value;
-  if (key.size() < prefix_len || !GetVarint64(&input, pos)) {
+                         size_t prefix_len, DeweyId* dewey) {
+  if (key.size() < prefix_len) {
     return Status::Corruption("bad node-ref entry");
   }
-  // A legacy entry carries its Dewey ID after the position, a keyed one
-  // after the prefix.
-  const Slice encoded =
-      key.size() == prefix_len
-          ? input
-          : Slice(key.data() + prefix_len, key.size() - prefix_len);
+  Slice encoded(key.data() + prefix_len, key.size() - prefix_len);
+  if (key.size() == prefix_len) {
+    // A legacy entry carries its Dewey ID after the position.
+    encoded = value;
+    uint64_t pos = 0;
+    if (!GetVarint64(&encoded, &pos)) {
+      return Status::Corruption("bad node-ref entry");
+    }
+  }
   NOK_ASSIGN_OR_RETURN(*dewey, DeweyId::Decode(encoded));
   return Status::OK();
 }
 
-std::string IdPayload(uint64_t pos, bool has_value, uint64_t value_offset) {
+std::string IdPayload(bool has_value, uint64_t value_offset) {
   std::string payload;
-  PutVarint64(&payload, pos);
   PutVarint64(&payload, has_value ? value_offset + 1 : 0);
   return payload;
 }
 
-Status ParseIdPayload(const Slice& payload, uint64_t* pos, bool* has_value,
+Status ParseIdPayload(const Slice& payload, bool* has_value,
                       uint64_t* value_offset) {
   Slice input = payload;
   uint64_t v = 0;
-  if (!GetVarint64(&input, pos) || !GetVarint64(&input, &v)) {
+  if (!GetVarint64(&input, &v)) {
+    return Status::Corruption("bad B+i payload");
+  }
+  // A legacy payload leads with a position: the value field follows.
+  if (!input.empty() && (!GetVarint64(&input, &v) || !input.empty())) {
     return Status::Corruption("bad B+i payload");
   }
   *has_value = v != 0;
@@ -85,7 +84,6 @@ constexpr const char* kDictFile = store_files::kDict;
 constexpr const char* kTagIdxFile = store_files::kTagIdx;
 constexpr const char* kValIdxFile = store_files::kValIdx;
 constexpr const char* kIdIdxFile = store_files::kIdIdx;
-constexpr const char* kStaleFile = store_files::kStale;
 constexpr const char* kBpFile = store_files::kBpIndex;
 constexpr const char* kSynopsisFile = store_files::kSynopsis;
 
@@ -185,7 +183,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   // Single SAX pass: emit symbols, values, and index entries.
   struct Frame {
     std::string value;
-    uint64_t pos = 0;
     bool has_element_children = false;
     uint32_t next_child = 0;
   };
@@ -206,13 +203,12 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(store->values_->Append(Slice(value), &offset));
       NOK_RETURN_IF_ERROR(store->value_index_->Insert(
-          index_keys::ValueKey(Slice(value), dewey),
-          index_keys::PositionPayload(frame.pos)));
+          index_keys::ValueKey(Slice(value), dewey), Slice()));
       NOK_RETURN_IF_ERROR(store->id_index_->Insert(
-          Slice(key), index_keys::IdPayload(frame.pos, true, offset)));
+          Slice(key), index_keys::IdPayload(true, offset)));
     } else {
       NOK_RETURN_IF_ERROR(store->id_index_->Insert(
-          Slice(key), index_keys::IdPayload(frame.pos, false, 0)));
+          Slice(key), index_keys::IdPayload(false, 0)));
     }
     if (!frame.has_element_children) {
       ++leaf_count;
@@ -235,15 +231,12 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       frames.back().has_element_children = true;
       dewey_path.push_back(frames.back().next_child++);
     }
-    uint64_t pos = 0;
-    NOK_RETURN_IF_ERROR(builder.Open(tag, &pos));
+    NOK_RETURN_IF_ERROR(builder.Open(tag));
     synopsis_builder.Open(tag);
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
-        index_keys::TagKey(tag, dewey), index_keys::PositionPayload(pos)));
-    Frame frame;
-    frame.pos = pos;
-    frames.push_back(std::move(frame));
+        index_keys::TagKey(tag, dewey), Slice()));
+    frames.emplace_back();
     return Status::OK();
   };
 
@@ -309,12 +302,10 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   store->RefreshSizeStats();
   NOK_ASSIGN_OR_RETURN(store->synopsis_.value, synopsis_builder.Finish());
   NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
-  if (store->options_.nav_mode == NavMode::kBp) {
-    // Materialize the BP tier eagerly so the first query pays nothing,
-    // and persist the sidecar next to the freshly committed generation.
-    NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
-  }
+  // Materialize the BP index eagerly so the first query pays nothing, and
+  // persist the sidecar next to the freshly committed generation.
+  NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
   return store;
 }
 
@@ -448,17 +439,14 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   store->stats_.node_count = store->tree_->node_count();
   store->stats_.max_depth = store->tree_->max_level();
   store->stats_.distinct_tags = store->tags_.size();
-  store->positions_fresh_ = !FileExists(options.dir + "/" + kStaleFile);
   store->RefreshSizeStats();
-  if (options.nav_mode == NavMode::kBp) {
-    // Eager so that concurrent readers of a read-only handle never race
-    // an on-demand build; loads the sidecar when its epoch matches.
-    NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-    if (!store->bp_.from_sidecar) {
-      // Missing/stale/damaged sidecar was rebuilt from the page chain;
-      // re-persist for the next open (no-op for read-only/WAL handles).
-      NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
-    }
+  // Eager so that concurrent readers of a read-only handle never race an
+  // on-demand build; loads the sidecar when its epoch matches.
+  NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
+  if (!store->bp_.from_sidecar) {
+    // Missing/stale/damaged sidecar was rebuilt from the page chain;
+    // re-persist for the next open (no-op for read-only/WAL handles).
+    NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
   }
   // Eager for the same reason as the BP index; when EnsureBpIndex just
   // rebuilt from the page chain, the synopsis rode that scan and this is
@@ -519,19 +507,17 @@ Status DocumentStore::UpgradeLegacyIndexes() {
 
 Status DocumentStore::RewriteLegacyIndex(const char* name, size_t prefix_len,
                                          std::unique_ptr<BTree>* index) {
-  std::vector<std::pair<std::string, std::string>> entries;
+  std::vector<std::string> entries;
   entries.reserve((*index)->num_entries());
   {
     BTreeIterator it = (*index)->NewIterator();
     NOK_RETURN_IF_ERROR(it.SeekToFirst());
     while (it.Valid()) {
-      uint64_t pos = 0;
       DeweyId dewey = DeweyId::Root();
       NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
-          it.key(), it.value(), prefix_len, &pos, &dewey));
-      entries.emplace_back(
-          std::string(it.key().data(), prefix_len) + dewey.Encode(),
-          index_keys::PositionPayload(pos));
+          it.key(), it.value(), prefix_len, &dewey));
+      entries.push_back(std::string(it.key().data(), prefix_len) +
+                        dewey.Encode());
       NOK_RETURN_IF_ERROR(it.Next());
     }
   }
@@ -544,8 +530,8 @@ Status DocumentStore::RewriteLegacyIndex(const char* name, size_t prefix_len,
   NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(name, /*create=*/true));
   NOK_RETURN_IF_ERROR(file->Truncate(0));
   NOK_ASSIGN_OR_RETURN(*index, BTree::Open(std::move(file), IndexOptions()));
-  for (const auto& [key, value] : entries) {
-    NOK_RETURN_IF_ERROR((*index)->Insert(Slice(key), Slice(value)));
+  for (const std::string& key : entries) {
+    NOK_RETURN_IF_ERROR((*index)->Insert(Slice(key), Slice()));
   }
   return Status::OK();
 }
@@ -581,14 +567,14 @@ Status DocumentStore::BeginWalTxn() {
 }
 
 Status DocumentStore::FinishWalOp(Status op_status,
-                                  uint64_t ticks_before) {
+                                  uint64_t version_before) {
   if (wal_writer_ == nullptr) return op_status;
   if (!op_status.ok()) {
-    if (wal_writer_->capture_ticks() != ticks_before) {
-      // The failed op captured partial writes; discard the whole open
-      // transaction (disk keeps the last committed state) and refuse
-      // further mutation through this handle — its in-memory component
-      // state has diverged from what will be on disk.
+    if (structure_version_ != version_before) {
+      // The failed op began mutating; discard the whole open transaction
+      // (disk keeps the last committed state) and refuse further mutation
+      // through this handle — its in-memory component state has diverged
+      // from what will be on disk.
       NOK_IGNORE_STATUS(wal_writer_->Abort(),
                         "aborting an in-memory transaction cannot fail");
       wal_poisoned_ = true;
@@ -636,9 +622,10 @@ Status DocumentStore::Flush() {
       return commit;
     }
     wal_ops_pending_ = 0;
-    // The structural updates of this batch dropped the in-memory
-    // synopsis; rebuild it so the planner keeps its cardinality
-    // estimates.  In-memory only: WAL handles persist no sidecar.
+    // The structural updates of this batch dropped the in-memory BP
+    // index and synopsis; rebuild both (one scan) so the next query finds
+    // them current.  In-memory only: WAL handles persist no sidecar.
+    NOK_RETURN_IF_ERROR(EnsureBpIndex());
     return EnsureSynopsis();
   }
   // One new generation.  Order: value file and indexes (data synced before
@@ -657,10 +644,8 @@ Status DocumentStore::Flush() {
   // Keep each sidecar in lockstep with the generation it describes: a
   // structural update dropped the in-memory structure, so rebuild it from
   // the just-flushed pages and persist it stamped with the new epoch.
-  if (options_.nav_mode == NavMode::kBp) {
-    NOK_RETURN_IF_ERROR(EnsureBpIndex());
-    NOK_RETURN_IF_ERROR(PersistSidecar(kBpFile, bp_));
-  }
+  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(PersistSidecar(kBpFile, bp_));
   NOK_RETURN_IF_ERROR(EnsureSynopsis());
   return PersistSidecar(kSynopsisFile, synopsis_);
 }
@@ -676,28 +661,6 @@ Status DocumentStore::DropCaches() {
   NOK_RETURN_IF_ERROR(id_index_->buffer_pool()->DropAll());
   id_index_->buffer_pool()->ResetStats();
   return Status::OK();
-}
-
-Result<StorePos> DocumentStore::Locate(const DeweyId& id) {
-  const auto& components = id.components();
-  if (components.empty() || components[0] != 0) {
-    return Status::InvalidArgument("bad Dewey ID " + id.ToString());
-  }
-  if (positions_fresh_) {
-    auto payload = id_index_->Get(Slice(id.Encode()));
-    if (!payload.ok()) {
-      if (payload.status().IsNotFound()) {
-        return Status::NotFound("no node with Dewey ID " + id.ToString());
-      }
-      return payload.status();
-    }
-    uint64_t global = 0, offset = 0;
-    bool has_value = false;
-    NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(
-        Slice(payload.ValueOrDie()), &global, &has_value, &offset));
-    return tree_->PosForGlobal(global);
-  }
-  return Navigate(id);
 }
 
 Result<StorePos> DocumentStore::Navigate(const DeweyId& id) {
@@ -733,10 +696,9 @@ Result<std::optional<std::string>> DocumentStore::ValueOf(
     return payload.status();
   }
   bool has_value = false;
-  uint64_t global = 0, offset = 0;
+  uint64_t offset = 0;
   NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(Slice(payload.ValueOrDie()),
-                                                 &global, &has_value,
-                                                 &offset));
+                                                 &has_value, &offset));
   if (!has_value) return std::optional<std::string>();
   NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
   return std::optional<std::string>(std::move(value));
@@ -744,18 +706,20 @@ Result<std::optional<std::string>> DocumentStore::ValueOf(
 
 namespace {
 
-/// The B+t / B+v entries whose key starts with `prefix` (a TagKey or a
-/// ValueKey), in key order: document order.  limit = 0 means unbounded.
-Result<std::vector<DocumentStore::IndexedNode>> ReadNodeRefs(
-    BTree* index, const std::string& prefix, size_t limit) {
-  std::vector<DocumentStore::IndexedNode> out;
+/// The Dewey IDs of the B+t / B+v entries whose key starts with `prefix`
+/// (a TagKey or a ValueKey), in key order: document order.  limit = 0
+/// means unbounded.
+Result<std::vector<DeweyId>> ReadNodeRefs(BTree* index,
+                                          const std::string& prefix,
+                                          size_t limit) {
+  std::vector<DeweyId> out;
   BTreeIterator it = index->NewIterator();
   NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
   while (it.Valid() && it.key().starts_with(Slice(prefix))) {
-    DocumentStore::IndexedNode node;
+    DeweyId dewey = DeweyId::Root();
     NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
-        it.key(), it.value(), prefix.size(), &node.pos, &node.dewey));
-    out.push_back(std::move(node));
+        it.key(), it.value(), prefix.size(), &dewey));
+    out.push_back(std::move(dewey));
     if (limit != 0 && out.size() >= limit) break;
     NOK_RETURN_IF_ERROR(it.Next());
   }
@@ -764,20 +728,20 @@ Result<std::vector<DocumentStore::IndexedNode>> ReadNodeRefs(
 
 }  // namespace
 
-Result<std::vector<DocumentStore::IndexedNode>> DocumentStore::NodesWithTag(
-    TagId tag, size_t limit) {
+Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag,
+                                                        size_t limit) {
   return ReadNodeRefs(tag_index_.get(), index_keys::TagKey(tag), limit);
 }
 
-Result<std::vector<DocumentStore::IndexedNode>>
-DocumentStore::NodesWithValue(const Slice& value) {
+Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
+    const Slice& value) {
   NOK_ASSIGN_OR_RETURN(
-      std::vector<IndexedNode> candidates,
+      std::vector<DeweyId> candidates,
       ReadNodeRefs(value_index_.get(), index_keys::ValueKey(value), 0));
-  std::vector<IndexedNode> out;
-  for (IndexedNode& node : candidates) {
+  std::vector<DeweyId> out;
+  for (DeweyId& node : candidates) {
     // Verify against the data file to rule out hash collisions.
-    NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(node.dewey));
+    NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(node));
     if (actual.has_value() && Slice(*actual) == value) {
       out.push_back(std::move(node));
     }
@@ -785,12 +749,7 @@ DocumentStore::NodesWithValue(const Slice& value) {
   return out;
 }
 
-Status DocumentStore::MarkPositionsStale() {
-  if (options_.read_only) {
-    return Status::InvalidArgument(
-        "MarkPositionsStale on a store opened read-only");
-  }
-  positions_fresh_ = false;
+void DocumentStore::BeginStructuralChange() {
   ++structure_version_;
   // The topology changed: the BP bitvector is invalid from here on.  It
   // is rebuilt lazily on the next bp_index() call (or at Flush).
@@ -800,20 +759,69 @@ Status DocumentStore::MarkPositionsStale() {
   // empty.  The planner falls back to flat tag counts until Flush
   // rebuilds it.
   synopsis_ = {};
-  if (!options_.dir.empty()) {
-    if (wal_writer_ != nullptr && wal_writer_->in_transaction()) {
-      wal_writer_->StageReplace(kStaleFile, "1");
-      return Status::OK();
-    }
-    return WriteStringToFile(options_.dir + "/" + kStaleFile, Slice("1"));
-  }
-  return Status::OK();
 }
 
 Result<const BpIndex*> DocumentStore::bp_index() {
   NOK_RETURN_IF_ERROR(EnsureBpIndex());
   return bp_.value.get();
 }
+
+StorePos DocumentStore::StorePosOf(uint64_t bp_pos) const {
+  NOK_CHECK(IsCurrent(bp_) && !bp_page_starts_.empty());
+  // The last page starting at or before bp_pos holds it; an empty page
+  // shares its start with the next one, so it is never picked.
+  const size_t chain_index = static_cast<size_t>(
+      std::upper_bound(bp_page_starts_.begin(), bp_page_starts_.end(),
+                       bp_pos) -
+      bp_page_starts_.begin() - 1);
+  return StorePos{tree_->chain_page(chain_index),
+                  static_cast<uint16_t>(bp_pos -
+                                        bp_page_starts_[chain_index])};
+}
+
+namespace {
+
+/// The BP bit position of each chain page's first symbol.  An open
+/// symbol is 2 bytes and a close 1, so the first x symbols take
+/// x + Rank1(x) bytes: each page's start is the x at which that sum
+/// reaches the `used` bytes of the pages before it.  No page is read.
+Result<std::vector<uint64_t>> PageStarts(const StringStore& tree,
+                                         const BpIndex& bp) {
+  std::vector<uint64_t> starts;
+  starts.reserve(tree.chain_length());
+  uint64_t start = 0, bytes = 0;
+  for (size_t i = 0; i < tree.chain_length(); ++i) {
+    starts.push_back(start);
+    const uint16_t used = tree.header(tree.chain_page(i)).used;
+    bytes += used;
+    // f(x) = x + Rank1(x) is strictly increasing; find f(x) == bytes.
+    uint64_t lo = start;
+    uint64_t hi = std::min<uint64_t>(start + used, bp.bit_count());
+    while (lo < hi) {
+      const uint64_t mid = lo + (hi - lo) / 2;
+      if (mid + bp.Rank1(mid) < bytes) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo + bp.Rank1(lo) != bytes) {
+      return Status::Corruption("page " + std::to_string(i) +
+                                " of the chain ends inside a symbol of the "
+                                "BP index");
+    }
+    start = lo;
+  }
+  if (start != bp.bit_count()) {
+    return Status::Corruption("the page chain holds " +
+                              std::to_string(start) +
+                              " symbols but the BP index " +
+                              std::to_string(bp.bit_count()));
+  }
+  return starts;
+}
+
+}  // namespace
 
 template <typename T>
 bool DocumentStore::LoadSidecar(const char* name, Derived<T>* derived) {
@@ -857,7 +865,17 @@ Status DocumentStore::PersistSidecar(const char* name,
 Status DocumentStore::EnsureBpIndex() {
   if (IsCurrent(bp_)) return Status::OK();
   bp_ = {};
-  if (LoadSidecar(kBpFile, &bp_)) return Status::OK();
+  if (!LoadSidecar(kBpFile, &bp_)) NOK_RETURN_IF_ERROR(BuildBpIndex());
+  auto starts = PageStarts(*tree_, *bp_.value);
+  if (!starts.ok()) {
+    bp_ = {};
+    return starts.status();
+  }
+  bp_page_starts_ = std::move(starts).ValueOrDie();
+  return Status::OK();
+}
+
+Status DocumentStore::BuildBpIndex() {
   // Rebuild from the page chain.  When the synopsis is also out of date
   // and its own sidecar cannot supply it, its trie rides the same
   // VisitSymbols scan via the build observer — one pass, two indexes.

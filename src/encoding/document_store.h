@@ -5,14 +5,16 @@
 //   * the succinct tree string (StringStore)          -- |tree| in Table 1
 //   * the tag dictionary (name <-> Sigma symbol)
 //   * the value data file (ValueStore)
-//   * B+t: (tag, Dewey ID) -> position              -- |B+t|
-//   * B+v: (hash(value), Dewey ID) -> position      -- |B+v|
+//   * B+t: keyed by (tag, Dewey ID)                   -- |B+t|
+//   * B+v: keyed by (hash(value), Dewey ID)           -- |B+v|
 //   * B+i: Dewey ID -> value-record offset            -- |B+i|
 //
 // Indexes reference nodes by Dewey ID (never by physical position):
 // positions are derived during navigation, which is what keeps the scheme
 // adaptive to updates (Section 4).  A Dewey ID is converted to a physical
-// position by walking FIRST-CHILD/FOLLOWING-SIBLING along its components.
+// position by walking FIRST-CHILD/FOLLOWING-SIBLING along its components:
+// on the balanced-parentheses index (bp_index.h) for queries in either
+// navigation mode, and on the paged string itself for the updaters.
 
 #ifndef NOKXML_ENCODING_DOCUMENT_STORE_H_
 #define NOKXML_ENCODING_DOCUMENT_STORE_H_
@@ -52,7 +54,6 @@ inline constexpr const char* kIdIdx = "id.idx";
 /// Kept only because e2ebench/e2e_bench.cc:1039 names it; the next
 /// benchmark change deletes it.
 inline constexpr const char* kPathIdx = "path.idx";
-inline constexpr const char* kStale = "positions.stale";
 inline constexpr const char* kBpIndex = "tree.bpx";
 inline constexpr const char* kSynopsis = "synopsis.pds";
 }  // namespace store_files
@@ -63,9 +64,9 @@ enum class NavMode {
   /// header skips).  The durability story; always available.
   kPaged,
   /// The in-memory balanced-parentheses index (bp_index.h): O(1)
-  /// FIRST-CHILD / FOLLOWING-SIBLING / PARENT with zero page traffic,
-  /// loaded from the checksummed tree.bpx sidecar or rebuilt in one
-  /// sequential scan at open time.
+  /// FIRST-CHILD / FOLLOWING-SIBLING / PARENT with zero page traffic.
+  /// (Both modes locate Dewey IDs on that index; this mode also takes
+  /// every tree step on it.)
   kBp,
 };
 
@@ -102,11 +103,11 @@ struct DocumentStoreOptions {
   /// value file.  Recorded in the tree meta page, so OpenDir detects the
   /// format automatically; this flag only matters at Build time.
   bool checksum_pages = false;
-  /// Navigation tier used by query evaluation (see NavMode).  With kBp,
-  /// Build/OpenDir materialize the balanced-parentheses index (from the
-  /// tree.bpx sidecar when its epoch matches, else one sequential scan)
-  /// and persist the sidecar on commit; the paged cursor remains
-  /// available for verification and updates.
+  /// Navigation tier used by query evaluation (see NavMode).  In either
+  /// mode Build/OpenDir materialize the balanced-parentheses index (from
+  /// the tree.bpx sidecar when its epoch matches, else one sequential
+  /// scan) and persist the sidecar on commit: it is the Dewey ID locator
+  /// of both modes.
   NavMode nav_mode = NavMode::kPaged;
   /// Directory for the store files; empty = fully in-memory.
   std::string dir;
@@ -149,11 +150,11 @@ struct DocumentStoreStats {
 /// One stored document plus its indexes.
 ///
 /// Thread safety: a store opened via OpenDir with Options::read_only set
-/// supports concurrent reads (Locate/Navigate/ValueOf/NodesWith*/
+/// supports concurrent reads (Navigate/StorePosOf/ValueOf/NodesWith*/
 /// Estimate*) from any number of threads sharing the one handle; each
 /// thread runs its own QueryEngine over it.  Mutating operations
-/// (InsertSubtree/DeleteSubtree/RefreshPositions/Flush) then fail with
-/// InvalidArgument.  A writable store is single-threaded.
+/// (InsertSubtree/DeleteSubtree/Flush) then fail with InvalidArgument.
+/// A writable store is single-threaded.
 class DocumentStore {
  public:
   using Options = DocumentStoreOptions;
@@ -185,11 +186,17 @@ class DocumentStore {
   /// rebuilt on demand (never returns null on OK).  The pointer stays
   /// valid until the next structural update (structure_version() bump).
   ///
-  /// Thread safety: with Options::nav_mode == kBp the index is
-  /// materialized eagerly by Build/OpenDir, so concurrent readers of a
-  /// read-only store only ever hit the already-built fast path; on-demand
-  /// (re)building only happens on writable — single-threaded — handles.
+  /// Thread safety: the index is materialized eagerly by Build/OpenDir
+  /// (and by Flush), so concurrent readers of a read-only store only ever
+  /// hit the already-built fast path; on-demand (re)building only happens
+  /// on writable — single-threaded — handles.
   Result<const BpIndex*> bp_index();
+
+  /// The paged-string position of the node whose open bit is `bp_pos` in
+  /// the current BP index (take it from bp_index()).  A BP bit position
+  /// is the node's symbol index in the page chain, so one binary search
+  /// over the chain pages' first symbols answers it with no page access.
+  StorePos StorePosOf(uint64_t bp_pos) const;
 
   /// Whether the current in-memory BP index came from a matching
   /// tree.bpx sidecar (vs a rebuild scan of the page chain).
@@ -208,38 +215,23 @@ class DocumentStore {
   bool synopsis_loaded_from_sidecar() const { return synopsis_.from_sidecar; }
 
   // -- navigation helpers ----------------------------------------------
-  /// Physical position of the node with the given Dewey ID: a B+i lookup
-  /// while positions are fresh, otherwise a FIRST-CHILD /
-  /// FOLLOWING-SIBLING walk along the components.
-  Result<StorePos> Locate(const DeweyId& id);
-
-  /// Physical position by pure navigation (FIRST-CHILD /
-  /// FOLLOWING-SIBLING walk), never consulting the indexes.  The scrubber
-  /// uses this as the independent ground truth to check B+i against.
+  /// Physical position by a FIRST-CHILD / FOLLOWING-SIBLING walk on the
+  /// paged string, never consulting the indexes.  The updaters use it:
+  /// it stays valid while an update batch reshapes the string under a
+  /// BP index that no longer describes it.
   Result<StorePos> Navigate(const DeweyId& id);
 
   /// The node's value (nullopt if it has none).
   Result<std::optional<std::string>> ValueOf(const DeweyId& id);
 
-  /// Whether the positions stored in index payloads are still valid (no
-  /// structural update since the last build).
-  bool positions_fresh() const { return positions_fresh_; }
-
-  /// A node as returned by the tag/value indexes.
-  struct IndexedNode {
-    DeweyId dewey = DeweyId::Root();
-    uint64_t pos = 0;  ///< Global position; meaningful iff fresh.
-  };
-
   // -- index access ------------------------------------------------------
-  /// All nodes with the given tag, in document order.  limit = 0 means
-  /// unbounded.
-  Result<std::vector<IndexedNode>> NodesWithTag(TagId tag,
-                                                size_t limit = 0);
+  /// The Dewey IDs of all nodes with the given tag, in document order.
+  /// limit = 0 means unbounded.
+  Result<std::vector<DeweyId>> NodesWithTag(TagId tag, size_t limit = 0);
 
-  /// Nodes whose value equals `value` exactly, in document order (hash
-  /// collisions are resolved against the data file).
-  Result<std::vector<IndexedNode>> NodesWithValue(const Slice& value);
+  /// The Dewey IDs of the nodes whose value equals `value` exactly, in
+  /// document order (hash collisions are resolved against the data file).
+  Result<std::vector<DeweyId>> NodesWithValue(const Slice& value);
 
   /// Occurrence count of a tag (exact, from the dictionary).
   uint64_t CountTag(TagId tag) const { return tags_.OccurrenceCount(tag); }
@@ -258,13 +250,6 @@ class DocumentStore {
 
   /// Deletes the subtree rooted at `node` (must not be the root).
   Status DeleteSubtree(const DeweyId& node);
-
-  /// Recomputes the physical positions cached in every index payload by
-  /// one pass over the tree string (the paper's "reconstruct the ID B+
-  /// tree" maintenance step) and clears the staleness flag.  Queries run
-  /// correctly without this — position lookups fall back to navigation —
-  /// but index-anchored evaluation is fastest when positions are fresh.
-  Status RefreshPositions();
 
   // -- bookkeeping --------------------------------------------------------
   const DocumentStoreStats& stats() const { return stats_; }
@@ -296,11 +281,10 @@ class DocumentStore {
   WalWriter* wal_writer() { return wal_writer_.get(); }
 
   /// Monotonic count of structural/index mutations in this process:
-  /// bumped by every InsertSubtree/DeleteSubtree and by
-  /// RefreshPositions.  epoch() only advances on Flush, so plan caches
-  /// combine both to invalidate on any change that can alter planning
-  /// inputs (tag counts, value counts, position freshness).  In-memory
-  /// only — not persisted.
+  /// bumped by every InsertSubtree/DeleteSubtree.  epoch() only advances
+  /// on Flush, so plan caches combine both to invalidate on any change
+  /// that can alter planning inputs (tag counts, value counts).
+  /// In-memory only — not persisted.
   uint64_t structure_version() const { return structure_version_; }
 
   /// Clears all buffer pools and I/O counters (cold-start for benchmarks).
@@ -334,18 +318,17 @@ class DocumentStore {
   /// Rejects a poisoned handle (a previous update failed half-captured).
   Status BeginWalTxn();
   /// WAL mode: called after an update op.  On success, counts the op
-  /// toward the group-commit threshold.  On failure, compares the
-  /// writer's capture counter with `ticks_before`: an op that failed
-  /// after capturing writes aborts the transaction and poisons the
-  /// handle; a validation failure that captured nothing passes through.
-  Status FinishWalOp(Status op_status, uint64_t ticks_before);
+  /// toward the group-commit threshold.  On failure, compares
+  /// structure_version_ with `version_before`: an op that failed after
+  /// it began mutating (BeginStructuralChange) aborts the transaction and
+  /// poisons the handle; a validation failure passes through.
+  Status FinishWalOp(Status op_status, uint64_t version_before);
 
   /// The update-op bodies (updater.cc); the public entry points wrap
   /// them in WAL transaction bookkeeping.
   Status InsertSubtreeImpl(const DeweyId& parent, uint32_t child_index,
                            const std::string& xml_fragment);
   Status DeleteSubtreeImpl(const DeweyId& node);
-  Status RefreshPositionsImpl();
 
   /// Moves a node's B+i/B+t/B+v entries from old_dewey to new_dewey
   /// (sibling-shift maintenance during updates; updater.cc).
@@ -356,10 +339,11 @@ class DocumentStore {
 
   friend class TreeUpdater;
 
-  /// Marks stored positions stale (persisted); called by the updaters.
-  /// Also drops the in-memory BP index: the topology changed, so the
-  /// bitvector is rebuilt lazily (or at the next Flush).
-  Status MarkPositionsStale();
+  /// Called by the updaters once an op has validated its arguments, just
+  /// before it first mutates anything: bumps structure_version_ and drops
+  /// the structures derived from the old topology (the BP index and the
+  /// synopsis), which are rebuilt lazily or at the next Flush.
+  void BeginStructuralChange();
 
   /// A structure derived from the tree string and persisted beside it as
   /// a sidecar file (storage/sidecar.h): the BP index or the synopsis.
@@ -392,12 +376,15 @@ class DocumentStore {
   template <typename T>
   Status PersistSidecar(const char* name, const Derived<T>& derived);
 
-  /// Makes bp_ match the current structure: loads the sidecar, else
-  /// rebuilds by one sequential scan.  When the synopsis is out of date
-  /// too and its own sidecar cannot supply it, its trie is accumulated
-  /// from the same scan (the BpIndex::Build observer) — one pass builds
-  /// both.
+  /// Makes bp_ and bp_page_starts_ match the current structure: loads
+  /// the sidecar, else rebuilds by one sequential scan.  When the synopsis
+  /// is out of date too and its own sidecar cannot supply it, its trie is
+  /// accumulated from the same scan (the BpIndex::Build observer) — one
+  /// pass builds both.
   Status EnsureBpIndex();
+  /// EnsureBpIndex's rebuild scan (bp_, and synopsis_ when it rides
+  /// along).
+  Status BuildBpIndex();
 
   /// Makes synopsis_ match the current structure: loads the sidecar, else
   /// rebuilds by one sequential scan.
@@ -425,25 +412,25 @@ class DocumentStore {
   DocumentStoreStats stats_;
   uint64_t epoch_ = 0;
   uint64_t structure_version_ = 0;
-  bool positions_fresh_ = true;
   /// Balanced-parentheses navigation tier (bp_index.h), tree.bpx.
   Derived<BpIndex> bp_;
+  /// The BP bit position of each chain page's first symbol, in chain
+  /// order (StorePosOf); derived with bp_ from the in-memory page
+  /// headers.
+  std::vector<uint64_t> bp_page_starts_;
   /// DataGuide-style path synopsis (path_synopsis.h), synopsis.pds.
   Derived<PathSynopsis> synopsis_;
 };
 
 /// Encoding helpers shared by the builder, the query engine and tests.
 ///
-/// Index entries carry the node's global position as a navigation
-/// shortcut.  Positions shift when the structure is edited, so
-/// DocumentStore tracks freshness: after an update the stored positions
-/// are stale and lookups fall back to Dewey navigation (the paper's "the
-/// node ID B+ tree may need to be reconstructed" trade-off).
-///
 /// B+t and B+v entries are keyed by (tag or value hash, Dewey ID), so each
 /// entry is unique: an update deletes exactly the entry it moves in one
 /// O(log n) descent, and one tag's (or value's) entries iterate in
-/// document order.  The value is the varint position alone.
+/// document order.  The value is empty.  No entry caches a physical
+/// position: stores written before that was dropped carry one, in B+t/B+v
+/// values and as a leading varint in B+i payloads, and the readers below
+/// skip it.
 namespace index_keys {
 
 /// Width of the B+t key prefix (the big-endian tag id).
@@ -459,17 +446,18 @@ std::string TagKey(TagId tag, const DeweyId& dewey);
 std::string ValueKey(const Slice& value);
 /// B+v entry key: ValueKey(value) followed by dewey.Encode().
 std::string ValueKey(const Slice& value, const DeweyId& dewey);
-/// B+t / B+v entry value: the node's global position.
-std::string PositionPayload(uint64_t pos);
-/// Decodes a B+t / B+v entry whose key starts with a prefix_len-byte
-/// prefix.  A key of exactly prefix_len bytes is a legacy entry, written
-/// before the Dewey ID moved into the key: its value is the varint
-/// position followed by the encoded Dewey ID.
+/// The Dewey ID of a B+t / B+v entry whose key starts with a
+/// prefix_len-byte prefix.  A keyed entry's value is ignored.  A key of
+/// exactly prefix_len bytes is a legacy entry, written before the Dewey ID
+/// moved into the key: its value is a varint position followed by the
+/// encoded Dewey ID.
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         size_t prefix_len, uint64_t* pos, DeweyId* dewey);
-/// B+i value payload: global position + optional value-record offset.
-std::string IdPayload(uint64_t pos, bool has_value, uint64_t value_offset);
-Status ParseIdPayload(const Slice& payload, uint64_t* pos, bool* has_value,
+                         size_t prefix_len, DeweyId* dewey);
+/// B+i value payload: the optional value-record offset, one varint.
+std::string IdPayload(bool has_value, uint64_t value_offset);
+/// Decodes IdPayload's varint, or a legacy payload's two varints (a
+/// position, then the value-record offset).
+Status ParseIdPayload(const Slice& payload, bool* has_value,
                       uint64_t* value_offset);
 
 }  // namespace index_keys

@@ -74,10 +74,9 @@ void CrossCheckNodeRefs(BTree* id_index, BTree* index,
   Status s = it.SeekToFirst();
   while (s.ok() && it.Valid()) {
     ++count;
-    uint64_t pos = 0;
     DeweyId dewey = DeweyId::Root();
     Status ps = index_keys::ParseNodeRefEntry(it.key(), it.value(),
-                                              prefix_len, &pos, &dewey);
+                                              prefix_len, &dewey);
     if (!ps.ok()) {
       AddIssue(report, component, "undecodable entry: " + ps.ToString());
     } else {
@@ -264,31 +263,21 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                  "entry for " + dewey.ToString() +
                      " has no matching node in the tree string");
       } else {
-        uint64_t pos = 0, offset = 0;
+        uint64_t offset = 0;
         bool has_value = false;
-        Status ps = index_keys::ParseIdPayload(it.value(), &pos,
-                                               &has_value, &offset);
+        Status ps =
+            index_keys::ParseIdPayload(it.value(), &has_value, &offset);
         if (!ps.ok()) {
           AddIssue(&report, "B+i",
                    "bad payload for " + dewey.ToString() + ": " +
                        ps.ToString());
-        } else {
-          const uint64_t actual = tree->GlobalPos(*node);
-          if (store->positions_fresh() && pos != actual) {
-            AddIssue(&report, "B+i",
-                     "stored position " + std::to_string(pos) + " for " +
-                         dewey.ToString() + " disagrees with the tree (" +
-                         std::to_string(actual) +
-                         ") although positions are marked fresh");
-          }
-          if (has_value) {
-            ++valued_entries;
-            auto value = store->values()->Read(offset);
-            if (!value.ok()) {
-              AddIssue(&report, "values.dat",
-                       "record for " + dewey.ToString() + ": " +
-                           value.status().ToString());
-            }
+        } else if (has_value) {
+          ++valued_entries;
+          auto value = store->values()->Read(offset);
+          if (!value.ok()) {
+            AddIssue(&report, "values.dat",
+                     "record for " + dewey.ToString() + ": " +
+                         value.status().ToString());
           }
         }
       }

@@ -118,10 +118,8 @@ Status StringStore::Builder::AppendSymbol(const char* bytes, uint32_t n,
     NOK_RETURN_IF_ERROR(pager_->AllocatePage(&next));
     NOK_RETURN_IF_ERROR(FlushPage(next));
     cur_page_ = next;
-    ++chain_seq_;
     page_buf_.assign(options_.page_size, '\0');
     used_bytes_ = 0;
-    syms_in_page_ = 0;
     page_has_symbols_ = false;
     // st is the level of the last symbol of the PREVIOUS page, i.e. the
     // running level before the pending symbol: one below new_level for an
@@ -130,7 +128,6 @@ Status StringStore::Builder::AppendSymbol(const char* bytes, uint32_t n,
   }
   memcpy(page_buf_.data() + kPageHeaderSize + used_bytes_, bytes, n);
   used_bytes_ = static_cast<uint16_t>(used_bytes_ + n);
-  ++syms_in_page_;
   if (!page_has_symbols_) {
     lo_ = hi_ = static_cast<int16_t>(new_level);
     page_has_symbols_ = true;
@@ -141,7 +138,7 @@ Status StringStore::Builder::AppendSymbol(const char* bytes, uint32_t n,
   return Status::OK();
 }
 
-Status StringStore::Builder::Open(TagId tag, uint64_t* global_pos) {
+Status StringStore::Builder::Open(TagId tag) {
   NOK_RETURN_IF_ERROR(init_status_);
   if (finished_) return Status::Internal("builder already finished");
   if (tag == kInvalidTag || tag > kMaxTagId) {
@@ -153,17 +150,10 @@ Status StringStore::Builder::Open(TagId tag, uint64_t* global_pos) {
   char bytes[2];
   bytes[0] = static_cast<char>(0x80 | (tag >> 8));
   bytes[1] = static_cast<char>(tag & 0xff);
-  // AppendSymbol handles the page break itself; compute the position the
-  // symbol will land at (first slot of the next page if it breaks).
-  const bool breaks = static_cast<uint32_t>(used_bytes_) + 2 > fill_limit_;
-  const uint64_t pos =
-      (breaks ? (chain_seq_ + 1) * options_.page_size
-              : chain_seq_ * options_.page_size + syms_in_page_);
   ++level_;
   if (level_ > max_level_) max_level_ = level_;
   NOK_RETURN_IF_ERROR(AppendSymbol(bytes, 2, level_));
   ++node_count_;
-  if (global_pos != nullptr) *global_pos = pos;
   return Status::OK();
 }
 

@@ -123,9 +123,8 @@ class StringStore {
     Builder(std::unique_ptr<File> file, Options options = {});
     ~Builder();
 
-    /// Appends the open symbol of a node with the given tag.  *global_pos
-    /// (optional) receives the symbol's global position.
-    Status Open(TagId tag, uint64_t* global_pos = nullptr);
+    /// Appends the open symbol of a node with the given tag.
+    Status Open(TagId tag);
 
     /// Appends a close symbol.  Fails if no element is open.
     Status Close();
@@ -149,12 +148,10 @@ class StringStore {
     std::string page_buf_;
     uint32_t fill_limit_;
     PageId cur_page_ = kInvalidPage;
-    uint64_t chain_seq_ = 0;  ///< 0-based index of cur_page_ in the chain.
     int16_t st_ = 0;
     int16_t lo_ = 0;
     int16_t hi_ = 0;
     bool page_has_symbols_ = false;
-    uint16_t syms_in_page_ = 0;
     uint16_t used_bytes_ = 0;
     int level_ = 0;
     uint64_t node_count_ = 0;
@@ -265,8 +262,8 @@ class StringStore {
     /// FetchView calls answered by an already-decoded frame decoration
     /// (no symbol re-decode; a subset of pages_scanned).
     uint64_t decode_cache_hits = 0;
-    /// O(1) BP-index tree steps taken (FirstChild / FollowingSibling /
-    /// Parent / NodeAt navigation in bp mode; zero page traffic).
+    /// O(1) BP-index tree steps taken (every tree step in bp mode, and
+    /// Dewey ID location in both modes; zero page traffic).
     uint64_t bp_steps = 0;
     /// 64-node tag blocks dismissed by the BP index's SWAR tag scan.
     uint64_t bp_tag_blocks_skipped = 0;

@@ -8,9 +8,9 @@ namespace nok {
 namespace {
 
 /// Components whose base bytes the writer mutates in place and snapshot
-/// readers therefore need pre-image versioning for.  The dictionary and
-/// the stale-positions marker are whole-file replaced and only read at
-/// snapshot-open time (the writer is quiescent then), so they need none.
+/// readers therefore need pre-image versioning for.  The dictionary is
+/// whole-file replaced and only read at snapshot-open time (the writer is
+/// quiescent then), so it needs none.
 const char* const kVersionedComponents[] = {
     store_files::kTree,   store_files::kValues, store_files::kTagIdx,
     store_files::kValIdx, store_files::kIdIdx,
@@ -135,8 +135,6 @@ Status SwmrStore::InsertSubtree(const DeweyId& parent, uint32_t child_index,
 Status SwmrStore::DeleteSubtree(const DeweyId& node) {
   return writer_->DeleteSubtree(node);
 }
-
-Status SwmrStore::RefreshPositions() { return writer_->RefreshPositions(); }
 
 Status SwmrStore::Commit() {
   NOK_RETURN_IF_ERROR(writer_->Flush());

@@ -27,9 +27,9 @@
 // (set_shared_plan_cache).  Keys carry the snapshot epoch, so a commit
 // invalidates by key change, not by broadcast.
 //
-// Thread safety: all writer methods (InsertSubtree/DeleteSubtree/
-// RefreshPositions/Commit) must be called from one thread at a time;
-// snapshot() and stats() are safe from any thread.
+// Thread safety: all writer methods (InsertSubtree/DeleteSubtree/Commit)
+// must be called from one thread at a time; snapshot() and stats() are
+// safe from any thread.
 
 #ifndef NOKXML_ENCODING_SWMR_STORE_H_
 #define NOKXML_ENCODING_SWMR_STORE_H_
@@ -97,7 +97,6 @@ class SwmrStore {
   Status InsertSubtree(const DeweyId& parent, uint32_t child_index,
                        const std::string& xml_fragment);
   Status DeleteSubtree(const DeweyId& node);
-  Status RefreshPositions();
 
   /// Commits the captured update batch (WAL fsync, apply, checkpoint)
   /// and publishes a snapshot of the new epoch.  Readers already holding

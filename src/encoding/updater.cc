@@ -334,18 +334,18 @@ Status CollectSubtree(StringStore* tree, StorePos pos, const DeweyId& dewey,
   return Status::OK();
 }
 
-/// Moves a B+t / B+v entry from old_key to new_key with a new position;
-/// each key names exactly one entry, so this is two O(log n) descents.
-/// A missing entry means the index lost track of a node: Corruption.
-Status ReplaceNodeRef(BTree* index, const std::string& old_key,
-                      const std::string& new_key, uint64_t pos,
-                      const char* index_name, const DeweyId& dewey) {
+/// Moves one entry from old_key to new_key; each key names exactly one
+/// entry, so this is two O(log n) descents.  A missing entry means the
+/// index lost track of a node: Corruption.
+Status MoveEntry(BTree* index, const std::string& old_key,
+                 const std::string& new_key, const Slice& value,
+                 const char* index_name, const DeweyId& dewey) {
   NOK_ASSIGN_OR_RETURN(bool removed, index->Delete(Slice(old_key)));
   if (!removed) {
     return Status::Corruption(std::string("missing ") + index_name +
                               " entry for " + dewey.ToString());
   }
-  return index->Insert(Slice(new_key), index_keys::PositionPayload(pos));
+  return index->Insert(Slice(new_key), value);
 }
 
 /// Returns dewey with the component at `depth` (0-based) shifted by delta.
@@ -362,10 +362,9 @@ Status DocumentStore::InsertSubtree(const DeweyId& parent,
                                     uint32_t child_index,
                                     const std::string& xml_fragment) {
   NOK_RETURN_IF_ERROR(BeginWalTxn());
-  const uint64_t ticks =
-      wal_writer_ != nullptr ? wal_writer_->capture_ticks() : 0;
+  const uint64_t version = structure_version_;
   return FinishWalOp(InsertSubtreeImpl(parent, child_index, xml_fragment),
-                     ticks);
+                     version);
 }
 
 Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
@@ -376,7 +375,7 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
         "InsertSubtree on a store opened read-only");
   }
   NOK_ASSIGN_OR_RETURN(auto fragment, DomTree::Parse(xml_fragment));
-  NOK_ASSIGN_OR_RETURN(StorePos parent_pos, Locate(parent));
+  NOK_ASSIGN_OR_RETURN(StorePos parent_pos, Navigate(parent));
 
   // Enumerate the parent's existing children (positions + count).
   std::vector<StorePos> children;
@@ -394,9 +393,9 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
         std::to_string(children.size()));
   }
   // Every argument is validated; from here on the op mutates state, so
-  // the staleness marker (the first captured write in WAL mode) comes
-  // only after the checks above can no longer reject the call.
-  NOK_RETURN_IF_ERROR(MarkPositionsStale());
+  // the mutation marker (FinishWalOp's poison test) comes only after the
+  // checks above can no longer reject the call.
+  BeginStructuralChange();
 
   // Physical insertion point: before child child_index, or before the
   // parent's close symbol when appending.
@@ -476,20 +475,18 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   // Index entries for the new nodes.
   for (const NewNode& node : additions) {
     const std::string key = node.dewey.Encode();
-    NOK_RETURN_IF_ERROR(
-        tag_index_->Insert(index_keys::TagKey(node.tag, node.dewey),
-                           index_keys::PositionPayload(0)));
+    NOK_RETURN_IF_ERROR(tag_index_->Insert(
+        index_keys::TagKey(node.tag, node.dewey), Slice()));
     if (!node.value.empty()) {
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(values_->Append(Slice(node.value), &offset));
       NOK_RETURN_IF_ERROR(value_index_->Insert(
-          index_keys::ValueKey(Slice(node.value), node.dewey),
-          index_keys::PositionPayload(0)));
+          index_keys::ValueKey(Slice(node.value), node.dewey), Slice()));
       NOK_RETURN_IF_ERROR(id_index_->Insert(
-          Slice(key), index_keys::IdPayload(0, true, offset)));
+          Slice(key), index_keys::IdPayload(true, offset)));
     } else {
       NOK_RETURN_IF_ERROR(id_index_->Insert(
-          Slice(key), index_keys::IdPayload(0, false, 0)));
+          Slice(key), index_keys::IdPayload(false, 0)));
     }
   }
 
@@ -502,9 +499,8 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
 
 Status DocumentStore::DeleteSubtree(const DeweyId& node) {
   NOK_RETURN_IF_ERROR(BeginWalTxn());
-  const uint64_t ticks =
-      wal_writer_ != nullptr ? wal_writer_->capture_ticks() : 0;
-  return FinishWalOp(DeleteSubtreeImpl(node), ticks);
+  const uint64_t version = structure_version_;
+  return FinishWalOp(DeleteSubtreeImpl(node), version);
 }
 
 Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
@@ -515,8 +511,8 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   if (node.depth() <= 1) {
     return Status::InvalidArgument("cannot delete the document root");
   }
-  NOK_ASSIGN_OR_RETURN(StorePos pos, Locate(node));
-  NOK_RETURN_IF_ERROR(MarkPositionsStale());
+  NOK_ASSIGN_OR_RETURN(StorePos pos, Navigate(node));
+  BeginStructuralChange();
   const DeweyId parent = *node.Parent();
   const uint32_t child_index = node.components().back();
   const size_t shift_depth = parent.depth();
@@ -569,28 +565,24 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
                                           const DeweyId& new_dewey,
                                           TagId tag) {
   const std::string old_key = old_dewey.Encode();
-  const std::string new_key = new_dewey.Encode();
   NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(old_key)));
-  NOK_ASSIGN_OR_RETURN(bool removed, id_index_->Delete(Slice(old_key)));
-  if (!removed) {
-    return Status::Corruption("missing B+i entry for " +
-                              old_dewey.ToString());
-  }
-  NOK_RETURN_IF_ERROR(id_index_->Insert(Slice(new_key), Slice(payload)));
-
-  NOK_RETURN_IF_ERROR(ReplaceNodeRef(
-      tag_index_.get(), index_keys::TagKey(tag, old_dewey),
-      index_keys::TagKey(tag, new_dewey), 0, "B+t", old_dewey));
-
   bool has_value = false;
-  uint64_t pos = 0, offset = 0;
-  NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(Slice(payload), &pos,
-                                                 &has_value, &offset));
+  uint64_t offset = 0;
+  NOK_RETURN_IF_ERROR(
+      index_keys::ParseIdPayload(Slice(payload), &has_value, &offset));
+  // A legacy payload is rewritten in the current layout.
+  NOK_RETURN_IF_ERROR(MoveEntry(id_index_.get(), old_key, new_dewey.Encode(),
+                                index_keys::IdPayload(has_value, offset),
+                                "B+i", old_dewey));
+  NOK_RETURN_IF_ERROR(MoveEntry(
+      tag_index_.get(), index_keys::TagKey(tag, old_dewey),
+      index_keys::TagKey(tag, new_dewey), Slice(), "B+t", old_dewey));
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-    NOK_RETURN_IF_ERROR(ReplaceNodeRef(
+    NOK_RETURN_IF_ERROR(MoveEntry(
         value_index_.get(), index_keys::ValueKey(Slice(value), old_dewey),
-        index_keys::ValueKey(Slice(value), new_dewey), 0, "B+v", old_dewey));
+        index_keys::ValueKey(Slice(value), new_dewey), Slice(), "B+v",
+        old_dewey));
   }
   return Status::OK();
 }
@@ -602,9 +594,9 @@ Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey, TagId tag) {
   NOK_RETURN_IF_ERROR(
       tag_index_->Delete(Slice(index_keys::TagKey(tag, dewey))).status());
   bool has_value = false;
-  uint64_t pos = 0, offset = 0;
-  NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(Slice(payload), &pos,
-                                                 &has_value, &offset));
+  uint64_t offset = 0;
+  NOK_RETURN_IF_ERROR(
+      index_keys::ParseIdPayload(Slice(payload), &has_value, &offset));
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
     NOK_RETURN_IF_ERROR(
@@ -613,68 +605,6 @@ Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey, TagId tag) {
   }
   // The value record itself stays in the data file (orphaned); the data
   // file is append-only and compaction happens on rebuild.
-  return Status::OK();
-}
-
-
-Status DocumentStore::RefreshPositions() {
-  if (options_.read_only) {
-    return Status::InvalidArgument(
-        "RefreshPositions on a store opened read-only");
-  }
-  if (positions_fresh_) return Status::OK();
-  NOK_RETURN_IF_ERROR(BeginWalTxn());
-  const uint64_t ticks =
-      wal_writer_ != nullptr ? wal_writer_->capture_ticks() : 0;
-  return FinishWalOp(RefreshPositionsImpl(), ticks);
-}
-
-Status DocumentStore::RefreshPositionsImpl() {
-  // One document-order pass deriving (dewey, position) for every node.
-  StringStore* tree = tree_.get();
-  DeweyCounter deweys;
-  std::optional<StorePos> pos = tree->RootPos();
-  while (pos.has_value()) {
-    NOK_ASSIGN_OR_RETURN(int level, tree->LevelAt(*pos));
-    NOK_ASSIGN_OR_RETURN(TagId tag, tree->TagAt(*pos));
-    const DeweyId dewey(deweys.Next(static_cast<size_t>(level)));
-    const uint64_t global = tree->GlobalPos(*pos);
-    const std::string key = dewey.Encode();
-
-    // B+i: rewrite the payload, keeping the value-offset field.
-    NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(key)));
-    uint64_t old_pos = 0, offset = 0;
-    bool has_value = false;
-    NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(
-        Slice(payload), &old_pos, &has_value, &offset));
-    NOK_RETURN_IF_ERROR(id_index_->Delete(Slice(key)).status());
-    NOK_RETURN_IF_ERROR(id_index_->Insert(
-        Slice(key), index_keys::IdPayload(global, has_value, offset)));
-
-    // B+t / B+v: rewrite this node's entries in place.
-    const std::string tag_key = index_keys::TagKey(tag, dewey);
-    NOK_RETURN_IF_ERROR(ReplaceNodeRef(tag_index_.get(), tag_key, tag_key,
-                                       global, "B+t", dewey));
-    if (has_value) {
-      NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-      const std::string value_key = index_keys::ValueKey(Slice(value), dewey);
-      NOK_RETURN_IF_ERROR(ReplaceNodeRef(value_index_.get(), value_key,
-                                         value_key, global, "B+v", dewey));
-    }
-
-    NOK_ASSIGN_OR_RETURN(auto next, tree->NextOpen(*pos));
-    pos = next;
-  }
-
-  positions_fresh_ = true;
-  ++structure_version_;
-  if (!options_.dir.empty()) {
-    if (wal_writer_ != nullptr && wal_writer_->in_transaction()) {
-      wal_writer_->StageRemove(store_files::kStale);
-    } else {
-      NOK_RETURN_IF_ERROR(RemoveFile(options_.dir + "/positions.stale"));
-    }
-  }
   return Status::OK();
 }
 

@@ -208,9 +208,9 @@ std::vector<TrunkArcCheck> TrunkArcChecks(
 /// matching, so filtering on this is a pure pre-filter).
 bool PassesTrunkChecks(const NokTree& tree, size_t trunk_len,
                        const std::vector<TrunkArcCheck>& checks,
-                       const DocumentStore::IndexedNode& hit) {
+                       const DeweyId& hit) {
   const bool doc_root = tree.root_is_doc_root;
-  const size_t depth = hit.dewey.depth();
+  const size_t depth = hit.depth();
   if (doc_root) {
     if (depth != trunk_len - 1) return false;
   } else if (depth < trunk_len) {
@@ -224,7 +224,7 @@ bool PassesTrunkChecks(const NokTree& tree, size_t trunk_len,
       const size_t subject_depth =
           doc_root ? check.trunk_index
                    : depth - (trunk_len - 1) + check.trunk_index;
-      auto dewey = hit.dewey.Ancestor(depth - subject_depth);
+      auto dewey = hit.Ancestor(depth - subject_depth);
       NOK_CHECK(dewey.has_value());
       as_match.dewey = std::move(*dewey);
     }
@@ -294,9 +294,9 @@ bool InScope(const DeweyId& dewey, const std::vector<NodeMatch>& scope) {
 
 /// Index hits for one access path (the probe operators' body; shared by
 /// both navigation backends — index probes never touch tree pages).
-Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
+Result<std::vector<DeweyId>> FetchHits(
     DocumentStore* store, const AccessPath& access) {
-  std::vector<DocumentStore::IndexedNode> hits;
+  std::vector<DeweyId> hits;
   switch (access.strategy) {
     case StartStrategy::kValueIndex:
       return store->NodesWithValue(Slice(access.value_operand));
@@ -324,9 +324,7 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 //                                        subtree's close (ScopedScan);
 //   VisitNodes                           (pos, level, tag) of every node
 //                                        in document order;
-//   JumpToChild                          sampled child jump for WalkTo
-//                                        (dewey_walk.h);
-//   NodeAt, ResolveHits                  Dewey IDs / index hits -> nodes;
+//   NodeAt, LocateAll                    Dewey IDs -> nodes;
 //   CountSteps                           commits the tree steps (and tag
 //                                        blocks skipped) an algorithm
 //                                        counted locally, once per call.
@@ -334,36 +332,10 @@ Result<std::vector<DocumentStore::IndexedNode>> FetchHits(
 // PagedNav navigates the paged string store (BufferPool traffic, counted
 // in NavStats::pages_scanned by the store itself); BpNav navigates the
 // in-memory balanced-parentheses index (no page access at all, counted
-// in bp_steps).
+// in bp_steps).  Both locate Dewey IDs on the BP index: BpNav runs the
+// prefix-cached walk of dewey_walk.h (its JumpToChild and dewey_path are
+// the walk's hooks), and PagedNav maps BpNav's answers to the page chain.
 
-/// Candidate Dewey IDs -> nodes (sorted, deduplicated), each found by
-/// the cached walk, so consecutive IDs share the navigation path.
-template <typename Nav>
-Result<std::vector<typename Nav::NodeT>> LocateAll(
-    Nav* nav, std::vector<DeweyId> deweys) {
-  std::sort(deweys.begin(), deweys.end(),
-            [](const DeweyId& a, const DeweyId& b) {
-              return a.Compare(b) < 0;
-            });
-  deweys.erase(std::unique(deweys.begin(), deweys.end()), deweys.end());
-  std::vector<typename Nav::NodeT> out;
-  out.reserve(deweys.size());
-  uint64_t steps = 0;
-  for (DeweyId& dewey : deweys) {
-    NOK_ASSIGN_OR_RETURN(auto pos, WalkTo(nav, dewey, &steps));
-    out.push_back({pos, std::move(dewey), false});
-  }
-  nav->CountSteps(steps);
-  return out;
-}
-
-std::vector<DeweyId> DeweysOf(
-    const std::vector<DocumentStore::IndexedNode>& hits) {
-  std::vector<DeweyId> deweys;
-  deweys.reserve(hits.size());
-  for (const auto& hit : hits) deweys.push_back(hit.dewey);
-  return deweys;
-}
 
 /// Dewey IDs for tag-scan hit positions (ascending, all inside `root`'s
 /// subtree — the document root, or a ScopedScan source): an
@@ -546,114 +518,6 @@ Result<NodeMatch> ToMatch(Nav* nav, const typename Nav::NodeT& node,
   return match;
 }
 
-/// Paged-string tier: the paper's navigation over the page chain.
-class PagedNav {
- public:
-  using Cursor = StoreCursor;
-  using NodeT = StoreCursor::NodeT;
-  using Pos = StorePos;
-
-  explicit PagedNav(DocumentStore* store)
-      : store_(store), tree_(store->tree()), cursor_(store) {}
-
-  Cursor* cursor() { return &cursor_; }
-  std::vector<PathStep<Pos>>* dewey_path() { return &dewey_path_; }
-
-  Pos Root() const { return tree_->RootPos(); }
-  Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return tree_->FirstChild(pos);
-  }
-  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return tree_->FollowingSibling(pos);
-  }
-  uint64_t Order(Pos pos) const { return tree_->GlobalPos(pos); }
-  Result<uint64_t> SubtreeEnd(Pos pos) {
-    return tree_->SubtreeEndGlobal(pos);
-  }
-
-  /// Next open symbol with `tag` after `after`, or from the document
-  /// start (root included) when `after` is empty.
-  Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
-                                             TagId tag, uint64_t*) {
-    if (after.has_value()) return tree_->NextOpenWithTag(*after, tag);
-    const Pos root = tree_->RootPos();
-    NOK_ASSIGN_OR_RETURN(TagId root_tag, tree_->TagAt(root));
-    if (root_tag == tag) return std::optional<Pos>(root);
-    return tree_->NextOpenWithTag(root, tag);
-  }
-
-  /// A subtree is bounded by its root's level: the scan stops at the
-  /// first symbol above it, the root's own close.
-  using Bound = int;
-  Result<Bound> SubtreeBound(Pos pos) { return tree_->LevelAt(pos); }
-  Result<std::optional<Pos>> NextInSubtree(Pos after, Bound root_level,
-                                           TagId tag, uint64_t*) {
-    return tree_->NextOpenInSubtree(after, tag, root_level);
-  }
-
-  template <typename Visit>
-  Status VisitNodes(Visit&& visit) {
-    std::optional<Pos> pos = tree_->RootPos();
-    while (pos.has_value()) {
-      NOK_ASSIGN_OR_RETURN(int level, tree_->LevelAt(*pos));
-      NOK_ASSIGN_OR_RETURN(TagId tag, tree_->TagAt(*pos));
-      visit(*pos, level, tag);
-      NOK_ASSIGN_OR_RETURN(pos, tree_->NextOpen(*pos));
-    }
-    return Status::OK();
-  }
-
-  /// The page chain keeps no child samples: WalkTo steps right.
-  bool JumpToChild(Pos, uint32_t, PathStep<Pos>*) { return false; }
-
-  /// Paged work is counted as page fetches by the store itself.
-  void CountSteps(uint64_t, uint64_t = 0) {}
-
-  /// Physical node for one Dewey ID: a B+i lookup while positions are
-  /// fresh, else the cached walk, so the sorted candidates and their
-  /// trunk ancestors share one sweep instead of each walking from the
-  /// root.
-  Result<NodeT> NodeAt(const DeweyId& dewey) {
-    Pos pos;
-    if (store_->positions_fresh()) {
-      NOK_ASSIGN_OR_RETURN(pos, store_->Locate(dewey));
-    } else {
-      uint64_t steps = 0;
-      NOK_ASSIGN_OR_RETURN(pos, WalkTo(this, dewey, &steps));
-    }
-    return NodeT{pos, dewey, false};
-  }
-
-  /// Index hits -> physical nodes: their stored positions when fresh,
-  /// else the cached Dewey walk.
-  Result<std::vector<NodeT>> ResolveHits(
-      const std::vector<DocumentStore::IndexedNode>& hits) {
-    if (!store_->positions_fresh()) return LocateAll(this, DeweysOf(hits));
-    std::vector<NodeT> out;
-    out.reserve(hits.size());
-    for (const auto& hit : hits) {
-      NOK_ASSIGN_OR_RETURN(Pos pos, tree_->PosForGlobal(hit.pos));
-      out.push_back(NodeT{pos, hit.dewey, false});
-    }
-    std::sort(out.begin(), out.end(),
-              [](const NodeT& a, const NodeT& b) {
-                return a.dewey.Compare(b.dewey) < 0;
-              });
-    out.erase(std::unique(out.begin(), out.end(),
-                          [](const NodeT& a, const NodeT& b) {
-                            return a.dewey == b.dewey;
-                          }),
-              out.end());
-    return out;
-  }
-
- private:
-  DocumentStore* store_;
-  StringStore* tree_;
-  StoreCursor cursor_;
-  std::vector<PathStep<Pos>> dewey_path_;
-};
-
 /// Balanced-parentheses tier: every primitive runs on the in-memory
 /// BpIndex — tag scans over the SWAR tag array, tree steps over the
 /// bitvector — so candidate production touches zero subject-tree pages.
@@ -752,12 +616,24 @@ class BpNav {
     return NodeT{pos, dewey, false};
   }
 
-  /// Index hits -> BP nodes.  Hit positions are byte offsets into the
-  /// paged string, meaningless to the BP numbering, so resolution always
-  /// goes through the Dewey IDs — still zero page access.
-  Result<std::vector<NodeT>> ResolveHits(
-      const std::vector<DocumentStore::IndexedNode>& hits) {
-    return LocateAll(this, DeweysOf(hits));
+  /// Dewey IDs (index hits, candidate roots) -> nodes, sorted and
+  /// deduplicated, each found by the cached walk, so consecutive IDs
+  /// share the navigation path.
+  Result<std::vector<NodeT>> LocateAll(std::vector<DeweyId> deweys) {
+    std::sort(deweys.begin(), deweys.end(),
+              [](const DeweyId& a, const DeweyId& b) {
+                return a.Compare(b) < 0;
+              });
+    deweys.erase(std::unique(deweys.begin(), deweys.end()), deweys.end());
+    std::vector<NodeT> out;
+    out.reserve(deweys.size());
+    uint64_t steps = 0;
+    for (DeweyId& dewey : deweys) {
+      NOK_ASSIGN_OR_RETURN(Pos pos, WalkTo(this, dewey, &steps));
+      out.push_back({pos, std::move(dewey), false});
+    }
+    CountSteps(steps);
+    return out;
   }
 
  private:
@@ -767,6 +643,96 @@ class BpNav {
   std::vector<PathStep<Pos>> dewey_path_;
 };
 
+/// Paged-string tier: the paper's navigation over the page chain.
+class PagedNav {
+ public:
+  using Cursor = StoreCursor;
+  using NodeT = StoreCursor::NodeT;
+  using Pos = StorePos;
+
+  /// `bp` is the store's current BP index (DocumentStore::bp_index()),
+  /// the Dewey ID locator.
+  PagedNav(DocumentStore* store, const BpIndex* bp)
+      : store_(store), tree_(store->tree()), cursor_(store),
+        locator_(store, bp) {}
+
+  Cursor* cursor() { return &cursor_; }
+
+  Pos Root() const { return tree_->RootPos(); }
+  Result<std::optional<Pos>> FirstChild(Pos pos) {
+    return tree_->FirstChild(pos);
+  }
+  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
+    return tree_->FollowingSibling(pos);
+  }
+  uint64_t Order(Pos pos) const { return tree_->GlobalPos(pos); }
+  Result<uint64_t> SubtreeEnd(Pos pos) {
+    return tree_->SubtreeEndGlobal(pos);
+  }
+
+  /// Next open symbol with `tag` after `after`, or from the document
+  /// start (root included) when `after` is empty.
+  Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
+                                             TagId tag, uint64_t*) {
+    if (after.has_value()) return tree_->NextOpenWithTag(*after, tag);
+    const Pos root = tree_->RootPos();
+    NOK_ASSIGN_OR_RETURN(TagId root_tag, tree_->TagAt(root));
+    if (root_tag == tag) return std::optional<Pos>(root);
+    return tree_->NextOpenWithTag(root, tag);
+  }
+
+  /// A subtree is bounded by its root's level: the scan stops at the
+  /// first symbol above it, the root's own close.
+  using Bound = int;
+  Result<Bound> SubtreeBound(Pos pos) { return tree_->LevelAt(pos); }
+  Result<std::optional<Pos>> NextInSubtree(Pos after, Bound root_level,
+                                           TagId tag, uint64_t*) {
+    return tree_->NextOpenInSubtree(after, tag, root_level);
+  }
+
+  template <typename Visit>
+  Status VisitNodes(Visit&& visit) {
+    std::optional<Pos> pos = tree_->RootPos();
+    while (pos.has_value()) {
+      NOK_ASSIGN_OR_RETURN(int level, tree_->LevelAt(*pos));
+      NOK_ASSIGN_OR_RETURN(TagId tag, tree_->TagAt(*pos));
+      visit(*pos, level, tag);
+      NOK_ASSIGN_OR_RETURN(pos, tree_->NextOpen(*pos));
+    }
+    return Status::OK();
+  }
+
+  /// Paged work is counted as page fetches by the store itself.
+  void CountSteps(uint64_t, uint64_t = 0) {}
+
+  /// Physical node for one Dewey ID: the BP locator's cached walk (its
+  /// steps count as bp steps), mapped to the page chain by
+  /// DocumentStore::StorePosOf.  No page is read.
+  Result<NodeT> NodeAt(const DeweyId& dewey) {
+    NOK_ASSIGN_OR_RETURN(BpNav::NodeT node, locator_.NodeAt(dewey));
+    return NodeT{store_->StorePosOf(node.pos), dewey, false};
+  }
+
+  /// BpNav::LocateAll, mapped to the page chain likewise.
+  Result<std::vector<NodeT>> LocateAll(std::vector<DeweyId> deweys) {
+    NOK_ASSIGN_OR_RETURN(std::vector<BpNav::NodeT> nodes,
+                         locator_.LocateAll(std::move(deweys)));
+    std::vector<NodeT> out;
+    out.reserve(nodes.size());
+    for (BpNav::NodeT& node : nodes) {
+      out.push_back(
+          NodeT{store_->StorePosOf(node.pos), std::move(node.dewey), false});
+    }
+    return out;
+  }
+
+ private:
+  DocumentStore* store_;
+  StringStore* tree_;
+  StoreCursor cursor_;
+  BpNav locator_;
+};
+
 /// Anchored evaluation of one NoK tree (Section 6.2 realized): the index
 /// supplies candidate matches of the anchor node; the trunk (anchor ->
 /// tree root) is verified upward via Dewey prefixes; branch subtrees hang
@@ -774,8 +740,7 @@ class BpNav {
 /// subtree is matched in full.  Every trunk edge is a child axis, so the
 /// subject ancestors are exactly the Dewey prefixes -- no search needed.
 /// Templated over the navigation backend: trunk nodes come from
-/// Nav::NodeAt (B+i lookups on fresh paged positions, else the cached
-/// Dewey walk).
+/// Nav::NodeAt (the cached Dewey walk on the BP index).
 template <typename Nav>
 class AnchoredMatcherT {
  public:
@@ -810,16 +775,16 @@ class AnchoredMatcherT {
   /// Matches one candidate anchor node; returns the binding when the
   /// whole tree matches around it.
   Result<std::optional<NokBinding>> MatchCandidate(
-      const DocumentStore::IndexedNode& hit) {
+      const DeweyId& hit) {
     const bool doc_root = tree_.root_is_doc_root;
     const size_t trunk_len = trunk_.size();
     // Depth feasibility: for rooted trees the anchor's document depth is
     // fixed; for floating trees it only has a minimum.
     if (doc_root) {
-      if (hit.dewey.depth() != trunk_len - 1) {
+      if (hit.depth() != trunk_len - 1) {
         return std::optional<NokBinding>();
       }
-    } else if (hit.dewey.depth() < trunk_len) {
+    } else if (hit.depth() < trunk_len) {
       return std::optional<NokBinding>();
     }
 
@@ -838,8 +803,8 @@ class AnchoredMatcherT {
         continue;
       }
       const size_t subject_depth =
-          doc_root ? j : hit.dewey.depth() - (trunk_len - 1) + j;
-      auto dewey = hit.dewey.Ancestor(hit.dewey.depth() - subject_depth);
+          doc_root ? j : hit.depth() - (trunk_len - 1) + j;
+      auto dewey = hit.Ancestor(hit.depth() - subject_depth);
       NOK_CHECK(dewey.has_value());
       NOK_ASSIGN_OR_RETURN(NodeT node, nav_->NodeAt(*dewey));
 
@@ -952,7 +917,7 @@ const char* ProbeOpName(StartStrategy strategy) {
 /// matching).
 template <typename NodeT>
 struct Candidates {
-  std::vector<DocumentStore::IndexedNode> hits;
+  std::vector<DeweyId> hits;
   std::vector<NodeT> nodes;
 };
 
@@ -1102,7 +1067,7 @@ class PlanRun {
   /// Index-anchored evaluation: probe (unless reusing a scout's
   /// survivors), scope, pre-filter, then the anchored NokMatch.
   Status MatchAnchored(int tree_id, bool scout, bool reuse,
-                       std::vector<DocumentStore::IndexedNode>* hits,
+                       std::vector<DeweyId>* hits,
                        Matched* out) {
     const size_t t = static_cast<size_t>(tree_id);
     const NokTree& tree = partition_.trees[t];
@@ -1114,8 +1079,8 @@ class PlanRun {
         const size_t trunk_len =
             static_cast<size_t>(tree.DepthOf(access.anchor));
         Filter(tree_id, ScopeDetail(tree_id), hits, [&](const auto& hit) {
-          if (hit.dewey.depth() < trunk_len) return false;
-          auto root = hit.dewey.Ancestor(trunk_len - 1);
+          if (hit.depth() < trunk_len) return false;
+          auto root = hit.Ancestor(trunk_len - 1);
           return root.has_value() && InScope(*root, scope_[t]);
         });
       }
@@ -1127,23 +1092,17 @@ class PlanRun {
                          &trunk_len, evaluated_, qualified_roots_);
       if (!checks.empty()) {
         Filter(tree_id, "arcs=" + std::to_string(checks.size()), hits,
-               [&](const DocumentStore::IndexedNode& hit) {
+               [&](const DeweyId& hit) {
                  return PassesTrunkChecks(tree, trunk_len, checks, hit);
                });
       }
     }
     out->candidates = hits->size();
     std::sort(hits->begin(), hits->end(),
-              [](const DocumentStore::IndexedNode& a,
-                 const DocumentStore::IndexedNode& b) {
-                return a.dewey.Compare(b.dewey) < 0;
+              [](const DeweyId& a, const DeweyId& b) {
+                return a.Compare(b) < 0;
               });
-    hits->erase(std::unique(hits->begin(), hits->end(),
-                            [](const DocumentStore::IndexedNode& a,
-                               const DocumentStore::IndexedNode& b) {
-                              return a.dewey == b.dewey;
-                            }),
-                hits->end());
+    hits->erase(std::unique(hits->begin(), hits->end()), hits->end());
 
     OperatorStats match =
         Op("NokMatch", tree_id, scout ? "scout anchored" : "anchored");
@@ -1221,7 +1180,7 @@ class PlanRun {
   }
 
   /// The probe operator of an index access path.
-  Result<std::vector<DocumentStore::IndexedNode>> Probe(
+  Result<std::vector<DeweyId>> Probe(
       int tree_id, const AccessPath& access) {
     OperatorStats probe = Op(ProbeOpName(access.strategy), tree_id,
                              access.display);
@@ -1326,15 +1285,16 @@ class PlanRun {
     if (access.anchor == 0) {
       if (scoped) {
         Filter(tree_id, ScopeDetail(tree_id), &hits, [&](const auto& hit) {
-          return InScope(hit.dewey, scope_[t]);
+          return InScope(hit, scope_[t]);
         });
       }
       if (filter_roots) {
         FilterRootsBy(tree_id, &hits,
-                      [](const DocumentStore::IndexedNode& hit)
-                          -> const DeweyId& { return hit.dewey; });
+                      [](const DeweyId& hit) -> const DeweyId& {
+                        return hit;
+                      });
       }
-      NOK_ASSIGN_OR_RETURN(*candidates, nav_->ResolveHits(hits));
+      NOK_ASSIGN_OR_RETURN(*candidates, nav_->LocateAll(std::move(hits)));
       return Status::OK();
     }
     // Index hits below the root but ordering constraints force a
@@ -1342,14 +1302,14 @@ class PlanRun {
     const int depth = tree.DepthOf(access.anchor);
     std::vector<DeweyId> roots;
     for (const auto& hit : hits) {
-      auto up = hit.dewey.Ancestor(static_cast<size_t>(depth - 1));
+      auto up = hit.Ancestor(static_cast<size_t>(depth - 1));
       if (up.has_value()) roots.push_back(std::move(*up));
     }
     if (scoped) {
       Filter(tree_id, ScopeDetail(tree_id), &roots,
              [&](const DeweyId& dewey) { return InScope(dewey, scope_[t]); });
     }
-    NOK_ASSIGN_OR_RETURN(*candidates, LocateAll(nav_, std::move(roots)));
+    NOK_ASSIGN_OR_RETURN(*candidates, nav_->LocateAll(std::move(roots)));
     return Status::OK();
   }
 
@@ -1509,8 +1469,8 @@ Result<std::vector<DeweyId>> Executor::Run(
     trace->operators.push_back(std::move(op));
     return std::vector<DeweyId>();
   }
+  NOK_ASSIGN_OR_RETURN(const BpIndex* bp, store_->bp_index());
   if (store_->nav_mode() == NavMode::kBp) {
-    NOK_ASSIGN_OR_RETURN(const BpIndex* bp, store_->bp_index());
     const StringStore::NavStats before = store_->tree()->nav_stats();
     BpNav nav(store_, bp);
     NOK_ASSIGN_OR_RETURN(
@@ -1524,7 +1484,7 @@ Result<std::vector<DeweyId>> Executor::Run(
         after.bp_tag_blocks_skipped - before.bp_tag_blocks_skipped;
     return out;
   }
-  PagedNav nav(store_);
+  PagedNav nav(store_, bp);
   return PlanRun<PagedNav>(store_, &nav, plan, partition, tag_table, options,
                            stats, trace)
       .Run();

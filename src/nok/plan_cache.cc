@@ -40,8 +40,6 @@ std::string PlanCache::Key(const std::string& canonical_pattern,
   key += StrategyName(options.strategy);
   key += "|j=";
   key += options.join_mode == JoinMode::kDewey ? "d" : "i";
-  key += "|f=" + std::to_string(options.index_fraction);
-  key += "|c=" + std::to_string(options.value_estimate_cap);
   key += "|o=";
   key += options.cost_based_join_order ? "1" : "0";
   key += "|y=";  // Planner mode: synopsis estimates on/off.

@@ -4,8 +4,8 @@
 // plus the store generation (epoch + structure version), so a cached
 // plan is only replayed against the exact document state it was planned
 // for — the updater bumps the structure version on every structural
-// edit and on RefreshPositions, which invalidates all earlier entries
-// without any explicit flush.
+// edit, which invalidates all earlier entries without any explicit
+// flush.
 //
 // A cache lives inside one QueryEngine (a cheap per-thread object), so
 // no locking is needed; bounding it keeps long-lived engines running

@@ -12,6 +12,11 @@ namespace nok {
 namespace {
 
 constexpr uint64_t kMaxScore = std::numeric_limits<uint64_t>::max();
+/// kAuto: a tag index is used when the best tag score is at most this
+/// fraction of the document's node count; otherwise scan.
+constexpr double kIndexFraction = 1.0 / 16;
+/// Value-selectivity estimation stops counting here.
+constexpr size_t kValueEstimateCap = 512;
 
 /// Plan-time resolved tag of a pattern node (see ResolvePatternTags).
 TagId ResolvedTag(const std::vector<TagId>& tag_table,
@@ -376,7 +381,7 @@ Result<AccessPath> Planner::PlanTree(
       NOK_ASSIGN_OR_RETURN(
           size_t count,
           store_->EstimateValueCount(Slice(p->predicate.operand),
-                                     options.value_estimate_cap));
+                                     kValueEstimateCap));
       const uint64_t score = count + below[i];
       if (score < best_value.score) {
         best_value = ValueChoice{score, count, p->predicate.operand,
@@ -418,8 +423,8 @@ Result<AccessPath> Planner::PlanTree(
     if (best_value.score != kMaxScore) {
       return StartStrategy::kValueIndex;
     }
-    const double cutoff = options.index_fraction *
-                          static_cast<double>(store_->stats().node_count);
+    const double cutoff =
+        kIndexFraction * static_cast<double>(store_->stats().node_count);
     if (best_tag.tag != kInvalidTag &&
         static_cast<double>(best_tag.score) <= cutoff) {
       return StartStrategy::kTagIndex;

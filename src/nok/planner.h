@@ -43,11 +43,6 @@ struct QueryOptions {
   StartStrategy strategy = StartStrategy::kAuto;
   /// Containment test for the global-arc joins.
   JoinMode join_mode = JoinMode::kDewey;
-  /// kAuto: a tag index is used when the best tag count is below this
-  /// fraction of the document's node count; otherwise scan.
-  double index_fraction = 1.0 / 16;
-  /// Cap for value-selectivity estimation (counting stops here).
-  size_t value_estimate_cap = 512;
   /// Cost-based semi-join schedule: evaluate the most selective ready
   /// tree first and pre-filter anchor candidates against already-
   /// evaluated child-tree results before any page is fetched for them.
@@ -70,7 +65,7 @@ struct QueryOptions {
 /// (est-vs-actual rows) and explain formatting.
 struct Cardinality {
   /// Expected candidates produced by the access-path probe (tag counts
-  /// exact; value counts capped at value_estimate_cap).
+  /// exact; value counts capped at kValueEstimateCap in planner.cc).
   uint64_t candidates = 0;
   /// Expected bindings produced by this tree's structural match.  With
   /// the path synopsis this is the independence estimate of the node the

@@ -184,7 +184,6 @@ Status TxnFile::Sync() {
 
 void TxnFile::OverlayWrite(uint64_t offset, const Slice& data) {
   if (data.empty()) return;
-  wal_->NoteCapture();
   if (!dirty_) {
     dirty_ = true;
     virtual_size_ = base_->Size();
@@ -292,7 +291,6 @@ Status TxnFile::Append(const Slice& data, uint64_t* offset) {
 
 Status TxnFile::Truncate(uint64_t size) {
   if (!InTransaction()) return base_->Truncate(size);
-  wal_->NoteCapture();
   if (!dirty_) {
     dirty_ = true;
     virtual_size_ = base_->Size();
@@ -437,11 +435,6 @@ void WalWriter::Unregister(TxnFile* file) {
                files_.end());
 }
 
-void WalWriter::NoteCapture() {
-  MutexLock lock(&mu_);
-  ++capture_ticks_;
-}
-
 void WalWriter::Begin() {
   MutexLock lock(&mu_);
   in_transaction_ = true;
@@ -457,11 +450,6 @@ void WalWriter::set_retain_hook(RetainHook hook) {
   retain_ = std::move(hook);
 }
 
-uint64_t WalWriter::capture_ticks() const {
-  MutexLock lock(&mu_);
-  return capture_ticks_;
-}
-
 WalWriter::Stats WalWriter::stats() const {
   MutexLock lock(&mu_);
   return stats_;
@@ -469,7 +457,6 @@ WalWriter::Stats WalWriter::stats() const {
 
 void WalWriter::StageReplace(std::string name, std::string contents) {
   MutexLock lock(&mu_);
-  ++capture_ticks_;  // NoteCapture would retake mu_
   StagedOp op;
   op.name = std::move(name);
   op.contents = std::move(contents);
@@ -478,7 +465,6 @@ void WalWriter::StageReplace(std::string name, std::string contents) {
 
 void WalWriter::StageRemove(std::string name) {
   MutexLock lock(&mu_);
-  ++capture_ticks_;  // NoteCapture would retake mu_
   StagedOp op;
   op.name = std::move(name);
   op.remove = true;

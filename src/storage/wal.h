@@ -202,7 +202,7 @@ class WalWriter {
   bool in_transaction() const EXCLUDES(mu_);
 
   /// Stages a whole-file replace (applied at commit; used for the
-  /// dictionary and the stale-positions marker, which bypass File).
+  /// dictionary, which bypasses File).
   void StageReplace(std::string name, std::string contents) EXCLUDES(mu_);
   /// Stages a file removal (applied at commit).
   void StageRemove(std::string name) EXCLUDES(mu_);
@@ -223,11 +223,6 @@ class WalWriter {
 
   void set_retain_hook(RetainHook hook) EXCLUDES(mu_);
 
-  /// Monotonic count of captured mutations (overlay writes/truncates and
-  /// staged ops).  An update op that fails without moving this counter
-  /// left the transaction exactly as it found it.
-  uint64_t capture_ticks() const EXCLUDES(mu_);
-
   /// Counter snapshot (by value: the counters move under mu_ and a
   /// reference would be read unguarded by the caller).
   Stats stats() const EXCLUDES(mu_);
@@ -243,7 +238,6 @@ class WalWriter {
 
   void Register(TxnFile* file) EXCLUDES(mu_);
   void Unregister(TxnFile* file) EXCLUDES(mu_);
-  void NoteCapture() EXCLUDES(mu_);
 
   /// Guards the transaction and commit state.  Held across the whole of
   /// Commit — including base-file I/O and the retain hook, which takes
@@ -269,7 +263,6 @@ class WalWriter {
   };
   std::vector<StagedOp> staged_ GUARDED_BY(mu_);
 
-  uint64_t capture_ticks_ GUARDED_BY(mu_) = 0;
   Stats stats_ GUARDED_BY(mu_);
 };
 

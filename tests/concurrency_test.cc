@@ -77,8 +77,7 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   const std::string dir = testing::TempDir() + "/nok_concurrency_store";
   for (const char* f :
        {store_files::kTree, store_files::kValues, store_files::kDict,
-        store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-        store_files::kStale}) {
+        store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx}) {
     ASSERT_TRUE(RemoveFile(dir + "/" + std::string(f)).ok());
   }
 

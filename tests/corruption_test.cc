@@ -130,7 +130,7 @@ TEST(CorruptionTest, FlippedTreePageFailsQueriesWithCorruption) {
     ASSERT_TRUE(book_tag.has_value());
     Status s = Status::OK();
     for (uint32_t i = 0; i < 8 && s.ok(); ++i) {
-      s = (*store)->Locate(DeweyId({0, 0, 2, 0})).status();
+      s = (*store)->Navigate(DeweyId({0, 0, 2, 0})).status();
       s = s.ok() ? (*store)->Navigate(DeweyId({0, 1, 2, 0})).status() : s;
     }
     EXPECT_TRUE(s.IsCorruption()) << s.ToString();

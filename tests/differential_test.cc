@@ -333,9 +333,9 @@ void RunStrategySweep(Dataset dataset, uint64_t seed) {
 /// eligible `//` arc forced top-down and forced bottom-up (the test
 /// helper rewrites the plan; no QueryOptions field exists for it), under
 /// each start strategy, both join modes and both navigation tiers, on
-/// fresh positions and again after one insert has made them stale.  The
-/// insert duplicates the root's first child at child 0, shifting every
-/// later Dewey ID.  Every answer must equal the oracle's.
+/// the built store and again after one insert.  The insert duplicates the
+/// root's first child at child 0, shifting every later Dewey ID.  Every
+/// answer must equal the oracle's.
 void RunForcedDirections(const std::string& name, const std::string& xml,
                          const std::vector<std::string>& queries) {
   auto dom = DomTree::Parse(xml);
@@ -343,10 +343,10 @@ void RunForcedDirections(const std::string& name, const std::string& xml,
   ASSERT_FALSE(dom->root()->children.empty());
   const std::string fragment =
       SerializeNode(dom->root()->children.front().get());
-  std::string stale_xml = SerializeTree(*dom);
-  stale_xml.insert(stale_xml.find('>') + 1, fragment);
-  auto stale_dom = DomTree::Parse(stale_xml);
-  ASSERT_TRUE(stale_dom.ok()) << stale_dom.status().ToString();
+  std::string updated_xml = SerializeTree(*dom);
+  updated_xml.insert(updated_xml.find('>') + 1, fragment);
+  auto updated_dom = DomTree::Parse(updated_xml);
+  ASSERT_TRUE(updated_dom.ok()) << updated_dom.status().ToString();
 
   const StartStrategy strategies[] = {
       StartStrategy::kAuto, StartStrategy::kScan, StartStrategy::kTagIndex,
@@ -357,16 +357,16 @@ void RunForcedDirections(const std::string& name, const std::string& xml,
     options.nav_mode = mode;
     auto store = DocumentStore::Build(xml, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (const bool stale : {false, true}) {
-      if (stale) {
+    for (const bool updated : {false, true}) {
+      if (updated) {
         ASSERT_TRUE(
             (*store)->InsertSubtree(DeweyId::Root(), 0, fragment).ok());
-        ASSERT_FALSE((*store)->positions_fresh());
       }
       for (const std::string& xpath : queries) {
         SCOPED_TRACE(name + (mode == NavMode::kBp ? " bp" : " paged") +
-                     (stale ? " stale: " : " fresh: ") + xpath);
-        auto oracle = OracleEvaluateDewey(xpath, stale ? *stale_dom : *dom);
+                     (updated ? " updated: " : " built: ") + xpath);
+        auto oracle =
+            OracleEvaluateDewey(xpath, updated ? *updated_dom : *dom);
         if (!oracle.ok() && oracle.status().IsNotSupported()) continue;
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
         const std::vector<std::string> want = CanonDewey(*oracle);

@@ -4,6 +4,7 @@
 #include <set>
 #include <string>
 
+#include "encoding/dewey.h"
 #include "encoding/document_store.h"
 #include "tests/oracle.h"
 #include "xml/dom.h"
@@ -71,15 +72,8 @@ TEST(DocumentStoreTest, NodesWithTagInDocumentOrder) {
   auto books = store->NodesWithTag(*book_tag);
   ASSERT_TRUE(books.ok());
   ASSERT_EQ(books->size(), 2u);
-  EXPECT_EQ((*books)[0].dewey.ToString(), "0.0");
-  EXPECT_EQ((*books)[1].dewey.ToString(), "0.1");
-  // Stored positions round-trip to the right physical node.
-  EXPECT_TRUE(store->positions_fresh());
-  auto pos = store->tree()->PosForGlobal((*books)[1].pos);
-  ASSERT_TRUE(pos.ok());
-  auto tag_at = store->tree()->TagAt(*pos);
-  ASSERT_TRUE(tag_at.ok());
-  EXPECT_EQ(*tag_at, *book_tag);
+  EXPECT_EQ((*books)[0].ToString(), "0.0");
+  EXPECT_EQ((*books)[1].ToString(), "0.1");
   EXPECT_EQ(store->CountTag(*book_tag), 2u);
 
   auto limited = store->NodesWithTag(*book_tag, 1);
@@ -92,7 +86,7 @@ TEST(DocumentStoreTest, NodesWithValueVerifiesCollisions) {
   auto stevens = store->NodesWithValue(Slice("Stevens"));
   ASSERT_TRUE(stevens.ok());
   ASSERT_EQ(stevens->size(), 1u);
-  EXPECT_EQ((*stevens)[0].dewey.ToString(), "0.0.2.0");
+  EXPECT_EQ((*stevens)[0].ToString(), "0.0.2.0");
   auto absent = store->NodesWithValue(Slice("not-here"));
   ASSERT_TRUE(absent.ok());
   EXPECT_TRUE(absent->empty());
@@ -102,21 +96,74 @@ TEST(DocumentStoreTest, NodesWithValueVerifiesCollisions) {
   EXPECT_EQ(*estimate, 1u);
 }
 
-TEST(DocumentStoreTest, LocateWalksToAnyNode) {
+TEST(DocumentStoreTest, NavigateWalksToAnyNode) {
   auto store = Build(kBibXml);
   auto dom = DomTree::Parse(kBibXml);
   ASSERT_TRUE(dom.ok());
-  // Every DOM node must be locatable and carry the right tag.
+  // Every DOM node must be reachable and carry the right tag.
   ForEachNode(dom->root(), [&](const DomNode* node) {
     const DeweyId id = DomDewey(node);
-    auto pos = store->Locate(id);
+    auto pos = store->Navigate(id);
     ASSERT_TRUE(pos.ok()) << id.ToString();
     auto tag = store->tree()->TagAt(*pos);
     ASSERT_TRUE(tag.ok());
     EXPECT_EQ(store->tags()->Name(*tag), node->name) << id.ToString();
   });
-  EXPECT_TRUE(store->Locate(DeweyId({0, 7})).status().IsNotFound());
-  EXPECT_FALSE(store->Locate(DeweyId({1})).ok());
+  EXPECT_TRUE(store->Navigate(DeweyId({0, 7})).status().IsNotFound());
+  EXPECT_FALSE(store->Navigate(DeweyId({1})).ok());
+}
+
+/// For every node, in document order: StorePosOf maps its BP open bit to
+/// the paged position Navigate reaches, where the tag is the BP index's.
+void ExpectBpLocatorMatchesNavigate(DocumentStore* store) {
+  auto bp = store->bp_index();
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+  DeweyCounter deweys;
+  int level = 0;
+  uint64_t nodes = 0;
+  for (uint64_t pos = 0; pos < (*bp)->bit_count(); ++pos) {
+    if (!(*bp)->IsOpen(pos)) {
+      --level;
+      continue;
+    }
+    ++level;
+    ++nodes;
+    const DeweyId id(deweys.Next(static_cast<size_t>(level)));
+    auto walked = store->Navigate(id);
+    ASSERT_TRUE(walked.ok()) << id.ToString();
+    EXPECT_TRUE(store->StorePosOf(pos) == *walked) << id.ToString();
+    auto tag = store->tree()->TagAt(*walked);
+    ASSERT_TRUE(tag.ok());
+    EXPECT_EQ(*tag, (*bp)->TagAt(pos)) << id.ToString();
+  }
+  EXPECT_EQ(nodes, store->stats().node_count);
+}
+
+TEST(DocumentStoreTest, BpLocatorSpansManyPagesAndFollowsUpdates) {
+  // 256-byte pages hold a few dozen symbols each, so the locator's page
+  // table has many entries; updates split pages and empty others.
+  std::string xml = "<r>";
+  for (int i = 0; i < 200; ++i) {
+    xml += "<a n=\"" + std::to_string(i) + "\"><b>x</b><c/></a>";
+  }
+  xml += "</r>";
+  DocumentStore::Options options;
+  options.page_size = 256;
+  auto built = DocumentStore::Build(xml, options);
+  ASSERT_TRUE(built.ok()) << built.status().ToString();
+  DocumentStore* store = built->get();
+  ASSERT_GT(store->tree()->chain_length(), 10u);
+  ExpectBpLocatorMatchesNavigate(store);
+
+  const std::string fragment = "<a><b>new</b><b>more</b><c/></a>";
+  for (const uint32_t at : {0u, 100u, 201u}) {
+    ASSERT_TRUE(store->InsertSubtree(DeweyId::Root(), at, fragment).ok());
+  }
+  for (int i = 0; i < 12; ++i) {
+    ASSERT_TRUE(store->DeleteSubtree(DeweyId({0, 5})).ok());
+  }
+  // No Flush: bp_index() rebuilds from the edited chain on demand.
+  ExpectBpLocatorMatchesNavigate(store);
 }
 
 TEST(DocumentStoreTest, PersistsAndReopens) {
@@ -127,12 +174,12 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
   std::filesystem::remove_all(dir);
   DocumentStore::Options options;
   options.dir = dir;
-  // The files a paged store consists of: three B+ trees and no rooted
-  // tag-path index (path.idx).
+  // The files a store consists of in either nav mode: three B+ trees, the
+  // two sidecars, and no rooted tag-path index (path.idx).
   const std::set<std::string> want_files = {
-      store_files::kTree,   store_files::kValues, store_files::kDict,
-      store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx,
-      store_files::kSynopsis};
+      store_files::kTree,    store_files::kValues, store_files::kDict,
+      store_files::kTagIdx,  store_files::kValIdx, store_files::kIdIdx,
+      store_files::kBpIndex, store_files::kSynopsis};
   auto files_in_dir = [&] {
     std::set<std::string> names;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {

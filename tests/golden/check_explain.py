@@ -10,7 +10,8 @@ bp steps show), normalizes the volatile fields (page and timing counters
 vary with build flags and machine speed) and compares the result against
 the checked-in .golden files.  It also checks that an unknown
 --strategy (such as the retired "path") is a usage error naming the
-valid strategies on both `explain` and `query`.
+valid strategies on both `explain` and `query`, and that the retired
+`refresh` command is an unknown command (usage, exit 2).
 
 Usage:
   check_explain.py --nokq build/tools/nokq [--update]
@@ -122,6 +123,21 @@ def main() -> int:
                 failures += 1
             else:
                 print(f"{command} --strategy path: usage error, ok")
+
+        # The retired `refresh` command (it rebuilt cached index
+        # positions, which no store keeps any more) is an unknown command.
+        run = subprocess.run(
+            [args.nokq, "refresh", store], capture_output=True, text=True
+        )
+        if run.returncode != 2 or "usage:" not in run.stderr:
+            print(
+                "refresh: want exit 2 with the usage text, got exit "
+                f"{run.returncode}:\n{run.stdout}{run.stderr}",
+                file=sys.stderr,
+            )
+            failures += 1
+        else:
+            print("refresh: unknown command, ok")
 
     if failures:
         print(

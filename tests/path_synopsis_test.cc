@@ -217,8 +217,8 @@ TEST(PathSynopsisTest, EmptyResultPlanReadsZeroPages) {
 }
 
 // ---------------------------------------------------------------------
-// WAL: RefreshPositions before Flush folds the position refresh into the
-// update's own commit instead of leaving the store stale.  (The
+// WAL: a commit rebuilds the BP index and the synopsis in memory, so the
+// queries after it plan and navigate on the new structure.  (The
 // synopsis.pds sidecar lifecycle is covered by sidecar_test.)
 
 std::string TestDir() {
@@ -227,7 +227,7 @@ std::string TestDir() {
       .string();
 }
 
-TEST(PathSynopsisTest, WalRefreshPositionsOnCommit) {
+TEST(PathSynopsisTest, WalCommitRebuildsDerivedStructures) {
   const std::string dir = TestDir() + "_wal";
   std::filesystem::remove_all(dir);
   {
@@ -239,40 +239,30 @@ TEST(PathSynopsisTest, WalRefreshPositionsOnCommit) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
   {
-    // A committed batch of updates leaves positions stale.
     DocumentStore::Options wal;
     wal.dir = dir;
     wal.wal.enabled = true;
     auto store = DocumentStore::OpenDir(wal);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<e>z</e>").ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-    EXPECT_FALSE((*store)->positions_fresh());
-    ASSERT_TRUE((*store)->RefreshPositions().ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-    EXPECT_TRUE((*store)->positions_fresh());
-  }
-  {
-    // Refreshing before the Flush joins the open transaction: the
-    // refresh rides the same single WAL commit.
-    DocumentStore::Options wal;
-    wal.dir = dir;
-    wal.wal.enabled = true;
-    auto store = DocumentStore::OpenDir(wal);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<f>w</f>").ok());
-    ASSERT_TRUE((*store)->RefreshPositions().ok());
+    EXPECT_EQ((*store)->path_synopsis(), nullptr);
     ASSERT_TRUE((*store)->Flush().ok());
-    EXPECT_TRUE((*store)->positions_fresh());
     EXPECT_EQ((*store)->wal_stats().commits, 1u);
+    ASSERT_NE((*store)->path_synopsis(), nullptr);
+    QueryEngine engine(store->get());
+    auto e = engine.Evaluate("/a/e");
+    ASSERT_TRUE(e.ok()) << e.status().ToString();
+    ASSERT_EQ(e->size(), 1u);
+    EXPECT_EQ((*e)[0].ToString(), "0.1");
+    EXPECT_TRUE(engine.last_trace().synopsis_used);
   }
   {
-    // A plain reopen sees fresh positions and both inserted subtrees.
+    // A plain reopen sees both inserted subtrees.
     DocumentStore::Options plain;
     plain.dir = dir;
     auto store = DocumentStore::OpenDir(plain);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_TRUE((*store)->positions_fresh());
     QueryEngine engine(store->get());
     auto e = engine.Evaluate("/a/e");
     ASSERT_TRUE(e.ok()) << e.status().ToString();

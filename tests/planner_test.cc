@@ -336,9 +336,6 @@ TEST(PlanCacheTest, KeyCoversOptionsAndStoreGeneration) {
   QueryOptions c = a;
   c.cost_based_join_order = false;
   EXPECT_NE(base, PlanCache::Key("pat", c, 1, 1));
-  QueryOptions d = a;
-  d.index_fraction = 0.5;
-  EXPECT_NE(base, PlanCache::Key("pat", d, 1, 1));
 }
 
 TEST(PlanCacheTest, LruBoundAndStats) {

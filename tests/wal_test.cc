@@ -332,23 +332,6 @@ TEST(TxnFileTest, AbortDiscardsTheOverlay) {
   fx.file.reset();
 }
 
-TEST(TxnFileTest, CaptureTicksCountMutations) {
-  auto fx = MakeWriter(TempDir("ticks"));
-  fx.wal->Begin();
-  const uint64_t before = fx.wal->capture_ticks();
-  char buf[4];
-  Slice out;
-  ASSERT_TRUE(fx.file->WriteAt(0, Slice("abcd")).ok());
-  ASSERT_TRUE(fx.file->ReadAt(0, 4, buf, &out).ok());  // Reads don't count.
-  EXPECT_EQ(fx.wal->capture_ticks(), before + 1);
-  ASSERT_TRUE(fx.file->Truncate(2).ok());
-  EXPECT_EQ(fx.wal->capture_ticks(), before + 2);
-  fx.wal->StageReplace("dict", "x");
-  EXPECT_EQ(fx.wal->capture_ticks(), before + 3);
-  ASSERT_TRUE(fx.wal->Abort().ok());
-  fx.file.reset();
-}
-
 // ---------------------------------------------------------------------------
 // Recovery replay.
 

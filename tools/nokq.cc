@@ -11,7 +11,6 @@
 //   nokq stats  <store-dir>                     Table-1 style statistics
 //   nokq insert <store-dir> <parent-dewey> <index> <fragment.xml> [--wal]
 //   nokq delete <store-dir> <dewey> [--wal]
-//   nokq refresh <store-dir> [--wal]            rebuild cached positions
 //   nokq verify <store-dir>                     offline integrity scrub
 //   nokq recover <store-dir>                    WAL crash recovery + verify
 //   nokq gen    <dataset> <store-dir>           generate + build + queries
@@ -66,7 +65,6 @@ int Usage() {
           "  nokq insert <store-dir> <parent-dewey> <index> <frag.xml>\n"
           "              [--wal]\n"
           "  nokq delete <store-dir> <dewey> [--wal]\n"
-          "  nokq refresh <store-dir> [--wal]\n"
           "  nokq verify <store-dir>\n"
           "  nokq recover <store-dir>\n"
           "  nokq gen    <dataset> <store-dir> [--scale S] [--seed N]\n"
@@ -321,8 +319,6 @@ int CmdStats(const std::string& dir) {
   }
   printf("data file:    %llu bytes\n",
          static_cast<unsigned long long>(s.data_bytes));
-  printf("positions:    %s\n",
-         (*store)->positions_fresh() ? "fresh" : "stale (run refresh)");
   return 0;
 }
 
@@ -340,8 +336,7 @@ int CmdInsert(const std::string& dir, const std::string& dewey_text,
   if (!s.ok()) return Fail(s);
   s = (*store)->InsertSubtree(*dewey, *index, fragment);
   if (!s.ok()) return Fail(s);
-  printf("inserted under %s; positions are now stale (nokq refresh)\n",
-         dewey->ToString().c_str());
+  printf("inserted under %s\n", dewey->ToString().c_str());
   return FinishFlush(store->get());
 }
 
@@ -353,18 +348,7 @@ int CmdDelete(const std::string& dir, const std::string& dewey_text,
   if (!dewey.ok()) return Fail(dewey.status());
   nok::Status s = (*store)->DeleteSubtree(*dewey);
   if (!s.ok()) return Fail(s);
-  printf("deleted %s; positions are now stale (nokq refresh)\n",
-         dewey->ToString().c_str());
-  return FinishFlush(store->get());
-}
-
-int CmdRefresh(const std::string& dir, bool wal) {
-  auto store = OpenStore(dir, true, wal);
-  if (!store.ok()) return Fail(store.status());
-  nok::Timer timer;
-  nok::Status s = (*store)->RefreshPositions();
-  if (!s.ok()) return Fail(s);
-  printf("positions refreshed in %.2fs\n", timer.ElapsedSeconds());
+  printf("deleted %s\n", dewey->ToString().c_str());
   return FinishFlush(store->get());
 }
 
@@ -832,7 +816,6 @@ int main(int argc, char** argv) {
   if (command == "delete" && eff_argc == 4) {
     return CmdDelete(argv[2], argv[3], wal);
   }
-  if (command == "refresh" && eff_argc == 3) return CmdRefresh(argv[2], wal);
   if (command == "verify" && argc == 3) return CmdVerify(argv[2]);
   if (command == "recover" && argc == 3) return CmdRecover(argv[2]);
   if (command == "gen" && argc >= 4) return CmdGen(argc, argv);
