@@ -15,10 +15,11 @@
 #   ci/run_checks.sh thread-safety # clang -Werror=thread-safety build of
 #                               # the whole tree + negative-compile of
 #                               # the committed broken fixture
-#   ci/run_checks.sh bench-smoke # planner and BP ablation benches on a
-#                                # tiny dataset + JSON report validation
-#                                # + the planner work counter gate on
-#                                # dblp + a timed front insert on dblp 0.05
+#   ci/run_checks.sh bench-smoke # planner counter checks (work gate on
+#                                # dblp, zero-page impossible path) and
+#                                # the BP ablation bench on a tiny
+#                                # dataset + JSON report validation
+#                                # + a timed front insert on dblp 0.05
 #                                # whose paged and bp answers must agree
 #   ci/run_checks.sh fuzz-smoke  # seeded differential fuzzer under ASan:
 #                                # 500 iterations across all engines x
@@ -138,20 +139,15 @@ run_thread_safety() {
 }
 
 run_bench_smoke() {
-  step "Planner ablation bench (tiny dataset)"
+  step "Planner checks (tiny dataset)"
   cmake -S . -B build-ci/bench -DCMAKE_BUILD_TYPE=Release
   cmake --build build-ci/bench -j "$JOBS" --target bench_planner
-  # The bench itself fails if any mode disagrees on results, if the
-  # cost-based order regresses any query, or if no branchy query reaches
-  # the target speedup.  The tiny smoke run keeps the result-identity
-  # check but relaxes the timing assertions (noise dominates at this
-  # scale; EXPERIMENTS.md records the full-size run).  The work phase is
-  # a counter gate with no timing in it: on the 24 dblp queries, in both
-  # nav modes, the auto plan's subject-tree pages + bp steps + B+ fetches
-  # must stay within 1.1x of the cheapest forced start strategy's.
-  build-ci/bench/bench/bench_planner --scale 0.02 --runs 2 \
-      --target-speedup 1.0 --tolerance 2.0 \
-      --work-gate \
+  # Counter checks with no timing in them.  A schema-impossible query
+  # must execute with zero pages read.  The work gate: on the 24 dblp
+  # queries, in both nav modes, the auto plan's subject-tree pages + bp
+  # steps + B+ fetches must stay within 1.1x of the cheapest forced start
+  # strategy's, and every strategy must return the same answer.
+  build-ci/bench/bench/bench_planner --scale 0.02 --work-gate \
       --json build-ci/bench/BENCH_planner.json
 
   step "BENCH_planner.json schema check"
@@ -161,40 +157,11 @@ import json, sys
 with open(sys.argv[1]) as f:
     report = json.load(f)
 
-for key in ("dataset", "scale", "seed", "page_size", "runs",
-            "target_speedup", "tolerance", "measurements", "synopsis",
-            "checks"):
-    assert key in report, f"missing key: {key}"
-assert report["measurements"], "no measurements"
-modes = set()
-for m in report["measurements"]:
-    for key in ("query", "category", "mode", "cost_based", "plan_cache",
-                "results", "best_seconds", "mean_seconds",
-                "pages_scanned", "plan_cache_hits", "speedup_vs_fixed"):
-        assert key in m, f"measurement missing key: {key}"
-    modes.add(m["mode"])
-    if not m["plan_cache"]:
-        assert m["plan_cache_hits"] == 0, f"cache hits without cache: {m}"
-assert modes == {"fixed", "cost", "cost+cache"}, f"bad mode set: {modes}"
-syn = report["synopsis"]
-for key in ("queries", "median_abs_error_syn", "median_abs_error_flat",
-            "impossible_query", "impossible_pages"):
-    assert key in syn, f"synopsis missing key: {key}"
-assert syn["queries"], "no synopsis measurements"
-for q in syn["queries"]:
-    for key in ("query", "median_abs_error_syn", "median_abs_error_flat",
-                "pages_syn", "pages_flat"):
-        assert key in q, f"synopsis query missing key: {key}"
-assert syn["impossible_pages"] == 0, "impossible path read pages"
+assert report["impossible_pages"] == 0, "impossible path read pages"
 work = report["work"]
-for key in ("dataset", "bound", "max_ratio", "runs"):
-    assert key in work, f"work missing key: {key}"
 assert work["dataset"] == "dblp", f"work gate ran on {work['dataset']}"
 cells = {}
 for run in work["runs"]:
-    for key in ("query", "nav_mode", "strategy", "pages", "bp_steps",
-                "btree_fetches", "plan_btree_fetches", "work"):
-        assert key in run, f"work run missing key: {key}"
     assert run["work"] == run["pages"] + run["bp_steps"] + \
         run["btree_fetches"], f"work is not the counter sum: {run}"
     cells.setdefault((run["query"], run["nav_mode"]), set()).add(
@@ -204,16 +171,7 @@ for cell, strategies in cells.items():
     assert strategies == {"auto", "scan", "tag-index", "value-index"}, \
         f"bad strategy set for {cell}: {strategies}"
 assert work["max_ratio"] <= work["bound"], "planner work regressed"
-checks = report["checks"]
-assert checks["results_identical"] is True
-for key in ("synopsis_identical", "synopsis_error_collapses",
-            "synopsis_schedule_never_worse", "impossible_zero_pages",
-            "planner_work_never_worse"):
-    assert checks[key] is True, f"check failed: {key}"
-print("BENCH_planner.json: schema ok,",
-      len(report["measurements"]), "measurements,",
-      len(syn["queries"]), "synopsis cells,",
-      len(work["runs"]), "work runs",
+print("BENCH_planner.json: schema ok,", len(work["runs"]), "work runs",
       f"(max auto/cheapest {work['max_ratio']:.3f})")
 EOF
 

@@ -33,7 +33,7 @@
 // is const and touches no shared mutable state, so any number of threads
 // may navigate one instance concurrently.  Versioning against the store
 // is the owner's job: DocumentStore keys the in-memory instance to
-// structure_version() and the persisted tree.bpx sidecar to the store
+// its structure version and the persisted tree.bpx sidecar to the store
 // epoch (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
 //
 // Sidecar payload, all integers little-endian fixed-width: ceil(2n/64)

@@ -600,7 +600,7 @@ Status DocumentStore::Flush() {
           "recover");
     }
     // Nothing captured, nothing to commit: keep the epoch stable so
-    // snapshot readers and the plan cache see no phantom generation.
+    // snapshot readers see no phantom generation.
     if (!wal_writer_->in_transaction()) return Status::OK();
     // Run the legacy flush sequence against the TxnFile wrappers: every
     // page and meta write lands in the overlay (component Syncs are
@@ -756,14 +756,22 @@ void DocumentStore::BeginStructuralChange() {
   bp_ = {};
   // The synopsis too — an inserted subtree can create rooted paths the
   // old trie never saw, and pruning on those would wrongly prove queries
-  // empty.  The planner falls back to flat tag counts until Flush
-  // rebuilds it.
+  // empty.  The next path_synopsis() call rebuilds it.
   synopsis_ = {};
 }
 
 Result<const BpIndex*> DocumentStore::bp_index() {
   NOK_RETURN_IF_ERROR(EnsureBpIndex());
   return bp_.value.get();
+}
+
+Result<const PathSynopsis*> DocumentStore::path_synopsis() {
+  // A stale synopsis rides the BP index's rebuild scan when that one is
+  // stale too (BuildBpIndex); EnsureSynopsis then only loads or rebuilds
+  // when the BP index was already current.
+  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(EnsureSynopsis());
+  return synopsis_.value.get();
 }
 
 StorePos DocumentStore::StorePosOf(uint64_t bp_pos) const {

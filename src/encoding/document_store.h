@@ -184,7 +184,7 @@ class DocumentStore {
 
   /// The balanced-parentheses index for the current structure, built or
   /// rebuilt on demand (never returns null on OK).  The pointer stays
-  /// valid until the next structural update (structure_version() bump).
+  /// valid until the next structural update.
   ///
   /// Thread safety: the index is materialized eagerly by Build/OpenDir
   /// (and by Flush), so concurrent readers of a read-only store only ever
@@ -204,11 +204,15 @@ class DocumentStore {
 
   /// The DataGuide-style path synopsis for the current structure
   /// (path_synopsis.h), fed to the Planner for per-pattern-node
-  /// cardinality estimates and schema-impossible pruning.  Materialized
-  /// eagerly by Build/OpenDir and rebuilt by Flush, so read-only
-  /// concurrent readers only ever see the already-built immutable
-  /// instance.  Null between a structural update and the next Flush.
-  const PathSynopsis* path_synopsis() const { return synopsis_.value.get(); }
+  /// cardinality estimates and schema-impossible pruning.  Built or
+  /// rebuilt on demand like bp_index() (never null on OK): after a
+  /// structural update its trie rides the BP index's rebuild scan.  The
+  /// pointer stays valid until the next structural update.
+  ///
+  /// Thread safety: as bp_index() — materialized eagerly by
+  /// Build/OpenDir and Flush, so concurrent readers of a read-only store
+  /// only ever hit the already-built fast path.
+  Result<const PathSynopsis*> path_synopsis();
 
   /// Whether the current in-memory synopsis came from a matching
   /// synopsis.pds sidecar (vs a rebuild scan).
@@ -280,12 +284,6 @@ class DocumentStore {
   /// pre-image retention into it.
   WalWriter* wal_writer() { return wal_writer_.get(); }
 
-  /// Monotonic count of structural/index mutations in this process:
-  /// bumped by every InsertSubtree/DeleteSubtree.  epoch() only advances
-  /// on Flush, so plan caches combine both to invalidate on any change
-  /// that can alter planning inputs (tag counts, value counts).
-  /// In-memory only — not persisted.
-  uint64_t structure_version() const { return structure_version_; }
 
   /// Clears all buffer pools and I/O counters (cold-start for benchmarks).
   Status DropCaches();
@@ -411,6 +409,8 @@ class DocumentStore {
   std::unique_ptr<BTree> path_index_;  ///< Empty; see path_index().
   DocumentStoreStats stats_;
   uint64_t epoch_ = 0;
+  /// Structural updates applied in this process (BeginStructuralChange);
+  /// in-memory only.  Keys the derived structures below.
   uint64_t structure_version_ = 0;
   /// Balanced-parentheses navigation tier (bp_index.h), tree.bpx.
   Derived<BpIndex> bp_;

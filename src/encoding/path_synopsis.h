@@ -21,7 +21,7 @@
 // Thread safety: immutable after construction; every method is const,
 // so any number of threads may query one instance concurrently.
 // Versioning against the store is the owner's job: DocumentStore keys
-// the in-memory instance to structure_version() and the persisted
+// the in-memory instance to its structure version and the persisted
 // synopsis.pds sidecar to the store epoch, exactly like the BP index
 // (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
 //

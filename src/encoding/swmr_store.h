@@ -22,10 +22,8 @@
 //     every pre-image only it could read is dropped (epoch-based
 //     reclamation, SnapshotTracker)
 //
-// Plan caching across reader threads lives one layer up: share one
-// nok::SharedPlanCache among the readers' QueryEngines
-// (set_shared_plan_cache).  Keys carry the snapshot epoch, so a commit
-// invalidates by key change, not by broadcast.
+// Each reader plans its queries afresh against its snapshot's own path
+// synopsis, so a commit needs no plan invalidation.
 //
 // Thread safety: all writer methods (InsertSubtree/DeleteSubtree/Commit)
 // must be called from one thread at a time; snapshot() and stats() are

@@ -1085,17 +1085,15 @@ class PlanRun {
         });
       }
     }
-    if (plan_.cost_based) {
-      size_t trunk_len = 0;
-      const std::vector<TrunkArcCheck> checks =
-          TrunkArcChecks(partition_, tree, tree_id, access.anchor,
-                         &trunk_len, evaluated_, qualified_roots_);
-      if (!checks.empty()) {
-        Filter(tree_id, "arcs=" + std::to_string(checks.size()), hits,
-               [&](const DeweyId& hit) {
-                 return PassesTrunkChecks(tree, trunk_len, checks, hit);
-               });
-      }
+    size_t trunk_len = 0;
+    const std::vector<TrunkArcCheck> checks =
+        TrunkArcChecks(partition_, tree, tree_id, access.anchor, &trunk_len,
+                       evaluated_, qualified_roots_);
+    if (!checks.empty()) {
+      Filter(tree_id, "arcs=" + std::to_string(checks.size()), hits,
+             [&](const DeweyId& hit) {
+               return PassesTrunkChecks(tree, trunk_len, checks, hit);
+             });
     }
     out->candidates = hits->size();
     std::sort(hits->begin(), hits->end(),
@@ -1135,7 +1133,7 @@ class PlanRun {
     const AccessPath& access = plan_.trees[t].access;
     if (!reuse) {
       NOK_RETURN_IF_ERROR(RootCandidates(tree_id, access, candidates));
-    } else if (plan_.cost_based) {
+    } else {
       FilterRoots(tree_id, candidates);
     }
     out->candidates = candidates->size();
@@ -1219,7 +1217,7 @@ class PlanRun {
   }
 
   /// Whole-tree pre-filter: candidate roots against the evaluated child
-  /// trees of arcs leaving the root (cost-based plans only).
+  /// trees of arcs leaving the root.
   template <typename T, typename DeweyOf>
   void FilterRootsBy(int tree_id, std::vector<T>* items, DeweyOf dewey_of) {
     const std::vector<RootArcCheck> checks =
@@ -1248,7 +1246,6 @@ class PlanRun {
     const size_t t = static_cast<size_t>(tree_id);
     const NokTree& tree = partition_.trees[t];
     const bool scoped = TopDownInto(tree_id);
-    const bool filter_roots = plan_.cost_based && !tree.root_is_doc_root;
     if (tree.root_is_doc_root) {
       OperatorStats scan = Op("AnchorScan", tree_id, "root=(doc-root)");
       scan.has_estimate = true;
@@ -1278,7 +1275,7 @@ class PlanRun {
       scan.rows_out = candidates->size();
       scan_timer.Finish(&scan);
       trace_->operators.push_back(std::move(scan));
-      if (filter_roots) FilterRoots(tree_id, candidates);
+      FilterRoots(tree_id, candidates);
       return Status::OK();
     }
     NOK_ASSIGN_OR_RETURN(auto hits, Probe(tree_id, access));
@@ -1288,12 +1285,8 @@ class PlanRun {
           return InScope(hit, scope_[t]);
         });
       }
-      if (filter_roots) {
-        FilterRootsBy(tree_id, &hits,
-                      [](const DeweyId& hit) -> const DeweyId& {
-                        return hit;
-                      });
-      }
+      FilterRootsBy(tree_id, &hits,
+                    [](const DeweyId& hit) -> const DeweyId& { return hit; });
       NOK_ASSIGN_OR_RETURN(*candidates, nav_->LocateAll(std::move(hits)));
       return Status::OK();
     }
@@ -1450,7 +1443,6 @@ Result<std::vector<DeweyId>> Executor::Run(
     const std::vector<TagId>& tag_table, const QueryOptions& options,
     QueryStats* stats, ExecutionTrace* trace) {
   NOK_CHECK(stats != nullptr && trace != nullptr);
-  trace->synopsis_used = plan.synopsis_used;
   trace->empty_result = plan.empty_result;
   trace->empty_reason = plan.empty_reason;
   if (plan.empty_result) {

@@ -11,11 +11,11 @@
 //       the parent's scout pass, bounded by that source's close, with
 //       Dewey IDs derived from the source's own;
 //   SemiJoinFilter
-//       (cost-based plans only) prunes anchor candidates against the
-//       already-evaluated child trees' qualified roots before any page
-//       is fetched for them — a sorted Dewey merge, no I/O.  With a
-//       "scope=" detail it bounds an index-probed tree of a top-down arc
-//       to the scout's source subtrees instead (any plan);
+//       prunes anchor candidates against the already-evaluated child
+//       trees' qualified roots before any page is fetched for them — a
+//       sorted Dewey merge, no I/O.  With a "scope=" detail it bounds an
+//       index-probed tree of a top-down arc to the scout's source
+//       subtrees instead;
 //   NokMatch
 //       Algorithm 1 over Algorithm 2 per candidate (anchored trunk
 //       verification or whole-tree matching), with global-arc
@@ -83,12 +83,9 @@ struct OperatorStats {
 /// Everything ExplainLast needs about the last execution.
 struct ExecutionTrace {
   std::vector<OperatorStats> operators;
-  bool plan_cache_hit = false;  ///< Filled by QueryEngine.
-  double plan_seconds = 0;      ///< Planning wall time (0 on cache hit).
-  /// Whether the plan's estimates came from the path synopsis, and
-  /// whether the synopsis proved the query empty (EmptyResult plan —
-  /// the run then touches zero pages and runs zero probes).
-  bool synopsis_used = false;
+  double plan_seconds = 0;  ///< Planning wall time (filled by QueryEngine).
+  /// Whether the synopsis proved the query empty (EmptyResult plan — the
+  /// run then touches zero pages and runs zero probes).
   bool empty_result = false;
   std::string empty_reason;
   /// Navigation tier the run used, plus the BP-index work it did

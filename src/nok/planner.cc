@@ -323,16 +323,15 @@ const char* StrategyName(StartStrategy strategy) {
 
 Result<AccessPath> Planner::PlanTree(
     const NokTree& tree, const std::vector<TagId>& tag_table,
-    const QueryOptions& options, const SynopsisCardinalities* cards) {
+    const QueryOptions& options, const SynopsisCardinalities& cards) {
   // Anchor scoring: the cost of anchored evaluation is roughly the number
   // of candidate matches of the anchor PLUS the matching work inside its
   // pattern subtree, approximated by the total tag occurrences below it.
   // (A root-element anchor has a count of 1 but drags the whole document
   // into the subtree match; a deep selective anchor prunes everything.)
-  // With the path synopsis the subtree work uses refined per-pattern-node
-  // cardinalities instead of flat tag counts; the probe costs themselves
-  // stay flat (an index probe fetches every occurrence of its operand no
-  // matter how rare the composition is).
+  // The subtree work uses the synopsis's per-pattern-node cardinalities;
+  // the probe costs stay flat tag counts (an index probe fetches every
+  // occurrence of its operand no matter how rare the composition is).
   const size_t n = tree.nodes.size();
   std::vector<uint64_t> weight(n, 0);
   std::vector<uint64_t> workload(n, 0);
@@ -345,10 +344,7 @@ Result<AccessPath> Planner::PlanTree(
       const TagId id = ResolvedTag(tag_table, p);
       weight[i] = id != kInvalidTag ? store_->CountTag(id) : 0;
     }
-    workload[i] =
-        cards != nullptr
-            ? RoundEstimate(cards->expected[static_cast<size_t>(p->id)])
-            : weight[i];
+    workload[i] = RoundEstimate(cards.expected[static_cast<size_t>(p->id)]);
   }
   std::vector<uint64_t> below(n, 0);  // Matching work below node i.
   for (size_t i = n; i-- > 0;) {      // Children have larger indexes.
@@ -469,33 +465,16 @@ Result<AccessPath> Planner::PlanTree(
     case StartStrategy::kAuto:
       return Status::Internal("unreachable strategy");
   }
-  if (cards != nullptr) {
-    access.cardinality.from_synopsis = true;
-    // Estimate what the tree's NokMatch emits.  Anchored evaluation
-    // binds per qualifying anchor hit (never more than the probe
-    // produced); whole-tree evaluation binds per qualifying root.
-    double est;
-    if (IsAnchored(tree, access)) {
-      est = std::min(AnchoredBindings(*cards, tree, access.anchor),
-                     static_cast<double>(access.cardinality.candidates));
-    } else {
-      const PatternNode* root = tree.nodes[0].pattern;
-      est = cards->expected[static_cast<size_t>(root->id)];
-    }
-    access.cardinality.matches = RoundEstimate(est);
-  } else {
-    access.cardinality.matches = access.cardinality.candidates;
-  }
+  // Estimate what the tree's NokMatch emits.  Anchored evaluation binds
+  // per qualifying anchor hit (never more than the probe produced);
+  // whole-tree evaluation binds per qualifying root.
+  const double est =
+      IsAnchored(tree, access)
+          ? std::min(AnchoredBindings(cards, tree, access.anchor),
+                     static_cast<double>(access.cardinality.candidates))
+          : cards.expected[static_cast<size_t>(tree.nodes[0].pattern->id)];
+  access.cardinality.matches = RoundEstimate(est);
   return access;
-}
-
-std::vector<int> FixedSchedule(size_t n_trees) {
-  std::vector<int> order;
-  order.reserve(n_trees);
-  for (size_t t = n_trees; t-- > 0;) {
-    order.push_back(static_cast<int>(t));
-  }
-  return order;
 }
 
 std::vector<int> SelectivitySchedule(
@@ -503,8 +482,7 @@ std::vector<int> SelectivitySchedule(
     const std::vector<TreeAccessPlan>& trees) {
   // Greedy most-selective-ready-first.  "Ready" = every child tree (arc
   // target) already scheduled, so arc constraints are always installed
-  // before the parent's matching runs — the same invariant the fixed
-  // reverse-id order provides.
+  // before the parent's matching runs.
   const size_t n = partition.trees.size();
   std::vector<char> done(n, 0);
   std::vector<int> order;
@@ -541,58 +519,39 @@ Result<QueryPlan> Planner::Plan(const NokPartition& partition,
                                 const std::vector<TagId>& tag_table,
                                 const QueryOptions& options) {
   QueryPlan plan;
-  plan.cost_based = options.cost_based_join_order;
   plan.nav_mode = store_->nav_mode();
-  const PathSynopsis* synopsis =
-      options.use_synopsis ? store_->path_synopsis() : nullptr;
-  plan.synopsis_used = synopsis != nullptr;
-  SynopsisEstimates syn;
-  if (synopsis != nullptr) {
-    syn = ComputeSynopsisEstimates(*synopsis, partition, tag_table);
-    if (syn.impossible != nullptr) {
-      // Schema-impossible path: skip the estimate probes entirely and
-      // hand the executor a plan it answers without any I/O.
-      plan.empty_result = true;
-      plan.empty_reason = "pattern node " + DisplayName(syn.impossible) +
-                          " matches no rooted path";
-      plan.trees.resize(partition.trees.size());
-      for (size_t t = 0; t < partition.trees.size(); ++t) {
-        plan.trees[t].tree = static_cast<int>(t);
-        AccessPath& access = plan.trees[t].access;
-        access.strategy = StartStrategy::kScan;
-        access.cardinality.from_synopsis = true;
-        access.display = "(schema-impossible)";
-      }
-      return plan;  // The schedule stays empty: nothing to evaluate.
-    }
-  }
+  NOK_ASSIGN_OR_RETURN(const PathSynopsis* synopsis, store_->path_synopsis());
+  const SynopsisEstimates syn =
+      ComputeSynopsisEstimates(*synopsis, partition, tag_table);
   plan.trees.resize(partition.trees.size());
+  if (syn.impossible != nullptr) {
+    // Schema-impossible path: skip the estimate probes entirely and hand
+    // the executor a plan it answers without any I/O.
+    plan.empty_result = true;
+    plan.empty_reason = "pattern node " + DisplayName(syn.impossible) +
+                        " matches no rooted path";
+    for (size_t t = 0; t < partition.trees.size(); ++t) {
+      plan.trees[t].tree = static_cast<int>(t);
+      AccessPath& access = plan.trees[t].access;
+      access.strategy = StartStrategy::kScan;
+      access.display = "(schema-impossible)";
+    }
+    return plan;  // The schedule stays empty: nothing to evaluate.
+  }
   for (size_t t = 0; t < partition.trees.size(); ++t) {
     plan.trees[t].tree = static_cast<int>(t);
     NOK_ASSIGN_OR_RETURN(
         plan.trees[t].access,
-        PlanTree(partition.trees[t], tag_table, options,
-                 synopsis != nullptr ? &syn.cards : nullptr));
+        PlanTree(partition.trees[t], tag_table, options, syn.cards));
   }
-  plan.schedule = plan.cost_based
-                      ? SelectivitySchedule(partition, plan.trees)
-                      : FixedSchedule(partition.trees.size());
-  plan.arc_directions =
-      plan.cost_based && synopsis != nullptr
-          ? ArcDirections(partition, plan, syn.cards)
-          : std::vector<ArcDirection>(partition.arcs.size(),
-                                      ArcDirection::kBottomUp);
+  plan.schedule = SelectivitySchedule(partition, plan.trees);
+  plan.arc_directions = ArcDirections(partition, plan, syn.cards);
   return plan;
 }
 
 std::string QueryPlan::ToString(const NokPartition& partition) const {
-  std::string out = "plan: ";
-  out += cost_based ? "cost-based join order" : "fixed join order";
-  out += ", nav=";
+  std::string out = "plan: nav=";
   out += NavModeName(nav_mode);
-  if (synopsis_used) {
-    out += ", synopsis=on";
-  }
   out += "\n  schedule:";
   for (int t : schedule) {
     out += " " + std::to_string(t);
@@ -609,8 +568,7 @@ std::string QueryPlan::ToString(const NokPartition& partition) const {
       out += " anchor=node" + std::to_string(tree.access.anchor);
     }
     out += " est=" + std::to_string(tree.access.cardinality.matches);
-    if (tree.access.cardinality.from_synopsis &&
-        tree.access.cardinality.matches != tree.access.cardinality.candidates) {
+    if (tree.access.cardinality.matches != tree.access.cardinality.candidates) {
       out += " cand=" + std::to_string(tree.access.cardinality.candidates);
     }
     out += "\n";

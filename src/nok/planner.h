@@ -2,24 +2,26 @@
 //
 // The planner consumes a NokPartition plus cheap cardinality estimates
 // (exact B+t tag counts from the dictionary, capped B+v value counts,
-// the document node count) and emits a QueryPlan — a serializable IR
-// describing, per NoK tree, which access path feeds the matcher (the
-// paper's Section 6.2 heuristic: value index > selective tag index >
-// scan) and in which order the trees are evaluated (the semi-join
-// schedule).
+// the document node count, and the store's path synopsis) and emits a
+// QueryPlan — a serializable IR describing, per NoK tree, which access
+// path feeds the matcher (the paper's Section 6.2 heuristic: value
+// index > selective tag index > scan), in which order the trees are
+// evaluated (the semi-join schedule), and which global arcs run
+// top-down.
 //
-// When the store carries a path synopsis (path_synopsis.h) the flat
-// tag-count estimates are replaced by per-pattern-node cardinalities:
-// every child/descendant arc of the pattern is evaluated against the
-// trie of distinct rooted paths, so `//a//b` and `//a//c` no longer cost
-// the same when one composition never occurs.  A pattern node whose arc
-// matches no rooted path proves the whole query empty — the plan is
-// marked empty_result and the Executor returns without any I/O.
+// Every child/descendant arc of the pattern is evaluated against the
+// path synopsis (path_synopsis.h), the trie of distinct rooted paths,
+// so `//a//b` and `//a//c` do not cost the same when one composition
+// never occurs.  A pattern node whose arc matches no rooted path proves
+// the whole query empty — the plan is marked empty_result and the
+// Executor returns without any I/O.  The store brings the synopsis
+// current on demand, so the same query on the same store always plans
+// the same way.
 //
 // Planning is pure: no index hits are fetched and no subject-tree pages
-// are touched beyond the estimate probes, so plans are cacheable (see
-// plan_cache.h) and inspectable (`nokq explain`).  The executor
-// (executor.h) is the only layer that materializes candidates.
+// are touched beyond the estimate probes, so plans are inspectable
+// (`nokq explain`).  The executor (executor.h) is the only layer that
+// materializes candidates.
 
 #ifndef NOKXML_NOK_PLANNER_H_
 #define NOKXML_NOK_PLANNER_H_
@@ -43,21 +45,6 @@ struct QueryOptions {
   StartStrategy strategy = StartStrategy::kAuto;
   /// Containment test for the global-arc joins.
   JoinMode join_mode = JoinMode::kDewey;
-  /// Cost-based semi-join schedule: evaluate the most selective ready
-  /// tree first and pre-filter anchor candidates against already-
-  /// evaluated child-tree results before any page is fetched for them.
-  /// Off reproduces the legacy fixed partition order exactly.
-  bool cost_based_join_order = true;
-  /// Consult/populate the engine's bounded plan cache.  Off by default:
-  /// a cache hit skips the planner's estimate probes, which changes the
-  /// per-query I/O profile that diagnostics tests and benchmarks pin
-  /// down.  Long-lived engines re-running the same workload turn it on.
-  bool use_plan_cache = false;
-  /// Feed estimates from the store's path synopsis when it has one:
-  /// per-pattern-node cardinalities and schema-impossible-path pruning
-  /// (EmptyResult plans).  Off falls back to flat tag counts — the
-  /// `--no-synopsis` ablation.  Recorded in the plan-cache key.
-  bool use_synopsis = true;
 };
 
 /// Cardinality estimate for one NoK tree.  Flows from access-path
@@ -67,14 +54,11 @@ struct Cardinality {
   /// Expected candidates produced by the access-path probe (tag counts
   /// exact; value counts capped at kValueEstimateCap in planner.cc).
   uint64_t candidates = 0;
-  /// Expected bindings produced by this tree's structural match.  With
-  /// the path synopsis this is the independence estimate of the node the
-  /// evaluator emits bindings for (the anchor under its trunk
-  /// constraints, or the tree root for whole-tree matching); without the
-  /// synopsis it falls back to `candidates`.
+  /// Expected bindings produced by this tree's structural match: the
+  /// path synopsis's independence estimate of the node the evaluator
+  /// emits bindings for (the anchor under its trunk constraints, or the
+  /// tree root for whole-tree matching).
   uint64_t matches = 0;
-  /// True when `matches` came from the path synopsis.
-  bool from_synopsis = false;
 };
 
 /// Per-pattern-node cardinalities derived from the path synopsis.  All
@@ -146,35 +130,26 @@ struct TreeAccessPlan {
 /// It is always a valid children-before-parents order: a tree's arc
 /// constraints must be installed before its parent tree is matched
 /// (witness selection during matching is what keeps the semi-joins
-/// sound; a binding-level post-filter could not be).  The legacy order
-/// is n-1..0; the cost-based order picks the most selective ready tree
-/// first.  A top-down arc P -> C adds one step the schedule does not
-/// list: before C is matched, P runs a scout pass (its access path and
-/// matching, without C's constraint) whose source matches bound C's
-/// candidates.  Constraints only shrink match sets, so the scout's
-/// sources are a superset of P's final ones and no C binding P needs is
-/// lost; P's final match still runs after C, over the scout's surviving
-/// candidates.
+/// sound; a binding-level post-filter could not be), picking the most
+/// selective ready tree first.  A top-down arc P -> C adds one step the
+/// schedule does not list: before C is matched, P runs a scout pass (its
+/// access path and matching, without C's constraint) whose source
+/// matches bound C's candidates.  Constraints only shrink match sets, so
+/// the scout's sources are a superset of P's final ones and no C binding
+/// P needs is lost; P's final match still runs after C, over the scout's
+/// surviving candidates.
 struct QueryPlan {
   std::vector<TreeAccessPlan> trees;  ///< Indexed by tree id.
   std::vector<int> schedule;          ///< Tree ids, evaluation order.
-  /// Direction per global arc, indexed like NokPartition::arcs.  The
-  /// planner marks an eligible arc top-down only on cost-based plans
-  /// with synopsis estimates (see Planner::Plan); an empty vector means
-  /// every arc runs bottom-up.
+  /// Direction per global arc, indexed like NokPartition::arcs (see
+  /// Planner::Plan for the rule); an empty vector means every arc runs
+  /// bottom-up.
   std::vector<ArcDirection> arc_directions;
-  /// Whether the executor may prune anchor candidates with the semi-join
-  /// pre-filter (mirrors QueryOptions::cost_based_join_order at plan
-  /// time so a cached plan replays identically).
-  bool cost_based = true;
   /// Navigation tier the plan was built for (the store's nav_mode at
-  /// plan time; the cache key carries it too).  In kBp mode scans and
-  /// Dewey resolution run on the in-memory balanced-parentheses index —
-  /// a zero-page access path — instead of the paged string.
+  /// plan time).  In kBp mode scans and Dewey resolution run on the
+  /// in-memory balanced-parentheses index — a zero-page access path —
+  /// instead of the paged string.
   NavMode nav_mode = NavMode::kPaged;
-  /// Whether the path synopsis fed the estimates (QueryOptions::
-  /// use_synopsis AND the store had one; part of the plan-cache key).
-  bool synopsis_used = false;
   /// Set when the synopsis proved some pattern arc matches no rooted
   /// path in the document: the schedule is empty and the Executor emits
   /// a single EmptyResult operator — zero pages read.
@@ -199,30 +174,29 @@ class Planner {
 
   /// Plans every tree of the partition and computes the semi-join
   /// schedule.  tag_table maps PatternNode::id -> resolved TagId (see
-  /// ResolvePatternTags); estimates come from the dictionary and capped
-  /// index probes only — no hits are fetched.  An eligible arc P -> C of
-  /// a cost-based synopsis plan runs top-down when the nodes a scout
-  /// would scan are fewer than C's candidates: P's expected bindings x
-  /// source matches per binding x the source's average subtree size <
-  /// C's candidate count.  Everything else stays bottom-up.
+  /// ResolvePatternTags); estimates come from the dictionary, the path
+  /// synopsis and capped index probes only — no hits are fetched.  An
+  /// eligible arc P -> C runs top-down when the nodes a scout would scan
+  /// are fewer than C's candidates: P's expected bindings x source
+  /// matches per binding x the source's average subtree size < C's
+  /// candidate count.  Everything else stays bottom-up.
   Result<QueryPlan> Plan(const NokPartition& partition,
                          const std::vector<TagId>& tag_table,
                          const QueryOptions& options);
 
  private:
-  /// `cards`, when non-null, carries the synopsis-refined per-pattern-
-  /// node cardinalities; null = flat tag-count estimates.
+  /// `cards` carries the synopsis-refined per-pattern-node
+  /// cardinalities.
   Result<AccessPath> PlanTree(const NokTree& tree,
                               const std::vector<TagId>& tag_table,
                               const QueryOptions& options,
-                              const SynopsisCardinalities* cards);
+                              const SynopsisCardinalities& cards);
 
   DocumentStore* store_;
 };
 
-/// The evaluation order used by the plan.  Exposed for tests: both
-/// orders must be children-before-parents over the partition's arcs.
-std::vector<int> FixedSchedule(size_t n_trees);
+/// The evaluation order used by the plan.  Exposed for tests: it must
+/// be children-before-parents over the partition's arcs.
 std::vector<int> SelectivitySchedule(const NokPartition& partition,
                                      const std::vector<TreeAccessPlan>& trees);
 

@@ -2,7 +2,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <utility>
 
 #include "nok/physical_matcher.h"
 #include "nok/xpath_parser.h"
@@ -15,7 +14,6 @@ Result<std::vector<DeweyId>> QueryEngine::Evaluate(
   // leave the previous query's stats/trace in place.
   stats_ = QueryStats{};
   last_trace_ = ExecutionTrace{};
-  last_plan_.reset();
   last_plan_text_.clear();
   NOK_ASSIGN_OR_RETURN(auto pattern, ParseXPath(xpath));
   return EvaluatePattern(pattern, options);
@@ -25,7 +23,6 @@ Result<std::vector<DeweyId>> QueryEngine::EvaluatePattern(
     const PatternTree& pattern, const QueryOptions& options) {
   stats_ = QueryStats{};
   last_trace_ = ExecutionTrace{};
-  last_plan_.reset();
   last_plan_text_.clear();
 
   if (HasPositionalPredicate(pattern)) {
@@ -41,55 +38,29 @@ Result<std::vector<DeweyId>> QueryEngine::EvaluatePattern(
   const std::vector<TagId> tag_table =
       ResolvePatternTags(pattern, *store_->tags());
 
-  std::shared_ptr<const QueryPlan> plan;
-  bool cache_hit = false;
-  std::string key;
-  if (options.use_plan_cache) {
-    key = PlanCache::Key(pattern.ToString(), options, store_->epoch(),
-                         store_->structure_version(), store_->nav_mode());
-    plan = shared_plan_cache_ != nullptr ? shared_plan_cache_->Lookup(key)
-                                         : plan_cache_.Lookup(key);
-    cache_hit = plan != nullptr;
-  }
-  double plan_seconds = 0;
-  if (plan == nullptr) {
-    const auto start = std::chrono::steady_clock::now();
-    Planner planner(store_);
-    NOK_ASSIGN_OR_RETURN(QueryPlan fresh,
-                         planner.Plan(partition, tag_table, options));
-    plan_seconds = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-    auto shared = std::make_shared<const QueryPlan>(std::move(fresh));
-    if (options.use_plan_cache) {
-      if (shared_plan_cache_ != nullptr) {
-        shared_plan_cache_->Insert(key, shared);
-      } else {
-        plan_cache_.Insert(key, shared);
-      }
-    }
-    plan = std::move(shared);
-  }
+  const auto start = std::chrono::steady_clock::now();
+  Planner planner(store_);
+  NOK_ASSIGN_OR_RETURN(const QueryPlan plan,
+                       planner.Plan(partition, tag_table, options));
+  const double plan_seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
+          .count();
 
   Executor executor(store_);
   NOK_ASSIGN_OR_RETURN(
       std::vector<DeweyId> out,
-      executor.Run(*plan, partition, tag_table, options, &stats_,
+      executor.Run(plan, partition, tag_table, options, &stats_,
                    &last_trace_));
-  last_trace_.plan_cache_hit = cache_hit;
   last_trace_.plan_seconds = plan_seconds;
-  last_plan_text_ = plan->ToString(partition);
-  last_plan_ = std::move(plan);
+  last_plan_text_ = plan.ToString(partition);
   return out;
 }
 
 std::string QueryEngine::ExplainLast() const {
-  if (last_plan_ == nullptr) return "no query evaluated yet\n";
+  if (last_plan_text_.empty()) return "no query evaluated yet\n";
   std::string out = last_plan_text_;
   char line[256];
-  std::snprintf(line, sizeof(line), "  planning: %s, time=%.3fms\n",
-                last_trace_.plan_cache_hit ? "plan cache hit"
-                                           : "plan cache miss",
+  std::snprintf(line, sizeof(line), "  planning: time=%.3fms\n",
                 last_trace_.plan_seconds * 1e3);
   out += line;
   if (last_trace_.empty_result) {

@@ -5,8 +5,8 @@
 //   parse -> pattern tree -> NoK partition
 //   plan  -> QueryPlan IR (planner.h): per-NoK-tree access path chosen
 //            by the paper's Section 6.2 heuristic from cheap cardinality
-//            estimates, plus the semi-join schedule; optionally served
-//            from a bounded per-engine plan cache (plan_cache.h)
+//            estimates and the path synopsis, plus the semi-join
+//            schedule; planned afresh for every query
 //   run   -> executor operators (executor.h): probes/scans feed NoK
 //            matching per tree, global arcs combine per-tree bindings
 //            with structural semi-joins
@@ -18,14 +18,12 @@
 #ifndef NOKXML_NOK_QUERY_ENGINE_H_
 #define NOKXML_NOK_QUERY_ENGINE_H_
 
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "common/result.h"
 #include "encoding/document_store.h"
 #include "nok/executor.h"
-#include "nok/plan_cache.h"
 #include "nok/planner.h"
 
 namespace nok {
@@ -33,7 +31,7 @@ namespace nok {
 /// Evaluates path expressions against one DocumentStore.
 ///
 /// An engine is a cheap per-thread object: it holds only the store
-/// pointer and the diagnostics/plan cache of its own queries.  For
+/// pointer and the diagnostics of its own last query.  For
 /// concurrent evaluation, open the store read-only, share the one
 /// DocumentStore handle, and give each thread its own QueryEngine —
 /// last_stats() then never races across threads.
@@ -61,23 +59,10 @@ class QueryEngine {
   /// wall time).  `nokq explain` prints exactly this.
   std::string ExplainLast() const;
 
-  /// The plan cache (see QueryOptions::use_plan_cache).
-  const PlanCache& plan_cache() const { return plan_cache_; }
-
-  /// Routes plan caching through a cache shared across threads instead
-  /// of the per-engine one (single-writer / multi-reader serving; see
-  /// SharedPlanCache).  The cache must outlive the engine.  Null
-  /// restores the private cache.
-  void set_shared_plan_cache(SharedPlanCache* cache) {
-    shared_plan_cache_ = cache;
-  }
-
  private:
   DocumentStore* store_;
   QueryStats stats_;
-  PlanCache plan_cache_;
-  SharedPlanCache* shared_plan_cache_ = nullptr;
-  std::shared_ptr<const QueryPlan> last_plan_;
+  /// The last successful query's QueryPlan::ToString (empty before one).
   std::string last_plan_text_;
   ExecutionTrace last_trace_;
 };

@@ -181,20 +181,7 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
   RegionEngine region(&*interval);
 
   // Store matrix: {paged, bp navigation}, small pages so paging is real.
-  // The paged store is also queried without the synopsis, which pins the
-  // planner's flat-estimate fallback: three configs cover all
-  // engine-visible combinations.
-  struct StoreConfig {
-    size_t store;  ///< Index into nav_modes / stores.
-    bool synopsis;
-    const char* suffix;
-  };
   const NavMode nav_modes[] = {NavMode::kPaged, NavMode::kBp};
-  const StoreConfig configs[] = {
-      {0, true, ""},
-      {1, true, " bp"},
-      {0, false, " nosyn"},
-  };
   std::vector<std::unique_ptr<DocumentStore>> stores;
   for (const NavMode nav_mode : nav_modes) {
     DocumentStore::Options options;
@@ -265,26 +252,22 @@ std::vector<Mismatch> CheckCase(const FuzzCase& fuzz_case,
             &out);
     }
 
-    // NoK engine matrix: store knobs x strategy x {plan cache off, on,
-    // every eligible `//` arc forced top-down}.
-    for (const StoreConfig& config : configs) {
-      QueryEngine engine(stores[config.store].get());
+    // NoK engine matrix: nav mode x strategy x {as planned, every
+    // eligible `//` arc forced top-down}.
+    for (size_t m = 0; m < stores.size(); ++m) {
+      DocumentStore* store = stores[m].get();
+      QueryEngine engine(store);
       for (StartStrategy strategy : strategies) {
         QueryOptions qo;
         qo.strategy = strategy;
-        qo.use_synopsis = config.synopsis;
-        const std::string name =
-            std::string("nok ") + StrategyName(strategy) + config.suffix;
-        for (bool cache : {false, true}) {
-          qo.use_plan_cache = cache;
-          auto r = engine.Evaluate(query, qo);
-          Judge(name + (cache ? " cache" : ""), query, want, r.status(),
-                r.ok() ? CanonDewey(*r) : std::vector<std::string>{},
-                &out);
-        }
-        qo.use_plan_cache = false;
-        auto r = testutil::EvaluateWithArcDirection(
-            stores[config.store].get(), query, qo, ArcDirection::kTopDown);
+        const std::string name = std::string("nok ") +
+                                 StrategyName(strategy) +
+                                 (nav_modes[m] == NavMode::kBp ? " bp" : "");
+        auto r = engine.Evaluate(query, qo);
+        Judge(name, query, want, r.status(),
+              r.ok() ? CanonDewey(*r) : std::vector<std::string>{}, &out);
+        r = testutil::EvaluateWithArcDirection(store, query, qo,
+                                               ArcDirection::kTopDown);
         Judge(name + " top-down", query, want, r.status(),
               r.ok() ? CanonDewey(*r) : std::vector<std::string>{}, &out);
       }

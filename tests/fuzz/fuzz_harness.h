@@ -5,9 +5,9 @@
 // eighth of them with the root padded to 65-300 children, with
 // QueryGen-v2 grammar samples over the document's schema — and
 // CheckCase runs every query through the full engine matrix
-//   {DI, TwigStack, navigational, region, NoK} x
-//   {planner strategies} x {paged, bp, paged without synopsis} x
-//   {plan cache on/off, every eligible `//` arc forced top-down}
+//   {DI, TwigStack, navigational, region, NoK}, the NoK engine as
+//   {planner strategies} x {paged, bp} x
+//   {as planned, every eligible `//` arc forced top-down}
 // against the brute-force oracle.  Engines rejecting a fragment with
 // Status::NotSupported are skipped (a typed rejection is never a wrong
 // answer); any other status, or any result-set difference, is a
@@ -48,7 +48,7 @@ FuzzCase GenerateCase(uint64_t seed);
 
 /// One disagreement between an engine configuration and the oracle.
 struct Mismatch {
-  std::string engine;  ///< "region", "nok scan cache bp", ...
+  std::string engine;  ///< "region", "nok scan bp top-down", ...
   std::string query;
   std::string detail;  ///< want/got canonical Dewey sets, or a status.
 };

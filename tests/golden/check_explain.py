@@ -3,14 +3,15 @@
 
 Builds a store from tests/golden/explain_doc.xml in a temp directory,
 runs `nokq explain` for four representative queries (tag-index probe,
-value-index probe, a branchy scan + structural semi-join under both join
-orders, and a value-anchored parent whose `//` child runs top-down
-through a scout pass and a ScopedScan, on the bp tier so the operators'
-bp steps show), normalizes the volatile fields (page and timing counters
-vary with build flags and machine speed) and compares the result against
-the checked-in .golden files.  It also checks that an unknown
---strategy (such as the retired "path") is a usage error naming the
-valid strategies on both `explain` and `query`, and that the retired
+value-index probe, a branchy scan + structural semi-join, and a
+value-anchored parent whose `//` child runs top-down through a scout pass
+and a ScopedScan, on the bp tier so the operators' bp steps show),
+normalizes the volatile fields (page and timing counters vary with build
+flags and machine speed) and compares the result against the checked-in
+.golden files.  It also checks that an unknown --strategy (such as the
+retired "path") is a usage error naming the valid strategies on both
+`explain` and `query`, that the retired planner flags (--fixed-order,
+--plan-cache, --no-synopsis) are usage errors, and that the retired
 `refresh` command is an unknown command (usage, exit 2).
 
 Usage:
@@ -30,7 +31,6 @@ CASES = [
     ("explain_tag_index", "//special", []),
     ("explain_value_index", '//item[name="needle"]', []),
     ("explain_branchy", "//item[.//special]", []),
-    ("explain_branchy_fixed", "//item[.//special]", ["--fixed-order"]),
     ("explain_top_down", '//item[name="needle"]//price', ["--nav-mode", "bp"]),
 ]
 
@@ -123,6 +123,28 @@ def main() -> int:
                 failures += 1
             else:
                 print(f"{command} --strategy path: usage error, ok")
+
+        # The retired planner switches: one plan path, no knobs.
+        for command, flag in (
+            ("explain", "--fixed-order"),
+            ("explain", "--plan-cache"),
+            ("explain", "--no-synopsis"),
+            ("query", "--no-synopsis"),
+        ):
+            run = subprocess.run(
+                [args.nokq, command, store, "//item", flag],
+                capture_output=True,
+                text=True,
+            )
+            if run.returncode != 2 or "usage:" not in run.stderr:
+                print(
+                    f"{command} {flag}: want exit 2 with the usage text, "
+                    f"got exit {run.returncode}:\n{run.stdout}{run.stderr}",
+                    file=sys.stderr,
+                )
+                failures += 1
+            else:
+                print(f"{command} {flag}: usage error, ok")
 
         # The retired `refresh` command (it rebuilt cached index
         # positions, which no store keeps any more) is an unknown command.

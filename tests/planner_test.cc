@@ -1,8 +1,7 @@
-// Planner/executor/plan-cache tests: schedule validity, access-path
-// selection and estimates, the bounded LRU plan cache (including
-// update-driven invalidation), `ExplainLast` contents, and the
-// last_stats staleness regression (a failed Evaluate must never leave
-// the previous query's diagnostics in place).
+// Planner/executor tests: schedule validity, access-path selection and
+// estimates, arc directions, `ExplainLast` contents, and the last_stats
+// staleness regression (a failed Evaluate must never leave the previous
+// query's diagnostics in place).
 
 #include <gtest/gtest.h>
 
@@ -11,14 +10,17 @@
 #include <string>
 #include <vector>
 
+#include "baseline/navigational_engine.h"
 #include "datagen/dataset_gen.h"
 #include "encoding/document_store.h"
 #include "nok/nok_partition.h"
 #include "nok/physical_matcher.h"
-#include "nok/plan_cache.h"
 #include "nok/planner.h"
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
+#include "tests/oracle.h"
+#include "tests/test_util.h"
+#include "xml/dom.h"
 
 namespace nok {
 namespace {
@@ -91,24 +93,14 @@ void ExpectChildrenFirst(const NokPartition& partition,
   }
 }
 
-TEST(PlannerTest, BothSchedulesAreChildrenFirst) {
+TEST(PlannerTest, ScheduleIsChildrenFirst) {
   auto store = MakeStore(kBibXml);
   for (const char* xpath :
        {"/bib//book[.//first]//last", "//book[.//affiliation]",
         "//book[author/last=\"Stevens\"][.//first]", "//last"}) {
     SCOPED_TRACE(xpath);
-    QueryOptions cost;
-    Planned with_cost = PlanFor(store.get(), xpath, cost);
-    EXPECT_TRUE(with_cost.plan.cost_based);
-    ExpectChildrenFirst(with_cost.partition, with_cost.plan.schedule);
-
-    QueryOptions fixed;
-    fixed.cost_based_join_order = false;
-    Planned with_fixed = PlanFor(store.get(), xpath, fixed);
-    EXPECT_FALSE(with_fixed.plan.cost_based);
-    ExpectChildrenFirst(with_fixed.partition, with_fixed.plan.schedule);
-    EXPECT_EQ(with_fixed.plan.schedule,
-              FixedSchedule(with_fixed.partition.trees.size()));
+    Planned planned = PlanFor(store.get(), xpath);
+    ExpectChildrenFirst(planned.partition, planned.plan.schedule);
   }
 }
 
@@ -132,8 +124,6 @@ TEST(PlannerTest, SelectivityScheduleOrdersMostSelectiveReadyFirst) {
   trees[1].access.cardinality.matches = 3;
   EXPECT_EQ(SelectivitySchedule(partition, trees),
             (std::vector<int>{1, 2, 0}));
-
-  EXPECT_EQ(FixedSchedule(3), (std::vector<int>{2, 1, 0}));
 }
 
 TEST(PlannerTest, AccessPathsFollowPaperHeuristic) {
@@ -183,7 +173,7 @@ TEST(PlannerTest, PlanToStringIsStable) {
   auto store = MakeStore(kBibXml);
   Planned p = PlanFor(store.get(), "//book[author/last=\"Stevens\"]");
   const std::string text = p.plan.ToString(p.partition);
-  EXPECT_NE(text.find("plan: cost-based join order"), std::string::npos);
+  EXPECT_NE(text.find("plan: nav=paged"), std::string::npos);
   EXPECT_NE(text.find("schedule: 1 0"), std::string::npos);
   EXPECT_NE(text.find("value-index value=\"Stevens\""), std::string::npos);
   EXPECT_NE(text.find("arc: tree 0 node 0 -//-> tree 1"),
@@ -263,7 +253,7 @@ TEST(PlannerTest, UnselectiveAndDocRootArcsStayBottomUp) {
   }
 }
 
-TEST(PlannerTest, OrderAxesFixedOrderAndNoSynopsisNeverRunTopDown) {
+TEST(PlannerTest, OrderAxesNeverRunTopDown) {
   auto store = MakeDblpStore();
   for (const char* xpath :
        {"/dblp/article[journal=\"needle-hi-a\"]/following::title",
@@ -275,30 +265,24 @@ TEST(PlannerTest, OrderAxesFixedOrderAndNoSynopsisNeverRunTopDown) {
                                  planned.partition.arcs[0]));
     EXPECT_EQ(Directions(planned), "B");
   }
-  QueryOptions fixed;
-  fixed.cost_based_join_order = false;
-  EXPECT_EQ(Directions(PlanFor(store.get(), kQ3d, fixed)), "B");
-  QueryOptions flat;
-  flat.use_synopsis = false;
-  EXPECT_EQ(Directions(PlanFor(store.get(), kQ3d, flat)), "B");
 }
 
 TEST(PlannerTest, ArcDirectionsAddNoIndexProbes) {
   // The direction rule reads only synopsis counts and the trees' own
-  // estimates: a cost-based plan (top-down chosen) probes the B+ trees
-  // exactly as often as a fixed-order plan of the same query (no
-  // direction rule at all).
+  // estimates: planning Q3d (top-down chosen) probes the B+ trees
+  // exactly as often as planning its parent tree alone (no arc, so no
+  // direction rule at all).  The //title tree's tag count comes from the
+  // dictionary, not a probe.
   auto store = MakeDblpStore();
   uint64_t before = IndexFetches(store.get());
-  Planned cost = PlanFor(store.get(), kQ3d);
-  const uint64_t cost_fetches = IndexFetches(store.get()) - before;
-  ASSERT_EQ(Directions(cost), "T");
-  QueryOptions fixed;
-  fixed.cost_based_join_order = false;
+  Planned q3d = PlanFor(store.get(), kQ3d);
+  const uint64_t q3d_fetches = IndexFetches(store.get()) - before;
+  ASSERT_EQ(Directions(q3d), "T");
   before = IndexFetches(store.get());
-  PlanFor(store.get(), kQ3d, fixed);
-  EXPECT_EQ(IndexFetches(store.get()) - before, cost_fetches);
-  EXPECT_GT(cost_fetches, 0u);  // The value-count estimate probes B+v.
+  PlanFor(store.get(),
+          "/dblp/article[journal=\"needle-hi-a\"][volume=\"needle-hi-b\"]");
+  EXPECT_EQ(IndexFetches(store.get()) - before, q3d_fetches);
+  EXPECT_GT(q3d_fetches, 0u);  // The value-count estimate probes B+v.
 }
 
 TEST(QueryEngineTest, TopDownPlanMatchesBottomUpAndScansOnlyTheScope) {
@@ -315,82 +299,10 @@ TEST(QueryEngineTest, TopDownPlanMatchesBottomUpAndScansOnlyTheScope) {
       << explain;
   EXPECT_NE(explain.find("in=4 out=4"), std::string::npos) << explain;
 
-  QueryOptions fixed;
-  fixed.cost_based_join_order = false;
-  auto bottom_up = engine.Evaluate(kQ3d, fixed);
+  auto bottom_up = testutil::EvaluateWithArcDirection(
+      store.get(), kQ3d, QueryOptions{}, ArcDirection::kBottomUp);
   ASSERT_TRUE(bottom_up.ok()) << bottom_up.status().ToString();
   EXPECT_EQ(*top_down, *bottom_up);
-}
-
-TEST(PlanCacheTest, KeyCoversOptionsAndStoreGeneration) {
-  QueryOptions a;
-  const std::string base = PlanCache::Key("pat", a, 1, 1);
-  EXPECT_EQ(base, PlanCache::Key("pat", a, 1, 1));
-  EXPECT_NE(base, PlanCache::Key("other", a, 1, 1));
-  EXPECT_NE(base, PlanCache::Key("pat", a, 2, 1));  // Epoch.
-  EXPECT_NE(base, PlanCache::Key("pat", a, 1, 2));  // Structure version.
-
-  QueryOptions b = a;
-  b.strategy = StartStrategy::kScan;
-  EXPECT_NE(base, PlanCache::Key("pat", b, 1, 1));
-  QueryOptions c = a;
-  c.cost_based_join_order = false;
-  EXPECT_NE(base, PlanCache::Key("pat", c, 1, 1));
-}
-
-TEST(PlanCacheTest, LruBoundAndStats) {
-  PlanCache cache(2);
-  auto plan = std::make_shared<const QueryPlan>();
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  cache.Insert("a", plan);
-  cache.Insert("b", plan);
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // Refreshes "a".
-  cache.Insert("c", plan);                // Evicts "b", the LRU entry.
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
-  EXPECT_EQ(cache.size(), 2u);
-  EXPECT_EQ(cache.stats().hits, 3u);
-  EXPECT_EQ(cache.stats().misses, 2u);
-  EXPECT_EQ(cache.stats().insertions, 3u);
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(PlanCacheTest, EngineCachesPlansAndInvalidatesOnUpdate) {
-  auto store = MakeStore(kBibXml);
-  QueryEngine engine(store.get());
-  QueryOptions qo;
-  qo.use_plan_cache = true;
-  const std::string q = "//book[author/last=\"Stevens\"]";
-
-  auto first = engine.Evaluate(q, qo);
-  ASSERT_TRUE(first.ok()) << first.status().ToString();
-  EXPECT_EQ(first->size(), 2u);
-  EXPECT_EQ(engine.plan_cache().stats().misses, 1u);
-  EXPECT_NE(engine.ExplainLast().find("plan cache miss"),
-            std::string::npos);
-
-  auto second = engine.Evaluate(q, qo);
-  ASSERT_TRUE(second.ok());
-  EXPECT_EQ(engine.plan_cache().stats().hits, 1u);
-  EXPECT_NE(engine.ExplainLast().find("plan cache hit"),
-            std::string::npos);
-  EXPECT_EQ(*first, *second);
-
-  // A structural update bumps the store's structure version, so the
-  // cached plan is stale and the query replans (and sees the new node).
-  const uint64_t version = store->structure_version();
-  ASSERT_TRUE(store
-                  ->InsertSubtree(DeweyId({0, 3}), 1,
-                                  "<author><last>Stevens</last>"
-                                  "<first>R.</first></author>")
-                  .ok());
-  EXPECT_GT(store->structure_version(), version);
-  auto third = engine.Evaluate(q, qo);
-  ASSERT_TRUE(third.ok()) << third.status().ToString();
-  EXPECT_EQ(third->size(), 3u);
-  EXPECT_EQ(engine.plan_cache().stats().misses, 2u);
-  EXPECT_EQ(engine.plan_cache().stats().hits, 1u);
 }
 
 TEST(QueryEngineTest, FailedEvaluateClearsPreviousDiagnostics) {
@@ -444,22 +356,30 @@ TEST(QueryEngineTest, ExplainPrintsEstimatedAndActualCardinalities) {
   EXPECT_NE(engine.ExplainLast().find("AnchorScan"), std::string::npos);
 }
 
-TEST(QueryEngineTest, CostBasedAndFixedOrdersAgree) {
+TEST(QueryEngineTest, PlannedAnswersMatchNavigationalBaseline) {
   auto store = MakeStore(kBibXml);
   QueryEngine engine(store.get());
+  auto dom = DomTree::Parse(kBibXml);
+  ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+  NavigationalEngine nav(&*dom);
   for (const char* xpath :
        {"//book[.//affiliation]", "/bib//book[.//first]//last",
         "//book[author/last=\"Stevens\"][.//first]",
         "//editor/following::book"}) {
     SCOPED_TRACE(xpath);
-    QueryOptions cost;
-    auto with_cost = engine.Evaluate(xpath, cost);
-    ASSERT_TRUE(with_cost.ok()) << with_cost.status().ToString();
-    QueryOptions fixed;
-    fixed.cost_based_join_order = false;
-    auto with_fixed = engine.Evaluate(xpath, fixed);
-    ASSERT_TRUE(with_fixed.ok()) << with_fixed.status().ToString();
-    EXPECT_EQ(*with_cost, *with_fixed);
+    auto planned = engine.Evaluate(xpath);
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    auto pattern = ParseXPath(xpath);
+    ASSERT_TRUE(pattern.ok()) << pattern.status().ToString();
+    auto baseline = nav.Evaluate(*pattern);
+    ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
+    std::vector<DeweyId> want;
+    for (const DomNode* node : *baseline) want.push_back(DomDewey(node));
+    std::sort(want.begin(), want.end(),
+              [](const DeweyId& a, const DeweyId& b) {
+                return a.Compare(b) < 0;
+              });
+    EXPECT_EQ(*planned, want);
   }
 }
 

@@ -148,8 +148,8 @@ class SidecarLifecycleTest : public ::testing::TestWithParam<SidecarCase> {
                   : store.synopsis_loaded_from_sidecar();
   }
 
-  /// Size of the in-memory structure, nullopt when there is none.  The
-  /// BP index is rebuilt on demand; the synopsis waits for Flush.
+  /// Size of the structure, (re)built on demand for the current
+  /// document; nullopt when that fails.
   std::optional<uint64_t> Size(DocumentStore* store) const {
     if (IsBp()) {
       auto bp = store->bp_index();
@@ -157,14 +157,16 @@ class SidecarLifecycleTest : public ::testing::TestWithParam<SidecarCase> {
       if (!bp.ok()) return std::nullopt;
       return (*bp)->node_count();
     }
-    if (store->path_synopsis() == nullptr) return std::nullopt;
-    return store->path_synopsis()->path_count();
+    auto synopsis = store->path_synopsis();
+    EXPECT_TRUE(synopsis.ok()) << synopsis.status().ToString();
+    if (!synopsis.ok()) return std::nullopt;
+    return (*synopsis)->path_count();
   }
 
   /// Node count the structure was built over.
   uint64_t Nodes(DocumentStore* store) const {
     if (IsBp()) return store->bp_index().ValueOrDie()->node_count();
-    return store->path_synopsis()->node_count();
+    return store->path_synopsis().ValueOrDie()->node_count();
   }
 
   void BuildStore() {
@@ -218,16 +220,12 @@ TEST_P(SidecarLifecycleTest, StructuralUpdateMakesItStale) {
     auto store = DocumentStore::OpenDir(options_);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_TRUE(Loaded(**store));
-    // A structural update drops the in-memory structure: the BP index is
-    // rebuilt for the new topology on demand, the synopsis (pruning on
-    // the old trie could wrongly prove queries empty) at Flush.
+    // A structural update drops the in-memory structure; the next use
+    // rebuilds it for the new topology (pruning on the old trie could
+    // wrongly prove queries empty).
     ASSERT_TRUE((*store)->InsertSubtree(DeweyId({0}), 0, "<e/>").ok());
     EXPECT_FALSE(Loaded(**store));
-    if (IsBp()) {
-      EXPECT_EQ(Size(store->get()), GetParam().size_after);
-    } else {
-      EXPECT_FALSE(Size(store->get()).has_value());
-    }
+    EXPECT_EQ(Size(store->get()), GetParam().size_after);
     ASSERT_TRUE((*store)->Flush().ok());
     EXPECT_FALSE(Loaded(**store));
     EXPECT_EQ(Size(store->get()), GetParam().size_after);

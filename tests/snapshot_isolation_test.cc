@@ -6,7 +6,7 @@
 // identical update sequence serially on a copy — never a mix of epochs.
 // Runs under the sanitizer builds; with -DNOK_SANITIZE=thread this is the
 // data-race gate for the snapshot read path (SnapshotFile over a mutating
-// base, SnapshotTracker reclamation, SharedPlanCache).
+// base, SnapshotTracker reclamation).
 
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -46,16 +46,12 @@ std::string TempDir(const std::string& name) {
 using Transcript = std::vector<std::string>;
 
 Result<Transcript> RunQueries(DocumentStore* store,
-                              const std::vector<std::string>& xpaths,
-                              SharedPlanCache* cache) {
+                              const std::vector<std::string>& xpaths) {
   QueryEngine engine(store);
-  if (cache != nullptr) engine.set_shared_plan_cache(cache);
-  QueryOptions options;
-  options.use_plan_cache = cache != nullptr;
   Transcript out;
   out.reserve(xpaths.size());
   for (const std::string& xpath : xpaths) {
-    NOK_ASSIGN_OR_RETURN(auto rows, engine.Evaluate(xpath, options));
+    NOK_ASSIGN_OR_RETURN(auto rows, engine.Evaluate(xpath));
     std::string canon;
     for (const DeweyId& id : rows) {
       canon += id.ToString();
@@ -119,13 +115,13 @@ TEST(SnapshotIsolationTest, ReadersNeverSeeAMixOfEpochs) {
     auto store = SwmrStore::Open(oracle_dir, swmr_options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     auto snap = (*store)->snapshot();
-    auto t = RunQueries(snap->store(), xpaths, nullptr);
+    auto t = RunQueries(snap->store(), xpaths);
     ASSERT_TRUE(t.ok()) << t.status().ToString();
     oracle[snap->epoch()] = *t;
     for (int c = 0; c < kCommits; ++c) {
       ASSERT_TRUE(ApplyBatch(store->get(), c).ok()) << "commit " << c;
       snap = (*store)->snapshot();
-      t = RunQueries(snap->store(), xpaths, nullptr);
+      t = RunQueries(snap->store(), xpaths);
       ASSERT_TRUE(t.ok()) << t.status().ToString();
       oracle[snap->epoch()] = *t;
     }
@@ -135,7 +131,6 @@ TEST(SnapshotIsolationTest, ReadersNeverSeeAMixOfEpochs) {
   auto store = SwmrStore::Open(dir, swmr_options);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   SwmrStore* swmr = store->get();
-  SharedPlanCache plan_cache;
 
   struct ReaderLog {
     std::vector<std::pair<uint64_t, Transcript>> observed;
@@ -147,7 +142,7 @@ TEST(SnapshotIsolationTest, ReadersNeverSeeAMixOfEpochs) {
   auto reader = [&](ReaderLog* log) {
     do {
       auto snap = swmr->snapshot();
-      auto t = RunQueries(snap->store(), xpaths, &plan_cache);
+      auto t = RunQueries(snap->store(), xpaths);
       if (!t.ok()) {
         log->status = t.status();
         return;

@@ -714,50 +714,5 @@ TEST(SwmrStoreTest, SnapshotsAreIsolatedFromLaterCommits) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(SwmrStoreTest, SharedPlanCacheServesBothSnapshots) {
-  const std::string dir = TempDir("swmr_cache");
-  std::filesystem::remove_all(dir);
-  {
-    DocumentStoreOptions build;
-    build.dir = dir;
-    auto built = DocumentStore::Build(kDocXml, build);
-    ASSERT_TRUE(built.ok()) << built.status().ToString();
-    ASSERT_TRUE((*built)->Flush().ok());
-  }
-  auto swmr = SwmrStore::Open(dir);
-  ASSERT_TRUE(swmr.ok()) << swmr.status().ToString();
-
-  SharedPlanCache cache;
-  QueryOptions q;
-  q.use_plan_cache = true;
-
-  auto snap = (*swmr)->snapshot();
-  QueryEngine a(snap->store());
-  a.set_shared_plan_cache(&cache);
-  ASSERT_TRUE(a.Evaluate("/bib/book/title", q).ok());
-  QueryEngine b(snap->store());
-  b.set_shared_plan_cache(&cache);
-  ASSERT_TRUE(b.Evaluate("/bib/book/title", q).ok());
-  EXPECT_EQ(cache.stats().hits, 1u);  // Second engine reused the plan.
-
-  // A commit changes the epoch, so the same query misses (by key), never
-  // serving a plan built against the old generation.
-  ASSERT_TRUE((*swmr)
-                  ->InsertSubtree(DeweyId({0}), 2,
-                                  "<book><title>T</title></book>")
-                  .ok());
-  ASSERT_TRUE((*swmr)->Commit().ok());
-  auto snap2 = (*swmr)->snapshot();
-  QueryEngine c(snap2->store());
-  c.set_shared_plan_cache(&cache);
-  ASSERT_TRUE(c.Evaluate("/bib/book/title", q).ok());
-  EXPECT_EQ(cache.stats().hits, 1u);  // Still 1: new epoch was a miss.
-
-  snap.reset();
-  snap2.reset();
-  swmr->reset();
-  std::filesystem::remove_all(dir);
-}
-
 }  // namespace
 }  // namespace nok

@@ -3,9 +3,8 @@
 //   nokq build  <file.xml> <store-dir> [--checksum]   build a store
 //   nokq query  <store-dir> <xpath> [--values] [--strategy auto|scan|tag|
 //               value] [--explain] [--no-header-skip]
-//               [--nav-mode paged|bp] [--no-synopsis]
-//   nokq explain <store-dir> <xpath> [--strategy ...] [--fixed-order]
-//               [--plan-cache] [--nav-mode paged|bp] [--no-synopsis]
+//               [--nav-mode paged|bp]
+//   nokq explain <store-dir> <xpath> [--strategy ...] [--nav-mode paged|bp]
 //                                  print the query plan + operator trace
 //   nokq stream <file.xml> <xpath>              single-pass evaluation
 //   nokq stats  <store-dir>                     Table-1 style statistics
@@ -55,10 +54,7 @@ int Usage() {
           "  nokq query  <store-dir> <xpath> [--values] [--explain]\n"
           "              [--strategy auto|scan|tag|value]\n"
           "              [--no-header-skip] [--nav-mode paged|bp]\n"
-          "              [--no-synopsis]\n"
-          "  nokq explain <store-dir> <xpath> [--fixed-order]\n"
-          "              [--plan-cache] [--nav-mode paged|bp]\n"
-          "              [--no-synopsis]\n"
+          "  nokq explain <store-dir> <xpath> [--nav-mode paged|bp]\n"
           "              [--strategy auto|scan|tag|value]\n"
           "  nokq stream <file.xml> <xpath>\n"
           "  nokq stats  <store-dir>\n"
@@ -186,13 +182,7 @@ int CmdExplain(int argc, char** argv) {
   nok::QueryOptions options;
   nok::NavMode nav_mode = nok::NavMode::kPaged;
   for (int i = 4; i < argc; ++i) {
-    if (strcmp(argv[i], "--fixed-order") == 0) {
-      options.cost_based_join_order = false;
-    } else if (strcmp(argv[i], "--plan-cache") == 0) {
-      options.use_plan_cache = true;
-    } else if (strcmp(argv[i], "--no-synopsis") == 0) {
-      options.use_synopsis = false;
-    } else if (strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
+    if (strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
       if (!ParseStrategyName(argv[++i], &options.strategy)) return Usage();
     } else if (strcmp(argv[i], "--nav-mode") == 0 && i + 1 < argc) {
       if (!ParseNavModeName(argv[++i], &nav_mode)) return Usage();
@@ -223,8 +213,6 @@ int CmdQuery(int argc, char** argv) {
       explain = true;
     } else if (strcmp(argv[i], "--no-header-skip") == 0) {
       header_skip = false;
-    } else if (strcmp(argv[i], "--no-synopsis") == 0) {
-      options.use_synopsis = false;
     } else if (strcmp(argv[i], "--strategy") == 0 && i + 1 < argc) {
       if (!ParseStrategyName(argv[++i], &options.strategy)) return Usage();
     } else if (strcmp(argv[i], "--nav-mode") == 0 && i + 1 < argc) {
