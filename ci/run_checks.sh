@@ -4,13 +4,11 @@
 #   ci/run_checks.sh            # run everything
 #   ci/run_checks.sh lint       # just nok_lint (+ selftest)
 #   ci/run_checks.sh release    # Release build + ctest
-#   ci/run_checks.sh sanitize   # ASan/UBSan build + ctest
+#   ci/run_checks.sh sanitize   # ASan/UBSan build + ctest (includes
+#                               # the WAL kill-point sweep and the
+#                               # sidecar fault sweep)
 #   ci/run_checks.sh tsan       # TSan build + concurrency/differential/
 #                               # snapshot-isolation suites
-#   ci/run_checks.sh crash-recovery # WAL kill-point sweep under ASan:
-#                               # crash at every write/fsync, reopen,
-#                               # expect replay or clean restore;
-#                               # plus the sidecar fault sweep
 #   ci/run_checks.sh werror     # strict-warning build (NOK_WERROR=ON)
 #   ci/run_checks.sh thread-safety # clang -Werror=thread-safety build of
 #                               # the whole tree + negative-compile of
@@ -69,24 +67,6 @@ run_tsan() {
   cmake --build build-ci/tsan -j "$JOBS"
   ctest --test-dir build-ci/tsan --output-on-failure -j "$JOBS" \
         -R "concurrency_test|differential_test|snapshot_isolation_test"
-}
-
-run_crash_recovery() {
-  step "WAL kill-point sweep (ASan/UBSan build)"
-  # Crash (via fault injection) at every file op and every fsync of a
-  # WAL-backed update, including partial-writeback crashes that drop a
-  # random subset of unsynced writes; every reopen must either replay
-  # the committed txn or restore the pre-update state -- zero Corruption
-  # aborts, verified against a never-crashed oracle.  Then an I/O error or
-  # torn write at every op after a bp-mode commit: the sidecar rewrites
-  # must leave a store that verifies clean.
-  cmake -S . -B build-ci/sanitize -DCMAKE_BUILD_TYPE=RelWithDebInfo \
-        -DNOK_SANITIZE=address,undefined
-  cmake --build build-ci/sanitize -j "$JOBS" \
-        --target fault_injection_test wal_test
-  build-ci/sanitize/tests/fault_injection_test \
-      --gtest_filter='WalKillPointSweep.*:SidecarFaultSweep.*'
-  build-ci/sanitize/tests/wal_test
 }
 
 run_werror() {
@@ -264,7 +244,6 @@ case "${1:-all}" in
   release)        run_release ;;
   sanitize)       run_sanitize ;;
   tsan)           run_tsan ;;
-  crash-recovery) run_crash_recovery ;;
   werror)         run_werror ;;
   thread-safety)  run_thread_safety ;;
   bench-smoke)    run_bench_smoke ;;
@@ -274,7 +253,6 @@ case "${1:-all}" in
     run_release
     run_sanitize
     run_tsan
-    run_crash_recovery
     run_werror
     run_thread_safety
     run_bench_smoke
@@ -283,7 +261,7 @@ case "${1:-all}" in
     ;;
   *)
     echo "unknown check: $1" \
-         "(expected lint|release|sanitize|tsan|crash-recovery|werror|" \
+         "(expected lint|release|sanitize|tsan|werror|" \
          "thread-safety|bench-smoke|fuzz-smoke|all)" >&2
     exit 2
     ;;

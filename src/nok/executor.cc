@@ -17,35 +17,6 @@ namespace nok {
 
 namespace {
 
-/// True iff `outer` has a related member of the sorted `inners` set
-/// (Dewey containment; equivalent to the interval condition and always
-/// available, so arc predicates use it in both join modes).
-bool AnyRelated(const NodeMatch& outer, const std::vector<NodeMatch>& inners,
-                Axis axis) {
-  if (inners.empty()) return false;
-  if (axis == Axis::kDescendant) {
-    if (outer.virtual_root) return true;
-    auto it = std::upper_bound(inners.begin(), inners.end(), outer,
-                               DocOrderLess);
-    return it != inners.end() &&
-           IsRelated(outer, *it, Axis::kDescendant, JoinMode::kDewey);
-  }
-  if (outer.virtual_root) return false;
-  if (axis == Axis::kFollowing) {
-    // The document-order-last inner is the canonical witness.
-    return IsRelated(outer, inners.back(), Axis::kFollowing,
-                     JoinMode::kDewey);
-  }
-  // Preceding: scan inners from the front past the outer's ancestors.
-  for (const NodeMatch& inner : inners) {
-    if (!DocOrderLess(inner, outer)) break;
-    if (IsRelated(outer, inner, Axis::kPreceding, JoinMode::kDewey)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 /// Cursor wrapper that additionally enforces global-arc constraints: a
 /// pattern node with an outgoing arc only matches subject nodes that
 /// have a qualified child-tree root in the arc's relation.  Injecting the
@@ -81,12 +52,10 @@ class ConstrainedCursorT {
     if (!ok) return false;
     auto it = constraints_.find(&pattern);
     if (it == constraints_.end()) return true;
-    NodeMatch as_match;
-    as_match.virtual_root = node.virtual_root;
-    if (!node.virtual_root) as_match.dewey = node.dewey;
+    const NodeMatch as_match{node.dewey, node.virtual_root};
     for (const ArcConstraint& constraint : it->second) {
-      if (!AnyRelated(as_match, *constraint.qualified_roots,
-                      constraint.axis)) {
+      if (!HasRelatedInner(as_match, *constraint.qualified_roots,
+                           constraint.axis)) {
         return false;
       }
     }
@@ -162,7 +131,7 @@ class OpTimer {
 /// trunk: the source's subject Dewey ID is a fixed prefix of the anchor
 /// candidate's, so the arc can be checked per candidate with a sorted
 /// merge before any page is fetched — the SemiJoinFilter operator.  The
-/// same AnyRelated test runs again inside ConstrainedCursorT::Matches
+/// same HasRelatedInner test runs again inside ConstrainedCursorT::Matches
 /// during NokMatch, so pruning here never changes results, only cost.
 struct TrunkArcCheck {
   size_t trunk_index = 0;  ///< Position of the source node on the trunk.
@@ -228,7 +197,7 @@ bool PassesTrunkChecks(const NokTree& tree, size_t trunk_len,
       NOK_CHECK(dewey.has_value());
       as_match.dewey = std::move(*dewey);
     }
-    if (!AnyRelated(as_match, *check.inners, check.axis)) return false;
+    if (!HasRelatedInner(as_match, *check.inners, check.axis)) return false;
   }
   return true;
 }
@@ -257,39 +226,11 @@ std::vector<RootArcCheck> RootArcChecks(
 
 bool PassesRootChecks(const DeweyId& dewey,
                       const std::vector<RootArcCheck>& checks) {
-  NodeMatch as_match;
-  as_match.dewey = dewey;
+  const NodeMatch as_match{dewey, false};
   for (const RootArcCheck& check : checks) {
-    if (!AnyRelated(as_match, *check.inners, check.axis)) return false;
+    if (!HasRelatedInner(as_match, *check.inners, check.axis)) return false;
   }
   return true;
-}
-
-/// A top-down arc's scope: the scout's source matches, sorted, keeping
-/// only the outermost ones (a source inside another's subtree adds
-/// nothing to it), so the subtrees are disjoint and in document order.
-std::vector<NodeMatch> OutermostSources(std::vector<NodeMatch> sources) {
-  SortUnique(&sources);
-  std::vector<NodeMatch> out;
-  for (NodeMatch& source : sources) {
-    if (!out.empty() && IsRelated(out.back(), source, Axis::kDescendant,
-                                  JoinMode::kDewey)) {
-      continue;
-    }
-    out.push_back(std::move(source));
-  }
-  return out;
-}
-
-/// True iff `dewey` lies strictly inside one subtree of `scope`
-/// (OutermostSources): the only candidate is the last source at or
-/// before it in document order.
-bool InScope(const DeweyId& dewey, const std::vector<NodeMatch>& scope) {
-  NodeMatch node;
-  node.dewey = dewey;
-  auto it = std::upper_bound(scope.begin(), scope.end(), node, DocOrderLess);
-  return it != scope.begin() &&
-         IsRelated(*std::prev(it), node, Axis::kDescendant, JoinMode::kDewey);
 }
 
 /// Index hits for one access path (the probe operators' body; shared by
@@ -463,7 +404,7 @@ Result<std::vector<typename Nav::NodeT>> ScanCandidates(
 }
 
 /// The ScopedScan operator's body: the nodes satisfying the NoK root's
-/// name test strictly inside the subtrees of `scope` (OutermostSources).
+/// name test strictly inside the subtrees of `scope` (KeepOutermost).
 /// Each source is located by its Dewey ID and scanned with the tier's
 /// tag-filtered step up to its own close; the hits' Dewey IDs come from
 /// a descent rooted at the source.  A wildcard root takes every node.
@@ -499,23 +440,10 @@ Result<std::vector<typename Nav::NodeT>> ScopedScan(
   return out;
 }
 
-/// Tier node -> NodeMatch.  In kInterval mode the endpoints come from
-/// the tier's own document-order numbering (global byte positions paged,
-/// BP bit positions bp), which is all the containment test needs.
-template <typename Nav>
-Result<NodeMatch> ToMatch(Nav* nav, const typename Nav::NodeT& node,
-                          JoinMode mode) {
-  NodeMatch match;
-  if (node.virtual_root) {
-    match.virtual_root = true;
-    return match;
-  }
-  match.dewey = node.dewey;
-  if (mode == JoinMode::kInterval) {
-    match.start = nav->Order(node.pos);
-    NOK_ASSIGN_OR_RETURN(match.end, nav->SubtreeEnd(node.pos));
-  }
-  return match;
+/// Tier node -> NodeMatch: its Dewey ID, or the virtual root.
+template <typename NodeT>
+NodeMatch ToMatch(const NodeT& node) {
+  return NodeMatch{node.dewey, node.virtual_root};
 }
 
 /// Balanced-parentheses tier: every primitive runs on the in-memory
@@ -748,13 +676,8 @@ class AnchoredMatcherT {
   using CCursor = ConstrainedCursorT<typename Nav::Cursor>;
 
   AnchoredMatcherT(Nav* nav, CCursor* cursor, const NokTree& tree,
-                   const std::vector<bool>& designated, int anchor,
-                   JoinMode join_mode)
-      : nav_(nav),
-        cursor_(cursor),
-        tree_(tree),
-        designated_(designated),
-        join_mode_(join_mode) {
+                   const std::vector<bool>& designated, int anchor)
+      : nav_(nav), cursor_(cursor), tree_(tree), designated_(designated) {
     // Trunk chain root..anchor.
     const std::vector<int> parents = NokParents(tree);
     for (int n = anchor; n >= 0; n = parents[static_cast<size_t>(n)]) {
@@ -816,7 +739,7 @@ class AnchoredMatcherT {
             anchor_sub_.sub.nodes.size());
         NOK_ASSIGN_OR_RETURN(bool ok, matcher.Match(node, &lists));
         if (!ok) return std::optional<NokBinding>();
-        NOK_RETURN_IF_ERROR(Merge(anchor_sub_, lists, &binding));
+        Merge(anchor_sub_, lists, &binding);
         continue;
       }
 
@@ -824,10 +747,7 @@ class AnchoredMatcherT {
       NOK_ASSIGN_OR_RETURN(bool ok, cursor_->Matches(node, *pattern));
       if (!ok) return std::optional<NokBinding>();
       if (designated_[static_cast<size_t>(local)]) {
-        NOK_ASSIGN_OR_RETURN(NodeMatch match,
-                             ToMatch(nav_, node, join_mode_));
-        binding.matches[static_cast<size_t>(local)].push_back(
-            std::move(match));
+        binding.matches[static_cast<size_t>(local)].push_back(ToMatch(node));
       }
       if (!branches_[j].empty()) {
         NOK_ASSIGN_OR_RETURN(bool branch_ok,
@@ -841,18 +761,15 @@ class AnchoredMatcherT {
 
  private:
   /// Merges a sub-matcher's lists into the binding via the index map.
-  Status Merge(const SubMatcherData& sub,
-               const typename NokMatcher<CCursor>::MatchLists& lists,
-               NokBinding* binding) {
+  void Merge(const SubMatcherData& sub,
+             const typename NokMatcher<CCursor>::MatchLists& lists,
+             NokBinding* binding) {
     for (size_t i = 0; i < lists.size(); ++i) {
       for (const NodeT& node : lists[i]) {
-        NOK_ASSIGN_OR_RETURN(NodeMatch match,
-                             ToMatch(nav_, node, join_mode_));
         binding->matches[static_cast<size_t>(sub.map[i])].push_back(
-            std::move(match));
+            ToMatch(node));
       }
     }
-    return Status::OK();
   }
 
   /// One level of Algorithm 1: every branch must match some child of
@@ -877,7 +794,7 @@ class AnchoredMatcherT {
             branches[i].sub.nodes.size());
         NOK_ASSIGN_OR_RETURN(bool ok, matcher.Match(*u, &lists));
         if (!ok) continue;
-        NOK_RETURN_IF_ERROR(Merge(branches[i], lists, binding));
+        Merge(branches[i], lists, binding);
         if (!satisfied[i]) {
           satisfied[i] = 1;
           --remaining;
@@ -893,7 +810,6 @@ class AnchoredMatcherT {
   CCursor* cursor_;
   const NokTree& tree_;
   const std::vector<bool>& designated_;
-  JoinMode join_mode_;
   std::vector<int> trunk_;
   std::vector<std::vector<SubMatcherData>> branches_;
   SubMatcherData anchor_sub_;
@@ -939,14 +855,12 @@ class PlanRun {
 
   PlanRun(DocumentStore* store, Nav* nav, const QueryPlan& plan,
           const NokPartition& partition, const std::vector<TagId>& tag_table,
-          const QueryOptions& options, QueryStats* stats,
-          ExecutionTrace* trace)
+          QueryStats* stats, ExecutionTrace* trace)
       : store_(store),
         nav_(nav),
         plan_(plan),
         partition_(partition),
         tag_table_(tag_table),
-        options_(options),
         stats_(stats),
         trace_(trace),
         cursor_(nav->cursor()) {}
@@ -1081,7 +995,9 @@ class PlanRun {
         Filter(tree_id, ScopeDetail(tree_id), hits, [&](const auto& hit) {
           if (hit.depth() < trunk_len) return false;
           auto root = hit.Ancestor(trunk_len - 1);
-          return root.has_value() && InScope(*root, scope_[t]);
+          return root.has_value() &&
+                 HasRelatedOuter(scope_[t], NodeMatch{std::move(*root), false},
+                                 Axis::kDescendant);
         });
       }
     }
@@ -1111,7 +1027,7 @@ class PlanRun {
     const std::vector<bool> designated =
         ComputeDesignated(partition_, tree_id);  // The matcher keeps a ref.
     AnchoredMatcherT<Nav> matcher(nav_, &cursor_, tree, designated,
-                                  access.anchor, options_.join_mode);
+                                  access.anchor);
     for (size_t i = 0; i < hits->size(); ++i) {
       NOK_ASSIGN_OR_RETURN(auto binding, matcher.MatchCandidate((*hits)[i]));
       if (!binding.has_value()) continue;
@@ -1154,9 +1070,7 @@ class PlanRun {
       binding.matches.resize(tree.nodes.size());
       for (size_t i = 0; i < lists.size(); ++i) {
         for (const NodeT& node : lists[i]) {
-          NOK_ASSIGN_OR_RETURN(NodeMatch node_match,
-                               ToMatch(nav_, node, options_.join_mode));
-          binding.matches[i].push_back(std::move(node_match));
+          binding.matches[i].push_back(ToMatch(node));
         }
         SortUnique(&binding.matches[i]);
       }
@@ -1282,7 +1196,8 @@ class PlanRun {
     if (access.anchor == 0) {
       if (scoped) {
         Filter(tree_id, ScopeDetail(tree_id), &hits, [&](const auto& hit) {
-          return InScope(hit, scope_[t]);
+          return HasRelatedOuter(scope_[t], NodeMatch{hit, false},
+                                 Axis::kDescendant);
         });
       }
       FilterRootsBy(tree_id, &hits,
@@ -1300,7 +1215,10 @@ class PlanRun {
     }
     if (scoped) {
       Filter(tree_id, ScopeDetail(tree_id), &roots,
-             [&](const DeweyId& dewey) { return InScope(dewey, scope_[t]); });
+             [&](const DeweyId& dewey) {
+               return HasRelatedOuter(scope_[t], NodeMatch{dewey, false},
+                                      Axis::kDescendant);
+             });
     }
     NOK_ASSIGN_OR_RETURN(*candidates, nav_->LocateAll(std::move(roots)));
     return Status::OK();
@@ -1333,15 +1251,18 @@ class PlanRun {
             binding.matches[static_cast<size_t>(arc->from_node)];
         sources.insert(sources.end(), matches.begin(), matches.end());
       }
-      scope_[static_cast<size_t>(arc->to_tree)] =
-          OutermostSources(std::move(sources));
+      SortUnique(&sources);
+      KeepOutermost(&sources);
+      scope_[static_cast<size_t>(arc->to_tree)] = std::move(sources);
     }
   }
 
   /// Top-down: a binding is alive when its root is related to an alive
   /// parent binding's source match (bindings' injected constraints are
-  /// already satisfied bottom-up).  Increasing id order visits parents
-  /// first.  Then the returning node's matches over alive bindings.
+  /// already satisfied bottom-up) — one HasRelatedOuter search over the
+  /// sorted (for `//`, outermost) sources per binding.  Increasing id
+  /// order visits parents first.  Then the returning node's matches over
+  /// alive bindings.
   Result<std::vector<DeweyId>> LivenessAndOutput() {
     const size_t n_trees = partition_.trees.size();
     std::vector<std::vector<char>> alive(n_trees);
@@ -1371,16 +1292,14 @@ class PlanRun {
                               sources.end());
       }
       SortUnique(&parent_sources);
+      if (arc->axis == Axis::kDescendant) KeepOutermost(&parent_sources);
       alive[t].assign(bindings_[t].size(), 0);
       size_t alive_count = 0;
       for (size_t b = 0; b < bindings_[t].size(); ++b) {
         const NodeMatch& root = bindings_[t][b].matches[0].front();
-        for (const NodeMatch& src : parent_sources) {
-          if (IsRelated(src, root, arc->axis, options_.join_mode)) {
-            alive[t][b] = 1;
-            ++alive_count;
-            break;
-          }
+        if (HasRelatedOuter(parent_sources, root, arc->axis)) {
+          alive[t][b] = 1;
+          ++alive_count;
         }
       }
       join.rows_out = alive_count;
@@ -1421,7 +1340,6 @@ class PlanRun {
   const QueryPlan& plan_;
   const NokPartition& partition_;
   const std::vector<TagId>& tag_table_;
-  const QueryOptions& options_;
   QueryStats* stats_;
   ExecutionTrace* trace_;
   CCursor cursor_;
@@ -1440,7 +1358,7 @@ class PlanRun {
 
 Result<std::vector<DeweyId>> Executor::Run(
     const QueryPlan& plan, const NokPartition& partition,
-    const std::vector<TagId>& tag_table, const QueryOptions& options,
+    const std::vector<TagId>& tag_table, const QueryOptions& /*options*/,
     QueryStats* stats, ExecutionTrace* trace) {
   NOK_CHECK(stats != nullptr && trace != nullptr);
   trace->empty_result = plan.empty_result;
@@ -1467,7 +1385,7 @@ Result<std::vector<DeweyId>> Executor::Run(
     BpNav nav(store_, bp);
     NOK_ASSIGN_OR_RETURN(
         auto out, PlanRun<BpNav>(store_, &nav, plan, partition, tag_table,
-                                 options, stats, trace)
+                                 stats, trace)
                       .Run());
     const StringStore::NavStats after = store_->tree()->nav_stats();
     trace->nav_mode = NavMode::kBp;
@@ -1477,8 +1395,8 @@ Result<std::vector<DeweyId>> Executor::Run(
     return out;
   }
   PagedNav nav(store_, bp);
-  return PlanRun<PagedNav>(store_, &nav, plan, partition, tag_table, options,
-                           stats, trace)
+  return PlanRun<PagedNav>(store_, &nav, plan, partition, tag_table, stats,
+                           trace)
       .Run();
 }
 

@@ -107,10 +107,11 @@ class Executor {
   /// for the store's current structural state).
   /// Runs the plan against the store's selected navigation tier: paged
   /// (StoreCursor) or balanced-parentheses (BpCursor), per
-  /// DocumentStoreOptions::nav_mode.  Candidate production, Dewey
-  /// resolution and interval derivation all go through the chosen
-  /// backend, so a BP run touches no subject-tree pages; results are
-  /// identical across modes.
+  /// DocumentStoreOptions::nav_mode.  Candidate production and Dewey
+  /// resolution go through the chosen backend, so a BP run touches no
+  /// subject-tree pages; results are identical across modes.
+  /// The QueryOptions parameter is unused (the plan already holds every
+  /// choice); the next benchmark change drops it.
   Result<std::vector<DeweyId>> Run(const QueryPlan& plan,
                                    const NokPartition& partition,
                                    const std::vector<TagId>& tag_table,

@@ -103,9 +103,9 @@ int BuildNokTree(const PatternNode* pattern, int tree_id,
   for (auto [a, b] : pattern->sibling_order) {
     const int la = local_of_child[static_cast<size_t>(a)];
     const int lb = local_of_child[static_cast<size_t>(b)];
-    if (la < 0 || lb < 0) continue;  // Order over a global child: dropped
-                                     // here; the arc join enforces the
-                                     // document-order side.
+    // The parser orders only children on child edges (a sibling step's
+    // context must be a child of its pattern parent).
+    NOK_CHECK(la >= 0 && lb >= 0) << "sibling order over a global child";
     // Translate local node indexes into positions in the children vector.
     int pa = -1, pb = -1;
     for (size_t i = 0; i < t.nodes[li].children.size(); ++i) {

@@ -33,7 +33,6 @@
 #include "common/result.h"
 #include "encoding/document_store.h"
 #include "nok/nok_partition.h"
-#include "nok/structural_join.h"
 
 namespace nok {
 
@@ -43,8 +42,6 @@ enum class StartStrategy { kAuto, kScan, kTagIndex, kValueIndex };
 /// Per-query knobs.
 struct QueryOptions {
   StartStrategy strategy = StartStrategy::kAuto;
-  /// Containment test for the global-arc joins.
-  JoinMode join_mode = JoinMode::kDewey;
 };
 
 /// Cardinality estimate for one NoK tree.  Flows from access-path

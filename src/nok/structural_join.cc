@@ -1,6 +1,8 @@
 #include "nok/structural_join.h"
 
 #include <algorithm>
+#include <cstddef>
+#include <cstdint>
 
 #include "common/logging.h"
 
@@ -23,30 +25,33 @@ void SortUnique(std::vector<NodeMatch>* matches) {
                  matches->end());
 }
 
-bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis,
-               JoinMode mode) {
-  NOK_CHECK(!inner.virtual_root);
+void KeepOutermost(std::vector<NodeMatch>* matches) {
+  // Everything between a match and its descendants in document order is
+  // inside the match, so the last kept match is the only one that can
+  // contain the next.
+  size_t kept = 0;
+  for (size_t i = 0; i < matches->size(); ++i) {
+    if (kept > 0 &&
+        IsRelated((*matches)[kept - 1], (*matches)[i], Axis::kDescendant)) {
+      continue;
+    }
+    if (kept != i) (*matches)[kept] = std::move((*matches)[i]);
+    ++kept;
+  }
+  matches->resize(kept);
+}
+
+bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis) {
+  if (inner.virtual_root) return false;  // Related as an inner to nothing.
   switch (axis) {
     case Axis::kDescendant:
-      if (outer.virtual_root) return true;
-      if (mode == JoinMode::kInterval) {
-        return outer.start < inner.start && inner.end < outer.end;
-      }
-      return outer.dewey.IsAncestorOf(inner.dewey);
+      return outer.virtual_root || outer.dewey.IsAncestorOf(inner.dewey);
     case Axis::kFollowing:
       if (outer.virtual_root) return false;  // Nothing follows the root.
-      if (mode == JoinMode::kInterval) {
-        return inner.start > outer.end;
-      }
       return outer.dewey.Compare(inner.dewey) < 0 &&
              !outer.dewey.IsAncestorOf(inner.dewey);
     case Axis::kPreceding:
-      // inner precedes outer: strictly before in document order and not
-      // an ancestor.
       if (outer.virtual_root) return false;  // Nothing precedes the root.
-      if (mode == JoinMode::kInterval) {
-        return inner.end < outer.start;
-      }
       return inner.dewey.Compare(outer.dewey) < 0 &&
              !inner.dewey.IsAncestorOf(outer.dewey);
     default:
@@ -55,117 +60,73 @@ bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis,
   }
 }
 
-std::vector<NodeMatch> SelectRelatedInners(
-    const std::vector<NodeMatch>& outers,
-    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode) {
-  std::vector<NodeMatch> out;
-  if (outers.empty() || inners.empty()) return out;
-
-  if (axis == Axis::kDescendant) {
-    // Ancestor-stack merge (the stack-based structural join of
-    // Al-Khalifa et al., which the paper builds on).
-    if (outers[0].virtual_root) return inners;
-    std::vector<const NodeMatch*> stack;
-    size_t i = 0;
-    for (const NodeMatch& inner : inners) {
-      // Push outers preceding this inner, keeping only the nesting chain.
-      while (i < outers.size() && DocOrderLess(outers[i], inner)) {
-        while (!stack.empty() &&
-               !IsRelated(*stack.back(), outers[i], Axis::kDescendant,
-                          mode)) {
-          stack.pop_back();
-        }
-        stack.push_back(&outers[i]);
-        ++i;
-      }
-      while (!stack.empty() &&
-             !IsRelated(*stack.back(), inner, Axis::kDescendant, mode)) {
-        stack.pop_back();
-      }
-      if (!stack.empty()) out.push_back(inner);
+bool HasRelatedInner(const NodeMatch& outer,
+                     const std::vector<NodeMatch>& inners, Axis axis) {
+  if (inners.empty()) return false;
+  switch (axis) {
+    case Axis::kDescendant: {
+      if (outer.virtual_root) return !inners.back().virtual_root;
+      // Descendants of an outer form a contiguous document-order block
+      // right after it; the first inner past the outer decides.
+      auto it = std::upper_bound(inners.begin(), inners.end(), outer,
+                                 DocOrderLess);
+      return it != inners.end() && IsRelated(outer, *it, axis);
     }
-    return out;
-  }
-
-  if (axis == Axis::kFollowing) {
-    // An inner qualifies iff some outer's subtree ends before it.  Outers
-    // that fail for a given inner are its ancestors (or later nodes), so
-    // scanning outers in document order stops fast.
-    for (const NodeMatch& inner : inners) {
-      for (const NodeMatch& outer : outers) {
-        if (!DocOrderLess(outer, inner)) break;
-        if (IsRelated(outer, inner, Axis::kFollowing, mode)) {
-          out.push_back(inner);
-          break;
-        }
+    case Axis::kFollowing:
+      // The document-order-last inner starts last: the canonical witness.
+      return IsRelated(outer, inners.back(), axis);
+    case Axis::kPreceding:
+      // Inners before the outer either precede it or are its ancestors
+      // (at most depth-many), so a scan from the front stops fast.
+      for (const NodeMatch& inner : inners) {
+        if (!DocOrderLess(inner, outer)) break;
+        if (IsRelated(outer, inner, axis)) return true;
       }
-    }
-    return out;
+      return false;
+    default:
+      NOK_CHECK(false) << "structural joins handle global axes only";
+      return false;
   }
-
-  // Preceding: an inner qualifies iff some outer starts after the inner's
-  // subtree.  The failing outers for a given inner are those at or before
-  // it plus its descendants; scan outers from the document-order end.
-  NOK_CHECK(axis == Axis::kPreceding);
-  for (const NodeMatch& inner : inners) {
-    for (size_t o = outers.size(); o-- > 0;) {
-      const NodeMatch& outer = outers[o];
-      if (!DocOrderLess(inner, outer)) break;
-      if (IsRelated(outer, inner, Axis::kPreceding, mode)) {
-        out.push_back(inner);
-        break;
-      }
-    }
-  }
-  return out;
 }
 
-std::vector<char> FlagOutersWithRelatedInner(
-    const std::vector<NodeMatch>& outers,
-    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode) {
-  std::vector<char> flags(outers.size(), 0);
-  if (inners.empty()) return flags;
-
-  if (axis == Axis::kDescendant) {
-    for (size_t i = 0; i < outers.size(); ++i) {
-      if (outers[i].virtual_root) {
-        flags[i] = 1;
-        continue;
+bool HasRelatedOuter(const std::vector<NodeMatch>& outers,
+                     const NodeMatch& inner, Axis axis) {
+  switch (axis) {
+    case Axis::kDescendant: {
+      if (outers.empty()) return false;
+      if (outers.front().virtual_root) return true;
+      // Outermost outers are disjoint subtrees in document order, so a
+      // binary search compares each probe with the inner's prefix of the
+      // probe's length.  A probe that is a prefix of the inner, or that
+      // the inner is a prefix of, decides: no other outer can contain it.
+      const std::vector<uint32_t>& path = inner.dewey.components();
+      size_t lo = 0, hi = outers.size();
+      while (lo < hi) {
+        const size_t mid = lo + (hi - lo) / 2;
+        const std::vector<uint32_t>& c = outers[mid].dewey.components();
+        const auto n = static_cast<std::ptrdiff_t>(
+            std::min(c.size(), path.size()));
+        const auto diff = std::mismatch(c.begin(), c.begin() + n,
+                                        path.begin());
+        if (diff.first == c.begin() + n) return c.size() < path.size();
+        if (*diff.first < *diff.second) {
+          lo = mid + 1;
+        } else {
+          hi = mid;
+        }
       }
-      // Descendants of an outer form a contiguous doc-order block right
-      // after it; the first inner past the outer decides.
-      auto it = std::upper_bound(inners.begin(), inners.end(), outers[i],
-                                 DocOrderLess);
-      if (it != inners.end() &&
-          IsRelated(outers[i], *it, Axis::kDescendant, mode)) {
-        flags[i] = 1;
-      }
+      return false;
     }
-    return flags;
+    // An outer has the inner on one axis iff the inner has the outer on
+    // the mirrored one.
+    case Axis::kFollowing:
+      return HasRelatedInner(inner, outers, Axis::kPreceding);
+    case Axis::kPreceding:
+      return HasRelatedInner(inner, outers, Axis::kFollowing);
+    default:
+      NOK_CHECK(false) << "structural joins handle global axes only";
+      return false;
   }
-
-  if (axis == Axis::kFollowing) {
-    // The document-order-last inner is the easiest witness.
-    const NodeMatch& last = inners.back();
-    for (size_t i = 0; i < outers.size(); ++i) {
-      flags[i] = IsRelated(outers[i], last, Axis::kFollowing, mode) ? 1 : 0;
-    }
-    return flags;
-  }
-
-  // Preceding: scan inners from the front past the outer's ancestors (at
-  // most depth-many) to find a witness that closed before the outer.
-  NOK_CHECK(axis == Axis::kPreceding);
-  for (size_t i = 0; i < outers.size(); ++i) {
-    for (const NodeMatch& inner : inners) {
-      if (!DocOrderLess(inner, outers[i])) break;
-      if (IsRelated(outers[i], inner, Axis::kPreceding, mode)) {
-        flags[i] = 1;
-        break;
-      }
-    }
-  }
-  return flags;
 }
 
 }  // namespace nok

@@ -1,25 +1,21 @@
 // Structural joins over NoK partial-match results (Sections 2 and 5).
 //
 // After NoK pattern matching, the per-tree results are combined along the
-// global arcs (descendant '//', following) of the partition.  Two
-// containment tests are supported:
-//
-//   * kInterval — the paper's condition: the pair (GlobalPos(open),
-//     GlobalPos(close)) of a node is an interval; descendant means strict
-//     interval containment, following means inner.start > outer.end.
-//     This is "just as in the interval encoding approach" (Section 5).
-//   * kDewey — Dewey-prefix containment: ancestor iff proper prefix.
-//     Needs no subtree-end scan, so it is the engine default; kInterval
-//     is kept for the paper-faithful mode and for the I/O ablation.
+// global arcs (descendant '//', following, preceding) of the partition.
+// This module is the only code that decides how two matches relate.  The
+// paper's join condition compares <start,end> intervals; here the same
+// question is answered by Dewey-prefix containment, which needs no
+// subtree-end scan: an ancestor is a proper prefix, and document order is
+// the Dewey order.
 //
 // Joins are semi-joins (the query returns a single node set, so arcs act
-// as existential filters) implemented with the classic sort + ancestor-
-// stack merge.
+// as existential filters): each search below answers, for one match,
+// whether a sorted list holds a related partner, in O(depth · log n) or
+// better — never a scan of a long list.
 
 #ifndef NOKXML_NOK_STRUCTURAL_JOIN_H_
 #define NOKXML_NOK_STRUCTURAL_JOIN_H_
 
-#include <cstdint>
 #include <vector>
 
 #include "encoding/dewey.h"
@@ -27,42 +23,41 @@
 
 namespace nok {
 
-/// Containment test selector.
-enum class JoinMode { kDewey, kInterval };
-
-/// One matched subject node as seen by the join layer.
+/// One matched subject node as seen by the join layer: its Dewey ID, or
+/// the virtual super-root (ancestor of everything, followed and preceded
+/// by nothing).
 struct NodeMatch {
   DeweyId dewey = DeweyId::Root();
-  /// Interval endpoints (valid when built in kInterval mode).
-  uint64_t start = 0;
-  uint64_t end = 0;
-  /// The virtual super-root: ancestor of everything, followed by nothing.
   bool virtual_root = false;
 };
 
-/// Document-order comparison (by Dewey ID; well-defined in both modes).
+/// Document-order comparison; the virtual root sorts first.
 bool DocOrderLess(const NodeMatch& a, const NodeMatch& b);
 
 /// Sorts matches into document order and drops duplicates.
 void SortUnique(std::vector<NodeMatch>* matches);
 
-/// True iff inner stands in `axis` relation to outer (axis kDescendant:
-/// inner is a proper descendant of outer; kFollowing: inner starts after
-/// outer's subtree ends).
-bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis,
-               JoinMode mode);
+/// Drops from sorted matches every match inside another's subtree, so the
+/// rest are disjoint subtrees in document order.
+void KeepOutermost(std::vector<NodeMatch>* matches);
 
-/// Returns the inners related to at least one outer, in document order.
-/// Both inputs must be sorted (SortUnique).
-std::vector<NodeMatch> SelectRelatedInners(
-    const std::vector<NodeMatch>& outers,
-    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode);
+/// True iff inner stands in `axis` relation to outer (kDescendant: inner
+/// is a proper descendant of outer; kFollowing: inner starts after
+/// outer's subtree ends; kPreceding: inner's subtree ends before outer
+/// starts).  A virtual-root inner is related to nothing.
+bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis);
 
-/// flags[i] = outer i has at least one related inner.  Both inputs must
-/// be sorted.
-std::vector<char> FlagOutersWithRelatedInner(
-    const std::vector<NodeMatch>& outers,
-    const std::vector<NodeMatch>& inners, Axis axis, JoinMode mode);
+/// True iff some member of the sorted `inners` stands in `axis` relation
+/// to `outer`.
+bool HasRelatedInner(const NodeMatch& outer,
+                     const std::vector<NodeMatch>& inners, Axis axis);
+
+/// True iff `inner` stands in `axis` relation to some member of the
+/// sorted `outers`.  For kDescendant the outers must be outermost
+/// (KeepOutermost): then only the nearest outer before `inner` can
+/// contain it.
+bool HasRelatedOuter(const std::vector<NodeMatch>& outers,
+                     const NodeMatch& inner, Axis axis);
 
 }  // namespace nok
 

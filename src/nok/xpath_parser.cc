@@ -258,6 +258,20 @@ class Parser {
       if (parent == nullptr || context->is_doc_root) {
         return Error("following-sibling:: has no sibling context");
       }
+      // The sibling hangs under the context's subject parent.  Below the
+      // document root, //x/following-sibling::y is //*[x ⊲ y] exactly (an
+      // x with a sibling is never the root element), so x's parent is
+      // interposed as with parent::*.  Under any other `//` or a
+      // following/preceding edge the subject parent is no pattern node.
+      if (context->incoming == Axis::kDescendant && parent->is_doc_root) {
+        NOK_ASSIGN_OR_RETURN(parent, RewriteParentStep(context, "", true));
+      } else if (context->incoming != Axis::kChild &&
+                 context->incoming != Axis::kFollowingSibling) {
+        return Status::NotSupported(
+            "sibling step after a //, following:: or preceding:: step "
+            "below an element: the pattern-tree rewrite cannot express "
+            "its subject parent");
+      }
       // Locate context among parent's children.
       int context_index = -1;
       for (size_t i = 0; i < parent->children.size(); ++i) {

@@ -352,22 +352,18 @@ void RunForcedDirections(const std::string& name, const std::string& xml,
         ASSERT_TRUE(oracle.ok()) << oracle.status().ToString();
         const std::vector<std::string> want = CanonDewey(*oracle);
         for (const StartStrategy strategy : strategies) {
-          for (const JoinMode join : {JoinMode::kDewey, JoinMode::kInterval}) {
-            for (const ArcDirection direction :
-                 {ArcDirection::kTopDown, ArcDirection::kBottomUp}) {
-              QueryOptions qo;
-              qo.strategy = strategy;
-              qo.join_mode = join;
-              auto result = testutil::EvaluateWithArcDirection(
-                  store->get(), xpath, qo, direction);
-              if (!result.ok() && result.status().IsNotSupported()) continue;
-              ASSERT_TRUE(result.ok()) << result.status().ToString();
-              EXPECT_EQ(CanonDewey(*result), want)
-                  << StrategyName(strategy) << " join "
-                  << (join == JoinMode::kDewey ? "dewey" : "interval")
-                  << (direction == ArcDirection::kTopDown ? " top-down"
-                                                          : " bottom-up");
-            }
+          for (const ArcDirection direction :
+               {ArcDirection::kTopDown, ArcDirection::kBottomUp}) {
+            QueryOptions qo;
+            qo.strategy = strategy;
+            auto result = testutil::EvaluateWithArcDirection(
+                store->get(), xpath, qo, direction);
+            if (!result.ok() && result.status().IsNotSupported()) continue;
+            ASSERT_TRUE(result.ok()) << result.status().ToString();
+            EXPECT_EQ(CanonDewey(*result), want)
+                << StrategyName(strategy)
+                << (direction == ArcDirection::kTopDown ? " top-down"
+                                                        : " bottom-up");
           }
         }
       }

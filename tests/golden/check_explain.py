@@ -11,8 +11,10 @@ flags and machine speed) and compares the result against the checked-in
 .golden files.  It also checks that an unknown --strategy (such as the
 retired "path") is a usage error naming the valid strategies on both
 `explain` and `query`, that the retired planner flags (--fixed-order,
---plan-cache, --no-synopsis) are usage errors, and that the retired
-`refresh` command is an unknown command (usage, exit 2).
+--plan-cache, --no-synopsis) are usage errors, that the retired
+`refresh` command is an unknown command (usage, exit 2), and that
+`insert` and `delete` reject malformed Dewey IDs (exit 1, "bad Dewey
+ID") without changing the store's answers.
 
 Usage:
   check_explain.py --nokq build/tools/nokq [--update]
@@ -160,6 +162,43 @@ def main() -> int:
             failures += 1
         else:
             print("refresh: unknown command, ok")
+
+        # Malformed Dewey IDs (trailing garbage, a sign, an empty
+        # component, a component past 32 bits) fail with exit 1 before
+        # the store is touched.
+        def answers() -> str:
+            run = subprocess.run(
+                [args.nokq, "query", store, "//*"],
+                capture_output=True,
+                text=True,
+            )
+            return f"exit {run.returncode}\n{run.stdout}"
+
+        fragment = Path(tmp) / "frag.xml"
+        fragment.write_text("<item><name>probe</name></item>")
+        before = answers()
+        for dewey in ("0.1x", "0.-1", "0..1", "0.99999999999"):
+            for command in (
+                ["insert", store, dewey, "0", str(fragment)],
+                ["delete", store, dewey],
+            ):
+                run = subprocess.run(
+                    [args.nokq] + command, capture_output=True, text=True
+                )
+                if run.returncode != 1 or "bad Dewey ID" not in run.stderr:
+                    print(
+                        f"{command[0]} {dewey}: want exit 1 naming a bad "
+                        f"Dewey ID, got exit {run.returncode}:\n"
+                        f"{run.stdout}{run.stderr}",
+                        file=sys.stderr,
+                    )
+                    failures += 1
+                else:
+                    print(f"{command[0]} {dewey}: bad Dewey ID, ok")
+        if answers() != before:
+            print("malformed Dewey IDs changed the store's answers",
+                  file=sys.stderr)
+            failures += 1
 
     if failures:
         print(

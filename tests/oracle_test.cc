@@ -141,11 +141,10 @@ TEST_F(OracleFixedDoc, SiblingOrderArcs) {
   EXPECT_EQ(Eval("/r/a/d[following-sibling::b]"), (V{}));
   // Chained order arcs on one sibling group.
   EXPECT_EQ(Eval("//a[b/following-sibling::d]"), (V{"0.2"}));
-  // Pattern-tree quirk shared by every engine: a sibling step in a
-  // predicate anchors to the context's pattern parent, so under a //
-  // trunk the sibling witness must be a child of the virtual doc root
-  // (the root element).  No b is the root here, hence empty.
-  EXPECT_EQ(Eval("//b[following-sibling::d]"), (V{}));
+  // Below the document root a // context's sibling step interposes the
+  // subject parent (//*[b ⊲ d]), so these are XPath's answers.
+  EXPECT_EQ(Eval("//b[following-sibling::d]"), (V{"0.2.0", "0.2.1"}));
+  EXPECT_EQ(Eval("//d/preceding-sibling::b"), (V{"0.2.0", "0.2.1"}));
 }
 
 TEST_F(OracleFixedDoc, FollowingPrecedingAxes) {

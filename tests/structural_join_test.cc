@@ -12,52 +12,33 @@ NodeMatch M(std::vector<uint32_t> dewey) {
   return m;
 }
 
-NodeMatch MI(std::vector<uint32_t> dewey, uint64_t start, uint64_t end) {
-  NodeMatch m = M(std::move(dewey));
-  m.start = start;
-  m.end = end;
-  return m;
-}
-
 NodeMatch Virtual() {
   NodeMatch m;
   m.virtual_root = true;
   return m;
 }
 
-TEST(StructuralJoinTest, IsRelatedDeweyDescendant) {
-  EXPECT_TRUE(IsRelated(M({0, 1}), M({0, 1, 2}), Axis::kDescendant,
-                        JoinMode::kDewey));
-  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 1}), Axis::kDescendant,
-                         JoinMode::kDewey));
-  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 2, 1}), Axis::kDescendant,
-                         JoinMode::kDewey));
-  EXPECT_TRUE(IsRelated(Virtual(), M({0}), Axis::kDescendant,
-                        JoinMode::kDewey));
-}
-
-TEST(StructuralJoinTest, IsRelatedIntervalDescendant) {
-  EXPECT_TRUE(IsRelated(MI({0}, 0, 100), MI({0, 1}, 5, 10),
-                        Axis::kDescendant, JoinMode::kInterval));
-  EXPECT_FALSE(IsRelated(MI({0, 1}, 5, 10), MI({0, 2}, 12, 20),
-                         Axis::kDescendant, JoinMode::kInterval));
+TEST(StructuralJoinTest, IsRelatedDescendant) {
+  EXPECT_TRUE(IsRelated(M({0, 1}), M({0, 1, 2}), Axis::kDescendant));
+  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 1}), Axis::kDescendant));
+  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 2, 1}), Axis::kDescendant));
+  EXPECT_TRUE(IsRelated(Virtual(), M({0}), Axis::kDescendant));
 }
 
 TEST(StructuralJoinTest, IsRelatedFollowing) {
-  // Dewey: after in document order and not a descendant.
-  EXPECT_TRUE(IsRelated(M({0, 1}), M({0, 2}), Axis::kFollowing,
-                        JoinMode::kDewey));
-  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 1, 0}), Axis::kFollowing,
-                         JoinMode::kDewey));
-  EXPECT_FALSE(IsRelated(M({0, 2}), M({0, 1}), Axis::kFollowing,
-                         JoinMode::kDewey));
-  EXPECT_FALSE(IsRelated(Virtual(), M({0, 1}), Axis::kFollowing,
-                         JoinMode::kDewey));
-  // Interval: starts after the outer's end.
-  EXPECT_TRUE(IsRelated(MI({0, 1}, 5, 10), MI({0, 2}, 12, 20),
-                        Axis::kFollowing, JoinMode::kInterval));
-  EXPECT_FALSE(IsRelated(MI({0, 1}, 5, 10), MI({0, 1, 0}, 6, 8),
-                         Axis::kFollowing, JoinMode::kInterval));
+  // After in document order and not a descendant.
+  EXPECT_TRUE(IsRelated(M({0, 1}), M({0, 2}), Axis::kFollowing));
+  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 1, 0}), Axis::kFollowing));
+  EXPECT_FALSE(IsRelated(M({0, 2}), M({0, 1}), Axis::kFollowing));
+  EXPECT_FALSE(IsRelated(Virtual(), M({0, 1}), Axis::kFollowing));
+}
+
+TEST(StructuralJoinTest, IsRelatedPreceding) {
+  // Before in document order and not an ancestor.
+  EXPECT_TRUE(IsRelated(M({0, 2}), M({0, 1, 5}), Axis::kPreceding));
+  EXPECT_FALSE(IsRelated(M({0, 1, 0}), M({0, 1}), Axis::kPreceding));
+  EXPECT_FALSE(IsRelated(M({0, 1}), M({0, 2}), Axis::kPreceding));
+  EXPECT_FALSE(IsRelated(Virtual(), M({0, 1}), Axis::kPreceding));
 }
 
 TEST(StructuralJoinTest, SortUniqueOrdersAndDedupes) {
@@ -69,91 +50,56 @@ TEST(StructuralJoinTest, SortUniqueOrdersAndDedupes) {
   EXPECT_EQ(v[2].dewey.ToString(), "0.2");
 }
 
-TEST(StructuralJoinTest, SelectRelatedInnersDescendant) {
-  std::vector<NodeMatch> outers{M({0, 1}), M({0, 3})};
-  std::vector<NodeMatch> inners{M({0, 0, 1}), M({0, 1, 0}), M({0, 1, 2, 3}),
-                                M({0, 2}), M({0, 3, 0})};
-  SortUnique(&outers);
-  SortUnique(&inners);
-  auto out = SelectRelatedInners(outers, inners, Axis::kDescendant,
-                                 JoinMode::kDewey);
-  ASSERT_EQ(out.size(), 3u);
-  EXPECT_EQ(out[0].dewey.ToString(), "0.1.0");
-  EXPECT_EQ(out[1].dewey.ToString(), "0.1.2.3");
-  EXPECT_EQ(out[2].dewey.ToString(), "0.3.0");
+TEST(StructuralJoinTest, KeepOutermostDropsNestedMatches) {
+  std::vector<NodeMatch> v{M({0, 1}), M({0, 1, 0}), M({0, 1, 2, 3}),
+                           M({0, 2}), M({0, 3}), M({0, 3, 0})};
+  KeepOutermost(&v);
+  ASSERT_EQ(v.size(), 3u);
+  EXPECT_EQ(v[0].dewey.ToString(), "0.1");
+  EXPECT_EQ(v[1].dewey.ToString(), "0.2");
+  EXPECT_EQ(v[2].dewey.ToString(), "0.3");
 }
 
-TEST(StructuralJoinTest, SelectRelatedInnersNestedOuters) {
-  // Ancestor-stack case: a shallower outer must not be popped for good by
-  // a deeper non-matching one.
+TEST(StructuralJoinTest, HasRelatedOuterNestedOuters) {
+  // The nearest outer before 0.1.7 (0.1.5.2) is no ancestor, but an
+  // earlier one (0.1) is: the descendant search needs outermost outers.
   std::vector<NodeMatch> outers{M({0, 1}), M({0, 1, 5, 2})};
-  std::vector<NodeMatch> inners{M({0, 1, 7})};
-  SortUnique(&outers);
-  SortUnique(&inners);
-  auto out = SelectRelatedInners(outers, inners, Axis::kDescendant,
-                                 JoinMode::kDewey);
-  ASSERT_EQ(out.size(), 1u);  // 0.1 is an ancestor even if 0.1.5.2 is not.
+  for (uint32_t i = 2; i < 10; ++i) outers.push_back(M({0, i, 0}));
+  KeepOutermost(&outers);
+  EXPECT_TRUE(HasRelatedOuter(outers, M({0, 1, 7}), Axis::kDescendant));
+  EXPECT_FALSE(HasRelatedOuter(outers, M({0, 2}), Axis::kDescendant));
+  EXPECT_TRUE(HasRelatedOuter(outers, M({0, 9, 0, 4}), Axis::kDescendant));
+  EXPECT_FALSE(HasRelatedOuter(outers, M({0, 0, 3}), Axis::kDescendant));
 }
 
-TEST(StructuralJoinTest, SelectRelatedInnersVirtualOuter) {
-  std::vector<NodeMatch> outers{Virtual()};
-  std::vector<NodeMatch> inners{M({0}), M({0, 4})};
-  auto out = SelectRelatedInners(outers, inners, Axis::kDescendant,
-                                 JoinMode::kDewey);
-  EXPECT_EQ(out.size(), 2u);
-}
-
-TEST(StructuralJoinTest, SelectRelatedInnersFollowing) {
-  std::vector<NodeMatch> outers{M({0, 1})};
-  std::vector<NodeMatch> inners{M({0, 0}), M({0, 1, 0}), M({0, 2}),
-                                M({0, 3, 1})};
-  SortUnique(&outers);
-  SortUnique(&inners);
-  auto out = SelectRelatedInners(outers, inners, Axis::kFollowing,
-                                 JoinMode::kDewey);
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out[0].dewey.ToString(), "0.2");
-  EXPECT_EQ(out[1].dewey.ToString(), "0.3.1");
-}
-
-TEST(StructuralJoinTest, FlagOutersDescendant) {
-  std::vector<NodeMatch> outers{M({0, 0}), M({0, 1}), M({0, 2})};
-  std::vector<NodeMatch> inners{M({0, 1, 3}), M({0, 3})};
-  SortUnique(&outers);
-  SortUnique(&inners);
-  auto flags = FlagOutersWithRelatedInner(outers, inners,
-                                          Axis::kDescendant,
-                                          JoinMode::kDewey);
-  ASSERT_EQ(flags.size(), 3u);
-  EXPECT_FALSE(flags[0]);
-  EXPECT_TRUE(flags[1]);
-  EXPECT_FALSE(flags[2]);
-}
-
-TEST(StructuralJoinTest, FlagOutersFollowing) {
-  std::vector<NodeMatch> outers{M({0, 0}), M({0, 5})};
-  std::vector<NodeMatch> inners{M({0, 4})};
-  auto flags = FlagOutersWithRelatedInner(outers, inners, Axis::kFollowing,
-                                          JoinMode::kDewey);
-  EXPECT_TRUE(flags[0]);
-  EXPECT_FALSE(flags[1]);
+TEST(StructuralJoinTest, VirtualOuter) {
+  const std::vector<NodeMatch> outers{Virtual()};
+  EXPECT_TRUE(HasRelatedOuter(outers, M({0, 4}), Axis::kDescendant));
+  EXPECT_FALSE(HasRelatedOuter(outers, M({0, 4}), Axis::kFollowing));
+  EXPECT_FALSE(HasRelatedOuter(outers, M({0, 4}), Axis::kPreceding));
+  const std::vector<NodeMatch> inners{M({0}), M({0, 4})};
+  EXPECT_TRUE(HasRelatedInner(Virtual(), inners, Axis::kDescendant));
+  EXPECT_FALSE(HasRelatedInner(Virtual(), inners, Axis::kFollowing));
+  EXPECT_FALSE(HasRelatedInner(Virtual(), inners, Axis::kPreceding));
+  // As an inner the virtual root is related to nothing.
+  for (Axis axis : {Axis::kDescendant, Axis::kFollowing, Axis::kPreceding}) {
+    EXPECT_FALSE(IsRelated(Virtual(), Virtual(), axis));
+    EXPECT_FALSE(HasRelatedInner(Virtual(), {Virtual()}, axis));
+    EXPECT_FALSE(HasRelatedInner(M({0, 4}), {Virtual()}, axis));
+  }
 }
 
 TEST(StructuralJoinTest, EmptyInputs) {
-  std::vector<NodeMatch> some{M({0})};
-  EXPECT_TRUE(SelectRelatedInners({}, some, Axis::kDescendant,
-                                  JoinMode::kDewey)
-                  .empty());
-  EXPECT_TRUE(SelectRelatedInners(some, {}, Axis::kDescendant,
-                                  JoinMode::kDewey)
-                  .empty());
-  auto flags = FlagOutersWithRelatedInner(some, {}, Axis::kDescendant,
-                                          JoinMode::kDewey);
-  ASSERT_EQ(flags.size(), 1u);
-  EXPECT_FALSE(flags[0]);
+  for (Axis axis : {Axis::kDescendant, Axis::kFollowing, Axis::kPreceding}) {
+    EXPECT_FALSE(HasRelatedInner(M({0}), {}, axis));
+    EXPECT_FALSE(HasRelatedOuter({}, M({0, 1}), axis));
+    EXPECT_FALSE(HasRelatedInner(Virtual(), {}, axis));
+  }
 }
 
-// Property: the optimized joins agree with a quadratic reference.
+// Property: the sorted-list searches agree with a brute-force IsRelated
+// loop, on every global axis, with and without a virtual-root outer
+// (alone or first in a longer list).
 class JoinFuzz : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(JoinFuzz, AgreesWithQuadraticReference) {
@@ -165,41 +111,59 @@ TEST_P(JoinFuzz, AgreesWithQuadraticReference) {
         std::vector<uint32_t> c{0};
         const size_t depth = rng.Range(0, 3);
         for (size_t d = 0; d < depth; ++d) {
-          c.push_back(static_cast<uint32_t>(rng.Uniform(3)));
+          c.push_back(static_cast<uint32_t>(rng.Uniform(4)));
         }
         out.push_back(M(std::move(c)));
       }
       SortUnique(&out);
       return out;
     };
-    const auto outers = random_matches(rng.Range(0, 8));
-    const auto inners = random_matches(rng.Range(0, 8));
-    for (Axis axis : {Axis::kDescendant, Axis::kFollowing}) {
-      auto got = SelectRelatedInners(outers, inners, axis,
-                                     JoinMode::kDewey);
-      std::vector<NodeMatch> want;
+    std::vector<NodeMatch> outers = random_matches(rng.Range(0, 24));
+    if (rng.Bernoulli(0.1)) {
+      outers = {Virtual()};
+    } else if (rng.Bernoulli(0.1)) {
+      outers.insert(outers.begin(), Virtual());
+    }
+    // The descendant search takes outermost outers; the reference loop
+    // runs over all of them.
+    std::vector<NodeMatch> outermost_outers = outers;
+    KeepOutermost(&outermost_outers);
+    const std::vector<NodeMatch> inners = random_matches(rng.Range(0, 24));
+    for (Axis axis : {Axis::kDescendant, Axis::kFollowing, Axis::kPreceding}) {
+      const std::vector<NodeMatch>& searched =
+          axis == Axis::kDescendant ? outermost_outers : outers;
       for (const NodeMatch& inner : inners) {
+        bool any = false;
         for (const NodeMatch& outer : outers) {
-          if (IsRelated(outer, inner, axis, JoinMode::kDewey)) {
-            want.push_back(inner);
-            break;
-          }
+          any = any || IsRelated(outer, inner, axis);
         }
+        EXPECT_EQ(HasRelatedOuter(searched, inner, axis), any)
+            << inner.dewey.ToString() << " axis " << AxisName(axis);
       }
-      ASSERT_EQ(got.size(), want.size());
-      for (size_t i = 0; i < got.size(); ++i) {
-        EXPECT_EQ(got[i].dewey.ToString(), want[i].dewey.ToString());
-      }
-      auto flags = FlagOutersWithRelatedInner(outers, inners, axis,
-                                              JoinMode::kDewey);
-      for (size_t i = 0; i < outers.size(); ++i) {
+      for (const NodeMatch& outer : outers) {
         bool any = false;
         for (const NodeMatch& inner : inners) {
-          any = any || IsRelated(outers[i], inner, axis, JoinMode::kDewey);
+          any = any || IsRelated(outer, inner, axis);
         }
-        EXPECT_EQ(static_cast<bool>(flags[i]), any) << i;
+        EXPECT_EQ(HasRelatedInner(outer, inners, axis), any)
+            << (outer.virtual_root ? "(virtual)" : outer.dewey.ToString())
+            << " axis " << AxisName(axis);
       }
     }
+    // KeepOutermost keeps exactly the inners no other inner contains.
+    std::vector<NodeMatch> outermost = inners;
+    KeepOutermost(&outermost);
+    std::vector<std::string> want;
+    for (const NodeMatch& inner : inners) {
+      bool nested = false;
+      for (const NodeMatch& other : inners) {
+        nested = nested || IsRelated(other, inner, Axis::kDescendant);
+      }
+      if (!nested) want.push_back(inner.dewey.ToString());
+    }
+    std::vector<std::string> got;
+    for (const NodeMatch& m : outermost) got.push_back(m.dewey.ToString());
+    EXPECT_EQ(got, want);
   }
 }
 

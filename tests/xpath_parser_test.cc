@@ -203,6 +203,39 @@ TEST(XPathParserTest, PrecedingSiblingReversesOrderConstraint) {
   EXPECT_TRUE(a->children[1]->is_returning);
 }
 
+TEST(XPathParserTest, SiblingAfterRootDescendantInterposesParent) {
+  // //x/following-sibling::y  ==  //*[x ⊲ y], returning y.
+  auto tree = ParseXPath("//x/following-sibling::y");
+  ASSERT_TRUE(tree.ok()) << tree.status().ToString();
+  const PatternNode* root = tree->root();
+  ASSERT_EQ(root->children.size(), 1u);
+  const PatternNode* parent = root->children[0].get();
+  EXPECT_TRUE(parent->wildcard);
+  EXPECT_EQ(parent->incoming, Axis::kDescendant);
+  ASSERT_EQ(parent->children.size(), 2u);
+  EXPECT_EQ(parent->children[0]->tag, "x");
+  EXPECT_EQ(parent->children[0]->incoming, Axis::kChild);
+  EXPECT_EQ(parent->children[1]->tag, "y");
+  EXPECT_TRUE(parent->children[1]->is_returning);
+  ASSERT_EQ(parent->sibling_order.size(), 1u);
+  EXPECT_EQ(parent->sibling_order[0], std::make_pair(0, 1));
+}
+
+TEST(XPathParserTest, SiblingAfterGlobalStepIsNotSupported) {
+  // The sibling's subject parent is a's descendant or a's child (after
+  // //), or unrelated to a (after following::/preceding::): no one
+  // pattern node stands for it.
+  for (const char* query : {"/a/following::b/preceding-sibling::c",
+                            "/a/preceding::b/following-sibling::c",
+                            "/a//b/following-sibling::c",
+                            "/a[.//x/following-sibling::y]",
+                            "/a//b[preceding-sibling::c]"}) {
+    auto tree = ParseXPath(query);
+    ASSERT_FALSE(tree.ok()) << query;
+    EXPECT_TRUE(tree.status().IsNotSupported()) << query;
+  }
+}
+
 TEST(XPathParserTest, ParentAfterChildUnifiesWithPatternParent) {
   // /a/b/parent::a/c  ==  /a[b]/c.
   auto tree = ParseXPath("/a/b/parent::a/c");

@@ -22,6 +22,7 @@
 // in-memory baseline engines; it needs the dataset.xml that `nokq gen`
 // drops next to the store.
 
+#include <cctype>
 #include <cerrno>
 #include <cstdint>
 #include <cstdio>
@@ -87,10 +88,14 @@ int FinishFlush(nok::DocumentStore* store) {
 }
 
 /// Parses a non-negative decimal integer, rejecting trailing garbage (the
-/// failure mode atoi silently maps to 0).
+/// failure mode atoi silently maps to 0), a sign or leading space (which
+/// strtoul would accept) and values past 32 bits.
 nok::Result<uint32_t> ParseIndex(const std::string& text) {
   if (text.empty()) {
     return nok::Status::InvalidArgument("empty child index");
+  }
+  if (!isdigit(static_cast<unsigned char>(text[0]))) {
+    return nok::Status::InvalidArgument("bad child index: " + text);
   }
   char* end = nullptr;
   errno = 0;
@@ -107,13 +112,11 @@ nok::Result<nok::DeweyId> ParseDewey(const std::string& text) {
   while (start <= text.size()) {
     size_t dot = text.find('.', start);
     if (dot == std::string::npos) dot = text.size();
-    if (dot == start) {
+    auto component = ParseIndex(text.substr(start, dot - start));
+    if (!component.ok()) {
       return nok::Status::InvalidArgument("bad Dewey ID: " + text);
     }
-    components.push_back(
-        static_cast<uint32_t>(strtoul(text.substr(start, dot - start)
-                                          .c_str(),
-                                      nullptr, 10)));
+    components.push_back(*component);
     start = dot + 1;
   }
   if (components.empty() || components[0] != 0) {
