@@ -142,8 +142,7 @@ int Run(int argc, char** argv) {
     options.dir = dir;
     for (const char* f :
          {store_files::kTree, store_files::kValues, store_files::kDict,
-          store_files::kTagIdx, store_files::kValIdx,
-          store_files::kIdIdx}) {
+          store_files::kValIdx, store_files::kIdIdx}) {
       Status s = RemoveFile(dir + "/" + f);
       if (!s.ok()) {
         fprintf(stderr, "cleanup failed: %s\n", s.ToString().c_str());

@@ -55,8 +55,7 @@ struct Work {
 
 uint64_t BTreeFetches(DocumentStore* store) {
   uint64_t total = 0;
-  for (BTree* index :
-       {store->tag_index(), store->value_index(), store->id_index()}) {
+  for (BTree* index : {store->value_index(), store->id_index()}) {
     total += index->buffer_pool()->stats().fetches;
   }
   return total;

@@ -1,15 +1,14 @@
 // Disk-backed B+ tree with variable-length keys and values.
 //
 // This is the index substrate of the paper (Section 4.1, Figure 3): the
-// tag-name index B+t, the hashed-value index B+v and the Dewey-ID index
-// B+i are all instances of this tree with different key encodings.
+// hashed-value index B+v and the Dewey-ID index B+i are instances of this
+// tree with different key encodings.
 //
 // Properties:
-//   * duplicate keys are allowed (legacy B+t / B+v trees file every
-//     node of one tag or value under the same bare key); duplicates are
-//     stored contiguously in key order and enumerated with an iterator.
-//     Current B+t and B+v keys append the Dewey ID, so every entry there
-//     is unique;
+//   * duplicate keys are allowed (legacy B+v trees file every node of one
+//     value under the same bare key); duplicates are stored contiguously
+//     in key order and enumerated with an iterator.  Current B+v keys
+//     append the Dewey ID, so every entry there is unique;
 //   * keys compare byte-wise, so callers use order-preserving encodings
 //     (big-endian integers, Dewey component vectors);
 //   * deletion removes entries without structural rebalancing — the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstring>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -98,6 +99,12 @@ Status BpIndex::BuildSupport() {
   };
   std::vector<OpenNode> open_path;
   std::vector<std::pair<uint64_t, uint64_t>> sampled;  // (parent, child)
+  // Ranks and child indexes are 32-bit, as Dewey components are.
+  if (node_count_ > std::numeric_limits<uint32_t>::max()) {
+    return Status::Corruption("bp index: too many nodes");
+  }
+  child_index_.clear();
+  child_index_.reserve(static_cast<size_t>(node_count_));
   int64_t e = 0;
   uint64_t ones = 0;
   for (size_t w = 0; w < nwords; ++w) {
@@ -110,14 +117,16 @@ Status BpIndex::BuildSupport() {
         const uint64_t pos = (w << 6) + i;
         if (ones % 64 == 0) select_sample_.push_back(pos);
         const size_t depth = static_cast<size_t>(e);
+        uint64_t child = 0;
         if (depth > 0) {
           OpenNode& parent = open_path[depth - 1];
           if (parent.children != 0 &&
               parent.children % kChildSampleRate == 0) {
             sampled.emplace_back(parent.pos, pos);
           }
-          ++parent.children;
+          child = parent.children++;
         }
+        child_index_.push_back(static_cast<uint32_t>(child));
         if (open_path.size() <= depth) open_path.resize(depth + 1);
         open_path[depth] = OpenNode{pos, 0};
         ++ones;
@@ -160,7 +169,59 @@ Status BpIndex::BuildSupport() {
   if (!child_samples_.parents.empty()) {
     child_samples_.offsets.push_back(child_samples_.samples.size());
   }
+  // Counting sort of the preorder ranks by tag: a stable pass in rank
+  // order keeps each tag's run ascending.
+  const TagId max_tag =
+      tags_.empty() ? 0 : *std::max_element(tags_.begin(), tags_.end());
+  tag_offsets_.assign(static_cast<size_t>(max_tag) + 2, 0);
+  for (const TagId tag : tags_) ++tag_offsets_[static_cast<size_t>(tag) + 1];
+  std::partial_sum(tag_offsets_.begin(), tag_offsets_.end(),
+                   tag_offsets_.begin());
+  tag_ranks_.resize(tags_.size());
+  std::vector<uint32_t> next(tag_offsets_.begin(), tag_offsets_.end() - 1);
+  for (size_t r = 0; r < tags_.size(); ++r) {
+    tag_ranks_[next[tags_[r]]++] = static_cast<uint32_t>(r);
+  }
   return Status::OK();
+}
+
+std::span<const uint32_t> BpIndex::RanksWithTag(TagId tag) const {
+  if (size_t{tag} + 1 >= tag_offsets_.size()) return {};
+  return {tag_ranks_.data() + tag_offsets_[tag],
+          tag_ranks_.data() + tag_offsets_[size_t{tag} + 1]};
+}
+
+std::vector<DeweyId> BpIndex::DeweysWithTag(TagId tag,
+                                            uint64_t* steps) const {
+  const std::span<const uint32_t> ranks = RanksWithTag(tag);
+  std::vector<DeweyId> out;
+  out.reserve(ranks.size());
+  // path[d] is the preorder rank of the last hit's ancestor-or-self at
+  // depth d + 1; path[0] is always the root.
+  std::vector<uint64_t> path = {0};
+  for (const uint32_t rank : ranks) {
+    const uint64_t pos = Select1(rank);
+    ++*steps;
+    const size_t depth = static_cast<size_t>(Excess(pos));
+    // The previous hit's levels above this one may be shared.
+    const size_t shared = std::min(path.size(), depth - 1);
+    path.resize(depth);
+    path[depth - 1] = rank;
+    uint64_t up = pos;
+    for (size_t d = depth - 1; d > 1; --d) {
+      up = *Enclose(up);
+      ++*steps;
+      const uint64_t up_rank = Rank1(up);
+      if (d <= shared && path[d - 1] == up_rank) break;
+      path[d - 1] = up_rank;
+    }
+    std::vector<uint32_t> components(depth);
+    for (size_t d = 0; d < depth; ++d) {
+      components[d] = child_index_[static_cast<size_t>(path[d])];
+    }
+    out.emplace_back(std::move(components));
+  }
+  return out;
 }
 
 uint64_t BpIndex::Rank1(uint64_t pos) const {
@@ -378,7 +439,12 @@ uint64_t BpIndex::MemoryBytes() const {
          word_excess_.size() * sizeof(int64_t) +
          tree_min_.size() * sizeof(int64_t) +
          select_sample_.size() * sizeof(uint64_t) +
-         child_samples_.MemoryBytes();
+         child_samples_.MemoryBytes() + TagSelectBytes();
+}
+
+uint64_t BpIndex::TagSelectBytes() const {
+  return (tag_offsets_.size() + tag_ranks_.size() + child_index_.size()) *
+         sizeof(uint32_t);
 }
 
 }  // namespace nok

@@ -23,11 +23,14 @@
 //   tags_         the TagId of every node in preorder, scanned four
 //                 lanes at a time (SWAR) by NextOpenWithTag so 64-node
 //                 blocks without the tag are skipped in 16 word compares
-//                 — no BufferPool traffic at all.
+//                 — no BufferPool traffic at all;
+//   tag_ranks_    every node's preorder rank grouped by TagId, and
+//   child_index_  every node's index among its siblings: the store's
+//                 tag-name index (DeweysWithTag).
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
-// unlike the paged cursor — PARENT is cheap too (an enclose).  The child
-// samples live in memory only: the sidecar payload does not carry them.
+// unlike the paged cursor — PARENT is cheap too (an enclose).  Only the
+// bits and tags are in the sidecar payload; the rest is rebuilt at load.
 //
 // Thread safety: a BpIndex is immutable after construction; every method
 // is const and touches no shared mutable state, so any number of threads
@@ -48,12 +51,14 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
+#include "encoding/dewey.h"
 #include "encoding/tag_dictionary.h"
 #include "storage/sidecar.h"
 
@@ -102,6 +107,8 @@ class BpIndex {
   uint64_t bit_count() const { return n_bits_; }
   /// In-memory footprint of bits + tags + support structures.
   uint64_t MemoryBytes() const;
+  /// Bytes of the tag-probe arrays (rank lists, child indexes).
+  uint64_t TagSelectBytes() const;
 
   /// Children are sampled at this stride (see JumpToChild).
   static constexpr uint64_t kChildSampleRate = 64;
@@ -160,6 +167,15 @@ class BpIndex {
   /// TagId of the node with the given preorder rank.
   TagId TagAtRank(uint64_t rank) const { return tags_[rank]; }
 
+  /// The preorder ranks of the nodes tagged `tag`, ascending (document
+  /// order); empty for a tag no node carries.
+  std::span<const uint32_t> RanksWithTag(TagId tag) const;
+
+  /// The Dewey IDs of the nodes tagged `tag`, in document order: a Select1
+  /// per hit, and Enclose only up to the previous hit's path.  Adds the
+  /// Select1 and Enclose calls made to *steps.
+  std::vector<DeweyId> DeweysWithTag(TagId tag, uint64_t* steps) const;
+
   // -------------------------------------------------------------------
   // Tree steps (the TreeCursor vocabulary).
 
@@ -211,7 +227,8 @@ class BpIndex {
   BpIndex() = default;
 
   /// Validates balance and rebuilds word_excess_ / tree_min_ /
-  /// select_sample_ / child_samples_ from bits_.
+  /// select_sample_ / child_samples_ / child_index_ from bits_, and the
+  /// rank lists from tags_.
   Status BuildSupport();
 
   /// Bits actually present in word w (the last word may be partial).
@@ -247,6 +264,10 @@ class BpIndex {
   size_t tree_leaves_ = 1;            ///< Leaf count (power of two).
   std::vector<uint64_t> select_sample_;  ///< Position of every 64th open.
   ChildSamples child_samples_;
+  /// Tag t's ranks are tag_ranks_[tag_offsets_[t], tag_offsets_[t + 1]).
+  std::vector<uint32_t> tag_offsets_;
+  std::vector<uint32_t> tag_ranks_;   ///< Preorder ranks grouped by tag.
+  std::vector<uint32_t> child_index_; ///< Sibling index, by preorder rank.
 };
 
 }  // namespace nok

@@ -14,16 +14,6 @@ namespace nok {
 
 namespace index_keys {
 
-std::string TagKey(TagId tag) {
-  std::string key;
-  PutBigEndian16(&key, tag);
-  return key;
-}
-
-std::string TagKey(TagId tag, const DeweyId& dewey) {
-  return TagKey(tag) + dewey.Encode();
-}
-
 std::string ValueKey(const Slice& value) {
   std::string key;
   PutBigEndian64(&key, Hash64(value));
@@ -35,12 +25,12 @@ std::string ValueKey(const Slice& value, const DeweyId& dewey) {
 }
 
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         size_t prefix_len, DeweyId* dewey) {
-  if (key.size() < prefix_len) {
+                         DeweyId* dewey) {
+  if (key.size() < kValueKeySize) {
     return Status::Corruption("bad node-ref entry");
   }
-  Slice encoded(key.data() + prefix_len, key.size() - prefix_len);
-  if (key.size() == prefix_len) {
+  Slice encoded(key.data() + kValueKeySize, key.size() - kValueKeySize);
+  if (key.size() == kValueKeySize) {
     // A legacy entry carries its Dewey ID after the position.
     encoded = value;
     uint64_t pos = 0;
@@ -81,7 +71,6 @@ namespace {
 constexpr const char* kTreeFile = store_files::kTree;
 constexpr const char* kValuesFile = store_files::kValues;
 constexpr const char* kDictFile = store_files::kDict;
-constexpr const char* kTagIdxFile = store_files::kTagIdx;
 constexpr const char* kValIdxFile = store_files::kValIdx;
 constexpr const char* kIdIdxFile = store_files::kIdIdx;
 constexpr const char* kBpFile = store_files::kBpIndex;
@@ -120,12 +109,14 @@ Status DocumentStore::InitFiles(const Options& options) {
   if (!options.dir.empty()) {
     NOK_RETURN_IF_ERROR(CreateDirs(options.dir));
   }
-  // The retired B+p's stand-in (see path_index()): in memory, never
-  // touched.
+  // The retired B+t's and B+p's stand-ins (see tag_index() and
+  // path_index()): in memory, never touched.
   BTree::Options stub_options;
   stub_options.pool_frames = 4;
-  NOK_ASSIGN_OR_RETURN(path_index_, BTree::Open(NewMemFile(), stub_options));
-  path_index_->buffer_pool()->ResetStats();
+  for (std::unique_ptr<BTree>* stub : {&tag_index_, &path_index_}) {
+    NOK_ASSIGN_OR_RETURN(*stub, BTree::Open(NewMemFile(), stub_options));
+    (*stub)->buffer_pool()->ResetStats();
+  }
   return Status::OK();
 }
 
@@ -152,8 +143,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   }
   NOK_ASSIGN_OR_RETURN(auto values_file,
                        store->OpenComponent(kValuesFile, true));
-  NOK_ASSIGN_OR_RETURN(auto tag_idx_file,
-                       store->OpenComponent(kTagIdxFile, true));
   NOK_ASSIGN_OR_RETURN(auto val_idx_file,
                        store->OpenComponent(kValIdxFile, true));
   NOK_ASSIGN_OR_RETURN(auto id_idx_file,
@@ -173,8 +162,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                                            std::move(values_file),
                                            value_options));
   const BTree::Options idx_options = store->IndexOptions();
-  NOK_ASSIGN_OR_RETURN(store->tag_index_,
-                       BTree::Open(std::move(tag_idx_file), idx_options));
   NOK_ASSIGN_OR_RETURN(store->value_index_,
                        BTree::Open(std::move(val_idx_file), idx_options));
   NOK_ASSIGN_OR_RETURN(store->id_index_,
@@ -233,9 +220,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
     }
     NOK_RETURN_IF_ERROR(builder.Open(tag));
     synopsis_builder.Open(tag);
-    const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
-    NOK_RETURN_IF_ERROR(store->tag_index_->Insert(
-        index_keys::TagKey(tag, dewey), Slice()));
     frames.emplace_back();
     return Status::OK();
   };
@@ -283,8 +267,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   // OpenDir reports the half-built store instead of opening it.
   store->epoch_ = 1;
   NOK_RETURN_IF_ERROR(store->values_->Sync());
-  for (BTree* index : {store->tag_index_.get(), store->value_index_.get(),
-                       store->id_index_.get()}) {
+  for (BTree* index : {store->value_index_.get(), store->id_index_.get()}) {
     index->set_epoch(store->epoch_);
     NOK_RETURN_IF_ERROR(index->Flush());
   }
@@ -384,10 +367,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // truncated it); formatting a fresh empty index would silently answer
   // queries with no results.
   idx_options.error_if_empty = true;
-  NOK_ASSIGN_OR_RETURN(auto tag_idx_file,
-                       store->OpenComponent(kTagIdxFile, false));
-  NOK_ASSIGN_OR_RETURN(store->tag_index_,
-                       BTree::Open(std::move(tag_idx_file), idx_options));
   NOK_ASSIGN_OR_RETURN(auto val_idx_file,
                        store->OpenComponent(kValIdxFile, false));
   NOK_ASSIGN_OR_RETURN(store->value_index_,
@@ -412,7 +391,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   {
     const uint64_t tree_epoch = store->tree_->epoch();
     const uint64_t epochs[] = {tree_epoch,
-                               store->tag_index_->epoch(),
                                store->value_index_->epoch(),
                                store->id_index_->epoch(),
                                dict_epoch};
@@ -430,7 +408,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
       return Status::Corruption(
           "store components are from different generations (epochs " +
           listing +
-          " for tree, tag index, value index, id index, dictionary); a "
+          " for tree, value index, id index, dictionary); a "
           "multi-file commit was torn by a crash");
     }
     store->epoch_ = tree_epoch;
@@ -456,7 +434,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
     NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
   }
   if (!options.read_only) {
-    NOK_RETURN_IF_ERROR(store->UpgradeLegacyIndexes());
+    NOK_RETURN_IF_ERROR(store->UpgradeLegacyValueIndex());
   }
   return store;
 }
@@ -471,69 +449,43 @@ BTree::Options DocumentStore::IndexOptions() const {
   return idx_options;
 }
 
-namespace {
-
-/// Whether `index` holds legacy B+t / B+v entries, whose key is the bare
-/// prefix.  No writer mixes the layouts in one tree (the upgrade rewrites
-/// a whole tree), so the first entry decides.
-Result<bool> HasLegacyLayout(BTree* index, size_t prefix_len) {
-  BTreeIterator it = index->NewIterator();
-  NOK_RETURN_IF_ERROR(it.SeekToFirst());
-  return it.Valid() && it.key().size() == prefix_len;
-}
-
-}  // namespace
-
-Status DocumentStore::UpgradeLegacyIndexes() {
-  NOK_ASSIGN_OR_RETURN(
-      const bool tag_legacy,
-      HasLegacyLayout(tag_index_.get(), index_keys::kTagKeySize));
-  NOK_ASSIGN_OR_RETURN(
-      const bool value_legacy,
-      HasLegacyLayout(value_index_.get(), index_keys::kValueKeySize));
-  if (!tag_legacy && !value_legacy) return Status::OK();
-  NOK_RETURN_IF_ERROR(BeginWalTxn());
-  if (tag_legacy) {
-    NOK_RETURN_IF_ERROR(RewriteLegacyIndex(
-        kTagIdxFile, index_keys::kTagKeySize, &tag_index_));
-  }
-  if (value_legacy) {
-    NOK_RETURN_IF_ERROR(RewriteLegacyIndex(
-        kValIdxFile, index_keys::kValueKeySize, &value_index_));
-  }
-  RefreshSizeStats();
-  return Flush();
-}
-
-Status DocumentStore::RewriteLegacyIndex(const char* name, size_t prefix_len,
-                                         std::unique_ptr<BTree>* index) {
+Status DocumentStore::UpgradeLegacyValueIndex() {
   std::vector<std::string> entries;
-  entries.reserve((*index)->num_entries());
   {
-    BTreeIterator it = (*index)->NewIterator();
+    // No writer mixes the layouts in one tree (this rewrites a whole
+    // tree), so the first entry decides.
+    BTreeIterator it = value_index_->NewIterator();
     NOK_RETURN_IF_ERROR(it.SeekToFirst());
+    if (!it.Valid() || it.key().size() != index_keys::kValueKeySize) {
+      return Status::OK();
+    }
+    entries.reserve(value_index_->num_entries());
     while (it.Valid()) {
       DeweyId dewey = DeweyId::Root();
-      NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
-          it.key(), it.value(), prefix_len, &dewey));
-      entries.push_back(std::string(it.key().data(), prefix_len) +
-                        dewey.Encode());
+      NOK_RETURN_IF_ERROR(
+          index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey));
+      entries.push_back(
+          std::string(it.key().data(), index_keys::kValueKeySize) +
+          dewey.Encode());
       NOK_RETURN_IF_ERROR(it.Next());
     }
   }
   // A legacy run of one prefix is in insertion order, which updates left
   // out of document order.
   std::sort(entries.begin(), entries.end());
+  NOK_RETURN_IF_ERROR(BeginWalTxn());
   // The old tree is clean (just opened), so dropping it writes nothing;
   // it must go before its file is reopened and truncated underneath it.
-  index->reset();
-  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(name, /*create=*/true));
+  value_index_.reset();
+  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(kValIdxFile, /*create=*/true));
   NOK_RETURN_IF_ERROR(file->Truncate(0));
-  NOK_ASSIGN_OR_RETURN(*index, BTree::Open(std::move(file), IndexOptions()));
+  NOK_ASSIGN_OR_RETURN(value_index_,
+                       BTree::Open(std::move(file), IndexOptions()));
   for (const std::string& key : entries) {
-    NOK_RETURN_IF_ERROR((*index)->Insert(Slice(key), Slice()));
+    NOK_RETURN_IF_ERROR(value_index_->Insert(Slice(key), Slice()));
   }
-  return Status::OK();
+  RefreshSizeStats();
+  return Flush();
 }
 
 Status DocumentStore::SaveDictionary() {
@@ -550,7 +502,6 @@ Status DocumentStore::SaveDictionary() {
 
 void DocumentStore::RefreshSizeStats() {
   stats_.tree_bytes = tree_->SizeBytes();
-  stats_.tag_index_bytes = tag_index_->SizeBytes();
   stats_.value_index_bytes = value_index_->SizeBytes();
   stats_.id_index_bytes = id_index_->SizeBytes();
   stats_.data_bytes = values_->SizeBytes();
@@ -608,8 +559,7 @@ Status DocumentStore::Flush() {
     // before any base file is touched.
     ++epoch_;
     NOK_RETURN_IF_ERROR(values_->Sync());
-    for (BTree* index :
-         {tag_index_.get(), value_index_.get(), id_index_.get()}) {
+    for (BTree* index : {value_index_.get(), id_index_.get()}) {
       index->set_epoch(epoch_);
       NOK_RETURN_IF_ERROR(index->Flush());
     }
@@ -633,8 +583,7 @@ Status DocumentStore::Flush() {
   // whose meta page — written last — commits the generation.
   ++epoch_;
   NOK_RETURN_IF_ERROR(values_->Sync());
-  for (BTree* index :
-       {tag_index_.get(), value_index_.get(), id_index_.get()}) {
+  for (BTree* index : {value_index_.get(), id_index_.get()}) {
     index->set_epoch(epoch_);
     NOK_RETURN_IF_ERROR(index->Flush());
   }
@@ -654,8 +603,6 @@ Status DocumentStore::DropCaches() {
   NOK_RETURN_IF_ERROR(tree_->buffer_pool()->DropAll());
   tree_->buffer_pool()->ResetStats();
   tree_->ResetNavStats();
-  NOK_RETURN_IF_ERROR(tag_index_->buffer_pool()->DropAll());
-  tag_index_->buffer_pool()->ResetStats();
   NOK_RETURN_IF_ERROR(value_index_->buffer_pool()->DropAll());
   value_index_->buffer_pool()->ResetStats();
   NOK_RETURN_IF_ERROR(id_index_->buffer_pool()->DropAll());
@@ -704,47 +651,30 @@ Result<std::optional<std::string>> DocumentStore::ValueOf(
   return std::optional<std::string>(std::move(value));
 }
 
-namespace {
-
-/// The Dewey IDs of the B+t / B+v entries whose key starts with `prefix`
-/// (a TagKey or a ValueKey), in key order: document order.  limit = 0
-/// means unbounded.
-Result<std::vector<DeweyId>> ReadNodeRefs(BTree* index,
-                                          const std::string& prefix,
-                                          size_t limit) {
-  std::vector<DeweyId> out;
-  BTreeIterator it = index->NewIterator();
-  NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
-  while (it.Valid() && it.key().starts_with(Slice(prefix))) {
-    DeweyId dewey = DeweyId::Root();
-    NOK_RETURN_IF_ERROR(index_keys::ParseNodeRefEntry(
-        it.key(), it.value(), prefix.size(), &dewey));
-    out.push_back(std::move(dewey));
-    if (limit != 0 && out.size() >= limit) break;
-    NOK_RETURN_IF_ERROR(it.Next());
-  }
+Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag) {
+  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  uint64_t steps = 0;
+  std::vector<DeweyId> out = bp_.value->DeweysWithTag(tag, &steps);
+  tree_->BumpBpSteps(steps);
   return out;
-}
-
-}  // namespace
-
-Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag,
-                                                        size_t limit) {
-  return ReadNodeRefs(tag_index_.get(), index_keys::TagKey(tag), limit);
 }
 
 Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
     const Slice& value) {
-  NOK_ASSIGN_OR_RETURN(
-      std::vector<DeweyId> candidates,
-      ReadNodeRefs(value_index_.get(), index_keys::ValueKey(value), 0));
+  const std::string prefix = index_keys::ValueKey(value);
   std::vector<DeweyId> out;
-  for (DeweyId& node : candidates) {
+  BTreeIterator it = value_index_->NewIterator();
+  NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
+  while (it.Valid() && it.key().starts_with(Slice(prefix))) {
+    DeweyId dewey = DeweyId::Root();
+    NOK_RETURN_IF_ERROR(
+        index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey));
     // Verify against the data file to rule out hash collisions.
-    NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(node));
+    NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(dewey));
     if (actual.has_value() && Slice(*actual) == value) {
-      out.push_back(std::move(node));
+      out.push_back(std::move(dewey));
     }
+    NOK_RETURN_IF_ERROR(it.Next());
   }
   return out;
 }

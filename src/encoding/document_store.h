@@ -5,9 +5,9 @@
 //   * the succinct tree string (StringStore)          -- |tree| in Table 1
 //   * the tag dictionary (name <-> Sigma symbol)
 //   * the value data file (ValueStore)
-//   * B+t: keyed by (tag, Dewey ID)                   -- |B+t|
 //   * B+v: keyed by (hash(value), Dewey ID)           -- |B+v|
 //   * B+i: Dewey ID -> value-record offset            -- |B+i|
+//   * in place of B+t, the BP index's per-tag rank lists (bp_index.h)
 //
 // Indexes reference nodes by Dewey ID (never by physical position):
 // positions are derived during navigation, which is what keeps the scheme
@@ -46,13 +46,13 @@ namespace store_files {
 inline constexpr const char* kTree = "tree.nok";
 inline constexpr const char* kValues = "values.dat";
 inline constexpr const char* kDict = "tags.dict";
-inline constexpr const char* kTagIdx = "tag.idx";
 inline constexpr const char* kValIdx = "val.idx";
 inline constexpr const char* kIdIdx = "id.idx";
-/// The retired rooted tag-path index (B+p).  No store writes it any more;
-/// open, verify and snapshots ignore one a legacy store still carries.
-/// Kept only because e2ebench/e2e_bench.cc:1039 names it; the next
-/// benchmark change deletes it.
+/// The retired tag-name (B+t) and rooted tag-path (B+p) indexes: no store
+/// writes them; open, verify and snapshots ignore a legacy store's.  Kept
+/// only because e2ebench/e2e_bench.cc:1038-1039 names them; the next
+/// benchmark change deletes them.
+inline constexpr const char* kTagIdx = "tag.idx";
 inline constexpr const char* kPathIdx = "path.idx";
 inline constexpr const char* kBpIndex = "tree.bpx";
 inline constexpr const char* kSynopsis = "synopsis.pds";
@@ -141,7 +141,6 @@ struct DocumentStoreStats {
   int max_depth = 0;
   uint64_t distinct_tags = 0;
   uint64_t tree_bytes = 0;       ///< |tree|: the succinct string.
-  uint64_t tag_index_bytes = 0;  ///< |B+t|.
   uint64_t value_index_bytes = 0;///< |B+v|.
   uint64_t id_index_bytes = 0;   ///< |B+i|.
   uint64_t data_bytes = 0;       ///< Value data file.
@@ -170,13 +169,13 @@ class DocumentStore {
   StringStore* tree() { return tree_.get(); }
   TagDictionary* tags() { return &tags_; }
   ValueStore* values() { return values_.get(); }
-  BTree* tag_index() { return tag_index_.get(); }
   BTree* value_index() { return value_index_.get(); }
   BTree* id_index() { return id_index_.get(); }
-  /// An empty in-memory B+ tree that nothing reads or writes (the
-  /// retired B+p), so its counters read 0.  Kept only because
-  /// e2ebench/e2e_bench.cc:186 names it; the next benchmark change
-  /// deletes it.
+  /// Empty in-memory B+ trees that nothing reads or writes (the retired
+  /// B+t and B+p), so their counters read 0.  Kept only because
+  /// e2ebench/e2e_bench.cc:185-186 names them; the next benchmark change
+  /// deletes them.
+  BTree* tag_index() { return tag_index_.get(); }
   BTree* path_index() { return path_index_.get(); }
 
   /// Navigation tier this store was opened with.
@@ -229,9 +228,9 @@ class DocumentStore {
   Result<std::optional<std::string>> ValueOf(const DeweyId& id);
 
   // -- index access ------------------------------------------------------
-  /// The Dewey IDs of all nodes with the given tag, in document order.
-  /// limit = 0 means unbounded.
-  Result<std::vector<DeweyId>> NodesWithTag(TagId tag, size_t limit = 0);
+  /// The Dewey IDs of all nodes with the given tag, in document order, from
+  /// the BP index in either nav mode (its steps count as bp steps).
+  Result<std::vector<DeweyId>> NodesWithTag(TagId tag);
 
   /// The Dewey IDs of the nodes whose value equals `value` exactly, in
   /// document order (hash collisions are resolved against the data file).
@@ -297,15 +296,11 @@ class DocumentStore {
   /// B+ tree options for every index, from the store options.
   BTree::Options IndexOptions() const;
 
-  /// Writable opens: when B+t or B+v still holds legacy entries (the Dewey
-  /// ID in the value, not the key), rewrites both trees to the keyed layout
-  /// and commits that as one generation — one WAL transaction in WAL mode
-  /// — so no update ever meets a legacy entry.
-  Status UpgradeLegacyIndexes();
-  /// Rereads every entry of one legacy tree and writes it back keyed by
-  /// (prefix, Dewey ID) into a fresh tree on the same component file.
-  Status RewriteLegacyIndex(const char* name, size_t prefix_len,
-                            std::unique_ptr<BTree>* index);
+  /// Writable opens: when B+v still holds legacy entries (the Dewey ID in
+  /// the value, not the key), rewrites it keyed by (hash, Dewey ID) into a
+  /// fresh tree on the same file and commits that as one generation — one
+  /// WAL transaction in WAL mode — so no update ever meets a legacy entry.
+  Status UpgradeLegacyValueIndex();
 
   /// Opens one component file, honoring options_.file_factory and, in
   /// WAL mode, wrapping it for transactional capture.
@@ -328,12 +323,12 @@ class DocumentStore {
                            const std::string& xml_fragment);
   Status DeleteSubtreeImpl(const DeweyId& node);
 
-  /// Moves a node's B+i/B+t/B+v entries from old_dewey to new_dewey
+  /// Moves a node's B+i/B+v entries from old_dewey to new_dewey
   /// (sibling-shift maintenance during updates; updater.cc).
   Status RewriteIndexEntries(const DeweyId& old_dewey,
-                             const DeweyId& new_dewey, TagId tag);
-  /// Drops a node's B+i/B+t/B+v entries (subtree deletion; updater.cc).
-  Status RemoveIndexEntries(const DeweyId& dewey, TagId tag);
+                             const DeweyId& new_dewey);
+  /// Drops a node's B+i/B+v entries (subtree deletion; updater.cc).
+  Status RemoveIndexEntries(const DeweyId& dewey);
 
   friend class TreeUpdater;
 
@@ -403,9 +398,9 @@ class DocumentStore {
   std::unique_ptr<StringStore> tree_;
   TagDictionary tags_;
   std::unique_ptr<ValueStore> values_;
-  std::unique_ptr<BTree> tag_index_;
   std::unique_ptr<BTree> value_index_;
   std::unique_ptr<BTree> id_index_;
+  std::unique_ptr<BTree> tag_index_;   ///< Empty; see tag_index().
   std::unique_ptr<BTree> path_index_;  ///< Empty; see path_index().
   DocumentStoreStats stats_;
   uint64_t epoch_ = 0;
@@ -424,35 +419,27 @@ class DocumentStore {
 
 /// Encoding helpers shared by the builder, the query engine and tests.
 ///
-/// B+t and B+v entries are keyed by (tag or value hash, Dewey ID), so each
-/// entry is unique: an update deletes exactly the entry it moves in one
-/// O(log n) descent, and one tag's (or value's) entries iterate in
-/// document order.  The value is empty.  No entry caches a physical
-/// position: stores written before that was dropped carry one, in B+t/B+v
-/// values and as a leading varint in B+i payloads, and the readers below
-/// skip it.
+/// B+v entries are keyed by (value hash, Dewey ID), so each entry is
+/// unique: an update deletes exactly the entry it moves in one O(log n)
+/// descent, and one value's entries iterate in document order.  The value
+/// is empty.  No entry caches a physical position: stores written before
+/// that was dropped carry one, in B+v values and as a leading varint in
+/// B+i payloads, and the readers below skip it.
 namespace index_keys {
 
-/// Width of the B+t key prefix (the big-endian tag id).
-inline constexpr size_t kTagKeySize = 2;
 /// Width of the B+v key prefix (the big-endian value hash).
 inline constexpr size_t kValueKeySize = 8;
 
-/// B+t key prefix shared by every node with this tag.
-std::string TagKey(TagId tag);
-/// B+t entry key: TagKey(tag) followed by dewey.Encode().
-std::string TagKey(TagId tag, const DeweyId& dewey);
 /// B+v key prefix shared by every node with this value.
 std::string ValueKey(const Slice& value);
 /// B+v entry key: ValueKey(value) followed by dewey.Encode().
 std::string ValueKey(const Slice& value, const DeweyId& dewey);
-/// The Dewey ID of a B+t / B+v entry whose key starts with a
-/// prefix_len-byte prefix.  A keyed entry's value is ignored.  A key of
-/// exactly prefix_len bytes is a legacy entry, written before the Dewey ID
-/// moved into the key: its value is a varint position followed by the
-/// encoded Dewey ID.
+/// The Dewey ID of a B+v entry.  A keyed entry's value is ignored.  A key
+/// of exactly kValueKeySize bytes is a legacy entry, written before the
+/// Dewey ID moved into the key: its value is a varint position followed
+/// by the encoded Dewey ID.
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         size_t prefix_len, DeweyId* dewey);
+                         DeweyId* dewey);
 /// B+i value payload: the optional value-record offset, one varint.
 std::string IdPayload(bool has_value, uint64_t value_offset);
 /// Decodes IdPayload's varint, or a legacy payload's two varints (a

@@ -62,27 +62,24 @@ void ScrubPagedFile(const std::string& dir, const char* name,
   }
 }
 
-/// Checks one B+t / B+v tree (either entry layout) against B+i: every
-/// entry's Dewey ID must have a B+i entry, and the tree must hold exactly
-/// `expected` entries.
-void CrossCheckNodeRefs(BTree* id_index, BTree* index,
-                        const char* component, size_t prefix_len,
-                        uint64_t expected, const char* what,
-                        VerifyReport* report) {
+/// Checks B+v (either entry layout) against B+i: every entry's Dewey ID
+/// must have a B+i entry, and the tree must hold exactly one entry per
+/// node with a value.
+void CrossCheckValueIndex(BTree* id_index, BTree* index, uint64_t expected,
+                          VerifyReport* report) {
   uint64_t count = 0;
   BTreeIterator it = index->NewIterator();
   Status s = it.SeekToFirst();
   while (s.ok() && it.Valid()) {
     ++count;
     DeweyId dewey = DeweyId::Root();
-    Status ps = index_keys::ParseNodeRefEntry(it.key(), it.value(),
-                                              prefix_len, &dewey);
+    Status ps = index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey);
     if (!ps.ok()) {
-      AddIssue(report, component, "undecodable entry: " + ps.ToString());
+      AddIssue(report, "B+v", "undecodable entry: " + ps.ToString());
     } else {
       auto id = id_index->Get(Slice(dewey.Encode()));
       if (!id.ok()) {
-        AddIssue(report, component,
+        AddIssue(report, "B+v",
                  "entry for " + dewey.ToString() +
                      " has no B+i entry: " + id.status().ToString());
       }
@@ -94,11 +91,11 @@ void CrossCheckNodeRefs(BTree* id_index, BTree* index,
     s = it.Next();
   }
   if (!s.ok()) {
-    AddIssue(report, component, s.ToString());
+    AddIssue(report, "B+v", s.ToString());
   } else if (count != expected) {
-    AddIssue(report, component,
+    AddIssue(report, "B+v",
              "index holds " + std::to_string(count) + " entries but B+i "
-                 "records " + std::to_string(expected) + " " + what);
+                 "records " + std::to_string(expected) + " valued nodes");
   }
 }
 
@@ -185,8 +182,7 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   ScrubPagedFile(dir, store_files::kTree, options.page_size, format,
                  &report);
-  for (const char* idx :
-       {store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx}) {
+  for (const char* idx : {store_files::kValIdx, store_files::kIdIdx}) {
     ScrubPagedFile(dir, idx, options.index_page_size, format, &report);
   }
   if (!report.ok()) {
@@ -303,19 +299,13 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
                  std::to_string(tree->node_count()) + " nodes");
   }
 
-  // Pass 3b: B+t and B+v against B+i.  Every entry must name a node B+i
-  // knows, B+t must hold one entry per node and B+v one per node with a
-  // value.  Otherwise a lost entry would only surface as a Corruption in
-  // the middle of a later update.
+  // Pass 3b: B+v against B+i.  Every entry must name a node B+i knows,
+  // and B+v must hold one entry per node with a value.  Otherwise a lost
+  // entry would only surface as a Corruption in the middle of a later
+  // update.
   if (!report.truncated) {
-    CrossCheckNodeRefs(store->id_index(), store->tag_index(), "B+t",
-                       index_keys::kTagKeySize, report.entries_checked,
-                       "nodes", &report);
-  }
-  if (!report.truncated) {
-    CrossCheckNodeRefs(store->id_index(), store->value_index(), "B+v",
-                       index_keys::kValueKeySize, valued_entries,
-                       "nodes with a value", &report);
+    CrossCheckValueIndex(store->id_index(), store->value_index(),
+                         valued_entries, &report);
   }
 
   // Pass 4: the sidecars, when persisted.

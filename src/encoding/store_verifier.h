@@ -3,7 +3,7 @@
 // Four passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
-//      string and the four B+ tree indexes) is read raw through a Pager in
+//      string and the B+v and B+i indexes) is read raw through a Pager in
 //      the store's format, so checksum mismatches are reported per page —
 //      including pages the higher layers would never visit.
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
@@ -12,8 +12,8 @@
 //      paired with its node by one document-order walk of the tree string
 //      (B+i keys sort in document order) and compared against the stored
 //      entry, and its value record is read (which verifies the record
-//      CRC).  Then every B+t and B+v entry must name a node B+i knows,
-//      B+t must hold one entry per node and B+v one per valued node.
+//      CRC).  Then every B+v entry must name a node B+i knows, and B+v
+//      must hold one entry per valued node.
 //   4. Sidecar cross-check: each sidecar present (tree.bpx, synopsis.pds)
 //      is unsealed (magic, version, CRC-32C) and its payload compared with
 //      the payload of a rebuild from the page chain.  A stale-epoch

@@ -12,8 +12,8 @@ namespace {
 /// whole-file replaced and only read at snapshot-open time (the writer is
 /// quiescent then), so it needs none.
 const char* const kVersionedComponents[] = {
-    store_files::kTree,   store_files::kValues, store_files::kTagIdx,
-    store_files::kValIdx, store_files::kIdIdx,
+    store_files::kTree, store_files::kValues, store_files::kValIdx,
+    store_files::kIdIdx,
 };
 
 /// The component name is the path's last segment (OpenComponent builds

@@ -418,17 +418,15 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
         parent.Child(static_cast<uint32_t>(j)), &nodes));
     for (const SubtreeNode& node : nodes) {
       const DeweyId new_dewey = ShiftComponent(node.dewey, shift_depth, +1);
-      NOK_RETURN_IF_ERROR(RewriteIndexEntries(node.dewey, new_dewey,
-                                              node.tag));
+      NOK_RETURN_IF_ERROR(RewriteIndexEntries(node.dewey, new_dewey));
     }
   }
 
-  // Encode the fragment and collect its (dewey, tag, value) triples.
+  // Encode the fragment and collect its (dewey, value) pairs.
   std::string symbols;
   uint64_t new_nodes = 0;
   struct NewNode {
     DeweyId dewey;
-    TagId tag;
     std::string value;
   };
   std::vector<NewNode> additions;
@@ -445,8 +443,7 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
     NOK_ASSIGN_OR_RETURN(TagId tag, tags_.Intern(fragment.root()->name));
     tags_.AddOccurrence(tag);
     TreeUpdater::AppendOpenSymbol(&symbols, tag);
-    additions.push_back(
-        NewNode{frag_root_dewey, tag, fragment.root()->value});
+    additions.push_back(NewNode{frag_root_dewey, fragment.root()->value});
     ++new_nodes;
   }
   while (!stack.empty()) {
@@ -459,7 +456,7 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
       NOK_ASSIGN_OR_RETURN(TagId tag, tags_.Intern(child->name));
       tags_.AddOccurrence(tag);
       TreeUpdater::AppendOpenSymbol(&symbols, tag);
-      additions.push_back(NewNode{child_dewey, tag, child->value});
+      additions.push_back(NewNode{child_dewey, child->value});
       ++new_nodes;
       stack.push_back(Item{child, child_dewey, 0});
     } else {
@@ -475,8 +472,6 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   // Index entries for the new nodes.
   for (const NewNode& node : additions) {
     const std::string key = node.dewey.Encode();
-    NOK_RETURN_IF_ERROR(tag_index_->Insert(
-        index_keys::TagKey(node.tag, node.dewey), Slice()));
     if (!node.value.empty()) {
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(values_->Append(Slice(node.value), &offset));
@@ -521,7 +516,7 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   std::vector<SubtreeNode> doomed;
   NOK_RETURN_IF_ERROR(CollectSubtree(tree_.get(), pos, node, &doomed));
   for (const SubtreeNode& n : doomed) {
-    NOK_RETURN_IF_ERROR(RemoveIndexEntries(n.dewey, n.tag));
+    NOK_RETURN_IF_ERROR(RemoveIndexEntries(n.dewey));
     tags_.SubOccurrence(n.tag);
   }
 
@@ -544,7 +539,7 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
                                        parent.Child(old_index), &nodes));
     for (const SubtreeNode& n : nodes) {
       const DeweyId new_dewey = ShiftComponent(n.dewey, shift_depth, -1);
-      NOK_RETURN_IF_ERROR(RewriteIndexEntries(n.dewey, new_dewey, n.tag));
+      NOK_RETURN_IF_ERROR(RewriteIndexEntries(n.dewey, new_dewey));
     }
   }
 
@@ -562,8 +557,7 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
 }
 
 Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
-                                          const DeweyId& new_dewey,
-                                          TagId tag) {
+                                          const DeweyId& new_dewey) {
   const std::string old_key = old_dewey.Encode();
   NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(old_key)));
   bool has_value = false;
@@ -574,9 +568,6 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
   NOK_RETURN_IF_ERROR(MoveEntry(id_index_.get(), old_key, new_dewey.Encode(),
                                 index_keys::IdPayload(has_value, offset),
                                 "B+i", old_dewey));
-  NOK_RETURN_IF_ERROR(MoveEntry(
-      tag_index_.get(), index_keys::TagKey(tag, old_dewey),
-      index_keys::TagKey(tag, new_dewey), Slice(), "B+t", old_dewey));
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
     NOK_RETURN_IF_ERROR(MoveEntry(
@@ -587,12 +578,10 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
   return Status::OK();
 }
 
-Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey, TagId tag) {
+Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey) {
   const std::string key = dewey.Encode();
   NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(key)));
   NOK_RETURN_IF_ERROR(id_index_->Delete(Slice(key)).status());
-  NOK_RETURN_IF_ERROR(
-      tag_index_->Delete(Slice(index_keys::TagKey(tag, dewey))).status());
   bool has_value = false;
   uint64_t offset = 0;
   NOK_RETURN_IF_ERROR(

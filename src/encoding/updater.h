@@ -11,7 +11,7 @@
 // chain and recycle it through a free list.
 //
 // The higher-level DocumentStore::InsertSubtree / DeleteSubtree (defined
-// in updater.cc as well) additionally maintain the B+t/B+v/B+i indexes:
+// in updater.cc as well) additionally maintain the B+v/B+i indexes:
 // entries for the inserted/deleted nodes are added/removed, and the Dewey
 // IDs of the shifted following siblings are rewritten — the "indexes need
 // to be updated" cost the paper attributes to Dewey IDs.

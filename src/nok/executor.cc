@@ -237,12 +237,11 @@ bool PassesRootChecks(const DeweyId& dewey,
 /// both navigation backends — index probes never touch tree pages).
 Result<std::vector<DeweyId>> FetchHits(
     DocumentStore* store, const AccessPath& access) {
-  std::vector<DeweyId> hits;
   switch (access.strategy) {
     case StartStrategy::kValueIndex:
       return store->NodesWithValue(Slice(access.value_operand));
     case StartStrategy::kTagIndex:
-      if (access.tag == kInvalidTag) return hits;  // Absent tag: empty.
+      // An absent tag (kInvalidTag) has an empty rank list.
       return store->NodesWithTag(access.tag);
     case StartStrategy::kAuto:
     case StartStrategy::kScan:

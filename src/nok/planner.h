@@ -1,7 +1,7 @@
 // Query planner: cost-based access-path and semi-join-order selection.
 //
 // The planner consumes a NokPartition plus cheap cardinality estimates
-// (exact B+t tag counts from the dictionary, capped B+v value counts,
+// (exact tag counts from the dictionary, capped B+v value counts,
 // the document node count, and the store's path synopsis) and emits a
 // QueryPlan — a serializable IR describing, per NoK tree, which access
 // path feeds the matcher (the paper's Section 6.2 heuristic: value

@@ -148,7 +148,8 @@ class Parser {
   ///     subject parent: unify the name test with that node and continue
   ///     from it;
   ///   * context came via a descendant edge — interpose the named node:
-  ///     p//x becomes p//name/x, continuing from the new node.
+  ///     p//x becomes p//name/x, continuing from the new node (exact
+  ///     unless p is an element `name` can match).
   Result<PatternNode*> RewriteParentStep(PatternNode* context,
                                          const std::string& name,
                                          bool wildcard) {
@@ -177,6 +178,12 @@ class Parser {
       }
       case Axis::kDescendant: {
         // p//x  ->  p//name/x.
+        if (!parent->is_doc_root &&
+            (wildcard || parent->wildcard || parent->tag == name)) {
+          return Status::NotSupported(
+              "parent:: after // below an element the parent name test "
+              "can match: the rewrite cannot express that element itself");
+        }
         auto inserted = std::make_unique<PatternNode>();
         inserted->tag = name;
         inserted->wildcard = wildcard;
@@ -296,9 +303,20 @@ class Parser {
 
   /// Parses one step (with optional axis spec and predicates).
   Result<PatternNode*> ParseStep(PatternNode* context, Axis axis) {
+    const bool after_double_slash = axis == Axis::kDescendant;
     bool is_parent = false, is_preceding_sibling = false;
     NOK_RETURN_IF_ERROR(
         ParseAxisSpec(&axis, &is_parent, &is_preceding_sibling));
+    if (after_double_slash) {
+      // `//` is /descendant-or-self::node()/: one descendant step with
+      // child:: or descendant::, and no pattern edge before other axes.
+      if (is_parent || is_preceding_sibling ||
+          (axis != Axis::kChild && axis != Axis::kDescendant)) {
+        return Status::NotSupported(
+            "an axis other than child:: or descendant:: right after //");
+      }
+      axis = Axis::kDescendant;
+    }
     std::string name;
     bool wildcard = false;
     NOK_RETURN_IF_ERROR(ParseNameTest(&name, &wildcard));

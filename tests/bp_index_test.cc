@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -412,6 +414,132 @@ TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
              table.samples.size()) *
                 sizeof(uint64_t));
   EXPECT_EQ(bp.MemoryBytes(), (*chain)->MemoryBytes() + table.MemoryBytes());
+}
+
+// ---------------------------------------------------------------------
+// Tag probes: per-tag rank lists and child indexes.
+
+/// A random tree as parentheses, depth-first: the first-child chain from
+/// the root runs `spine` levels deep, a few nodes near the top take a
+/// fanout of 64 to 1,000, and the rest take 0-2 children down to depth
+/// 14.  Stops opening nodes at `max_nodes`.
+std::string RandomWideDeepParens(Random* rng, uint64_t max_nodes,
+                                 int spine) {
+  std::string out;
+  uint64_t nodes = 0;
+  std::function<void(int, bool)> emit = [&](int depth, bool on_spine) {
+    out += '(';
+    ++nodes;
+    uint64_t fanout = 0;
+    if (depth <= 4 && rng->Uniform(8) == 0) {
+      fanout = 64 + rng->Uniform(937);
+    } else if (depth < 14) {
+      fanout = rng->Uniform(3);
+    }
+    if (on_spine && depth < spine) fanout = std::max<uint64_t>(fanout, 1);
+    for (uint64_t i = 0; i < fanout && nodes < max_nodes; ++i) {
+      emit(depth + 1, on_spine && i == 0);
+    }
+    out += ')';
+  };
+  emit(1, true);
+  return out;
+}
+
+/// The naive reference for one tag: open positions and Dewey IDs of its
+/// nodes, by a preorder walk that counts each open node's children.
+struct NaiveTagHits {
+  std::vector<uint64_t> positions;
+  std::vector<std::string> deweys;
+};
+
+std::map<TagId, NaiveTagHits> NaiveHitsByTag(const std::string& parens,
+                                             const std::vector<TagId>& tags,
+                                             std::vector<uint32_t>* child) {
+  std::map<TagId, NaiveTagHits> out;
+  std::vector<uint32_t> path;      // Child index of each open node.
+  std::vector<uint32_t> children;  // Children seen so far, per open node.
+  uint64_t rank = 0;
+  for (uint64_t pos = 0; pos < parens.size(); ++pos) {
+    if (parens[pos] == ')') {
+      path.pop_back();
+      children.pop_back();
+      continue;
+    }
+    const uint32_t index = children.empty() ? 0 : children.back()++;
+    path.push_back(index);
+    children.push_back(0);
+    child->push_back(index);
+    std::string dewey;
+    for (const uint32_t c : path) {
+      if (!dewey.empty()) dewey += '.';
+      dewey += std::to_string(c);
+    }
+    NaiveTagHits& hits = out[tags[rank++]];
+    hits.positions.push_back(pos);
+    hits.deweys.push_back(dewey);
+  }
+  return out;
+}
+
+TEST(BpIndexTest, TagProbesMatchANaivePreorderWalk) {
+  Random rng(31337);
+  uint64_t widest = 0;
+  for (int round = 0; round < 6; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string parens = RandomWideDeepParens(&rng, 20000, 10);
+    const uint64_t nodes = parens.size() / 2;
+    // Five common tags and a rare one (tag 6, about 1 node in 500).
+    std::vector<TagId> tags = RandomTags(&rng, nodes, 5);
+    for (TagId& tag : tags) {
+      if (rng.Uniform(500) == 0) tag = 6;
+    }
+    auto bp_or = BpIndex::FromParens(parens, tags);
+    ASSERT_TRUE(bp_or.ok()) << bp_or.status().ToString();
+    const BpIndex& bp = *bp_or.ValueOrDie();
+
+    int64_t depth = 0, max_depth = 0;
+    for (const char c : parens) {
+      depth += c == '(' ? 1 : -1;
+      max_depth = std::max(max_depth, depth);
+    }
+    ASSERT_GE(max_depth, 8);
+    std::vector<uint32_t> child;
+    const std::map<TagId, NaiveTagHits> want =
+        NaiveHitsByTag(parens, tags, &child);
+    for (const uint32_t index : child) {
+      widest = std::max<uint64_t>(widest, index + 1);
+    }
+
+    for (TagId tag = 0; tag <= 8; ++tag) {
+      SCOPED_TRACE("tag " + std::to_string(tag));
+      const auto it = want.find(tag);
+      const NaiveTagHits none;
+      const NaiveTagHits& expect = it == want.end() ? none : it->second;
+      std::vector<uint64_t> positions;
+      for (const uint32_t rank : bp.RanksWithTag(tag)) {
+        positions.push_back(bp.Select1(rank));
+      }
+      EXPECT_EQ(positions, expect.positions);
+
+      uint64_t steps = 0;
+      std::vector<std::string> deweys;
+      for (const DeweyId& id : bp.DeweysWithTag(tag, &steps)) {
+        deweys.push_back(id.ToString());
+      }
+      ASSERT_EQ(deweys, expect.deweys);
+      // One Select1 per hit, and at most one Enclose per level above it.
+      EXPECT_GE(steps, expect.positions.size());
+      EXPECT_LE(steps, expect.positions.size() * static_cast<uint64_t>(
+                                                     max_depth));
+    }
+    // A TagId past every node's tag has no hits.
+    uint64_t steps = 0;
+    EXPECT_TRUE(bp.RanksWithTag(60000).empty());
+    EXPECT_TRUE(bp.DeweysWithTag(60000, &steps).empty());
+    EXPECT_EQ(steps, 0u);
+  }
+  EXPECT_GE(widest, 500u) << "no wide parent was generated";
 }
 
 // ---------------------------------------------------------------------

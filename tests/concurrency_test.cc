@@ -77,7 +77,7 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   const std::string dir = testing::TempDir() + "/nok_concurrency_store";
   for (const char* f :
        {store_files::kTree, store_files::kValues, store_files::kDict,
-        store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx}) {
+        store_files::kValIdx, store_files::kIdIdx}) {
     ASSERT_TRUE(RemoveFile(dir + "/" + std::string(f)).ok());
   }
 
@@ -132,8 +132,6 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
 
   // Aggregated shard stats stay consistent under concurrency.
   ExpectPoolStatsConsistent("tree", (*store)->tree()->buffer_pool());
-  ExpectPoolStatsConsistent("tag_index",
-                            (*store)->tag_index()->buffer_pool());
   ExpectPoolStatsConsistent("value_index",
                             (*store)->value_index()->buffer_pool());
   ExpectPoolStatsConsistent("id_index",

@@ -81,7 +81,6 @@ TEST(CorruptionTest, FlippedByteInAnyPageOfAnyFileIsDetected) {
   };
   for (const Target& t :
        {Target{store_files::kTree, options.page_size},
-        Target{store_files::kTagIdx, options.index_page_size},
         Target{store_files::kValIdx, options.index_page_size},
         Target{store_files::kIdIdx, options.index_page_size}}) {
     const std::string path = dir + "/" + t.name;
@@ -150,7 +149,7 @@ TEST(CorruptionTest, TruncatedComponentFilesNeverCrashTheOpen) {
 
   const std::vector<const char*> components = {
       store_files::kTree,   store_files::kValues, store_files::kDict,
-      store_files::kTagIdx, store_files::kValIdx, store_files::kIdIdx};
+      store_files::kValIdx, store_files::kIdIdx};
   for (const char* name : components) {
     const uint64_t orig = FileSize(dir + "/" + name);
     ASSERT_GT(orig, 0u) << name;
@@ -243,11 +242,11 @@ TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
 
-  // Splice the previous generation's tag index into the new store: the
+  // Splice the previous generation's value index into the new store: the
   // torn-commit shape a crash between component syncs would leave.
   std::filesystem::copy_file(
-      old_copy + "/" + store_files::kTagIdx,
-      dir + "/" + store_files::kTagIdx,
+      old_copy + "/" + store_files::kValIdx,
+      dir + "/" + store_files::kValIdx,
       std::filesystem::copy_options::overwrite_existing);
 
   auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
@@ -261,19 +260,17 @@ TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
 }
 
 // ---------------------------------------------------------------------------
-// Lost index entries: checksums pass, but B+t no longer covers B+i.
+// Lost index entries: checksums pass, but B+v no longer covers B+i.
 
-TEST(CorruptionTest, MissingTagIndexEntryIsReported) {
-  const std::string dir = TempDir("lost_tag_entry");
+TEST(CorruptionTest, MissingValueIndexEntryIsReported) {
+  const std::string dir = TempDir("lost_value_entry");
   BuildChecksummedStore(dir);
   {
     auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    auto title = (*store)->tags()->Lookup("title");
-    ASSERT_TRUE(title.has_value());
     // The second book's title, 0.1.1 (the year attribute is child 0).
-    auto removed = (*store)->tag_index()->Delete(
-        Slice(index_keys::TagKey(*title, DeweyId({0, 1, 1}))));
+    auto removed = (*store)->value_index()->Delete(Slice(
+        index_keys::ValueKey(Slice("Data on the Web"), DeweyId({0, 1, 1}))));
     ASSERT_TRUE(removed.ok()) << removed.status().ToString();
     ASSERT_TRUE(*removed);
     ASSERT_TRUE((*store)->Flush().ok());
@@ -281,8 +278,8 @@ TEST(CorruptionTest, MissingTagIndexEntryIsReported) {
 
   auto report = VerifyStoreDir(dir, ChecksummedOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_FALSE(report->ok()) << "a lost B+t entry verified clean";
-  EXPECT_EQ(report->issues[0].component, "B+t");
+  ASSERT_FALSE(report->ok()) << "a lost B+v entry verified clean";
+  EXPECT_EQ(report->issues[0].component, "B+v");
   EXPECT_NE(report->issues[0].detail.find("entries"), std::string::npos)
       << report->issues[0].detail;
   std::filesystem::remove_all(dir);

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "encoding/dewey.h"
 #include "encoding/document_store.h"
@@ -36,7 +39,6 @@ TEST(DocumentStoreTest, StatsMatchDom) {
   EXPECT_EQ(store->stats().distinct_tags, dom->distinct_tags());
   EXPECT_DOUBLE_EQ(store->stats().avg_depth, dom->avg_depth());
   EXPECT_GT(store->stats().tree_bytes, 0u);
-  EXPECT_GT(store->stats().tag_index_bytes, 0u);
   EXPECT_GT(store->stats().value_index_bytes, 0u);
   EXPECT_GT(store->stats().id_index_bytes, 0u);
   EXPECT_GT(store->stats().data_bytes, 0u);
@@ -75,10 +77,102 @@ TEST(DocumentStoreTest, NodesWithTagInDocumentOrder) {
   EXPECT_EQ((*books)[0].ToString(), "0.0");
   EXPECT_EQ((*books)[1].ToString(), "0.1");
   EXPECT_EQ(store->CountTag(*book_tag), 2u);
+}
 
-  auto limited = store->NodesWithTag(*book_tag, 1);
-  ASSERT_TRUE(limited.ok());
-  EXPECT_EQ(limited->size(), 1u);
+/// For every tag in the store's dictionary: NodesWithTag answers the
+/// Dewey IDs a preorder walk of `xml`'s DOM finds with that tag, in
+/// document order (none for a tag whose nodes were all deleted).
+void ExpectNodesWithTagMatchDom(DocumentStore* store, const std::string& xml,
+                                const std::string& what) {
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok()) << what;
+  std::map<std::string, std::vector<std::string>> want;
+  ForEachNode(dom->root(), [&](const DomNode* node) {
+    want[node->name].push_back(DomDewey(node).ToString());
+  });
+  for (TagId tag = 1; tag <= store->tags()->size(); ++tag) {
+    const std::string& name = store->tags()->Name(tag);
+    auto got = store->NodesWithTag(tag);
+    ASSERT_TRUE(got.ok()) << what << " " << name << ": "
+                          << got.status().ToString();
+    std::vector<std::string> got_strings;
+    for (const DeweyId& id : *got) got_strings.push_back(id.ToString());
+    EXPECT_EQ(got_strings, want[name]) << what << ", tag " << name;
+  }
+}
+
+/// `<r>` holding the given children.
+std::string RootOf(const std::vector<std::string>& children) {
+  std::string xml = "<r>";
+  for (const std::string& child : children) xml += child;
+  return xml + "</r>";
+}
+
+TEST(DocumentStoreTest, NodesWithTagMatchesADomWalkInBothNavModes) {
+  // Wide and deep: 150 children under the root (past the BP index's
+  // child-sample stride), with nested <a> runs so one tag's hits share
+  // some ancestors and not others.
+  std::vector<std::string> children;
+  for (int i = 0; i < 150; ++i) {
+    children.push_back(i % 7 == 0 ? "<a n=\"" + std::to_string(i) +
+                                        "\"><a><b>x</b><a><c/></a></a></a>"
+                                  : "<b><c/><a/></b>");
+  }
+  const std::string fragment = "<a><c>new</c><b><a/></b></a>";
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_tagprobe_" + std::to_string(::getpid())))
+          .string();
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    const std::string where = NavModeName(mode);
+    std::filesystem::remove_all(dir);
+    DocumentStore::Options options;
+    options.dir = dir;
+    options.page_size = 256;
+    options.nav_mode = mode;
+    std::vector<std::string> current = children;
+    {
+      auto store = DocumentStore::Build(RootOf(current), options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ExpectNodesWithTagMatchDom(store->get(), RootOf(current),
+                                 where + " fresh");
+      // Unflushed updates: the probe rebuilds the BP index on demand.
+      ASSERT_TRUE((*store)->InsertSubtree(DeweyId::Root(), 0, fragment).ok());
+      current.insert(current.begin(), fragment);
+      ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 8})).ok());
+      current.erase(current.begin() + 8);
+      ExpectNodesWithTagMatchDom(store->get(), RootOf(current),
+                                 where + " after unflushed updates");
+    }
+    // A WAL commit, then a fresh reopen of the committed generation.  The
+    // insert goes below a <b> child, ahead of its own children.
+    const std::string plain_b = "<b><c/><a/></b>";
+    const size_t k = static_cast<size_t>(
+        std::find(current.begin() + 3, current.end(), plain_b) -
+        current.begin());
+    ASSERT_LT(k, current.size());
+    options.wal.enabled = true;
+    {
+      auto store = DocumentStore::OpenDir(options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      ASSERT_TRUE((*store)
+                      ->InsertSubtree(DeweyId({0, static_cast<uint32_t>(k)}),
+                                      0, fragment)
+                      .ok());
+      ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 100})).ok());
+      ASSERT_TRUE((*store)->Flush().ok());
+      current[k] = "<b>" + fragment + "<c/><a/></b>";
+      current.erase(current.begin() + 100);
+      ExpectNodesWithTagMatchDom(store->get(), RootOf(current),
+                                 where + " after a WAL commit");
+    }
+    options.wal.enabled = false;
+    auto reopened = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
+    ExpectNodesWithTagMatchDom(reopened->get(), RootOf(current),
+                               where + " reopened after a WAL commit");
+  }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DocumentStoreTest, NodesWithValueVerifiesCollisions) {
@@ -174,12 +268,13 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
   std::filesystem::remove_all(dir);
   DocumentStore::Options options;
   options.dir = dir;
-  // The files a store consists of in either nav mode: three B+ trees, the
-  // two sidecars, and no rooted tag-path index (path.idx).
+  // The files a store consists of in either nav mode: two B+ trees, the
+  // two sidecars, and neither a tag-name index (tag.idx; the BP index
+  // answers tag probes) nor a rooted tag-path index (path.idx).
   const std::set<std::string> want_files = {
-      store_files::kTree,    store_files::kValues, store_files::kDict,
-      store_files::kTagIdx,  store_files::kValIdx, store_files::kIdIdx,
-      store_files::kBpIndex, store_files::kSynopsis};
+      store_files::kTree,    store_files::kValues,  store_files::kDict,
+      store_files::kValIdx,  store_files::kIdIdx,   store_files::kBpIndex,
+      store_files::kSynopsis};
   auto files_in_dir = [&] {
     std::set<std::string> names;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -193,6 +288,7 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
   EXPECT_EQ(files_in_dir(), want_files);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/tag.idx"));
   {
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -216,7 +312,6 @@ TEST(DocumentStoreTest, BuildRejectsMalformedXml) {
 TEST(DocumentStoreTest, IdIndexCoversEveryNode) {
   auto store = Build(kBibXml);
   EXPECT_EQ(store->id_index()->num_entries(), store->stats().node_count);
-  EXPECT_EQ(store->tag_index()->num_entries(), store->stats().node_count);
 }
 
 }  // namespace

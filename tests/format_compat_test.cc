@@ -4,12 +4,13 @@
 // as formats 1/2.  The fixtures under tests/fixtures/legacy_format/ were
 // built from doc.xml by the last writer of those formats, with 512-byte
 // pages for both the tree string and the B+ trees.  They also carry the
-// retired rooted tag-path index, which no open, verify or commit reads or
-// touches any more.
+// retired tag-name index (B+t, whose probes the BP index now answers) and
+// rooted tag-path index, which no open, verify or commit reads or touches
+// any more.
 //
-// Index entries once cached each node's physical position: B+t/B+v
-// values and the leading varint of B+i payloads.  Current writers store
-// none, and readers skip the ones old stores still carry, so those stores
+// Index entries once cached each node's physical position: B+v values
+// and the leading varint of B+i payloads.  Current writers store none,
+// and readers skip the ones old stores still carry, so those stores
 // answer, update and verify without a format bump.
 
 #include <gtest/gtest.h>
@@ -34,8 +35,9 @@ namespace {
 
 constexpr const char* kFixtureDir = NOK_FIXTURE_DIR "/legacy_format";
 constexpr uint64_t kMetaVersionOffset = 32;
-/// The retired rooted tag-path index file the fixtures still carry.
-constexpr const char* kLegacyPathIdx = "path.idx";
+/// The retired index files the fixtures still carry: the tag-name index
+/// (B+t) and the rooted tag-path index.
+const char* const kLegacyIndexFiles[] = {"tag.idx", "path.idx"};
 /// The retired marker of stale cached positions, which updates wrote.
 constexpr const char* kLegacyStaleMarker = "positions.stale";
 
@@ -87,6 +89,15 @@ std::string FileBytes(const std::string& dir, const char* name) {
   std::string bytes;
   EXPECT_TRUE(ReadFileToString(dir + "/" + name, &bytes).ok()) << name;
   return bytes;
+}
+
+/// The bytes of each retired index file in dir (kLegacyIndexFiles order).
+std::vector<std::string> LegacyIndexBytes(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const char* name : kLegacyIndexFiles) {
+    out.push_back(FileBytes(dir, name));
+  }
+  return out;
 }
 
 std::vector<std::string> Canon(const std::vector<DeweyId>& ids) {
@@ -154,8 +165,8 @@ TEST_P(LegacyFormatTest, OpensVerifiesAndAnswersLikeTheOracle) {
   const auto [name, version] = GetParam();
   const std::string dir = CopyFixture(name);
   ASSERT_EQ(MetaVersion(dir), version);
-  const std::string path_idx = FileBytes(dir, kLegacyPathIdx);
-  ASSERT_FALSE(path_idx.empty());
+  const std::vector<std::string> legacy_indexes = LegacyIndexBytes(dir);
+  for (const std::string& bytes : legacy_indexes) ASSERT_FALSE(bytes.empty());
 
   auto report = VerifyStoreDir(dir, FixtureOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
@@ -183,15 +194,17 @@ TEST_P(LegacyFormatTest, OpensVerifiesAndAnswersLikeTheOracle) {
       EXPECT_EQ(Canon(*got), Canon(*want))
           << query << " nav=" << NavModeName(nav_mode);
     }
+    // Tag probes come from the BP index, not from the fixture's B+t.
+    ExpectAnswersMatch(store->get(), *dom, name);
   }
-  EXPECT_EQ(FileBytes(dir, kLegacyPathIdx), path_idx);
+  EXPECT_EQ(LegacyIndexBytes(dir), legacy_indexes);
   std::filesystem::remove_all(dir);
 }
 
 TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
   const auto [name, version] = GetParam();
   const std::string dir = CopyFixture(name);
-  const std::string path_idx = FileBytes(dir, kLegacyPathIdx);
+  const std::vector<std::string> legacy_indexes = LegacyIndexBytes(dir);
   {
     auto store = DocumentStore::OpenDir(FixtureOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
@@ -200,18 +213,14 @@ TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
                                     "<book><title>New</title></book>")
                     .ok());
     ASSERT_TRUE((*store)->Flush().ok());
-    // The writable open rewrote the legacy B+t / B+v entries: every key
-    // now carries its Dewey ID after the tag / value-hash prefix.
-    for (const auto& [index, prefix_len] :
-         {std::pair{(*store)->tag_index(), index_keys::kTagKeySize},
-          std::pair{(*store)->value_index(), index_keys::kValueKeySize}}) {
-      BTreeIterator it = index->NewIterator();
-      ASSERT_TRUE(it.SeekToFirst().ok());
-      ASSERT_TRUE(it.Valid());
-      while (it.Valid()) {
-        EXPECT_GT(it.key().size(), prefix_len);
-        ASSERT_TRUE(it.Next().ok());
-      }
+    // The writable open rewrote the legacy B+v entries: every key now
+    // carries its Dewey ID after the value-hash prefix.
+    BTreeIterator it = (*store)->value_index()->NewIterator();
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    ASSERT_TRUE(it.Valid());
+    while (it.Valid()) {
+      EXPECT_GT(it.key().size(), index_keys::kValueKeySize);
+      ASSERT_TRUE(it.Next().ok());
     }
   }
   // 3 -> 1 (raw), 4 -> 2 (checksummed); the data pages never changed.
@@ -226,9 +235,9 @@ TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
   ASSERT_TRUE(titles.ok()) << titles.status().ToString();
   ASSERT_EQ(titles->size(), 1u);
   EXPECT_EQ((*titles)[0].ToString(), "0.0");
-  // The stray path index survived the upgrade, the commit and the
-  // reopen byte for byte.
-  EXPECT_EQ(FileBytes(dir, kLegacyPathIdx), path_idx);
+  // The stray B+t and path index survived the upgrade, the commit and
+  // the reopen byte for byte.
+  EXPECT_EQ(LegacyIndexBytes(dir), legacy_indexes);
   std::filesystem::remove_all(dir);
 }
 
@@ -242,17 +251,13 @@ TEST_P(LegacyFormatTest, ReadOnlyOpensServePositionBearingEntries) {
     options.nav_mode = nav_mode;
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The entries are as the old writer left them: bare-prefix B+t/B+v
-    // keys with the position ahead of the Dewey ID in the value, and a
+    // The entries are as the old writer left them: bare-prefix B+v keys
+    // with the position ahead of the Dewey ID in the value, and a
     // position ahead of the value field in every B+i payload.
-    for (const auto& [index, prefix_len] :
-         {std::pair{(*store)->tag_index(), index_keys::kTagKeySize},
-          std::pair{(*store)->value_index(), index_keys::kValueKeySize}}) {
-      BTreeIterator it = index->NewIterator();
-      ASSERT_TRUE(it.SeekToFirst().ok());
-      ASSERT_TRUE(it.Valid());
-      EXPECT_EQ(it.key().size(), prefix_len);
-    }
+    BTreeIterator it = (*store)->value_index()->NewIterator();
+    ASSERT_TRUE(it.SeekToFirst().ok());
+    ASSERT_TRUE(it.Valid());
+    EXPECT_EQ(it.key().size(), index_keys::kValueKeySize);
     const std::vector<size_t> widths = IdPayloadWidths((*store)->id_index());
     EXPECT_EQ(CountWidth(widths, 2), widths.size());
     ExpectAnswersMatch(store->get(), dom, name);
@@ -360,7 +365,9 @@ TEST(FormatCompatTest, NewStoresWriteTheBaseFormatsWithIdenticalDataPages) {
       ASSERT_TRUE((*store)->Flush().ok());
     }
     EXPECT_EQ(MetaVersion(dir), checksum ? 2u : 1u);
-    EXPECT_FALSE(std::filesystem::exists(dir + "/" + kLegacyPathIdx));
+    for (const char* retired : kLegacyIndexFiles) {
+      EXPECT_FALSE(std::filesystem::exists(dir + "/" + retired)) << retired;
+    }
     // Only the meta page (the first slot) may differ from the fixture.
     std::string fresh, legacy;
     ASSERT_TRUE(
@@ -380,8 +387,8 @@ TEST(FormatCompatTest, NewStoresWriteTheBaseFormatsWithIdenticalDataPages) {
 }
 
 TEST(FormatCompatTest, KeyedEntriesWithCachedPositionsStillServe) {
-  // The writer before the current one keyed B+t/B+v entries by Dewey ID
-  // but still stored the node's position as the value.  Rewrite a fresh
+  // The writer before the current one keyed B+v entries by Dewey ID but
+  // still stored the node's position as the value.  Rewrite a fresh
   // store's entries that way, then read, update and verify it.
   const std::string dir =
       (std::filesystem::temp_directory_path() /
@@ -394,18 +401,16 @@ TEST(FormatCompatTest, KeyedEntriesWithCachedPositionsStillServe) {
   {
     auto store = DocumentStore::Build(xml, FixtureOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    for (const auto& [index, prefix_len] :
-         {std::pair{(*store)->tag_index(), index_keys::kTagKeySize},
-          std::pair{(*store)->value_index(), index_keys::kValueKeySize}}) {
+    {
+      BTree* index = (*store)->value_index();
       std::vector<std::pair<std::string, std::string>> entries;
       BTreeIterator it = index->NewIterator();
       ASSERT_TRUE(it.SeekToFirst().ok());
       while (it.Valid()) {
         EXPECT_TRUE(it.value().empty());
         DeweyId dewey = DeweyId::Root();
-        ASSERT_TRUE(index_keys::ParseNodeRefEntry(it.key(), it.value(),
-                                                  prefix_len, &dewey)
-                        .ok());
+        ASSERT_TRUE(
+            index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey).ok());
         auto pos = (*store)->Navigate(dewey);
         ASSERT_TRUE(pos.ok());
         std::string value;
@@ -430,30 +435,36 @@ TEST(FormatCompatTest, KeyedEntriesWithCachedPositionsStillServe) {
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ExpectAnswersMatch(store->get(), dom, "keyed");
   }
-  // A front insert moves every shifted entry to the current layout and
-  // keeps the rest: the trees now mix both.
-  const std::string fragment = "<book><title>Front</title></book>";
+  // An insert before the third book moves every shifted entry to the
+  // current layout and keeps the rest: the tree now mixes both.
+  const std::string fragment = "<book><title>Middle</title></book>";
   {
     auto store = DocumentStore::OpenDir(FixtureOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE(
-        (*store)->InsertSubtree(DeweyId::Root(), 0, fragment).ok());
+        (*store)->InsertSubtree(DeweyId::Root(), 2, fragment).ok());
     ASSERT_TRUE((*store)->Flush().ok());
     size_t empty = 0, positioned = 0;
-    BTreeIterator it = (*store)->tag_index()->NewIterator();
+    BTreeIterator it = (*store)->value_index()->NewIterator();
     ASSERT_TRUE(it.SeekToFirst().ok());
     while (it.Valid()) {
       ++(it.value().empty() ? empty : positioned);
       ASSERT_TRUE(it.Next().ok());
     }
     EXPECT_GT(empty, 0u);
-    EXPECT_EQ(positioned, 1u);  // The root: no insert shifts it.
+    // The first two books' valued nodes: no insert after them shifts them.
+    EXPECT_GT(positioned, 0u);
   }
   auto report = VerifyStoreDir(dir, FixtureOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->issues[0].detail;
   std::string updated_xml = xml;
-  updated_xml.insert(updated_xml.find("<bib>") + 5, fragment);
+  size_t third_book = updated_xml.find("<book");
+  for (int i = 0; i < 2; ++i) {
+    third_book = updated_xml.find("<book", third_book + 1);
+  }
+  ASSERT_NE(third_book, std::string::npos);
+  updated_xml.insert(third_book, fragment);
   auto updated = DomTree::Parse(updated_xml);
   ASSERT_TRUE(updated.ok());
   for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {

@@ -130,7 +130,7 @@ TEST(PlannerTest, AccessPathsFollowPaperHeuristic) {
   auto store = MakeStore(kBibXml);
 
   // A rare tag is selective enough for the tag index; its estimate is
-  // the exact B+t count.
+  // the exact dictionary count.
   Planned rare = PlanFor(store.get(), "//affiliation");
   ASSERT_EQ(rare.plan.trees.size(), 2u);
   EXPECT_EQ(rare.plan.trees[1].access.strategy, StartStrategy::kTagIndex);
@@ -200,11 +200,10 @@ std::string Directions(const Planned& planned) {
   return out;
 }
 
-/// B+ tree fetches across the three indexes.
+/// B+ tree fetches across the two indexes.
 uint64_t IndexFetches(DocumentStore* store) {
   uint64_t total = 0;
-  for (BTree* index :
-       {store->tag_index(), store->value_index(), store->id_index()}) {
+  for (BTree* index : {store->value_index(), store->id_index()}) {
     total += index->buffer_pool()->stats().fetches;
   }
   return total;

@@ -55,7 +55,8 @@ void ExpectStoreMatchesDom(DocumentStore* store, const DomTree& dom) {
       };
   verify(dom.root(), store->tree()->RootPos());
 
-  // Index integrity: every node locatable via B+t with the right dewey.
+  // Index integrity: every node found by its tag's probe (the BP index)
+  // with the right dewey, and by its value's (B+v).
   ForEachNode(dom.root(), [&](const DomNode* node) {
     auto tag = store->tags()->Lookup(node->name);
     ASSERT_TRUE(tag.has_value());
@@ -68,7 +69,7 @@ void ExpectStoreMatchesDom(DocumentStore* store, const DomTree& dom) {
       }
       return false;
     };
-    EXPECT_TRUE(has_dewey(*nodes)) << "B+t lost " << id.ToString();
+    EXPECT_TRUE(has_dewey(*nodes)) << "tag probe lost " << id.ToString();
     if (!node->value.empty()) {
       auto with_value = store->NodesWithValue(Slice(node->value));
       ASSERT_TRUE(with_value.ok());
@@ -425,34 +426,29 @@ TEST(UpdaterTest, FrontUpdatesCostLogarithmicIndexWorkPerShiftedNode) {
   auto store_r = DocumentStore::Build(xml, DocumentStore::Options());
   ASSERT_TRUE(store_r.ok()) << store_r.status().ToString();
   auto& store = *store_r;
-  BTree* tag_index = store->tag_index();
   BTree* value_index = store->value_index();
-  const uint64_t tag_height = TreeHeight(tag_index);
   const uint64_t value_height = TreeHeight(value_index);
-  ASSERT_GE(tag_height, 2u);
+  ASSERT_GE(value_height, 2u);
 
   const std::string frag = "<item><name>front</name></item>";
   auto cycle = [&]() {
     ASSERT_TRUE(store->InsertSubtree(DeweyId({0}), 0, frag).ok());
     ASSERT_TRUE(store->DeleteSubtree(DeweyId({0, 0})).ok());
   };
-  tag_index->buffer_pool()->ResetStats();
   value_index->buffer_pool()->ResetStats();
   cycle();
   const uint64_t shifted = 2 * 2 * kItems;
   // Each shifted entry is one exact delete plus one insert.  A scan of
-  // the tag's duplicate run would cost hundreds of fetches per node.
-  EXPECT_LE(tag_index->buffer_pool()->stats().fetches,
-            4 * tag_height * shifted);
+  // the value's duplicate run would cost many fetches per node.
   EXPECT_LE(value_index->buffer_pool()->stats().fetches,
             4 * value_height * shifted);
 
   // Churn at the front reuses the leaves it empties: every rewritten key
   // lands next to the one it replaces.
-  const uint64_t tag_bytes = tag_index->SizeBytes();
+  const uint64_t value_bytes = value_index->SizeBytes();
   for (int i = 1; i < 50; ++i) cycle();
-  EXPECT_LE(tag_index->SizeBytes(), 2 * tag_bytes);
-  EXPECT_EQ(tag_index->num_entries(), store->stats().node_count);
+  EXPECT_LE(value_index->SizeBytes(), 2 * value_bytes);
+  EXPECT_EQ(value_index->num_entries(), static_cast<uint64_t>(kItems));
 }
 
 /// Dewey IDs of an index answer, in document order.
@@ -521,7 +517,6 @@ TEST(UpdaterTest, IndexContentsMatchAFreshBuildAfterUpdates) {
   ASSERT_TRUE(fresh_r.ok()) << fresh_r.status().ToString();
   auto& fresh = *fresh_r;
   ASSERT_EQ(store->stats().node_count, fresh->stats().node_count);
-  EXPECT_EQ(store->tag_index()->num_entries(), store->stats().node_count);
   EXPECT_EQ(store->value_index()->num_entries(),
             fresh->value_index()->num_entries());
 
@@ -535,7 +530,8 @@ TEST(UpdaterTest, IndexContentsMatchAFreshBuildAfterUpdates) {
       ASSERT_TRUE(nodes.ok()) << name;
       want = DeweyStrings(*nodes);
     }
-    EXPECT_EQ(DeweyStrings(*got), want) << "B+t differs for " << name;
+    EXPECT_EQ(DeweyStrings(*got), want)
+        << "tag probe differs for " << name;
   }
   std::set<std::string> values;
   ForEachNode(dom->root(), [&](const DomNode* node) {

@@ -236,6 +236,26 @@ TEST(XPathParserTest, SiblingAfterGlobalStepIsNotSupported) {
   }
 }
 
+TEST(XPathParserTest, ExplicitAxisDirectlyAfterDoubleSlash) {
+  // `//` composes with child:: and descendant:: into one descendant
+  // step; before any other axis it is NotSupported, never dropped.
+  for (const char* query : {"/a//child::b", "/a//descendant::b"}) {
+    auto tree = ParseXPath(query);
+    ASSERT_TRUE(tree.ok()) << query << ": " << tree.status().ToString();
+    const PatternNode* b = tree->root()->children[0]->children[0].get();
+    EXPECT_EQ(b->tag, "b") << query;
+    EXPECT_EQ(b->incoming, Axis::kDescendant) << query;
+  }
+  for (const char* query :
+       {"/bib/book//following-sibling::author",
+        "/b//b//preceding-sibling::c/e", "/a[.//following-sibling::b]",
+        "/a//parent::b", "/a//following::b", "/a//preceding::b"}) {
+    auto tree = ParseXPath(query);
+    ASSERT_FALSE(tree.ok()) << query;
+    EXPECT_TRUE(tree.status().IsNotSupported()) << query;
+  }
+}
+
 TEST(XPathParserTest, ParentAfterChildUnifiesWithPatternParent) {
   // /a/b/parent::a/c  ==  /a[b]/c.
   auto tree = ParseXPath("/a/b/parent::a/c");
@@ -260,6 +280,16 @@ TEST(XPathParserTest, ParentWildcardAndConflicts) {
   // parent:: of a top-level step would name the document root.
   auto above = ParseXPath("/a/parent::x");
   EXPECT_FALSE(above.ok());
+}
+
+TEST(XPathParserTest, ParentAfterDescendantBelowAMatchingElement) {
+  // x's parent could be p itself: the p//n/x rewrite would miss it.
+  for (const char* query : {"/bib//book/parent::bib", "/a//b/parent::*",
+                            "/*//b/parent::c", "/a[.//b/parent::a]"}) {
+    auto tree = ParseXPath(query);
+    ASSERT_FALSE(tree.ok()) << query;
+    EXPECT_TRUE(tree.status().IsNotSupported()) << query;
+  }
 }
 
 TEST(XPathParserTest, ParentAfterDescendantInterposesNode) {

@@ -300,7 +300,6 @@ int CmdStats(const std::string& dir) {
          static_cast<unsigned long long>(s.tree_bytes));
   // Entries beside bytes, so index bloat shows as bytes per entry.
   const std::pair<const char*, nok::BTree*> indexes[] = {
-      {"|B+t|:", (*store)->tag_index()},
       {"|B+v|:", (*store)->value_index()},
       {"|B+i|:", (*store)->id_index()}};
   for (const auto& [label, index] : indexes) {
@@ -737,9 +736,6 @@ int CmdBench(int argc, char** argv) {
   if (!baseline) {
     json += "  \"buffer_pools\": {\n";
     AppendPoolJson(&json, "tree", store->tree()->buffer_pool()->stats());
-    json += ",\n";
-    AppendPoolJson(&json, "tag_index",
-                   store->tag_index()->buffer_pool()->stats());
     json += ",\n";
     AppendPoolJson(&json, "value_index",
                    store->value_index()->buffer_pool()->stats());
