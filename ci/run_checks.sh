@@ -19,6 +19,8 @@
 #                                # dataset + JSON report validation
 #                                # + a timed front insert on dblp 0.05
 #                                # whose paged and bp answers must agree
+#                                # + a flipped tree.nok byte that verify
+#                                # and a paged query must report cleanly
 #   ci/run_checks.sh fuzz-smoke  # seeded differential fuzzer under ASan:
 #                                # 500 iterations across all engines x
 #                                # planner strategies + corpus replay +
@@ -229,6 +231,36 @@ EOF
   diff build-ci/bench/front-paged-tag.txt build-ci/bench/front-bp-tag.txt
   "$nokq" verify "$store"
   "$nokq" stats "$store"
+
+  step "A flipped byte in a plain store is a Corruption, never a signal"
+  # Every store has CRC-32C pages; no flag asks for them.  A page slot is
+  # 4096 + 4 bytes (body, then CRC), so byte 4500 lies inside page 1.
+  local damaged=build-ci/bench/damaged-store
+  rm -rf "$damaged"
+  "$nokq" gen dblp "$damaged" --scale 0.02
+  python3 - "$damaged/tree.nok" <<'EOF'
+import sys
+
+path = sys.argv[1]
+with open(path, "rb") as f:
+    data = bytearray(f.read())
+data[4500] ^= 0x01
+with open(path, "wb") as f:
+    f.write(data)
+EOF
+  local rc=0
+  "$nokq" verify "$damaged" 2> build-ci/bench/damaged-verify.txt || rc=$?
+  cat build-ci/bench/damaged-verify.txt
+  test "$rc" -eq 1
+  grep -q 'damage \[tree.nok\]: .*checksum mismatch on page 1:' \
+      build-ci/bench/damaged-verify.txt
+  rc=0
+  "$nokq" query "$damaged" '//*' --nav-mode paged > /dev/null \
+      2> build-ci/bench/damaged-query.txt || rc=$?
+  cat build-ci/bench/damaged-query.txt
+  # 128 and above is death by a signal (an abort is 134).
+  test "$rc" -ne 0 && test "$rc" -lt 128
+  grep -q 'Corruption' build-ci/bench/damaged-query.txt
 }
 
 run_fuzz_smoke() {

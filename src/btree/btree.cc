@@ -11,12 +11,23 @@ namespace {
 constexpr uint64_t kMagic = 0x4e4f4b42545245ull;  // "NOKBTRE"
 constexpr PageId kMetaPage = 0;
 // Meta page layout: magic @0, root @8, num_entries @12, format version
-// @20, epoch @24.  Version 0 is the pre-versioning layout (raw pages,
-// epoch 0); 1 is raw with version/epoch fields; 2 is checksummed.
+// @20, epoch @24.  Version 2 is the only format: CRC-32C pages.  Versions
+// 0 (no version field) and 1 had raw pages and are refused.
 constexpr uint32_t kMetaVersionOffset = 20;
 constexpr uint32_t kMetaEpochOffset = 24;
-constexpr uint32_t kFormatVersionRaw = 1;
-constexpr uint32_t kFormatVersionChecksummed = 2;
+constexpr uint32_t kFormatVersion = 2;
+
+/// The separator a leaf split promotes.  left_last + '\0' lies strictly
+/// between two distinct keys, so no stored key equals it, and a lookup of
+/// the right leaf's first key (or a prefix seek of it) goes straight
+/// there instead of descending left — the rule on separator equality —
+/// and stepping across the sibling link.  A duplicate run straddling the
+/// split keeps the key itself, so lookups of it still start on the left.
+std::string SeparatorFor(const Slice& left_last, const Slice& right_first) {
+  std::string between = left_last.ToString();
+  between.push_back('\0');
+  return Slice(between) < right_first ? between : right_first.ToString();
+}
 }  // namespace
 
 BTree::BTree(std::unique_ptr<Pager> pager, Options options)
@@ -40,9 +51,7 @@ Result<std::unique_ptr<BTree>> BTree::Open(std::unique_ptr<File> file,
   }
   NOK_ASSIGN_OR_RETURN(
       auto pager,
-      Pager::Open(std::move(file), options.page_size,
-                  options.checksum_pages ? PageFormat::kChecksummed
-                                         : PageFormat::kRaw));
+      Pager::Open(std::move(file), options.page_size));
   std::unique_ptr<BTree> tree(new BTree(std::move(pager), options));
   if (fresh) {
     NOK_RETURN_IF_ERROR(tree->InitNew());
@@ -89,14 +98,12 @@ Status BTree::LoadMeta() {
   root_ = DecodeFixed32(p + 8);
   num_entries_ = DecodeFixed64(p + 12);
   const uint32_t version = DecodeFixed32(p + kMetaVersionOffset);
-  const uint32_t expect = options_.checksum_pages
-                              ? kFormatVersionChecksummed
-                              : kFormatVersionRaw;
-  // Version 0 files predate the version field; they are raw.
-  if (version != 0 && version != expect) {
-    return Status::Corruption("btree format version " +
-                              std::to_string(version) +
-                              " does not match the requested page format");
+  if (version < kFormatVersion) {
+    return RetiredFormat("btree format version " + std::to_string(version));
+  }
+  if (version != kFormatVersion) {
+    return Status::Corruption("unknown btree format version " +
+                              std::to_string(version));
   }
   epoch_ = DecodeFixed64(p + kMetaEpochOffset);
   if (root_ == kInvalidPage || root_ >= pager_->page_count()) {
@@ -116,9 +123,7 @@ Status BTree::WriteMeta() {
   EncodeFixed64(p, kMagic);
   EncodeFixed32(p + 8, root_);
   EncodeFixed64(p + 12, num_entries_);
-  EncodeFixed32(p + kMetaVersionOffset, options_.checksum_pages
-                                            ? kFormatVersionChecksummed
-                                            : kFormatVersionRaw);
+  EncodeFixed32(p + kMetaVersionOffset, kFormatVersion);
   EncodeFixed64(p + kMetaEpochOffset, epoch_);
   NOK_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, buf.data()));
   meta_dirty_ = false;
@@ -180,7 +185,6 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
       handle.MarkDirty();
       return std::optional<Promotion>();
     }
-    // Split the leaf: move the byte-wise upper half to a new right node.
     PageId right_id = kInvalidPage;
     NOK_RETURN_IF_ERROR(pager_->AllocatePage(&right_id));
     NOK_ASSIGN_OR_RETURN(auto right_handle, pool_->Fetch(right_id));
@@ -188,6 +192,18 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
     right.Init(NodeType::kLeaf);
 
     const uint16_t n = node.nkeys();
+    if (pos == n && node.right_sibling() == kInvalidPage) {
+      // Append split: the entry goes past the end of the rightmost leaf,
+      // so it starts the new leaf and the full one stays untouched.
+      right.InsertLeafCell(0, key, value);
+      node.set_right_sibling(right_id);
+      handle.MarkDirty();
+      right_handle.MarkDirty();
+      return std::optional<Promotion>(Promotion{
+          SeparatorFor(node.KeyAt(static_cast<uint16_t>(n - 1)), key),
+          right_id});
+    }
+    // Split the leaf: move the byte-wise upper half to the new right node.
     // Choose the split index so the left half holds ~half of the bytes.
     uint32_t total = node.UsedBytes();
     uint32_t acc = 0;
@@ -212,7 +228,6 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
     right.set_right_sibling(node.right_sibling());
     node.set_right_sibling(right_id);
 
-    std::string separator = right.KeyAt(0).ToString();
     // Insert the pending entry on the side its position falls in; ties go
     // left, consistent with the descent rule.
     if (pos <= split) {
@@ -222,8 +237,10 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
     }
     handle.MarkDirty();
     right_handle.MarkDirty();
-    return std::optional<Promotion>(Promotion{std::move(separator),
-                                              right_id});
+    return std::optional<Promotion>(Promotion{
+        SeparatorFor(node.KeyAt(static_cast<uint16_t>(node.nkeys() - 1)),
+                     right.KeyAt(0)),
+        right_id});
   }
 
   // Internal node: descend left on separator equality.

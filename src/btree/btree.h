@@ -5,12 +5,16 @@
 // tree with different key encodings.
 //
 // Properties:
-//   * duplicate keys are allowed (legacy B+v trees file every node of one
-//     value under the same bare key); duplicates are stored contiguously
-//     in key order and enumerated with an iterator.  Current B+v keys
-//     append the Dewey ID, so every entry there is unique;
+//   * duplicate keys are allowed and stored contiguously in key order,
+//     enumerated with an iterator (the store's own keys are unique: B+v
+//     keys append the Dewey ID to the value hash);
 //   * keys compare byte-wise, so callers use order-preserving encodings
 //     (big-endian integers, Dewey component vectors);
+//   * an insert past the last key of the rightmost leaf that does not fit
+//     starts a new leaf and leaves the full one as it is (the append split
+//     of SQLite and InnoDB), so a sorted run of inserts — how Build loads
+//     every index — fills the leaves; any other overflow splits at the
+//     byte-wise middle;
 //   * deletion removes entries without structural rebalancing — the
 //     workload this library targets builds indexes in bulk and rebuilds
 //     them after heavy updates (Section 4.1 of the paper makes the same
@@ -47,9 +51,6 @@ struct BTreeOptions {
   /// (Flush quietly no-ops so destruction stays I/O-free), which makes
   /// Get/NewIterator safe to call from many threads at once.
   bool read_only = false;
-  /// Store pages with CRC-32C trailers (PageFormat::kChecksummed).  Must
-  /// match the format the file was created with.
-  bool checksum_pages = false;
   /// Fail with Corruption instead of formatting a fresh tree when the file
   /// is empty.  Set when reopening an index that is supposed to exist: an
   /// empty file then means lost data, and silently starting over would

@@ -246,14 +246,30 @@ void NodeRef::InsertInternalCell(uint16_t i, const Slice& key,
 void NodeRef::RemoveCell(uint16_t i) {
   const uint16_t n = nkeys();
   NOK_CHECK(i < n);
-  uint16_t off = SlotOffset(i);
-  uint32_t dead = CellBytes(off);
+  const uint16_t off = SlotOffset(i);
+  const uint16_t dead = static_cast<uint16_t>(CellBytes(off));
   memmove(data_ + kHeaderSize + 2 * i, data_ + kHeaderSize + 2 * (i + 1),
           2 * static_cast<size_t>(n - i - 1));
   set_nkeys(static_cast<uint16_t>(n - 1));
-  // The slot's 2 bytes come back automatically via nkeys; only the cell
-  // bytes become fragmentation.
-  set_frag_bytes(static_cast<uint16_t>(frag_bytes() + dead));
+  // Close the hole at once: the cells below it move up by its size, so the
+  // freed bytes join the contiguous free space.  A full page that loses
+  // one entry and gains another (an update moving a key) then takes the
+  // new cell without compacting.
+  const uint16_t start = cell_content_start();
+  memmove(data_ + start + dead, data_ + start,
+          static_cast<size_t>(off - start));
+  // Slots are fixed16 (coding.h: native little-endian), decoded in place
+  // here because this loop runs once per removed entry.
+  char* slot = data_ + kHeaderSize;
+  for (uint16_t s = 0; s + 1 < n; ++s, slot += 2) {
+    uint16_t cell = 0;
+    memcpy(&cell, slot, sizeof(cell));
+    if (cell < off) {
+      cell = static_cast<uint16_t>(cell + dead);
+      memcpy(slot, &cell, sizeof(cell));
+    }
+  }
+  set_cell_content_start(static_cast<uint16_t>(start + dead));
 }
 
 }  // namespace nok

@@ -6,7 +6,8 @@
 //   [1]   uint8   reserved
 //   [2]   uint16  nkeys
 //   [4]   uint16  cell_content_start (lowest cell byte offset)
-//   [6]   uint16  frag_bytes (dead cell bytes, reclaimed by Compact)
+//   [6]   uint16  frag_bytes (dead cell bytes, reclaimed by Compact;
+//                   RemoveCell leaves none, pages of earlier writers may)
 //   [8]   uint32  right_sibling (leaf) / leftmost_child (internal)
 //   [12]  uint16  slot[nkeys]      -- sorted by key, each points at a cell
 //   ...   free space ...
@@ -17,9 +18,10 @@
 //
 // Internal nodes hold nkeys separators and nkeys+1 children: the leftmost
 // child in the header, child i of cell i covering keys >= separator i.
-// The split invariant is "separator = first key of the right node", so with
-// duplicate keys a lookup must descend left on equality and scan right via
-// the leaf sibling chain (see btree.cc).
+// A split's separator is greater than every key of the left node and at
+// most the first key of the right node (equal to it only when duplicates
+// straddle the split), so a lookup must descend left on equality and scan
+// right via the leaf sibling chain (see btree.cc).
 
 #ifndef NOKXML_BTREE_NODE_H_
 #define NOKXML_BTREE_NODE_H_
@@ -82,7 +84,8 @@ class NodeRef {
   /// Inserts an internal cell at slot i.
   void InsertInternalCell(uint16_t i, const Slice& key, PageId child);
 
-  /// Removes cell i (key order preserved; bytes become fragmentation).
+  /// Removes cell i (key order preserved).  The cells below it move up,
+  /// so its bytes join the contiguous free space at once.
   void RemoveCell(uint16_t i);
 
   /// Rewrites the page with cells densely packed (drops fragmentation).

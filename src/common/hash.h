@@ -23,13 +23,18 @@ uint32_t Hash32(const Slice& data);
 
 /// CRC-32C (Castagnoli polynomial 0x1EDC6F41, reflected) over data.  This
 /// is the page-trailer checksum of the storage layer: stable across
-/// platforms and process runs (it is persisted in every checksummed page),
-/// and the same function LevelDB/RocksDB use for block integrity.
+/// platforms and process runs (it is persisted in every page and value
+/// record), and the same function LevelDB/RocksDB use for block integrity.
 uint32_t Crc32c(const Slice& data);
 
 /// Incremental form: extends a running CRC-32C with n more bytes.  Seed a
-/// fresh computation with crc = 0.
+/// fresh computation with crc = 0.  Uses the SSE4.2 `crc32` instruction
+/// when the CPU has it, else Crc32cExtendTable.
 uint32_t Crc32cExtend(uint32_t crc, const char* data, size_t n);
+
+/// The portable byte-at-a-time table loop Crc32cExtend falls back to.
+/// Exposed so tests can compare it with the hardware path.
+uint32_t Crc32cExtendTable(uint32_t crc, const char* data, size_t n);
 
 }  // namespace nok
 

@@ -26,19 +26,15 @@ std::string ValueKey(const Slice& value, const DeweyId& dewey) {
 
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
                          DeweyId* dewey) {
-  if (key.size() < kValueKeySize) {
-    return Status::Corruption("bad node-ref entry");
+  if (key.size() <= kValueKeySize) {
+    return RetiredFormat("a B+v key without a Dewey ID");
   }
-  Slice encoded(key.data() + kValueKeySize, key.size() - kValueKeySize);
-  if (key.size() == kValueKeySize) {
-    // A legacy entry carries its Dewey ID after the position.
-    encoded = value;
-    uint64_t pos = 0;
-    if (!GetVarint64(&encoded, &pos)) {
-      return Status::Corruption("bad node-ref entry");
-    }
+  if (!value.empty()) {
+    return RetiredFormat("a B+v entry with a cached node position");
   }
-  NOK_ASSIGN_OR_RETURN(*dewey, DeweyId::Decode(encoded));
+  NOK_ASSIGN_OR_RETURN(
+      *dewey, DeweyId::Decode(Slice(key.data() + kValueKeySize,
+                                    key.size() - kValueKeySize)));
   return Status::OK();
 }
 
@@ -55,9 +51,8 @@ Status ParseIdPayload(const Slice& payload, bool* has_value,
   if (!GetVarint64(&input, &v)) {
     return Status::Corruption("bad B+i payload");
   }
-  // A legacy payload leads with a position: the value field follows.
-  if (!input.empty() && (!GetVarint64(&input, &v) || !input.empty())) {
-    return Status::Corruption("bad B+i payload");
+  if (!input.empty()) {
+    return RetiredFormat("a B+i payload with a cached node position");
   }
   *has_value = v != 0;
   *value_offset = v == 0 ? 0 : v - 1;
@@ -153,14 +148,10 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   tree_options.reserve_ratio = options.reserve_ratio;
   tree_options.pool_frames = options.pool_frames;
   tree_options.use_header_skip = options.use_header_skip;
-  tree_options.checksum_pages = options.checksum_pages;
   StringStore::Builder builder(std::move(tree_file), tree_options);
 
-  ValueStore::Options value_options;
-  value_options.checksum_records = options.checksum_pages;
-  NOK_ASSIGN_OR_RETURN(store->values_, ValueStore::Open(
-                                           std::move(values_file),
-                                           value_options));
+  NOK_ASSIGN_OR_RETURN(store->values_,
+                       ValueStore::Open(std::move(values_file)));
   const BTree::Options idx_options = store->IndexOptions();
   NOK_ASSIGN_OR_RETURN(store->value_index_,
                        BTree::Open(std::move(val_idx_file), idx_options));
@@ -180,22 +171,27 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   // The path synopsis trie rides the same SAX pass — no extra scan.
   PathSynopsis::Builder synopsis_builder;
 
-  // Closes the top frame: files value/index entries, emits ')'.
+  // Index entries, collected during the pass and inserted afterwards as
+  // one sorted run per index, which the B+ tree's append split packs into
+  // full leaves.  (Nodes close in postorder, and B+v keys lead with a
+  // value hash, so neither arrives in key order.)
+  std::vector<std::pair<std::string, std::string>> id_entries;
+  std::vector<std::string> value_keys;
+
+  // Closes the top frame: files the value and index entries, emits ')'.
   auto close_top = [&]() -> Status {
     Frame& frame = frames.back();
     const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
-    const std::string key = dewey.Encode();
     std::string value = TrimWhitespace(frame.value);
     if (!value.empty()) {
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(store->values_->Append(Slice(value), &offset));
-      NOK_RETURN_IF_ERROR(store->value_index_->Insert(
-          index_keys::ValueKey(Slice(value), dewey), Slice()));
-      NOK_RETURN_IF_ERROR(store->id_index_->Insert(
-          Slice(key), index_keys::IdPayload(true, offset)));
+      value_keys.push_back(index_keys::ValueKey(Slice(value), dewey));
+      id_entries.emplace_back(dewey.Encode(),
+                              index_keys::IdPayload(true, offset));
     } else {
-      NOK_RETURN_IF_ERROR(store->id_index_->Insert(
-          Slice(key), index_keys::IdPayload(false, 0)));
+      id_entries.emplace_back(dewey.Encode(),
+                              index_keys::IdPayload(false, 0));
     }
     if (!frame.has_element_children) {
       ++leaf_count;
@@ -258,6 +254,14 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   }
   if (!frames.empty()) {
     return Status::ParseError("document ended with open elements");
+  }
+  std::sort(id_entries.begin(), id_entries.end());
+  for (const auto& [key, payload] : id_entries) {
+    NOK_RETURN_IF_ERROR(store->id_index_->Insert(Slice(key), Slice(payload)));
+  }
+  std::sort(value_keys.begin(), value_keys.end());
+  for (const std::string& key : value_keys) {
+    NOK_RETURN_IF_ERROR(store->value_index_->Insert(Slice(key), Slice()));
   }
 
   // Commit, generation 1.  Everything the tree meta will declare valid —
@@ -338,29 +342,20 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
 
   NOK_ASSIGN_OR_RETURN(auto tree_file,
                        store->OpenComponent(kTreeFile, false));
-  // The tree meta page records whether the store was built with
-  // checksums; every other component follows that format.
-  NOK_ASSIGN_OR_RETURN(const bool checksummed,
-                       StringStore::SniffChecksummed(tree_file.get()));
-  store->options_.checksum_pages = checksummed;
   StringStore::Options tree_options;
   tree_options.page_size = options.page_size;
   tree_options.reserve_ratio = options.reserve_ratio;
   tree_options.pool_frames = options.pool_frames;
   tree_options.pool_shards = options.pool_shards;
   tree_options.use_header_skip = options.use_header_skip;
-  tree_options.checksum_pages = checksummed;
   tree_options.read_only = options.read_only;
   NOK_ASSIGN_OR_RETURN(store->tree_, StringStore::Open(std::move(tree_file),
                                                        tree_options));
 
   NOK_ASSIGN_OR_RETURN(auto values_file,
                        store->OpenComponent(kValuesFile, false));
-  ValueStore::Options value_options;
-  value_options.checksum_records = checksummed;
-  NOK_ASSIGN_OR_RETURN(store->values_, ValueStore::Open(
-                                           std::move(values_file),
-                                           value_options));
+  NOK_ASSIGN_OR_RETURN(store->values_,
+                       ValueStore::Open(std::move(values_file)));
 
   BTree::Options idx_options = store->IndexOptions();
   // A zero-length index file here means the index was lost (e.g. a crash
@@ -387,19 +382,22 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // Cross-check component generations.  Flush stamps every component with
   // the same epoch and writes the tree meta last, so a mismatch means a
   // torn multi-file commit: refusing to open beats silently mixing
-  // generations.  All-zero means a legacy store that predates epochs.
+  // generations.  Build commits epoch 1, so epoch 0 is a store that
+  // predates epochs.
   {
     const uint64_t tree_epoch = store->tree_->epoch();
+    if (tree_epoch == 0) {
+      return RetiredFormat("a store without generation epochs");
+    }
     const uint64_t epochs[] = {tree_epoch,
                                store->value_index_->epoch(),
                                store->id_index_->epoch(),
                                dict_epoch};
-    bool all_zero = true, all_match = true;
+    bool all_match = true;
     for (uint64_t e : epochs) {
-      if (e != 0) all_zero = false;
       if (e != tree_epoch) all_match = false;
     }
-    if (!all_zero && !all_match) {
+    if (!all_match) {
       std::string listing;
       for (uint64_t e : epochs) {
         if (!listing.empty()) listing += ", ";
@@ -433,9 +431,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   if (!store->synopsis_.from_sidecar) {
     NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
   }
-  if (!options.read_only) {
-    NOK_RETURN_IF_ERROR(store->UpgradeLegacyValueIndex());
-  }
   return store;
 }
 
@@ -444,48 +439,8 @@ BTree::Options DocumentStore::IndexOptions() const {
   idx_options.page_size = options_.index_page_size;
   idx_options.pool_frames = options_.index_pool_frames;
   idx_options.pool_shards = options_.index_pool_shards;
-  idx_options.checksum_pages = options_.checksum_pages;
   idx_options.read_only = options_.read_only;
   return idx_options;
-}
-
-Status DocumentStore::UpgradeLegacyValueIndex() {
-  std::vector<std::string> entries;
-  {
-    // No writer mixes the layouts in one tree (this rewrites a whole
-    // tree), so the first entry decides.
-    BTreeIterator it = value_index_->NewIterator();
-    NOK_RETURN_IF_ERROR(it.SeekToFirst());
-    if (!it.Valid() || it.key().size() != index_keys::kValueKeySize) {
-      return Status::OK();
-    }
-    entries.reserve(value_index_->num_entries());
-    while (it.Valid()) {
-      DeweyId dewey = DeweyId::Root();
-      NOK_RETURN_IF_ERROR(
-          index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey));
-      entries.push_back(
-          std::string(it.key().data(), index_keys::kValueKeySize) +
-          dewey.Encode());
-      NOK_RETURN_IF_ERROR(it.Next());
-    }
-  }
-  // A legacy run of one prefix is in insertion order, which updates left
-  // out of document order.
-  std::sort(entries.begin(), entries.end());
-  NOK_RETURN_IF_ERROR(BeginWalTxn());
-  // The old tree is clean (just opened), so dropping it writes nothing;
-  // it must go before its file is reopened and truncated underneath it.
-  value_index_.reset();
-  NOK_ASSIGN_OR_RETURN(auto file, OpenComponent(kValIdxFile, /*create=*/true));
-  NOK_RETURN_IF_ERROR(file->Truncate(0));
-  NOK_ASSIGN_OR_RETURN(value_index_,
-                       BTree::Open(std::move(file), IndexOptions()));
-  for (const std::string& key : entries) {
-    NOK_RETURN_IF_ERROR(value_index_->Insert(Slice(key), Slice()));
-  }
-  RefreshSizeStats();
-  return Flush();
 }
 
 Status DocumentStore::SaveDictionary() {

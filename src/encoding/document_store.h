@@ -98,11 +98,6 @@ struct DocumentStoreOptions {
   bool read_only = false;
   /// Toggle for the (st,lo,hi) page-skip optimization (Section 5).
   bool use_header_skip = true;
-  /// Store every component with integrity checksums: CRC-32C page
-  /// trailers in the tree string and the B+ trees, per-record CRCs in the
-  /// value file.  Recorded in the tree meta page, so OpenDir detects the
-  /// format automatically; this flag only matters at Build time.
-  bool checksum_pages = false;
   /// Navigation tier used by query evaluation (see NavMode).  In either
   /// mode Build/OpenDir materialize the balanced-parentheses index (from
   /// the tree.bpx sidecar when its epoch matches, else one sequential
@@ -296,12 +291,6 @@ class DocumentStore {
   /// B+ tree options for every index, from the store options.
   BTree::Options IndexOptions() const;
 
-  /// Writable opens: when B+v still holds legacy entries (the Dewey ID in
-  /// the value, not the key), rewrites it keyed by (hash, Dewey ID) into a
-  /// fresh tree on the same file and commits that as one generation — one
-  /// WAL transaction in WAL mode — so no update ever meets a legacy entry.
-  Status UpgradeLegacyValueIndex();
-
   /// Opens one component file, honoring options_.file_factory and, in
   /// WAL mode, wrapping it for transactional capture.
   Result<std::unique_ptr<File>> OpenComponent(const char* name,
@@ -434,16 +423,15 @@ inline constexpr size_t kValueKeySize = 8;
 std::string ValueKey(const Slice& value);
 /// B+v entry key: ValueKey(value) followed by dewey.Encode().
 std::string ValueKey(const Slice& value, const DeweyId& dewey);
-/// The Dewey ID of a B+v entry.  A keyed entry's value is ignored.  A key
-/// of exactly kValueKeySize bytes is a legacy entry, written before the
-/// Dewey ID moved into the key: its value is a varint position followed
-/// by the encoded Dewey ID.
+/// The Dewey ID of a B+v entry, whose value is empty.  The retired
+/// entries — a bare kValueKeySize-byte key, or a cached node position in
+/// the value — are refused with Corruption.
 Status ParseNodeRefEntry(const Slice& key, const Slice& value,
                          DeweyId* dewey);
 /// B+i value payload: the optional value-record offset, one varint.
 std::string IdPayload(bool has_value, uint64_t value_offset);
-/// Decodes IdPayload's varint, or a legacy payload's two varints (a
-/// position, then the value-record offset).
+/// Decodes IdPayload's varint.  A retired payload, which led with a cached
+/// node position, is refused with Corruption.
 Status ParseIdPayload(const Slice& payload, bool* has_value,
                       uint64_t* value_offset);
 

@@ -34,8 +34,7 @@ void AddIssue(VerifyReport* report, std::string component,
 /// Reads every page of one paged component file, reporting each page that
 /// fails (checksum mismatch, short file, ...).
 void ScrubPagedFile(const std::string& dir, const char* name,
-                    uint32_t page_size, PageFormat format,
-                    VerifyReport* report) {
+                    uint32_t page_size, VerifyReport* report) {
   const std::string path = dir + "/" + name;
   if (!FileExists(path)) {
     AddIssue(report, name, "file is missing");
@@ -46,7 +45,7 @@ void ScrubPagedFile(const std::string& dir, const char* name,
     AddIssue(report, name, file.status().ToString());
     return;
   }
-  auto pager = Pager::Open(std::move(file).ValueOrDie(), page_size, format);
+  auto pager = Pager::Open(std::move(file).ValueOrDie(), page_size);
   if (!pager.ok()) {
     AddIssue(report, name, pager.status().ToString());
     return;
@@ -62,9 +61,8 @@ void ScrubPagedFile(const std::string& dir, const char* name,
   }
 }
 
-/// Checks B+v (either entry layout) against B+i: every entry's Dewey ID
-/// must have a B+i entry, and the tree must hold exactly one entry per
-/// node with a value.
+/// Checks B+v against B+i: every entry's Dewey ID must have a B+i entry,
+/// and the tree must hold exactly one entry per node with a value.
 void CrossCheckValueIndex(BTree* id_index, BTree* index, uint64_t expected,
                           VerifyReport* report) {
   uint64_t count = 0;
@@ -160,30 +158,10 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   VerifyReport report;
 
-  // Pass 1: raw page scrub of every paged file, in the format the tree
-  // meta page records.
-  PageFormat format = PageFormat::kRaw;
-  {
-    auto tree_file = OpenPosixFile(dir + "/" + store_files::kTree,
-                                   /*create=*/false);
-    if (!tree_file.ok()) {
-      AddIssue(&report, store_files::kTree, tree_file.status().ToString());
-      return report;
-    }
-    auto checksummed =
-        StringStore::SniffChecksummed(tree_file.ValueOrDie().get());
-    if (!checksummed.ok()) {
-      AddIssue(&report, store_files::kTree,
-               checksummed.status().ToString());
-      return report;
-    }
-    format = checksummed.ValueOrDie() ? PageFormat::kChecksummed
-                                      : PageFormat::kRaw;
-  }
-  ScrubPagedFile(dir, store_files::kTree, options.page_size, format,
-                 &report);
+  // Pass 1: raw page scrub of every paged file.
+  ScrubPagedFile(dir, store_files::kTree, options.page_size, &report);
   for (const char* idx : {store_files::kValIdx, store_files::kIdIdx}) {
-    ScrubPagedFile(dir, idx, options.index_page_size, format, &report);
+    ScrubPagedFile(dir, idx, options.index_page_size, &report);
   }
   if (!report.ok()) {
     // Damaged pages would poison the structural passes with noise.

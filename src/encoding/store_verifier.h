@@ -3,9 +3,9 @@
 // Four passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
-//      string and the B+v and B+i indexes) is read raw through a Pager in
-//      the store's format, so checksum mismatches are reported per page —
-//      including pages the higher layers would never visit.
+//      string and the B+v and B+i indexes) is read raw through a Pager,
+//      so checksum mismatches are reported per page — including pages the
+//      higher layers would never visit.
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
 //      format versions, the page-chain walk, and cross-component epochs.
 //   3. Index cross-check: every B+i (Dewey -> position/value) entry is

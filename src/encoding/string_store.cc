@@ -21,27 +21,13 @@ constexpr size_t kMetaNodeCount = 12;
 constexpr size_t kMetaMaxLevel = 20;
 constexpr size_t kMetaFirstData = 24;
 constexpr size_t kMetaFreeList = 28;
-// Version 0 is the pre-versioning layout (raw pages, epoch 0); 1 is raw
-// with version/epoch fields; 2 is checksummed.  Versions 3/4 were 1/2
-// plus per-page tag summaries appended to the meta page; their data pages
-// are byte-identical to 1/2, so they are read as 1/2 with the extension
-// ignored (and rewritten as 1/2 by the next meta-page write).
+// Version 2 is the only format: CRC-32C pages.  Versions 0 (no version
+// field), 1 (raw pages), 3 and 4 (1 and 2 with per-page tag summaries
+// appended to the meta page) are retired and refused.
 constexpr size_t kMetaVersion = 32;
 constexpr size_t kMetaEpoch = 36;
-constexpr uint32_t kFormatVersionRaw = 1;
-constexpr uint32_t kFormatVersionChecksummed = 2;
-constexpr uint32_t kFormatVersionLegacyRaw = 3;
-constexpr uint32_t kFormatVersionLegacyChecksummed = 4;
-
-PageFormat FormatFor(const StringStoreOptions& options) {
-  return options.checksum_pages ? PageFormat::kChecksummed
-                                : PageFormat::kRaw;
-}
-
-uint32_t FormatVersionFor(const StringStoreOptions& options) {
-  return options.checksum_pages ? kFormatVersionChecksummed
-                                : kFormatVersionRaw;
-}
+constexpr uint32_t kFormatVersion = 2;
+constexpr uint32_t kLastRetiredVersion = 4;
 
 }  // namespace
 
@@ -76,8 +62,7 @@ StringStore::Builder::Builder(std::unique_ptr<File> file, Options options)
 
   // I/O failures here (a non-empty file, a failed page write) are deferred
   // into init_status_ so the first Open()/Close()/Finish() reports them.
-  auto pager = Pager::Open(std::move(file), options.page_size,
-                           FormatFor(options));
+  auto pager = Pager::Open(std::move(file), options.page_size);
   if (!pager.ok()) {
     init_status_ = pager.status();
     return;
@@ -194,7 +179,7 @@ Result<std::unique_ptr<StringStore>> StringStore::Builder::Finish(
                 static_cast<uint32_t>(max_level_));
   EncodeFixed32(meta.data() + kMetaFirstData, 1);
   EncodeFixed32(meta.data() + kMetaFreeList, kInvalidPage);
-  EncodeFixed32(meta.data() + kMetaVersion, FormatVersionFor(options_));
+  EncodeFixed32(meta.data() + kMetaVersion, kFormatVersion);
   EncodeFixed64(meta.data() + kMetaEpoch, epoch);
   NOK_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
   NOK_RETURN_IF_ERROR(pager_->Sync());
@@ -217,8 +202,7 @@ Result<std::unique_ptr<StringStore>> StringStore::Open(
 
 Status StringStore::Init(std::unique_ptr<File> file) {
   NOK_ASSIGN_OR_RETURN(pager_,
-                       Pager::Open(std::move(file), options_.page_size,
-                                   FormatFor(options_)));
+                       Pager::Open(std::move(file), options_.page_size));
   pool_ = std::make_unique<BufferPool>(pager_.get(), options_.pool_frames,
                                        options_.pool_shards);
 
@@ -236,17 +220,13 @@ Status StringStore::Init(std::unique_ptr<File> file) {
         std::to_string(DecodeFixed32(buf.data() + kMetaPageSize)));
   }
   const uint32_t version = DecodeFixed32(buf.data() + kMetaVersion);
-  if (version > kFormatVersionLegacyChecksummed) {
+  if (version != kFormatVersion) {
+    if (version <= kLastRetiredVersion) {
+      return RetiredFormat("string store format version " +
+                           std::to_string(version));
+    }
     return Status::Corruption("unknown string store format version " +
                               std::to_string(version));
-  }
-  const bool checksummed_version =
-      version == kFormatVersionChecksummed ||
-      version == kFormatVersionLegacyChecksummed;
-  if (version != 0 && checksummed_version != options_.checksum_pages) {
-    return Status::Corruption("string store format version " +
-                              std::to_string(version) +
-                              " does not match the requested page format");
   }
   node_count_ = DecodeFixed64(buf.data() + kMetaNodeCount);
   max_level_ = static_cast<int>(DecodeFixed32(buf.data() + kMetaMaxLevel));
@@ -277,31 +257,6 @@ Status StringStore::Flush() {
     NOK_RETURN_IF_ERROR(pager_->Sync());
   }
   return Status::OK();
-}
-
-Result<bool> StringStore::SniffChecksummed(File* file) {
-  char buf[kMetaVersion + 4];
-  if (file->Size() < sizeof(buf)) {
-    return Status::Corruption("store file too small to hold a meta page");
-  }
-  Slice unused;
-  NOK_RETURN_IF_ERROR(file->ReadAt(0, sizeof(buf), buf, &unused));
-  if (DecodeFixed64(buf + kMetaMagic) != kMagic) {
-    return Status::Corruption("bad string store magic");
-  }
-  const uint32_t version = DecodeFixed32(buf + kMetaVersion);
-  switch (version) {
-    case 0:  // Pre-versioning files are raw.
-    case kFormatVersionRaw:
-    case kFormatVersionLegacyRaw:
-      return false;
-    case kFormatVersionChecksummed:
-    case kFormatVersionLegacyChecksummed:
-      return true;
-    default:
-      return Status::Corruption("unknown string store format version " +
-                                std::to_string(version));
-  }
 }
 
 Status StringStore::ReloadHeaders() {
@@ -354,7 +309,7 @@ Status StringStore::WriteMetaPage() {
                 static_cast<uint32_t>(max_level_));
   EncodeFixed32(meta.data() + kMetaFirstData, first_data_page_);
   EncodeFixed32(meta.data() + kMetaFreeList, free_list_head_);
-  EncodeFixed32(meta.data() + kMetaVersion, FormatVersionFor(options_));
+  EncodeFixed32(meta.data() + kMetaVersion, kFormatVersion);
   EncodeFixed64(meta.data() + kMetaEpoch, epoch_);
   NOK_RETURN_IF_ERROR(pager_->WritePage(kMetaPage, meta.data()));
   meta_dirty_ = false;

@@ -99,9 +99,6 @@ struct StringStoreOptions {
   /// chain order instead of consulting the (st,lo,hi) headers — the
   /// ablation knob for the Section 5 optimization.
   bool use_header_skip = true;
-  /// Store pages with CRC-32C trailers (PageFormat::kChecksummed).  Must
-  /// match the format the file was created with.
-  bool checksum_pages = false;
 };
 
 /// Read (and, via TreeUpdater, write) access to one materialized tree.
@@ -305,13 +302,6 @@ class StringStore {
   /// Re-reads all page headers and rebuilds the chain map (used after
   /// updates restructure pages).
   Status ReloadHeaders();
-
-  /// Inspects the raw leading bytes of a store file and reports whether it
-  /// was written in checksummed page format.  Works in either format
-  /// because the meta page starts at offset 0 regardless of the per-page
-  /// trailer.  Fails with Corruption if the file does not start with a
-  /// string-store meta page.
-  static Result<bool> SniffChecksummed(File* file);
 
  private:
   friend class TreeUpdater;

@@ -5,14 +5,13 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
+#include "storage/pager.h"
 
 namespace nok {
 
 namespace {
-// Header: magic (8 bytes) | crc32c(payload) (4) | epoch (8) | payload.
-// The payload is the legacy headerless serialization, so old files (which
-// cannot start with the magic — the leading byte is a varint count) still
-// deserialize.
+// Header: magic (8 bytes) | crc32c(epoch + payload) (4) | epoch (8) |
+// payload.  A file without the magic is the retired headerless format.
 constexpr char kDictMagic[8] = {'N', 'O', 'K', 'D', 'I', 'C', 'T', '2'};
 constexpr size_t kDictHeaderSize = 8 + 4 + 8;
 }  // namespace
@@ -80,23 +79,20 @@ std::string TagDictionary::Serialize(uint64_t epoch) const {
 
 Result<TagDictionary> TagDictionary::Deserialize(const Slice& data,
                                                  uint64_t* epoch) {
-  if (epoch != nullptr) *epoch = 0;
   Slice input = data;
-  if (input.size() >= kDictHeaderSize &&
-      memcmp(input.data(), kDictMagic, sizeof(kDictMagic)) == 0) {
-    const uint32_t stored = DecodeFixed32(input.data() + 8);
-    const uint64_t stored_epoch = DecodeFixed64(input.data() + 12);
-    const uint32_t actual =
-        Crc32c(Slice(input.data() + 12, input.size() - 12));
-    input = Slice(input.data() + kDictHeaderSize,
-                  input.size() - kDictHeaderSize);
-    if (stored != actual) {
-      return Status::Corruption(
-          "tag dictionary checksum mismatch: stored " +
-          std::to_string(stored) + ", computed " + std::to_string(actual));
-    }
-    if (epoch != nullptr) *epoch = stored_epoch;
+  if (input.size() < kDictHeaderSize ||
+      memcmp(input.data(), kDictMagic, sizeof(kDictMagic)) != 0) {
+    return RetiredFormat("a tag dictionary without a checksummed header");
   }
+  const uint32_t stored = DecodeFixed32(input.data() + 8);
+  const uint32_t actual = Crc32c(Slice(input.data() + 12, input.size() - 12));
+  if (stored != actual) {
+    return Status::Corruption(
+        "tag dictionary checksum mismatch: stored " + std::to_string(stored) +
+        ", computed " + std::to_string(actual));
+  }
+  if (epoch != nullptr) *epoch = DecodeFixed64(input.data() + 12);
+  input.RemovePrefix(kDictHeaderSize);
   TagDictionary dict;
   uint32_t n = 0;
   if (!GetVarint32(&input, &n)) {

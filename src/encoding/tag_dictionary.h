@@ -62,9 +62,9 @@ class TagDictionary {
   /// epoch, so a torn or bit-rotted dictionary file is detected at open.
   std::string Serialize(uint64_t epoch = 0) const;
 
-  /// Accepts both the current header format and the headerless legacy
-  /// format (which reads back with epoch 0).  *epoch, if non-null,
-  /// receives the stored epoch.
+  /// Verifies the header's CRC; a blob without the header (the retired
+  /// headerless format) is Corruption.  *epoch, if non-null, receives the
+  /// stored epoch.
   static Result<TagDictionary> Deserialize(const Slice& data,
                                            uint64_t* epoch = nullptr);
 

@@ -564,10 +564,8 @@ Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
   uint64_t offset = 0;
   NOK_RETURN_IF_ERROR(
       index_keys::ParseIdPayload(Slice(payload), &has_value, &offset));
-  // A legacy payload is rewritten in the current layout.
   NOK_RETURN_IF_ERROR(MoveEntry(id_index_.get(), old_key, new_dewey.Encode(),
-                                index_keys::IdPayload(has_value, offset),
-                                "B+i", old_dewey));
+                                Slice(payload), "B+i", old_dewey));
   if (has_value) {
     NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
     NOK_RETURN_IF_ERROR(MoveEntry(

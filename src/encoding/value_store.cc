@@ -1,14 +1,20 @@
 #include "encoding/value_store.h"
 
+#include <algorithm>
+
 #include "common/coding.h"
 #include "common/hash.h"
 
 namespace nok {
 
+namespace {
+/// Bytes Read fetches with its first read: all of a short record.
+constexpr size_t kShortRecordBytes = 256;
+}  // namespace
+
 Result<std::unique_ptr<ValueStore>> ValueStore::Open(
-    std::unique_ptr<File> file, Options options) {
-  return std::unique_ptr<ValueStore>(
-      new ValueStore(std::move(file), options));
+    std::unique_ptr<File> file) {
+  return std::unique_ptr<ValueStore>(new ValueStore(std::move(file)));
 }
 
 Status ValueStore::Append(const Slice& value, uint64_t* offset) {
@@ -26,9 +32,7 @@ Status ValueStore::Append(const Slice& value, uint64_t* offset) {
   std::string record;
   PutVarint32(&record, static_cast<uint32_t>(value.size()));
   record.append(value.data(), value.size());
-  if (options_.checksum_records) {
-    PutFixed32(&record, Crc32c(value));
-  }
+  PutFixed32(&record, Crc32c(value));
   NOK_RETURN_IF_ERROR(file_->Append(Slice(record), offset));
   dedup_[h].push_back(*offset);
   return Status::OK();
@@ -39,42 +43,39 @@ Result<std::string> ValueStore::Read(uint64_t offset) const {
   if (offset >= size) {
     return Status::OutOfRange("value offset past end of data file");
   }
-  char header[5];
-  const size_t header_len =
-      static_cast<size_t>(std::min<uint64_t>(5, size - offset));
-  Slice header_slice;
-  NOK_RETURN_IF_ERROR(
-      file_->ReadAt(offset, header_len, header, &header_slice));
+  // One read covers the whole of a short record; a longer one reads its
+  // value and CRC again once the header says how long they are.
+  char head[kShortRecordBytes];
+  const size_t head_len = static_cast<size_t>(
+      std::min<uint64_t>(kShortRecordBytes, size - offset));
+  Slice got;
+  NOK_RETURN_IF_ERROR(file_->ReadAt(offset, head_len, head, &got));
   uint32_t len = 0;
-  const char* p =
-      GetVarint32Ptr(header, header + header_len, &len);
+  const char* p = GetVarint32Ptr(got.data(), got.data() + got.size(), &len);
   if (p == nullptr) {
     return Status::Corruption("bad value record header");
   }
-  const uint64_t value_off = offset + static_cast<uint64_t>(p - header);
-  const uint64_t trailer = options_.checksum_records ? 4 : 0;
-  if (value_off + len + trailer > size) {
+  const uint64_t header_len = static_cast<uint64_t>(p - got.data());
+  if (offset + header_len + len + 4 > size) {
     return Status::Corruption("value record overruns data file");
   }
-  std::string out(len, '\0');
-  Slice unused;
-  if (len > 0) {
-    NOK_RETURN_IF_ERROR(file_->ReadAt(value_off, len, out.data(), &unused));
+  Slice body(p, size_t{len} + 4);  // The value, then its CRC.
+  std::string long_body;
+  if (header_len + len + 4 > got.size()) {
+    long_body.resize(size_t{len} + 4);
+    NOK_RETURN_IF_ERROR(file_->ReadAt(offset + header_len, long_body.size(),
+                                      long_body.data(), &body));
   }
-  if (options_.checksum_records) {
-    char crc_buf[4];
-    NOK_RETURN_IF_ERROR(
-        file_->ReadAt(value_off + len, 4, crc_buf, &unused));
-    const uint32_t stored = DecodeFixed32(crc_buf);
-    const uint32_t actual = Crc32c(Slice(out));
-    if (stored != actual) {
-      return Status::Corruption(
-          "checksum mismatch on value record at offset " +
-          std::to_string(offset) + ": stored " + std::to_string(stored) +
-          ", computed " + std::to_string(actual));
-    }
+  const Slice value(body.data(), len);
+  const uint32_t stored = DecodeFixed32(body.data() + len);
+  const uint32_t actual = Crc32c(value);
+  if (stored != actual) {
+    return Status::Corruption(
+        "checksum mismatch on value record at offset " +
+        std::to_string(offset) + ": stored " + std::to_string(stored) +
+        ", computed " + std::to_string(actual));
   }
-  return out;
+  return std::string(value.data(), value.size());
 }
 
 }  // namespace nok

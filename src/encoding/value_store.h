@@ -1,10 +1,11 @@
 // Value information storage (Section 4.1, Example 3 of the paper).
 //
 // Element contents are detached from the structure and stored sequentially
-// in a data file as (len, value) records.  Nodes with equal values share
-// one record (the paper's "keep only one copy" optimization).  The hashed
-// value B+ tree (B+v) and Dewey-ID B+ tree (B+i) that point into this file
-// are owned by DocumentStore.
+// in a data file as (len, value, crc32c(value)) records; Read verifies the
+// CRC, so bit rot and torn record writes surface as Corruption.  Nodes
+// with equal values share one record (the paper's "keep only one copy"
+// optimization).  The hashed value B+ tree (B+v) and Dewey-ID B+ tree
+// (B+i) that point into this file are owned by DocumentStore.
 
 #ifndef NOKXML_ENCODING_VALUE_STORE_H_
 #define NOKXML_ENCODING_VALUE_STORE_H_
@@ -21,30 +22,20 @@
 
 namespace nok {
 
-/// Behaviour knobs for a ValueStore.
-struct ValueStoreOptions {
-  /// Append records as (len, value, crc32c(value)) and verify the CRC on
-  /// every Read, so bit rot and torn record writes surface as Corruption.
-  /// Must match the format the file was written with.
-  bool checksum_records = false;
-};
-
-/// Append-only data file of (len, value) records.
+/// Append-only data file of (len, value, crc) records.
 class ValueStore {
  public:
-  using Options = ValueStoreOptions;
-
   /// Opens a value store over a file (empty or previously written).
   /// Takes ownership of the file.
-  static Result<std::unique_ptr<ValueStore>> Open(
-      std::unique_ptr<File> file, Options options = {});
+  static Result<std::unique_ptr<ValueStore>> Open(std::unique_ptr<File> file);
 
   /// Appends value (deduplicated: an identical existing record's offset is
   /// returned instead of writing a new one).  *offset receives the record
   /// position usable with Read().
   Status Append(const Slice& value, uint64_t* offset);
 
-  /// Reads the record at offset.
+  /// Reads the record at offset and verifies its CRC.  A record of up to
+  /// 256 bytes on disk takes one positional read, a longer one two.
   Result<std::string> Read(uint64_t offset) const;
 
   /// Data file size in bytes.
@@ -53,11 +44,9 @@ class ValueStore {
   Status Sync() { return file_->Sync(); }
 
  private:
-  ValueStore(std::unique_ptr<File> file, Options options)
-      : file_(std::move(file)), options_(options) {}
+  explicit ValueStore(std::unique_ptr<File> file) : file_(std::move(file)) {}
 
   std::unique_ptr<File> file_;
-  Options options_;
   /// Dedup map: value hash -> offsets of records with that hash (collision
   /// candidates are verified by reading).  Rebuilt lazily: populated from
   /// appends only, so reopening a store loses dedup across sessions —

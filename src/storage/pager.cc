@@ -9,45 +9,44 @@
 
 namespace nok {
 
-Pager::Pager(std::unique_ptr<File> file, uint32_t page_size,
-             PageFormat format)
+Status RetiredFormat(const std::string& what) {
+  return Status::Corruption(
+      what + " is a retired on-disk format that this version no longer "
+             "reads; rebuild the store from its XML with `nokq build`");
+}
+
+Pager::Pager(std::unique_ptr<File> file, uint32_t page_size)
     : file_(std::move(file)),
       page_size_(page_size),
-      slot_size_(page_size +
-                 (format == PageFormat::kChecksummed ? kPageTrailerSize
-                                                     : 0)),
-      format_(format) {}
+      slot_size_(page_size + kPageTrailerSize),
+      zero_slot_(slot_size_, '\0') {
+  EncodeFixed32(zero_slot_.data() + page_size_,
+                Crc32c(Slice(zero_slot_.data(), page_size_)));
+}
 
 Result<std::unique_ptr<Pager>> Pager::Open(std::unique_ptr<File> file,
-                                           uint32_t page_size,
-                                           PageFormat format) {
+                                           uint32_t page_size) {
   if (page_size == 0) {
     return Status::InvalidArgument("page size must be positive");
   }
-  std::unique_ptr<Pager> pager(
-      new Pager(std::move(file), page_size, format));
+  std::unique_ptr<Pager> pager(new Pager(std::move(file), page_size));
   const uint64_t size = pager->file_->Size();
   if (size % pager->slot_size_ != 0) {
     return Status::Corruption(
         "file size " + std::to_string(size) +
         " is not a multiple of the on-disk page size " +
         std::to_string(pager->slot_size_) +
-        (format == PageFormat::kChecksummed ? " (checksummed format)"
-                                            : "") +
-        "; the file is truncated or was written in a different format");
+        ": the file is truncated, or holds the unchecksummed pages of a "
+        "retired format (rebuild the store from its XML with `nokq "
+        "build`)");
   }
   pager->page_count_ = static_cast<PageId>(size / pager->slot_size_);
   return pager;
 }
 
 Status Pager::AllocatePage(PageId* id) {
-  std::string zeros(slot_size_, '\0');
-  if (format_ == PageFormat::kChecksummed) {
-    EncodeFixed32(zeros.data() + page_size_,
-                  Crc32c(Slice(zeros.data(), page_size_)));
-  }
   uint64_t offset = 0;
-  NOK_RETURN_IF_ERROR(file_->Append(Slice(zeros), &offset));
+  NOK_RETURN_IF_ERROR(file_->Append(Slice(zero_slot_), &offset));
   *id = page_count_++;
   NOK_CHECK(offset == static_cast<uint64_t>(*id) * slot_size_);
   return Status::OK();
@@ -58,24 +57,21 @@ Status Pager::ReadPage(PageId id, char* buf) const {
     return Status::OutOfRange("page " + std::to_string(id) + " >= count " +
                               std::to_string(page_count_));
   }
-  const uint64_t offset = static_cast<uint64_t>(id) * slot_size_;
-  Slice unused;
-  if (format_ == PageFormat::kRaw) {
-    return file_->ReadAt(offset, page_size_, buf, &unused);
-  }
-  NOK_RETURN_IF_ERROR(file_->ReadAt(offset, page_size_, buf, &unused));
-  char trailer[kPageTrailerSize];
-  NOK_RETURN_IF_ERROR(
-      file_->ReadAt(offset + page_size_, kPageTrailerSize, trailer,
-                    &unused));
-  const uint32_t stored = DecodeFixed32(trailer);
-  const uint32_t actual = Crc32c(Slice(buf, page_size_));
+  // One read for body and trailer; the slot buffer is reused per thread.
+  thread_local std::string slot;
+  slot.resize(slot_size_);
+  Slice got;
+  NOK_RETURN_IF_ERROR(file_->ReadAt(static_cast<uint64_t>(id) * slot_size_,
+                                    slot_size_, slot.data(), &got));
+  const uint32_t stored = DecodeFixed32(got.data() + page_size_);
+  const uint32_t actual = Crc32c(Slice(got.data(), page_size_));
   if (stored != actual) {
     return Status::Corruption("checksum mismatch on page " +
                               std::to_string(id) + ": stored " +
                               std::to_string(stored) + ", computed " +
                               std::to_string(actual));
   }
+  memcpy(buf, got.data(), page_size_);
   return Status::OK();
 }
 
@@ -84,16 +80,12 @@ Status Pager::WritePage(PageId id, const char* buf) {
     return Status::OutOfRange("page " + std::to_string(id) + " >= count " +
                               std::to_string(page_count_));
   }
-  const uint64_t offset = static_cast<uint64_t>(id) * slot_size_;
-  if (format_ == PageFormat::kRaw) {
-    return file_->WriteAt(offset, Slice(buf, page_size_));
-  }
   // One contiguous write of body + trailer, so a torn write cannot leave a
   // stale trailer matching a half-new body.
   std::string slot(slot_size_, '\0');
   memcpy(slot.data(), buf, page_size_);
   EncodeFixed32(slot.data() + page_size_, Crc32c(Slice(buf, page_size_)));
-  return file_->WriteAt(offset, Slice(slot));
+  return file_->WriteAt(static_cast<uint64_t>(id) * slot_size_, Slice(slot));
 }
 
 }  // namespace nok

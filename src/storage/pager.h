@@ -5,18 +5,14 @@
 // business of the structures above it (the B+ tree keeps a free list in its
 // meta page; the string store chains pages with next-page pointers).
 //
-// Two on-disk page formats are supported:
-//
-//   kRaw          each page occupies exactly page_size bytes;
-//   kChecksummed  each page occupies page_size + 4 bytes: the page body
-//                 followed by a CRC-32C trailer over the body.  ReadPage
-//                 verifies the trailer and fails with Status::Corruption
-//                 (naming the page) on a mismatch, so torn writes and bit
-//                 rot surface as clean errors instead of garbage data.
+// Each page occupies a slot of page_size + 4 bytes on disk: the page body
+// followed by a CRC-32C trailer over the body.  ReadPage reads the whole
+// slot with one positional read and verifies the trailer, failing with
+// Status::Corruption (naming the page) on a mismatch, so torn writes and
+// bit rot surface as clean errors instead of garbage data.
 //
 // Callers always see page_size-byte buffers; the trailer is invisible
-// above the pager (the BufferPool and every store work unchanged in both
-// formats).
+// above the pager.
 //
 // Thread safety: ReadPage is const and uses positional (pread-style)
 // reads, so any number of threads may read concurrently provided no
@@ -29,6 +25,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <string>
 
 #include "common/result.h"
 #include "common/status.h"
@@ -37,14 +34,13 @@
 
 namespace nok {
 
-/// On-disk layout of the pages of one file.
-enum class PageFormat : uint8_t {
-  kRaw = 0,         ///< page_size bytes per page, no integrity trailer.
-  kChecksummed = 1, ///< page_size + 4 bytes per page; CRC-32C trailer.
-};
-
-/// Bytes of the per-page CRC-32C trailer in kChecksummed format.
+/// Bytes of the per-page CRC-32C trailer.
 inline constexpr uint32_t kPageTrailerSize = 4;
+
+/// The Corruption every reader returns for a file in a retired on-disk
+/// format (unchecksummed pages, old meta versions, old index entries):
+/// `what` names the file and the format it was found in.
+Status RetiredFormat(const std::string& what);
 
 /// Fixed-size-page adapter over a File.  Owns the file.
 class Pager {
@@ -54,22 +50,19 @@ class Pager {
   /// size is not a whole number of on-disk page slots (a truncated or
   /// foreign file).
   static Result<std::unique_ptr<Pager>> Open(
-      std::unique_ptr<File> file, uint32_t page_size = kDefaultPageSize,
-      PageFormat format = PageFormat::kRaw);
+      std::unique_ptr<File> file, uint32_t page_size = kDefaultPageSize);
 
   uint32_t page_size() const { return page_size_; }
   PageId page_count() const { return page_count_; }
-  PageFormat format() const { return format_; }
 
   /// Appends a zeroed page; *id receives its page number.
   Status AllocatePage(PageId* id);
 
-  /// Reads page id into buf (page_size() bytes).  In kChecksummed format
-  /// the trailer is verified first; a mismatch is Status::Corruption.
+  /// Reads page id into buf (page_size() bytes).  The trailer is
+  /// verified first; a mismatch is Status::Corruption.
   Status ReadPage(PageId id, char* buf) const;
 
-  /// Writes page id from buf (page_size() bytes), computing the trailer
-  /// in kChecksummed format.
+  /// Writes page id from buf (page_size() bytes) with its trailer.
   Status WritePage(PageId id, const char* buf);
 
   /// Flushes the underlying file.
@@ -86,12 +79,12 @@ class Pager {
   std::unique_ptr<File> ReleaseFile() { return std::move(file_); }
 
  private:
-  Pager(std::unique_ptr<File> file, uint32_t page_size, PageFormat format);
+  Pager(std::unique_ptr<File> file, uint32_t page_size);
 
   std::unique_ptr<File> file_;
   uint32_t page_size_;
   uint32_t slot_size_;  ///< On-disk bytes per page (body + trailer).
-  PageFormat format_;
+  std::string zero_slot_;  ///< A zeroed body and its trailer.
   PageId page_count_ = 0;
 };
 

@@ -1,4 +1,4 @@
-// On-disk damage tests: a checksummed store must turn every flipped byte
+// On-disk damage tests: a store must turn every flipped byte
 // and every truncation into a clean Corruption/IOError -- reported by the
 // offline verifier with the damaged file and page named -- and a torn
 // multi-file commit (mismatched epochs) must be refused at open.
@@ -35,18 +35,17 @@ std::string TempDir(const std::string& name) {
 }
 
 /// Small pages so the bib document spans several of them.
-DocumentStoreOptions ChecksummedOptions(const std::string& dir) {
+DocumentStoreOptions SmallPageOptions(const std::string& dir) {
   DocumentStoreOptions options;
   options.dir = dir;
-  options.checksum_pages = true;
   options.page_size = 256;
   options.index_page_size = 512;
   return options;
 }
 
-void BuildChecksummedStore(const std::string& dir) {
+void BuildStore(const std::string& dir) {
   std::filesystem::remove_all(dir);
-  auto store = DocumentStore::Build(kBibXml, ChecksummedOptions(dir));
+  auto store = DocumentStore::Build(kBibXml, SmallPageOptions(dir));
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   ASSERT_TRUE((*store)->Flush().ok());
 }
@@ -72,9 +71,9 @@ uint64_t FileSize(const std::string& path) {
 
 TEST(CorruptionTest, FlippedByteInAnyPageOfAnyFileIsDetected) {
   const std::string dir = TempDir("flippage");
-  BuildChecksummedStore(dir);
+  BuildStore(dir);
 
-  const DocumentStoreOptions options = ChecksummedOptions(dir);
+  const DocumentStoreOptions options = SmallPageOptions(dir);
   struct Target {
     const char* name;
     uint32_t page_size;
@@ -113,7 +112,7 @@ TEST(CorruptionTest, FlippedByteInAnyPageOfAnyFileIsDetected) {
 
 TEST(CorruptionTest, FlippedTreePageFailsQueriesWithCorruption) {
   const std::string dir = TempDir("flipquery");
-  BuildChecksummedStore(dir);
+  BuildStore(dir);
   const std::string tree_path = dir + "/" + store_files::kTree;
   const uint64_t slot = 256 + kPageTrailerSize;
   // Damage the last data page (page 0 is the meta page; damaging it fails
@@ -122,7 +121,7 @@ TEST(CorruptionTest, FlippedTreePageFailsQueriesWithCorruption) {
   ASSERT_GT(pages, 1u);
   FlipByte(tree_path, (pages - 1) * slot + 100);
 
-  auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
+  auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
   if (store.ok()) {
     // The open may not touch the damaged page; a full scan must.
     auto book_tag = (*store)->tags()->Lookup("book");
@@ -145,7 +144,7 @@ TEST(CorruptionTest, FlippedTreePageFailsQueriesWithCorruption) {
 TEST(CorruptionTest, TruncatedComponentFilesNeverCrashTheOpen) {
   const std::string dir = TempDir("trunc");
   const std::string scratch = TempDir("trunc_scratch");
-  BuildChecksummedStore(dir);
+  BuildStore(dir);
 
   const std::vector<const char*> components = {
       store_files::kTree,   store_files::kValues, store_files::kDict,
@@ -166,7 +165,7 @@ TEST(CorruptionTest, TruncatedComponentFilesNeverCrashTheOpen) {
 
       // The damage must surface as a clean error -- at open or in the
       // scrub -- never as a crash or a store that reads back clean.
-      auto store = DocumentStore::OpenDir(ChecksummedOptions(scratch));
+      auto store = DocumentStore::OpenDir(SmallPageOptions(scratch));
       if (!store.ok()) {
         EXPECT_TRUE(store.status().IsCorruption() ||
                     store.status().IsIOError() ||
@@ -174,7 +173,7 @@ TEST(CorruptionTest, TruncatedComponentFilesNeverCrashTheOpen) {
             << name << " @" << size << ": " << store.status().ToString();
         continue;
       }
-      auto report = VerifyStoreDir(scratch, ChecksummedOptions(scratch));
+      auto report = VerifyStoreDir(scratch, SmallPageOptions(scratch));
       if (report.ok()) {
         EXPECT_FALSE(report->ok())
             << name << " truncated to " << size
@@ -231,13 +230,13 @@ TEST(CorruptionTest, StandaloneStoreOpensRejectDamagedFiles) {
 TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
   const std::string dir = TempDir("epoch");
   const std::string old_copy = TempDir("epoch_old");
-  BuildChecksummedStore(dir);
+  BuildStore(dir);
   std::filesystem::remove_all(old_copy);
   std::filesystem::copy(dir, old_copy);
 
   // Advance the store by one generation.
   {
-    auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
+    auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     ASSERT_TRUE((*store)->Flush().ok());
   }
@@ -249,7 +248,7 @@ TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
       dir + "/" + store_files::kValIdx,
       std::filesystem::copy_options::overwrite_existing);
 
-  auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
+  auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
   ASSERT_FALSE(store.ok());
   EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
   EXPECT_NE(store.status().ToString().find("generation"), std::string::npos)
@@ -264,9 +263,9 @@ TEST(CorruptionTest, MixedGenerationComponentsAreRefused) {
 
 TEST(CorruptionTest, MissingValueIndexEntryIsReported) {
   const std::string dir = TempDir("lost_value_entry");
-  BuildChecksummedStore(dir);
+  BuildStore(dir);
   {
-    auto store = DocumentStore::OpenDir(ChecksummedOptions(dir));
+    auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     // The second book's title, 0.1.1 (the year attribute is child 0).
     auto removed = (*store)->value_index()->Delete(Slice(
@@ -276,7 +275,7 @@ TEST(CorruptionTest, MissingValueIndexEntryIsReported) {
     ASSERT_TRUE((*store)->Flush().ok());
   }
 
-  auto report = VerifyStoreDir(dir, ChecksummedOptions(dir));
+  auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   ASSERT_FALSE(report->ok()) << "a lost B+v entry verified clean";
   EXPECT_EQ(report->issues[0].component, "B+v");
@@ -289,25 +288,27 @@ TEST(CorruptionTest, MissingValueIndexEntryIsReported) {
 // Value records and the dictionary.
 
 TEST(CorruptionTest, ValueRecordChecksumDetectsFlippedPayloadByte) {
-  auto file = NewMemFile();
-  File* raw = file.get();
-  ValueStoreOptions options;
-  options.checksum_records = true;
-  auto store = ValueStore::Open(std::move(file), options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  uint64_t offset = 0;
-  ASSERT_TRUE((*store)->Append(Slice("precious payload"), &offset).ok());
-  ASSERT_TRUE((*store)->Read(offset).ok());
+  // A short record is read with one read, a long one with two.
+  for (const std::string& payload :
+       {std::string("precious payload"), std::string(1000, 'p')}) {
+    auto file = NewMemFile();
+    File* raw = file.get();
+    auto store = ValueStore::Open(std::move(file));
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    uint64_t offset = 0;
+    ASSERT_TRUE((*store)->Append(Slice(payload), &offset).ok());
+    ASSERT_TRUE((*store)->Read(offset).ok());
 
-  // Flip a payload byte (skip the length varint at the record start).
-  char byte;
-  Slice got;
-  ASSERT_TRUE(raw->ReadAt(offset + 3, 1, &byte, &got).ok());
-  const char flipped = static_cast<char>(got[0] ^ 0x10);
-  ASSERT_TRUE(raw->WriteAt(offset + 3, Slice(&flipped, 1)).ok());
+    // Flip a payload byte (skip the length varint at the record start).
+    char byte;
+    Slice got;
+    ASSERT_TRUE(raw->ReadAt(offset + 3, 1, &byte, &got).ok());
+    const char flipped = static_cast<char>(got[0] ^ 0x10);
+    ASSERT_TRUE(raw->WriteAt(offset + 3, Slice(&flipped, 1)).ok());
 
-  Status s = (*store)->Read(offset).status();
-  EXPECT_TRUE(s.IsCorruption()) << s.ToString();
+    Status s = (*store)->Read(offset).status();
+    EXPECT_TRUE(s.IsCorruption()) << payload.size() << ": " << s.ToString();
+  }
 }
 
 TEST(CorruptionTest, DictionaryChecksumDetectsDamage) {

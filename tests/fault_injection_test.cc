@@ -19,8 +19,6 @@
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
-#include "tests/oracle.h"
-#include "xml/dom.h"
 
 namespace nok {
 namespace {
@@ -356,7 +354,6 @@ DocumentStoreOptions InjectedOptions(
     const std::string& dir, std::shared_ptr<FaultInjector> injector) {
   DocumentStoreOptions options;
   options.dir = dir;
-  options.checksum_pages = true;
   options.file_factory =
       [injector](const std::string& path,
                  bool create) -> Result<std::unique_ptr<File>> {
@@ -759,97 +756,6 @@ TEST_F(WalKillPointSweep, PlainOpenRefusesAPendingWal) {
   ASSERT_TRUE(RecoverStoreDir(scratch_).ok());
   auto repaired = DocumentStore::OpenDir(plain);
   EXPECT_TRUE(repaired.ok()) << repaired.status().ToString();
-}
-
-/// Key layout of a B+v tree: legacy keys are the bare prefix, keyed ones
-/// append the Dewey ID.
-enum class KeyLayout { kEmpty, kLegacy, kKeyed, kMixed };
-
-KeyLayout LayoutOf(BTree* index, size_t prefix_len) {
-  bool legacy = false, keyed = false;
-  BTreeIterator it = index->NewIterator();
-  EXPECT_TRUE(it.SeekToFirst().ok());
-  while (it.Valid()) {
-    (it.key().size() == prefix_len ? legacy : keyed) = true;
-    EXPECT_TRUE(it.Next().ok());
-  }
-  if (legacy && keyed) return KeyLayout::kMixed;
-  if (legacy) return KeyLayout::kLegacy;
-  return keyed ? KeyLayout::kKeyed : KeyLayout::kEmpty;
-}
-
-TEST_F(WalKillPointSweep, CrashDuringLegacyUpgradeKeepsOneLayout) {
-  // A store whose B+v entries predate the Dewey-ID keys: its first
-  // writable open rewrites the tree as one WAL transaction.  A crash
-  // anywhere in that open must leave the whole old layout or the whole
-  // new one, answering like the oracle either way.  (The fixture's legacy
-  // B+t file is ignored by every open.)
-  const std::string fixtures = std::string(NOK_FIXTURE_DIR) + "/legacy_format";
-  std::string xml;
-  ASSERT_TRUE(ReadFileToString(fixtures + "/doc.xml", &xml).ok());
-  auto dom = DomTree::Parse(xml);
-  ASSERT_TRUE(dom.ok());
-  auto options_for = [this](bool injected) {
-    DocumentStoreOptions options;
-    if (injected) options = InjectedWalOptions(scratch_, injector_);
-    options.dir = scratch_;
-    options.page_size = 512;
-    options.index_page_size = 512;
-    return options;
-  };
-  // A fresh legacy copy in scratch_, injector reset.
-  auto reset_legacy = [&]() {
-    std::filesystem::remove_all(scratch_);
-    std::filesystem::copy(fixtures + "/v4", scratch_);
-    injector_->Reset();
-  };
-  uint64_t open_ops = 0;
-  auto open_injected = [&]() {
-    auto store = DocumentStore::OpenDir(options_for(true));
-    open_ops = injector_->ops_seen();
-    return store.status();
-  };
-  reset_legacy();
-  ASSERT_TRUE(open_injected().ok());
-  const uint64_t total_ops = open_ops;
-
-  const char* const queries[] = {"//book", "//book[@year=\"1995\"]/price",
-                                 "/bib/book[author/last=\"L3\"]/title"};
-  const uint64_t stride = total_ops / 200 + 1;
-  bool saw_legacy = false, saw_keyed = false;
-  for (uint64_t k = 0; k < total_ops; k += stride) {
-    const std::string what = "crash at op " + std::to_string(k);
-    reset_legacy();
-    injector_->FailAtOp(k, FaultKind::kCrash, /*sticky=*/true);
-    EXPECT_FALSE(open_injected().ok()) << what << " did not propagate";
-    injector_->Disarm();
-    ASSERT_TRUE(RecoverStoreDir(scratch_).ok()) << what;
-
-    DocumentStoreOptions reader = options_for(false);
-    reader.read_only = true;
-    auto store = DocumentStore::OpenDir(reader);
-    ASSERT_TRUE(store.ok()) << what << ": " << store.status().ToString();
-    const KeyLayout values =
-        LayoutOf((*store)->value_index(), index_keys::kValueKeySize);
-    ASSERT_TRUE(values == KeyLayout::kLegacy || values == KeyLayout::kKeyed)
-        << what;
-    (values == KeyLayout::kLegacy ? saw_legacy : saw_keyed) = true;
-    QueryEngine engine(store->get());
-    for (const char* query : queries) {
-      auto got = engine.Evaluate(query);
-      ASSERT_TRUE(got.ok()) << what << " " << query;
-      auto want = OracleEvaluateDewey(query, *dom);
-      ASSERT_TRUE(want.ok()) << query;
-      EXPECT_EQ(*got, *want) << what << " " << query;
-    }
-    store->reset();
-    auto scrub = VerifyStoreDir(scratch_, reader);
-    ASSERT_TRUE(scrub.ok()) << what;
-    EXPECT_TRUE(scrub->ok()) << what << ": " << scrub->issues[0].detail;
-    if (HasFatalFailure()) return;
-  }
-  EXPECT_TRUE(saw_legacy && saw_keyed)
-      << "the sweep never caught the upgrade on both sides of its commit";
 }
 
 // ---------------------------------------------------------------------------

@@ -1,329 +1,247 @@
-// On-disk format compatibility: stores written in the retired tree-string
-// formats 3 (raw) and 4 (checksummed), which appended per-page tag
-// summaries to the meta page, must keep opening, answering and verifying
-// as formats 1/2.  The fixtures under tests/fixtures/legacy_format/ were
-// built from doc.xml by the last writer of those formats, with 512-byte
-// pages for both the tree string and the B+ trees.  They also carry the
-// retired tag-name index (B+t, whose probes the BP index now answers) and
-// rooted tag-path index, which no open, verify or commit reads or touches
-// any more.
-//
-// Index entries once cached each node's physical position: B+v values
-// and the leading varint of B+i payloads.  Current writers store none,
-// and readers skip the ones old stores still carry, so those stores
-// answer, update and verify without a format bump.
+// On-disk format: a store has one format.  Every page of the tree string
+// and the B+ trees carries a CRC-32C trailer, every values.dat record a
+// CRC of its value, and the dictionary a checksummed header.  The formats
+// that came before (raw pages, tree meta versions 0/1/3/4, B+ tree
+// versions 0/1, the headerless dictionary, stores without epochs, index
+// entries that cache node positions or key B+v by the bare value hash)
+// are refused with Corruption, never served and never an abort.  Files
+// that retired indexes left in a store directory are ignored.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <filesystem>
 #include <string>
-#include <vector>
 
 #include "common/coding.h"
+#include "common/hash.h"
 #include "encoding/document_store.h"
 #include "encoding/store_verifier.h"
 #include "encoding/swmr_store.h"
 #include "nok/query_engine.h"
 #include "storage/file.h"
 #include "storage/pager.h"
-#include "tests/oracle.h"
-#include "xml/dom.h"
 
 namespace nok {
 namespace {
 
-constexpr const char* kFixtureDir = NOK_FIXTURE_DIR "/legacy_format";
-constexpr uint64_t kMetaVersionOffset = 32;
-/// The retired index files the fixtures still carry: the tag-name index
-/// (B+t) and the rooted tag-path index.
-const char* const kLegacyIndexFiles[] = {"tag.idx", "path.idx"};
-/// The retired marker of stale cached positions, which updates wrote.
-constexpr const char* kLegacyStaleMarker = "positions.stale";
+constexpr uint32_t kPageSize = 512;
+constexpr uint64_t kSlotSize = kPageSize + kPageTrailerSize;
+// Meta-page field offsets: the tree string's and the B+ trees'.
+constexpr uint64_t kTreeMetaVersion = 32;
+constexpr uint64_t kTreeMetaEpoch = 36;
+constexpr uint64_t kBTreeMetaVersion = 20;
 
-const StartStrategy kStrategies[] = {
-    StartStrategy::kAuto, StartStrategy::kScan, StartStrategy::kTagIndex,
-    StartStrategy::kValueIndex};
+/// A bibliography big enough to span several 512-byte pages per file.
+std::string BibXml() {
+  std::string xml = "<bib>";
+  for (int i = 0; i < 40; ++i) {
+    xml += "<book year=\"" + std::to_string(1990 + i % 7) + "\"><title>T" +
+           std::to_string(i) + "</title><author><last>L" +
+           std::to_string(i % 5) + "</last><first>F" + std::to_string(i % 3) +
+           "</first></author><price>" + std::to_string(20 + i) +
+           "</price></book>";
+  }
+  return xml + "</bib>";
+}
 
-const char* const kQueries[] = {
-    "//book",
-    "/bib/book[author/last=\"L3\"]/title",
-    "//book[price<40]//first",
-    "//author[first=\"F0\"]/last",
-    "/bib/book[editor]/title",
-    "//book[@year=\"1995\"]/price",
-    "//editor/following::title",
-};
-
-DocumentStoreOptions FixtureOptions(const std::string& dir) {
+DocumentStoreOptions SmallPageOptions(const std::string& dir) {
   DocumentStoreOptions options;
   options.dir = dir;
-  options.page_size = 512;
-  options.index_page_size = 512;
+  options.page_size = kPageSize;
+  options.index_page_size = kPageSize;
   return options;
 }
 
-/// A private copy of one fixture store: opening a store writes sidecars,
-/// and the committed fixture must stay as the old writer left it.
-std::string CopyFixture(const std::string& name) {
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("nokxml_compat_" + name + "_" + std::to_string(::getpid())))
-          .string();
+std::string TempDir(const std::string& name) {
+  return (std::filesystem::temp_directory_path() /
+          ("nokxml_format_" + name + "_" + std::to_string(::getpid())))
+      .string();
+}
+
+void BuildStore(const std::string& dir) {
   std::filesystem::remove_all(dir);
-  std::filesystem::copy(std::string(kFixtureDir) + "/" + name, dir);
-  return dir;
+  auto store = DocumentStore::Build(BibXml(), SmallPageOptions(dir));
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  ASSERT_TRUE((*store)->Flush().ok());
 }
 
-uint32_t MetaVersion(const std::string& dir) {
-  auto file = OpenPosixFile(dir + "/" + store_files::kTree, false);
-  EXPECT_TRUE(file.ok());
-  char buf[4];
-  Slice got;
-  EXPECT_TRUE((*file)->ReadAt(kMetaVersionOffset, 4, buf, &got).ok());
-  return DecodeFixed32(got.data());
-}
-
-/// The bytes of one file of a store directory.
-std::string FileBytes(const std::string& dir, const char* name) {
+std::string FileBytes(const std::string& path) {
   std::string bytes;
-  EXPECT_TRUE(ReadFileToString(dir + "/" + name, &bytes).ok()) << name;
+  EXPECT_TRUE(ReadFileToString(path, &bytes).ok()) << path;
   return bytes;
 }
 
-/// The bytes of each retired index file in dir (kLegacyIndexFiles order).
-std::vector<std::string> LegacyIndexBytes(const std::string& dir) {
-  std::vector<std::string> out;
-  for (const char* name : kLegacyIndexFiles) {
-    out.push_back(FileBytes(dir, name));
+/// Overwrites the 32-bit field at `offset` of page 0 (the meta page) of a
+/// paged file and re-seals the page's CRC trailer, so that the reader's
+/// field check, not its checksum, sees the change.
+void PatchMetaField(const std::string& path, uint64_t offset,
+                    uint32_t value) {
+  std::string bytes = FileBytes(path);
+  ASSERT_GE(bytes.size(), kSlotSize);
+  EncodeFixed32(bytes.data() + offset, value);
+  EncodeFixed32(bytes.data() + kPageSize,
+                Crc32c(Slice(bytes.data(), kPageSize)));
+  ASSERT_TRUE(WriteStringToFile(path, Slice(bytes)).ok());
+}
+
+uint32_t MetaField(const std::string& path, uint64_t offset) {
+  return DecodeFixed32(FileBytes(path).data() + offset);
+}
+
+/// The store must refuse to open with Corruption, and the scrub must
+/// report damage (so `nokq verify` exits 1).
+void ExpectRefused(const std::string& dir, const std::string& what,
+                   bool retired) {
+  auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
+  ASSERT_FALSE(store.ok()) << what << " opened";
+  EXPECT_TRUE(store.status().IsCorruption())
+      << what << ": " << store.status().ToString();
+  if (retired) {
+    EXPECT_NE(store.status().ToString().find("nokq build"),
+              std::string::npos)
+        << what << ": " << store.status().ToString();
   }
-  return out;
+  auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
+  ASSERT_TRUE(report.ok()) << what << ": " << report.status().ToString();
+  EXPECT_FALSE(report->ok()) << what << " verified clean";
 }
 
-std::vector<std::string> Canon(const std::vector<DeweyId>& ids) {
-  std::vector<std::string> out;
-  for (const DeweyId& id : ids) out.push_back(id.ToString());
-  return out;
-}
-
-/// Every query under every start strategy must answer as the oracle does
-/// on `dom`.
-void ExpectAnswersMatch(DocumentStore* store, const DomTree& dom,
-                        const std::string& label) {
-  QueryEngine engine(store);
-  for (const StartStrategy strategy : kStrategies) {
-    QueryOptions options;
-    options.strategy = strategy;
-    for (const char* query : kQueries) {
-      auto got = engine.Evaluate(query, options);
-      ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
-      auto want = OracleEvaluateDewey(query, dom);
-      ASSERT_TRUE(want.ok()) << query;
-      EXPECT_EQ(Canon(*got), Canon(*want))
-          << query << " " << label << " nav="
-          << NavModeName(store->nav_mode())
-          << " strategy=" << StrategyName(strategy);
+TEST(FormatCompatTest, EveryPageAndValueRecordCarriesAVerifiedCrc) {
+  const std::string dir = TempDir("fresh");
+  BuildStore(dir);
+  EXPECT_EQ(MetaField(dir + "/" + store_files::kTree, kTreeMetaVersion), 2u);
+  uint64_t pages = 0;
+  for (const char* name :
+       {store_files::kTree, store_files::kValIdx, store_files::kIdIdx}) {
+    const std::string path = dir + "/" + name;
+    const std::string bytes = FileBytes(path);
+    ASSERT_EQ(bytes.size() % kSlotSize, 0u) << name;
+    ASSERT_GT(bytes.size(), kSlotSize) << name;
+    for (uint64_t off = 0; off < bytes.size(); off += kSlotSize) {
+      EXPECT_EQ(DecodeFixed32(bytes.data() + off + kPageSize),
+                Crc32c(Slice(bytes.data() + off, kPageSize)))
+          << name << " page " << off / kSlotSize;
+      ++pages;
+    }
+    if (std::string(name) != store_files::kTree) {
+      EXPECT_EQ(MetaField(path, kBTreeMetaVersion), 2u) << name;
     }
   }
-}
-
-DomTree FixtureDom() {
-  std::string xml;
-  EXPECT_TRUE(
-      ReadFileToString(std::string(kFixtureDir) + "/doc.xml", &xml).ok());
-  auto dom = DomTree::Parse(xml);
-  EXPECT_TRUE(dom.ok());
-  return std::move(dom).ValueOrDie();
-}
-
-/// Number of varints in each B+i payload: 2 for a legacy payload (a
-/// position, then the value field), 1 for a current one.
-std::vector<size_t> IdPayloadWidths(BTree* id_index) {
-  std::vector<size_t> widths;
-  BTreeIterator it = id_index->NewIterator();
-  EXPECT_TRUE(it.SeekToFirst().ok());
-  while (it.Valid()) {
-    Slice payload = it.value();
-    size_t varints = 0;
-    uint64_t v = 0;
-    while (!payload.empty() && GetVarint64(&payload, &v)) ++varints;
-    widths.push_back(varints);
-    EXPECT_TRUE(it.Next().ok());
+  // values.dat is a run of (varint len, value, crc32c(value)) records.
+  const std::string values = FileBytes(dir + "/" + store_files::kValues);
+  Slice input(values);
+  size_t records = 0;
+  while (!input.empty()) {
+    Slice value;
+    ASSERT_TRUE(GetLengthPrefixedSlice(&input, &value));
+    ASSERT_GE(input.size(), 4u);
+    EXPECT_EQ(DecodeFixed32(input.data()), Crc32c(value));
+    input.RemovePrefix(4);
+    ++records;
   }
-  return widths;
-}
-
-size_t CountWidth(const std::vector<size_t>& widths, size_t width) {
-  return static_cast<size_t>(
-      std::count(widths.begin(), widths.end(), width));
-}
-
-class LegacyFormatTest
-    : public ::testing::TestWithParam<std::pair<const char*, uint32_t>> {};
-
-TEST_P(LegacyFormatTest, OpensVerifiesAndAnswersLikeTheOracle) {
-  const auto [name, version] = GetParam();
-  const std::string dir = CopyFixture(name);
-  ASSERT_EQ(MetaVersion(dir), version);
-  const std::vector<std::string> legacy_indexes = LegacyIndexBytes(dir);
-  for (const std::string& bytes : legacy_indexes) ASSERT_FALSE(bytes.empty());
-
-  auto report = VerifyStoreDir(dir, FixtureOptions(dir));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->issues[0].component << ": "
-                            << report->issues[0].detail;
-  EXPECT_GT(report->entries_checked, 0u);
-
-  std::string xml;
-  ASSERT_TRUE(
-      ReadFileToString(std::string(kFixtureDir) + "/doc.xml", &xml).ok());
-  auto dom = DomTree::Parse(xml);
-  ASSERT_TRUE(dom.ok());
-  for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.nav_mode = nav_mode;
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    EXPECT_GT((*store)->tree()->chain_length(), 1u);
-    QueryEngine engine(store->get());
-    for (const char* query : kQueries) {
-      auto got = engine.Evaluate(query);
-      ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
-      auto want = OracleEvaluateDewey(query, *dom);
-      ASSERT_TRUE(want.ok()) << query;
-      EXPECT_EQ(Canon(*got), Canon(*want))
-          << query << " nav=" << NavModeName(nav_mode);
-    }
-    // Tag probes come from the BP index, not from the fixture's B+t.
-    ExpectAnswersMatch(store->get(), *dom, name);
+  EXPECT_GT(records, 0u);
+  for (const char* retired : {store_files::kTagIdx, store_files::kPathIdx}) {
+    EXPECT_FALSE(std::filesystem::exists(dir + "/" + retired)) << retired;
   }
-  EXPECT_EQ(LegacyIndexBytes(dir), legacy_indexes);
-  std::filesystem::remove_all(dir);
-}
-
-TEST_P(LegacyFormatTest, NextCommitRewritesTheMetaAsTheBaseFormat) {
-  const auto [name, version] = GetParam();
-  const std::string dir = CopyFixture(name);
-  const std::vector<std::string> legacy_indexes = LegacyIndexBytes(dir);
-  {
-    auto store = DocumentStore::OpenDir(FixtureOptions(dir));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)
-                    ->InsertSubtree(DeweyId({0}), 0,
-                                    "<book><title>New</title></book>")
-                    .ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-    // The writable open rewrote the legacy B+v entries: every key now
-    // carries its Dewey ID after the value-hash prefix.
-    BTreeIterator it = (*store)->value_index()->NewIterator();
-    ASSERT_TRUE(it.SeekToFirst().ok());
-    ASSERT_TRUE(it.Valid());
-    while (it.Valid()) {
-      EXPECT_GT(it.key().size(), index_keys::kValueKeySize);
-      ASSERT_TRUE(it.Next().ok());
-    }
-  }
-  // 3 -> 1 (raw), 4 -> 2 (checksummed); the data pages never changed.
-  EXPECT_EQ(MetaVersion(dir), version - 2);
-  auto report = VerifyStoreDir(dir, FixtureOptions(dir));
+  auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->issues[0].detail;
-  auto store = DocumentStore::OpenDir(FixtureOptions(dir));
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  QueryEngine engine(store->get());
-  auto titles = engine.Evaluate("/bib/book[title=\"New\"]");
-  ASSERT_TRUE(titles.ok()) << titles.status().ToString();
-  ASSERT_EQ(titles->size(), 1u);
-  EXPECT_EQ((*titles)[0].ToString(), "0.0");
-  // The stray B+t and path index survived the upgrade, the commit and
-  // the reopen byte for byte.
-  EXPECT_EQ(LegacyIndexBytes(dir), legacy_indexes);
+  EXPECT_EQ(report->pages_checked, pages);
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(LegacyFormatTest, ReadOnlyOpensServePositionBearingEntries) {
-  const auto [name, version] = GetParam();
-  const std::string dir = CopyFixture(name);
-  const DomTree dom = FixtureDom();
-  for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.read_only = true;
-    options.nav_mode = nav_mode;
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // The entries are as the old writer left them: bare-prefix B+v keys
-    // with the position ahead of the Dewey ID in the value, and a
-    // position ahead of the value field in every B+i payload.
-    BTreeIterator it = (*store)->value_index()->NewIterator();
-    ASSERT_TRUE(it.SeekToFirst().ok());
-    ASSERT_TRUE(it.Valid());
-    EXPECT_EQ(it.key().size(), index_keys::kValueKeySize);
-    const std::vector<size_t> widths = IdPayloadWidths((*store)->id_index());
-    EXPECT_EQ(CountWidth(widths, 2), widths.size());
-    ExpectAnswersMatch(store->get(), dom, name);
+TEST(FormatCompatTest, UnknownMetaVersionIsCorruption) {
+  const std::string dir = TempDir("version");
+  // Tree meta versions: 0/1 were raw pages, 3/4 carried per-page tag
+  // summaries; 5 was never written.
+  for (const uint32_t version : {0u, 1u, 3u, 4u, 5u}) {
+    BuildStore(dir);
+    PatchMetaField(dir + "/" + store_files::kTree, kTreeMetaVersion,
+                   version);
+    ExpectRefused(dir, "tree meta version " + std::to_string(version),
+                  /*retired=*/version != 5);
+    if (HasFatalFailure()) return;
+  }
+  // B+ tree versions: 0 and 1 were raw pages; 3 was never written.
+  for (const char* name : {store_files::kValIdx, store_files::kIdIdx}) {
+    for (const uint32_t version : {0u, 1u, 3u}) {
+      BuildStore(dir);
+      PatchMetaField(dir + "/" + name, kBTreeMetaVersion, version);
+      ExpectRefused(dir,
+                    std::string(name) + " version " + std::to_string(version),
+                    /*retired=*/version != 3);
+      if (HasFatalFailure()) return;
+    }
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(LegacyFormatTest, AppendMixesLegacyAndCurrentEntriesAndVerifies) {
-  const auto [name, version] = GetParam();
-  const std::string dir = CopyFixture(name);
-  DomTree dom = FixtureDom();
-  const std::string fragment = "<book><title>Tail</title></book>";
-  {
-    auto store = DocumentStore::OpenDir(FixtureOptions(dir));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    // Appending shifts no sibling, so the old entries stay as they are.
-    const uint32_t last =
-        static_cast<uint32_t>(dom.root()->children.size());
-    ASSERT_TRUE(
-        (*store)->InsertSubtree(DeweyId::Root(), last, fragment).ok());
-    ASSERT_TRUE((*store)->Flush().ok());
+TEST(FormatCompatTest, RawPagesAreCorruption) {
+  // The retired default wrote each page without its trailer, under meta
+  // version 1.  Strip the trailers from every page of a fresh tree.
+  const std::string dir = TempDir("raw");
+  BuildStore(dir);
+  const std::string path = dir + "/" + store_files::kTree;
+  PatchMetaField(path, kTreeMetaVersion, 1);
+  const std::string slots = FileBytes(path);
+  std::string raw;
+  for (uint64_t off = 0; off < slots.size(); off += kSlotSize) {
+    raw.append(slots, off, kPageSize);
   }
-  auto updated_xml = std::string();
+  ASSERT_TRUE(WriteStringToFile(path, Slice(raw)).ok());
+  ExpectRefused(dir, "raw tree pages", /*retired=*/true);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FormatCompatTest, StoreWithoutEpochsIsCorruption) {
+  const std::string dir = TempDir("epoch0");
+  BuildStore(dir);
+  PatchMetaField(dir + "/" + store_files::kTree, kTreeMetaEpoch, 0);
+  PatchMetaField(dir + "/" + store_files::kTree, kTreeMetaEpoch + 4, 0);
+  ExpectRefused(dir, "epoch 0", /*retired=*/true);
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FormatCompatTest, HeaderlessDictionaryIsCorruption) {
+  const std::string dir = TempDir("dict");
+  BuildStore(dir);
+  // The retired dictionary was the payload alone: a varint count, then
+  // (length-prefixed name, varint count) per tag.
+  const std::string path = dir + "/" + store_files::kDict;
+  const std::string headed = FileBytes(path);
   ASSERT_TRUE(
-      ReadFileToString(std::string(kFixtureDir) + "/doc.xml", &updated_xml)
+      WriteStringToFile(path, Slice(headed.data() + 20, headed.size() - 20))
           .ok());
-  updated_xml.insert(updated_xml.rfind("</bib>"), fragment);
-  auto updated = DomTree::Parse(updated_xml);
-  ASSERT_TRUE(updated.ok());
-
-  auto report = VerifyStoreDir(dir, FixtureOptions(dir));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->issues[0].detail;
-  for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.read_only = true;
-    options.nav_mode = nav_mode;
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    const std::vector<size_t> widths = IdPayloadWidths((*store)->id_index());
-    EXPECT_EQ(CountWidth(widths, 1), 2u);  // The new book and its title.
-    EXPECT_EQ(CountWidth(widths, 2), widths.size() - 2);
-    ExpectAnswersMatch(store->get(), *updated, name);
-  }
+  ExpectRefused(dir, "headerless dictionary", /*retired=*/true);
   std::filesystem::remove_all(dir);
 }
 
-TEST_P(LegacyFormatTest, LeftoverStaleMarkerIsIgnored) {
-  const auto [name, version] = GetParam();
-  const std::string dir = CopyFixture(name);
-  ASSERT_TRUE(WriteStringToFile(dir + "/" + kLegacyStaleMarker, Slice("1"))
-                  .ok());
-  const DomTree dom = FixtureDom();
+TEST(FormatCompatTest, LeftoverRetiredFilesAreIgnored) {
+  // The retired tag-name and tag-path indexes and the stale-positions
+  // marker may still sit in a store directory.  No open, verify, commit
+  // or snapshot reads or touches them.
+  const std::string dir = TempDir("leftovers");
+  BuildStore(dir);
+  const char* const leftovers[] = {store_files::kTagIdx,
+                                   store_files::kPathIdx, "positions.stale"};
+  for (const char* name : leftovers) {
+    ASSERT_TRUE(
+        WriteStringToFile(dir + "/" + name, Slice("not a store file")).ok());
+  }
   for (const bool read_only : {true, false}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
+    DocumentStoreOptions options = SmallPageOptions(dir);
     options.read_only = read_only;
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ExpectAnswersMatch(store->get(), dom, name);
+    QueryEngine engine(store->get());
+    auto books = engine.Evaluate("//book[title=\"T7\"]");
+    ASSERT_TRUE(books.ok()) << books.status().ToString();
+    ASSERT_EQ(books->size(), 1u);
+    EXPECT_EQ((*books)[0].ToString(), "0.7");
   }
-  auto report = VerifyStoreDir(dir, FixtureOptions(dir));
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_TRUE(report->ok()) << report->issues[0].detail;
   {
     SwmrStore::Options options;
-    options.store = FixtureOptions(dir);
+    options.store = SmallPageOptions(dir);
     auto swmr = SwmrStore::Open(dir, options);
     ASSERT_TRUE(swmr.ok()) << swmr.status().ToString();
     ASSERT_TRUE((*swmr)
@@ -337,158 +255,77 @@ TEST_P(LegacyFormatTest, LeftoverStaleMarkerIsIgnored) {
     ASSERT_EQ(front->size(), 1u);
     EXPECT_EQ((*front)[0].ToString(), "0.0");
   }
-  // Nothing removed or rewrote it.
-  EXPECT_EQ(FileBytes(dir, kLegacyStaleMarker), "1");
-  std::filesystem::remove_all(dir);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Formats, LegacyFormatTest,
-    ::testing::Values(std::make_pair("v3", 3u), std::make_pair("v4", 4u)),
-    [](const auto& test) { return std::string(test.param.first); });
-
-TEST(FormatCompatTest, NewStoresWriteTheBaseFormatsWithIdenticalDataPages) {
-  std::string xml;
-  ASSERT_TRUE(
-      ReadFileToString(std::string(kFixtureDir) + "/doc.xml", &xml).ok());
-  for (const bool checksum : {false, true}) {
-    const std::string dir =
-        (std::filesystem::temp_directory_path() /
-         ("nokxml_compat_new_" + std::to_string(::getpid())))
-            .string();
-    std::filesystem::remove_all(dir);
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.checksum_pages = checksum;
-    {
-      auto store = DocumentStore::Build(xml, options);
-      ASSERT_TRUE(store.ok()) << store.status().ToString();
-      ASSERT_TRUE((*store)->Flush().ok());
-    }
-    EXPECT_EQ(MetaVersion(dir), checksum ? 2u : 1u);
-    for (const char* retired : kLegacyIndexFiles) {
-      EXPECT_FALSE(std::filesystem::exists(dir + "/" + retired)) << retired;
-    }
-    // Only the meta page (the first slot) may differ from the fixture.
-    std::string fresh, legacy;
-    ASSERT_TRUE(
-        ReadFileToString(dir + "/" + store_files::kTree, &fresh).ok());
-    ASSERT_TRUE(ReadFileToString(std::string(kFixtureDir) +
-                                     (checksum ? "/v4/" : "/v3/") +
-                                     store_files::kTree,
-                                 &legacy)
-                    .ok());
-    const size_t slot = 512 + (checksum ? kPageTrailerSize : 0);
-    ASSERT_EQ(fresh.size(), legacy.size());
-    ASSERT_GT(fresh.size(), slot);
-    EXPECT_TRUE(fresh.compare(slot, std::string::npos, legacy, slot,
-                              std::string::npos) == 0);
-    std::filesystem::remove_all(dir);
-  }
-}
-
-TEST(FormatCompatTest, KeyedEntriesWithCachedPositionsStillServe) {
-  // The writer before the current one keyed B+v entries by Dewey ID but
-  // still stored the node's position as the value.  Rewrite a fresh
-  // store's entries that way, then read, update and verify it.
-  const std::string dir =
-      (std::filesystem::temp_directory_path() /
-       ("nokxml_compat_keyed_" + std::to_string(::getpid())))
-          .string();
-  std::filesystem::remove_all(dir);
-  std::string xml;
-  ASSERT_TRUE(
-      ReadFileToString(std::string(kFixtureDir) + "/doc.xml", &xml).ok());
-  {
-    auto store = DocumentStore::Build(xml, FixtureOptions(dir));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    {
-      BTree* index = (*store)->value_index();
-      std::vector<std::pair<std::string, std::string>> entries;
-      BTreeIterator it = index->NewIterator();
-      ASSERT_TRUE(it.SeekToFirst().ok());
-      while (it.Valid()) {
-        EXPECT_TRUE(it.value().empty());
-        DeweyId dewey = DeweyId::Root();
-        ASSERT_TRUE(
-            index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey).ok());
-        auto pos = (*store)->Navigate(dewey);
-        ASSERT_TRUE(pos.ok());
-        std::string value;
-        PutVarint64(&value, (*store)->tree()->GlobalPos(*pos));
-        entries.emplace_back(it.key().ToString(), value);
-        ASSERT_TRUE(it.Next().ok());
-      }
-      it = index->NewIterator();  // Unpin before writing.
-      for (const auto& [key, value] : entries) {
-        ASSERT_TRUE(index->Delete(Slice(key)).ok());
-        ASSERT_TRUE(index->Insert(Slice(key), Slice(value)).ok());
-      }
-    }
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  const DomTree dom = FixtureDom();
-  for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.read_only = true;
-    options.nav_mode = nav_mode;
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ExpectAnswersMatch(store->get(), dom, "keyed");
-  }
-  // An insert before the third book moves every shifted entry to the
-  // current layout and keeps the rest: the tree now mixes both.
-  const std::string fragment = "<book><title>Middle</title></book>";
-  {
-    auto store = DocumentStore::OpenDir(FixtureOptions(dir));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE(
-        (*store)->InsertSubtree(DeweyId::Root(), 2, fragment).ok());
-    ASSERT_TRUE((*store)->Flush().ok());
-    size_t empty = 0, positioned = 0;
-    BTreeIterator it = (*store)->value_index()->NewIterator();
-    ASSERT_TRUE(it.SeekToFirst().ok());
-    while (it.Valid()) {
-      ++(it.value().empty() ? empty : positioned);
-      ASSERT_TRUE(it.Next().ok());
-    }
-    EXPECT_GT(empty, 0u);
-    // The first two books' valued nodes: no insert after them shifts them.
-    EXPECT_GT(positioned, 0u);
-  }
-  auto report = VerifyStoreDir(dir, FixtureOptions(dir));
+  auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->issues[0].detail;
-  std::string updated_xml = xml;
-  size_t third_book = updated_xml.find("<book");
-  for (int i = 0; i < 2; ++i) {
-    third_book = updated_xml.find("<book", third_book + 1);
-  }
-  ASSERT_NE(third_book, std::string::npos);
-  updated_xml.insert(third_book, fragment);
-  auto updated = DomTree::Parse(updated_xml);
-  ASSERT_TRUE(updated.ok());
-  for (const NavMode nav_mode : {NavMode::kPaged, NavMode::kBp}) {
-    DocumentStoreOptions options = FixtureOptions(dir);
-    options.nav_mode = nav_mode;
-    auto store = DocumentStore::OpenDir(options);
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ExpectAnswersMatch(store->get(), *updated, "keyed+insert");
+  for (const char* name : leftovers) {
+    EXPECT_EQ(FileBytes(dir + "/" + name), "not a store file") << name;
   }
   std::filesystem::remove_all(dir);
 }
 
-TEST(FormatCompatTest, UnknownMetaVersionIsCorruption) {
-  const std::string dir = CopyFixture("v3");
-  {
-    auto file = OpenPosixFile(dir + "/" + store_files::kTree, false);
-    ASSERT_TRUE(file.ok());
-    char buf[4];
-    EncodeFixed32(buf, 5);
-    ASSERT_TRUE((*file)->WriteAt(kMetaVersionOffset, Slice(buf, 4)).ok());
+TEST(FormatCompatTest, PositionBearingIndexEntriesAreCorruption) {
+  // Index entries once cached each node's position: a varint ahead of the
+  // B+i payload, the B+v value (first under the bare value-hash key, then
+  // after the Dewey ID moved into the key).  Rewrite one entry of a fresh
+  // store each way; the scrub must name it and the probes that meet it
+  // must fail cleanly.
+  const std::string dir = TempDir("entries");
+  enum class Entry { kIdPosition, kValueBareKey, kValuePosition };
+  for (const Entry entry :
+       {Entry::kIdPosition, Entry::kValueBareKey, Entry::kValuePosition}) {
+    BuildStore(dir);
+    // The title "T7" of the eighth book, 0.7.1 (the year attribute is
+    // child 0).
+    const DeweyId title({0, 7, 1});
+    {
+      auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      std::string position;
+      PutVarint64(&position, 12345);
+      if (entry == Entry::kIdPosition) {
+        BTree* index = (*store)->id_index();
+        const std::string key = title.Encode();
+        auto payload = index->Get(Slice(key));
+        ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+        ASSERT_TRUE(index->Delete(Slice(key)).ok());
+        ASSERT_TRUE(index->Insert(Slice(key), Slice(position + *payload))
+                        .ok());
+      } else {
+        BTree* index = (*store)->value_index();
+        const std::string key = index_keys::ValueKey(Slice("T7"), title);
+        auto removed = index->Delete(Slice(key));
+        ASSERT_TRUE(removed.ok() && *removed);
+        if (entry == Entry::kValueBareKey) {
+          ASSERT_TRUE(index
+                          ->Insert(Slice(index_keys::ValueKey(Slice("T7"))),
+                                   Slice(position + title.Encode()))
+                          .ok());
+        } else {
+          ASSERT_TRUE(index->Insert(Slice(key), Slice(position)).ok());
+        }
+      }
+      ASSERT_TRUE((*store)->Flush().ok());
+    }
+    auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_FALSE(report->ok()) << "a retired entry verified clean";
+    EXPECT_EQ(report->issues[0].component,
+              entry == Entry::kIdPosition ? "B+i" : "B+v");
+    EXPECT_NE(report->issues[0].detail.find("nokq build"), std::string::npos)
+        << report->issues[0].detail;
+
+    DocumentStoreOptions options = SmallPageOptions(dir);
+    options.read_only = true;
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    QueryEngine engine(store->get());
+    QueryOptions probe;
+    probe.strategy = StartStrategy::kValueIndex;
+    auto got = engine.Evaluate("//book[title=\"T7\"]", probe);
+    ASSERT_FALSE(got.ok()) << "a retired entry was served";
+    EXPECT_TRUE(got.status().IsCorruption()) << got.status().ToString();
   }
-  auto store = DocumentStore::OpenDir(FixtureOptions(dir));
-  ASSERT_FALSE(store.ok());
-  EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
   std::filesystem::remove_all(dir);
 }
 

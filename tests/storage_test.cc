@@ -100,17 +100,14 @@ TEST(FileTest, ReadWriteStringHelpers) {
 // ---------------------------------------------------------------------------
 // Pager.
 
-std::unique_ptr<Pager> MakePager(uint32_t page_size,
-                                 PageFormat format = PageFormat::kRaw) {
-  auto r = Pager::Open(NewMemFile(), page_size, format);
+std::unique_ptr<Pager> MakePager(uint32_t page_size) {
+  auto r = Pager::Open(NewMemFile(), page_size);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).ValueOrDie();
 }
 
-class PagerFormats : public ::testing::TestWithParam<PageFormat> {};
-
-TEST_P(PagerFormats, AllocateReadWrite) {
-  auto pager = MakePager(256, GetParam());
+TEST(PagerTest, AllocateReadWrite) {
+  auto pager = MakePager(256);
   EXPECT_EQ(pager->page_count(), 0u);
   PageId a, b;
   ASSERT_TRUE(pager->AllocatePage(&a).ok());
@@ -128,23 +125,19 @@ TEST_P(PagerFormats, AllocateReadWrite) {
   EXPECT_EQ(readback, std::string(256, '\0'));
 }
 
-TEST_P(PagerFormats, OutOfRangeRejected) {
-  auto pager = MakePager(256, GetParam());
+TEST(PagerTest, OutOfRangeRejected) {
+  auto pager = MakePager(256);
   std::string buf(256, '\0');
   EXPECT_TRUE(pager->ReadPage(0, buf.data()).IsOutOfRange());
   EXPECT_TRUE(pager->WritePage(3, buf.data()).IsOutOfRange());
 }
 
-INSTANTIATE_TEST_SUITE_P(RawAndChecksummed, PagerFormats,
-                         ::testing::Values(PageFormat::kRaw,
-                                           PageFormat::kChecksummed));
-
-TEST(PagerTest, RawSizeBytesCountsOnlyBodies) {
+TEST(PagerTest, SizeBytesCountsTrailers) {
   auto pager = MakePager(256);
   PageId a;
   ASSERT_TRUE(pager->AllocatePage(&a).ok());
   ASSERT_TRUE(pager->AllocatePage(&a).ok());
-  EXPECT_EQ(pager->SizeBytes(), 512u);
+  EXPECT_EQ(pager->SizeBytes(), 2 * (256u + kPageTrailerSize));
 }
 
 TEST(PagerTest, ZeroPageSizeRejected) {
@@ -166,7 +159,7 @@ TEST(PagerTest, TruncatedFileIsCorruptionNotCrash) {
 TEST(PagerTest, ChecksumDetectsFlippedByte) {
   auto file = NewMemFile();
   File* raw = file.get();
-  auto r = Pager::Open(std::move(file), 128, PageFormat::kChecksummed);
+  auto r = Pager::Open(std::move(file), 128);
   ASSERT_TRUE(r.ok());
   auto& pager = r.ValueOrDie();
   PageId id;
@@ -187,10 +180,10 @@ TEST(PagerTest, ChecksumDetectsFlippedByte) {
   EXPECT_NE(s.ToString().find("page 0"), std::string::npos) << s.ToString();
 }
 
-TEST(PagerTest, ChecksummedFileSurvivesReopen) {
+TEST(PagerTest, FileSurvivesReopen) {
   auto file = NewMemFile();
   File* raw = file.get();
-  auto r = Pager::Open(std::move(file), 128, PageFormat::kChecksummed);
+  auto r = Pager::Open(std::move(file), 128);
   ASSERT_TRUE(r.ok());
   PageId id;
   ASSERT_TRUE((*r)->AllocatePage(&id).ok());
@@ -203,7 +196,7 @@ TEST(PagerTest, ChecksummedFileSurvivesReopen) {
   ASSERT_TRUE(raw->ReadAt(0, image.size(), image.data(), &got).ok());
   auto copy = NewMemFile();
   ASSERT_TRUE(copy->WriteAt(0, got).ok());
-  auto r2 = Pager::Open(std::move(copy), 128, PageFormat::kChecksummed);
+  auto r2 = Pager::Open(std::move(copy), 128);
   ASSERT_TRUE(r2.ok()) << r2.status().ToString();
   EXPECT_EQ((*r2)->page_count(), 1u);
   std::string buf(128, '\0');

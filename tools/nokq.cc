@@ -1,6 +1,6 @@
 // nokq: command-line front end for the nokxml library.
 //
-//   nokq build  <file.xml> <store-dir> [--checksum]   build a store
+//   nokq build  <file.xml> <store-dir>          build a store
 //   nokq query  <store-dir> <xpath> [--values] [--strategy auto|scan|tag|
 //               value] [--explain] [--no-header-skip]
 //               [--nav-mode paged|bp]
@@ -51,7 +51,7 @@ namespace {
 int Usage() {
   fprintf(stderr,
           "usage:\n"
-          "  nokq build  <file.xml> <store-dir> [--checksum]\n"
+          "  nokq build  <file.xml> <store-dir>\n"
           "  nokq query  <store-dir> <xpath> [--values] [--explain]\n"
           "              [--strategy auto|scan|tag|value]\n"
           "              [--no-header-skip] [--nav-mode paged|bp]\n"
@@ -144,14 +144,12 @@ bool ParseNavModeName(const char* name, nok::NavMode* out) {
   return true;
 }
 
-int CmdBuild(const std::string& xml_path, const std::string& dir,
-             bool checksum) {
+int CmdBuild(const std::string& xml_path, const std::string& dir) {
   std::string xml;
   nok::Status s = nok::ReadFileToString(xml_path, &xml);
   if (!s.ok()) return Fail(s);
   nok::DocumentStore::Options options;
   options.dir = dir;
-  options.checksum_pages = checksum;
   nok::Timer timer;
   auto store = nok::DocumentStore::Build(xml, options);
   if (!store.ok()) return Fail(store.status());
@@ -783,11 +781,7 @@ int CmdBench(int argc, char** argv) {
 int main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  if (command == "build" && (argc == 4 || argc == 5)) {
-    const bool checksum = argc == 5 && strcmp(argv[4], "--checksum") == 0;
-    if (argc == 5 && !checksum) return Usage();
-    return CmdBuild(argv[2], argv[3], checksum);
-  }
+  if (command == "build" && argc == 4) return CmdBuild(argv[2], argv[3]);
   if (command == "query" && argc >= 4) return CmdQuery(argc, argv);
   if (command == "explain" && argc >= 4) return CmdExplain(argc, argv);
   if (command == "stream" && argc == 4) return CmdStream(argv[2], argv[3]);
