@@ -128,7 +128,8 @@ run_bench_smoke() {
   # must execute with zero pages read.  The work gate: on the 24 dblp
   # queries, in both nav modes, the auto plan's subject-tree pages + bp
   # steps + B+ fetches must stay within 1.1x of the cheapest forced start
-  # strategy's, and every strategy must return the same answer.
+  # strategy's, and every strategy must return the same answer.  Queries
+  # read values by preorder rank, so no execution may fetch a B+i page.
   build-ci/bench/bench/bench_planner --scale 0.02 --work-gate \
       --json build-ci/bench/BENCH_planner.json
 
@@ -145,7 +146,9 @@ assert work["dataset"] == "dblp", f"work gate ran on {work['dataset']}"
 cells = {}
 for run in work["runs"]:
     assert run["work"] == run["pages"] + run["bp_steps"] + \
-        run["btree_fetches"], f"work is not the counter sum: {run}"
+        run["value_fetches"] + run["id_fetches"], \
+        f"work is not the counter sum: {run}"
+    assert run["id_fetches"] == 0, f"an execution probed B+i: {run}"
     cells.setdefault((run["query"], run["nav_mode"]), set()).add(
         run["strategy"])
 assert len(cells) == 48, f"expected 24 queries x 2 nav modes: {len(cells)}"

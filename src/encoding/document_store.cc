@@ -71,6 +71,9 @@ constexpr const char* kIdIdxFile = store_files::kIdIdx;
 constexpr const char* kBpFile = store_files::kBpIndex;
 constexpr const char* kSynopsisFile = store_files::kSynopsis;
 
+/// Value-column entry of a node without a value.
+constexpr uint64_t kNoValue = ~uint64_t{0};
+
 }  // namespace
 
 const char* NavModeName(NavMode mode) {
@@ -362,14 +365,18 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // truncated it); formatting a fresh empty index would silently answer
   // queries with no results.
   idx_options.error_if_empty = true;
-  NOK_ASSIGN_OR_RETURN(auto val_idx_file,
-                       store->OpenComponent(kValIdxFile, false));
-  NOK_ASSIGN_OR_RETURN(store->value_index_,
-                       BTree::Open(std::move(val_idx_file), idx_options));
-  NOK_ASSIGN_OR_RETURN(auto id_idx_file,
-                       store->OpenComponent(kIdIdxFile, false));
-  NOK_ASSIGN_OR_RETURN(store->id_index_,
-                       BTree::Open(std::move(id_idx_file), idx_options));
+  // A refusal names the file, which the B+ tree itself cannot.
+  auto open_index = [&](const char* name) -> Result<std::unique_ptr<BTree>> {
+    NOK_ASSIGN_OR_RETURN(auto file, store->OpenComponent(name, false));
+    auto index = BTree::Open(std::move(file), idx_options);
+    if (!index.ok()) {
+      return Status(index.status().code(),
+                    std::string(name) + ": " + index.status().message());
+    }
+    return index;
+  };
+  NOK_ASSIGN_OR_RETURN(store->value_index_, open_index(kValIdxFile));
+  NOK_ASSIGN_OR_RETURN(store->id_index_, open_index(kIdIdxFile));
 
   std::string dict_data;
   NOK_RETURN_IF_ERROR(
@@ -528,8 +535,10 @@ Status DocumentStore::Flush() {
     }
     wal_ops_pending_ = 0;
     // The structural updates of this batch dropped the in-memory BP
-    // index and synopsis; rebuild both (one scan) so the next query finds
-    // them current.  In-memory only: WAL handles persist no sidecar.
+    // index, its value column and the synopsis; rebuild the index and
+    // synopsis (one scan) so the next query finds them current.  The
+    // column waits for the first value read.  In-memory only: WAL handles
+    // persist no sidecar.
     NOK_RETURN_IF_ERROR(EnsureBpIndex());
     return EnsureSynopsis();
   }
@@ -624,11 +633,7 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
     DeweyId dewey = DeweyId::Root();
     NOK_RETURN_IF_ERROR(
         index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey));
-    // Verify against the data file to rule out hash collisions.
-    NOK_ASSIGN_OR_RETURN(auto actual, ValueOf(dewey));
-    if (actual.has_value() && Slice(*actual) == value) {
-      out.push_back(std::move(dewey));
-    }
+    out.push_back(std::move(dewey));
     NOK_RETURN_IF_ERROR(it.Next());
   }
   return out;
@@ -636,9 +641,11 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
 
 void DocumentStore::BeginStructuralChange() {
   ++structure_version_;
-  // The topology changed: the BP bitvector is invalid from here on.  It
-  // is rebuilt lazily on the next bp_index() call (or at Flush).
+  // The topology changed: the BP bitvector, and the value column keyed by
+  // its ranks, are invalid from here on.  The bitvector is rebuilt on the
+  // next bp_index() call (or at Flush), the column on the next value read.
   bp_ = {};
+  value_column_ = std::make_unique<ValueColumn>();
   // The synopsis too — an inserted subtree can create rooted paths the
   // old trie never saw, and pruning on those would wrongly prove queries
   // empty.  The next path_synopsis() call rebuilds it.
@@ -670,6 +677,30 @@ StorePos DocumentStore::StorePosOf(uint64_t bp_pos) const {
   return StorePos{tree_->chain_page(chain_index),
                   static_cast<uint16_t>(bp_pos -
                                         bp_page_starts_[chain_index])};
+}
+
+uint64_t DocumentStore::BpPosOf(StorePos pos) const {
+  NOK_CHECK(IsCurrent(bp_));
+  return bp_page_starts_[tree_->ChainSeq(pos.page)] + pos.idx;
+}
+
+Status DocumentStore::LoadValueColumn() {
+  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  if (!value_column_->filled.load(std::memory_order_acquire)) {
+    FillValueColumn();
+  }
+  return value_column_->status;
+}
+
+Result<std::optional<std::string>> DocumentStore::ValueAtRank(
+    uint64_t rank) {
+  NOK_CHECK(IsCurrent(bp_));
+  NOK_RETURN_IF_ERROR(LoadValueColumn());
+  NOK_CHECK(rank < value_column_->offsets.size());
+  const uint64_t offset = value_column_->offsets[rank];
+  if (offset == kNoValue) return std::optional<std::string>();
+  NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
+  return std::optional<std::string>(std::move(value));
 }
 
 namespace {
@@ -712,6 +743,59 @@ Result<std::vector<uint64_t>> PageStarts(const StringStore& tree,
                               std::to_string(bp.bit_count()));
   }
   return starts;
+}
+
+/// Whether `key` is the Dewey encoding of `path` (DeweyId::Encode).
+bool KeyEncodes(const Slice& key, const std::vector<uint32_t>& path) {
+  if (key.size() != 4 * path.size()) return false;
+  for (size_t i = 0; i < path.size(); ++i) {
+    if (DecodeBigEndian32(key.data() + 4 * i) != path[i]) return false;
+  }
+  return true;
+}
+
+/// One value-record offset per node of `bp`, by preorder rank, from one
+/// scan of B+i: its keys sort in preorder, so the k-th entry must carry
+/// the Dewey ID of the k-th open bit, checked against a DeweyCounter fed
+/// by the running depth.
+Status ScanValueColumn(BTree* id_index, const BpIndex& bp,
+                       std::vector<uint64_t>* offsets) {
+  const uint64_t node_count = bp.node_count();
+  offsets->reserve(node_count);
+  BTreeIterator it = id_index->NewIterator();
+  NOK_RETURN_IF_ERROR(it.SeekToFirst());
+  DeweyCounter deweys;
+  size_t level = 0;
+  for (uint64_t pos = 0; pos < bp.bit_count(); ++pos) {
+    if (!bp.IsOpen(pos)) {
+      --level;
+      continue;
+    }
+    const std::vector<uint32_t>& path = deweys.Next(++level);
+    if (!it.Valid()) {
+      return Status::Corruption(
+          "B+i holds " + std::to_string(offsets->size()) +
+          " entries for a tree of " + std::to_string(node_count) + " nodes");
+    }
+    if (!KeyEncodes(it.key(), path)) {
+      return Status::Corruption(
+          "B+i entry " + std::to_string(offsets->size()) +
+          " is not keyed by its preorder node " + DeweyId(path).ToString());
+    }
+    bool has_value = false;
+    uint64_t offset = 0;
+    NOK_RETURN_IF_ERROR(
+        index_keys::ParseIdPayload(it.value(), &has_value, &offset));
+    offsets->push_back(has_value ? offset : kNoValue);
+    NOK_RETURN_IF_ERROR(it.Next());
+  }
+  if (it.Valid()) {
+    return Status::Corruption("B+i holds more than " +
+                              std::to_string(node_count) +
+                              " entries for a tree of " +
+                              std::to_string(node_count) + " nodes");
+  }
+  return Status::OK();
 }
 
 }  // namespace
@@ -766,6 +850,16 @@ Status DocumentStore::EnsureBpIndex() {
   }
   bp_page_starts_ = std::move(starts).ValueOrDie();
   return Status::OK();
+}
+
+void DocumentStore::FillValueColumn() {
+  ValueColumn& column = *value_column_;
+  MutexLock lock(&column.mu);
+  if (column.filled.load(std::memory_order_relaxed)) return;
+  column.status = ScanValueColumn(id_index_.get(), *bp_.value,
+                                  &column.offsets);
+  if (!column.status.ok()) column.offsets = {};
+  column.filled.store(true, std::memory_order_release);
 }
 
 Status DocumentStore::BuildBpIndex() {

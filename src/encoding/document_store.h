@@ -8,6 +8,11 @@
 //   * B+v: keyed by (hash(value), Dewey ID)           -- |B+v|
 //   * B+i: Dewey ID -> value-record offset            -- |B+i|
 //   * in place of B+t, the BP index's per-tag rank lists (bp_index.h)
+//   * an in-memory column mapping each node's preorder rank to its
+//     value-record offset, filled from B+i (whose keys sort in preorder)
+//     by one leaf-chain scan on the first value read after the BP index
+//     is (re)built; query evaluation reads values through it and never
+//     probes B+i
 //
 // Indexes reference nodes by Dewey ID (never by physical position):
 // positions are derived during navigation, which is what keeps the scheme
@@ -19,6 +24,7 @@
 #ifndef NOKXML_ENCODING_DOCUMENT_STORE_H_
 #define NOKXML_ENCODING_DOCUMENT_STORE_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -27,6 +33,7 @@
 #include <vector>
 
 #include "btree/btree.h"
+#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/bp_index.h"
@@ -144,8 +151,10 @@ struct DocumentStoreStats {
 /// One stored document plus its indexes.
 ///
 /// Thread safety: a store opened via OpenDir with Options::read_only set
-/// supports concurrent reads (Navigate/StorePosOf/ValueOf/NodesWith*/
-/// Estimate*) from any number of threads sharing the one handle; each
+/// supports concurrent reads (Navigate/StorePosOf/BpPosOf/ValueOf/
+/// ValueAtRank/LoadValueColumn/NodesWith*/Estimate*) from any number of
+/// threads sharing the one handle (the first ValueAtRank fills the value
+/// column under a lock; later reads take one atomic load); each
 /// thread runs its own QueryEngine over it.  Mutating operations
 /// (InsertSubtree/DeleteSubtree/Flush) then fail with InvalidArgument.
 /// A writable store is single-threaded.
@@ -192,6 +201,32 @@ class DocumentStore {
   /// over the chain pages' first symbols answers it with no page access.
   StorePos StorePosOf(uint64_t bp_pos) const;
 
+  /// The BP bit position of the node at paged-string position `pos` in the
+  /// current BP index: the inverse of StorePosOf, with no page access.
+  uint64_t BpPosOf(StorePos pos) const;
+
+  /// The value of the node with preorder rank `rank` in the current BP
+  /// index (take ranks from bp_index()), nullopt if it has none: one
+  /// column lookup and one data-file read, no B+i probe.  The first call
+  /// after an open or a structural update fills the column (one B+i
+  /// scan), so opens and commits that read no value never pay for it.
+  /// When B+i cannot fill the column, every call returns that error
+  /// instead: a damaged B+i fails the value reads of queries, not the
+  /// open, so `nokq verify` can still name the component.
+  Result<std::optional<std::string>> ValueAtRank(uint64_t rank);
+
+  /// Fills the value column now, if the current structure's is not
+  /// filled yet, and returns the fill's verdict (what every ValueAtRank
+  /// then returns).  For callers that want the one B+i scan outside their
+  /// first query, e.g. to measure each query's own work.
+  Status LoadValueColumn();
+
+  /// In-memory bytes of the rank -> value-offset column once filled (8
+  /// per node).
+  uint64_t value_column_bytes() const {
+    return tree_->node_count() * sizeof(uint64_t);
+  }
+
   /// Whether the current in-memory BP index came from a matching
   /// tree.bpx sidecar (vs a rebuild scan of the page chain).
   bool bp_loaded_from_sidecar() const { return bp_.from_sidecar; }
@@ -219,7 +254,8 @@ class DocumentStore {
   /// BP index that no longer describes it.
   Result<StorePos> Navigate(const DeweyId& id);
 
-  /// The node's value (nullopt if it has none).
+  /// The node's value (nullopt if it has none), by a B+i probe.  Query
+  /// evaluation reads values by rank instead (ValueAtRank).
   Result<std::optional<std::string>> ValueOf(const DeweyId& id);
 
   // -- index access ------------------------------------------------------
@@ -227,8 +263,10 @@ class DocumentStore {
   /// the BP index in either nav mode (its steps count as bp steps).
   Result<std::vector<DeweyId>> NodesWithTag(TagId tag);
 
-  /// The Dewey IDs of the nodes whose value equals `value` exactly, in
-  /// document order (hash collisions are resolved against the data file).
+  /// The Dewey IDs of B+v's entries under `value`'s hash, in document
+  /// order, unverified: the nodes of a value whose hash collides with
+  /// `value`'s are among them.  Callers re-check each node's value (the
+  /// matcher re-checks the predicate on every candidate).
   Result<std::vector<DeweyId>> NodesWithValue(const Slice& value);
 
   /// Occurrence count of a tag (exact, from the dictionary).
@@ -372,6 +410,24 @@ class DocumentStore {
   /// rebuilds by one sequential scan.
   Status EnsureSynopsis();
 
+  /// The rank -> value-offset column of one BP version.  Readers of a
+  /// read-only store share it: the first fills it under `mu`, and once
+  /// `filled` reads true (acquire) `offsets` and `status` never change.
+  struct ValueColumn {
+    Mutex mu;
+    std::atomic<bool> filled{false};
+    /// Empty while `status` holds an error.
+    std::vector<uint64_t> offsets;  // NOK008-OK: immutable once filled
+    Status status;                  // NOK008-OK: immutable once filled
+  };
+
+  /// Fills value_column_ for the current bp_ by one scan of B+i's leaf
+  /// chain, unless another thread just did: its keys sort in preorder and
+  /// it holds one entry per node, each checked against the preorder Dewey
+  /// ID the BP bits give.  A failure is kept in the column's status,
+  /// never returned.
+  void FillValueColumn();
+
   Options options_;
   /// Declared before the components: members destroy in reverse order,
   /// and every TxnFile handed to a component must unregister from the
@@ -402,6 +458,11 @@ class DocumentStore {
   /// order (StorePosOf); derived with bp_ from the in-memory page
   /// headers.
   std::vector<uint64_t> bp_page_starts_;
+  /// The value-record offset of each node by preorder rank (kNoValue:
+  /// the node has none) for the current bp_, filled from B+i by
+  /// FillValueColumn on the first value read and replaced by an empty
+  /// one at each structural update.
+  std::unique_ptr<ValueColumn> value_column_ = std::make_unique<ValueColumn>();
   /// DataGuide-style path synopsis (path_synopsis.h), synopsis.pds.
   Derived<PathSynopsis> synopsis_;
 };

@@ -243,6 +243,9 @@ class StringStore {
   size_t chain_length() const { return chain_.size(); }
   /// PageId of the i-th data page in chain order (i < chain_length()).
   PageId chain_page(size_t i) const { return chain_[i]; }
+  /// Chain index of a page (NOK_CHECK-fails for pages outside the chain):
+  /// the inverse of chain_page.
+  uint64_t ChainSeq(PageId page) const;
   /// On-disk footprint (the |tree| column of Table 1).
   uint64_t SizeBytes() const { return pager_->SizeBytes(); }
 
@@ -327,9 +330,6 @@ class StringStore {
 
   /// Page after `page` in the chain, or kInvalidPage.
   PageId NextInChain(PageId page) const;
-
-  /// Chain index of a page (NOK_CHECK-fails for pages outside the chain).
-  uint64_t ChainSeq(PageId page) const;
 
   /// Verdict of the ScanForward predicate for one symbol.
   enum class ScanAction { kContinue, kFound, kStop };

@@ -4,11 +4,12 @@
 //
 // Tree steps are O(1)-ish bit operations on the BP bitvector: FIRST-CHILD
 // is a bit probe and FOLLOWING-SIBLING a findclose.  No BufferPool
-// traffic at all; value predicates still go through the B+i/data-file
-// pair keyed by the Dewey ID, exactly as in paged mode, so answers are
-// identical across navigation modes.  Steps are counted into
-// NavStats::bp_steps on the owning store so one snapshot covers all
-// tiers.
+// traffic at all; a value predicate reads the node's value by its
+// preorder rank (Rank1 of its open bit) through the store's rank ->
+// value-offset column, the same column paged mode reads, so answers are
+// identical across navigation modes and no query probes B+i.  Steps are
+// counted into NavStats::bp_steps on the owning store so one snapshot
+// covers all tiers.
 
 #ifndef NOKXML_NOK_BP_CURSOR_H_
 #define NOKXML_NOK_BP_CURSOR_H_
@@ -80,7 +81,8 @@ class BpCursor {
       if (bp_->TagAt(node.pos) != want) return false;
     }
     if (pattern.predicate.active()) {
-      NOK_ASSIGN_OR_RETURN(auto value, store_->ValueOf(node.dewey));
+      NOK_ASSIGN_OR_RETURN(auto value,
+                           store_->ValueAtRank(bp_->Rank1(node.pos)));
       if (!value.has_value()) return false;
       return EvalValuePredicate(pattern.predicate, *value);
     }

@@ -235,6 +235,9 @@ bool PassesRootChecks(const DeweyId& dewey,
 
 /// Index hits for one access path (the probe operators' body; shared by
 /// both navigation backends — index probes never touch tree pages).
+/// Value hits are B+v's range unverified: the matcher re-checks the
+/// anchor's equality predicate on every candidate it is given, so a hash
+/// collision never reaches an answer.
 Result<std::vector<DeweyId>> FetchHits(
     DocumentStore* store, const AccessPath& access) {
   switch (access.strategy) {
@@ -580,7 +583,7 @@ class PagedNav {
   /// `bp` is the store's current BP index (DocumentStore::bp_index()),
   /// the Dewey ID locator.
   PagedNav(DocumentStore* store, const BpIndex* bp)
-      : store_(store), tree_(store->tree()), cursor_(store),
+      : store_(store), tree_(store->tree()), cursor_(store, bp),
         locator_(store, bp) {}
 
   Cursor* cursor() { return &cursor_; }

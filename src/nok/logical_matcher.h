@@ -22,7 +22,10 @@
 //  * matched frontier nodes are *retained* when their pattern subtree
 //    contains a node whose matches must be collected (the returning node
 //    or a global-arc source), so all matches are found — the paper keeps
-//    the returning node in the frontier for the same reason;
+//    the returning node in the frontier for the same reason.  A retained
+//    node that must precede a sibling pattern node keeps only the matches
+//    that a later match of that sibling confirms (preceding-sibling::);
+//    its successors stay scanned to supply the confirmations;
 //  * when a match fails midway the partial result list is rolled back to
 //    a checkpoint instead of clearing R wholesale (equivalent behaviour,
 //    but correct when several starting points share one result list).
@@ -30,6 +33,8 @@
 #ifndef NOKXML_NOK_LOGICAL_MATCHER_H_
 #define NOKXML_NOK_LOGICAL_MATCHER_H_
 
+#include <algorithm>
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -48,6 +53,67 @@ std::vector<bool> ComputeDesignated(const NokPartition& partition,
 /// node?  (Such frontier entries are retained after a match.)
 std::vector<bool> ComputeRetained(const NokTree& tree,
                                   const std::vector<bool>& designated);
+
+/// Sibling-order confirmation for one frontier (the children of one
+/// pattern node), shared by Algorithm 1 and the streaming frontier.  A
+/// retained child that must precede a sibling (preceding-sibling::)
+/// keeps only the matches that a later confirmed match of each of its
+/// successors follows; a match of a child without successors is always
+/// confirmed.  The successors, transitively, stay scanned after their
+/// first match so every confirmation is seen.
+class SiblingConfirmation {
+ public:
+  /// `retained[i]`: child i of `node` collects matches.
+  SiblingConfirmation(const NokNode& node, const std::vector<char>& retained);
+
+  /// Whether some retained child has a successor; nothing to confirm
+  /// otherwise.
+  bool needed() const { return needed_; }
+  /// Child i must stay scanned after its first match.
+  bool rescan(size_t i) const { return rescan_[i] != 0; }
+  /// Child i's matches wait for confirmation (retained, with successors).
+  bool deferred(size_t i) const { return deferred_[i] != 0; }
+
+  /// Records a match of child i at subject sibling index `sibling`, in
+  /// scan order.
+  void Matched(size_t i, uint64_t sibling) {
+    matched_at_[i].push_back(sibling);
+  }
+
+  /// After the scan: whether child i's match at `sibling` is confirmed.
+  bool Confirmed(size_t i, uint64_t sibling);
+
+ private:
+  /// Child i's matches are confirmed below this sibling index: the
+  /// earliest last confirmed match among its successors.
+  int64_t Bound(size_t i);
+
+  /// last_ entry not computed yet.
+  static constexpr int64_t kUnknown = -2;
+
+  const NokNode& node_;
+  bool needed_ = false;
+  std::vector<char> rescan_;
+  std::vector<char> deferred_;
+  std::vector<std::vector<uint64_t>> matched_at_;
+  /// Each child's last confirmed sibling index (-1: none), once known.
+  std::vector<int64_t> last_;
+};
+
+/// Removes the elements of *list whose `drop` entry is set, keeping the
+/// others in order; `drop` is empty (nothing to remove) or as long as
+/// *list.
+template <typename T>
+void EraseMarked(const std::vector<char>& drop, std::vector<T>* list) {
+  if (drop.empty()) return;
+  size_t kept = 0;
+  for (size_t k = 0; k < list->size(); ++k) {
+    if (drop[k]) continue;
+    if (kept != k) (*list)[kept] = std::move((*list)[k]);
+    ++kept;
+  }
+  list->erase(list->begin() + static_cast<std::ptrdiff_t>(kept), list->end());
+}
 
 /// Matches one NoK tree against subject subtrees via a Cursor.
 template <typename Cursor>
@@ -109,6 +175,15 @@ class NokMatcher {
       if (active[i] && is_retained(i)) ++active_retained;
     }
     size_t remaining = n;
+    std::optional<SiblingConfirmation> order;
+    if (!pn.sibling_order.empty()) {
+      std::vector<char> retained(n);
+      for (size_t i = 0; i < n; ++i) retained[i] = is_retained(i);
+      order.emplace(pn, retained);
+      if (!order->needed()) order.reset();
+    }
+    std::vector<Span> spans;  // Deferred matches' entries in R.
+    uint64_t sibling = 0;
 
     NOK_ASSIGN_OR_RETURN(auto u, cursor_->FirstChild(snode));
     // Keep scanning while unmatched children remain, or while a retained
@@ -121,7 +196,8 @@ class NokMatcher {
       for (size_t i = 0; i < n; ++i) {
         if (!active[i]) continue;
         const int child = pn.children[i];
-        const bool retain = retained_[static_cast<size_t>(child)];
+        const bool retain = retained_[static_cast<size_t>(child)] ||
+                            (order.has_value() && order->rescan(i));
         if (satisfied[i] && !retain) continue;
         NOK_ASSIGN_OR_RETURN(
             bool node_ok,
@@ -133,6 +209,12 @@ class NokMatcher {
         if (!sub_ok) {
           Rollback(R, checkpoint);
           continue;
+        }
+        if (order.has_value()) {
+          order->Matched(i, sibling);
+          if (order->deferred(i)) {
+            spans.push_back(Span{i, sibling, checkpoint, Sizes(*R)});
+          }
         }
         if (!satisfied[i]) {
           satisfied[i] = 1;
@@ -153,8 +235,37 @@ class NokMatcher {
       }
       NOK_ASSIGN_OR_RETURN(auto next, cursor_->FollowingSibling(*u));
       u = next;
+      ++sibling;
     }
-    return remaining == 0;
+    if (remaining != 0) return false;
+    if (!spans.empty()) DropUnconfirmed(&*order, spans, R);
+    return true;
+  }
+
+  /// The entries one match of a retained child added to R: list j grew
+  /// from begin[j] to end[j].
+  struct Span {
+    size_t child;
+    uint64_t sibling;  ///< Index of the matched subject sibling.
+    std::vector<size_t> begin, end;
+  };
+
+  /// Removes from R the entries of every span whose match `order` does
+  /// not confirm, in one pass over each list.
+  static void DropUnconfirmed(SiblingConfirmation* order,
+                              const std::vector<Span>& spans, MatchLists* R) {
+    std::vector<std::vector<char>> drop(R->size());
+    for (const Span& span : spans) {
+      if (order->Confirmed(span.child, span.sibling)) continue;
+      for (size_t j = 0; j < R->size(); ++j) {
+        if (span.begin[j] == span.end[j]) continue;
+        drop[j].resize((*R)[j].size(), 0);
+        std::fill(drop[j].begin() + static_cast<std::ptrdiff_t>(span.begin[j]),
+                  drop[j].begin() + static_cast<std::ptrdiff_t>(span.end[j]),
+                  1);
+      }
+    }
+    for (size_t j = 0; j < R->size(); ++j) EraseMarked(drop[j], &(*R)[j]);
   }
 
   static std::vector<size_t> Sizes(const MatchLists& R) {

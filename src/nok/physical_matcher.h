@@ -5,8 +5,11 @@
 // FOLLOWING-SIBLING primitives of Algorithm 2 — the subject tree is never
 // reconstructed.  Dewey IDs are derived for free during the traversal
 // (root 0; FirstChild appends .0; FollowingSibling increments the last
-// component), which is how value constraints reach the B+i/data-file pair
-// without any ids being stored in the tree string.
+// component) without any ids being stored in the tree string.  A value
+// constraint maps the node's page position to its BP bit position
+// (DocumentStore::BpPosOf, no page access), takes its preorder rank there
+// and reads the value through the store's rank -> value-offset column:
+// no B+i probe.
 
 #ifndef NOKXML_NOK_PHYSICAL_MATCHER_H_
 #define NOKXML_NOK_PHYSICAL_MATCHER_H_
@@ -16,6 +19,7 @@
 #include <vector>
 
 #include "common/result.h"
+#include "encoding/bp_index.h"
 #include "encoding/document_store.h"
 #include "nok/logical_matcher.h"
 #include "nok/pattern_tree.h"
@@ -57,7 +61,11 @@ class StoreCursor {
     bool virtual_root = false;
   };
 
-  explicit StoreCursor(DocumentStore* store) : store_(store) {}
+  /// `bp` must describe `store`'s current structure (take it from
+  /// DocumentStore::bp_index()) and outlive the cursor: value predicates
+  /// read by its ranks.
+  StoreCursor(DocumentStore* store, const BpIndex* bp)
+      : store_(store), bp_(bp) {}
 
   /// The virtual super-root (parent of the document root).
   NodeT VirtualRoot() const {
@@ -98,7 +106,9 @@ class StoreCursor {
       if (got != want) return false;
     }
     if (pattern.predicate.active()) {
-      NOK_ASSIGN_OR_RETURN(auto value, store_->ValueOf(node.dewey));
+      NOK_ASSIGN_OR_RETURN(
+          auto value,
+          store_->ValueAtRank(bp_->Rank1(store_->BpPosOf(node.pos))));
       if (!value.has_value()) return false;
       return EvalValuePredicate(pattern.predicate, *value);
     }
@@ -127,6 +137,7 @@ class StoreCursor {
   }
 
   DocumentStore* store_;
+  const BpIndex* bp_;
   const std::vector<TagId>* tag_table_ = nullptr;
 };
 

@@ -189,6 +189,17 @@ Result<std::vector<DeweyId>> RunRooted(const NokPartition& partition,
   std::vector<char> active(n, 0), satisfied(n, 0);
   for (size_t i = 0; i < n; ++i) active[i] = indegree[i] == 0;
   size_t remaining = n;
+  // A returning child that must precede a sibling keeps only the results
+  // a later sibling confirms: results[begin, end) of each such match wait
+  // for the end of the stream.
+  SiblingConfirmation order(first, sub_has_returning);
+  struct Span {
+    size_t child;
+    uint64_t sibling;
+    size_t begin, end;
+  };
+  std::vector<Span> spans;
+  uint64_t sibling = 0;
 
   std::vector<DeweyId> results;
   DeweyTracker dewey;
@@ -231,7 +242,7 @@ Result<std::vector<DeweyId>> RunRooted(const NokPartition& partition,
           std::vector<size_t> newly_active;
           for (size_t i = 0; i < n; ++i) {
             if (!active[i]) continue;
-            const bool retain = sub_has_returning[i] != 0;
+            const bool retain = sub_has_returning[i] != 0 || order.rescan(i);
             if (satisfied[i] && !retain) continue;
             NokMatcher<BufferedCursor> matcher(&subs[i], &cursor,
                                                SubtreeDesignated(subs[i]));
@@ -239,7 +250,14 @@ Result<std::vector<DeweyId>> RunRooted(const NokPartition& partition,
                 subs[i].nodes.size());
             NOK_ASSIGN_OR_RETURN(bool ok, matcher.Match(0, &lists));
             if (!ok) continue;
+            const size_t begin = results.size();
             CollectReturning(subs[i], buffer.tree, lists, &results);
+            if (order.needed()) {
+              order.Matched(i, sibling);
+              if (order.deferred(i)) {
+                spans.push_back(Span{i, sibling, begin, results.size()});
+              }
+            }
             if (!satisfied[i]) {
               satisfied[i] = 1;
               --remaining;
@@ -254,6 +272,7 @@ Result<std::vector<DeweyId>> RunRooted(const NokPartition& partition,
           }
           for (size_t b : newly_active) active[b] = 1;
           buffer = BufferBuilder{};
+          ++sibling;
         }
         dewey.OnClose();
         break;
@@ -266,6 +285,13 @@ Result<std::vector<DeweyId>> RunRooted(const NokPartition& partition,
   if (!root_matches || remaining > 0) {
     return std::vector<DeweyId>{};
   }
+  std::vector<char> drop(spans.empty() ? 0 : results.size(), 0);
+  for (const Span& span : spans) {
+    if (order.Confirmed(span.child, span.sibling)) continue;
+    std::fill(drop.begin() + static_cast<std::ptrdiff_t>(span.begin),
+              drop.begin() + static_cast<std::ptrdiff_t>(span.end), 1);
+  }
+  EraseMarked(drop, &results);
   if (returning_is_root) {
     results.clear();
     results.push_back(DeweyId::Root());

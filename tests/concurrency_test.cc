@@ -2,7 +2,8 @@
 // each against one read-only DocumentStore handle, and every thread must
 // produce exactly the results of a single-threaded run.  Runs under the
 // sanitizer builds; with -DNOK_SANITIZE=thread this is the data-race
-// gate for the sharded buffer pool and the read-only open mode.
+// gate for the sharded buffer pool, the read-only open mode and the
+// value column's first fill.
 
 #include <gtest/gtest.h>
 
@@ -143,6 +144,27 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   EXPECT_FALSE(
       (*store)->InsertSubtree(DeweyId::Root(), 0, "<x/>").ok());
   EXPECT_FALSE((*store)->Flush().ok());
+
+  // A second handle, whose value column no query has filled yet: the
+  // threads' first value reads race to fill it, and one fill serves all.
+  auto fresh = DocumentStore::OpenDir(options);
+  ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  std::vector<Transcript> racing(kThreads);
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (int t = 0; t < kThreads; ++t) {
+      workers.emplace_back(RunWorkload, fresh->get(), &xpaths,
+                           &racing[static_cast<size_t>(t)]);
+    }
+    for (std::thread& w : workers) w.join();
+  }
+  for (int t = 0; t < kThreads; ++t) {
+    SCOPED_TRACE("racing thread " + std::to_string(t));
+    const Transcript& got = racing[static_cast<size_t>(t)];
+    ASSERT_TRUE(got.status.ok()) << got.status.ToString();
+    EXPECT_EQ(got.results, reference.results);
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include "encoding/dewey.h"
 #include "encoding/document_store.h"
+#include "nok/query_engine.h"
 #include "tests/oracle.h"
 #include "xml/dom.h"
 
@@ -307,6 +308,126 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
 TEST(DocumentStoreTest, BuildRejectsMalformedXml) {
   auto r = DocumentStore::Build("<a><b></a>", DocumentStore::Options());
   EXPECT_FALSE(r.ok());
+}
+
+/// Every node's value read by preorder rank (the in-memory column) equals
+/// ValueOf of its Dewey ID (a B+i probe).
+void ExpectValueColumnMatchesIdIndex(DocumentStore* store) {
+  auto bp = store->bp_index();
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+  const BpIndex& index = **bp;
+  DeweyCounter deweys;
+  uint64_t valued = 0;
+  for (uint64_t rank = 0; rank < index.node_count(); ++rank) {
+    const DeweyId dewey(deweys.Next(
+        static_cast<size_t>(index.Depth(index.Select1(rank)))));
+    auto by_rank = store->ValueAtRank(rank);
+    auto by_dewey = store->ValueOf(dewey);
+    ASSERT_TRUE(by_rank.ok()) << dewey.ToString() << ": "
+                              << by_rank.status().ToString();
+    ASSERT_TRUE(by_dewey.ok()) << dewey.ToString() << ": "
+                               << by_dewey.status().ToString();
+    EXPECT_EQ(*by_rank, *by_dewey) << dewey.ToString();
+    if (by_rank->has_value()) ++valued;
+  }
+  EXPECT_GT(valued, 0u);
+}
+
+TEST(DocumentStoreTest, ValueColumnAgreesWithIdIndex) {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_valuecol_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  // Small index pages spread B+i over many leaves.
+  DocumentStore::Options options;
+  options.dir = dir;
+  options.page_size = 256;
+  options.index_page_size = 512;
+  std::string xml = "<bib>";
+  for (int i = 0; i < 60; ++i) {
+    xml += "<book year=\"" + std::to_string(1950 + i % 7) + "\"><title>T" +
+           std::to_string(i) + "</title><author><last>L" +
+           std::to_string(i % 9) + "</last></author></book>";
+  }
+  xml += "</bib>";
+  {
+    auto store = DocumentStore::Build(xml, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    SCOPED_TRACE("fresh Build");
+    ExpectValueColumnMatchesIdIndex(store->get());
+  }
+  {
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    {
+      SCOPED_TRACE("reopen");
+      ExpectValueColumnMatchesIdIndex(store->get());
+    }
+    // Non-WAL updates drop the column with the BP index; the next query
+    // rebuilds both.
+    ASSERT_TRUE((*store)
+                    ->InsertSubtree(DeweyId::Root(), 3,
+                                    "<book><title>New</title></book>")
+                    .ok());
+    ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 10})).ok());
+    QueryEngine engine(store->get());
+    auto got = engine.Evaluate("//book[title=\"New\"]");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), 1u);
+    EXPECT_EQ((*got)[0].ToString(), "0.3");
+    SCOPED_TRACE("non-WAL updates and a query");
+    ExpectValueColumnMatchesIdIndex(store->get());
+    ASSERT_TRUE((*store)->Flush().ok());
+  }
+  {
+    DocumentStore::Options wal = options;
+    wal.wal.enabled = true;
+    auto store = DocumentStore::OpenDir(wal);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)
+                    ->InsertSubtree(DeweyId({0, 5}), 1,
+                                    "<author><last>Wal</last></author>")
+                    .ok());
+    ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 0})).ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    SCOPED_TRACE("WAL commit");
+    ExpectValueColumnMatchesIdIndex(store->get());
+    QueryEngine engine(store->get());
+    auto got = engine.Evaluate("//book[author/last=\"Wal\"]");
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->size(), 1u);
+    EXPECT_EQ((*got)[0].ToString(), "0.4");
+  }
+  std::filesystem::remove_all(dir);
+}
+
+/// A B+i with one entry per node but a key out of step with preorder
+/// (here 0.0.2 moved to a child 0.0.1.9 that does not exist) fails every
+/// value read: the column would otherwise hand later ranks a neighbour's
+/// value.
+TEST(DocumentStoreTest, ValueColumnRefusesMisKeyedIdIndex) {
+  auto store = Build(kBibXml);
+  BTree* id_index = store->id_index();
+  const std::string moved = DeweyId({0, 0, 2}).Encode();
+  auto payload = id_index->Get(Slice(moved));
+  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
+  auto deleted = id_index->Delete(Slice(moved));
+  ASSERT_TRUE(deleted.ok() && *deleted);
+  ASSERT_TRUE(id_index
+                  ->Insert(Slice(DeweyId({0, 0, 1, 9}).Encode()),
+                           Slice(*payload))
+                  .ok());
+  EXPECT_EQ(id_index->num_entries(), store->stats().node_count);
+  auto bp = store->bp_index();
+  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
+  for (const uint64_t rank : {uint64_t{0}, (*bp)->node_count() - 1}) {
+    auto value = store->ValueAtRank(rank);
+    ASSERT_FALSE(value.ok());
+    EXPECT_TRUE(value.status().IsCorruption()) << value.status().ToString();
+    EXPECT_NE(value.status().ToString().find("0.0.2"), std::string::npos)
+        << value.status().ToString();
+  }
 }
 
 TEST(DocumentStoreTest, IdIndexCoversEveryNode) {

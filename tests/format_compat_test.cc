@@ -91,7 +91,7 @@ uint32_t MetaField(const std::string& path, uint64_t offset) {
 /// The store must refuse to open with Corruption, and the scrub must
 /// report damage (so `nokq verify` exits 1).
 void ExpectRefused(const std::string& dir, const std::string& what,
-                   bool retired) {
+                   bool retired, const char* names_file = nullptr) {
   auto store = DocumentStore::OpenDir(SmallPageOptions(dir));
   ASSERT_FALSE(store.ok()) << what << " opened";
   EXPECT_TRUE(store.status().IsCorruption())
@@ -99,6 +99,10 @@ void ExpectRefused(const std::string& dir, const std::string& what,
   if (retired) {
     EXPECT_NE(store.status().ToString().find("nokq build"),
               std::string::npos)
+        << what << ": " << store.status().ToString();
+  }
+  if (names_file != nullptr) {
+    EXPECT_NE(store.status().message().find(names_file), std::string::npos)
         << what << ": " << store.status().ToString();
   }
   auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
@@ -169,7 +173,7 @@ TEST(FormatCompatTest, UnknownMetaVersionIsCorruption) {
       PatchMetaField(dir + "/" + name, kBTreeMetaVersion, version);
       ExpectRefused(dir,
                     std::string(name) + " version " + std::to_string(version),
-                    /*retired=*/version != 3);
+                    /*retired=*/version != 3, /*names_file=*/name);
       if (HasFatalFailure()) return;
     }
   }

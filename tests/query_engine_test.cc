@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <tuple>
 
 #include "common/random.h"
 #include "encoding/document_store.h"
@@ -377,6 +378,94 @@ TEST(QueryEngineTest, SiblingStepAfterDescendant) {
     auto got = f.engine->Evaluate(query);
     ASSERT_FALSE(got.ok()) << query;
     EXPECT_TRUE(got.status().IsNotSupported()) << query;
+  }
+}
+
+// The value-index probe takes B+v's range under the value's hash
+// unverified; the matcher's predicate re-check must keep a colliding
+// entry out of every answer.  Forge one: the title 0.0.1 ("TCP/IP
+// Illustrated") filed under "Stevens".
+TEST(QueryEngineTest, ForgedValueIndexCollisionNeverReachesAnAnswer) {
+  auto dom = DomTree::Parse(kBibXml);
+  ASSERT_TRUE(dom.ok());
+  const char* const queries[] = {
+      "//title[.=\"Stevens\"]",
+      "//book[title=\"Stevens\"]",
+      "//*[.=\"Stevens\"]",
+      "//book[author/last=\"Stevens\"]/title",
+      "//book[title=\"Stevens\"]/following-sibling::book",
+      "//book[author/last=\"Stevens\"]/preceding-sibling::book",
+  };
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    SCOPED_TRACE(NavModeName(mode));
+    DocumentStore::Options options;
+    options.nav_mode = mode;
+    auto store = DocumentStore::Build(kBibXml, options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)
+                    ->value_index()
+                    ->Insert(Slice(index_keys::ValueKey(Slice("Stevens"),
+                                                        DeweyId({0, 0, 1}))),
+                             Slice())
+                    .ok());
+    auto forged = (*store)->NodesWithValue(Slice("Stevens"));
+    ASSERT_TRUE(forged.ok());
+    ASSERT_EQ(forged->size(), 3u);  // Two real last names and the title.
+    QueryEngine engine(store->get());
+    for (const char* query : queries) {
+      auto want = OracleEvaluateDewey(query, *dom);
+      ASSERT_TRUE(want.ok()) << query;
+      for (const StartStrategy strategy :
+           {StartStrategy::kAuto, StartStrategy::kValueIndex}) {
+        QueryOptions qo;
+        qo.strategy = strategy;
+        auto got = engine.Evaluate(query, qo);
+        ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
+        EXPECT_EQ(DeweyStrings(*got), DeweyStrings(*want))
+            << query << " [" << StrategyName(strategy) << "]";
+        if (strategy != StartStrategy::kValueIndex) continue;
+        // The forged entry did reach the probe.
+        bool probed = false;
+        for (const OperatorStats& op : engine.last_trace().operators) {
+          if (op.op != "ValueIndexProbe") continue;
+          probed = true;
+          EXPECT_EQ(op.rows_out, 3u) << query;
+        }
+        EXPECT_TRUE(probed) << query;
+      }
+    }
+  }
+}
+
+// A node with a preceding-sibling:: step after it must have a later
+// sibling that matches it: the last book below has none.  The mirrored
+// following-sibling:: query and a chained one too.  Answered by hand, in
+// both nav modes.
+TEST(QueryEngineTest, PrecedingSiblingNeedsALaterSibling) {
+  // bib 0; book 0.0; book 0.1; x 0.2; book 0.3; book 0.4.
+  const std::string bib = "<bib><book/><book/><x/><book/><book/></bib>";
+  // r 0; a 0.0; b 0.1; a 0.2; c 0.3; b 0.4.
+  const std::string r = "<r><a/><b/><a/><c/><b/></r>";
+  const std::tuple<const std::string*, const char*, std::vector<std::string>>
+      cases[] = {
+          {&bib, "/bib/book/preceding-sibling::book", {"0.0", "0.1", "0.3"}},
+          {&bib, "/bib/book/following-sibling::book", {"0.1", "0.3", "0.4"}},
+          {&bib, "/bib/x/preceding-sibling::book", {"0.0", "0.1"}},
+          {&bib, "/bib/book[following-sibling::book]", {"0.0", "0.1", "0.3"}},
+          {&r, "/r/c/preceding-sibling::b/preceding-sibling::a", {"0.0"}},
+      };
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    SCOPED_TRACE(NavModeName(mode));
+    for (const auto& [xml, query, want] : cases) {
+      DocumentStore::Options options;
+      options.nav_mode = mode;
+      auto store = DocumentStore::Build(*xml, options);
+      ASSERT_TRUE(store.ok()) << store.status().ToString();
+      QueryEngine engine(store->get());
+      auto got = engine.Evaluate(query);
+      ASSERT_TRUE(got.ok()) << query << ": " << got.status().ToString();
+      EXPECT_EQ(DeweyStrings(*got), want) << query;
+    }
   }
 }
 

@@ -94,6 +94,19 @@ TEST(StreamMatcherTest, RootedReturnsRootItself) {
   EXPECT_TRUE(Stream("/bib[missing]", kBibXml).empty());
 }
 
+// Rooted mode runs its own frontier over the first step's children: a
+// preceding-sibling:: match needs a later sibling there too.  Answered
+// by hand (bib 0; book 0.0; book 0.1; x 0.2; book 0.3; book 0.4).
+TEST(StreamMatcherTest, RootedPrecedingSiblingNeedsALaterSibling) {
+  const std::string xml = "<bib><book/><book/><x/><book/><book/></bib>";
+  EXPECT_EQ(Stream("/bib/book/preceding-sibling::book", xml),
+            (std::vector<std::string>{"0.0", "0.1", "0.3"}));
+  EXPECT_EQ(Stream("/bib/book/following-sibling::book", xml),
+            (std::vector<std::string>{"0.1", "0.3", "0.4"}));
+  EXPECT_EQ(Stream("/bib/x/preceding-sibling::book", xml),
+            (std::vector<std::string>{"0.0", "0.1"}));
+}
+
 TEST(StreamMatcherTest, LocateModeFindsNestedCandidates) {
   EXPECT_EQ(Stream("//book", kBibXml),
             (std::vector<std::string>{"0.0", "0.1", "0.2.0"}));

@@ -305,6 +305,9 @@ int CmdStats(const std::string& dir) {
            static_cast<unsigned long long>(index->SizeBytes()),
            static_cast<unsigned long long>(index->num_entries()));
   }
+  // Filled from B+i by the first value read; never written to disk.
+  printf("value column: %llu bytes in memory when filled\n",
+         static_cast<unsigned long long>((*store)->value_column_bytes()));
   printf("data file:    %llu bytes\n",
          static_cast<unsigned long long>(s.data_bytes));
   return 0;
