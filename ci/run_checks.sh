@@ -5,8 +5,7 @@
 #   ci/run_checks.sh lint       # just nok_lint (+ selftest)
 #   ci/run_checks.sh release    # Release build + ctest
 #   ci/run_checks.sh sanitize   # ASan/UBSan build + ctest (includes
-#                               # the WAL kill-point sweep and the
-#                               # sidecar fault sweep)
+#                               # the WAL kill-point sweep)
 #   ci/run_checks.sh tsan       # TSan build + concurrency/differential/
 #                               # snapshot-isolation suites
 #   ci/run_checks.sh werror     # strict-warning build (NOK_WERROR=ON)
@@ -212,12 +211,18 @@ EOF
   rm -rf "$store"
   "$nokq" gen dblp "$store" --scale 0.05
   # The BP index answers tag probes: no store writes a tag-name index.
+  # It and the path synopsis are derived on every open: no store writes
+  # either to disk.
   test ! -e "$store/tag.idx"
+  test ! -e "$store/tree.bpx"
+  test ! -e "$store/synopsis.pds"
   printf '%s%s\n' '<article key="ci/front"><author>CI</author>' \
       '<title>Front</title><year>2004</year></article>' \
       > build-ci/bench/front-frag.xml
   timeout 30 "$nokq" insert "$store" 0 0 build-ci/bench/front-frag.xml
   test ! -e "$store/tag.idx"
+  test ! -e "$store/tree.bpx"
+  test ! -e "$store/synopsis.pds"
   # The insert shifted every Dewey ID under /dblp.  Tag probes and scans
   # must agree after it, in both nav modes.
   local mode strategy

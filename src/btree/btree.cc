@@ -342,7 +342,7 @@ Status BTreeIterator::SeekToFirst() {
   slot_ = 0;
   leaf_nkeys_ = NodeRef(leaf_.mutable_data(), tree_->options_.page_size)
                     .nkeys();
-  return SkipEmptyLeaves();
+  return SettleOnEntry();
 }
 
 Status BTreeIterator::Seek(const Slice& target) {
@@ -350,16 +350,16 @@ Status BTreeIterator::Seek(const Slice& target) {
   NodeRef node(leaf_.mutable_data(), tree_->options_.page_size);
   slot_ = node.LowerBound(target);
   leaf_nkeys_ = node.nkeys();
-  return SkipEmptyLeaves();
+  return SettleOnEntry();
 }
 
 Status BTreeIterator::Next() {
   NOK_CHECK(Valid());
   ++slot_;
-  return SkipEmptyLeaves();
+  return SettleOnEntry();
 }
 
-Status BTreeIterator::SkipEmptyLeaves() {
+Status BTreeIterator::SettleOnEntry() {
   while (leaf_.valid() && slot_ >= leaf_nkeys_) {
     NodeRef node(leaf_.mutable_data(), tree_->options_.page_size);
     const PageId next = node.right_sibling();
@@ -370,19 +370,21 @@ Status BTreeIterator::SkipEmptyLeaves() {
     slot_ = 0;
     leaf_nkeys_ = next_node.nkeys();
   }
+  if (leaf_.valid()) {
+    NodeRef(leaf_.mutable_data(), tree_->options_.page_size)
+        .EntryAt(slot_, &key_, &value_);
+  }
   return Status::OK();
 }
 
 Slice BTreeIterator::key() const {
   NOK_CHECK(Valid());
-  NodeRef node(const_cast<char*>(leaf_.data()), tree_->options_.page_size);
-  return node.KeyAt(slot_);
+  return key_;
 }
 
 Slice BTreeIterator::value() const {
   NOK_CHECK(Valid());
-  NodeRef node(const_cast<char*>(leaf_.data()), tree_->options_.page_size);
-  return node.ValueAt(slot_);
+  return value_;
 }
 
 }  // namespace nok

@@ -173,13 +173,17 @@ class BTreeIterator {
   friend class BTree;
   explicit BTreeIterator(BTree* tree) : tree_(tree) {}
 
-  /// Skips empty leaves (left behind by deletes) until a live entry.
-  Status SkipEmptyLeaves();
+  /// Skips empty leaves (left behind by deletes) until a live entry, then
+  /// decodes that entry's cell once into key_ and value_.
+  Status SettleOnEntry();
 
   BTree* tree_;
   PageHandle leaf_;
   uint16_t slot_ = 0;
   uint16_t leaf_nkeys_ = 0;
+  /// The current entry, decoded when the iterator lands on it.
+  Slice key_;
+  Slice value_;
 };
 
 }  // namespace nok

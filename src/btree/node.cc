@@ -90,10 +90,14 @@ Slice NodeRef::KeyAt(uint16_t i) const {
 }
 
 Slice NodeRef::ValueAt(uint16_t i) const {
-  NOK_CHECK(i < nkeys() && is_leaf());
   Slice key, value;
-  ParseCell(SlotOffset(i), &key, &value, nullptr);
+  EntryAt(i, &key, &value);
   return value;
+}
+
+void NodeRef::EntryAt(uint16_t i, Slice* key, Slice* value) const {
+  NOK_CHECK(i < nkeys() && is_leaf());
+  ParseCell(SlotOffset(i), key, value, nullptr);
 }
 
 PageId NodeRef::ChildAt(uint16_t i) const {

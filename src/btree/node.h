@@ -59,6 +59,9 @@ class NodeRef {
   Slice KeyAt(uint16_t i) const;
   /// Leaf only: value of cell i (view into the page).
   Slice ValueAt(uint16_t i) const;
+  /// Leaf only: key and value of cell i from one decode of the cell
+  /// (views into the page).
+  void EntryAt(uint16_t i, Slice* key, Slice* value) const;
   /// Internal only: child page of cell i.
   PageId ChildAt(uint16_t i) const;
   /// Internal only: overwrites the child page of cell i in place.

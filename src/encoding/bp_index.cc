@@ -7,7 +7,6 @@
 #include <string>
 #include <utility>
 
-#include "common/coding.h"
 #include "encoding/string_store.h"
 
 namespace nok {
@@ -35,7 +34,7 @@ Result<std::unique_ptr<BpIndex>> BpIndex::Build(
       }
       index->tags_.push_back(tag);
     }
-    if (observer) observer(is_open, tag);
+    observer(is_open, tag);
     ++pos;
   }));
   if (pos != index->n_bits_ || index->tags_.size() != index->node_count_) {
@@ -396,42 +395,6 @@ bool BpIndex::BlockHasTag(uint64_t rank, TagId tag) const {
     if (((x - kLaneLow) & ~x & kLaneHigh) != 0) return true;
   }
   return false;
-}
-
-std::string BpIndex::EncodePayload() const {
-  std::string payload;
-  payload.reserve(bits_.size() * 8 + tags_.size() * 2);
-  for (const uint64_t word : bits_) PutFixed64(&payload, word);
-  for (const TagId tag : tags_) PutFixed16(&payload, tag);
-  return payload;
-}
-
-Result<std::unique_ptr<BpIndex>> BpIndex::DecodePayload(
-    std::string_view payload, uint64_t node_count) {
-  // Every node takes at least its two tag bytes; checking that first keeps
-  // the size arithmetic below from overflowing on a hostile node count.
-  if (node_count > payload.size() / 2) {
-    return Status::Corruption("bp sidecar: payload size mismatch");
-  }
-  auto index = std::unique_ptr<BpIndex>(new BpIndex());
-  index->node_count_ = node_count;
-  index->n_bits_ = 2 * node_count;
-  const size_t nwords = static_cast<size_t>((index->n_bits_ + 63) / 64);
-  if (payload.size() != nwords * 8 + static_cast<size_t>(node_count) * 2) {
-    return Status::Corruption("bp sidecar: payload size mismatch");
-  }
-  const char* p = payload.data();
-  index->bits_.resize(nwords);
-  for (size_t i = 0; i < nwords; ++i) {
-    index->bits_[i] = DecodeFixed64(p + 8 * i);
-  }
-  index->tags_.resize(static_cast<size_t>(node_count));
-  const char* tag_bytes = p + nwords * 8;
-  for (size_t i = 0; i < index->tags_.size(); ++i) {
-    index->tags_[i] = DecodeFixed16(tag_bytes + 2 * i);
-  }
-  NOK_RETURN_IF_ERROR(index->BuildSupport());
-  return index;
 }
 
 uint64_t BpIndex::MemoryBytes() const {

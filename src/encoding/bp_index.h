@@ -29,19 +29,17 @@
 //                 tag-name index (DeweysWithTag).
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
-// unlike the paged cursor — PARENT is cheap too (an enclose).  Only the
-// bits and tags are in the sidecar payload; the rest is rebuilt at load.
+// unlike the paged cursor — PARENT is cheap too (an enclose).
+//
+// The index is never persisted: DocumentStore builds it by one scan of
+// the page chain on every open and after every structural update, and
+// the path synopsis rides that scan (Build's observer).
 //
 // Thread safety: a BpIndex is immutable after construction; every method
 // is const and touches no shared mutable state, so any number of threads
 // may navigate one instance concurrently.  Versioning against the store
-// is the owner's job: DocumentStore keys the in-memory instance to
-// its structure version and the persisted tree.bpx sidecar to the store
-// epoch (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
-//
-// Sidecar payload, all integers little-endian fixed-width: ceil(2n/64)
-// bit words (8 bytes each, LSB-first bits), then n TagIds (2 bytes each,
-// preorder).
+// is the owner's job: DocumentStore drops the instance at each
+// structural update.
 
 #ifndef NOKXML_ENCODING_BP_INDEX_H_
 #define NOKXML_ENCODING_BP_INDEX_H_
@@ -60,7 +58,6 @@
 #include "common/status.h"
 #include "encoding/dewey.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/sidecar.h"
 
 namespace nok {
 
@@ -73,32 +70,19 @@ class BpIndex {
   /// that respect the contract never see it).
   static constexpr uint64_t kNpos = ~uint64_t{0};
 
-  /// Envelope identity of the tree.bpx sidecar ("NOKBPIDX", version 1).
-  static constexpr SidecarFormat kSidecarFormat = {0x4e4f4b4250494458ull, 1,
-                                                   "bp sidecar"};
-
   /// Builds the index in one sequential scan of the paged string
   /// (chain-order page decodes; the only time the BufferPool is touched).
-  /// `observer`, when non-null, sees every (is_open, tag) symbol of the
-  /// same scan — DocumentStore rides it to rebuild the path synopsis
-  /// without a second pass over the page chain.
+  /// `observer` sees every (is_open, tag) symbol of the same scan —
+  /// DocumentStore rides it to build the path synopsis without a second
+  /// pass over the page chain.
   static Result<std::unique_ptr<BpIndex>> Build(
-      StringStore* tree,
-      const std::function<void(bool, TagId)>& observer = nullptr);
+      StringStore* tree, const std::function<void(bool, TagId)>& observer);
 
   /// Builds from a parenthesis string like "(()())" — unit tests and
   /// golden fixtures.  `tags` gives the preorder TagIds and may be empty
   /// (all nodes get kInvalidTag + 1 = 1).
   static Result<std::unique_ptr<BpIndex>> FromParens(std::string_view parens,
                                                      std::vector<TagId> tags);
-
-  /// Encodes the sidecar payload described above.
-  std::string EncodePayload() const;
-
-  /// Decodes a payload of `node_count` nodes (shape and balance checked)
-  /// and rebuilds the in-memory support structures.
-  static Result<std::unique_ptr<BpIndex>> DecodePayload(
-      std::string_view payload, uint64_t node_count);
 
   // -------------------------------------------------------------------
   // Shape.

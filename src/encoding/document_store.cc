@@ -6,7 +6,6 @@
 #include "common/coding.h"
 #include "common/hash.h"
 #include "common/logging.h"
-#include "storage/sidecar.h"
 #include "xml/escape.h"
 #include "xml/sax_parser.h"
 
@@ -68,8 +67,6 @@ constexpr const char* kValuesFile = store_files::kValues;
 constexpr const char* kDictFile = store_files::kDict;
 constexpr const char* kValIdxFile = store_files::kValIdx;
 constexpr const char* kIdIdxFile = store_files::kIdIdx;
-constexpr const char* kBpFile = store_files::kBpIndex;
-constexpr const char* kSynopsisFile = store_files::kSynopsis;
 
 /// Value-column entry of a node without a value.
 constexpr uint64_t kNoValue = ~uint64_t{0};
@@ -171,8 +168,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   std::vector<uint32_t> dewey_path;
   uint64_t leaf_count = 0;
   uint64_t leaf_depth_sum = 0;
-  // The path synopsis trie rides the same SAX pass — no extra scan.
-  PathSynopsis::Builder synopsis_builder;
 
   // Index entries, collected during the pass and inserted afterwards as
   // one sorted run per index, which the B+ tree's append split packs into
@@ -201,7 +196,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       leaf_depth_sum += dewey_path.size();
     }
     NOK_RETURN_IF_ERROR(builder.Close());
-    synopsis_builder.Close();
     frames.pop_back();
     dewey_path.pop_back();
     return Status::OK();
@@ -218,7 +212,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
       dewey_path.push_back(frames.back().next_child++);
     }
     NOK_RETURN_IF_ERROR(builder.Open(tag));
-    synopsis_builder.Open(tag);
     frames.emplace_back();
     return Status::OK();
   };
@@ -290,12 +283,9 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                             static_cast<double>(leaf_count);
   store->stats_.distinct_tags = store->tags_.size();
   store->RefreshSizeStats();
-  NOK_ASSIGN_OR_RETURN(store->synopsis_.value, synopsis_builder.Finish());
-  NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
-  // Materialize the BP index eagerly so the first query pays nothing, and
-  // persist the sidecar next to the freshly committed generation.
-  NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-  NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
+  // Derive the BP index and synopsis eagerly so the first query pays
+  // nothing.
+  NOK_RETURN_IF_ERROR(store->EnsureDerived());
   return store;
 }
 
@@ -424,20 +414,9 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   store->stats_.distinct_tags = store->tags_.size();
   store->RefreshSizeStats();
   // Eager so that concurrent readers of a read-only handle never race an
-  // on-demand build; loads the sidecar when its epoch matches.
-  NOK_RETURN_IF_ERROR(store->EnsureBpIndex());
-  if (!store->bp_.from_sidecar) {
-    // Missing/stale/damaged sidecar was rebuilt from the page chain;
-    // re-persist for the next open (no-op for read-only/WAL handles).
-    NOK_RETURN_IF_ERROR(store->PersistSidecar(kBpFile, store->bp_));
-  }
-  // Eager for the same reason as the BP index; when EnsureBpIndex just
-  // rebuilt from the page chain, the synopsis rode that scan and this is
-  // a no-op.  A missing/stale/damaged sidecar is silently replaced.
-  NOK_RETURN_IF_ERROR(store->EnsureSynopsis());
-  if (!store->synopsis_.from_sidecar) {
-    NOK_RETURN_IF_ERROR(store->PersistSidecar(kSynopsisFile, store->synopsis_));
-  }
+  // on-demand build.  The scan reads the whole page chain, so a damaged
+  // tree page fails the open here, and the open writes nothing.
+  NOK_RETURN_IF_ERROR(store->EnsureDerived());
   return store;
 }
 
@@ -537,10 +516,8 @@ Status DocumentStore::Flush() {
     // The structural updates of this batch dropped the in-memory BP
     // index, its value column and the synopsis; rebuild the index and
     // synopsis (one scan) so the next query finds them current.  The
-    // column waits for the first value read.  In-memory only: WAL handles
-    // persist no sidecar.
-    NOK_RETURN_IF_ERROR(EnsureBpIndex());
-    return EnsureSynopsis();
+    // column waits for the first value read.
+    return EnsureDerived();
   }
   // One new generation.  Order: value file and indexes (data synced before
   // each component's own meta), then the dictionary, then the tree string
@@ -554,13 +531,9 @@ Status DocumentStore::Flush() {
   NOK_RETURN_IF_ERROR(SaveDictionary());
   tree_->set_epoch(epoch_);
   NOK_RETURN_IF_ERROR(tree_->Flush());
-  // Keep each sidecar in lockstep with the generation it describes: a
-  // structural update dropped the in-memory structure, so rebuild it from
-  // the just-flushed pages and persist it stamped with the new epoch.
-  NOK_RETURN_IF_ERROR(EnsureBpIndex());
-  NOK_RETURN_IF_ERROR(PersistSidecar(kBpFile, bp_));
-  NOK_RETURN_IF_ERROR(EnsureSynopsis());
-  return PersistSidecar(kSynopsisFile, synopsis_);
+  // A structural update dropped the derived structures; rebuild them
+  // from the just-flushed pages.
+  return EnsureDerived();
 }
 
 Status DocumentStore::DropCaches() {
@@ -616,9 +589,9 @@ Result<std::optional<std::string>> DocumentStore::ValueOf(
 }
 
 Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag) {
-  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(EnsureDerived());
   uint64_t steps = 0;
-  std::vector<DeweyId> out = bp_.value->DeweysWithTag(tag, &steps);
+  std::vector<DeweyId> out = bp_->DeweysWithTag(tag, &steps);
   tree_->BumpBpSteps(steps);
   return out;
 }
@@ -642,32 +615,29 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
 void DocumentStore::BeginStructuralChange() {
   ++structure_version_;
   // The topology changed: the BP bitvector, and the value column keyed by
-  // its ranks, are invalid from here on.  The bitvector is rebuilt on the
-  // next bp_index() call (or at Flush), the column on the next value read.
-  bp_ = {};
+  // its ranks, are invalid from here on.  So is the synopsis — an
+  // inserted subtree can create rooted paths the old trie never saw, and
+  // pruning on those would wrongly prove queries empty.  The bitvector
+  // and the trie are rebuilt together on the next bp_index() or
+  // path_synopsis() call (or at Flush), the column on the next value
+  // read.
+  bp_.reset();
+  synopsis_.reset();
   value_column_ = std::make_unique<ValueColumn>();
-  // The synopsis too — an inserted subtree can create rooted paths the
-  // old trie never saw, and pruning on those would wrongly prove queries
-  // empty.  The next path_synopsis() call rebuilds it.
-  synopsis_ = {};
 }
 
 Result<const BpIndex*> DocumentStore::bp_index() {
-  NOK_RETURN_IF_ERROR(EnsureBpIndex());
-  return bp_.value.get();
+  NOK_RETURN_IF_ERROR(EnsureDerived());
+  return bp_.get();
 }
 
 Result<const PathSynopsis*> DocumentStore::path_synopsis() {
-  // A stale synopsis rides the BP index's rebuild scan when that one is
-  // stale too (BuildBpIndex); EnsureSynopsis then only loads or rebuilds
-  // when the BP index was already current.
-  NOK_RETURN_IF_ERROR(EnsureBpIndex());
-  NOK_RETURN_IF_ERROR(EnsureSynopsis());
-  return synopsis_.value.get();
+  NOK_RETURN_IF_ERROR(EnsureDerived());
+  return synopsis_.get();
 }
 
 StorePos DocumentStore::StorePosOf(uint64_t bp_pos) const {
-  NOK_CHECK(IsCurrent(bp_) && !bp_page_starts_.empty());
+  NOK_CHECK(bp_ != nullptr && !bp_page_starts_.empty());
   // The last page starting at or before bp_pos holds it; an empty page
   // shares its start with the next one, so it is never picked.
   const size_t chain_index = static_cast<size_t>(
@@ -680,12 +650,12 @@ StorePos DocumentStore::StorePosOf(uint64_t bp_pos) const {
 }
 
 uint64_t DocumentStore::BpPosOf(StorePos pos) const {
-  NOK_CHECK(IsCurrent(bp_));
+  NOK_CHECK(bp_ != nullptr);
   return bp_page_starts_[tree_->ChainSeq(pos.page)] + pos.idx;
 }
 
 Status DocumentStore::LoadValueColumn() {
-  NOK_RETURN_IF_ERROR(EnsureBpIndex());
+  NOK_RETURN_IF_ERROR(EnsureDerived());
   if (!value_column_->filled.load(std::memory_order_acquire)) {
     FillValueColumn();
   }
@@ -694,7 +664,7 @@ Status DocumentStore::LoadValueColumn() {
 
 Result<std::optional<std::string>> DocumentStore::ValueAtRank(
     uint64_t rank) {
-  NOK_CHECK(IsCurrent(bp_));
+  NOK_CHECK(bp_ != nullptr);
   NOK_RETURN_IF_ERROR(LoadValueColumn());
   NOK_CHECK(rank < value_column_->offsets.size());
   const uint64_t offset = value_column_->offsets[rank];
@@ -800,55 +770,21 @@ Status ScanValueColumn(BTree* id_index, const BpIndex& bp,
 
 }  // namespace
 
-template <typename T>
-bool DocumentStore::LoadSidecar(const char* name, Derived<T>* derived) {
-  // structure_version_ is in-memory and resets on open: a sidecar can only
-  // describe the generation the components were opened at.
-  if (options_.dir.empty() || structure_version_ != 0 ||
-      !FileExists(options_.dir + "/" + name)) {
-    return false;
-  }
-  auto file = OpenComponent(name, /*create=*/false);
-  if (!file.ok()) return false;
-  auto bytes = ReadWholeFile(*file.ValueOrDie());
-  if (!bytes.ok()) return false;
-  auto contents = UnsealSidecar(T::kSidecarFormat, bytes.ValueOrDie());
-  if (!contents.ok() || contents->epoch != epoch_ ||
-      contents->node_count != tree_->node_count()) {
-    return false;
-  }
-  auto value = T::DecodePayload(contents->payload, contents->node_count);
-  if (!value.ok()) return false;
-  *derived = {std::move(value).ValueOrDie(), structure_version_, true};
-  return true;
-}
-
-template <typename T>
-Status DocumentStore::PersistSidecar(const char* name,
-                                     const Derived<T>& derived) {
-  if (options_.dir.empty() || options_.read_only || wal_writer_ != nullptr) {
-    return Status::OK();
-  }
-  const std::string temp = name + std::string(kSidecarTempSuffix);
-  NOK_ASSIGN_OR_RETURN(auto file,
-                       OpenComponent(temp.c_str(), /*create=*/true));
-  const T& value = *derived.value;
-  return ReplaceFileAtomically(
-      file.get(), options_.dir, name,
-      SealSidecar(T::kSidecarFormat, epoch_, value.node_count(),
-                  value.EncodePayload()));
-}
-
-Status DocumentStore::EnsureBpIndex() {
-  if (IsCurrent(bp_)) return Status::OK();
-  bp_ = {};
-  if (!LoadSidecar(kBpFile, &bp_)) NOK_RETURN_IF_ERROR(BuildBpIndex());
-  auto starts = PageStarts(*tree_, *bp_.value);
-  if (!starts.ok()) {
-    bp_ = {};
-    return starts.status();
-  }
-  bp_page_starts_ = std::move(starts).ValueOrDie();
+Status DocumentStore::EnsureDerived() {
+  if (bp_ != nullptr) return Status::OK();
+  PathSynopsis::Builder synopsis_builder;
+  NOK_ASSIGN_OR_RETURN(
+      auto bp, BpIndex::Build(tree_.get(), [&](bool is_open, TagId tag) {
+        if (is_open) {
+          synopsis_builder.Open(tag);
+        } else {
+          synopsis_builder.Close();
+        }
+      }));
+  NOK_ASSIGN_OR_RETURN(auto synopsis, synopsis_builder.Finish());
+  NOK_ASSIGN_OR_RETURN(bp_page_starts_, PageStarts(*tree_, *bp));
+  bp_ = std::move(bp);
+  synopsis_ = std::move(synopsis);
   return Status::OK();
 }
 
@@ -856,46 +792,10 @@ void DocumentStore::FillValueColumn() {
   ValueColumn& column = *value_column_;
   MutexLock lock(&column.mu);
   if (column.filled.load(std::memory_order_relaxed)) return;
-  column.status = ScanValueColumn(id_index_.get(), *bp_.value,
+  column.status = ScanValueColumn(id_index_.get(), *bp_,
                                   &column.offsets);
   if (!column.status.ok()) column.offsets = {};
   column.filled.store(true, std::memory_order_release);
-}
-
-Status DocumentStore::BuildBpIndex() {
-  // Rebuild from the page chain.  When the synopsis is also out of date
-  // and its own sidecar cannot supply it, its trie rides the same
-  // VisitSymbols scan via the build observer — one pass, two indexes.
-  PathSynopsis::Builder synopsis_builder;
-  std::function<void(bool, TagId)> observer;
-  const bool feed_synopsis =
-      !IsCurrent(synopsis_) && !LoadSidecar(kSynopsisFile, &synopsis_);
-  if (feed_synopsis) {
-    observer = [&synopsis_builder](bool is_open, TagId tag) {
-      if (is_open) {
-        synopsis_builder.Open(tag);
-      } else {
-        synopsis_builder.Close();
-      }
-    };
-  }
-  NOK_ASSIGN_OR_RETURN(bp_.value, BpIndex::Build(tree_.get(), observer));
-  bp_.version = structure_version_;
-  if (feed_synopsis) {
-    synopsis_ = {};
-    NOK_ASSIGN_OR_RETURN(synopsis_.value, synopsis_builder.Finish());
-    synopsis_.version = structure_version_;
-  }
-  return Status::OK();
-}
-
-Status DocumentStore::EnsureSynopsis() {
-  if (IsCurrent(synopsis_)) return Status::OK();
-  synopsis_ = {};
-  if (LoadSidecar(kSynopsisFile, &synopsis_)) return Status::OK();
-  NOK_ASSIGN_OR_RETURN(synopsis_.value, PathSynopsis::Build(tree_.get()));
-  synopsis_.version = structure_version_;
-  return Status::OK();
 }
 
 Result<size_t> DocumentStore::EstimateValueCount(const Slice& value,

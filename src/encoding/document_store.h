@@ -55,10 +55,13 @@ inline constexpr const char* kValues = "values.dat";
 inline constexpr const char* kDict = "tags.dict";
 inline constexpr const char* kValIdx = "val.idx";
 inline constexpr const char* kIdIdx = "id.idx";
-/// The retired tag-name (B+t) and rooted tag-path (B+p) indexes: no store
-/// writes them; open, verify and snapshots ignore a legacy store's.  Kept
-/// only because e2ebench/e2e_bench.cc:1038-1039 names them; the next
-/// benchmark change deletes them.
+/// Retired files that no store writes: the tag-name (B+t) and rooted
+/// tag-path (B+p) indexes, and the BP index and path synopsis sidecars
+/// (both structures are derived from the page chain on every open).
+/// Open, verify, commits and snapshots ignore a leftover one, or its
+/// `.tmp` name, and never modify it.  Kept only because
+/// e2ebench/e2e_bench.cc:1037-1039 names them; the next benchmark change
+/// deletes them.
 inline constexpr const char* kTagIdx = "tag.idx";
 inline constexpr const char* kPathIdx = "path.idx";
 inline constexpr const char* kBpIndex = "tree.bpx";
@@ -106,10 +109,10 @@ struct DocumentStoreOptions {
   /// Toggle for the (st,lo,hi) page-skip optimization (Section 5).
   bool use_header_skip = true;
   /// Navigation tier used by query evaluation (see NavMode).  In either
-  /// mode Build/OpenDir materialize the balanced-parentheses index (from
-  /// the tree.bpx sidecar when its epoch matches, else one sequential
-  /// scan) and persist the sidecar on commit: it is the Dewey ID locator
-  /// of both modes.
+  /// mode Build, OpenDir and every Flush derive the balanced-parentheses
+  /// index, with the path synopsis, from one sequential scan of the page
+  /// chain and persist neither: it is the Dewey ID locator of both
+  /// modes.
   NavMode nav_mode = NavMode::kPaged;
   /// Directory for the store files; empty = fully in-memory.
   std::string dir;
@@ -162,7 +165,9 @@ class DocumentStore {
  public:
   using Options = DocumentStoreOptions;
 
-  /// Parses xml and builds all stores/indexes in a single SAX pass.
+  /// Parses xml and builds all stores/indexes in a single SAX pass, then
+  /// derives the BP index and the synopsis by one scan of the page chain
+  /// it wrote (as OpenDir does).
   static Result<std::unique_ptr<DocumentStore>> Build(const std::string& xml,
                                                       Options options = {});
 
@@ -185,14 +190,14 @@ class DocumentStore {
   /// Navigation tier this store was opened with.
   NavMode nav_mode() const { return options_.nav_mode; }
 
-  /// The balanced-parentheses index for the current structure, built or
-  /// rebuilt on demand (never returns null on OK).  The pointer stays
-  /// valid until the next structural update.
+  /// The balanced-parentheses index for the current structure, rebuilt
+  /// on demand after a structural update (never returns null on OK).  The
+  /// pointer stays valid until the next structural update.
   ///
-  /// Thread safety: the index is materialized eagerly by Build/OpenDir
-  /// (and by Flush), so concurrent readers of a read-only store only ever
-  /// hit the already-built fast path; on-demand (re)building only happens
-  /// on writable — single-threaded — handles.
+  /// Thread safety: the index is derived eagerly by Build/OpenDir (and by
+  /// Flush), so concurrent readers of a read-only store only ever hit the
+  /// already-built fast path; on-demand rebuilding only happens on
+  /// writable — single-threaded — handles.
   Result<const BpIndex*> bp_index();
 
   /// The paged-string position of the node whose open bit is `bp_pos` in
@@ -227,25 +232,13 @@ class DocumentStore {
     return tree_->node_count() * sizeof(uint64_t);
   }
 
-  /// Whether the current in-memory BP index came from a matching
-  /// tree.bpx sidecar (vs a rebuild scan of the page chain).
-  bool bp_loaded_from_sidecar() const { return bp_.from_sidecar; }
-
   /// The DataGuide-style path synopsis for the current structure
   /// (path_synopsis.h), fed to the Planner for per-pattern-node
-  /// cardinality estimates and schema-impossible pruning.  Built or
-  /// rebuilt on demand like bp_index() (never null on OK): after a
-  /// structural update its trie rides the BP index's rebuild scan.  The
-  /// pointer stays valid until the next structural update.
-  ///
-  /// Thread safety: as bp_index() — materialized eagerly by
-  /// Build/OpenDir and Flush, so concurrent readers of a read-only store
-  /// only ever hit the already-built fast path.
+  /// cardinality estimates and schema-impossible pruning.  Its trie rides
+  /// the BP index's scan, so it is rebuilt with that index and at the
+  /// same times (never null on OK).  The pointer stays valid until the
+  /// next structural update.
   Result<const PathSynopsis*> path_synopsis();
-
-  /// Whether the current in-memory synopsis came from a matching
-  /// synopsis.pds sidecar (vs a rebuild scan).
-  bool synopsis_loaded_from_sidecar() const { return synopsis_.from_sidecar; }
 
   // -- navigation helpers ----------------------------------------------
   /// Physical position by a FIRST-CHILD / FOLLOWING-SIBLING walk on the
@@ -361,54 +354,18 @@ class DocumentStore {
 
   /// Called by the updaters once an op has validated its arguments, just
   /// before it first mutates anything: bumps structure_version_ and drops
-  /// the structures derived from the old topology (the BP index and the
-  /// synopsis), which are rebuilt lazily or at the next Flush.
+  /// the structures derived from the old topology (the BP index, the
+  /// synopsis and the value column), which are rebuilt lazily or at the
+  /// next Flush.
   void BeginStructuralChange();
 
-  /// A structure derived from the tree string and persisted beside it as
-  /// a sidecar file (storage/sidecar.h): the BP index or the synopsis.
-  /// Immutable once built; describes the current structure while
-  /// `version` equals structure_version_.
-  template <typename T>
-  struct Derived {
-    std::unique_ptr<T> value;
-    uint64_t version = 0;
-    bool from_sidecar = false;
-  };
-
-  template <typename T>
-  bool IsCurrent(const Derived<T>& derived) const {
-    return derived.value != nullptr && derived.version == structure_version_;
-  }
-
-  /// Adopts sidecar `name` into *derived when it describes the structure
-  /// this handle opened: no in-process structural update yet
-  /// (structure_version_ == 0) and an epoch and node count that match.
-  /// Returns whether it did.  A missing, stale or damaged sidecar leaves
-  /// *derived alone; the caller rebuilds and `nokq verify` reports damage.
-  template <typename T>
-  bool LoadSidecar(const char* name, Derived<T>* derived);
-
-  /// Writes derived's structure to sidecar `name`, stamped with the
-  /// current epoch and replaced atomically.  No-op for in-memory,
-  /// read-only and WAL handles: the write is not transaction-captured, so
-  /// it must not join a WAL commit.
-  template <typename T>
-  Status PersistSidecar(const char* name, const Derived<T>& derived);
-
-  /// Makes bp_ and bp_page_starts_ match the current structure: loads
-  /// the sidecar, else rebuilds by one sequential scan.  When the synopsis
-  /// is out of date too and its own sidecar cannot supply it, its trie is
-  /// accumulated from the same scan (the BpIndex::Build observer) — one
-  /// pass builds both.
-  Status EnsureBpIndex();
-  /// EnsureBpIndex's rebuild scan (bp_, and synopsis_ when it rides
-  /// along).
-  Status BuildBpIndex();
-
-  /// Makes synopsis_ match the current structure: loads the sidecar, else
-  /// rebuilds by one sequential scan.
-  Status EnsureSynopsis();
+  /// Makes bp_, bp_page_starts_ and synopsis_ describe the current
+  /// structure.  When a structural update dropped them (or none exist
+  /// yet), one VisitSymbols scan of the page chain builds the BP index,
+  /// and the synopsis trie rides the same scan (the BpIndex::Build
+  /// observer).  Nothing else builds either structure, and neither is
+  /// persisted.
+  Status EnsureDerived();
 
   /// The rank -> value-offset column of one BP version.  Readers of a
   /// read-only store share it: the first fills it under `mu`, and once
@@ -450,10 +407,12 @@ class DocumentStore {
   DocumentStoreStats stats_;
   uint64_t epoch_ = 0;
   /// Structural updates applied in this process (BeginStructuralChange);
-  /// in-memory only.  Keys the derived structures below.
+  /// in-memory only.
   uint64_t structure_version_ = 0;
-  /// Balanced-parentheses navigation tier (bp_index.h), tree.bpx.
-  Derived<BpIndex> bp_;
+  /// The structures derived from the page chain by EnsureDerived: all
+  /// set, or all dropped by a structural update.  Immutable once built.
+  /// Balanced-parentheses navigation tier (bp_index.h).
+  std::unique_ptr<BpIndex> bp_;
   /// The BP bit position of each chain page's first symbol, in chain
   /// order (StorePosOf); derived with bp_ from the in-memory page
   /// headers.
@@ -463,8 +422,8 @@ class DocumentStore {
   /// FillValueColumn on the first value read and replaced by an empty
   /// one at each structural update.
   std::unique_ptr<ValueColumn> value_column_ = std::make_unique<ValueColumn>();
-  /// DataGuide-style path synopsis (path_synopsis.h), synopsis.pds.
-  Derived<PathSynopsis> synopsis_;
+  /// DataGuide-style path synopsis (path_synopsis.h).
+  std::unique_ptr<PathSynopsis> synopsis_;
 };
 
 /// Encoding helpers shared by the builder, the query engine and tests.

@@ -1,21 +1,9 @@
 #include "encoding/path_synopsis.h"
 
 #include <algorithm>
-#include <string>
 #include <utility>
 
-#include "common/coding.h"
-#include "encoding/string_store.h"
-
 namespace nok {
-namespace {
-
-constexpr size_t kSynopsisRecordSize = 2 + 8 + 4;  // tag, count, parent+1.
-// A trie can never have more nodes than the document, but a corrupt
-// sidecar can claim anything; cap before allocating.
-constexpr uint32_t kMaxPaths = 1u << 28;
-
-}  // namespace
 
 void PathSynopsis::Builder::Open(TagId tag) {
   ++opens_;
@@ -73,6 +61,10 @@ Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Builder::Finish() {
     node.count = trie_[t].count;
     node.level = trie_[t].level;
     node.parent = parent;
+    if (synopsis->min_level_ == 0 || node.level < synopsis->min_level_) {
+      synopsis->min_level_ = node.level;
+    }
+    synopsis->max_level_ = std::max(synopsis->max_level_, node.level);
     synopsis->nodes_.push_back(node);
     return static_cast<uint32_t>(synopsis->nodes_.size() - 1);
   };
@@ -93,120 +85,6 @@ Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Builder::Finish() {
       }
     }
   }
-  NOK_RETURN_IF_ERROR(synopsis->Validate());
-  return synopsis;
-}
-
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::Build(StringStore* tree) {
-  Builder builder;
-  uint64_t symbols = 0;
-  NOK_RETURN_IF_ERROR(tree->VisitSymbols([&](bool is_open, TagId tag) {
-    if (is_open) {
-      builder.Open(tag);
-    } else {
-      builder.Close();
-    }
-    ++symbols;
-  }));
-  if (symbols != 2 * tree->node_count()) {
-    return Status::Corruption(
-        "path synopsis: page chain disagrees with the meta node count (" +
-        std::to_string(symbols) + " symbols, expected " +
-        std::to_string(2 * tree->node_count()) + ")");
-  }
-  return builder.Finish();
-}
-
-Status PathSynopsis::Validate() {
-  // Recompute levels and subtree spans from the parent links while
-  // checking that the node order really is a preorder forest: a node's
-  // parent must be on the currently-open ancestor chain.
-  std::vector<uint32_t> open;
-  uint64_t total = 0;
-  min_level_ = 0;
-  max_level_ = 0;
-  for (size_t i = 0; i < nodes_.size(); ++i) {
-    PathNode& node = nodes_[i];
-    if (node.tag == kInvalidTag) {
-      return Status::Corruption("path synopsis: invalid tag at path node " +
-                                std::to_string(i));
-    }
-    if (node.count == 0) {
-      return Status::Corruption("path synopsis: zero count at path node " +
-                                std::to_string(i));
-    }
-    const int32_t parent = node.parent;
-    if (parent >= static_cast<int32_t>(i)) {
-      return Status::Corruption("path synopsis: parent not before child");
-    }
-    while (!open.empty() &&
-           (parent < 0 ||
-            open.back() != static_cast<uint32_t>(parent))) {
-      nodes_[open.back()].subtree_end = static_cast<uint32_t>(i);
-      open.pop_back();
-    }
-    if (parent >= 0 &&
-        (open.empty() || open.back() != static_cast<uint32_t>(parent))) {
-      return Status::Corruption("path synopsis: parent not an open ancestor");
-    }
-    node.level = parent < 0 ? 1 : nodes_[static_cast<size_t>(parent)].level + 1;
-    if (min_level_ == 0 || node.level < min_level_) min_level_ = node.level;
-    if (node.level > max_level_) max_level_ = node.level;
-    total += node.count;
-    open.push_back(static_cast<uint32_t>(i));
-  }
-  while (!open.empty()) {
-    nodes_[open.back()].subtree_end = static_cast<uint32_t>(nodes_.size());
-    open.pop_back();
-  }
-  if (total != node_count_) {
-    return Status::Corruption(
-        "path synopsis: path counts sum to " + std::to_string(total) +
-        ", expected " + std::to_string(node_count_) + " nodes");
-  }
-  return Status::OK();
-}
-
-std::string PathSynopsis::EncodePayload() const {
-  std::string payload;
-  payload.reserve(4 + nodes_.size() * kSynopsisRecordSize);
-  PutFixed32(&payload, static_cast<uint32_t>(nodes_.size()));
-  for (const PathNode& node : nodes_) {
-    PutFixed16(&payload, node.tag);
-    PutFixed64(&payload, node.count);
-    PutFixed32(&payload, static_cast<uint32_t>(node.parent + 1));
-  }
-  return payload;
-}
-
-Result<std::unique_ptr<PathSynopsis>> PathSynopsis::DecodePayload(
-    std::string_view payload, uint64_t node_count) {
-  if (payload.size() < 4) {
-    return Status::Corruption("synopsis sidecar: truncated payload");
-  }
-  const uint32_t path_count = DecodeFixed32(payload.data());
-  if (path_count > kMaxPaths) {
-    return Status::Corruption("synopsis sidecar: implausible path count");
-  }
-  if (payload.size() !=
-      4 + static_cast<size_t>(path_count) * kSynopsisRecordSize) {
-    return Status::Corruption("synopsis sidecar: payload size mismatch");
-  }
-  auto synopsis = std::unique_ptr<PathSynopsis>(new PathSynopsis());
-  synopsis->node_count_ = node_count;
-  synopsis->nodes_.resize(path_count);
-  for (size_t i = 0; i < path_count; ++i) {
-    const char* rec = payload.data() + 4 + i * kSynopsisRecordSize;
-    PathNode& node = synopsis->nodes_[i];
-    node.tag = DecodeFixed16(rec);
-    node.count = DecodeFixed64(rec + 2);
-    const uint32_t parent_plus_1 = DecodeFixed32(rec + 10);
-    if (parent_plus_1 > path_count) {
-      return Status::Corruption("synopsis sidecar: parent out of range");
-    }
-    node.parent = static_cast<int32_t>(parent_plus_1) - 1;
-  }
-  NOK_RETURN_IF_ERROR(synopsis->Validate());
   return synopsis;
 }
 

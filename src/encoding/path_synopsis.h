@@ -5,11 +5,10 @@
 // The synopsis is an immutable trie: one node per distinct rooted path
 // /a/b/c, holding the number of document nodes whose rooted path is
 // exactly that, plus the path length (the level every such node sits at
-// — for a rooted-path trie the two are the same thing).  It is built in
-// one pass over the document symbols (the SAX stream at Build time, or
-// the same single VisitSymbols scan that rebuilds the BP index) and is
-// tiny: its size is the number of distinct paths, not the number of
-// nodes.
+// — for a rooted-path trie the two are the same thing).  It is built by
+// the one VisitSymbols scan of the page chain that builds the BP index
+// (never persisted, like that index) and is tiny: its size is the
+// number of distinct paths, not the number of nodes.
 //
 // The Planner evaluates pattern arcs against the trie: a child arc maps
 // a set of trie nodes to their matching children, a descendant arc to
@@ -20,39 +19,26 @@
 //
 // Thread safety: immutable after construction; every method is const,
 // so any number of threads may query one instance concurrently.
-// Versioning against the store is the owner's job: DocumentStore keys
-// the in-memory instance to its structure version and the persisted
-// synopsis.pds sidecar to the store epoch, exactly like the BP index
-// (storage/sidecar.h; DESIGN.md section 6, "Sidecars").
+// Versioning against the store is the owner's job: DocumentStore drops
+// the instance at each structural update, with the BP index.
 //
 // Storage is a preorder-flattened array with subtree spans: node i's
 // descendants are exactly the indexes in (i, subtree_end(i)), and its
 // children are found by hopping j -> subtree_end(j) — no child pointers
 // needed at query time.
-//
-// Sidecar payload, all integers little-endian fixed-width: path count
-// (4 bytes), then one record per path node in preorder: TagId (2 bytes),
-// count (8 bytes), parent index + 1 (4 bytes, 0 for a top-level path).
-// Levels and subtree spans are recomputed on load and validated against
-// the preorder.
 
 #ifndef NOKXML_ENCODING_PATH_SYNOPSIS_H_
 #define NOKXML_ENCODING_PATH_SYNOPSIS_H_
 
 #include <cstdint>
 #include <memory>
-#include <string>
-#include <string_view>
 #include <vector>
 
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/tag_dictionary.h"
-#include "storage/sidecar.h"
 
 namespace nok {
-
-class StringStore;
 
 /// Immutable trie of distinct rooted tag paths with per-path counts.
 class PathSynopsis {
@@ -72,8 +58,8 @@ class PathSynopsis {
   };
 
   /// Incremental builder fed open/close events in document order — the
-  /// DocumentStore SAX pass and the BP-index VisitSymbols scan both
-  /// drive one of these, so the synopsis never costs an extra pass.
+  /// BP index's VisitSymbols scan drives one, so the synopsis never costs
+  /// an extra pass.
   class Builder {
    public:
     Builder() = default;
@@ -84,8 +70,8 @@ class PathSynopsis {
     /// Ascends one level.
     void Close();
 
-    /// Validates balance and flattens the trie to preorder.  The builder
-    /// is spent afterwards.
+    /// Checks balance and flattens the trie to preorder.  The builder is
+    /// spent afterwards.
     Result<std::unique_ptr<PathSynopsis>> Finish();
 
    private:
@@ -102,23 +88,6 @@ class PathSynopsis {
     uint64_t opens_ = 0;
     bool unbalanced_ = false;  ///< A Close arrived with nothing open.
   };
-
-  /// Envelope identity of the synopsis.pds sidecar ("NOKPSYNP",
-  /// version 1).
-  static constexpr SidecarFormat kSidecarFormat = {0x4e4f4b5053594e50ull, 1,
-                                                   "synopsis sidecar"};
-
-  /// Builds the synopsis in one sequential scan of the paged string
-  /// (chain-order page decodes).
-  static Result<std::unique_ptr<PathSynopsis>> Build(StringStore* tree);
-
-  /// Encodes the sidecar payload described above.
-  std::string EncodePayload() const;
-
-  /// Decodes the payload of a synopsis over `node_count` document nodes
-  /// and validates it (shape, preorder consistency, count totals).
-  static Result<std::unique_ptr<PathSynopsis>> DecodePayload(
-      std::string_view payload, uint64_t node_count);
 
   // -------------------------------------------------------------------
   // Shape.
@@ -175,11 +144,6 @@ class PathSynopsis {
 
  private:
   PathSynopsis() = default;
-
-  /// Recomputes levels and subtree spans from the parent links and
-  /// rejects anything that is not a consistent preorder forest with
-  /// positive counts summing to node_count_.
-  Status Validate();
 
   std::vector<PathNode> nodes_;  ///< Preorder.
   uint64_t node_count_ = 0;

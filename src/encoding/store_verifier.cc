@@ -6,13 +6,10 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "encoding/bp_index.h"
 #include "encoding/dewey.h"
-#include "encoding/path_synopsis.h"
 #include "encoding/string_store.h"
 #include "storage/file.h"
 #include "storage/pager.h"
-#include "storage/sidecar.h"
 
 namespace nok {
 
@@ -97,54 +94,6 @@ void CrossCheckValueIndex(BTree* id_index, BTree* index, uint64_t expected,
   }
 }
 
-/// Pass 4 for one sidecar file.  Unsealing catches envelope damage
-/// (magic, version, CRC-32C).  The CRC only vouches that the bytes match
-/// what was written, so the payload is then compared with the one a
-/// rebuild from the tree string encodes.
-template <typename T>
-void CheckSidecar(const std::string& dir, const char* name,
-                  DocumentStore* store, VerifyReport* report) {
-  const std::string path = dir + "/" + name;
-  if (!FileExists(path)) return;
-  auto file = OpenPosixFileReadOnly(path);
-  if (!file.ok()) {
-    AddIssue(report, name, file.status().ToString());
-    return;
-  }
-  auto bytes = ReadWholeFile(*file.ValueOrDie());
-  if (!bytes.ok()) {
-    AddIssue(report, name, bytes.status().ToString());
-    return;
-  }
-  auto contents = UnsealSidecar(T::kSidecarFormat, bytes.ValueOrDie());
-  if (!contents.ok()) {
-    AddIssue(report, name, contents.status().ToString());
-    return;
-  }
-  // A mismatched-epoch sidecar is stale, not damaged: no open ever trusts
-  // it (it is rebuilt from the page chain, exactly as if the file were
-  // missing), and a crash between a WAL commit and the next writable open
-  // legitimately leaves one behind.
-  if (contents->epoch != store->epoch()) return;
-  auto fresh = T::Build(store->tree());
-  if (!fresh.ok()) {
-    AddIssue(report, name,
-             "cannot rebuild from the page chain: " +
-                 fresh.status().ToString());
-    return;
-  }
-  if (contents->node_count != fresh.ValueOrDie()->node_count()) {
-    AddIssue(report, name,
-             "sidecar holds " + std::to_string(contents->node_count) +
-                 " nodes but the tree string holds " +
-                 std::to_string(fresh.ValueOrDie()->node_count()));
-  } else if (contents->payload != fresh.ValueOrDie()->EncodePayload()) {
-    AddIssue(report, name,
-             "sidecar payload disagrees with a rebuild from the tree "
-             "string");
-  }
-}
-
 }  // namespace
 
 Result<VerifyReport> VerifyStoreDir(const std::string& dir,
@@ -168,10 +117,9 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
     return report;
   }
 
-  // Pass 2: structural open (magics, versions, page chain, epochs).
-  // Read-only: a writable open self-heals damaged index sidecars
-  // (rebuild + re-persist), which would erase exactly the evidence the
-  // later passes exist to report.  A scrub must never mutate the store.
+  // Pass 2: structural open (magics, versions, the page chain — read
+  // whole to derive the BP index and synopsis — and epochs).  Read-only:
+  // a scrub must never mutate the store.
   options.dir = dir;
   options.read_only = true;
   auto store_or = DocumentStore::OpenDir(options);
@@ -285,11 +233,6 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
     CrossCheckValueIndex(store->id_index(), store->value_index(),
                          valued_entries, &report);
   }
-
-  // Pass 4: the sidecars, when persisted.
-  CheckSidecar<BpIndex>(dir, store_files::kBpIndex, store.get(), &report);
-  CheckSidecar<PathSynopsis>(dir, store_files::kSynopsis, store.get(),
-                             &report);
   return report;
 }
 

@@ -1,24 +1,25 @@
 // Offline integrity scrub for a document store directory (`nokq verify`).
 //
-// Four passes, each independent of the machinery it checks:
+// Three passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
 //      string and the B+v and B+i indexes) is read raw through a Pager,
 //      so checksum mismatches are reported per page — including pages the
 //      higher layers would never visit.
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
-//      format versions, the page-chain walk, and cross-component epochs.
+//      format versions, the page chain (read whole to derive the BP index
+//      and the path synopsis, which no store persists), and
+//      cross-component epochs.
 //   3. Index cross-check: every B+i (Dewey -> position/value) entry is
 //      paired with its node by one document-order walk of the tree string
 //      (B+i keys sort in document order) and compared against the stored
 //      entry, and its value record is read (which verifies the record
 //      CRC).  Then every B+v entry must name a node B+i knows, and B+v
 //      must hold one entry per valued node.
-//   4. Sidecar cross-check: each sidecar present (tree.bpx, synopsis.pds)
-//      is unsealed (magic, version, CRC-32C) and its payload compared with
-//      the payload of a rebuild from the page chain.  A stale-epoch
-//      sidecar is never trusted by any open, so it counts as missing, not
-//      damaged; so does a stray temp file (storage/sidecar.h).
+//
+// Files a store no longer writes (tag.idx, path.idx, tree.bpx,
+// synopsis.pds and their .tmp names) are not components: the scrub
+// ignores a leftover one.
 
 // The scrub never repairs anything; it reports.  Repair is rebuilding
 // from the source document or restoring from a copy.

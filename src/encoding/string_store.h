@@ -220,8 +220,8 @@ class StringStore {
 
   /// Visits every symbol in document order — one sequential chain scan
   /// through the BufferPool.  `visit(is_open, tag)` receives kInvalidTag
-  /// for close symbols.  Feeds BP-index construction (bp_index.h) and the
-  /// verifier's independent bitvector recompute.
+  /// for close symbols.  Feeds BP-index construction (bp_index.h), which
+  /// the path synopsis rides.
   Status VisitSymbols(const std::function<void(bool, TagId)>& visit);
 
   // -------------------------------------------------------------------

@@ -207,28 +207,6 @@ Status RemoveFile(const std::string& path) {
   return Status::OK();
 }
 
-Status RenameFile(const std::string& from, const std::string& to) {
-  if (::rename(from.c_str(), to.c_str()) != 0) {
-    return WriteErrnoToStatus(("rename " + from + " -> " + to).c_str(),
-                              errno);
-  }
-  return Status::OK();
-}
-
-Status SyncDir(const std::string& dir) {
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) {
-    return Status::IOError("open " + dir + ": " + strerror(errno));
-  }
-  const int rc = ::fsync(fd);
-  const int err = errno;
-  ::close(fd);
-  if (rc != 0) {
-    return Status::IOError("fsync " + dir + ": " + strerror(err));
-  }
-  return Status::OK();
-}
-
 Status CreateDirs(const std::string& path) {
   std::error_code ec;
   std::filesystem::create_directories(path, ec);

@@ -68,13 +68,6 @@ bool FileExists(const std::string& path);
 /// Removes the file at path if it exists (missing file is not an error).
 Status RemoveFile(const std::string& path);
 
-/// Renames the file at from to to, replacing any file already at to.
-Status RenameFile(const std::string& from, const std::string& to);
-
-/// Flushes the directory entry table of dir to durable storage, so that
-/// files created or renamed in it survive a crash.
-Status SyncDir(const std::string& dir);
-
 /// Creates directory path (and parents).  Existing directory is OK.
 Status CreateDirs(const std::string& path);
 

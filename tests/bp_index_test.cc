@@ -388,7 +388,7 @@ TEST(BpIndexTest, ChildJumpMatchesNaiveChildren) {
   }
 }
 
-TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
+TEST(BpIndexTest, ChildSamplesAreCounted) {
   const std::string parens = WideParens(1000);
   auto bp_or = BpIndex::FromParens(parens, {});
   ASSERT_TRUE(bp_or.ok());
@@ -397,10 +397,6 @@ TEST(BpIndexTest, ChildSamplesSurviveRoundTripAndAreCounted) {
   ASSERT_EQ(table.parents.size(), 2u);  // The root and its child 1.
   EXPECT_EQ(table.offsets.size(), 3u);
   EXPECT_EQ(table.samples.size(), 2 * (999u / 64));
-
-  auto back = BpIndex::DecodePayload(bp.EncodePayload(), bp.node_count());
-  ASSERT_TRUE(back.ok()) << back.status().ToString();
-  EXPECT_TRUE((*back)->child_samples() == table);
 
   // Every other structure depends on the node count alone, so a chain of
   // the same size (no node wider than one child) differs by the table.
@@ -543,53 +539,8 @@ TEST(BpIndexTest, TagProbesMatchANaivePreorderWalk) {
 }
 
 // ---------------------------------------------------------------------
-// Sidecar payload (the envelope is storage/sidecar.h's, tested in
-// sidecar_test).
-
-TEST(BpIndexTest, PayloadRoundTrip) {
-  Random rng(99);
-  const uint64_t nodes = 300;
-  const std::string parens = RandomParens(&rng, nodes);
-  auto bp_or =
-      BpIndex::FromParens(parens, RandomTags(&rng, nodes, 6));
-  ASSERT_TRUE(bp_or.ok());
-  const BpIndex& bp = *bp_or.ValueOrDie();
-
-  const std::string bytes = bp.EncodePayload();
-  auto back_or = BpIndex::DecodePayload(bytes, bp.node_count());
-  ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
-  const BpIndex& back = *back_or.ValueOrDie();
-  EXPECT_EQ(back.node_count(), bp.node_count());
-  EXPECT_EQ(back.bit_count(), bp.bit_count());
-  for (uint64_t pos = 0; pos < bp.bit_count(); ++pos) {
-    ASSERT_EQ(back.IsOpen(pos), bp.IsOpen(pos)) << pos;
-    if (bp.IsOpen(pos)) {
-      ASSERT_EQ(back.TagAt(pos), bp.TagAt(pos)) << pos;
-      ASSERT_EQ(back.FindClose(pos), bp.FindClose(pos)) << pos;
-    }
-  }
-  // Deterministic encode: a round-tripped index re-encodes
-  // byte-identically.
-  EXPECT_EQ(back.EncodePayload(), bytes);
-}
-
-TEST(BpIndexTest, DecodePayloadRejectsBadShapes) {
-  auto bp = Golden();
-  const std::string bytes = bp->EncodePayload();
-  const uint64_t n = bp->node_count();
-  EXPECT_FALSE(BpIndex::DecodePayload(bytes.substr(0, 10), n).ok());
-  EXPECT_FALSE(BpIndex::DecodePayload(bytes + "x", n).ok());
-  EXPECT_FALSE(BpIndex::DecodePayload(bytes, n + 1).ok());
-  EXPECT_FALSE(BpIndex::DecodePayload(bytes, ~uint64_t{0}).ok());
-  // Unbalanced bits: the root's close turned into an open.
-  std::string unbalanced = bytes;
-  unbalanced[1] = static_cast<char>(unbalanced[1] | 0x02);
-  EXPECT_FALSE(BpIndex::DecodePayload(unbalanced, n).ok());
-}
-
-// ---------------------------------------------------------------------
 // Store-level: bp navigation must answer every query exactly like the
-// paged tier (the tree.bpx lifecycle is covered by sidecar_test).
+// paged tier.
 
 TEST(BpIndexTest, BpModeMatchesPagedOnRandomDocuments) {
   Random rng(777);

@@ -7,9 +7,13 @@
 #include <string>
 #include <vector>
 
+#include "common/coding.h"
+#include "common/hash.h"
 #include "encoding/dewey.h"
 #include "encoding/document_store.h"
+#include "encoding/swmr_store.h"
 #include "nok/query_engine.h"
+#include "storage/file.h"
 #include "tests/oracle.h"
 #include "xml/dom.h"
 
@@ -269,13 +273,13 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
   std::filesystem::remove_all(dir);
   DocumentStore::Options options;
   options.dir = dir;
-  // The files a store consists of in either nav mode: two B+ trees, the
-  // two sidecars, and neither a tag-name index (tag.idx; the BP index
-  // answers tag probes) nor a rooted tag-path index (path.idx).
+  // The files a store consists of in either nav mode: two B+ trees, and
+  // neither a tag-name index (tag.idx; the BP index answers tag probes)
+  // nor a rooted tag-path index (path.idx), nor a persisted BP index or
+  // synopsis (tree.bpx, synopsis.pds; both are derived on every open).
   const std::set<std::string> want_files = {
-      store_files::kTree,    store_files::kValues,  store_files::kDict,
-      store_files::kValIdx,  store_files::kIdIdx,   store_files::kBpIndex,
-      store_files::kSynopsis};
+      store_files::kTree, store_files::kValues, store_files::kDict,
+      store_files::kValIdx, store_files::kIdIdx};
   auto files_in_dir = [&] {
     std::set<std::string> names;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -434,6 +438,179 @@ TEST(DocumentStoreTest, IdIndexCoversEveryNode) {
   auto store = Build(kBibXml);
   EXPECT_EQ(store->id_index()->num_entries(), store->stats().node_count);
 }
+
+// ---------------------------------------------------------------------
+// Derived structures: the BP index and the path synopsis are built from
+// the page chain by one scan on every Build, open and commit, and never
+// persisted.
+
+constexpr const char* kDerivedXml = "<a><b><c/></b><b/><d>x</d></a>";
+// kDerivedXml after inserting <e/> as the root's first child.
+constexpr const char* kDerivedXmlAfterInsert =
+    "<a><e/><b><c/></b><b/><d>x</d></a>";
+
+/// The BP index (parentheses with tag names) and the synopsis (one line
+/// per rooted path) of `store`, by tag name, so that stores which
+/// interned their tags in a different order compare equal.
+std::string DescribeDerived(DocumentStore* store) {
+  auto bp = store->bp_index();
+  auto synopsis = store->path_synopsis();
+  EXPECT_TRUE(bp.ok()) << bp.status().ToString();
+  EXPECT_TRUE(synopsis.ok()) << synopsis.status().ToString();
+  if (!bp.ok() || !synopsis.ok()) return "";
+  std::string out;
+  for (uint64_t pos = 0; pos < (*bp)->bit_count(); ++pos) {
+    out += (*bp)->IsOpen(pos) ? "(" + store->tags()->Name((*bp)->TagAt(pos))
+                              : ")";
+  }
+  for (size_t i = 0; i < (*synopsis)->path_count(); ++i) {
+    const PathSynopsis::PathNode& node = (*synopsis)->node(i);
+    out += "\n" + store->tags()->Name(node.tag) +
+           " count=" + std::to_string(node.count) +
+           " level=" + std::to_string(node.level) +
+           " parent=" + std::to_string(node.parent) +
+           " end=" + std::to_string(node.subtree_end);
+  }
+  return out;
+}
+
+/// DescribeDerived of an in-memory store freshly built from `xml`.
+std::string FreshDerived(const std::string& xml) {
+  auto fresh = DocumentStore::Build(xml, DocumentStore::Options());
+  EXPECT_TRUE(fresh.ok()) << fresh.status().ToString();
+  if (!fresh.ok()) return "";
+  return DescribeDerived(fresh->get());
+}
+
+class DerivedStructuresTest : public ::testing::TestWithParam<NavMode> {
+ protected:
+  void SetUp() override {
+    dir_ = (std::filesystem::temp_directory_path() /
+            ("nokxml_derived_" + std::string(NavModeName(GetParam())) + "_" +
+             std::to_string(::getpid())))
+               .string();
+    std::filesystem::remove_all(dir_);
+    options_.dir = dir_;
+    options_.nav_mode = GetParam();
+    auto store = DocumentStore::Build(kDerivedXml, options_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ(DescribeDerived(store->get()), FreshDerived(kDerivedXml));
+    ExpectOnlyComponents(/*wal=*/false);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  /// The store directory holds the five component files, plus the WAL
+  /// file of a store that has been opened with the WAL, and nothing else.
+  void ExpectOnlyComponents(bool wal) const {
+    std::set<std::string> want = {store_files::kTree, store_files::kValues,
+                                  store_files::kDict, store_files::kValIdx,
+                                  store_files::kIdIdx};
+    if (wal) want.insert(kWalFileName);
+    std::set<std::string> got;
+    for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
+      got.insert(entry.path().filename().string());
+    }
+    EXPECT_EQ(got, want);
+  }
+
+  std::string dir_;
+  DocumentStore::Options options_;
+};
+
+TEST_P(DerivedStructuresTest, ReopenDerivesWhatAFreshBuildDoes) {
+  for (const bool read_only : {true, false}) {
+    SCOPED_TRACE(read_only ? "read-only open" : "writable open");
+    DocumentStore::Options options = options_;
+    options.read_only = read_only;
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    EXPECT_EQ(DescribeDerived(store->get()), FreshDerived(kDerivedXml));
+  }
+  ExpectOnlyComponents(/*wal=*/false);
+}
+
+TEST_P(DerivedStructuresTest, StructuralUpdateAndFlushRederive) {
+  {
+    auto store = DocumentStore::OpenDir(options_);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->InsertSubtree(DeweyId::Root(), 0, "<e/>").ok());
+    // Before the commit: rebuilt on demand from the edited chain.
+    EXPECT_EQ(DescribeDerived(store->get()),
+              FreshDerived(kDerivedXmlAfterInsert));
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ(DescribeDerived(store->get()),
+              FreshDerived(kDerivedXmlAfterInsert));
+  }
+  ExpectOnlyComponents(/*wal=*/false);
+  auto store = DocumentStore::OpenDir(options_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(DescribeDerived(store->get()),
+            FreshDerived(kDerivedXmlAfterInsert));
+}
+
+TEST_P(DerivedStructuresTest, WalAndSnapshotCommitsRederive) {
+  {
+    DocumentStore::Options wal = options_;
+    wal.wal.enabled = true;
+    auto store = DocumentStore::OpenDir(wal);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    ASSERT_TRUE((*store)->InsertSubtree(DeweyId::Root(), 0, "<e/>").ok());
+    ASSERT_TRUE((*store)->Flush().ok());
+    EXPECT_EQ((*store)->wal_stats().commits, 1u);
+    EXPECT_EQ(DescribeDerived(store->get()),
+              FreshDerived(kDerivedXmlAfterInsert));
+  }
+  ExpectOnlyComponents(/*wal=*/true);
+  {
+    SwmrStore::Options options;
+    options.store = options_;
+    auto swmr = SwmrStore::Open(dir_, options);
+    ASSERT_TRUE(swmr.ok()) << swmr.status().ToString();
+    ASSERT_TRUE((*swmr)->DeleteSubtree(DeweyId({0, 0})).ok());
+    ASSERT_TRUE((*swmr)->Commit().ok());
+    EXPECT_EQ(DescribeDerived((*swmr)->snapshot()->store()),
+              FreshDerived(kDerivedXml));
+  }
+  ExpectOnlyComponents(/*wal=*/true);
+  auto store = DocumentStore::OpenDir(options_);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  EXPECT_EQ(DescribeDerived(store->get()), FreshDerived(kDerivedXml));
+}
+
+TEST_P(DerivedStructuresTest, ChainThatDisagreesWithTheMetaFailsOpen) {
+  // Claim one node more in the tree meta page than the chain holds, and
+  // re-seal the page's CRC so that the count, not the checksum, is what
+  // the open sees.
+  constexpr size_t kMetaNodeCount = 12;
+  const std::string path = dir_ + "/" + store_files::kTree;
+  std::string bytes;
+  ASSERT_TRUE(ReadFileToString(path, &bytes).ok());
+  ASSERT_GT(bytes.size(), size_t{kDefaultPageSize} + 4);
+  EncodeFixed64(bytes.data() + kMetaNodeCount,
+                DecodeFixed64(bytes.data() + kMetaNodeCount) + 1);
+  EncodeFixed32(bytes.data() + kDefaultPageSize,
+                Crc32c(Slice(bytes.data(), kDefaultPageSize)));
+  ASSERT_TRUE(WriteStringToFile(path, Slice(bytes)).ok());
+  for (const bool read_only : {true, false}) {
+    DocumentStore::Options options = options_;
+    options.read_only = read_only;
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_FALSE(store.ok()) << "opened a chain the meta miscounts";
+    EXPECT_TRUE(store.status().IsCorruption()) << store.status().ToString();
+    EXPECT_NE(store.status().ToString().find("meta node count"),
+              std::string::npos)
+        << store.status().ToString();
+  }
+  ExpectOnlyComponents(/*wal=*/false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    NavModes, DerivedStructuresTest,
+    ::testing::Values(NavMode::kPaged, NavMode::kBp),
+    [](const ::testing::TestParamInfo<NavMode>& param_info) {
+      return std::string(NavModeName(param_info.param));
+    });
 
 }  // namespace
 }  // namespace nok

@@ -14,7 +14,6 @@
 #include "btree/btree.h"
 #include "encoding/document_store.h"
 #include "encoding/store_verifier.h"
-#include "nok/query_engine.h"
 #include "storage/buffer_pool.h"
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
@@ -757,120 +756,6 @@ TEST_F(WalKillPointSweep, PlainOpenRefusesAPendingWal) {
   auto repaired = DocumentStore::OpenDir(plain);
   EXPECT_TRUE(repaired.ok()) << repaired.status().ToString();
 }
-
-// ---------------------------------------------------------------------------
-// Sidecar fault sweep.
-//
-// A bp-mode Flush commits the new generation with the tree meta page and
-// then rewrites both sidecars (tree.bpx, synopsis.pds).  A fault in that
-// tail must leave a store the scrub calls clean — the old sidecars are
-// merely stale — and that answers like the committed generation.
-
-constexpr const char* kSidecarXml =
-    "<a><b>1</b><c>2</c><d><e>3</e></d><b>4</b></a>";
-
-/// What a plain (uninjected) bp-mode reopen of dir sees.
-struct BpReopenOutcome {
-  Status status = Status::OK();
-  uint64_t epoch = 0;
-  std::vector<DeweyId> children;  ///< The answer to /a/*.
-};
-
-BpReopenOutcome BpReopen(const std::string& dir) {
-  BpReopenOutcome outcome;
-  DocumentStoreOptions options;
-  options.dir = dir;
-  options.nav_mode = NavMode::kBp;
-  auto store = DocumentStore::OpenDir(options);
-  if (!store.ok()) {
-    outcome.status = store.status();
-    return outcome;
-  }
-  outcome.epoch = (*store)->epoch();
-  QueryEngine engine(store->get());
-  auto children = engine.Evaluate("/a/*");
-  if (!children.ok()) {
-    outcome.status = children.status();
-    return outcome;
-  }
-  outcome.children = std::move(children).ValueOrDie();
-  return outcome;
-}
-
-class SidecarFaultSweep : public ::testing::TestWithParam<FaultKind> {};
-
-TEST_P(SidecarFaultSweep, FaultAfterTheCommitLeavesAConsistentStore) {
-  const std::string dir = TempDir("sidecar_base");
-  const std::string scratch = TempDir("sidecar_scratch");
-  auto injector = std::make_shared<FaultInjector>();
-  auto options_for = [&injector](const std::string& d) {
-    DocumentStoreOptions options = InjectedOptions(d, injector);
-    options.nav_mode = NavMode::kBp;
-    return options;
-  };
-
-  std::filesystem::remove_all(dir);
-  {
-    auto store = DocumentStore::Build(kSidecarXml, options_for(dir));
-    ASSERT_TRUE(store.ok()) << store.status().ToString();
-    ASSERT_TRUE((*store)->Flush().ok());
-  }
-  uint64_t commit_ops = 0;
-  auto update = [&](const std::string& d) {
-    auto store = DocumentStore::OpenDir(options_for(d));
-    NOK_RETURN_IF_ERROR(store.status());
-    NOK_RETURN_IF_ERROR(
-        (*store)->InsertSubtree(DeweyId({0}), 1, "<n>new</n>"));
-    Status s = (*store)->Flush();
-    commit_ops = injector->ops_seen();
-    return s;
-  };
-  auto reset_scratch = [&]() {
-    std::filesystem::remove_all(scratch);
-    std::filesystem::copy(dir, scratch);
-    injector->Reset();
-  };
-
-  // Dry run: the op count and the committed generation.
-  reset_scratch();
-  ASSERT_TRUE(update(scratch).ok());
-  const uint64_t total_ops = commit_ops;
-  const BpReopenOutcome committed = BpReopen(scratch);
-  ASSERT_TRUE(committed.status.ok()) << committed.status.ToString();
-  ASSERT_EQ(committed.children.size(), 5u);
-
-  uint64_t after_commit = 0;
-  for (uint64_t k = 0; k < total_ops; ++k) {
-    const std::string what = "fault at op " + std::to_string(k);
-    reset_scratch();
-    injector->FailAtOp(k, GetParam(), /*sticky=*/true);
-    EXPECT_FALSE(update(scratch).ok()) << what << " did not propagate";
-    injector->Disarm();
-    // Scrub first: the writable reopen below rebuilds damaged sidecars.
-    auto scrub = VerifyStoreDir(scratch);
-    ASSERT_TRUE(scrub.ok()) << what << ": " << scrub.status().ToString();
-    const BpReopenOutcome outcome = BpReopen(scratch);
-    if (!outcome.status.ok() || outcome.epoch != committed.epoch) {
-      continue;  // Before the commit; FaultSweep covers that side.
-    }
-    ++after_commit;
-    EXPECT_TRUE(scrub->ok())
-        << what << ": " << scrub->issues.front().component << ": "
-        << scrub->issues.front().detail;
-    EXPECT_EQ(outcome.children, committed.children) << what;
-  }
-  // Each sidecar replace is at least a truncate, a write and a sync.
-  EXPECT_GE(after_commit, 6u)
-      << "the sweep never reached the sidecar writes after the commit";
-  std::filesystem::remove_all(dir);
-  std::filesystem::remove_all(scratch);
-}
-
-// No instantiation prefix, so the names start "SidecarFaultSweep." and
-// the crash-recovery CI filter selects them.
-INSTANTIATE_TEST_SUITE_P(, SidecarFaultSweep,
-                         ::testing::Values(FaultKind::kError,
-                                           FaultKind::kTorn));
 
 TEST(FaultSweepTest, RandomFaultsNeverCrashTheBuilder) {
   const std::string dir = TempDir("random");

@@ -5,7 +5,8 @@
 // versions 0/1, the headerless dictionary, stores without epochs, index
 // entries that cache node positions or key B+v by the bare value hash)
 // are refused with Corruption, never served and never an abort.  Files
-// that retired indexes left in a store directory are ignored.
+// that retired indexes and sidecars left in a store directory are
+// ignored.
 
 #include <gtest/gtest.h>
 
@@ -221,14 +222,17 @@ TEST(FormatCompatTest, HeaderlessDictionaryIsCorruption) {
 }
 
 TEST(FormatCompatTest, LeftoverRetiredFilesAreIgnored) {
-  // The retired tag-name and tag-path indexes and the stale-positions
-  // marker may still sit in a store directory.  No open, verify, commit
-  // or snapshot reads or touches them.
+  // The retired tag-name and tag-path indexes, the stale-positions
+  // marker, and the BP index and synopsis sidecars (with a sidecar's temp
+  // file) may still sit in a store directory.  No open, verify, commit or
+  // snapshot reads or touches them.
   const std::string dir = TempDir("leftovers");
   BuildStore(dir);
-  const char* const leftovers[] = {store_files::kTagIdx,
-                                   store_files::kPathIdx, "positions.stale"};
-  for (const char* name : leftovers) {
+  const std::string leftovers[] = {
+      store_files::kTagIdx,   store_files::kPathIdx,
+      "positions.stale",      store_files::kBpIndex,
+      store_files::kSynopsis, std::string(store_files::kBpIndex) + ".tmp"};
+  for (const std::string& name : leftovers) {
     ASSERT_TRUE(
         WriteStringToFile(dir + "/" + name, Slice("not a store file")).ok());
   }
@@ -262,7 +266,7 @@ TEST(FormatCompatTest, LeftoverRetiredFilesAreIgnored) {
   auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->ok()) << report->issues[0].detail;
-  for (const char* name : leftovers) {
+  for (const std::string& name : leftovers) {
     EXPECT_EQ(FileBytes(dir + "/" + name), "not a store file") << name;
   }
   std::filesystem::remove_all(dir);

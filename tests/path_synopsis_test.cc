@@ -125,51 +125,6 @@ TEST(PathSynopsisTest, MatchSetQueries) {
 }
 
 // ---------------------------------------------------------------------
-// Sidecar payload (the envelope is storage/sidecar.h's, tested in
-// sidecar_test).
-
-TEST(PathSynopsisTest, PayloadRoundTrip) {
-  auto syn = Golden();
-  const std::string bytes = syn->EncodePayload();
-  auto back_or = PathSynopsis::DecodePayload(bytes, syn->node_count());
-  ASSERT_TRUE(back_or.ok()) << back_or.status().ToString();
-  const PathSynopsis& back = *back_or.ValueOrDie();
-  ASSERT_EQ(back.path_count(), syn->path_count());
-  EXPECT_EQ(back.node_count(), syn->node_count());
-  EXPECT_EQ(back.min_level(), syn->min_level());
-  EXPECT_EQ(back.max_level(), syn->max_level());
-  for (size_t i = 0; i < back.path_count(); ++i) {
-    EXPECT_EQ(back.node(i).tag, syn->node(i).tag) << i;
-    EXPECT_EQ(back.node(i).count, syn->node(i).count) << i;
-    EXPECT_EQ(back.node(i).level, syn->node(i).level) << i;
-    EXPECT_EQ(back.node(i).parent, syn->node(i).parent) << i;
-    EXPECT_EQ(back.node(i).subtree_end, syn->node(i).subtree_end) << i;
-  }
-  // Deterministic encode: a round-tripped trie re-encodes
-  // byte-identically.
-  EXPECT_EQ(back.EncodePayload(), bytes);
-}
-
-TEST(PathSynopsisTest, DecodePayloadRejectsBadShapes) {
-  auto syn = Golden();
-  const std::string bytes = syn->EncodePayload();
-  const uint64_t n = syn->node_count();
-  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes.substr(0, 3), n).ok());
-  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes.substr(0, 16), n).ok());
-  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes + "x", n).ok());
-  // Counts must sum to the document's node count.
-  EXPECT_FALSE(PathSynopsis::DecodePayload(bytes, n + 1).ok());
-  // Record 1's parent index + 1 (bytes 10..13 of its record) past the end.
-  std::string bad_parent = bytes;
-  bad_parent[4 + 14 + 10] = 9;
-  EXPECT_FALSE(PathSynopsis::DecodePayload(bad_parent, n).ok());
-  // An implausible path count is rejected before any allocation.
-  std::string huge = bytes;
-  huge[3] = static_cast<char>(0x7f);
-  EXPECT_FALSE(PathSynopsis::DecodePayload(huge, n).ok());
-}
-
-// ---------------------------------------------------------------------
 // Planner integration: schema-impossible queries are answered with no
 // I/O, fresh or after an unflushed update.
 
@@ -258,8 +213,7 @@ TEST(PathSynopsisTest, PlansDoNotDependOnWhetherTheSynopsisWasRebuilt) {
 
 // ---------------------------------------------------------------------
 // WAL: a commit rebuilds the BP index and the synopsis in memory, so the
-// queries after it plan and navigate on the new structure.  (The
-// synopsis.pds sidecar lifecycle is covered by sidecar_test.)
+// queries after it plan and navigate on the new structure.
 
 std::string TestDir() {
   return (std::filesystem::temp_directory_path() /
