@@ -32,12 +32,13 @@ Result<IoNumbers> SiblingWalkWorkload(DocumentStore* store) {
   NOK_RETURN_IF_ERROR(store->DropCaches());
   Timer timer;
   StringStore* tree = store->tree();
-  NOK_ASSIGN_OR_RETURN(auto child, tree->FirstChild(tree->RootPos()));
+  StringStore::Navigator nav(tree);
+  NOK_ASSIGN_OR_RETURN(auto child, nav.FirstChild(tree->RootPos()));
   size_t walked = 0;
   std::optional<StorePos> pos = child;
   while (pos.has_value()) {
     ++walked;
-    NOK_ASSIGN_OR_RETURN(auto sibling, tree->FollowingSibling(*pos));
+    NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(*pos));
     pos = sibling;
   }
   IoNumbers out;

@@ -20,6 +20,17 @@
 // cheapest forced strategy's on every query in both nav modes, and every
 // strategy to return the auto plan's answer.
 //
+// Work::pages counts logical page accesses (NavStats::pages_scanned: one
+// per page a tree primitive reads), not tree BufferPool fetches, which
+// each row reports apart as pool_fetches and leaves out of the total.  A
+// run's navigator serves repeat accesses to one page from its decoded
+// view, so pool fetches undercount what a page access costs: each is a
+// pass over the page's symbols.  Gating on pool fetches was measured and
+// misjudges the plans: Q9-Q12 and their descendant variants failed the
+// gate in paged mode (auto/cheapest 2.2-5.09, forced scan "cheapest" at
+// 2,135 fetches), while on dblp at scale 0.05 the forced scan of Q10
+// took 34 ms of wall time against the auto plan's 1.3 ms.
+//
 // Usage: bench_planner [--dataset catalog] [--scale 0.05] [--seed 42]
 //                      [--page-size 512] [--work-gate]
 //                      [--json BENCH_planner.json]
@@ -53,6 +64,9 @@ struct Work {
   uint64_t value_fetches = 0;  ///< B+v.
   uint64_t id_fetches = 0;     ///< B+i.
   uint64_t plan_btree_fetches = 0;
+  /// Tree BufferPool fetches: reported, not part of total() (see the
+  /// file comment).
+  uint64_t pool_fetches = 0;
   uint64_t total() const {
     return pages + bp_steps + value_fetches + id_fetches;
   }
@@ -131,6 +145,7 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
         const StringStore::NavStats nav_before = s->tree()->nav_stats();
         const uint64_t value_before = Fetches(s->value_index());
         const uint64_t id_before = Fetches(s->id_index());
+        const uint64_t pool_before = s->tree()->buffer_pool()->stats().fetches;
         Result<std::vector<DeweyId>> result = plan.status();
         if (plan.ok()) {
           QueryStats stats;
@@ -148,6 +163,8 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
         row.work.bp_steps = nav_after.bp_steps - nav_before.bp_steps;
         row.work.value_fetches = Fetches(s->value_index()) - value_before;
         row.work.id_fetches = Fetches(s->id_index()) - id_before;
+        row.work.pool_fetches =
+            s->tree()->buffer_pool()->stats().fetches - pool_before;
         rows->push_back(row);
         if (strategy == StartStrategy::kAuto) {
           want = *result;
@@ -301,13 +318,14 @@ int Run(int argc, char** argv) {
                "      {\"query\": \"%s\", \"nav_mode\": \"%s\", "
                "\"strategy\": \"%s\", \"pages\": %llu, "
                "\"bp_steps\": %llu, \"value_fetches\": %llu, "
-               "\"id_fetches\": %llu, "
+               "\"id_fetches\": %llu, \"pool_fetches\": %llu, "
                "\"plan_btree_fetches\": %llu, \"work\": %llu}%s\n",
                row.query.c_str(), row.nav_mode, StrategyName(row.strategy),
                static_cast<unsigned long long>(row.work.pages),
                static_cast<unsigned long long>(row.work.bp_steps),
                static_cast<unsigned long long>(row.work.value_fetches),
                static_cast<unsigned long long>(row.work.id_fetches),
+               static_cast<unsigned long long>(row.work.pool_fetches),
                static_cast<unsigned long long>(row.work.plan_btree_fetches),
                static_cast<unsigned long long>(row.work.total()),
                i + 1 == work_rows.size() ? "" : ",");

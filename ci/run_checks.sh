@@ -148,6 +148,9 @@ for run in work["runs"]:
         run["value_fetches"] + run["id_fetches"], \
         f"work is not the counter sum: {run}"
     assert run["id_fetches"] == 0, f"an execution probed B+i: {run}"
+    # A run's navigator reaches the tree pool at most once per page access.
+    assert run["pool_fetches"] <= run["pages"], \
+        f"more tree pool fetches than page accesses: {run}"
     cells.setdefault((run["query"], run["nav_mode"]), set()).add(
         run["strategy"])
 assert len(cells) == 48, f"expected 24 queries x 2 nav modes: {len(cells)}"

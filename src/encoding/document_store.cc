@@ -552,15 +552,16 @@ Result<StorePos> DocumentStore::Navigate(const DeweyId& id) {
   if (components.empty() || components[0] != 0) {
     return Status::InvalidArgument("bad Dewey ID " + id.ToString());
   }
+  StringStore::Navigator nav(tree_.get());
   StorePos pos = tree_->RootPos();
   for (size_t depth = 1; depth < components.size(); ++depth) {
-    NOK_ASSIGN_OR_RETURN(auto child, tree_->FirstChild(pos));
+    NOK_ASSIGN_OR_RETURN(auto child, nav.FirstChild(pos));
     if (!child.has_value()) {
       return Status::NotFound("no node with Dewey ID " + id.ToString());
     }
     pos = *child;
     for (uint32_t i = 0; i < components[depth]; ++i) {
-      NOK_ASSIGN_OR_RETURN(auto sibling, tree_->FollowingSibling(pos));
+      NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(pos));
       if (!sibling.has_value()) {
         return Status::NotFound("no node with Dewey ID " + id.ToString());
       }

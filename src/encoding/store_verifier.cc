@@ -134,13 +134,14 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   // keys sort in document order, so one merged sweep pairs each entry
   // with its node: O(n), whatever the fanout.
   StringStore* tree = store->tree();
+  StringStore::Navigator nav(tree);
   std::optional<StorePos> node = tree->RootPos();
   DeweyId node_dewey = DeweyId::Root();
   DeweyCounter deweys;
   // Derives node_dewey from the level of *node.
   auto derive = [&]() -> Status {
     if (!node.has_value()) return Status::OK();
-    NOK_ASSIGN_OR_RETURN(const int level, tree->LevelAt(*node));
+    NOK_ASSIGN_OR_RETURN(const int level, nav.LevelAt(*node));
     if (level < 1) {
       return Status::Corruption("open symbol at level " +
                                 std::to_string(level));
@@ -168,7 +169,7 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
       // below reports them.
       while (walk.ok() && node.has_value() &&
              node_dewey.Compare(dewey) < 0) {
-        auto next = tree->NextOpen(*node);
+        auto next = nav.NextOpen(*node);
         walk = next.status();
         if (walk.ok()) {
           node = next.ValueOrDie();

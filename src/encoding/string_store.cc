@@ -260,6 +260,7 @@ Status StringStore::Flush() {
 }
 
 Status StringStore::ReloadHeaders() {
+  BumpGeneration();
   NOK_RETURN_IF_ERROR(pool_->FlushAll());
   const PageId n = pager_->page_count();
   headers_.assign(n, StorePageHeader{});
@@ -321,11 +322,6 @@ const StorePageHeader& StringStore::header(PageId page) const {
   return headers_[page];
 }
 
-PageId StringStore::NextInChain(PageId page) const {
-  NOK_CHECK(page < headers_.size());
-  return headers_[page].next;
-}
-
 uint64_t StringStore::ChainSeq(PageId page) const {
   NOK_CHECK(page < chain_seq_.size() &&
             chain_seq_[page] != std::numeric_limits<uint64_t>::max())
@@ -346,46 +342,54 @@ Result<StorePos> StringStore::PosForGlobal(uint64_t global) const {
   return StorePos{chain_[seq], static_cast<uint16_t>(idx)};
 }
 
-Result<StringStore::ViewHandle> StringStore::FetchView(PageId page) {
-  NOK_ASSIGN_OR_RETURN(auto handle, pool_->Fetch(page));
-  auto view = std::static_pointer_cast<PageView>(handle.decoration());
-  if (view == nullptr) {
-    view = std::make_shared<PageView>();
-    const StorePageHeader& h = headers_[page];
-    const char* body = handle.data() + kPageHeaderSize;
-    int level = h.st;
-    uint16_t off = 0;
-    while (off < h.used) {
-      const unsigned char b = static_cast<unsigned char>(body[off]);
-      view->byte_off.push_back(off);
-      if (b & 0x80) {
-        if (off + 1 >= h.used) {
-          return Status::Corruption("truncated open symbol in page " +
-                                    std::to_string(page));
-        }
-        const TagId tag = static_cast<TagId>(
-            ((b & 0x7f) << 8) |
-            static_cast<unsigned char>(body[off + 1]));
-        ++level;
-        view->level.push_back(static_cast<int16_t>(level));
-        view->tag.push_back(tag);
-        off = static_cast<uint16_t>(off + 2);
-      } else if (b == 0) {
-        --level;
-        view->level.push_back(static_cast<int16_t>(level));
-        view->tag.push_back(kInvalidTag);
-        off = static_cast<uint16_t>(off + 1);
-      } else {
-        return Status::Corruption("bad symbol byte in page " +
+Result<std::shared_ptr<void>> StringStore::DecodePage(
+    PageId page, const char* data) const {
+  auto view = std::make_shared<PageView>();
+  const StorePageHeader& h = headers_[page];
+  const char* body = data + kPageHeaderSize;
+  int level = h.st;
+  uint16_t off = 0;
+  while (off < h.used) {
+    const unsigned char b = static_cast<unsigned char>(body[off]);
+    view->byte_off.push_back(off);
+    if (b & 0x80) {
+      if (off + 1 >= h.used) {
+        return Status::Corruption("truncated open symbol in page " +
                                   std::to_string(page));
       }
+      const TagId tag = static_cast<TagId>(
+          ((b & 0x7f) << 8) | static_cast<unsigned char>(body[off + 1]));
+      ++level;
+      view->level.push_back(static_cast<int16_t>(level));
+      view->tag.push_back(tag);
+      off = static_cast<uint16_t>(off + 2);
+    } else if (b == 0) {
+      --level;
+      view->level.push_back(static_cast<int16_t>(level));
+      view->tag.push_back(kInvalidTag);
+      off = static_cast<uint16_t>(off + 1);
+    } else {
+      return Status::Corruption("bad symbol byte in page " +
+                                std::to_string(page));
     }
-    handle.set_decoration(view);
-  } else {
+  }
+  return std::shared_ptr<void>(std::move(view));
+}
+
+Result<std::shared_ptr<const StringStore::PageView>> StringStore::FetchView(
+    PageId page) {
+  bool decoded = false;
+  NOK_ASSIGN_OR_RETURN(
+      std::shared_ptr<void> view,
+      pool_->FetchDecoration(page, [&](const char* data) {
+        decoded = true;
+        return DecodePage(page, data);
+      }));
+  if (!decoded) {
     nav_decode_cache_hits_.fetch_add(1, std::memory_order_relaxed);
   }
   nav_pages_scanned_.fetch_add(1, std::memory_order_relaxed);
-  return ViewHandle{std::move(handle), std::move(view)};
+  return std::static_pointer_cast<const PageView>(std::move(view));
 }
 
 StorePos StringStore::RootPos() const {
@@ -393,43 +397,72 @@ StorePos StringStore::RootPos() const {
   return StorePos{chain_[0], 0};
 }
 
-Result<TagId> StringStore::TagAt(StorePos pos) {
-  NOK_ASSIGN_OR_RETURN(auto vh, FetchView(pos.page));
-  if (pos.idx >= vh.view->size()) {
+Status StringStore::VisitSymbols(
+    const std::function<void(bool, TagId)>& visit) {
+  for (const PageId page : chain_) {
+    NOK_ASSIGN_OR_RETURN(auto view, FetchView(page));
+    for (size_t i = 0; i < view->size(); ++i) {
+      const TagId tag = view->tag[i];
+      visit(tag != kInvalidTag, tag);
+    }
+  }
+  return Status::OK();
+}
+
+// ---------------------------------------------------------------------------
+// Navigator.
+
+Result<const StringStore::PageView*> StringStore::Navigator::View(
+    PageId page) {
+  const uint64_t generation = store_->generation();
+  if (page != page_ || generation != generation_) {
+    NOK_ASSIGN_OR_RETURN(view_, store_->FetchView(page));
+    page_ = page;
+    generation_ = generation;
+  } else {
+    store_->nav_pages_scanned_.fetch_add(1, std::memory_order_relaxed);
+    store_->nav_decode_cache_hits_.fetch_add(1, std::memory_order_relaxed);
+  }
+  ++pages_scanned_;
+  return view_.get();
+}
+
+Result<TagId> StringStore::Navigator::TagAt(StorePos pos) {
+  NOK_ASSIGN_OR_RETURN(const PageView* view, View(pos.page));
+  if (pos.idx >= view->size()) {
     return Status::OutOfRange("symbol index out of range");
   }
-  const TagId tag = vh.view->tag[pos.idx];
+  const TagId tag = view->tag[pos.idx];
   if (tag == kInvalidTag) {
     return Status::InvalidArgument("position refers to a close symbol");
   }
   return tag;
 }
 
-Result<int> StringStore::LevelAt(StorePos pos) {
-  NOK_ASSIGN_OR_RETURN(auto vh, FetchView(pos.page));
-  if (pos.idx >= vh.view->size()) {
+Result<int> StringStore::Navigator::LevelAt(StorePos pos) {
+  NOK_ASSIGN_OR_RETURN(const PageView* view, View(pos.page));
+  if (pos.idx >= view->size()) {
     return Status::OutOfRange("symbol index out of range");
   }
-  return static_cast<int>(vh.view->level[pos.idx]);
+  return static_cast<int>(view->level[pos.idx]);
 }
 
 template <typename Pred>
-Result<std::optional<StorePos>> StringStore::ScanForward(StorePos pos,
-                                                         int skip_level,
-                                                         Pred pred) {
+Result<std::optional<StorePos>> StringStore::Navigator::ScanForward(
+    StorePos pos, int skip_level, Pred pred) {
+  const std::vector<StorePageHeader>& headers = store_->headers_;
+  const bool header_skip = store_->options_.use_header_skip;
   PageId page = pos.page;
   uint32_t idx = static_cast<uint32_t>(pos.idx) + 1;
   for (;;) {
-    const StorePageHeader& h = headers_[page];
-    if (idx == 0 && h.used > 0 && options_.use_header_skip &&
-        h.lo > skip_level) {
+    const StorePageHeader& h = headers[page];
+    if (idx == 0 && h.used > 0 && header_skip && h.lo > skip_level) {
       // Nothing of interest in this page: advance to the next one below.
-      nav_pages_skipped_.fetch_add(1, std::memory_order_relaxed);
+      store_->nav_pages_skipped_.fetch_add(1, std::memory_order_relaxed);
     } else if (h.used > 0) {
-      NOK_ASSIGN_OR_RETURN(auto vh, FetchView(page));
-      const PageView& view = *vh.view;
-      for (uint32_t i = idx; i < view.size(); ++i) {
-        switch (pred(static_cast<int>(view.level[i]), view.tag[i])) {
+      NOK_ASSIGN_OR_RETURN(const PageView* view, View(page));
+      for (uint32_t i = idx; i < view->size(); ++i) {
+        switch (pred(static_cast<int>(view->level[i]), view->tag[i])) {
           case ScanAction::kFound:
             return std::optional<StorePos>(
                 StorePos{page, static_cast<uint16_t>(i)});
@@ -440,31 +473,29 @@ Result<std::optional<StorePos>> StringStore::ScanForward(StorePos pos,
         }
       }
     }
-    page = headers_[page].next;
+    page = h.next;
     if (page == kInvalidPage) return std::optional<StorePos>();
     idx = 0;
   }
 }
 
-Result<std::optional<StorePos>> StringStore::FirstChild(StorePos pos) {
-  int level = 0;
-  {
-    NOK_ASSIGN_OR_RETURN(auto vh, FetchView(pos.page));
-    if (pos.idx >= vh.view->size()) {
-      return Status::OutOfRange("symbol index out of range");
+Result<std::optional<StorePos>> StringStore::Navigator::FirstChild(
+    StorePos pos) {
+  NOK_ASSIGN_OR_RETURN(const PageView* view, View(pos.page));
+  if (pos.idx >= view->size()) {
+    return Status::OutOfRange("symbol index out of range");
+  }
+  if (view->tag[pos.idx] == kInvalidTag) {
+    return Status::InvalidArgument("FirstChild on a close symbol");
+  }
+  const int level = view->level[pos.idx];
+  // Fast path: next symbol in the same page.
+  if (pos.idx + 1u < view->size()) {
+    if (view->tag[pos.idx + 1] != kInvalidTag) {
+      return std::optional<StorePos>(
+          StorePos{pos.page, static_cast<uint16_t>(pos.idx + 1)});
     }
-    if (vh.view->tag[pos.idx] == kInvalidTag) {
-      return Status::InvalidArgument("FirstChild on a close symbol");
-    }
-    level = vh.view->level[pos.idx];
-    // Fast path: next symbol in the same page.
-    if (pos.idx + 1u < vh.view->size()) {
-      if (vh.view->tag[pos.idx + 1] != kInvalidTag) {
-        return std::optional<StorePos>(
-            StorePos{pos.page, static_cast<uint16_t>(pos.idx + 1)});
-      }
-      return std::optional<StorePos>();
-    }
+    return std::optional<StorePos>();
   }
   // The next symbol lives in a later page; it is a child iff it is an
   // open symbol one level deeper.
@@ -477,7 +508,8 @@ Result<std::optional<StorePos>> StringStore::FirstChild(StorePos pos) {
                      });
 }
 
-Result<std::optional<StorePos>> StringStore::FollowingSibling(StorePos pos) {
+Result<std::optional<StorePos>> StringStore::Navigator::FollowingSibling(
+    StorePos pos) {
   // The paper's formulation (Section 5): first locate this node's own
   // close — the first ')' at level l-1 — skipping every page whose lo
   // exceeds l-1 (pages interior to the subtree, including those holding
@@ -507,7 +539,7 @@ Result<std::optional<StorePos>> StringStore::FollowingSibling(StorePos pos) {
                      });
 }
 
-Result<uint64_t> StringStore::SubtreeEndGlobal(StorePos pos) {
+Result<uint64_t> StringStore::Navigator::SubtreeEndGlobal(StorePos pos) {
   NOK_ASSIGN_OR_RETURN(int level, LevelAt(pos));
   NOK_ASSIGN_OR_RETURN(
       auto close_pos,
@@ -520,10 +552,11 @@ Result<uint64_t> StringStore::SubtreeEndGlobal(StorePos pos) {
   if (!close_pos.has_value()) {
     return Status::Corruption("no matching close symbol");
   }
-  return GlobalPos(*close_pos);
+  return store_->GlobalPos(*close_pos);
 }
 
-Result<std::optional<StorePos>> StringStore::NextOpen(StorePos pos) {
+Result<std::optional<StorePos>> StringStore::Navigator::NextOpen(
+    StorePos pos) {
   return ScanForward(pos, /*skip_level=*/std::numeric_limits<int>::max(),
                      [&](int, TagId tag) {
                        return tag != kInvalidTag ? ScanAction::kFound
@@ -531,8 +564,8 @@ Result<std::optional<StorePos>> StringStore::NextOpen(StorePos pos) {
                      });
 }
 
-Result<std::optional<StorePos>> StringStore::NextOpenWithTag(StorePos pos,
-                                                             TagId tag) {
+Result<std::optional<StorePos>> StringStore::Navigator::NextOpenWithTag(
+    StorePos pos, TagId tag) {
   if (tag == kInvalidTag) {
     return Status::InvalidArgument("NextOpenWithTag requires a valid tag");
   }
@@ -544,7 +577,7 @@ Result<std::optional<StorePos>> StringStore::NextOpenWithTag(StorePos pos,
                      });
 }
 
-Result<std::optional<StorePos>> StringStore::NextOpenInSubtree(
+Result<std::optional<StorePos>> StringStore::Navigator::NextOpenInSubtree(
     StorePos pos, TagId tag, int root_level) {
   // Inside the subtree every symbol sits at root_level or deeper; the
   // root's own close is the first symbol above it.  Any page before that
@@ -558,19 +591,6 @@ Result<std::optional<StorePos>> StringStore::NextOpenInSubtree(
                        }
                        return ScanAction::kContinue;
                      });
-}
-
-Status StringStore::VisitSymbols(
-    const std::function<void(bool, TagId)>& visit) {
-  for (const PageId page : chain_) {
-    NOK_ASSIGN_OR_RETURN(auto vh, FetchView(page));
-    const PageView& view = *vh.view;
-    for (size_t i = 0; i < view.size(); ++i) {
-      const TagId tag = view.tag[i];
-      visit(tag != kInvalidTag, tag);
-    }
-  }
-  return Status::OK();
 }
 
 }  // namespace nok

@@ -32,6 +32,12 @@
 // All page headers are mirrored in memory (the paper's 21-70 MB for 1 TB
 // argument), so skip decisions are free of I/O; page bodies go through a
 // BufferPool whose counters the experiments report.
+//
+// The primitives run on a StringStore::Navigator, a per-caller object
+// that keeps the decoded view of the last page it read.  The paper's cost
+// is pages read, not calls made: consecutive FIRST-CHILD /
+// FOLLOWING-SIBLING calls on one page decode it once and reach the
+// BufferPool once.
 
 #ifndef NOKXML_ENCODING_STRING_STORE_H_
 #define NOKXML_ENCODING_STRING_STORE_H_
@@ -92,8 +98,8 @@ struct StringStoreOptions {
   /// pages without contending on a single mutex.
   size_t pool_shards = 1;
   /// Open the store for reading only: Flush becomes a no-op and the store
-  /// promises never to write, which makes every navigation primitive safe
-  /// to call from many threads at once.
+  /// promises never to write, which lets many threads navigate it at
+  /// once, each through its own Navigator.
   bool read_only = false;
   /// When false, FOLLOWING-SIBLING and subtree scans read every page in
   /// chain order instead of consulting the (st,lo,hi) headers — the
@@ -104,9 +110,10 @@ struct StringStoreOptions {
 /// Read (and, via TreeUpdater, write) access to one materialized tree.
 ///
 /// Thread safety: a store opened with Options::read_only supports
-/// concurrent navigation from any number of threads — headers_/chain_ are
-/// immutable after Open, page access goes through the sharded BufferPool,
-/// and NavStats counters are atomic.  A writable store is single-threaded.
+/// concurrent navigation from any number of threads, each with its own
+/// Navigator — headers_/chain_ are immutable after Open, page access goes
+/// through the sharded BufferPool, and NavStats counters are atomic.  A
+/// writable store is single-threaded.
 class StringStore {
  public:
   using Options = StringStoreOptions;
@@ -179,44 +186,13 @@ class StringStore {
   }
 
   // -------------------------------------------------------------------
-  // Primitive tree operations (Algorithm 2 of the paper).
+  // Primitive tree operations (Algorithm 2 of the paper) run on a
+  // Navigator, declared below the class.
+
+  class Navigator;
 
   /// Position of the root's open symbol.
   StorePos RootPos() const;
-
-  /// FIRST-CHILD: the next symbol if it is an open one level deeper.
-  Result<std::optional<StorePos>> FirstChild(StorePos pos);
-
-  /// FOLLOWING-SIBLING: the next open symbol at the same level before the
-  /// parent closes.  Uses the (st,lo,hi) page skip when enabled.
-  Result<std::optional<StorePos>> FollowingSibling(StorePos pos);
-
-  /// Tag of the open symbol at pos (Corruption if pos is a close symbol).
-  Result<TagId> TagAt(StorePos pos);
-
-  /// Level of the symbol at pos.
-  Result<int> LevelAt(StorePos pos);
-
-  /// Global position of the close symbol matching the open symbol at pos.
-  /// Together with GlobalPos(pos) this is the interval the paper feeds to
-  /// structural joins (Section 5).
-  Result<uint64_t> SubtreeEndGlobal(StorePos pos);
-
-  /// Next open symbol in document order strictly after pos (any level);
-  /// the sequential-scan starting-point strategy iterates this.
-  Result<std::optional<StorePos>> NextOpen(StorePos pos);
-
-  /// Fused NextOpen + TagAt: the next open symbol strictly after pos
-  /// whose tag equals `tag` (one forward scan, no per-symbol calls).
-  Result<std::optional<StorePos>> NextOpenWithTag(StorePos pos, TagId tag);
-
-  /// NextOpenWithTag bounded by a subtree: the next open symbol strictly
-  /// after pos whose tag equals `tag` (any tag when kInvalidTag), or
-  /// nullopt once the scan reaches the close of the subtree whose root
-  /// open sits at `root_level` (pos must lie inside that subtree).  The
-  /// page holding that close is the last one fetched.
-  Result<std::optional<StorePos>> NextOpenInSubtree(StorePos pos, TagId tag,
-                                                    int root_level);
 
   /// Visits every symbol in document order — one sequential chain scan
   /// through the BufferPool.  `visit(is_open, tag)` receives kInvalidTag
@@ -255,12 +231,18 @@ class StringStore {
   /// Counters are atomic so concurrent readers can bump them; nav_stats()
   /// returns a relaxed snapshot.
   struct NavStats {
-    uint64_t pages_scanned = 0;   ///< Page bodies materialized.
+    /// Logical page accesses: one per page a primitive call reads,
+    /// whether a navigator's held view or the BufferPool serves it.
+    /// Each is a pass over the page's symbols, so this is the unit of
+    /// the paper's cost argument, `explain` pages and the planner's work
+    /// gate; the pool's own fetch counter shows what reached it.
+    uint64_t pages_scanned = 0;
     uint64_t pages_skipped = 0;   ///< Pages skipped via (st,lo,hi).
     /// Nothing writes this any more; kept because e2ebench/ reads it.
     uint64_t pages_skipped_by_tag = 0;
-    /// FetchView calls answered by an already-decoded frame decoration
-    /// (no symbol re-decode; a subset of pages_scanned).
+    /// Page accesses served without decoding the page: a navigator's
+    /// held view, or a BufferPool frame's decoration (a subset of
+    /// pages_scanned).
     uint64_t decode_cache_hits = 0;
     /// O(1) BP-index tree steps taken (every tree step in bp mode, and
     /// Dewey ID location in both modes; zero page traffic).
@@ -306,6 +288,13 @@ class StringStore {
   /// updates restructure pages).
   Status ReloadHeaders();
 
+  /// Structure generation: advances whenever a page is rewritten or the
+  /// headers are reloaded, so a Navigator can tell its held view is
+  /// stale.  Constant on a read-only store.
+  uint64_t generation() const {
+    return generation_.load(std::memory_order_acquire);
+  }
+
  private:
   friend class TreeUpdater;
 
@@ -321,27 +310,19 @@ class StringStore {
 
   Status Init(std::unique_ptr<File> file);
 
-  /// Pinned page plus its decoded view (cached as a frame decoration).
-  struct ViewHandle {
-    PageHandle page;
-    std::shared_ptr<PageView> view;
-  };
-  Result<ViewHandle> FetchView(PageId page);
+  /// One page access through the BufferPool: the page's decoded view,
+  /// decoded on first use and cached as the frame's decoration.  Holds
+  /// no pin once it returns.
+  Result<std::shared_ptr<const PageView>> FetchView(PageId page);
 
-  /// Page after `page` in the chain, or kInvalidPage.
-  PageId NextInChain(PageId page) const;
+  /// Decodes a page body (symbol offsets, levels from the header's st,
+  /// tags).
+  Result<std::shared_ptr<void>> DecodePage(PageId page,
+                                           const char* data) const;
 
-  /// Verdict of the ScanForward predicate for one symbol.
-  enum class ScanAction { kContinue, kFound, kStop };
-
-  /// Shared forward scan: starting strictly after pos, visits symbols in
-  /// document order and asks pred(level, tag) about each; returns the
-  /// kFound position, or nullopt on kStop / end of string.  When header
-  /// skipping is enabled, pages whose lo exceeds skip_level are skipped
-  /// without materializing (they cannot contain a symbol of interest).
-  template <typename Pred>
-  Result<std::optional<StorePos>> ScanForward(StorePos pos, int skip_level,
-                                              Pred pred);
+  void BumpGeneration() {
+    generation_.fetch_add(1, std::memory_order_release);
+  }
 
   /// Rewrites the meta page from the in-memory counters (node count, free
   /// list head).
@@ -366,7 +347,90 @@ class StringStore {
   std::atomic<uint64_t> nav_decode_cache_hits_{0};
   std::atomic<uint64_t> nav_bp_steps_{0};
   std::atomic<uint64_t> nav_bp_tag_blocks_{0};
+  std::atomic<uint64_t> generation_{0};
   bool meta_dirty_ = false;
+};
+
+/// Runs the primitive tree operations (Algorithm 2 of the paper) and
+/// keeps the decoded view of the last page it read: a call that stays on
+/// that page costs no BufferPool fetch.  It holds no pin, only a
+/// shared_ptr to the view, so it can never exhaust a pool shard however
+/// many navigators are alive.
+///
+/// Lifetime: a navigator belongs to one thread and must not outlive its
+/// store.  It may be kept across updates: each page access compares the
+/// store's generation() with the one its view was read at and drops a
+/// stale view, so it never reads a page a TreeUpdater has rewritten
+/// since.  Positions taken before an update are still the caller's to
+/// revalidate.
+///
+/// Every page a call reads counts one NavStats::pages_scanned (and one
+/// decode_cache_hit when the held view serves it), exactly as if each
+/// call fetched its pages itself; pages_scanned() is this navigator's
+/// own share of that count.
+class StringStore::Navigator {
+ public:
+  explicit Navigator(StringStore* store) : store_(store) {}
+
+  /// FIRST-CHILD: the next symbol if it is an open one level deeper.
+  Result<std::optional<StorePos>> FirstChild(StorePos pos);
+
+  /// FOLLOWING-SIBLING: the next open symbol at the same level before the
+  /// parent closes.  Uses the (st,lo,hi) page skip when enabled.
+  Result<std::optional<StorePos>> FollowingSibling(StorePos pos);
+
+  /// Tag of the open symbol at pos (Corruption if pos is a close symbol).
+  Result<TagId> TagAt(StorePos pos);
+
+  /// Level of the symbol at pos.
+  Result<int> LevelAt(StorePos pos);
+
+  /// Global position of the close symbol matching the open symbol at pos.
+  /// Together with GlobalPos(pos) this is the interval the paper feeds to
+  /// structural joins (Section 5).
+  Result<uint64_t> SubtreeEndGlobal(StorePos pos);
+
+  /// Next open symbol in document order strictly after pos (any level);
+  /// the sequential-scan starting-point strategy iterates this.
+  Result<std::optional<StorePos>> NextOpen(StorePos pos);
+
+  /// Fused NextOpen + TagAt: the next open symbol strictly after pos
+  /// whose tag equals `tag` (one forward scan, no per-symbol calls).
+  Result<std::optional<StorePos>> NextOpenWithTag(StorePos pos, TagId tag);
+
+  /// NextOpenWithTag bounded by a subtree: the next open symbol strictly
+  /// after pos whose tag equals `tag` (any tag when kInvalidTag), or
+  /// nullopt once the scan reaches the close of the subtree whose root
+  /// open sits at `root_level` (pos must lie inside that subtree).  The
+  /// page holding that close is the last one read.
+  Result<std::optional<StorePos>> NextOpenInSubtree(StorePos pos, TagId tag,
+                                                    int root_level);
+
+  /// Page accesses this navigator made (its share of pages_scanned).
+  uint64_t pages_scanned() const { return pages_scanned_; }
+
+ private:
+  /// Verdict of the ScanForward predicate for one symbol.
+  enum class ScanAction { kContinue, kFound, kStop };
+
+  /// The decoded view of `page`: the held one when it is that page and
+  /// still current, else one BufferPool access.
+  Result<const PageView*> View(PageId page);
+
+  /// Shared forward scan: starting strictly after pos, visits symbols in
+  /// document order and asks pred(level, tag) about each; returns the
+  /// kFound position, or nullopt on kStop / end of string.  When header
+  /// skipping is enabled, pages whose lo exceeds skip_level are skipped
+  /// without materializing (they cannot contain a symbol of interest).
+  template <typename Pred>
+  Result<std::optional<StorePos>> ScanForward(StorePos pos, int skip_level,
+                                              Pred pred);
+
+  StringStore* store_;
+  PageId page_ = kInvalidPage;
+  std::shared_ptr<const PageView> view_;
+  uint64_t generation_ = 0;
+  uint64_t pages_scanned_ = 0;
 };
 
 }  // namespace nok

@@ -41,14 +41,14 @@ void TreeUpdater::AppendCloseSymbol(std::string* out) {
 
 Result<uint16_t> TreeUpdater::ByteOffsetOf(StorePos pos,
                                            uint32_t* symbol_bytes) {
-  NOK_ASSIGN_OR_RETURN(auto vh, store_->FetchView(pos.page));
-  if (pos.idx >= vh.view->size()) {
+  NOK_ASSIGN_OR_RETURN(auto view, store_->FetchView(pos.page));
+  if (pos.idx >= view->size()) {
     return Status::OutOfRange("symbol index out of range");
   }
   if (symbol_bytes != nullptr) {
-    *symbol_bytes = vh.view->tag[pos.idx] == kInvalidTag ? 1 : 2;
+    *symbol_bytes = view->tag[pos.idx] == kInvalidTag ? 1 : 2;
   }
-  return vh.view->byte_off[pos.idx];
+  return view->byte_off[pos.idx];
 }
 
 Result<int16_t> TreeUpdater::RecomputeHeader(PageId page) {
@@ -118,6 +118,8 @@ Status TreeUpdater::InsertBefore(StorePos before, const std::string& symbols,
   last_pages_touched_ = 0;
   last_pages_allocated_ = 0;
   if (symbols.empty()) return Status::OK();
+  // Every navigator's held view predates the pages rewritten below.
+  store_->BumpGeneration();
 
   const uint32_t page_size = store_->options_.page_size;
   const uint32_t body_cap = page_size - kStorePageHeaderSize;
@@ -222,7 +224,10 @@ Status TreeUpdater::DeleteRange(StorePos from, StorePos to,
   last_pages_touched_ = 0;
   last_pages_allocated_ = 0;
 
-  NOK_ASSIGN_OR_RETURN(int from_level, store_->LevelAt(from));
+  NOK_ASSIGN_OR_RETURN(int from_level,
+                       StringStore::Navigator(store_).LevelAt(from));
+  // Every navigator's held view predates the pages rewritten below.
+  store_->BumpGeneration();
   NOK_ASSIGN_OR_RETURN(const uint16_t from_byte, ByteOffsetOf(from, nullptr));
   uint32_t to_sym_bytes = 0;
   NOK_ASSIGN_OR_RETURN(const uint16_t to_byte,
@@ -318,16 +323,15 @@ struct SubtreeNode {
 };
 
 /// Collects (dewey, tag) for every node of the subtree rooted at pos.
-Status CollectSubtree(StringStore* tree, StorePos pos, const DeweyId& dewey,
-                      std::vector<SubtreeNode>* out) {
-  NOK_ASSIGN_OR_RETURN(TagId tag, tree->TagAt(pos));
+Status CollectSubtree(StringStore::Navigator* nav, StorePos pos,
+                      const DeweyId& dewey, std::vector<SubtreeNode>* out) {
+  NOK_ASSIGN_OR_RETURN(TagId tag, nav->TagAt(pos));
   out->push_back(SubtreeNode{dewey, tag});
-  NOK_ASSIGN_OR_RETURN(auto child, tree->FirstChild(pos));
+  NOK_ASSIGN_OR_RETURN(auto child, nav->FirstChild(pos));
   uint32_t index = 0;
   while (child.has_value()) {
-    NOK_RETURN_IF_ERROR(
-        CollectSubtree(tree, *child, dewey.Child(index), out));
-    NOK_ASSIGN_OR_RETURN(auto sibling, tree->FollowingSibling(*child));
+    NOK_RETURN_IF_ERROR(CollectSubtree(nav, *child, dewey.Child(index), out));
+    NOK_ASSIGN_OR_RETURN(auto sibling, nav->FollowingSibling(*child));
     child = sibling;
     ++index;
   }
@@ -378,12 +382,13 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   NOK_ASSIGN_OR_RETURN(StorePos parent_pos, Navigate(parent));
 
   // Enumerate the parent's existing children (positions + count).
+  StringStore::Navigator nav(tree_.get());
   std::vector<StorePos> children;
   {
-    NOK_ASSIGN_OR_RETURN(auto child, tree_->FirstChild(parent_pos));
+    NOK_ASSIGN_OR_RETURN(auto child, nav.FirstChild(parent_pos));
     while (child.has_value()) {
       children.push_back(*child);
-      NOK_ASSIGN_OR_RETURN(auto sibling, tree_->FollowingSibling(*child));
+      NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(*child));
       child = sibling;
     }
   }
@@ -404,7 +409,7 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
     before = children[child_index];
   } else {
     NOK_ASSIGN_OR_RETURN(uint64_t close_global,
-                         tree_->SubtreeEndGlobal(parent_pos));
+                         nav.SubtreeEndGlobal(parent_pos));
     NOK_ASSIGN_OR_RETURN(before, tree_->PosForGlobal(close_global));
   }
 
@@ -414,8 +419,7 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   for (size_t j = children.size(); j-- > child_index;) {
     std::vector<SubtreeNode> nodes;
     NOK_RETURN_IF_ERROR(CollectSubtree(
-        tree_.get(), children[j],
-        parent.Child(static_cast<uint32_t>(j)), &nodes));
+        &nav, children[j], parent.Child(static_cast<uint32_t>(j)), &nodes));
     for (const SubtreeNode& node : nodes) {
       const DeweyId new_dewey = ShiftComponent(node.dewey, shift_depth, +1);
       NOK_RETURN_IF_ERROR(RewriteIndexEntries(node.dewey, new_dewey));
@@ -508,13 +512,14 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   }
   NOK_ASSIGN_OR_RETURN(StorePos pos, Navigate(node));
   BeginStructuralChange();
+  StringStore::Navigator nav(tree_.get());
   const DeweyId parent = *node.Parent();
   const uint32_t child_index = node.components().back();
   const size_t shift_depth = parent.depth();
 
   // Remove the index entries of the doomed subtree.
   std::vector<SubtreeNode> doomed;
-  NOK_RETURN_IF_ERROR(CollectSubtree(tree_.get(), pos, node, &doomed));
+  NOK_RETURN_IF_ERROR(CollectSubtree(&nav, pos, node, &doomed));
   for (const SubtreeNode& n : doomed) {
     NOK_RETURN_IF_ERROR(RemoveIndexEntries(n.dewey));
     tags_.SubOccurrence(n.tag);
@@ -524,10 +529,10 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   // keys were just vacated).
   std::vector<StorePos> siblings;
   {
-    NOK_ASSIGN_OR_RETURN(auto sibling, tree_->FollowingSibling(pos));
+    NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(pos));
     while (sibling.has_value()) {
       siblings.push_back(*sibling);
-      NOK_ASSIGN_OR_RETURN(auto next, tree_->FollowingSibling(*sibling));
+      NOK_ASSIGN_OR_RETURN(auto next, nav.FollowingSibling(*sibling));
       sibling = next;
     }
   }
@@ -535,8 +540,8 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
     const uint32_t old_index =
         child_index + 1 + static_cast<uint32_t>(i);
     std::vector<SubtreeNode> nodes;
-    NOK_RETURN_IF_ERROR(CollectSubtree(tree_.get(), siblings[i],
-                                       parent.Child(old_index), &nodes));
+    NOK_RETURN_IF_ERROR(
+        CollectSubtree(&nav, siblings[i], parent.Child(old_index), &nodes));
     for (const SubtreeNode& n : nodes) {
       const DeweyId new_dewey = ShiftComponent(n.dewey, shift_depth, -1);
       NOK_RETURN_IF_ERROR(RewriteIndexEntries(n.dewey, new_dewey));
@@ -544,7 +549,7 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   }
 
   // String-level edit.
-  NOK_ASSIGN_OR_RETURN(uint64_t close_global, tree_->SubtreeEndGlobal(pos));
+  NOK_ASSIGN_OR_RETURN(uint64_t close_global, nav.SubtreeEndGlobal(pos));
   NOK_ASSIGN_OR_RETURN(StorePos to, tree_->PosForGlobal(close_global));
   TreeUpdater updater(tree_.get());
   NOK_RETURN_IF_ERROR(updater.DeleteRange(pos, to, doomed.size()));

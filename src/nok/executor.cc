@@ -272,10 +272,11 @@ Result<std::vector<DeweyId>> FetchHits(
 //                                        blocks skipped) an algorithm
 //                                        counted locally, once per call.
 //
-// PagedNav navigates the paged string store (BufferPool traffic, counted
-// in NavStats::pages_scanned by the store itself); BpNav navigates the
-// in-memory balanced-parentheses index (no page access at all, counted
-// in bp_steps).  Both locate Dewey IDs on the BP index: BpNav runs the
+// PagedNav navigates the paged string store through one
+// StringStore::Navigator (page accesses, counted in
+// NavStats::pages_scanned); BpNav navigates the in-memory
+// balanced-parentheses index (no page access at all, counted in
+// bp_steps).  Both locate Dewey IDs on the BP index: BpNav runs the
 // prefix-cached walk of dewey_walk.h (its JumpToChild and dewey_path are
 // the walk's hooks), and PagedNav maps BpNav's answers to the page chain.
 
@@ -573,7 +574,9 @@ class BpNav {
   std::vector<PathStep<Pos>> dewey_path_;
 };
 
-/// Paged-string tier: the paper's navigation over the page chain.
+/// Paged-string tier: the paper's navigation over the page chain.  One
+/// StringStore::Navigator serves every page read of the run, the
+/// cursor's included, so consecutive steps on one page decode it once.
 class PagedNav {
  public:
   using Cursor = StoreCursor;
@@ -583,56 +586,57 @@ class PagedNav {
   /// `bp` is the store's current BP index (DocumentStore::bp_index()),
   /// the Dewey ID locator.
   PagedNav(DocumentStore* store, const BpIndex* bp)
-      : store_(store), tree_(store->tree()), cursor_(store, bp),
-        locator_(store, bp) {}
+      : store_(store), tree_(store->tree()), nav_(store->tree()),
+        cursor_(store, bp, &nav_), locator_(store, bp) {}
 
   Cursor* cursor() { return &cursor_; }
 
+  /// Page accesses of this run (its share of NavStats::pages_scanned).
+  uint64_t pages_scanned() const { return nav_.pages_scanned(); }
+
   Pos Root() const { return tree_->RootPos(); }
   Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return tree_->FirstChild(pos);
+    return nav_.FirstChild(pos);
   }
   Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return tree_->FollowingSibling(pos);
+    return nav_.FollowingSibling(pos);
   }
   uint64_t Order(Pos pos) const { return tree_->GlobalPos(pos); }
-  Result<uint64_t> SubtreeEnd(Pos pos) {
-    return tree_->SubtreeEndGlobal(pos);
-  }
+  Result<uint64_t> SubtreeEnd(Pos pos) { return nav_.SubtreeEndGlobal(pos); }
 
   /// Next open symbol with `tag` after `after`, or from the document
   /// start (root included) when `after` is empty.
   Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
                                              TagId tag, uint64_t*) {
-    if (after.has_value()) return tree_->NextOpenWithTag(*after, tag);
+    if (after.has_value()) return nav_.NextOpenWithTag(*after, tag);
     const Pos root = tree_->RootPos();
-    NOK_ASSIGN_OR_RETURN(TagId root_tag, tree_->TagAt(root));
+    NOK_ASSIGN_OR_RETURN(TagId root_tag, nav_.TagAt(root));
     if (root_tag == tag) return std::optional<Pos>(root);
-    return tree_->NextOpenWithTag(root, tag);
+    return nav_.NextOpenWithTag(root, tag);
   }
 
   /// A subtree is bounded by its root's level: the scan stops at the
   /// first symbol above it, the root's own close.
   using Bound = int;
-  Result<Bound> SubtreeBound(Pos pos) { return tree_->LevelAt(pos); }
+  Result<Bound> SubtreeBound(Pos pos) { return nav_.LevelAt(pos); }
   Result<std::optional<Pos>> NextInSubtree(Pos after, Bound root_level,
                                            TagId tag, uint64_t*) {
-    return tree_->NextOpenInSubtree(after, tag, root_level);
+    return nav_.NextOpenInSubtree(after, tag, root_level);
   }
 
   template <typename Visit>
   Status VisitNodes(Visit&& visit) {
     std::optional<Pos> pos = tree_->RootPos();
     while (pos.has_value()) {
-      NOK_ASSIGN_OR_RETURN(int level, tree_->LevelAt(*pos));
-      NOK_ASSIGN_OR_RETURN(TagId tag, tree_->TagAt(*pos));
+      NOK_ASSIGN_OR_RETURN(int level, nav_.LevelAt(*pos));
+      NOK_ASSIGN_OR_RETURN(TagId tag, nav_.TagAt(*pos));
       visit(*pos, level, tag);
-      NOK_ASSIGN_OR_RETURN(pos, tree_->NextOpen(*pos));
+      NOK_ASSIGN_OR_RETURN(pos, nav_.NextOpen(*pos));
     }
     return Status::OK();
   }
 
-  /// Paged work is counted as page fetches by the store itself.
+  /// Paged work is counted as page accesses by the navigator itself.
   void CountSteps(uint64_t, uint64_t = 0) {}
 
   /// Physical node for one Dewey ID: the BP locator's cached walk (its
@@ -659,6 +663,7 @@ class PagedNav {
  private:
   DocumentStore* store_;
   StringStore* tree_;
+  StringStore::Navigator nav_;
   StoreCursor cursor_;
   BpNav locator_;
 };
@@ -1374,6 +1379,7 @@ Result<std::vector<DeweyId>> Executor::Run(
     trace->nav_mode = store_->nav_mode();
     trace->bp_steps = 0;
     trace->bp_tag_blocks_skipped = 0;
+    trace->pages_scanned = 0;
     OperatorStats op;
     op.op = "EmptyResult";
     op.detail = plan.empty_reason;
@@ -1391,15 +1397,19 @@ Result<std::vector<DeweyId>> Executor::Run(
                       .Run());
     const StringStore::NavStats after = store_->tree()->nav_stats();
     trace->nav_mode = NavMode::kBp;
+    trace->pages_scanned = 0;
     trace->bp_steps = after.bp_steps - before.bp_steps;
     trace->bp_tag_blocks_skipped =
         after.bp_tag_blocks_skipped - before.bp_tag_blocks_skipped;
     return out;
   }
   PagedNav nav(store_, bp);
-  return PlanRun<PagedNav>(store_, &nav, plan, partition, tag_table, stats,
-                           trace)
-      .Run();
+  NOK_ASSIGN_OR_RETURN(auto out, PlanRun<PagedNav>(store_, &nav, plan,
+                                                   partition, tag_table,
+                                                   stats, trace)
+                                     .Run());
+  trace->pages_scanned = nav.pages_scanned();
+  return out;
 }
 
 }  // namespace nok

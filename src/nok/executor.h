@@ -93,6 +93,11 @@ struct ExecutionTrace {
   NavMode nav_mode = NavMode::kPaged;
   uint64_t bp_steps = 0;
   uint64_t bp_tag_blocks_skipped = 0;
+  /// Subject-tree page accesses of the run's navigator (zero in bp mode).
+  /// Counted by the run itself, so exact even when other threads share
+  /// the store; single-threaded it equals the NavStats::pages_scanned
+  /// delta.
+  uint64_t pages_scanned = 0;
 };
 
 /// Executes query plans.  Like QueryEngine, an executor is a cheap

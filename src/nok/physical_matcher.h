@@ -63,9 +63,12 @@ class StoreCursor {
 
   /// `bp` must describe `store`'s current structure (take it from
   /// DocumentStore::bp_index()) and outlive the cursor: value predicates
-  /// read by its ranks.
-  StoreCursor(DocumentStore* store, const BpIndex* bp)
-      : store_(store), bp_(bp) {}
+  /// read by its ranks.  Tree steps run on `nav`, a navigator over
+  /// store->tree() that the caller owns and may share with its other
+  /// page reads (one per tree evaluation, so a page is decoded once).
+  StoreCursor(DocumentStore* store, const BpIndex* bp,
+              StringStore::Navigator* nav)
+      : store_(store), bp_(bp), nav_(nav) {}
 
   /// The virtual super-root (parent of the document root).
   NodeT VirtualRoot() const {
@@ -79,7 +82,7 @@ class StoreCursor {
       return std::optional<NodeT>(
           NodeT{store_->tree()->RootPos(), DeweyId::Root(), false});
     }
-    NOK_ASSIGN_OR_RETURN(auto child, store_->tree()->FirstChild(node.pos));
+    NOK_ASSIGN_OR_RETURN(auto child, nav_->FirstChild(node.pos));
     if (!child.has_value()) return std::optional<NodeT>();
     return std::optional<NodeT>(NodeT{*child, node.dewey.Child(0), false});
   }
@@ -88,8 +91,7 @@ class StoreCursor {
     if (node.virtual_root || node.dewey.depth() == 1) {
       return std::optional<NodeT>();  // The root has no siblings.
     }
-    NOK_ASSIGN_OR_RETURN(auto sibling,
-                         store_->tree()->FollowingSibling(node.pos));
+    NOK_ASSIGN_OR_RETURN(auto sibling, nav_->FollowingSibling(node.pos));
     if (!sibling.has_value()) return std::optional<NodeT>();
     NodeT next{*sibling, node.dewey, false};
     next.dewey.NextSibling();  // In place: no component-vector rebuild.
@@ -102,7 +104,7 @@ class StoreCursor {
     if (!pattern.wildcard) {
       const TagId want = ResolveTag(pattern);
       if (want == kInvalidTag) return false;
-      NOK_ASSIGN_OR_RETURN(TagId got, store_->tree()->TagAt(node.pos));
+      NOK_ASSIGN_OR_RETURN(TagId got, nav_->TagAt(node.pos));
       if (got != want) return false;
     }
     if (pattern.predicate.active()) {
@@ -138,6 +140,7 @@ class StoreCursor {
 
   DocumentStore* store_;
   const BpIndex* bp_;
+  StringStore::Navigator* nav_;
   const std::vector<TagId>* tag_table_ = nullptr;
 };
 

@@ -34,22 +34,32 @@ BufferPool::Shard& BufferPool::ShardFor(PageId id) {
   return *shards_[(mixed >> 32) % shards_.size()];
 }
 
-Result<PageHandle> BufferPool::Fetch(PageId id) {
-  Shard& shard = ShardFor(id);
-  MutexLock lock(&shard.mu);
-  ++shard.stats.fetches;
-  auto it = shard.frames.find(id);
-  if (it != shard.frames.end()) {
-    ++shard.stats.hits;
-    Frame* frame = it->second.get();
-    if (frame->in_lru) {
-      shard.lru.erase(frame->lru_pos);
-      frame->in_lru = false;
-    }
-    ++frame->pin_count;
-    return PageHandle(this, frame);
+void BufferPool::LruUnlink(Shard& shard, Frame* frame) {
+  if (frame->lru_prev != nullptr) {
+    frame->lru_prev->lru_next = frame->lru_next;
+  } else {
+    shard.lru_head = frame->lru_next;
   }
+  if (frame->lru_next != nullptr) {
+    frame->lru_next->lru_prev = frame->lru_prev;
+  } else {
+    shard.lru_tail = frame->lru_prev;
+  }
+  frame->lru_prev = frame->lru_next = nullptr;
+}
 
+void BufferPool::LruPushFront(Shard& shard, Frame* frame) {
+  frame->lru_prev = nullptr;
+  frame->lru_next = shard.lru_head;
+  if (shard.lru_head != nullptr) {
+    shard.lru_head->lru_prev = frame;
+  } else {
+    shard.lru_tail = frame;
+  }
+  shard.lru_head = frame;
+}
+
+Result<BufferPool::Frame*> BufferPool::LoadLocked(Shard& shard, PageId id) {
   ++shard.stats.misses;
   if (shard.frames.size() >= shard_capacity_) {
     NOK_RETURN_IF_ERROR(EvictOneLocked(shard));
@@ -65,26 +75,59 @@ Result<PageHandle> BufferPool::Fetch(PageId id) {
   frame->data = std::make_unique<char[]>(pager_->page_size());
   NOK_RETURN_IF_ERROR(pager_->ReadPage(id, frame->data.get()));
   ++shard.stats.disk_reads;
-  frame->pin_count = 1;
   Frame* raw = frame.get();
   shard.frames.emplace(id, std::move(frame));
-  return PageHandle(this, raw);
+  return raw;
+}
+
+Result<PageHandle> BufferPool::Fetch(PageId id) {
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mu);
+  ++shard.stats.fetches;
+  Frame* frame = nullptr;
+  auto it = shard.frames.find(id);
+  if (it != shard.frames.end()) {
+    ++shard.stats.hits;
+    frame = it->second.get();
+    if (frame->pin_count == 0) LruUnlink(shard, frame);
+  } else {
+    NOK_ASSIGN_OR_RETURN(frame, LoadLocked(shard, id));
+  }
+  ++frame->pin_count;
+  return PageHandle(this, frame);
+}
+
+Result<std::shared_ptr<void>> BufferPool::FetchDecoration(
+    PageId id, const Decoder& decode) {
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mu);
+  ++shard.stats.fetches;
+  Frame* frame = nullptr;
+  auto it = shard.frames.find(id);
+  if (it != shard.frames.end()) {
+    ++shard.stats.hits;
+    frame = it->second.get();
+    // A pinned frame stays out of the list until its last unpin, which
+    // makes it most recently used anyway.
+    if (frame->pin_count == 0 && shard.lru_head != frame) {
+      LruUnlink(shard, frame);
+      LruPushFront(shard, frame);
+    }
+  } else {
+    NOK_ASSIGN_OR_RETURN(frame, LoadLocked(shard, id));
+    LruPushFront(shard, frame);
+  }
+  if (frame->decoration == nullptr) {
+    NOK_ASSIGN_OR_RETURN(frame->decoration, decode(frame->data.get()));
+  }
+  return frame->decoration;
 }
 
 void BufferPool::Unpin(Frame* frame) {
   Shard& shard = *frame->home;
   MutexLock lock(&shard.mu);
   NOK_CHECK(frame->pin_count > 0);
-  if (--frame->pin_count == 0) {
-    shard.lru.push_front(frame);
-    frame->lru_pos = shard.lru.begin();
-    frame->in_lru = true;
-  }
-}
-
-std::shared_ptr<void> BufferPool::Decoration(const Frame* frame) const {
-  MutexLock lock(&frame->home->mu);
-  return frame->decoration;
+  if (--frame->pin_count == 0) LruPushFront(shard, frame);
 }
 
 void BufferPool::SetDecoration(Frame* frame, std::shared_ptr<void> d) {
@@ -93,24 +136,22 @@ void BufferPool::SetDecoration(Frame* frame, std::shared_ptr<void> d) {
 }
 
 Status BufferPool::EvictOneLocked(Shard& shard) {
-  if (shard.lru.empty()) {
+  Frame* victim = shard.lru_tail;
+  if (victim == nullptr) {
     return Status::Internal(
         "buffer pool capacity exhausted: all " +
         std::to_string(shard_capacity_) +
         " frames of the shard are pinned");
   }
-  Frame* victim = shard.lru.back();
   // Write back before unlinking: if the write fails the frame stays dirty
   // and in the LRU list, the pool stays consistent, and the caller sees
-  // the error.  Evicting first would strand the frame outside the list
-  // with a dangling lru_pos.
+  // the error.
   if (victim->dirty.load(std::memory_order_acquire)) {
     NOK_RETURN_IF_ERROR(pager_->WritePage(victim->id, victim->data.get()));
     ++shard.stats.disk_writes;
     victim->dirty.store(false, std::memory_order_release);
   }
-  shard.lru.pop_back();
-  victim->in_lru = false;
+  LruUnlink(shard, victim);
   ++shard.stats.evictions;
   shard.frames.erase(victim->id);
   return Status::OK();
@@ -139,9 +180,9 @@ Status BufferPool::DropAll() {
   for (auto& shard : shards_) {
     MutexLock lock(&shard->mu);
     NOK_RETURN_IF_ERROR(FlushShardLocked(*shard));
-    while (!shard->lru.empty()) {
-      Frame* victim = shard->lru.back();
-      shard->lru.pop_back();
+    while (shard->lru_tail != nullptr) {
+      Frame* victim = shard->lru_tail;
+      LruUnlink(*shard, victim);
       shard->frames.erase(victim->id);
     }
   }
@@ -167,10 +208,6 @@ void BufferPool::ResetStats() {
     MutexLock lock(&shard->mu);
     shard->stats = Stats{};
   }
-}
-
-std::shared_ptr<void> PageHandle::decoration() const {
-  return pool_->Decoration(frame_);
 }
 
 void PageHandle::set_decoration(std::shared_ptr<void> d) {

@@ -7,7 +7,12 @@
 //
 // Frames can carry a "decoration": an arbitrary object derived from the
 // page contents (the string store caches decoded symbol/level arrays this
-// way).  A decoration lives exactly as long as the frame holds that page.
+// way).  The frame keeps its decoration exactly as long as it holds that
+// page; FetchDecoration hands out a shared_ptr, so a reader's copy stays
+// valid after the frame is recycled.
+//
+// The LRU list is intrusive (links in Frame), so a hit or an unpin never
+// allocates.
 //
 // Thread safety: the pool is internally sharded by page id.  Each shard
 // owns its own mutex, frame map, LRU list, and Stats, so concurrent
@@ -23,7 +28,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <list>
+#include <functional>
 #include <memory>
 #include <unordered_map>
 #include <vector>
@@ -70,6 +75,18 @@ class BufferPool {
   /// exhausted by live handles).
   Result<PageHandle> Fetch(PageId id);
 
+  /// Builds a page's decoration from its bytes.
+  using Decoder =
+      std::function<Result<std::shared_ptr<void>>(const char* page)>;
+
+  /// Decoration of page id, read from disk on a miss and built by
+  /// `decode` (under the shard lock) when the frame has none yet.  One
+  /// shard-lock round trip and no pin (a hit only refreshes the frame's
+  /// LRU position), so readers of decorations can never exhaust a shard.
+  /// Counts as one fetch in Stats.
+  Result<std::shared_ptr<void>> FetchDecoration(PageId id,
+                                                const Decoder& decode);
+
   /// Writes back all dirty frames (pinned or not).
   Status FlushAll();
 
@@ -108,9 +125,10 @@ class BufferPool {
     // Written by MarkDirty() without the shard lock; read under it.
     std::atomic<bool> dirty{false};
     std::shared_ptr<void> decoration;
-    // Position in the shard's lru list when pin_count == 0.
-    std::list<Frame*>::iterator lru_pos;
-    bool in_lru = false;
+    // Links in the shard's LRU list, which holds exactly the frames
+    // with pin_count == 0.
+    Frame* lru_prev = nullptr;
+    Frame* lru_next = nullptr;
   };
 
   struct Shard {
@@ -118,15 +136,21 @@ class BufferPool {
     Stats stats GUARDED_BY(mu);
     std::unordered_map<PageId, std::unique_ptr<Frame>> frames
         GUARDED_BY(mu);
-    // Front = most recently used unpinned frame; back = eviction victim.
-    std::list<Frame*> lru GUARDED_BY(mu);
+    // Intrusive list of the unpinned frames: head = most recently used,
+    // tail = eviction victim.
+    Frame* lru_head GUARDED_BY(mu) = nullptr;
+    Frame* lru_tail GUARDED_BY(mu) = nullptr;
   };
 
   Shard& ShardFor(PageId id);
+  static void LruUnlink(Shard& shard, Frame* frame) REQUIRES(shard.mu);
+  static void LruPushFront(Shard& shard, Frame* frame) REQUIRES(shard.mu);
+  /// Miss path: reads page id into a fresh frame, evicting first when the
+  /// shard is full.  The caller pins the frame or lists it in the LRU.
+  Result<Frame*> LoadLocked(Shard& shard, PageId id) REQUIRES(shard.mu);
   Status EvictOneLocked(Shard& shard) REQUIRES(shard.mu);
   Status FlushShardLocked(Shard& shard) REQUIRES(shard.mu);
   void Unpin(Frame* frame);
-  std::shared_ptr<void> Decoration(const Frame* frame) const;
   void SetDecoration(Frame* frame, std::shared_ptr<void> d);
 
   Pager* pager_;
@@ -163,11 +187,8 @@ class PageHandle {
   char* mutable_data() { return frame_->data.get(); }
   void MarkDirty() { frame_->dirty.store(true, std::memory_order_release); }
 
-  /// Page-derived cache object; reset whenever the frame is recycled.
-  /// Returns a snapshot copy — concurrent readers may race to decorate a
-  /// freshly-read page, in which case the last writer wins and the loser's
-  /// object simply dies with its local shared_ptr.
-  std::shared_ptr<void> decoration() const;
+  /// Replaces the page-derived cache object (see FetchDecoration); a
+  /// writer that changes the page resets it to nullptr.
   void set_decoration(std::shared_ptr<void> d);
 
   /// Drops the pin early (also done by the destructor).

@@ -2,8 +2,10 @@
 // each against one read-only DocumentStore handle, and every thread must
 // produce exactly the results of a single-threaded run.  Runs under the
 // sanitizer builds; with -DNOK_SANITIZE=thread this is the data-race
-// gate for the sharded buffer pool, the read-only open mode and the
-// value column's first fill.
+// gate for the sharded buffer pool, the read-only open mode, the
+// per-query page navigators and the value column's first fill.  Each
+// query's own page count (its navigator's, in the trace) must also match
+// the single-threaded run: navigators hold no pins and share no state.
 
 #include <gtest/gtest.h>
 
@@ -39,10 +41,11 @@ std::vector<std::string> BuildWorkload(const GeneratedDataset& ds,
   return xpaths;
 }
 
-/// One thread's transcript: canonical result strings per query, or the
-/// first failure.
+/// One thread's transcript: canonical result strings and subject-tree
+/// page accesses per query, or the first failure.
 struct Transcript {
   std::vector<std::string> results;
+  std::vector<uint64_t> pages;
   Status status;
 };
 
@@ -61,6 +64,7 @@ void RunWorkload(DocumentStore* store,
       canon += ';';
     }
     out->results.push_back(std::move(canon));
+    out->pages.push_back(engine.last_trace().pages_scanned);
   }
 }
 
@@ -107,11 +111,18 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
 
   const std::vector<std::string> xpaths = BuildWorkload(ds, gen.seed);
 
-  // Reference: the same workload, single-threaded.
+  // Reference: the same workload, single-threaded.  Alone on the store,
+  // the navigators' per-query counts add up to the store-wide counter.
+  const uint64_t pages_before = (*store)->tree()->nav_stats().pages_scanned;
   Transcript reference;
   RunWorkload(store->get(), &xpaths, &reference);
   ASSERT_TRUE(reference.status.ok()) << reference.status.ToString();
   ASSERT_EQ(reference.results.size(), kQueriesPerThread);
+  uint64_t reference_pages = 0;
+  for (uint64_t pages : reference.pages) reference_pages += pages;
+  EXPECT_GT(reference_pages, 0u);
+  EXPECT_EQ((*store)->tree()->nav_stats().pages_scanned - pages_before,
+            reference_pages);
 
   std::vector<Transcript> transcripts(kThreads);
   {
@@ -127,8 +138,10 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   for (int t = 0; t < kThreads; ++t) {
     SCOPED_TRACE("thread " + std::to_string(t));
     const Transcript& got = transcripts[static_cast<size_t>(t)];
+    // A shard with all 4 frames pinned would fail a query here.
     ASSERT_TRUE(got.status.ok()) << got.status.ToString();
     EXPECT_EQ(got.results, reference.results);
+    EXPECT_EQ(got.pages, reference.pages);
   }
 
   // Aggregated shard stats stay consistent under concurrency.
@@ -164,6 +177,7 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
     const Transcript& got = racing[static_cast<size_t>(t)];
     ASSERT_TRUE(got.status.ok()) << got.status.ToString();
     EXPECT_EQ(got.results, reference.results);
+    EXPECT_EQ(got.pages, reference.pages);
   }
 }
 

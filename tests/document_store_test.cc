@@ -204,7 +204,7 @@ TEST(DocumentStoreTest, NavigateWalksToAnyNode) {
     const DeweyId id = DomDewey(node);
     auto pos = store->Navigate(id);
     ASSERT_TRUE(pos.ok()) << id.ToString();
-    auto tag = store->tree()->TagAt(*pos);
+    auto tag = StringStore::Navigator(store->tree()).TagAt(*pos);
     ASSERT_TRUE(tag.ok());
     EXPECT_EQ(store->tags()->Name(*tag), node->name) << id.ToString();
   });
@@ -231,7 +231,7 @@ void ExpectBpLocatorMatchesNavigate(DocumentStore* store) {
     auto walked = store->Navigate(id);
     ASSERT_TRUE(walked.ok()) << id.ToString();
     EXPECT_TRUE(store->StorePosOf(pos) == *walked) << id.ToString();
-    auto tag = store->tree()->TagAt(*walked);
+    auto tag = StringStore::Navigator(store->tree()).TagAt(*walked);
     ASSERT_TRUE(tag.ok());
     EXPECT_EQ(*tag, (*bp)->TagAt(pos)) << id.ToString();
   }

@@ -690,14 +690,15 @@ TEST(WideRootTest, PagedHitsResolveOnTheBpIndexAfterAnInsert) {
 struct PagedWalkTier {
   using Pos = StorePos;
   StringStore* tree;
+  StringStore::Navigator nav;
   std::vector<PathStep<Pos>> path;
 
   Pos Root() const { return tree->RootPos(); }
   Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return tree->FirstChild(pos);
+    return nav.FirstChild(pos);
   }
   Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return tree->FollowingSibling(pos);
+    return nav.FollowingSibling(pos);
   }
   bool JumpToChild(Pos, uint32_t, PathStep<Pos>*) { return false; }
   std::vector<PathStep<Pos>>* dewey_path() { return &path; }
@@ -745,7 +746,8 @@ TEST(WideRootTest, WalkToAnswersAncestorsWithoutLosingItsPlace) {
   ASSERT_TRUE(store.ok()) << store.status().ToString();
   auto bp = (*store)->bp_index();
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
-  PagedWalkTier paged{(*store)->tree(), {}};
+  PagedWalkTier paged{(*store)->tree(),
+                      StringStore::Navigator((*store)->tree()), {}};
   BpWalkTier bp_tier{*bp, {}};
 
   // Trunk-verification order: each ancestor is asked for between two

@@ -272,27 +272,90 @@ TEST(BufferPoolTest, DecorationSurvivesWhileCachedAndDropsOnEvict) {
   std::vector<PageId> pages(3);
   for (auto& p : pages) ASSERT_TRUE(pager->AllocatePage(&p).ok());
   BufferPool pool(pager.get(), 2);
+  int decodes = 0;
+  const BufferPool::Decoder decode =
+      [&](const char*) -> Result<std::shared_ptr<void>> {
+    ++decodes;
+    return std::shared_ptr<void>(std::make_shared<int>(99 + decodes));
+  };
 
+  auto first = pool.FetchDecoration(pages[0], decode);
+  ASSERT_TRUE(first.ok());
+  EXPECT_EQ(*std::static_pointer_cast<int>(*first), 100);
+  auto cached = pool.FetchDecoration(pages[0], decode);
+  ASSERT_TRUE(cached.ok());
+  EXPECT_EQ(*cached, *first);  // Same object: no second decode.
+  EXPECT_EQ(decodes, 1);
+
+  // A writer's reset forces a fresh decode.
   {
     auto h = pool.Fetch(pages[0]);
     ASSERT_TRUE(h.ok());
-    h->set_decoration(std::make_shared<int>(99));
+    h->set_decoration(nullptr);
   }
-  {
-    auto h = pool.Fetch(pages[0]);
-    ASSERT_TRUE(h.ok());
-    auto deco = std::static_pointer_cast<int>(h->decoration());
-    ASSERT_NE(deco, nullptr);
-    EXPECT_EQ(*deco, 99);
-  }
-  // Evict pages[0].
+  auto redecoded = pool.FetchDecoration(pages[0], decode);
+  ASSERT_TRUE(redecoded.ok());
+  EXPECT_EQ(decodes, 2);
+
+  // Evict pages[0]: its next fetch decodes again, and the copies handed
+  // out earlier stay valid.
   { auto h = pool.Fetch(pages[1]); ASSERT_TRUE(h.ok()); }
   { auto h = pool.Fetch(pages[2]); ASSERT_TRUE(h.ok()); }
-  {
-    auto h = pool.Fetch(pages[0]);
-    ASSERT_TRUE(h.ok());
-    EXPECT_EQ(h->decoration(), nullptr);
+  auto after = pool.FetchDecoration(pages[0], decode);
+  ASSERT_TRUE(after.ok());
+  EXPECT_EQ(decodes, 3);
+  EXPECT_EQ(*std::static_pointer_cast<int>(*first), 100);
+  const BufferPool::Stats stats = pool.stats();
+  EXPECT_EQ(stats.fetches, 7u);
+  EXPECT_EQ(stats.hits + stats.misses, stats.fetches);
+  EXPECT_EQ(stats.disk_reads, stats.misses);
+}
+
+TEST(BufferPoolTest, FetchDecorationTakesNoPin) {
+  auto pager = MakePager(128);
+  std::vector<PageId> pages(2);
+  for (auto& p : pages) ASSERT_TRUE(pager->AllocatePage(&p).ok());
+  BufferPool pool(pager.get(), 1);
+  const BufferPool::Decoder decode =
+      [](const char*) -> Result<std::shared_ptr<void>> {
+    return std::shared_ptr<void>(std::make_shared<int>(1));
+  };
+  // One frame serves any number of decoration reads: none holds a pin.
+  for (int round = 0; round < 3; ++round) {
+    for (PageId p : pages) {
+      ASSERT_TRUE(pool.FetchDecoration(p, decode).ok());
+    }
   }
+  EXPECT_EQ(pool.stats().evictions, 5u);
+  // A handle's pin is what exhausts the shard.
+  auto pinned = pool.Fetch(pages[0]);
+  ASSERT_TRUE(pinned.ok());
+  EXPECT_FALSE(pool.FetchDecoration(pages[1], decode).ok());
+}
+
+TEST(BufferPoolTest, EvictsTheLeastRecentlyUsedFrame) {
+  auto pager = MakePager(128);
+  std::vector<PageId> pages(3);
+  for (auto& p : pages) ASSERT_TRUE(pager->AllocatePage(&p).ok());
+  BufferPool pool(pager.get(), 2);
+  const BufferPool::Decoder decode =
+      [](const char*) -> Result<std::shared_ptr<void>> {
+    return std::shared_ptr<void>(std::make_shared<int>(1));
+  };
+  { auto h = pool.Fetch(pages[0]); ASSERT_TRUE(h.ok()); }
+  ASSERT_TRUE(pool.FetchDecoration(pages[1], decode).ok());
+  // Touch pages[0] (both fetch kinds refresh recency), so pages[1] is
+  // the victim when pages[2] comes in.
+  { auto h = pool.Fetch(pages[0]); ASSERT_TRUE(h.ok()); }
+  ASSERT_TRUE(pool.FetchDecoration(pages[2], decode).ok());
+  pool.ResetStats();
+  ASSERT_TRUE(pool.FetchDecoration(pages[0], decode).ok());
+  EXPECT_EQ(pool.stats().hits, 1u);
+  ASSERT_TRUE(pool.FetchDecoration(pages[1], decode).ok());
+  EXPECT_EQ(pool.stats().misses, 1u);
+  // pages[2] was least recently used when pages[1] came back.
+  { auto h = pool.Fetch(pages[2]); ASSERT_TRUE(h.ok()); }
+  EXPECT_EQ(pool.stats().misses, 2u);
 }
 
 TEST(BufferPoolTest, DropAllFlushesAndClears) {

@@ -5,6 +5,7 @@
 #include "common/random.h"
 #include "encoding/string_store.h"
 #include "encoding/tag_dictionary.h"
+#include "encoding/updater.h"
 #include "storage/file.h"
 #include "tests/test_util.h"
 #include "xml/dom.h"
@@ -109,6 +110,7 @@ TEST(StringStoreTest, SmallPagesProduceChainedLayout) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, /*page_size=*/64, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
   EXPECT_GE(store->chain_length(), 3u);  // Forced multi-page.
   EXPECT_EQ(store->node_count(), 34u);
   EXPECT_EQ(store->max_level(), 4);
@@ -133,7 +135,7 @@ TEST(StringStoreTest, SmallPagesProduceChainedLayout) {
     level = h.st;
     // Walk symbols of this page via LevelAt.
     for (uint16_t idx = 0;; ++idx) {
-      auto lv = store->LevelAt(StorePos{page, idx});
+      auto lv = nav.LevelAt(StorePos{page, idx});
       if (!lv.ok()) break;
       level = *lv;
     }
@@ -147,13 +149,14 @@ TEST(StringStoreTest, LevelSequenceMatchesPaperConvention) {
   BuiltStore built;
   ASSERT_TRUE(Build("<a><b><z/></b><e/></a>", 4096, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
   const int expected[] = {1, 2, 3, 2, 1, 2, 1, 0};
   for (uint16_t i = 0; i < 8; ++i) {
-    auto lv = store->LevelAt(StorePos{1, i});
+    auto lv = nav.LevelAt(StorePos{1, i});
     ASSERT_TRUE(lv.ok());
     EXPECT_EQ(*lv, expected[i]) << "symbol " << i;
   }
-  EXPECT_FALSE(store->LevelAt(StorePos{1, 8}).ok());
+  EXPECT_FALSE(nav.LevelAt(StorePos{1, 8}).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -173,18 +176,19 @@ TEST_P(PrimitiveOps, FirstChildAndFollowingSiblingMatchDom) {
   options.page_size = 64;  // Tiny pages stress the cross-page paths.
   ASSERT_TRUE(BuildFromDom(tree, options, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
 
   // Walk DOM and store in lockstep.
   std::function<void(const DomNode*, StorePos)> verify =
       [&](const DomNode* dom, StorePos pos) {
-        auto tag = store->TagAt(pos);
+        auto tag = nav.TagAt(pos);
         ASSERT_TRUE(tag.ok());
         EXPECT_EQ(built.tags.Name(*tag), dom->name);
-        auto level = store->LevelAt(pos);
+        auto level = nav.LevelAt(pos);
         ASSERT_TRUE(level.ok());
         EXPECT_EQ(*level, dom->level);
 
-        auto child = store->FirstChild(pos);
+        auto child = nav.FirstChild(pos);
         ASSERT_TRUE(child.ok());
         EXPECT_EQ(child->has_value(), !dom->children.empty());
         if (child->has_value()) {
@@ -194,7 +198,7 @@ TEST_P(PrimitiveOps, FirstChildAndFollowingSiblingMatchDom) {
         StorePos current = pos;
         const DomNode* dom_current = dom;
         for (;;) {
-          auto sib = store->FollowingSibling(current);
+          auto sib = nav.FollowingSibling(current);
           ASSERT_TRUE(sib.ok());
           const DomNode* dom_sib = nullptr;
           if (dom_current->parent != nullptr &&
@@ -211,7 +215,7 @@ TEST_P(PrimitiveOps, FirstChildAndFollowingSiblingMatchDom) {
           dom_current = dom_sib;
           // Only verify the subtree once (from the parent's recursion);
           // here we only check tags along the chain.
-          auto sib_tag = store->TagAt(current);
+          auto sib_tag = nav.TagAt(current);
           ASSERT_TRUE(sib_tag.ok());
           EXPECT_EQ(built.tags.Name(*sib_tag), dom_current->name);
         }
@@ -226,21 +230,22 @@ TEST(StringStoreTest, SubtreeEndGivesProperIntervals) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, 64, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
 
   const StorePos root = store->RootPos();
-  auto root_end = store->SubtreeEndGlobal(root);
+  auto root_end = nav.SubtreeEndGlobal(root);
   ASSERT_TRUE(root_end.ok());
 
-  auto first_book = store->FirstChild(root);
+  auto first_book = nav.FirstChild(root);
   ASSERT_TRUE(first_book.ok() && first_book->has_value());
-  auto book_end = store->SubtreeEndGlobal(**first_book);
+  auto book_end = nav.SubtreeEndGlobal(**first_book);
   ASSERT_TRUE(book_end.ok());
 
   // Containment: root.start < book.start && book.end < root.end.
   EXPECT_LT(store->GlobalPos(root), store->GlobalPos(**first_book));
   EXPECT_LT(*book_end, *root_end);
 
-  auto second_book = store->FollowingSibling(**first_book);
+  auto second_book = nav.FollowingSibling(**first_book);
   ASSERT_TRUE(second_book.ok() && second_book->has_value());
   EXPECT_LT(*book_end, store->GlobalPos(**second_book));
 }
@@ -249,13 +254,14 @@ TEST(StringStoreTest, GlobalPosRoundTrips) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, 64, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
   std::optional<StorePos> pos = store->RootPos();
   while (pos.has_value()) {
     const uint64_t global = store->GlobalPos(*pos);
     auto back = store->PosForGlobal(global);
     ASSERT_TRUE(back.ok());
     EXPECT_EQ(*back, *pos);
-    auto next = store->NextOpen(*pos);
+    auto next = nav.NextOpen(*pos);
     ASSERT_TRUE(next.ok());
     pos = *next;
   }
@@ -265,6 +271,7 @@ TEST(StringStoreTest, NextOpenVisitsAllNodesInDocumentOrder) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, 64, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
   size_t count = 0;
   uint64_t last_global = 0;
   std::optional<StorePos> pos = store->RootPos();
@@ -275,7 +282,7 @@ TEST(StringStoreTest, NextOpenVisitsAllNodesInDocumentOrder) {
       EXPECT_GT(global, last_global);
     }
     last_global = global;
-    auto next = store->NextOpen(*pos);
+    auto next = nav.NextOpen(*pos);
     ASSERT_TRUE(next.ok());
     pos = *next;
   }
@@ -303,13 +310,14 @@ TEST(StringStoreTest, HeaderSkipAndFullScanAgree) {
 
     // Compare the sibling chains of the root's children.
     auto walk = [](StringStore* s) {
+      StringStore::Navigator nav(s);
       std::vector<uint64_t> positions;
-      auto child = s->FirstChild(s->RootPos());
+      auto child = nav.FirstChild(s->RootPos());
       EXPECT_TRUE(child.ok());
       std::optional<StorePos> pos = *child;
       while (pos.has_value()) {
         positions.push_back(s->GlobalPos(*pos));
-        auto sib = s->FollowingSibling(*pos);
+        auto sib = nav.FollowingSibling(*pos);
         EXPECT_TRUE(sib.ok());
         pos = *sib;
       }
@@ -331,13 +339,14 @@ TEST(StringStoreTest, HeaderSkipAvoidsDeepSubtreePages) {
   BuiltStore built;
   ASSERT_TRUE(Build(deep, 64, true, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
 
-  auto b = store->FirstChild(store->RootPos());
+  auto b = nav.FirstChild(store->RootPos());
   ASSERT_TRUE(b.ok() && b->has_value());
   store->ResetNavStats();
-  auto c = store->FollowingSibling(**b);
+  auto c = nav.FollowingSibling(**b);
   ASSERT_TRUE(c.ok() && c->has_value());
-  EXPECT_EQ(*store->TagAt(**c), built.Tag("c"));
+  EXPECT_EQ(*nav.TagAt(**c), built.Tag("c"));
   EXPECT_GT(store->nav_stats().pages_skipped, 5u);
   // A handful of view fetches (b's page for LevelAt, the close-scan
   // start and end pages, the sibling's page), never the deep subtree's
@@ -357,18 +366,19 @@ TEST(StringStoreTest, FullTraversalReadsEachPageOnceWithEnoughFrames) {
   ASSERT_TRUE(tree.ok());
   ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
 
   ASSERT_TRUE(store->buffer_pool()->DropAll().ok());
   store->buffer_pool()->ResetStats();
 
   // Depth-first traversal through the primitives (what NoK matching does).
   std::function<void(StorePos)> dfs = [&](StorePos pos) {
-    auto child = store->FirstChild(pos);
+    auto child = nav.FirstChild(pos);
     ASSERT_TRUE(child.ok());
     std::optional<StorePos> current = *child;
     while (current.has_value()) {
       dfs(*current);
-      auto sib = store->FollowingSibling(*current);
+      auto sib = nav.FollowingSibling(*current);
       ASSERT_TRUE(sib.ok());
       current = *sib;
     }
@@ -377,6 +387,93 @@ TEST(StringStoreTest, FullTraversalReadsEachPageOnceWithEnoughFrames) {
 
   EXPECT_LE(store->buffer_pool()->stats().disk_reads,
             store->chain_length());
+}
+
+// ---------------------------------------------------------------------------
+// Page-local navigation: a navigator decodes each page once.
+
+TEST(StringStoreTest, NavigatorWalksOnePageWithOnePoolFetch) {
+  BuiltStore built;
+  ASSERT_TRUE(Build(kBibXml, 4096, true, &built).ok());
+  StringStore* store = built.store.get();
+  ASSERT_EQ(store->chain_length(), 1u);
+  store->buffer_pool()->ResetStats();
+  store->ResetNavStats();
+
+  StringStore::Navigator nav(store);
+  size_t children = 0;
+  auto child = nav.FirstChild(store->RootPos());
+  ASSERT_TRUE(child.ok());
+  for (std::optional<StorePos> pos = *child; pos.has_value();) {
+    ++children;
+    auto sib = nav.FollowingSibling(*pos);
+    ASSERT_TRUE(sib.ok());
+    pos = *sib;
+  }
+  EXPECT_EQ(children, 4u);
+  EXPECT_EQ(store->buffer_pool()->stats().fetches, 1u);
+  // The logical page accesses the one-shot primitives counted: one for
+  // FirstChild, three per FollowingSibling (LevelAt and two scans).
+  EXPECT_EQ(store->nav_stats().pages_scanned, 13u);
+  EXPECT_EQ(nav.pages_scanned(), 13u);
+  EXPECT_EQ(store->nav_stats().decode_cache_hits, 12u);
+}
+
+TEST(StringStoreTest, NavigatorTraversesWithOneFrame) {
+  BuiltStore built;
+  StringStore::Options options;
+  options.page_size = 64;
+  options.pool_frames = 1;  // Fails if any access held a pin.
+  auto tree = DomTree::Parse(kBibXml);
+  ASSERT_TRUE(tree.ok());
+  ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
+  StringStore* store = built.store.get();
+  ASSERT_GE(store->chain_length(), 3u);
+
+  StringStore::Navigator nav(store);
+  uint64_t visited = 0;
+  std::function<void(StorePos)> dfs = [&](StorePos pos) {
+    ++visited;
+    auto child = nav.FirstChild(pos);
+    ASSERT_TRUE(child.ok()) << child.status().ToString();
+    for (std::optional<StorePos> c = *child; c.has_value();) {
+      dfs(*c);
+      auto sib = nav.FollowingSibling(*c);
+      ASSERT_TRUE(sib.ok()) << sib.status().ToString();
+      c = *sib;
+    }
+  };
+  dfs(store->RootPos());
+  EXPECT_EQ(visited, store->node_count());
+}
+
+TEST(StringStoreTest, NavigatorKeptAcrossAnUpdateSeesTheNewStructure) {
+  BuiltStore built;
+  ASSERT_TRUE(Build("<a><b/><c/></a>", 4096, true, &built).ok());
+  StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
+  auto b = nav.FirstChild(store->RootPos());
+  ASSERT_TRUE(b.ok() && b->has_value());
+  auto c = nav.FollowingSibling(**b);
+  ASSERT_TRUE(c.ok() && c->has_value());
+  EXPECT_EQ(*nav.TagAt(**c), built.Tag("c"));
+
+  // Insert <x/> before c, in the page the navigator holds.
+  auto x = built.tags.Intern("x");
+  ASSERT_TRUE(x.ok());
+  std::string symbols;
+  TreeUpdater::AppendOpenSymbol(&symbols, *x);
+  TreeUpdater::AppendCloseSymbol(&symbols);
+  TreeUpdater updater(store);
+  ASSERT_TRUE(updater.InsertBefore(**c, symbols, 1).ok());
+
+  // Same position, new symbol: a stale view would still answer c.
+  auto sib = nav.FollowingSibling(**b);
+  ASSERT_TRUE(sib.ok() && sib->has_value());
+  EXPECT_EQ(*nav.TagAt(**sib), *x);
+  auto after = nav.FollowingSibling(**sib);
+  ASSERT_TRUE(after.ok() && after->has_value());
+  EXPECT_EQ(*nav.TagAt(**after), built.Tag("c"));
 }
 
 // ---------------------------------------------------------------------------
@@ -393,6 +490,7 @@ TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
     options.page_size = 64;
     ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
     StringStore* store = built.store.get();
+    StringStore::Navigator nav(store);
 
     for (const char* name : {"a", "b", "c", "d", "e", "absent"}) {
       const TagId tag = built.Tag(name);
@@ -401,10 +499,10 @@ TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
       std::vector<uint64_t> expect;
       std::optional<StorePos> pos = store->RootPos();
       while (pos.has_value()) {
-        auto t = store->TagAt(*pos);
+        auto t = nav.TagAt(*pos);
         ASSERT_TRUE(t.ok());
         if (*t == tag) expect.push_back(store->GlobalPos(*pos));
-        auto next = store->NextOpen(*pos);
+        auto next = nav.NextOpen(*pos);
         ASSERT_TRUE(next.ok());
         pos = *next;
       }
@@ -417,7 +515,7 @@ TEST(StringStoreTest, NextOpenWithTagMatchesNaiveScan) {
       std::vector<uint64_t> got;
       pos = store->RootPos();
       for (;;) {
-        auto next = store->NextOpenWithTag(*pos, tag);
+        auto next = nav.NextOpenWithTag(*pos, tag);
         ASSERT_TRUE(next.ok()) << next.status().ToString();
         if (!next->has_value()) break;
         got.push_back(store->GlobalPos(**next));
@@ -444,13 +542,14 @@ TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
   options.page_size = 64;
   ASSERT_TRUE(BuildFromDom(*tree, options, &built).ok());
   StringStore* store = built.store.get();
+  StringStore::Navigator nav(store);
   ASSERT_GT(store->chain_length(), 4u);
 
   // Every open in document order, with its tag and global position.
   std::vector<StorePos> opens;
   for (std::optional<StorePos> pos = store->RootPos(); pos.has_value();) {
     opens.push_back(*pos);
-    auto next = store->NextOpen(*pos);
+    auto next = nav.NextOpen(*pos);
     ASSERT_TRUE(next.ok());
     pos = *next;
   }
@@ -461,15 +560,15 @@ TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
   size_t last_in_page = 0;
   for (size_t i = 0; i < opens.size(); ++i) {
     const StorePos source = opens[i];
-    auto level = store->LevelAt(source);
+    auto level = nav.LevelAt(source);
     ASSERT_TRUE(level.ok());
-    auto end = store->SubtreeEndGlobal(source);
+    auto end = nav.SubtreeEndGlobal(source);
     ASSERT_TRUE(end.ok());
     auto close = store->PosForGlobal(*end);
     ASSERT_TRUE(close.ok());
     // The symbol after the source's open lives on another page: a first
     // child there, or the leaf's own close there.
-    auto first = store->FirstChild(source);
+    auto first = nav.FirstChild(source);
     ASSERT_TRUE(first.ok());
     const PageId next_page =
         first->has_value() ? (*first)->page : close->page;
@@ -482,7 +581,7 @@ TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
       for (size_t j = i + 1; j < opens.size(); ++j) {
         const uint64_t g = store->GlobalPos(opens[j]);
         if (g > *end) break;
-        auto t = store->TagAt(opens[j]);
+        auto t = nav.TagAt(opens[j]);
         ASSERT_TRUE(t.ok());
         if (tag == kInvalidTag || *t == tag) expect.push_back(g);
       }
@@ -490,7 +589,7 @@ TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
       StorePos from = source;
       for (;;) {
         const uint64_t before = store->nav_stats().pages_scanned;
-        auto next = store->NextOpenInSubtree(from, tag, *level);
+        auto next = nav.NextOpenInSubtree(from, tag, *level);
         ASSERT_TRUE(next.ok()) << next.status().ToString();
         const PageId stop = next->has_value() ? (*next)->page : close->page;
         EXPECT_LE(store->nav_stats().pages_scanned - before,
@@ -509,8 +608,8 @@ TEST(StringStoreTest, NextOpenInSubtreeStopsAtTheClose) {
 TEST(StringStoreTest, NextOpenWithTagRejectsInvalidTag) {
   BuiltStore built;
   ASSERT_TRUE(Build(kBibXml, 64, true, &built).ok());
-  EXPECT_TRUE(built.store->NextOpenWithTag(built.store->RootPos(),
-                                           kInvalidTag)
+  StringStore::Navigator nav(built.store.get());
+  EXPECT_TRUE(nav.NextOpenWithTag(built.store->RootPos(), kInvalidTag)
                   .status()
                   .IsInvalidArgument());
 }
@@ -537,7 +636,8 @@ TEST(StringStoreTest, ReopenFromDisk) {
   auto store = builder.Finish();
   ASSERT_TRUE(store.ok());
   EXPECT_EQ((*store)->node_count(), tree->node_count());
-  auto root_tag = (*store)->TagAt((*store)->RootPos());
+  StringStore::Navigator nav(store->get());
+  auto root_tag = nav.TagAt((*store)->RootPos());
   ASSERT_TRUE(root_tag.ok());
   EXPECT_EQ(tags.Name(*root_tag), "bib");
 }

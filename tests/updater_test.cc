@@ -24,9 +24,10 @@ namespace {
 void ExpectStoreMatchesDom(DocumentStore* store, const DomTree& dom) {
   ASSERT_EQ(store->stats().node_count, dom.node_count());
   // Lockstep DFS over structure + values.
+  StringStore::Navigator nav(store->tree());
   std::function<void(const DomNode*, StorePos)> verify =
       [&](const DomNode* node, StorePos pos) {
-        auto tag = store->tree()->TagAt(pos);
+        auto tag = nav.TagAt(pos);
         ASSERT_TRUE(tag.ok());
         EXPECT_EQ(store->tags()->Name(*tag), node->name);
         const DeweyId id = DomDewey(node);
@@ -39,14 +40,14 @@ void ExpectStoreMatchesDom(DocumentStore* store, const DomTree& dom) {
           EXPECT_EQ(**value, node->value) << id.ToString();
         }
         // Children.
-        auto child = store->tree()->FirstChild(pos);
+        auto child = nav.FirstChild(pos);
         ASSERT_TRUE(child.ok());
         size_t index = 0;
         std::optional<StorePos> current = *child;
         while (current.has_value()) {
           ASSERT_LT(index, node->children.size()) << id.ToString();
           verify(node->children[index].get(), *current);
-          auto sib = store->tree()->FollowingSibling(*current);
+          auto sib = nav.FollowingSibling(*current);
           ASSERT_TRUE(sib.ok());
           current = *sib;
           ++index;
