@@ -10,9 +10,10 @@
 // store, under the auto plan and under each forced start strategy
 // (scan, tag, value).  A query's work is its execution's deterministic
 // counters, taken as deltas around Executor::Run: subject-tree pages +
-// bp steps + B+ tree fetches, reported per index (value_fetches for B+v,
-// id_fetches for B+i; queries read values by rank, so no execution
-// should probe B+i).  The B+ fetches taken around
+// bp steps + B+v fetches + value-column page fetches (queries read values
+// by rank from the in-memory copy of the column, filled before the first
+// cell, so no execution should read a column page).  The B+ fetches taken
+// around
 // Planner::Plan are the planner's estimate probes, recorded apart:
 // forced strategies skip the probes they cannot use, so counting those
 // would gate the estimator, not the choice.  planner_work_never_worse
@@ -61,14 +62,14 @@ constexpr double kWorkBound = 1.1;
 struct Work {
   uint64_t pages = 0;
   uint64_t bp_steps = 0;
-  uint64_t value_fetches = 0;  ///< B+v.
-  uint64_t id_fetches = 0;     ///< B+i.
+  uint64_t value_fetches = 0;   ///< B+v.
+  uint64_t column_fetches = 0;  ///< Value column pages.
   uint64_t plan_btree_fetches = 0;
   /// Tree BufferPool fetches: reported, not part of total() (see the
   /// file comment).
   uint64_t pool_fetches = 0;
   uint64_t total() const {
-    return pages + bp_steps + value_fetches + id_fetches;
+    return pages + bp_steps + value_fetches + column_fetches;
   }
 };
 
@@ -76,8 +77,12 @@ uint64_t Fetches(BTree* index) {
   return index->buffer_pool()->stats().fetches;
 }
 
+uint64_t ColumnFetches(DocumentStore* store) {
+  return store->value_column()->buffer_pool()->stats().fetches;
+}
+
 uint64_t BTreeFetches(DocumentStore* store) {
-  return Fetches(store->value_index()) + Fetches(store->id_index());
+  return Fetches(store->value_index()) + ColumnFetches(store);
 }
 
 /// The counter phase: one row per (query, nav mode, strategy).
@@ -112,17 +117,18 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
       return false;
     }
     DocumentStore* s = store->get();
-    // The first value read of a store fills its value column by one B+i
-    // scan; fill it here so that scan is not charged to the first cell.
-    const uint64_t fill_before = Fetches(s->id_index());
+    // The first value read of a store fills its in-memory value column by
+    // one scan of the column's pages; fill it here so that scan is not
+    // charged to the first cell.
+    const uint64_t fill_before = ColumnFetches(s);
     if (Status fill = s->LoadValueColumn(); !fill.ok()) {
       fprintf(stderr, "value column: %s\n", fill.ToString().c_str());
       return false;
     }
-    printf("value column (%s): filled by one B+i scan, %llu page fetches\n",
+    printf("value column (%s): filled by one column scan, %llu page "
+           "fetches\n",
            NavModeName(mode),
-           static_cast<unsigned long long>(Fetches(s->id_index()) -
-                                           fill_before));
+           static_cast<unsigned long long>(ColumnFetches(s) - fill_before));
     for (const CategoryQuery& q : queries) {
       auto pattern = ParseXPath(q.xpath);
       if (!pattern.ok()) {
@@ -144,7 +150,7 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
         row.work.plan_btree_fetches = BTreeFetches(s) - fetches_before;
         const StringStore::NavStats nav_before = s->tree()->nav_stats();
         const uint64_t value_before = Fetches(s->value_index());
-        const uint64_t id_before = Fetches(s->id_index());
+        const uint64_t column_before = ColumnFetches(s);
         const uint64_t pool_before = s->tree()->buffer_pool()->stats().fetches;
         Result<std::vector<DeweyId>> result = plan.status();
         if (plan.ok()) {
@@ -162,7 +168,7 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
         row.work.pages = nav_after.pages_scanned - nav_before.pages_scanned;
         row.work.bp_steps = nav_after.bp_steps - nav_before.bp_steps;
         row.work.value_fetches = Fetches(s->value_index()) - value_before;
-        row.work.id_fetches = Fetches(s->id_index()) - id_before;
+        row.work.column_fetches = ColumnFetches(s) - column_before;
         row.work.pool_fetches =
             s->tree()->buffer_pool()->stats().fetches - pool_before;
         rows->push_back(row);
@@ -318,13 +324,13 @@ int Run(int argc, char** argv) {
                "      {\"query\": \"%s\", \"nav_mode\": \"%s\", "
                "\"strategy\": \"%s\", \"pages\": %llu, "
                "\"bp_steps\": %llu, \"value_fetches\": %llu, "
-               "\"id_fetches\": %llu, \"pool_fetches\": %llu, "
+               "\"column_fetches\": %llu, \"pool_fetches\": %llu, "
                "\"plan_btree_fetches\": %llu, \"work\": %llu}%s\n",
                row.query.c_str(), row.nav_mode, StrategyName(row.strategy),
                static_cast<unsigned long long>(row.work.pages),
                static_cast<unsigned long long>(row.work.bp_steps),
                static_cast<unsigned long long>(row.work.value_fetches),
-               static_cast<unsigned long long>(row.work.id_fetches),
+               static_cast<unsigned long long>(row.work.column_fetches),
                static_cast<unsigned long long>(row.work.pool_fetches),
                static_cast<unsigned long long>(row.work.plan_btree_fetches),
                static_cast<unsigned long long>(row.work.total()),

@@ -28,12 +28,28 @@ std::string SeparatorFor(const Slice& left_last, const Slice& right_first) {
   between.push_back('\0');
   return Slice(between) < right_first ? between : right_first.ToString();
 }
+
+/// A page reached by a descent or the leaf chain must be a formatted
+/// node (an all-zero page passes the load check).
+Status CheckFormatted(const NodeRef& node, PageId page) {
+  if (node.type() == NodeType::kLeaf || node.type() == NodeType::kInternal) {
+    return Status::OK();
+  }
+  return Status::Corruption("btree page " + std::to_string(page) +
+                            " is reached from the tree but unformatted");
+}
 }  // namespace
 
 BTree::BTree(std::unique_ptr<Pager> pager, Options options)
     : options_(options), pager_(std::move(pager)) {
-  pool_ = std::make_unique<BufferPool>(pager_.get(), options.pool_frames,
-                                       options.pool_shards);
+  // Every node is checked once, as it is read from disk, so the cell
+  // decoders never meet a length that runs past its page.
+  const uint32_t page_size = options.page_size;
+  pool_ = std::make_unique<BufferPool>(
+      pager_.get(), options.pool_frames, options.pool_shards,
+      [page_size](PageId id, const char* page) {
+        return NodeRef(const_cast<char*>(page), page_size).Check(id);
+      });
 }
 
 Result<std::unique_ptr<BTree>> BTree::Open(std::unique_ptr<File> file,
@@ -176,6 +192,7 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
     PageId page, const Slice& key, const Slice& value) {
   NOK_ASSIGN_OR_RETURN(auto handle, pool_->Fetch(page));
   NodeRef node(handle.mutable_data(), options_.page_size);
+  NOK_RETURN_IF_ERROR(CheckFormatted(node, page));
 
   if (node.is_leaf()) {
     const uint16_t pos = node.UpperBound(key);
@@ -243,8 +260,11 @@ Result<std::optional<BTree::Promotion>> BTree::InsertRec(
         right_id});
   }
 
-  // Internal node: descend left on separator equality.
-  const uint16_t j = node.LowerBound(key);
+  // Internal node: descend right on separator equality, so a run of
+  // equal keys grows at its right end and a sorted load of duplicates
+  // still takes the append split.  (Lookups descend left on equality and
+  // scan right, so they still meet the run's first entry.)
+  const uint16_t j = node.UpperBound(key);
   const PageId child = (j == 0) ? node.leftmost_child()
                                 : node.ChildAt(static_cast<uint16_t>(j - 1));
   NOK_ASSIGN_OR_RETURN(auto child_promo, InsertRec(child, key, value));
@@ -294,6 +314,7 @@ Result<PageHandle> BTree::DescendToLeaf(const Slice& key) {
   for (;;) {
     NOK_ASSIGN_OR_RETURN(auto handle, pool_->Fetch(page));
     NodeRef node(handle.mutable_data(), options_.page_size);
+    NOK_RETURN_IF_ERROR(CheckFormatted(node, page));
     if (node.is_leaf()) return handle;
     const uint16_t j = node.LowerBound(key);
     page = (j == 0) ? node.leftmost_child()
@@ -306,6 +327,7 @@ Result<PageHandle> BTree::LeftmostLeaf() {
   for (;;) {
     NOK_ASSIGN_OR_RETURN(auto handle, pool_->Fetch(page));
     NodeRef node(handle.mutable_data(), options_.page_size);
+    NOK_RETURN_IF_ERROR(CheckFormatted(node, page));
     if (node.is_leaf()) return handle;
     page = node.leftmost_child();
   }
@@ -367,6 +389,11 @@ Status BTreeIterator::SettleOnEntry() {
     if (next == kInvalidPage) return Status::OK();  // End: invalid.
     NOK_ASSIGN_OR_RETURN(leaf_, tree_->pool_->Fetch(next));
     NodeRef next_node(leaf_.mutable_data(), tree_->options_.page_size);
+    if (!next_node.is_leaf()) {
+      leaf_.Release();
+      return Status::Corruption("btree page " + std::to_string(next) +
+                                " on the leaf chain is not a leaf");
+    }
     slot_ = 0;
     leaf_nkeys_ = next_node.nkeys();
   }

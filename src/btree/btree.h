@@ -1,13 +1,19 @@
 // Disk-backed B+ tree with variable-length keys and values.
 //
 // This is the index substrate of the paper (Section 4.1, Figure 3): the
-// hashed-value index B+v and the Dewey-ID index B+i are instances of this
-// tree with different key encodings.
+// hashed-value index B+v is an instance of this tree.  (The paper's
+// Dewey-ID index B+i is replaced by the keyless value column,
+// encoding/value_column.h.)
 //
 // Properties:
 //   * duplicate keys are allowed and stored contiguously in key order,
-//     enumerated with an iterator (the store's own keys are unique: B+v
-//     keys append the Dewey ID to the value hash);
+//     enumerated with an iterator (B+v keys append a value-record offset
+//     to the value hash, and nodes sharing a record share a key); an
+//     insert descends right on a separator equal to its key, so a run of
+//     duplicates grows at its right end;
+//   * every node is checked as the buffer pool reads it from disk
+//     (NodeRef::Check): a cell that runs past its page is Corruption,
+//     never an out-of-bounds read;
 //   * keys compare byte-wise, so callers use order-preserving encodings
 //     (big-endian integers, Dewey component vectors);
 //   * an insert past the last key of the rightmost leaf that does not fit

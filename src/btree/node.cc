@@ -45,47 +45,88 @@ void NodeRef::SetSlotOffset(uint16_t i, uint16_t off) {
   EncodeFixed16(data_ + kHeaderSize + 2 * i, off);
 }
 
-void NodeRef::ParseCell(uint16_t off, Slice* key, Slice* value,
-                        PageId* child) const {
+bool NodeRef::ParseCell(uint16_t off, Slice* key, Slice* value,
+                        PageId* child, uint32_t* bytes) const {
+  if (off >= page_size_) return false;
   const char* p = data_ + off;
   const char* limit = data_ + page_size_;
   uint32_t key_len = 0;
   p = GetVarint32Ptr(p, limit, &key_len);
-  NOK_CHECK(p != nullptr);
-  *key = Slice(p, key_len);
+  if (p == nullptr || key_len > static_cast<size_t>(limit - p)) return false;
+  if (key != nullptr) *key = Slice(p, key_len);
   p += key_len;
   if (is_leaf()) {
     uint32_t val_len = 0;
     p = GetVarint32Ptr(p, limit, &val_len);
-    NOK_CHECK(p != nullptr);
+    if (p == nullptr || val_len > static_cast<size_t>(limit - p)) {
+      return false;
+    }
     if (value != nullptr) *value = Slice(p, val_len);
+    p += val_len;
   } else {
+    if (limit - p < 4) return false;
     if (child != nullptr) *child = DecodeFixed32(p);
+    p += 4;
   }
+  if (bytes != nullptr) *bytes = static_cast<uint32_t>(p - (data_ + off));
+  return true;
 }
 
 uint32_t NodeRef::CellBytes(uint16_t off) const {
-  const char* p = data_ + off;
-  const char* limit = data_ + page_size_;
-  uint32_t key_len = 0;
-  const char* q = GetVarint32Ptr(p, limit, &key_len);
-  NOK_CHECK(q != nullptr);
-  q += key_len;
-  if (is_leaf()) {
-    uint32_t val_len = 0;
-    q = GetVarint32Ptr(q, limit, &val_len);
-    NOK_CHECK(q != nullptr);
-    q += val_len;
-  } else {
-    q += 4;
+  uint32_t bytes = 0;
+  NOK_CHECK(ParseCell(off, nullptr, nullptr, nullptr, &bytes));
+  return bytes;
+}
+
+Status NodeRef::Check(PageId page) const {
+  auto bad = [&](const std::string& what) {
+    return Status::Corruption("btree page " + std::to_string(page) + ": " +
+                              what);
+  };
+  const uint8_t type = static_cast<uint8_t>(data_[0]);
+  if (type == 0) {
+    for (uint32_t i = 0; i < kHeaderSize; ++i) {
+      if (data_[i] != 0) return bad("unformatted node with a header");
+    }
+    return Status::OK();
   }
-  return static_cast<uint32_t>(q - p);
+  if (type != static_cast<uint8_t>(NodeType::kLeaf) &&
+      type != static_cast<uint8_t>(NodeType::kInternal)) {
+    return bad("bad node type " + std::to_string(type));
+  }
+  const uint32_t n = nkeys();
+  const uint32_t slots_end = kHeaderSize + 2 * n;
+  const uint32_t start = cell_content_start();
+  if (slots_end > start || start > page_size_) {
+    return bad(std::to_string(n) + " slots and a cell area at " +
+               std::to_string(start) + " overlap or leave the page");
+  }
+  if (frag_bytes() > page_size_ - start) {
+    return bad(std::to_string(frag_bytes()) +
+               " fragment bytes exceed the cell area");
+  }
+  uint64_t cell_bytes = 0;
+  for (uint32_t i = 0; i < n; ++i) {
+    const uint16_t off = SlotOffset(static_cast<uint16_t>(i));
+    uint32_t bytes = 0;
+    if (off < start || !ParseCell(off, nullptr, nullptr, nullptr, &bytes)) {
+      return bad("cell " + std::to_string(i) + " at offset " +
+                 std::to_string(off) + " runs past the page");
+    }
+    cell_bytes += bytes;
+  }
+  if (cell_bytes > page_size_ - start) {
+    return bad("cells overlap: " + std::to_string(cell_bytes) +
+               " bytes in a " + std::to_string(page_size_ - start) +
+               "-byte cell area");
+  }
+  return Status::OK();
 }
 
 Slice NodeRef::KeyAt(uint16_t i) const {
   NOK_CHECK(i < nkeys());
   Slice key;
-  ParseCell(SlotOffset(i), &key, nullptr, nullptr);
+  NOK_CHECK(ParseCell(SlotOffset(i), &key, nullptr, nullptr, nullptr));
   return key;
 }
 
@@ -97,26 +138,21 @@ Slice NodeRef::ValueAt(uint16_t i) const {
 
 void NodeRef::EntryAt(uint16_t i, Slice* key, Slice* value) const {
   NOK_CHECK(i < nkeys() && is_leaf());
-  ParseCell(SlotOffset(i), key, value, nullptr);
+  NOK_CHECK(ParseCell(SlotOffset(i), key, value, nullptr, nullptr));
 }
 
 PageId NodeRef::ChildAt(uint16_t i) const {
   NOK_CHECK(i < nkeys() && !is_leaf());
-  Slice key;
   PageId child = kInvalidPage;
-  ParseCell(SlotOffset(i), &key, nullptr, &child);
+  NOK_CHECK(ParseCell(SlotOffset(i), nullptr, nullptr, &child, nullptr));
   return child;
 }
 
 void NodeRef::SetChildAt(uint16_t i, PageId child) {
   NOK_CHECK(i < nkeys() && !is_leaf());
-  uint16_t off = SlotOffset(i);
-  const char* p = data_ + off;
-  const char* limit = data_ + page_size_;
-  uint32_t key_len = 0;
-  const char* q = GetVarint32Ptr(p, limit, &key_len);
-  NOK_CHECK(q != nullptr);
-  EncodeFixed32(data_ + (q - data_) + key_len, child);
+  // An internal cell ends with its child page id.
+  const uint16_t off = SlotOffset(i);
+  EncodeFixed32(data_ + off + CellBytes(off) - 4, child);
 }
 
 uint16_t NodeRef::LowerBound(const Slice& key) const {

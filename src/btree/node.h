@@ -21,7 +21,12 @@
 // A split's separator is greater than every key of the left node and at
 // most the first key of the right node (equal to it only when duplicates
 // straddle the split), so a lookup must descend left on equality and scan
-// right via the leaf sibling chain (see btree.cc).
+// right via the leaf sibling chain, while an insert descends right so a
+// run of duplicates grows at its right end (see btree.cc).
+//
+// The cell decoders are bounded by the page.  A page read from disk is
+// checked whole (Check) before any caller sees it, so the accessors below
+// can treat a cell that runs past the page as a broken invariant.
 
 #ifndef NOKXML_BTREE_NODE_H_
 #define NOKXML_BTREE_NODE_H_
@@ -29,6 +34,7 @@
 #include <cstdint>
 
 #include "common/slice.h"
+#include "common/status.h"
 #include "storage/page.h"
 
 namespace nok {
@@ -43,6 +49,14 @@ class NodeRef {
 
   /// Formats an empty node of the given type in the buffer.
   void Init(NodeType type);
+
+  /// Checks what the accessors rely on, without trusting any of it: the
+  /// node type, that the slot array and cell area fit the page, that
+  /// every slot points into the cell area, and that every cell's lengths
+  /// keep it inside the page.  Corruption names `page`.  An all-zero page
+  /// (allocated, not yet formatted) passes; callers that descend into one
+  /// reject its type.
+  Status Check(PageId page) const;
 
   NodeType type() const;
   bool is_leaf() const { return type() == NodeType::kLeaf; }
@@ -111,11 +125,13 @@ class NodeRef {
   void set_frag_bytes(uint16_t v);
   void set_nkeys(uint16_t n);
 
-  /// Parses the cell at byte offset off; returns key and (leaf) value or
-  /// (internal) child.
-  void ParseCell(uint16_t off, Slice* key, Slice* value,
-                 PageId* child) const;
-  /// Total byte size of the cell at offset off.
+  /// Parses the cell at byte offset off into its key and (leaf) value or
+  /// (internal) child, and its total size into *bytes (each optional).
+  /// False when a length varint is malformed or the cell runs past the
+  /// page end.
+  bool ParseCell(uint16_t off, Slice* key, Slice* value, PageId* child,
+                 uint32_t* bytes) const;
+  /// Total byte size of the cell at offset off (a checked page's).
   uint32_t CellBytes(uint16_t off) const;
 
   /// Appends raw cell bytes into the cell area; returns the cell offset.

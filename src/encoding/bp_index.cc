@@ -190,9 +190,8 @@ std::span<const uint32_t> BpIndex::RanksWithTag(TagId tag) const {
           tag_ranks_.data() + tag_offsets_[size_t{tag} + 1]};
 }
 
-std::vector<DeweyId> BpIndex::DeweysWithTag(TagId tag,
+std::vector<DeweyId> BpIndex::DeweysAtRanks(std::span<const uint32_t> ranks,
                                             uint64_t* steps) const {
-  const std::span<const uint32_t> ranks = RanksWithTag(tag);
   std::vector<DeweyId> out;
   out.reserve(ranks.size());
   // path[d] is the preorder rank of the last hit's ancestor-or-self at

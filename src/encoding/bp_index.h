@@ -26,7 +26,8 @@
 //                 — no BufferPool traffic at all;
 //   tag_ranks_    every node's preorder rank grouped by TagId, and
 //   child_index_  every node's index among its siblings: the store's
-//                 tag-name index (DeweysWithTag).
+//                 tag-name index (DeweysWithTag), and the rank -> Dewey ID
+//                 step of its value probes (DeweysAtRanks).
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
 // unlike the paged cursor — PARENT is cheap too (an enclose).
@@ -155,10 +156,18 @@ class BpIndex {
   /// order); empty for a tag no node carries.
   std::span<const uint32_t> RanksWithTag(TagId tag) const;
 
-  /// The Dewey IDs of the nodes tagged `tag`, in document order: a Select1
-  /// per hit, and Enclose only up to the previous hit's path.  Adds the
-  /// Select1 and Enclose calls made to *steps.
-  std::vector<DeweyId> DeweysWithTag(TagId tag, uint64_t* steps) const;
+  /// The Dewey IDs of the nodes with the given preorder ranks (ascending,
+  /// each < node_count()), in that order: a Select1 per rank, and Enclose
+  /// only up to the previous rank's path.  Adds the Select1 and Enclose
+  /// calls made to *steps.
+  std::vector<DeweyId> DeweysAtRanks(std::span<const uint32_t> ranks,
+                                     uint64_t* steps) const;
+
+  /// The Dewey IDs of the nodes tagged `tag`, in document order
+  /// (DeweysAtRanks of RanksWithTag).
+  std::vector<DeweyId> DeweysWithTag(TagId tag, uint64_t* steps) const {
+    return DeweysAtRanks(RanksWithTag(tag), steps);
+  }
 
   // -------------------------------------------------------------------
   // Tree steps (the TreeCursor vocabulary).

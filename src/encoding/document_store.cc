@@ -19,42 +19,41 @@ std::string ValueKey(const Slice& value) {
   return key;
 }
 
-std::string ValueKey(const Slice& value, const DeweyId& dewey) {
-  return ValueKey(value) + dewey.Encode();
+std::string ValueKey(const Slice& value, uint64_t offset) {
+  std::string key = ValueKey(value);
+  char bytes[8];
+  EncodeBigEndian64(bytes, offset);
+  size_t skip = 0;
+  while (skip < sizeof(bytes) && bytes[skip] == 0) ++skip;
+  key.push_back(static_cast<char>(sizeof(bytes) - skip));
+  key.append(bytes + skip, sizeof(bytes) - skip);
+  return key;
 }
 
-Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         DeweyId* dewey) {
+Status ParseValueEntry(const Slice& key, const Slice& value,
+                       uint64_t* offset) {
   if (key.size() <= kValueKeySize) {
-    return RetiredFormat("a B+v key without a Dewey ID");
+    return RetiredFormat("a B+v key without a value offset");
   }
   if (!value.empty()) {
     return RetiredFormat("a B+v entry with a cached node position");
   }
-  NOK_ASSIGN_OR_RETURN(
-      *dewey, DeweyId::Decode(Slice(key.data() + kValueKeySize,
-                                    key.size() - kValueKeySize)));
-  return Status::OK();
-}
-
-std::string IdPayload(bool has_value, uint64_t value_offset) {
-  std::string payload;
-  PutVarint64(&payload, has_value ? value_offset + 1 : 0);
-  return payload;
-}
-
-Status ParseIdPayload(const Slice& payload, bool* has_value,
-                      uint64_t* value_offset) {
-  Slice input = payload;
+  const auto* p = reinterpret_cast<const unsigned char*>(key.data()) +
+                  kValueKeySize;
+  const size_t n = p[0];
+  if (n > 8 || key.size() != kValueKeySize + 1 + n ||
+      (n > 0 && p[1] == 0)) {
+    // A Dewey ID starts with the root's component, four zero bytes.
+    if (n == 0 && (key.size() - kValueKeySize) % 4 == 0) {
+      return RetiredFormat("a B+v key with a Dewey ID in place of the "
+                           "value offset");
+    }
+    return Status::Corruption("malformed B+v key of " +
+                              std::to_string(key.size()) + " bytes");
+  }
   uint64_t v = 0;
-  if (!GetVarint64(&input, &v)) {
-    return Status::Corruption("bad B+i payload");
-  }
-  if (!input.empty()) {
-    return RetiredFormat("a B+i payload with a cached node position");
-  }
-  *has_value = v != 0;
-  *value_offset = v == 0 ? 0 : v - 1;
+  for (size_t i = 1; i <= n; ++i) v = (v << 8) | p[i];
+  *offset = v;
   return Status::OK();
 }
 
@@ -66,10 +65,7 @@ constexpr const char* kTreeFile = store_files::kTree;
 constexpr const char* kValuesFile = store_files::kValues;
 constexpr const char* kDictFile = store_files::kDict;
 constexpr const char* kValIdxFile = store_files::kValIdx;
-constexpr const char* kIdIdxFile = store_files::kIdIdx;
-
-/// Value-column entry of a node without a value.
-constexpr uint64_t kNoValue = ~uint64_t{0};
+constexpr const char* kColumnFile = store_files::kValueColumn;
 
 }  // namespace
 
@@ -104,11 +100,12 @@ Status DocumentStore::InitFiles(const Options& options) {
   if (!options.dir.empty()) {
     NOK_RETURN_IF_ERROR(CreateDirs(options.dir));
   }
-  // The retired B+t's and B+p's stand-ins (see tag_index() and
-  // path_index()): in memory, never touched.
+  // The retired B+i's, B+t's and B+p's stand-ins (see id_index(),
+  // tag_index() and path_index()): in memory, never touched.
   BTree::Options stub_options;
   stub_options.pool_frames = 4;
-  for (std::unique_ptr<BTree>* stub : {&tag_index_, &path_index_}) {
+  for (std::unique_ptr<BTree>* stub :
+       {&id_index_, &tag_index_, &path_index_}) {
     NOK_ASSIGN_OR_RETURN(*stub, BTree::Open(NewMemFile(), stub_options));
     (*stub)->buffer_pool()->ResetStats();
   }
@@ -140,8 +137,8 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
                        store->OpenComponent(kValuesFile, true));
   NOK_ASSIGN_OR_RETURN(auto val_idx_file,
                        store->OpenComponent(kValIdxFile, true));
-  NOK_ASSIGN_OR_RETURN(auto id_idx_file,
-                       store->OpenComponent(kIdIdxFile, true));
+  NOK_ASSIGN_OR_RETURN(auto column_file,
+                       store->OpenComponent(kColumnFile, true));
 
   StringStore::Options tree_options;
   tree_options.page_size = options.page_size;
@@ -155,49 +152,41 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   const BTree::Options idx_options = store->IndexOptions();
   NOK_ASSIGN_OR_RETURN(store->value_index_,
                        BTree::Open(std::move(val_idx_file), idx_options));
-  NOK_ASSIGN_OR_RETURN(store->id_index_,
-                       BTree::Open(std::move(id_idx_file), idx_options));
 
   // Single SAX pass: emit symbols, values, and index entries.
   struct Frame {
     std::string value;
+    uint64_t rank = 0;
     bool has_element_children = false;
-    uint32_t next_child = 0;
   };
   std::vector<Frame> frames;
-  std::vector<uint32_t> dewey_path;
   uint64_t leaf_count = 0;
   uint64_t leaf_depth_sum = 0;
 
-  // Index entries, collected during the pass and inserted afterwards as
-  // one sorted run per index, which the B+ tree's append split packs into
-  // full leaves.  (Nodes close in postorder, and B+v keys lead with a
-  // value hash, so neither arrives in key order.)
-  std::vector<std::pair<std::string, std::string>> id_entries;
+  // The value column, by preorder rank (a node's rank is known when it
+  // opens, its value when it closes), and the B+v keys, inserted after
+  // the pass as one sorted run, which the B+ tree's append split packs
+  // into full leaves.  (B+v keys lead with a value hash, so they do not
+  // arrive in key order.)
+  std::vector<uint64_t> column;
   std::vector<std::string> value_keys;
 
-  // Closes the top frame: files the value and index entries, emits ')'.
+  // Closes the top frame: files the value and its B+v entry, emits ')'.
   auto close_top = [&]() -> Status {
     Frame& frame = frames.back();
-    const DeweyId dewey{std::vector<uint32_t>(dewey_path)};
     std::string value = TrimWhitespace(frame.value);
     if (!value.empty()) {
       uint64_t offset = 0;
       NOK_RETURN_IF_ERROR(store->values_->Append(Slice(value), &offset));
-      value_keys.push_back(index_keys::ValueKey(Slice(value), dewey));
-      id_entries.emplace_back(dewey.Encode(),
-                              index_keys::IdPayload(true, offset));
-    } else {
-      id_entries.emplace_back(dewey.Encode(),
-                              index_keys::IdPayload(false, 0));
+      value_keys.push_back(index_keys::ValueKey(Slice(value), offset));
+      column[frame.rank] = offset;
     }
     if (!frame.has_element_children) {
       ++leaf_count;
-      leaf_depth_sum += dewey_path.size();
+      leaf_depth_sum += frames.size();
     }
     NOK_RETURN_IF_ERROR(builder.Close());
     frames.pop_back();
-    dewey_path.pop_back();
     return Status::OK();
   };
 
@@ -205,14 +194,11 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   auto open_node = [&](const std::string& name) -> Status {
     NOK_ASSIGN_OR_RETURN(TagId tag, store->tags_.Intern(name));
     store->tags_.AddOccurrence(tag);
-    if (frames.empty()) {
-      dewey_path.push_back(0);
-    } else {
-      frames.back().has_element_children = true;
-      dewey_path.push_back(frames.back().next_child++);
-    }
+    if (!frames.empty()) frames.back().has_element_children = true;
     NOK_RETURN_IF_ERROR(builder.Open(tag));
     frames.emplace_back();
+    frames.back().rank = column.size();
+    column.push_back(kNoValue);
     return Status::OK();
   };
 
@@ -251,10 +237,6 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   if (!frames.empty()) {
     return Status::ParseError("document ended with open elements");
   }
-  std::sort(id_entries.begin(), id_entries.end());
-  for (const auto& [key, payload] : id_entries) {
-    NOK_RETURN_IF_ERROR(store->id_index_->Insert(Slice(key), Slice(payload)));
-  }
   std::sort(value_keys.begin(), value_keys.end());
   for (const std::string& key : value_keys) {
     NOK_RETURN_IF_ERROR(store->value_index_->Insert(Slice(key), Slice()));
@@ -267,10 +249,12 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::Build(
   // OpenDir reports the half-built store instead of opening it.
   store->epoch_ = 1;
   NOK_RETURN_IF_ERROR(store->values_->Sync());
-  for (BTree* index : {store->value_index_.get(), store->id_index_.get()}) {
-    index->set_epoch(store->epoch_);
-    NOK_RETURN_IF_ERROR(index->Flush());
-  }
+  store->value_index_->set_epoch(store->epoch_);
+  NOK_RETURN_IF_ERROR(store->value_index_->Flush());
+  NOK_ASSIGN_OR_RETURN(
+      store->column_,
+      ValueColumnFile::Create(std::move(column_file), column, store->epoch_,
+                              store->ColumnOptions()));
   NOK_RETURN_IF_ERROR(store->SaveDictionary());
   NOK_ASSIGN_OR_RETURN(store->tree_, builder.Finish(store->epoch_));
 
@@ -333,6 +317,15 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
     }
   }
 
+  // A store from before the value column replaced B+i cannot be read;
+  // say so by name rather than as a missing file.
+  if (!FileExists(options.dir + "/" + kColumnFile) &&
+      FileExists(options.dir + "/" + store_files::kIdIdx)) {
+    return RetiredFormat(std::string("a store with a Dewey-ID index (") +
+                         store_files::kIdIdx + ") and no value column (" +
+                         kColumnFile + ")");
+  }
+
   NOK_ASSIGN_OR_RETURN(auto tree_file,
                        store->OpenComponent(kTreeFile, false));
   StringStore::Options tree_options;
@@ -366,7 +359,16 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
     return index;
   };
   NOK_ASSIGN_OR_RETURN(store->value_index_, open_index(kValIdxFile));
-  NOK_ASSIGN_OR_RETURN(store->id_index_, open_index(kIdIdxFile));
+  {
+    NOK_ASSIGN_OR_RETURN(auto file, store->OpenComponent(kColumnFile, false));
+    auto column =
+        ValueColumnFile::Open(std::move(file), store->ColumnOptions());
+    if (!column.ok()) {
+      return Status(column.status().code(), std::string(kColumnFile) + ": " +
+                                                column.status().message());
+    }
+    store->column_ = std::move(column).ValueOrDie();
+  }
 
   std::string dict_data;
   NOK_RETURN_IF_ERROR(
@@ -388,7 +390,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
     }
     const uint64_t epochs[] = {tree_epoch,
                                store->value_index_->epoch(),
-                               store->id_index_->epoch(),
+                               store->column_->epoch(),
                                dict_epoch};
     bool all_match = true;
     for (uint64_t e : epochs) {
@@ -403,7 +405,7 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
       return Status::Corruption(
           "store components are from different generations (epochs " +
           listing +
-          " for tree, value index, id index, dictionary); a "
+          " for tree, value index, value column, dictionary); a "
           "multi-file commit was torn by a crash");
     }
     store->epoch_ = tree_epoch;
@@ -418,6 +420,15 @@ Result<std::unique_ptr<DocumentStore>> DocumentStore::OpenDir(
   // tree page fails the open here, and the open writes nothing.
   NOK_RETURN_IF_ERROR(store->EnsureDerived());
   return store;
+}
+
+ValueColumnFile::Options DocumentStore::ColumnOptions() const {
+  ValueColumnFile::Options column_options;
+  column_options.page_size = options_.page_size;
+  column_options.reserve_ratio = options_.reserve_ratio;
+  column_options.pool_frames = options_.pool_frames;
+  column_options.read_only = options_.read_only;
+  return column_options;
 }
 
 BTree::Options DocumentStore::IndexOptions() const {
@@ -444,7 +455,7 @@ Status DocumentStore::SaveDictionary() {
 void DocumentStore::RefreshSizeStats() {
   stats_.tree_bytes = tree_->SizeBytes();
   stats_.value_index_bytes = value_index_->SizeBytes();
-  stats_.id_index_bytes = id_index_->SizeBytes();
+  stats_.column_bytes = column_->SizeBytes();
   stats_.data_bytes = values_->SizeBytes();
 }
 
@@ -499,14 +510,7 @@ Status DocumentStore::Flush() {
     // deferred), then Commit makes the batch durable with one WAL fsync
     // before any base file is touched.
     ++epoch_;
-    NOK_RETURN_IF_ERROR(values_->Sync());
-    for (BTree* index : {value_index_.get(), id_index_.get()}) {
-      index->set_epoch(epoch_);
-      NOK_RETURN_IF_ERROR(index->Flush());
-    }
-    NOK_RETURN_IF_ERROR(SaveDictionary());
-    tree_->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(tree_->Flush());
+    NOK_RETURN_IF_ERROR(FlushComponents());
     Status commit = wal_writer_->Commit(epoch_);
     if (!commit.ok()) {
       wal_poisoned_ = true;
@@ -523,17 +527,21 @@ Status DocumentStore::Flush() {
   // each component's own meta), then the dictionary, then the tree string
   // whose meta page — written last — commits the generation.
   ++epoch_;
-  NOK_RETURN_IF_ERROR(values_->Sync());
-  for (BTree* index : {value_index_.get(), id_index_.get()}) {
-    index->set_epoch(epoch_);
-    NOK_RETURN_IF_ERROR(index->Flush());
-  }
-  NOK_RETURN_IF_ERROR(SaveDictionary());
-  tree_->set_epoch(epoch_);
-  NOK_RETURN_IF_ERROR(tree_->Flush());
+  NOK_RETURN_IF_ERROR(FlushComponents());
   // A structural update dropped the derived structures; rebuild them
   // from the just-flushed pages.
   return EnsureDerived();
+}
+
+Status DocumentStore::FlushComponents() {
+  NOK_RETURN_IF_ERROR(values_->Sync());
+  value_index_->set_epoch(epoch_);
+  NOK_RETURN_IF_ERROR(value_index_->Flush());
+  column_->set_epoch(epoch_);
+  NOK_RETURN_IF_ERROR(column_->Flush());
+  NOK_RETURN_IF_ERROR(SaveDictionary());
+  tree_->set_epoch(epoch_);
+  return tree_->Flush();
 }
 
 Status DocumentStore::DropCaches() {
@@ -542,8 +550,8 @@ Status DocumentStore::DropCaches() {
   tree_->ResetNavStats();
   NOK_RETURN_IF_ERROR(value_index_->buffer_pool()->DropAll());
   value_index_->buffer_pool()->ResetStats();
-  NOK_RETURN_IF_ERROR(id_index_->buffer_pool()->DropAll());
-  id_index_->buffer_pool()->ResetStats();
+  NOK_RETURN_IF_ERROR(column_->buffer_pool()->DropAll());
+  column_->buffer_pool()->ResetStats();
   return Status::OK();
 }
 
@@ -573,20 +581,31 @@ Result<StorePos> DocumentStore::Navigate(const DeweyId& id) {
 
 Result<std::optional<std::string>> DocumentStore::ValueOf(
     const DeweyId& id) {
-  auto payload = id_index_->Get(Slice(id.Encode()));
-  if (!payload.ok()) {
-    if (payload.status().IsNotFound()) {
-      return std::optional<std::string>();
-    }
-    return payload.status();
+  const auto& components = id.components();
+  if (components.empty() || components[0] != 0) {
+    return std::optional<std::string>();
   }
-  bool has_value = false;
-  uint64_t offset = 0;
-  NOK_RETURN_IF_ERROR(index_keys::ParseIdPayload(Slice(payload.ValueOrDie()),
-                                                 &has_value, &offset));
-  if (!has_value) return std::optional<std::string>();
-  NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-  return std::optional<std::string>(std::move(value));
+  NOK_RETURN_IF_ERROR(EnsureDerived());
+  // Located on the BP index, whose sampled children bound a step to
+  // about 65 moves per level; Navigate would pay the sibling distance,
+  // which makes a `nokq query --values` listing quadratic in the fanout.
+  uint64_t pos = 0;
+  for (size_t depth = 1; depth < components.size(); ++depth) {
+    std::optional<uint64_t> child = bp_->FirstChild(pos);
+    uint64_t index = 0;
+    if (child.has_value()) {
+      if (auto jump = bp_->JumpToChild(pos, components[depth], &index)) {
+        child = jump;
+      }
+    }
+    while (child.has_value() && index < components[depth]) {
+      child = bp_->FollowingSibling(*child);
+      ++index;
+    }
+    if (!child.has_value()) return std::optional<std::string>();
+    pos = *child;
+  }
+  return ValueAtRank(bp_->Rank1(pos));
 }
 
 Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag) {
@@ -599,17 +618,38 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag) {
 
 Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
     const Slice& value) {
+  NOK_RETURN_IF_ERROR(LoadValueColumn());
   const std::string prefix = index_keys::ValueKey(value);
-  std::vector<DeweyId> out;
+  std::vector<uint32_t> ranks;
   BTreeIterator it = value_index_->NewIterator();
   NOK_RETURN_IF_ERROR(it.Seek(Slice(prefix)));
+  // Nodes sharing a record have one entry each, under one key: resolve
+  // each offset once.
+  bool first = true;
+  uint64_t last = 0;
   while (it.Valid() && it.key().starts_with(Slice(prefix))) {
-    DeweyId dewey = DeweyId::Root();
+    uint64_t offset = 0;
     NOK_RETURN_IF_ERROR(
-        index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey));
-    out.push_back(std::move(dewey));
+        index_keys::ParseValueEntry(it.key(), it.value(), &offset));
+    if (first || offset != last) {
+      const std::span<const RankOfOffset> hits = RanksOfOffset(offset);
+      if (hits.empty()) {
+        return Status::Corruption("B+v lists value offset " +
+                                  std::to_string(offset) +
+                                  " but no node of the value column has it");
+      }
+      for (const RankOfOffset& hit : hits) {
+        ranks.push_back(static_cast<uint32_t>(hit.rank));
+      }
+    }
+    first = false;
+    last = offset;
     NOK_RETURN_IF_ERROR(it.Next());
   }
+  std::sort(ranks.begin(), ranks.end());
+  uint64_t steps = 0;
+  std::vector<DeweyId> out = bp_->DeweysAtRanks(ranks, &steps);
+  tree_->BumpBpSteps(steps);
   return out;
 }
 
@@ -716,59 +756,6 @@ Result<std::vector<uint64_t>> PageStarts(const StringStore& tree,
   return starts;
 }
 
-/// Whether `key` is the Dewey encoding of `path` (DeweyId::Encode).
-bool KeyEncodes(const Slice& key, const std::vector<uint32_t>& path) {
-  if (key.size() != 4 * path.size()) return false;
-  for (size_t i = 0; i < path.size(); ++i) {
-    if (DecodeBigEndian32(key.data() + 4 * i) != path[i]) return false;
-  }
-  return true;
-}
-
-/// One value-record offset per node of `bp`, by preorder rank, from one
-/// scan of B+i: its keys sort in preorder, so the k-th entry must carry
-/// the Dewey ID of the k-th open bit, checked against a DeweyCounter fed
-/// by the running depth.
-Status ScanValueColumn(BTree* id_index, const BpIndex& bp,
-                       std::vector<uint64_t>* offsets) {
-  const uint64_t node_count = bp.node_count();
-  offsets->reserve(node_count);
-  BTreeIterator it = id_index->NewIterator();
-  NOK_RETURN_IF_ERROR(it.SeekToFirst());
-  DeweyCounter deweys;
-  size_t level = 0;
-  for (uint64_t pos = 0; pos < bp.bit_count(); ++pos) {
-    if (!bp.IsOpen(pos)) {
-      --level;
-      continue;
-    }
-    const std::vector<uint32_t>& path = deweys.Next(++level);
-    if (!it.Valid()) {
-      return Status::Corruption(
-          "B+i holds " + std::to_string(offsets->size()) +
-          " entries for a tree of " + std::to_string(node_count) + " nodes");
-    }
-    if (!KeyEncodes(it.key(), path)) {
-      return Status::Corruption(
-          "B+i entry " + std::to_string(offsets->size()) +
-          " is not keyed by its preorder node " + DeweyId(path).ToString());
-    }
-    bool has_value = false;
-    uint64_t offset = 0;
-    NOK_RETURN_IF_ERROR(
-        index_keys::ParseIdPayload(it.value(), &has_value, &offset));
-    offsets->push_back(has_value ? offset : kNoValue);
-    NOK_RETURN_IF_ERROR(it.Next());
-  }
-  if (it.Valid()) {
-    return Status::Corruption("B+i holds more than " +
-                              std::to_string(node_count) +
-                              " entries for a tree of " +
-                              std::to_string(node_count) + " nodes");
-  }
-  return Status::OK();
-}
-
 }  // namespace
 
 Status DocumentStore::EnsureDerived() {
@@ -793,10 +780,44 @@ void DocumentStore::FillValueColumn() {
   ValueColumn& column = *value_column_;
   MutexLock lock(&column.mu);
   if (column.filled.load(std::memory_order_relaxed)) return;
-  column.status = ScanValueColumn(id_index_.get(), *bp_,
-                                  &column.offsets);
-  if (!column.status.ok()) column.offsets = {};
+  column.offsets.reserve(bp_->node_count());
+  column.status = column_->Scan(&column.offsets);
+  if (column.status.ok() && column.offsets.size() != bp_->node_count()) {
+    column.status = Status::Corruption(
+        "the value column holds " + std::to_string(column.offsets.size()) +
+        " entries for a tree of " + std::to_string(bp_->node_count()) +
+        " nodes");
+  }
+  if (column.status.ok()) {
+    column.inverse.reserve(value_index_->num_entries());
+    for (uint64_t rank = 0; rank < column.offsets.size(); ++rank) {
+      if (column.offsets[rank] != kNoValue) {
+        column.inverse.push_back(RankOfOffset{column.offsets[rank], rank});
+      }
+    }
+    std::sort(column.inverse.begin(), column.inverse.end(),
+              [](const RankOfOffset& a, const RankOfOffset& b) {
+                return a.offset != b.offset ? a.offset < b.offset
+                                            : a.rank < b.rank;
+              });
+  } else {
+    column.status = Status(column.status.code(),
+                           std::string(kColumnFile) + ": " +
+                               column.status.message());
+    column.offsets = {};
+  }
   column.filled.store(true, std::memory_order_release);
+}
+
+std::span<const DocumentStore::RankOfOffset> DocumentStore::RanksOfOffset(
+    uint64_t offset) const {
+  const std::vector<RankOfOffset>& inverse = value_column_->inverse;
+  const auto begin = std::lower_bound(
+      inverse.begin(), inverse.end(), offset,
+      [](const RankOfOffset& e, uint64_t o) { return e.offset < o; });
+  auto end = begin;
+  while (end != inverse.end() && end->offset == offset) ++end;
+  return {begin, end};
 }
 
 Result<size_t> DocumentStore::EstimateValueCount(const Slice& value,

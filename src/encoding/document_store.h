@@ -5,20 +5,23 @@
 //   * the succinct tree string (StringStore)          -- |tree| in Table 1
 //   * the tag dictionary (name <-> Sigma symbol)
 //   * the value data file (ValueStore)
-//   * B+v: keyed by (hash(value), Dewey ID)           -- |B+v|
-//   * B+i: Dewey ID -> value-record offset            -- |B+i|
+//   * B+v: keyed by (hash(value), value-record offset) -- |B+v|
+//   * in place of B+i, the value column (value_column.h): each node's
+//     value-record offset by preorder rank, keyless    -- |col|
 //   * in place of B+t, the BP index's per-tag rank lists (bp_index.h)
-//   * an in-memory column mapping each node's preorder rank to its
-//     value-record offset, filled from B+i (whose keys sort in preorder)
-//     by one leaf-chain scan on the first value read after the BP index
-//     is (re)built; query evaluation reads values through it and never
-//     probes B+i
+//   * an in-memory copy of the value column and its inverse (offset ->
+//     ranks), filled by one scan of the column's pages on the first value
+//     read after the BP index is (re)built; query evaluation reads values
+//     and resolves B+v hits through it
 //
-// Indexes reference nodes by Dewey ID (never by physical position):
-// positions are derived during navigation, which is what keeps the scheme
-// adaptive to updates (Section 4).  A Dewey ID is converted to a physical
-// position by walking FIRST-CHILD/FOLLOWING-SIBLING along its components:
-// on the balanced-parentheses index (bp_index.h) for queries in either
+// No persisted key names a node: B+v names a value record, the column
+// addresses nodes by preorder rank, and Dewey IDs and positions are
+// derived during navigation, which is what keeps the scheme adaptive to
+// updates (Section 4): an insert or delete rewrites only the column pages
+// around its rank and the B+v entries of the nodes it adds or removes.  A
+// Dewey ID is converted to a physical position by walking
+// FIRST-CHILD/FOLLOWING-SIBLING along its components: on the
+// balanced-parentheses index (bp_index.h) for queries in either
 // navigation mode, and on the paged string itself for the updaters.
 
 #ifndef NOKXML_ENCODING_DOCUMENT_STORE_H_
@@ -29,6 +32,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -41,6 +45,7 @@
 #include "encoding/path_synopsis.h"
 #include "encoding/string_store.h"
 #include "encoding/tag_dictionary.h"
+#include "encoding/value_column.h"
 #include "encoding/value_store.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
@@ -54,6 +59,9 @@ inline constexpr const char* kTree = "tree.nok";
 inline constexpr const char* kValues = "values.dat";
 inline constexpr const char* kDict = "tags.dict";
 inline constexpr const char* kValIdx = "val.idx";
+inline constexpr const char* kValueColumn = "values.col";
+/// The retired Dewey-ID index (B+i).  A store that has it and no value
+/// column is a retired format; next to a column it is ignored.
 inline constexpr const char* kIdIdx = "id.idx";
 /// Retired files that no store writes: the tag-name (B+t) and rooted
 /// tag-path (B+p) indexes, and the BP index and path synopsis sidecars
@@ -85,14 +93,15 @@ const char* NavModeName(NavMode mode);
 
 /// Build/open knobs.
 struct DocumentStoreOptions {
-  /// Page size of the tree string store.
+  /// Page size of the tree string store and of the value column.
   uint32_t page_size = kDefaultPageSize;
   /// Page size of the B+ tree indexes (kept independent: experiments often
-  /// shrink tree pages, but index entries -- Dewey keys -- need room).
+  /// shrink tree pages, but index entries need room).
   uint32_t index_page_size = kDefaultPageSize;
-  /// Page fraction reserved for updates (paper Section 4.2).
+  /// Page fraction reserved for updates in the tree string's and the
+  /// value column's pages (paper Section 4.2).
   double reserve_ratio = 0.2;
-  /// Buffer-pool frames for the tree string.
+  /// Buffer-pool frames for the tree string, and for the value column.
   size_t pool_frames = 256;
   /// Buffer-pool frames for each B+ tree.
   size_t index_pool_frames = 64;
@@ -147,7 +156,7 @@ struct DocumentStoreStats {
   uint64_t distinct_tags = 0;
   uint64_t tree_bytes = 0;       ///< |tree|: the succinct string.
   uint64_t value_index_bytes = 0;///< |B+v|.
-  uint64_t id_index_bytes = 0;   ///< |B+i|.
+  uint64_t column_bytes = 0;     ///< |col|: the value column, B+i's stand-in.
   uint64_t data_bytes = 0;       ///< Value data file.
 };
 
@@ -179,11 +188,12 @@ class DocumentStore {
   TagDictionary* tags() { return &tags_; }
   ValueStore* values() { return values_.get(); }
   BTree* value_index() { return value_index_.get(); }
-  BTree* id_index() { return id_index_.get(); }
+  ValueColumnFile* value_column() { return column_.get(); }
   /// Empty in-memory B+ trees that nothing reads or writes (the retired
-  /// B+t and B+p), so their counters read 0.  Kept only because
+  /// B+t, B+i and B+p), so their counters read 0.  Kept only because
   /// e2ebench/e2e_bench.cc:185-186 names them; the next benchmark change
   /// deletes them.
+  BTree* id_index() { return id_index_.get(); }
   BTree* tag_index() { return tag_index_.get(); }
   BTree* path_index() { return path_index_.get(); }
 
@@ -212,24 +222,26 @@ class DocumentStore {
 
   /// The value of the node with preorder rank `rank` in the current BP
   /// index (take ranks from bp_index()), nullopt if it has none: one
-  /// column lookup and one data-file read, no B+i probe.  The first call
-  /// after an open or a structural update fills the column (one B+i
-  /// scan), so opens and commits that read no value never pay for it.
-  /// When B+i cannot fill the column, every call returns that error
-  /// instead: a damaged B+i fails the value reads of queries, not the
-  /// open, so `nokq verify` can still name the component.
+  /// lookup in the in-memory column and one data-file read.  The first
+  /// call after an open or a structural update fills the in-memory column
+  /// (one scan of the column's pages), so opens and commits that read no
+  /// value never pay for it.  When the column cannot be read, every call
+  /// returns that error instead: a damaged column page fails the value
+  /// reads of queries, not the open, so `nokq verify` can still name the
+  /// file.
   Result<std::optional<std::string>> ValueAtRank(uint64_t rank);
 
-  /// Fills the value column now, if the current structure's is not
+  /// Fills the in-memory column now, if the current structure's is not
   /// filled yet, and returns the fill's verdict (what every ValueAtRank
-  /// then returns).  For callers that want the one B+i scan outside their
-  /// first query, e.g. to measure each query's own work.
+  /// then returns).  For callers that want the one column scan outside
+  /// their first query, e.g. to measure each query's own work.
   Status LoadValueColumn();
 
-  /// In-memory bytes of the rank -> value-offset column once filled (8
-  /// per node).
+  /// In-memory bytes of the filled column: 8 per node for rank -> offset,
+  /// and 16 per valued node for the offset -> rank inverse.
   uint64_t value_column_bytes() const {
-    return tree_->node_count() * sizeof(uint64_t);
+    return tree_->node_count() * sizeof(uint64_t) +
+           value_index_->num_entries() * sizeof(RankOfOffset);
   }
 
   /// The DataGuide-style path synopsis for the current structure
@@ -247,8 +259,9 @@ class DocumentStore {
   /// BP index that no longer describes it.
   Result<StorePos> Navigate(const DeweyId& id);
 
-  /// The node's value (nullopt if it has none), by a B+i probe.  Query
-  /// evaluation reads values by rank instead (ValueAtRank).
+  /// The node's value (nullopt if it has none, or if no node has that
+  /// Dewey ID): the node is located on the BP index and its value read by
+  /// rank (ValueAtRank).
   Result<std::optional<std::string>> ValueOf(const DeweyId& id);
 
   // -- index access ------------------------------------------------------
@@ -256,10 +269,13 @@ class DocumentStore {
   /// the BP index in either nav mode (its steps count as bp steps).
   Result<std::vector<DeweyId>> NodesWithTag(TagId tag);
 
-  /// The Dewey IDs of B+v's entries under `value`'s hash, in document
-  /// order, unverified: the nodes of a value whose hash collides with
-  /// `value`'s are among them.  Callers re-check each node's value (the
-  /// matcher re-checks the predicate on every candidate).
+  /// The Dewey IDs of the nodes whose value record B+v lists under
+  /// `value`'s hash, in document order, unverified: the nodes of a value
+  /// whose hash collides with `value`'s are among them.  Callers re-check
+  /// each node's value (the matcher re-checks the predicate on every
+  /// candidate).  Each record offset maps to its nodes' ranks through the
+  /// in-memory column's inverse, and the ranks to Dewey IDs through the
+  /// BP index (its steps count as bp steps).
   Result<std::vector<DeweyId>> NodesWithValue(const Slice& value);
 
   /// Occurrence count of a tag (exact, from the dictionary).
@@ -271,9 +287,10 @@ class DocumentStore {
 
   // -- updates (Section 4.2; implemented in updater.cc) ------------------
   /// Parses xml_fragment (one element) and inserts it as child number
-  /// child_index of the node `parent`.  Structure pages are updated
-  /// locally; index entries of the new nodes are added and the Dewey IDs
-  /// of shifted following siblings are rewritten.
+  /// child_index of the node `parent`.  Structure pages and the value
+  /// column's pages around the insertion rank are updated locally, and
+  /// B+v entries are added for the new nodes' values; no other node's
+  /// entry moves.
   Status InsertSubtree(const DeweyId& parent, uint32_t child_index,
                        const std::string& xml_fragment);
 
@@ -321,6 +338,14 @@ class DocumentStore {
 
   /// B+ tree options for every index, from the store options.
   BTree::Options IndexOptions() const;
+  /// Value column options, from the store options.
+  ValueColumnFile::Options ColumnOptions() const;
+
+  /// Stamps every component with epoch_ and commits them: the value file,
+  /// B+v and the value column (each syncing its data before its own
+  /// meta), the dictionary, then the tree string, whose meta page written
+  /// last commits the generation.
+  Status FlushComponents();
 
   /// Opens one component file, honoring options_.file_factory and, in
   /// WAL mode, wrapping it for transactional capture.
@@ -343,13 +368,6 @@ class DocumentStore {
                            const std::string& xml_fragment);
   Status DeleteSubtreeImpl(const DeweyId& node);
 
-  /// Moves a node's B+i/B+v entries from old_dewey to new_dewey
-  /// (sibling-shift maintenance during updates; updater.cc).
-  Status RewriteIndexEntries(const DeweyId& old_dewey,
-                             const DeweyId& new_dewey);
-  /// Drops a node's B+i/B+v entries (subtree deletion; updater.cc).
-  Status RemoveIndexEntries(const DeweyId& dewey);
-
   friend class TreeUpdater;
 
   /// Called by the updaters once an op has validated its arguments, just
@@ -367,23 +385,33 @@ class DocumentStore {
   /// persisted.
   Status EnsureDerived();
 
-  /// The rank -> value-offset column of one BP version.  Readers of a
+  /// One entry of the column's inverse.
+  struct RankOfOffset {
+    uint64_t offset;
+    uint64_t rank;
+  };
+
+  /// The in-memory value column of one BP version.  Readers of a
   /// read-only store share it: the first fills it under `mu`, and once
-  /// `filled` reads true (acquire) `offsets` and `status` never change.
+  /// `filled` reads true (acquire) the vectors and `status` never change.
   struct ValueColumn {
     Mutex mu;
     std::atomic<bool> filled{false};
-    /// Empty while `status` holds an error.
-    std::vector<uint64_t> offsets;  // NOK008-OK: immutable once filled
-    Status status;                  // NOK008-OK: immutable once filled
+    /// Both empty while `status` holds an error.
+    std::vector<uint64_t> offsets;      // NOK008-OK: immutable once filled
+    std::vector<RankOfOffset> inverse;  // NOK008-OK: immutable once filled
+    Status status;                      // NOK008-OK: immutable once filled
   };
 
-  /// Fills value_column_ for the current bp_ by one scan of B+i's leaf
-  /// chain, unless another thread just did: its keys sort in preorder and
-  /// it holds one entry per node, each checked against the preorder Dewey
-  /// ID the BP bits give.  A failure is kept in the column's status,
-  /// never returned.
+  /// Fills value_column_ for the current bp_ by one scan of the column's
+  /// pages, unless another thread just did: rank -> offset (kNoValue for
+  /// nodes without a value), and its inverse sorted by (offset, rank).
+  /// A failure is kept in the column's status, never returned.
   void FillValueColumn();
+
+  /// The preorder ranks of the nodes whose value record is at `offset`,
+  /// ascending, from the filled column's inverse.
+  std::span<const RankOfOffset> RanksOfOffset(uint64_t offset) const;
 
   Options options_;
   /// Declared before the components: members destroy in reverse order,
@@ -401,7 +429,8 @@ class DocumentStore {
   TagDictionary tags_;
   std::unique_ptr<ValueStore> values_;
   std::unique_ptr<BTree> value_index_;
-  std::unique_ptr<BTree> id_index_;
+  std::unique_ptr<ValueColumnFile> column_;
+  std::unique_ptr<BTree> id_index_;    ///< Empty; see id_index().
   std::unique_ptr<BTree> tag_index_;   ///< Empty; see tag_index().
   std::unique_ptr<BTree> path_index_;  ///< Empty; see path_index().
   DocumentStoreStats stats_;
@@ -417,8 +446,7 @@ class DocumentStore {
   /// order (StorePosOf); derived with bp_ from the in-memory page
   /// headers.
   std::vector<uint64_t> bp_page_starts_;
-  /// The value-record offset of each node by preorder rank (kNoValue:
-  /// the node has none) for the current bp_, filled from B+i by
+  /// The in-memory value column for the current bp_, filled by
   /// FillValueColumn on the first value read and replaced by an empty
   /// one at each structural update.
   std::unique_ptr<ValueColumn> value_column_ = std::make_unique<ValueColumn>();
@@ -428,12 +456,13 @@ class DocumentStore {
 
 /// Encoding helpers shared by the builder, the query engine and tests.
 ///
-/// B+v entries are keyed by (value hash, Dewey ID), so each entry is
-/// unique: an update deletes exactly the entry it moves in one O(log n)
-/// descent, and one value's entries iterate in document order.  The value
-/// is empty.  No entry caches a physical position: stores written before
-/// that was dropped carry one, in B+v values and as a leading varint in
-/// B+i payloads, and the readers below skip it.
+/// B+v holds one entry per valued node, keyed by (value hash, value-record
+/// offset): a record's offset never changes (values.dat is append-only),
+/// so no update re-keys an entry.  Nodes with equal values share a record,
+/// so their entries share a key; the tree keeps duplicates adjacent, and
+/// an update deletes one of them in one O(log n) descent.  The value is
+/// empty.  The offset is written as one byte n, then its n significant
+/// bytes big-endian, so one hash's entries iterate in offset order.
 namespace index_keys {
 
 /// Width of the B+v key prefix (the big-endian value hash).
@@ -441,19 +470,14 @@ inline constexpr size_t kValueKeySize = 8;
 
 /// B+v key prefix shared by every node with this value.
 std::string ValueKey(const Slice& value);
-/// B+v entry key: ValueKey(value) followed by dewey.Encode().
-std::string ValueKey(const Slice& value, const DeweyId& dewey);
-/// The Dewey ID of a B+v entry, whose value is empty.  The retired
-/// entries — a bare kValueKeySize-byte key, or a cached node position in
-/// the value — are refused with Corruption.
-Status ParseNodeRefEntry(const Slice& key, const Slice& value,
-                         DeweyId* dewey);
-/// B+i value payload: the optional value-record offset, one varint.
-std::string IdPayload(bool has_value, uint64_t value_offset);
-/// Decodes IdPayload's varint.  A retired payload, which led with a cached
-/// node position, is refused with Corruption.
-Status ParseIdPayload(const Slice& payload, bool* has_value,
-                      uint64_t* value_offset);
+/// B+v entry key: ValueKey(value) followed by the encoded record offset.
+std::string ValueKey(const Slice& value, uint64_t offset);
+/// The record offset of a B+v entry, whose value is empty.  The retired
+/// entries — a bare kValueKeySize-byte key, a Dewey ID in place of the
+/// offset, or a cached node position in the value — are refused with
+/// Corruption.
+Status ParseValueEntry(const Slice& key, const Slice& value,
+                       uint64_t* offset);
 
 }  // namespace index_keys
 

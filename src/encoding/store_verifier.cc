@@ -1,12 +1,13 @@
 #include "encoding/store_verifier.h"
 
+#include <algorithm>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
 #include "btree/btree.h"
-#include "encoding/dewey.h"
+#include "common/coding.h"
+#include "common/hash.h"
 #include "encoding/string_store.h"
 #include "storage/file.h"
 #include "storage/pager.h"
@@ -58,25 +59,44 @@ void ScrubPagedFile(const std::string& dir, const char* name,
   }
 }
 
-/// Checks B+v against B+i: every entry's Dewey ID must have a B+i entry,
-/// and the tree must hold exactly one entry per node with a value.
-void CrossCheckValueIndex(BTree* id_index, BTree* index, uint64_t expected,
+/// One column entry's record, for the B+v cross-check.
+struct Record {
+  uint64_t offset;
+  uint64_t nodes = 0;    ///< Column entries pointing at it.
+  uint64_t entries = 0;  ///< B+v entries naming it.
+  uint64_t hash = 0;     ///< Hash of its value, once read.
+  bool readable = false;
+};
+
+/// Checks B+v against the value column's records: every entry's offset
+/// must be a record some node holds, filed under that record's value
+/// hash, and each record must have exactly one entry per node holding it.
+void CrossCheckValueIndex(BTree* index, std::vector<Record>* records,
                           VerifyReport* report) {
-  uint64_t count = 0;
+  auto find = [&](uint64_t offset) -> Record* {
+    auto it = std::lower_bound(
+        records->begin(), records->end(), offset,
+        [](const Record& r, uint64_t o) { return r.offset < o; });
+    return it != records->end() && it->offset == offset ? &*it : nullptr;
+  };
   BTreeIterator it = index->NewIterator();
   Status s = it.SeekToFirst();
   while (s.ok() && it.Valid()) {
-    ++count;
-    DeweyId dewey = DeweyId::Root();
-    Status ps = index_keys::ParseNodeRefEntry(it.key(), it.value(), &dewey);
+    uint64_t offset = 0;
+    Status ps = index_keys::ParseValueEntry(it.key(), it.value(), &offset);
     if (!ps.ok()) {
       AddIssue(report, "B+v", "undecodable entry: " + ps.ToString());
+    } else if (Record* record = find(offset); record == nullptr) {
+      AddIssue(report, "B+v",
+               "entry names value offset " + std::to_string(offset) +
+                   ", which no node of the value column holds");
     } else {
-      auto id = id_index->Get(Slice(dewey.Encode()));
-      if (!id.ok()) {
+      ++record->entries;
+      if (record->readable &&
+          DecodeBigEndian64(it.key().data()) != record->hash) {
         AddIssue(report, "B+v",
-                 "entry for " + dewey.ToString() +
-                     " has no B+i entry: " + id.status().ToString());
+                 "entry for value offset " + std::to_string(offset) +
+                     " is filed under another value's hash");
       }
     }
     if (report->issues.size() >= kMaxIssues) {
@@ -87,10 +107,16 @@ void CrossCheckValueIndex(BTree* id_index, BTree* index, uint64_t expected,
   }
   if (!s.ok()) {
     AddIssue(report, "B+v", s.ToString());
-  } else if (count != expected) {
-    AddIssue(report, "B+v",
-             "index holds " + std::to_string(count) + " entries but B+i "
-                 "records " + std::to_string(expected) + " valued nodes");
+    return;
+  }
+  for (const Record& record : *records) {
+    if (record.entries != record.nodes) {
+      AddIssue(report, "B+v",
+               "holds " + std::to_string(record.entries) +
+                   " entries for value offset " +
+                   std::to_string(record.offset) + ", which " +
+                   std::to_string(record.nodes) + " node(s) hold");
+    }
   }
 }
 
@@ -109,9 +135,9 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
 
   // Pass 1: raw page scrub of every paged file.
   ScrubPagedFile(dir, store_files::kTree, options.page_size, &report);
-  for (const char* idx : {store_files::kValIdx, store_files::kIdIdx}) {
-    ScrubPagedFile(dir, idx, options.index_page_size, &report);
-  }
+  ScrubPagedFile(dir, store_files::kValIdx, options.index_page_size,
+                 &report);
+  ScrubPagedFile(dir, store_files::kValueColumn, options.page_size, &report);
   if (!report.ok()) {
     // Damaged pages would poison the structural passes with noise.
     return report;
@@ -129,110 +155,53 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   auto store = std::move(store_or).ValueOrDie();
 
-  // Pass 3: every B+i entry against an independent document-order walk
-  // of the tree string, and its value record against the data file.  B+i
-  // keys sort in document order, so one merged sweep pairs each entry
-  // with its node: O(n), whatever the fanout.
-  StringStore* tree = store->tree();
-  StringStore::Navigator nav(tree);
-  std::optional<StorePos> node = tree->RootPos();
-  DeweyId node_dewey = DeweyId::Root();
-  DeweyCounter deweys;
-  // Derives node_dewey from the level of *node.
-  auto derive = [&]() -> Status {
-    if (!node.has_value()) return Status::OK();
-    NOK_ASSIGN_OR_RETURN(const int level, nav.LevelAt(*node));
-    if (level < 1) {
-      return Status::Corruption("open symbol at level " +
-                                std::to_string(level));
-    }
-    node_dewey = DeweyId(deweys.Next(static_cast<size_t>(level)));
-    return Status::OK();
-  };
-  Status walk = derive();
-  uint64_t valued_entries = 0;
-  BTreeIterator it = store->id_index()->NewIterator();
-  Status s = it.SeekToFirst();
-  if (!s.ok()) {
-    AddIssue(&report, "B+i", s.ToString());
+  // Pass 3: the value column, read whole, must hold one entry per node of
+  // the tree, and every record it points at must read back CRC-clean.
+  const char* column_file = store_files::kValueColumn;
+  std::vector<uint64_t> offsets;
+  Status scan = store->value_column()->Scan(&offsets);
+  if (!scan.ok()) {
+    AddIssue(&report, column_file, scan.ToString());
     return report;
   }
-  while (it.Valid()) {
-    ++report.entries_checked;
-    auto dewey_or = DeweyId::Decode(it.key());
-    if (!dewey_or.ok()) {
-      AddIssue(&report, "B+i",
-               "undecodable Dewey key: " + dewey_or.status().ToString());
-    } else {
-      const DeweyId dewey = std::move(dewey_or).ValueOrDie();
-      // Nodes the walk passes over have no B+i entry; the count check
-      // below reports them.
-      while (walk.ok() && node.has_value() &&
-             node_dewey.Compare(dewey) < 0) {
-        auto next = nav.NextOpen(*node);
-        walk = next.status();
-        if (walk.ok()) {
-          node = next.ValueOrDie();
-          walk = derive();
-        }
-      }
-      if (!walk.ok()) {
-        AddIssue(&report, store_files::kTree,
-                 "document-order walk failed: " + walk.ToString());
-        return report;
-      }
-      if (!node.has_value() || !(node_dewey == dewey)) {
-        AddIssue(&report, "B+i",
-                 "entry for " + dewey.ToString() +
-                     " has no matching node in the tree string");
-      } else {
-        uint64_t offset = 0;
-        bool has_value = false;
-        Status ps =
-            index_keys::ParseIdPayload(it.value(), &has_value, &offset);
-        if (!ps.ok()) {
-          AddIssue(&report, "B+i",
-                   "bad payload for " + dewey.ToString() + ": " +
-                       ps.ToString());
-        } else if (has_value) {
-          ++valued_entries;
-          auto value = store->values()->Read(offset);
-          if (!value.ok()) {
-            AddIssue(&report, "values.dat",
-                     "record for " + dewey.ToString() + ": " +
-                         value.status().ToString());
-          }
-        }
-      }
-    }
-    if (report.issues.size() >= kMaxIssues) {
-      report.truncated = true;
-      break;
-    }
-    s = it.Next();
-    if (!s.ok()) {
-      AddIssue(&report, "B+i", s.ToString());
-      break;
-    }
-  }
-
-  // The node count in the tree meta must agree with the B+i entry count
-  // (every node has exactly one entry).
-  if (!report.truncated &&
-      report.entries_checked != tree->node_count()) {
-    AddIssue(&report, "B+i",
-             "index holds " + std::to_string(report.entries_checked) +
+  report.entries_checked = offsets.size();
+  if (offsets.size() != store->tree()->node_count()) {
+    AddIssue(&report, column_file,
+             "column holds " + std::to_string(offsets.size()) +
                  " entries but the tree records " +
-                 std::to_string(tree->node_count()) + " nodes");
+                 std::to_string(store->tree()->node_count()) + " nodes");
+  }
+  std::vector<Record> records;
+  {
+    std::vector<uint64_t> valued;
+    for (const uint64_t offset : offsets) {
+      if (offset != kNoValue) valued.push_back(offset);
+    }
+    std::sort(valued.begin(), valued.end());
+    for (const uint64_t offset : valued) {
+      if (records.empty() || records.back().offset != offset) {
+        records.push_back(Record{offset});
+      }
+      ++records.back().nodes;
+    }
+  }
+  for (Record& record : records) {
+    auto value = store->values()->Read(record.offset);
+    if (!value.ok()) {
+      AddIssue(&report, store_files::kValues,
+               "record at offset " + std::to_string(record.offset) + ": " +
+                   value.status().ToString());
+      if (report.truncated) return report;
+      continue;
+    }
+    record.hash = Hash64(Slice(*value));
+    record.readable = true;
   }
 
-  // Pass 3b: B+v against B+i.  Every entry must name a node B+i knows,
-  // and B+v must hold one entry per node with a value.  Otherwise a lost
-  // entry would only surface as a Corruption in the middle of a later
-  // update.
+  // Pass 3b: B+v against the column's records.  Otherwise a lost entry
+  // would only surface as a Corruption in the middle of a later update.
   if (!report.truncated) {
-    CrossCheckValueIndex(store->id_index(), store->value_index(),
-                         valued_entries, &report);
+    CrossCheckValueIndex(store->value_index(), &records, &report);
   }
   return report;
 }

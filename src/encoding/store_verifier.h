@@ -3,23 +3,22 @@
 // Three passes, each independent of the machinery it checks:
 //
 //   1. Page scrub: every page of every paged component file (the tree
-//      string and the B+v and B+i indexes) is read raw through a Pager,
-//      so checksum mismatches are reported per page — including pages the
+//      string, B+v and the value column) is read raw through a Pager, so
+//      checksum mismatches are reported per page — including pages the
 //      higher layers would never visit.
 //   2. Structural open: DocumentStore::OpenDir, which validates magics,
 //      format versions, the page chain (read whole to derive the BP index
 //      and the path synopsis, which no store persists), and
 //      cross-component epochs.
-//   3. Index cross-check: every B+i (Dewey -> position/value) entry is
-//      paired with its node by one document-order walk of the tree string
-//      (B+i keys sort in document order) and compared against the stored
-//      entry, and its value record is read (which verifies the record
-//      CRC).  Then every B+v entry must name a node B+i knows, and B+v
-//      must hold one entry per valued node.
+//   3. Value cross-check: the value column is read whole; it must hold
+//      one entry per node, and every record it points at must read back
+//      CRC-clean.  Then every B+v entry must name a record some node
+//      holds, under that record's value hash, and each record must have
+//      one B+v entry per node holding it.
 //
-// Files a store no longer writes (tag.idx, path.idx, tree.bpx,
-// synopsis.pds and their .tmp names) are not components: the scrub
-// ignores a leftover one.
+// Files a store no longer writes (id.idx next to a value column, tag.idx,
+// path.idx, tree.bpx, synopsis.pds and their .tmp names) are not
+// components: the scrub ignores a leftover one.
 
 // The scrub never repairs anything; it reports.  Repair is rebuilding
 // from the source document or restoring from a copy.
@@ -39,14 +38,14 @@ namespace nok {
 
 /// One problem found by the scrub.
 struct VerifyIssue {
-  std::string component;  ///< File or subsystem ("tree.nok", "B+i", ...).
+  std::string component;  ///< File or subsystem ("tree.nok", "B+v", ...).
   std::string detail;     ///< Human-readable description (names page ids).
 };
 
 /// Outcome of VerifyStoreDir.
 struct VerifyReport {
   uint64_t pages_checked = 0;    ///< Pages read across all paged files.
-  uint64_t entries_checked = 0;  ///< B+i entries cross-checked.
+  uint64_t entries_checked = 0;  ///< Value column entries checked.
   bool truncated = false;        ///< Issue list hit its cap.
   std::vector<VerifyIssue> issues;
 

@@ -21,13 +21,14 @@ constexpr size_t kMetaNodeCount = 12;
 constexpr size_t kMetaMaxLevel = 20;
 constexpr size_t kMetaFirstData = 24;
 constexpr size_t kMetaFreeList = 28;
-// Version 2 is the only format: CRC-32C pages.  Versions 0 (no version
-// field), 1 (raw pages), 3 and 4 (1 and 2 with per-page tag summaries
-// appended to the meta page) are retired and refused.
+// Version 5 is the only format: CRC-32C pages, in a store whose values
+// are addressed by the value column.  Versions 0 (no version field), 1
+// (raw pages), 2 (CRC-32C pages beside a Dewey-keyed B+i and B+v), 3 and
+// 4 (1 and 2 with per-page tag summaries appended to the meta page) are
+// retired and refused.
 constexpr size_t kMetaVersion = 32;
 constexpr size_t kMetaEpoch = 36;
-constexpr uint32_t kFormatVersion = 2;
-constexpr uint32_t kLastRetiredVersion = 4;
+constexpr uint32_t kFormatVersion = 5;
 
 }  // namespace
 
@@ -221,7 +222,7 @@ Status StringStore::Init(std::unique_ptr<File> file) {
   }
   const uint32_t version = DecodeFixed32(buf.data() + kMetaVersion);
   if (version != kFormatVersion) {
-    if (version <= kLastRetiredVersion) {
+    if (version < kFormatVersion) {
       return RetiredFormat("string store format version " +
                            std::to_string(version));
     }
@@ -340,6 +341,32 @@ Result<StorePos> StringStore::PosForGlobal(uint64_t global) const {
     return Status::OutOfRange("global position beyond the page chain");
   }
   return StorePos{chain_[seq], static_cast<uint16_t>(idx)};
+}
+
+Result<uint64_t> StringStore::OpensBefore(StorePos pos) {
+  const uint64_t seq = ChainSeq(pos.page);
+  uint64_t opens = 0;
+  for (uint64_t i = 0; i < seq; ++i) {
+    const StorePageHeader& h = headers_[chain_[i]];
+    const int64_t end_level = headers_[chain_[i + 1]].st;
+    const int64_t thrice = int64_t{h.used} + end_level - h.st;
+    if (thrice < 0 || thrice % 3 != 0) {
+      return Status::Corruption("page " + std::to_string(chain_[i]) +
+                                " header (st " + std::to_string(h.st) +
+                                ", used " + std::to_string(h.used) +
+                                ") disagrees with the next page's st " +
+                                std::to_string(end_level));
+    }
+    opens += static_cast<uint64_t>(thrice / 3);
+  }
+  NOK_ASSIGN_OR_RETURN(auto view, FetchView(pos.page));
+  if (pos.idx > view->size()) {
+    return Status::OutOfRange("symbol index out of range");
+  }
+  for (uint16_t i = 0; i < pos.idx; ++i) {
+    if (view->tag[i] != kInvalidTag) ++opens;
+  }
+  return opens;
 }
 
 Result<std::shared_ptr<void>> StringStore::DecodePage(

@@ -210,6 +210,14 @@ class StringStore {
   /// Inverse of GlobalPos.
   Result<StorePos> PosForGlobal(uint64_t global) const;
 
+  /// Number of open symbols before `pos` in document order: the preorder
+  /// rank of the node whose open symbol is at pos (or, when pos is a close
+  /// symbol, of a subtree inserted before it).  The pages before pos's
+  /// page are counted from the in-memory headers: a page of o opens and c
+  /// closes holds 2o + c bytes and moves the level by o - c, so
+  /// 3o = used + (end level - st).  Only pos's own page is read.
+  Result<uint64_t> OpensBefore(StorePos pos);
+
   // -------------------------------------------------------------------
   // Introspection.
 

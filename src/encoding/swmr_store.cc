@@ -13,7 +13,7 @@ namespace {
 /// quiescent then), so it needs none.
 const char* const kVersionedComponents[] = {
     store_files::kTree, store_files::kValues, store_files::kValIdx,
-    store_files::kIdIdx,
+    store_files::kValueColumn,
 };
 
 /// The component name is the path's last segment (OpenComponent builds

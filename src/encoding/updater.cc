@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <optional>
 
 #include "common/coding.h"
 #include "common/logging.h"
@@ -313,54 +314,10 @@ Status TreeUpdater::DeleteRange(StorePos from, StorePos to,
 }
 
 // ---------------------------------------------------------------------------
-// DocumentStore-level updates: index maintenance around the string edits.
-
-namespace {
-
-struct SubtreeNode {
-  DeweyId dewey;
-  TagId tag;
-};
-
-/// Collects (dewey, tag) for every node of the subtree rooted at pos.
-Status CollectSubtree(StringStore::Navigator* nav, StorePos pos,
-                      const DeweyId& dewey, std::vector<SubtreeNode>* out) {
-  NOK_ASSIGN_OR_RETURN(TagId tag, nav->TagAt(pos));
-  out->push_back(SubtreeNode{dewey, tag});
-  NOK_ASSIGN_OR_RETURN(auto child, nav->FirstChild(pos));
-  uint32_t index = 0;
-  while (child.has_value()) {
-    NOK_RETURN_IF_ERROR(CollectSubtree(nav, *child, dewey.Child(index), out));
-    NOK_ASSIGN_OR_RETURN(auto sibling, nav->FollowingSibling(*child));
-    child = sibling;
-    ++index;
-  }
-  return Status::OK();
-}
-
-/// Moves one entry from old_key to new_key; each key names exactly one
-/// entry, so this is two O(log n) descents.  A missing entry means the
-/// index lost track of a node: Corruption.
-Status MoveEntry(BTree* index, const std::string& old_key,
-                 const std::string& new_key, const Slice& value,
-                 const char* index_name, const DeweyId& dewey) {
-  NOK_ASSIGN_OR_RETURN(bool removed, index->Delete(Slice(old_key)));
-  if (!removed) {
-    return Status::Corruption(std::string("missing ") + index_name +
-                              " entry for " + dewey.ToString());
-  }
-  return index->Insert(Slice(new_key), value);
-}
-
-/// Returns dewey with the component at `depth` (0-based) shifted by delta.
-DeweyId ShiftComponent(const DeweyId& dewey, size_t depth, int64_t delta) {
-  std::vector<uint32_t> c = dewey.components();
-  NOK_CHECK(depth < c.size());
-  c[depth] = static_cast<uint32_t>(static_cast<int64_t>(c[depth]) + delta);
-  return DeweyId(std::move(c));
-}
-
-}  // namespace
+// DocumentStore-level updates: value upkeep around the string edits.  A
+// node's column entry is addressed by its preorder rank and its B+v entry
+// by its value record, so an edit at rank r touches only the column pages
+// around r and the entries of the nodes it adds or removes.
 
 Status DocumentStore::InsertSubtree(const DeweyId& parent,
                                     uint32_t child_index,
@@ -381,88 +338,59 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
   NOK_ASSIGN_OR_RETURN(auto fragment, DomTree::Parse(xml_fragment));
   NOK_ASSIGN_OR_RETURN(StorePos parent_pos, Navigate(parent));
 
-  // Enumerate the parent's existing children (positions + count).
+  // The insertion point: before child child_index, or before the parent's
+  // close symbol when appending.
   StringStore::Navigator nav(tree_.get());
-  std::vector<StorePos> children;
+  std::optional<StorePos> before;
+  uint32_t child_count = 0;
   {
     NOK_ASSIGN_OR_RETURN(auto child, nav.FirstChild(parent_pos));
-    while (child.has_value()) {
-      children.push_back(*child);
+    while (child.has_value() && child_count < child_index) {
       NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(*child));
       child = sibling;
+      ++child_count;
     }
+    before = child;
   }
-  if (child_index > children.size()) {
+  if (!before.has_value() && child_count < child_index) {
     return Status::InvalidArgument(
         "child index " + std::to_string(child_index) + " > child count " +
-        std::to_string(children.size()));
+        std::to_string(child_count));
   }
+  if (!before.has_value()) {
+    NOK_ASSIGN_OR_RETURN(uint64_t close_global,
+                         nav.SubtreeEndGlobal(parent_pos));
+    NOK_ASSIGN_OR_RETURN(before, tree_->PosForGlobal(close_global));
+  }
+  // The new subtree's root takes the rank of the first open at or after
+  // the insertion point.
+  NOK_ASSIGN_OR_RETURN(const uint64_t rank, tree_->OpensBefore(*before));
   // Every argument is validated; from here on the op mutates state, so
   // the mutation marker (FinishWalOp's poison test) comes only after the
   // checks above can no longer reject the call.
   BeginStructuralChange();
 
-  // Physical insertion point: before child child_index, or before the
-  // parent's close symbol when appending.
-  StorePos before;
-  if (child_index < children.size()) {
-    before = children[child_index];
-  } else {
-    NOK_ASSIGN_OR_RETURN(uint64_t close_global,
-                         nav.SubtreeEndGlobal(parent_pos));
-    NOK_ASSIGN_OR_RETURN(before, tree_->PosForGlobal(close_global));
-  }
-
-  // Rewrite index entries of the shifted following siblings, last first so
-  // rewritten keys never collide with not-yet-rewritten ones.
-  const size_t shift_depth = parent.depth();  // Component index to bump.
-  for (size_t j = children.size(); j-- > child_index;) {
-    std::vector<SubtreeNode> nodes;
-    NOK_RETURN_IF_ERROR(CollectSubtree(
-        &nav, children[j], parent.Child(static_cast<uint32_t>(j)), &nodes));
-    for (const SubtreeNode& node : nodes) {
-      const DeweyId new_dewey = ShiftComponent(node.dewey, shift_depth, +1);
-      NOK_RETURN_IF_ERROR(RewriteIndexEntries(node.dewey, new_dewey));
-    }
-  }
-
-  // Encode the fragment and collect its (dewey, value) pairs.
+  // Encode the fragment, and collect its values in preorder.
   std::string symbols;
-  uint64_t new_nodes = 0;
-  struct NewNode {
-    DeweyId dewey;
-    std::string value;
-  };
-  std::vector<NewNode> additions;
-  const DeweyId frag_root_dewey = parent.Child(child_index);
-  // Iterative encoding to match CollectSubtree's pre-order.
+  std::vector<const std::string*> values;
   struct Item {
     const DomNode* node;
-    DeweyId dewey;
     size_t next_child;
   };
   std::vector<Item> stack;
-  stack.push_back(Item{fragment.root(), frag_root_dewey, 0});
-  {
-    NOK_ASSIGN_OR_RETURN(TagId tag, tags_.Intern(fragment.root()->name));
+  auto open = [&](const DomNode* node) -> Status {
+    NOK_ASSIGN_OR_RETURN(TagId tag, tags_.Intern(node->name));
     tags_.AddOccurrence(tag);
     TreeUpdater::AppendOpenSymbol(&symbols, tag);
-    additions.push_back(NewNode{frag_root_dewey, fragment.root()->value});
-    ++new_nodes;
-  }
+    values.push_back(&node->value);
+    stack.push_back(Item{node, 0});
+    return Status::OK();
+  };
+  NOK_RETURN_IF_ERROR(open(fragment.root()));
   while (!stack.empty()) {
     Item& top = stack.back();
     if (top.next_child < top.node->children.size()) {
-      const DomNode* child = top.node->children[top.next_child].get();
-      const DeweyId child_dewey =
-          top.dewey.Child(static_cast<uint32_t>(top.next_child));
-      ++top.next_child;
-      NOK_ASSIGN_OR_RETURN(TagId tag, tags_.Intern(child->name));
-      tags_.AddOccurrence(tag);
-      TreeUpdater::AppendOpenSymbol(&symbols, tag);
-      additions.push_back(NewNode{child_dewey, child->value});
-      ++new_nodes;
-      stack.push_back(Item{child, child_dewey, 0});
+      NOK_RETURN_IF_ERROR(open(top.node->children[top.next_child++].get()));
     } else {
       TreeUpdater::AppendCloseSymbol(&symbols);
       stack.pop_back();
@@ -471,23 +399,23 @@ Status DocumentStore::InsertSubtreeImpl(const DeweyId& parent,
 
   // String-level edit.
   TreeUpdater updater(tree_.get());
-  NOK_RETURN_IF_ERROR(updater.InsertBefore(before, symbols, new_nodes));
+  NOK_RETURN_IF_ERROR(updater.InsertBefore(*before, symbols, values.size()));
 
-  // Index entries for the new nodes.
-  for (const NewNode& node : additions) {
-    const std::string key = node.dewey.Encode();
-    if (!node.value.empty()) {
-      uint64_t offset = 0;
-      NOK_RETURN_IF_ERROR(values_->Append(Slice(node.value), &offset));
-      NOK_RETURN_IF_ERROR(value_index_->Insert(
-          index_keys::ValueKey(Slice(node.value), node.dewey), Slice()));
-      NOK_RETURN_IF_ERROR(id_index_->Insert(
-          Slice(key), index_keys::IdPayload(true, offset)));
-    } else {
-      NOK_RETURN_IF_ERROR(id_index_->Insert(
-          Slice(key), index_keys::IdPayload(false, 0)));
+  // The new nodes' values, column entries and B+v entries.
+  std::vector<uint64_t> entries;
+  entries.reserve(values.size());
+  for (const std::string* value : values) {
+    if (value->empty()) {
+      entries.push_back(kNoValue);
+      continue;
     }
+    uint64_t offset = 0;
+    NOK_RETURN_IF_ERROR(values_->Append(Slice(*value), &offset));
+    NOK_RETURN_IF_ERROR(value_index_->Insert(
+        index_keys::ValueKey(Slice(*value), offset), Slice()));
+    entries.push_back(offset);
   }
+  NOK_RETURN_IF_ERROR(column_->Insert(rank, entries));
 
   stats_.node_count = tree_->node_count();
   stats_.max_depth = tree_->max_level();
@@ -511,40 +439,38 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
     return Status::InvalidArgument("cannot delete the document root");
   }
   NOK_ASSIGN_OR_RETURN(StorePos pos, Navigate(node));
+  NOK_ASSIGN_OR_RETURN(const uint64_t rank, tree_->OpensBefore(pos));
   BeginStructuralChange();
   StringStore::Navigator nav(tree_.get());
-  const DeweyId parent = *node.Parent();
-  const uint32_t child_index = node.components().back();
-  const size_t shift_depth = parent.depth();
 
-  // Remove the index entries of the doomed subtree.
-  std::vector<SubtreeNode> doomed;
-  NOK_RETURN_IF_ERROR(CollectSubtree(&nav, pos, node, &doomed));
-  for (const SubtreeNode& n : doomed) {
-    NOK_RETURN_IF_ERROR(RemoveIndexEntries(n.dewey));
-    tags_.SubOccurrence(n.tag);
+  // The doomed subtree's nodes, in preorder: their tags leave the
+  // dictionary's counts.
+  NOK_ASSIGN_OR_RETURN(const int level, nav.LevelAt(pos));
+  uint64_t doomed = 0;
+  std::optional<StorePos> at = pos;
+  while (at.has_value()) {
+    NOK_ASSIGN_OR_RETURN(TagId tag, nav.TagAt(*at));
+    tags_.SubOccurrence(tag);
+    ++doomed;
+    NOK_ASSIGN_OR_RETURN(at, nav.NextOpenInSubtree(*at, kInvalidTag, level));
   }
 
-  // Rewrite the following siblings' index entries (ascending: the target
-  // keys were just vacated).
-  std::vector<StorePos> siblings;
-  {
-    NOK_ASSIGN_OR_RETURN(auto sibling, nav.FollowingSibling(pos));
-    while (sibling.has_value()) {
-      siblings.push_back(*sibling);
-      NOK_ASSIGN_OR_RETURN(auto next, nav.FollowingSibling(*sibling));
-      sibling = next;
-    }
-  }
-  for (size_t i = 0; i < siblings.size(); ++i) {
-    const uint32_t old_index =
-        child_index + 1 + static_cast<uint32_t>(i);
-    std::vector<SubtreeNode> nodes;
-    NOK_RETURN_IF_ERROR(
-        CollectSubtree(&nav, siblings[i], parent.Child(old_index), &nodes));
-    for (const SubtreeNode& n : nodes) {
-      const DeweyId new_dewey = ShiftComponent(n.dewey, shift_depth, -1);
-      NOK_RETURN_IF_ERROR(RewriteIndexEntries(n.dewey, new_dewey));
+  // Their column entries, and the B+v entry of each valued one.  The
+  // value records stay in the data file (orphaned): it is append-only,
+  // and a rebuild compacts it.
+  std::vector<uint64_t> erased;
+  NOK_RETURN_IF_ERROR(column_->Erase(rank, doomed, &erased));
+  for (const uint64_t offset : erased) {
+    if (offset == kNoValue) continue;
+    NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
+    NOK_ASSIGN_OR_RETURN(
+        bool removed,
+        value_index_->Delete(Slice(index_keys::ValueKey(Slice(value),
+                                                        offset))));
+    if (!removed) {
+      return Status::Corruption("missing B+v entry for value offset " +
+                                std::to_string(offset) + " of " +
+                                node.ToString() + "'s subtree");
     }
   }
 
@@ -552,51 +478,12 @@ Status DocumentStore::DeleteSubtreeImpl(const DeweyId& node) {
   NOK_ASSIGN_OR_RETURN(uint64_t close_global, nav.SubtreeEndGlobal(pos));
   NOK_ASSIGN_OR_RETURN(StorePos to, tree_->PosForGlobal(close_global));
   TreeUpdater updater(tree_.get());
-  NOK_RETURN_IF_ERROR(updater.DeleteRange(pos, to, doomed.size()));
+  NOK_RETURN_IF_ERROR(updater.DeleteRange(pos, to, doomed));
 
   stats_.node_count = tree_->node_count();
   stats_.max_depth = tree_->max_level();
   RefreshSizeStats();
   NOK_RETURN_IF_ERROR(SaveDictionary());
-  return Status::OK();
-}
-
-Status DocumentStore::RewriteIndexEntries(const DeweyId& old_dewey,
-                                          const DeweyId& new_dewey) {
-  const std::string old_key = old_dewey.Encode();
-  NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(old_key)));
-  bool has_value = false;
-  uint64_t offset = 0;
-  NOK_RETURN_IF_ERROR(
-      index_keys::ParseIdPayload(Slice(payload), &has_value, &offset));
-  NOK_RETURN_IF_ERROR(MoveEntry(id_index_.get(), old_key, new_dewey.Encode(),
-                                Slice(payload), "B+i", old_dewey));
-  if (has_value) {
-    NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-    NOK_RETURN_IF_ERROR(MoveEntry(
-        value_index_.get(), index_keys::ValueKey(Slice(value), old_dewey),
-        index_keys::ValueKey(Slice(value), new_dewey), Slice(), "B+v",
-        old_dewey));
-  }
-  return Status::OK();
-}
-
-Status DocumentStore::RemoveIndexEntries(const DeweyId& dewey) {
-  const std::string key = dewey.Encode();
-  NOK_ASSIGN_OR_RETURN(auto payload, id_index_->Get(Slice(key)));
-  NOK_RETURN_IF_ERROR(id_index_->Delete(Slice(key)).status());
-  bool has_value = false;
-  uint64_t offset = 0;
-  NOK_RETURN_IF_ERROR(
-      index_keys::ParseIdPayload(Slice(payload), &has_value, &offset));
-  if (has_value) {
-    NOK_ASSIGN_OR_RETURN(auto value, values_->Read(offset));
-    NOK_RETURN_IF_ERROR(
-        value_index_->Delete(Slice(index_keys::ValueKey(Slice(value), dewey)))
-            .status());
-  }
-  // The value record itself stays in the data file (orphaned); the data
-  // file is append-only and compaction happens on rebuild.
   return Status::OK();
 }
 

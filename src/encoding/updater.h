@@ -11,10 +11,12 @@
 // chain and recycle it through a free list.
 //
 // The higher-level DocumentStore::InsertSubtree / DeleteSubtree (defined
-// in updater.cc as well) additionally maintain the B+v/B+i indexes:
-// entries for the inserted/deleted nodes are added/removed, and the Dewey
-// IDs of the shifted following siblings are rewritten — the "indexes need
-// to be updated" cost the paper attributes to Dewey IDs.
+// in updater.cc as well) additionally maintain the value column and B+v:
+// the column pages around the edit's preorder rank are rewritten, and B+v
+// entries are added or removed for the inserted or deleted nodes only.
+// No persisted entry names a node by Dewey ID, so the following siblings'
+// entries never move — the "indexes need to be updated" cost the paper
+// attributes to Dewey IDs is gone.
 
 #ifndef NOKXML_ENCODING_UPDATER_H_
 #define NOKXML_ENCODING_UPDATER_H_

@@ -4,8 +4,8 @@
 // in a data file as (len, value, crc32c(value)) records; Read verifies the
 // CRC, so bit rot and torn record writes surface as Corruption.  Nodes
 // with equal values share one record (the paper's "keep only one copy"
-// optimization).  The hashed value B+ tree (B+v) and Dewey-ID B+ tree
-// (B+i) that point into this file are owned by DocumentStore.
+// optimization).  The hashed value B+ tree (B+v) and the value column
+// (value_column.h) that point into this file are owned by DocumentStore.
 
 #ifndef NOKXML_ENCODING_VALUE_STORE_H_
 #define NOKXML_ENCODING_VALUE_STORE_H_

@@ -7,9 +7,9 @@
 // traffic at all; a value predicate reads the node's value by its
 // preorder rank (Rank1 of its open bit) through the store's rank ->
 // value-offset column, the same column paged mode reads, so answers are
-// identical across navigation modes and no query probes B+i.  Steps are
-// counted into NavStats::bp_steps on the owning store so one snapshot
-// covers all tiers.
+// identical across navigation modes and a value read probes no B+ tree.
+// Steps are counted into NavStats::bp_steps on the owning store so one
+// snapshot covers all tiers.
 
 #ifndef NOKXML_NOK_BP_CURSOR_H_
 #define NOKXML_NOK_BP_CURSOR_H_

@@ -9,7 +9,7 @@
 // constraint maps the node's page position to its BP bit position
 // (DocumentStore::BpPosOf, no page access), takes its preorder rank there
 // and reads the value through the store's rank -> value-offset column:
-// no B+i probe.
+// no B+ tree probe.
 
 #ifndef NOKXML_NOK_PHYSICAL_MATCHER_H_
 #define NOKXML_NOK_PHYSICAL_MATCHER_H_

@@ -2,13 +2,15 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 
 #include "common/logging.h"
 
 namespace nok {
 
-BufferPool::BufferPool(Pager* pager, size_t capacity, size_t shards)
-    : pager_(pager), capacity_(capacity) {
+BufferPool::BufferPool(Pager* pager, size_t capacity, size_t shards,
+                       PageCheck check)
+    : pager_(pager), check_(std::move(check)), capacity_(capacity) {
   NOK_CHECK(capacity_ >= 1);
   const size_t count = std::max<size_t>(1, std::min(shards, capacity));
   shard_capacity_ = std::max<size_t>(1, capacity / count);
@@ -75,6 +77,7 @@ Result<BufferPool::Frame*> BufferPool::LoadLocked(Shard& shard, PageId id) {
   frame->data = std::make_unique<char[]>(pager_->page_size());
   NOK_RETURN_IF_ERROR(pager_->ReadPage(id, frame->data.get()));
   ++shard.stats.disk_reads;
+  if (check_) NOK_RETURN_IF_ERROR(check_(id, frame->data.get()));
   Frame* raw = frame.get();
   shard.frames.emplace(id, std::move(frame));
   return raw;

@@ -59,12 +59,19 @@ class BufferPool {
     uint64_t evictions = 0;   ///< Frames recycled.
   };
 
+  /// Checks a page's bytes as they are read from disk.
+  using PageCheck = std::function<Status(PageId, const char* page)>;
+
   /// pager must outlive the pool; capacity is the total frame count
   /// (>= 1).  shards is the number of independent LRU domains; it is
   /// clamped to [1, capacity] and each shard gets capacity/shards frames
   /// (at least one).  The default of one shard preserves a single global
-  /// LRU order, which single-threaded callers and tests rely on.
-  BufferPool(Pager* pager, size_t capacity, size_t shards = 1);
+  /// LRU order, which single-threaded callers and tests rely on.  When
+  /// `check` is set, every page read from disk must pass it before it
+  /// enters the pool: a failing page is never cached, and the fetch
+  /// returns the check's error.
+  BufferPool(Pager* pager, size_t capacity, size_t shards = 1,
+             PageCheck check = nullptr);
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
@@ -154,6 +161,7 @@ class BufferPool {
   void SetDecoration(Frame* frame, std::shared_ptr<void> d);
 
   Pager* pager_;
+  PageCheck check_;
   size_t capacity_;
   size_t shard_capacity_;
   std::vector<std::unique_ptr<Shard>> shards_;

@@ -82,7 +82,7 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   const std::string dir = testing::TempDir() + "/nok_concurrency_store";
   for (const char* f :
        {store_files::kTree, store_files::kValues, store_files::kDict,
-        store_files::kValIdx, store_files::kIdIdx}) {
+        store_files::kValIdx, store_files::kValueColumn}) {
     ASSERT_TRUE(RemoveFile(dir + "/" + std::string(f)).ok());
   }
 
@@ -148,8 +148,8 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
   ExpectPoolStatsConsistent("tree", (*store)->tree()->buffer_pool());
   ExpectPoolStatsConsistent("value_index",
                             (*store)->value_index()->buffer_pool());
-  ExpectPoolStatsConsistent("id_index",
-                            (*store)->id_index()->buffer_pool());
+  ExpectPoolStatsConsistent("value_column",
+                            (*store)->value_column()->buffer_pool());
   EXPECT_GT((*store)->tree()->buffer_pool()->stats().fetches, 0u);
   EXPECT_EQ((*store)->tree()->buffer_pool()->shard_count(), 16u);
 

@@ -45,7 +45,7 @@ TEST(DocumentStoreTest, StatsMatchDom) {
   EXPECT_DOUBLE_EQ(store->stats().avg_depth, dom->avg_depth());
   EXPECT_GT(store->stats().tree_bytes, 0u);
   EXPECT_GT(store->stats().value_index_bytes, 0u);
-  EXPECT_GT(store->stats().id_index_bytes, 0u);
+  EXPECT_GT(store->stats().column_bytes, 0u);
   EXPECT_GT(store->stats().data_bytes, 0u);
 }
 
@@ -66,10 +66,15 @@ TEST(DocumentStoreTest, ValueOfReadsThroughIndexes) {
   ASSERT_TRUE(year.ok());
   ASSERT_TRUE(year->has_value());
   EXPECT_EQ(**year, "1994");
-  // Unknown node.
-  auto nothing = store->ValueOf(DeweyId({0, 9, 9}));
-  ASSERT_TRUE(nothing.ok());
-  EXPECT_FALSE(nothing->has_value());
+  // Unknown nodes: past the last child, below a leaf, and outside the
+  // one document (a first component other than 0).
+  for (const DeweyId& unknown :
+       {DeweyId({0, 9, 9}), DeweyId({0, 0, 2, 0, 0}), DeweyId({1}),
+        DeweyId({1, 0})}) {
+    auto nothing = store->ValueOf(unknown);
+    ASSERT_TRUE(nothing.ok()) << unknown.ToString();
+    EXPECT_FALSE(nothing->has_value()) << unknown.ToString();
+  }
 }
 
 TEST(DocumentStoreTest, NodesWithTagInDocumentOrder) {
@@ -273,13 +278,14 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
   std::filesystem::remove_all(dir);
   DocumentStore::Options options;
   options.dir = dir;
-  // The files a store consists of in either nav mode: two B+ trees, and
-  // neither a tag-name index (tag.idx; the BP index answers tag probes)
+  // The files a store consists of in either nav mode: B+v and the value
+  // column, and no Dewey-ID index (id.idx; the column replaced it), no
+  // tag-name index (tag.idx; the BP index answers tag probes)
   // nor a rooted tag-path index (path.idx), nor a persisted BP index or
   // synopsis (tree.bpx, synopsis.pds; both are derived on every open).
   const std::set<std::string> want_files = {
       store_files::kTree, store_files::kValues, store_files::kDict,
-      store_files::kValIdx, store_files::kIdIdx};
+      store_files::kValIdx, store_files::kValueColumn};
   auto files_in_dir = [&] {
     std::set<std::string> names;
     for (const auto& entry : std::filesystem::directory_iterator(dir)) {
@@ -314,74 +320,97 @@ TEST(DocumentStoreTest, BuildRejectsMalformedXml) {
   EXPECT_FALSE(r.ok());
 }
 
-/// Every node's value read by preorder rank (the in-memory column) equals
-/// ValueOf of its Dewey ID (a B+i probe).
-void ExpectValueColumnMatchesIdIndex(DocumentStore* store) {
+/// The bibliography the value-column tests update: `books` are the
+/// root's children, in order.
+std::string BibOf(const std::vector<std::string>& books) {
+  std::string xml = "<bib>";
+  for (const std::string& book : books) xml += book;
+  return xml + "</bib>";
+}
+
+/// Every node's value read by preorder rank (the in-memory column, filled
+/// from the on-disk one) equals the value of the node of that rank in a
+/// DOM of `xml`, and ValueOf of its Dewey ID agrees.
+void ExpectValueColumnMatches(DocumentStore* store, const std::string& xml) {
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok()) << dom.status().ToString();
+  std::vector<const DomNode*> preorder;
+  ForEachNode(dom->root(),
+              [&](const DomNode* node) { preorder.push_back(node); });
   auto bp = store->bp_index();
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
-  const BpIndex& index = **bp;
+  ASSERT_EQ((*bp)->node_count(), preorder.size());
   DeweyCounter deweys;
   uint64_t valued = 0;
-  for (uint64_t rank = 0; rank < index.node_count(); ++rank) {
+  for (uint64_t rank = 0; rank < preorder.size(); ++rank) {
     const DeweyId dewey(deweys.Next(
-        static_cast<size_t>(index.Depth(index.Select1(rank)))));
+        static_cast<size_t>((*bp)->Depth((*bp)->Select1(rank)))));
+    const std::string& want = preorder[rank]->value;
     auto by_rank = store->ValueAtRank(rank);
-    auto by_dewey = store->ValueOf(dewey);
     ASSERT_TRUE(by_rank.ok()) << dewey.ToString() << ": "
                               << by_rank.status().ToString();
-    ASSERT_TRUE(by_dewey.ok()) << dewey.ToString() << ": "
-                               << by_dewey.status().ToString();
-    EXPECT_EQ(*by_rank, *by_dewey) << dewey.ToString();
-    if (by_rank->has_value()) ++valued;
+    if (want.empty()) {
+      EXPECT_FALSE(by_rank->has_value()) << dewey.ToString();
+    } else {
+      ASSERT_TRUE(by_rank->has_value()) << dewey.ToString();
+      EXPECT_EQ(**by_rank, want) << dewey.ToString();
+      ++valued;
+    }
+    auto by_dewey = store->ValueOf(dewey);
+    ASSERT_TRUE(by_dewey.ok()) << dewey.ToString();
+    EXPECT_EQ(*by_dewey, *by_rank) << dewey.ToString();
   }
   EXPECT_GT(valued, 0u);
 }
 
-TEST(DocumentStoreTest, ValueColumnAgreesWithIdIndex) {
+TEST(DocumentStoreTest, ValueColumnFollowsUpdatesAndReopens) {
   const std::string dir =
       (std::filesystem::temp_directory_path() /
        ("nokxml_valuecol_" + std::to_string(::getpid())))
           .string();
   std::filesystem::remove_all(dir);
-  // Small index pages spread B+i over many leaves.
+  // Small pages spread the column over many pages, so updates split and
+  // empty them.
   DocumentStore::Options options;
   options.dir = dir;
   options.page_size = 256;
   options.index_page_size = 512;
-  std::string xml = "<bib>";
+  std::vector<std::string> books;
   for (int i = 0; i < 60; ++i) {
-    xml += "<book year=\"" + std::to_string(1950 + i % 7) + "\"><title>T" +
-           std::to_string(i) + "</title><author><last>L" +
-           std::to_string(i % 9) + "</last></author></book>";
+    books.push_back("<book year=\"" + std::to_string(1950 + i % 7) +
+                    "\"><title>T" + std::to_string(i) +
+                    "</title><author><last>L" + std::to_string(i % 9) +
+                    "</last></author></book>");
   }
-  xml += "</bib>";
   {
-    auto store = DocumentStore::Build(xml, options);
+    auto store = DocumentStore::Build(BibOf(books), options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     SCOPED_TRACE("fresh Build");
-    ExpectValueColumnMatchesIdIndex(store->get());
+    ExpectValueColumnMatches(store->get(), BibOf(books));
   }
   {
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     {
       SCOPED_TRACE("reopen");
-      ExpectValueColumnMatchesIdIndex(store->get());
+      ExpectValueColumnMatches(store->get(), BibOf(books));
     }
-    // Non-WAL updates drop the column with the BP index; the next query
-    // rebuilds both.
+    // Non-WAL updates drop the in-memory column with the BP index; the
+    // next query refills both.
     ASSERT_TRUE((*store)
                     ->InsertSubtree(DeweyId::Root(), 3,
                                     "<book><title>New</title></book>")
                     .ok());
+    books.insert(books.begin() + 3, "<book><title>New</title></book>");
     ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 10})).ok());
+    books.erase(books.begin() + 10);
     QueryEngine engine(store->get());
     auto got = engine.Evaluate("//book[title=\"New\"]");
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->size(), 1u);
     EXPECT_EQ((*got)[0].ToString(), "0.3");
     SCOPED_TRACE("non-WAL updates and a query");
-    ExpectValueColumnMatchesIdIndex(store->get());
+    ExpectValueColumnMatches(store->get(), BibOf(books));
     ASSERT_TRUE((*store)->Flush().ok());
   }
   {
@@ -389,54 +418,57 @@ TEST(DocumentStoreTest, ValueColumnAgreesWithIdIndex) {
     wal.wal.enabled = true;
     auto store = DocumentStore::OpenDir(wal);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // Child 1 of book 0.5, right after its year attribute.
     ASSERT_TRUE((*store)
                     ->InsertSubtree(DeweyId({0, 5}), 1,
                                     "<author><last>Wal</last></author>")
                     .ok());
+    std::string& book = books[5];
+    book.insert(book.find('>') + 1, "<author><last>Wal</last></author>");
     ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 0})).ok());
+    books.erase(books.begin());
     ASSERT_TRUE((*store)->Flush().ok());
-    SCOPED_TRACE("WAL commit");
-    ExpectValueColumnMatchesIdIndex(store->get());
+    {
+      SCOPED_TRACE("WAL commit");
+      ExpectValueColumnMatches(store->get(), BibOf(books));
+    }
     QueryEngine engine(store->get());
     auto got = engine.Evaluate("//book[author/last=\"Wal\"]");
     ASSERT_TRUE(got.ok()) << got.status().ToString();
     ASSERT_EQ(got->size(), 1u);
     EXPECT_EQ((*got)[0].ToString(), "0.4");
   }
+  {
+    auto store = DocumentStore::OpenDir(options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    SCOPED_TRACE("reopen after the WAL commit");
+    ExpectValueColumnMatches(store->get(), BibOf(books));
+  }
   std::filesystem::remove_all(dir);
 }
 
-/// A B+i with one entry per node but a key out of step with preorder
-/// (here 0.0.2 moved to a child 0.0.1.9 that does not exist) fails every
-/// value read: the column would otherwise hand later ranks a neighbour's
-/// value.
-TEST(DocumentStoreTest, ValueColumnRefusesMisKeyedIdIndex) {
+/// A value column out of step with the tree (here one entry short) fails
+/// every value read: the column would otherwise hand later ranks a
+/// neighbour's value.
+TEST(DocumentStoreTest, ValueColumnRefusesAColumnOutOfStepWithTheTree) {
   auto store = Build(kBibXml);
-  BTree* id_index = store->id_index();
-  const std::string moved = DeweyId({0, 0, 2}).Encode();
-  auto payload = id_index->Get(Slice(moved));
-  ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-  auto deleted = id_index->Delete(Slice(moved));
-  ASSERT_TRUE(deleted.ok() && *deleted);
-  ASSERT_TRUE(id_index
-                  ->Insert(Slice(DeweyId({0, 0, 1, 9}).Encode()),
-                           Slice(*payload))
-                  .ok());
-  EXPECT_EQ(id_index->num_entries(), store->stats().node_count);
+  std::vector<uint64_t> erased;
+  ASSERT_TRUE(store->value_column()->Erase(2, 1, &erased).ok());
   auto bp = store->bp_index();
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
   for (const uint64_t rank : {uint64_t{0}, (*bp)->node_count() - 1}) {
     auto value = store->ValueAtRank(rank);
     ASSERT_FALSE(value.ok());
     EXPECT_TRUE(value.status().IsCorruption()) << value.status().ToString();
-    EXPECT_NE(value.status().ToString().find("0.0.2"), std::string::npos)
+    EXPECT_NE(value.status().ToString().find(store_files::kValueColumn),
+              std::string::npos)
         << value.status().ToString();
   }
 }
 
-TEST(DocumentStoreTest, IdIndexCoversEveryNode) {
+TEST(DocumentStoreTest, ValueColumnCoversEveryNode) {
   auto store = Build(kBibXml);
-  EXPECT_EQ(store->id_index()->num_entries(), store->stats().node_count);
+  EXPECT_EQ(store->value_column()->size(), store->stats().node_count);
 }
 
 // ---------------------------------------------------------------------
@@ -505,7 +537,7 @@ class DerivedStructuresTest : public ::testing::TestWithParam<NavMode> {
   void ExpectOnlyComponents(bool wal) const {
     std::set<std::string> want = {store_files::kTree, store_files::kValues,
                                   store_files::kDict, store_files::kValIdx,
-                                  store_files::kIdIdx};
+                                  store_files::kValueColumn};
     if (wal) want.insert(kWalFileName);
     std::set<std::string> got;
     for (const auto& entry : std::filesystem::directory_iterator(dir_)) {

@@ -1,12 +1,12 @@
-// On-disk format: a store has one format.  Every page of the tree string
-// and the B+ trees carries a CRC-32C trailer, every values.dat record a
-// CRC of its value, and the dictionary a checksummed header.  The formats
-// that came before (raw pages, tree meta versions 0/1/3/4, B+ tree
-// versions 0/1, the headerless dictionary, stores without epochs, index
-// entries that cache node positions or key B+v by the bare value hash)
-// are refused with Corruption, never served and never an abort.  Files
-// that retired indexes and sidecars left in a store directory are
-// ignored.
+// On-disk format: a store has one format.  Every page of the tree string,
+// B+v and the value column carries a CRC-32C trailer, every values.dat
+// record a CRC of its value, and the dictionary a checksummed header.  The
+// formats that came before (raw pages, tree meta versions 0-4, B+ tree
+// versions 0/1, the headerless dictionary, stores without epochs, a
+// Dewey-ID index without a value column, index entries that cache node
+// positions or key B+v by the bare value hash or by Dewey ID) are refused
+// with Corruption, never served and never an abort.  Files that retired
+// indexes and sidecars left in a store directory are ignored.
 
 #include <gtest/gtest.h>
 
@@ -31,6 +31,7 @@ constexpr uint64_t kSlotSize = kPageSize + kPageTrailerSize;
 constexpr uint64_t kTreeMetaVersion = 32;
 constexpr uint64_t kTreeMetaEpoch = 36;
 constexpr uint64_t kBTreeMetaVersion = 20;
+constexpr uint64_t kColumnMetaVersion = 12;
 
 /// A bibliography big enough to span several 512-byte pages per file.
 std::string BibXml() {
@@ -114,10 +115,13 @@ void ExpectRefused(const std::string& dir, const std::string& what,
 TEST(FormatCompatTest, EveryPageAndValueRecordCarriesAVerifiedCrc) {
   const std::string dir = TempDir("fresh");
   BuildStore(dir);
-  EXPECT_EQ(MetaField(dir + "/" + store_files::kTree, kTreeMetaVersion), 2u);
+  EXPECT_EQ(MetaField(dir + "/" + store_files::kTree, kTreeMetaVersion), 5u);
+  EXPECT_EQ(
+      MetaField(dir + "/" + store_files::kValueColumn, kColumnMetaVersion),
+      1u);
   uint64_t pages = 0;
-  for (const char* name :
-       {store_files::kTree, store_files::kValIdx, store_files::kIdIdx}) {
+  for (const char* name : {store_files::kTree, store_files::kValIdx,
+                           store_files::kValueColumn}) {
     const std::string path = dir + "/" + name;
     const std::string bytes = FileBytes(path);
     ASSERT_EQ(bytes.size() % kSlotSize, 0u) << name;
@@ -128,7 +132,7 @@ TEST(FormatCompatTest, EveryPageAndValueRecordCarriesAVerifiedCrc) {
           << name << " page " << off / kSlotSize;
       ++pages;
     }
-    if (std::string(name) != store_files::kTree) {
+    if (std::string(name) == store_files::kValIdx) {
       EXPECT_EQ(MetaField(path, kBTreeMetaVersion), 2u) << name;
     }
   }
@@ -145,7 +149,8 @@ TEST(FormatCompatTest, EveryPageAndValueRecordCarriesAVerifiedCrc) {
     ++records;
   }
   EXPECT_GT(records, 0u);
-  for (const char* retired : {store_files::kTagIdx, store_files::kPathIdx}) {
+  for (const char* retired : {store_files::kIdIdx, store_files::kTagIdx,
+                              store_files::kPathIdx}) {
     EXPECT_FALSE(std::filesystem::exists(dir + "/" + retired)) << retired;
   }
   auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
@@ -157,27 +162,48 @@ TEST(FormatCompatTest, EveryPageAndValueRecordCarriesAVerifiedCrc) {
 
 TEST(FormatCompatTest, UnknownMetaVersionIsCorruption) {
   const std::string dir = TempDir("version");
-  // Tree meta versions: 0/1 were raw pages, 3/4 carried per-page tag
-  // summaries; 5 was never written.
-  for (const uint32_t version : {0u, 1u, 3u, 4u, 5u}) {
+  // Tree meta versions: 0/1 were raw pages, 2 sat beside a Dewey-keyed
+  // B+i, 3/4 carried per-page tag summaries; 6 was never written.
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u}) {
     BuildStore(dir);
     PatchMetaField(dir + "/" + store_files::kTree, kTreeMetaVersion,
                    version);
     ExpectRefused(dir, "tree meta version " + std::to_string(version),
-                  /*retired=*/version != 5);
+                  /*retired=*/version != 6);
     if (HasFatalFailure()) return;
   }
   // B+ tree versions: 0 and 1 were raw pages; 3 was never written.
-  for (const char* name : {store_files::kValIdx, store_files::kIdIdx}) {
-    for (const uint32_t version : {0u, 1u, 3u}) {
-      BuildStore(dir);
-      PatchMetaField(dir + "/" + name, kBTreeMetaVersion, version);
-      ExpectRefused(dir,
-                    std::string(name) + " version " + std::to_string(version),
-                    /*retired=*/version != 3, /*names_file=*/name);
-      if (HasFatalFailure()) return;
-    }
+  for (const uint32_t version : {0u, 1u, 3u}) {
+    BuildStore(dir);
+    PatchMetaField(dir + "/" + store_files::kValIdx, kBTreeMetaVersion,
+                   version);
+    ExpectRefused(dir, "val.idx version " + std::to_string(version),
+                  /*retired=*/version != 3,
+                  /*names_file=*/store_files::kValIdx);
+    if (HasFatalFailure()) return;
   }
+  // Value column versions: 1 is the first; 0 and 2 were never written.
+  for (const uint32_t version : {0u, 2u}) {
+    BuildStore(dir);
+    PatchMetaField(dir + "/" + store_files::kValueColumn, kColumnMetaVersion,
+                   version);
+    ExpectRefused(dir, "values.col version " + std::to_string(version),
+                  /*retired=*/false,
+                  /*names_file=*/store_files::kValueColumn);
+    if (HasFatalFailure()) return;
+  }
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FormatCompatTest, DeweyIdIndexWithoutValueColumnIsRetired) {
+  // Before the value column, a store kept each node's value offset in a
+  // Dewey-keyed B+ tree, id.idx.  Such a store has no values.col.
+  const std::string dir = TempDir("dewey_index");
+  BuildStore(dir);
+  std::filesystem::rename(dir + "/" + store_files::kValueColumn,
+                          dir + "/" + store_files::kIdIdx);
+  ExpectRefused(dir, "id.idx without values.col", /*retired=*/true,
+                /*names_file=*/store_files::kIdIdx);
   std::filesystem::remove_all(dir);
 }
 
@@ -222,16 +248,17 @@ TEST(FormatCompatTest, HeaderlessDictionaryIsCorruption) {
 }
 
 TEST(FormatCompatTest, LeftoverRetiredFilesAreIgnored) {
-  // The retired tag-name and tag-path indexes, the stale-positions
-  // marker, and the BP index and synopsis sidecars (with a sidecar's temp
-  // file) may still sit in a store directory.  No open, verify, commit or
-  // snapshot reads or touches them.
+  // The retired Dewey-ID, tag-name and tag-path indexes, the
+  // stale-positions marker, and the BP index and synopsis sidecars (with a
+  // sidecar's temp file) may still sit in a store directory.  No open,
+  // verify, commit or snapshot reads or touches them.
   const std::string dir = TempDir("leftovers");
   BuildStore(dir);
   const std::string leftovers[] = {
-      store_files::kTagIdx,   store_files::kPathIdx,
-      "positions.stale",      store_files::kBpIndex,
-      store_files::kSynopsis, std::string(store_files::kBpIndex) + ".tmp"};
+      store_files::kIdIdx,    store_files::kTagIdx,
+      store_files::kPathIdx,  "positions.stale",
+      store_files::kBpIndex,  store_files::kSynopsis,
+      std::string(store_files::kBpIndex) + ".tmp"};
   for (const std::string& name : leftovers) {
     ASSERT_TRUE(
         WriteStringToFile(dir + "/" + name, Slice("not a store file")).ok());
@@ -272,16 +299,16 @@ TEST(FormatCompatTest, LeftoverRetiredFilesAreIgnored) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(FormatCompatTest, PositionBearingIndexEntriesAreCorruption) {
-  // Index entries once cached each node's position: a varint ahead of the
-  // B+i payload, the B+v value (first under the bare value-hash key, then
-  // after the Dewey ID moved into the key).  Rewrite one entry of a fresh
-  // store each way; the scrub must name it and the probes that meet it
-  // must fail cleanly.
+TEST(FormatCompatTest, RetiredValueIndexEntriesAreCorruption) {
+  // B+v entries once named nodes, not value records: by a cached node
+  // position in the value (first under the bare value-hash key, then
+  // after the Dewey ID moved into the key), and then by the Dewey ID
+  // after the hash.  Rewrite one entry of a fresh store each way; the
+  // scrub must name it and the probes that meet it must fail cleanly.
   const std::string dir = TempDir("entries");
-  enum class Entry { kIdPosition, kValueBareKey, kValuePosition };
+  enum class Entry { kBareKey, kPosition, kDeweyKey };
   for (const Entry entry :
-       {Entry::kIdPosition, Entry::kValueBareKey, Entry::kValuePosition}) {
+       {Entry::kBareKey, Entry::kPosition, Entry::kDeweyKey}) {
     BuildStore(dir);
     // The title "T7" of the eighth book, 0.7.1 (the year attribute is
     // child 0).
@@ -291,35 +318,33 @@ TEST(FormatCompatTest, PositionBearingIndexEntriesAreCorruption) {
       ASSERT_TRUE(store.ok()) << store.status().ToString();
       std::string position;
       PutVarint64(&position, 12345);
-      if (entry == Entry::kIdPosition) {
-        BTree* index = (*store)->id_index();
-        const std::string key = title.Encode();
-        auto payload = index->Get(Slice(key));
-        ASSERT_TRUE(payload.ok()) << payload.status().ToString();
-        ASSERT_TRUE(index->Delete(Slice(key)).ok());
-        ASSERT_TRUE(index->Insert(Slice(key), Slice(position + *payload))
-                        .ok());
+      BTree* index = (*store)->value_index();
+      const std::string prefix = index_keys::ValueKey(Slice("T7"));
+      std::string key;
+      {
+        BTreeIterator it = index->NewIterator();
+        ASSERT_TRUE(it.Seek(Slice(prefix)).ok());
+        ASSERT_TRUE(it.Valid() && it.key().starts_with(Slice(prefix)));
+        key = it.key().ToString();
+      }
+      auto removed = index->Delete(Slice(key));
+      ASSERT_TRUE(removed.ok() && *removed);
+      if (entry == Entry::kBareKey) {
+        ASSERT_TRUE(
+            index->Insert(Slice(prefix), Slice(position + title.Encode()))
+                .ok());
+      } else if (entry == Entry::kPosition) {
+        ASSERT_TRUE(index->Insert(Slice(key), Slice(position)).ok());
       } else {
-        BTree* index = (*store)->value_index();
-        const std::string key = index_keys::ValueKey(Slice("T7"), title);
-        auto removed = index->Delete(Slice(key));
-        ASSERT_TRUE(removed.ok() && *removed);
-        if (entry == Entry::kValueBareKey) {
-          ASSERT_TRUE(index
-                          ->Insert(Slice(index_keys::ValueKey(Slice("T7"))),
-                                   Slice(position + title.Encode()))
-                          .ok());
-        } else {
-          ASSERT_TRUE(index->Insert(Slice(key), Slice(position)).ok());
-        }
+        ASSERT_TRUE(
+            index->Insert(Slice(prefix + title.Encode()), Slice()).ok());
       }
       ASSERT_TRUE((*store)->Flush().ok());
     }
     auto report = VerifyStoreDir(dir, SmallPageOptions(dir));
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     ASSERT_FALSE(report->ok()) << "a retired entry verified clean";
-    EXPECT_EQ(report->issues[0].component,
-              entry == Entry::kIdPosition ? "B+i" : "B+v");
+    EXPECT_EQ(report->issues[0].component, "B+v");
     EXPECT_NE(report->issues[0].detail.find("nokq build"), std::string::npos)
         << report->issues[0].detail;
 

@@ -402,10 +402,22 @@ TEST(QueryEngineTest, ForgedValueIndexCollisionNeverReachesAnAnswer) {
     options.nav_mode = mode;
     auto store = DocumentStore::Build(kBibXml, options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
+    // The title's value record, filed under "Stevens" too.
+    uint64_t title_offset = 0;
+    {
+      const std::string prefix =
+          index_keys::ValueKey(Slice("TCP/IP Illustrated"));
+      BTreeIterator it = (*store)->value_index()->NewIterator();
+      ASSERT_TRUE(it.Seek(Slice(prefix)).ok());
+      ASSERT_TRUE(it.Valid() && it.key().starts_with(Slice(prefix)));
+      ASSERT_TRUE(
+          index_keys::ParseValueEntry(it.key(), it.value(), &title_offset)
+              .ok());
+    }
     ASSERT_TRUE((*store)
                     ->value_index()
                     ->Insert(Slice(index_keys::ValueKey(Slice("Stevens"),
-                                                        DeweyId({0, 0, 1}))),
+                                                        title_offset)),
                              Slice())
                     .ok());
     auto forged = (*store)->NodesWithValue(Slice("Stevens"));

@@ -297,15 +297,14 @@ int CmdStats(const std::string& dir) {
   printf("|tree|:       %llu bytes\n",
          static_cast<unsigned long long>(s.tree_bytes));
   // Entries beside bytes, so index bloat shows as bytes per entry.
-  const std::pair<const char*, nok::BTree*> indexes[] = {
-      {"|B+v|:", (*store)->value_index()},
-      {"|B+i|:", (*store)->id_index()}};
-  for (const auto& [label, index] : indexes) {
-    printf("%-13s %llu bytes, %llu entries\n", label,
-           static_cast<unsigned long long>(index->SizeBytes()),
-           static_cast<unsigned long long>(index->num_entries()));
-  }
-  // Filled from B+i by the first value read; never written to disk.
+  printf("|B+v|:        %llu bytes, %llu entries\n",
+         static_cast<unsigned long long>(s.value_index_bytes),
+         static_cast<unsigned long long>(
+             (*store)->value_index()->num_entries()));
+  printf("|col|:        %llu bytes, %llu entries (value column)\n",
+         static_cast<unsigned long long>(s.column_bytes),
+         static_cast<unsigned long long>((*store)->value_column()->size()));
+  // Filled from the column's pages by the first value read.
   printf("value column: %llu bytes in memory when filled\n",
          static_cast<unsigned long long>((*store)->value_column_bytes()));
   printf("data file:    %llu bytes\n",
@@ -354,7 +353,7 @@ int CmdVerify(const std::string& dir) {
   if (report->truncated) {
     fprintf(stderr, "...issue list truncated\n");
   }
-  printf("%s: %llu pages, %llu index entries checked in %.2fs: %s\n",
+  printf("%s: %llu pages, %llu value column entries checked in %.2fs: %s\n",
          dir.c_str(), static_cast<unsigned long long>(report->pages_checked),
          static_cast<unsigned long long>(report->entries_checked),
          timer.ElapsedSeconds(),
@@ -741,8 +740,8 @@ int CmdBench(int argc, char** argv) {
     AppendPoolJson(&json, "value_index",
                    store->value_index()->buffer_pool()->stats());
     json += ",\n";
-    AppendPoolJson(&json, "id_index",
-                   store->id_index()->buffer_pool()->stats());
+    AppendPoolJson(&json, "value_column",
+                   store->value_column()->buffer_pool()->stats());
     json += "\n  },\n";
     const nok::StringStore::NavStats nav = store->tree()->nav_stats();
     snprintf(buf, sizeof(buf),
