@@ -11,15 +11,14 @@
 // (scan, tag, value).  A query's work is its execution's deterministic
 // counters, taken as deltas around Executor::Run: subject-tree pages +
 // bp steps + B+v fetches + value-column page fetches (queries read values
-// by rank from the in-memory copy of the column, filled before the first
-// cell, so no execution should read a column page).  The B+ fetches taken
-// around
-// Planner::Plan are the planner's estimate probes, recorded apart:
-// forced strategies skip the probes they cannot use, so counting those
-// would gate the estimator, not the choice.  planner_work_never_worse
-// requires the auto plan's work to stay within kWorkBound (1.1x) of the
-// cheapest forced strategy's on every query in both nav modes, and every
-// strategy to return the auto plan's answer.
+// by rank from the in-memory copy of the column, which the store's Build
+// fills, so no execution should read a column page).  The B+ fetches
+// taken around Planner::Plan are the planner's estimate probes, recorded
+// apart: forced strategies skip the probes they cannot use, so counting
+// those would gate the estimator, not the choice.
+// planner_work_never_worse requires the auto plan's work to stay within
+// kWorkBound (1.1x) of the cheapest forced strategy's on every query in
+// both nav modes, and every strategy to return the auto plan's answer.
 //
 // Work::pages counts logical page accesses (NavStats::pages_scanned: one
 // per page a tree primitive reads), not tree BufferPool fetches, which
@@ -117,18 +116,6 @@ bool RunWorkPhase(const GenOptions& gen, uint32_t page_size,
       return false;
     }
     DocumentStore* s = store->get();
-    // The first value read of a store fills its in-memory value column by
-    // one scan of the column's pages; fill it here so that scan is not
-    // charged to the first cell.
-    const uint64_t fill_before = ColumnFetches(s);
-    if (Status fill = s->LoadValueColumn(); !fill.ok()) {
-      fprintf(stderr, "value column: %s\n", fill.ToString().c_str());
-      return false;
-    }
-    printf("value column (%s): filled by one column scan, %llu page "
-           "fetches\n",
-           NavModeName(mode),
-           static_cast<unsigned long long>(ColumnFetches(s) - fill_before));
     for (const CategoryQuery& q : queries) {
       auto pattern = ParseXPath(q.xpath);
       if (!pattern.ok()) {

@@ -9,10 +9,11 @@
 //   * in place of B+i, the value column (value_column.h): each node's
 //     value-record offset by preorder rank, keyless    -- |col|
 //   * in place of B+t, the BP index's per-tag rank lists (bp_index.h)
-//   * an in-memory copy of the value column and its inverse (offset ->
-//     ranks), filled by one scan of the column's pages on the first value
-//     read after the BP index is (re)built; query evaluation reads values
-//     and resolves B+v hits through it
+//   * the structures derived from those files (DocumentStore::Derived):
+//     the BP index and the path synopsis, from one scan of the page
+//     chain, and an in-memory copy of the value column with its inverse
+//     (offset -> ranks), from one scan of the column's pages; query
+//     evaluation reads values and resolves B+v hits through the copy
 //
 // No persisted key names a node: B+v names a value record, the column
 // addresses nodes by preorder rank, and Dewey IDs and positions are
@@ -27,7 +28,6 @@
 #ifndef NOKXML_ENCODING_DOCUMENT_STORE_H_
 #define NOKXML_ENCODING_DOCUMENT_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -37,7 +37,6 @@
 #include <vector>
 
 #include "btree/btree.h"
-#include "common/mutex.h"
 #include "common/result.h"
 #include "common/status.h"
 #include "encoding/bp_index.h"
@@ -102,9 +101,8 @@ struct DocumentStoreOptions {
   /// value column's pages (paper Section 4.2).
   double reserve_ratio = 0.2;
   /// Buffer-pool frames for the tree string, and for the value column.
+  /// (Each B+ tree gets a fixed 64.)
   size_t pool_frames = 256;
-  /// Buffer-pool frames for each B+ tree.
-  size_t index_pool_frames = 64;
   /// Buffer-pool LRU shards for the tree string (see BufferPool).  More
   /// shards cut mutex contention when many threads query one store.
   size_t pool_shards = 1;
@@ -121,7 +119,7 @@ struct DocumentStoreOptions {
   /// mode Build, OpenDir and every Flush derive the balanced-parentheses
   /// index, with the path synopsis, from one sequential scan of the page
   /// chain and persist neither: it is the Dewey ID locator of both
-  /// modes.
+  /// modes (see DocumentStore::Derived).
   NavMode nav_mode = NavMode::kPaged;
   /// Directory for the store files; empty = fully in-memory.
   std::string dir;
@@ -131,18 +129,15 @@ struct DocumentStoreOptions {
   std::function<Result<std::unique_ptr<File>>(const std::string& path,
                                               bool create)>
       file_factory;
-  /// Write-ahead-log knobs (storage/wal.h).  With the WAL enabled,
-  /// OpenDir first runs crash recovery on the directory, then captures
-  /// every update in memory until Flush commits the batch: one WAL fsync
-  /// makes the whole batch durable before any base file is touched, so a
-  /// crash anywhere either replays the batch or restores the pre-update
-  /// state — never a half-applied mix.  Requires a non-empty dir and a
-  /// writable open; only meaningful for OpenDir.
+  /// Write-ahead log (storage/wal.h).  With the WAL enabled, OpenDir
+  /// first runs crash recovery on the directory, then captures every
+  /// update in memory until Flush commits the batch: one WAL fsync makes
+  /// the whole batch durable before any base file is touched, so a crash
+  /// anywhere either replays the batch or restores the pre-update state —
+  /// never a half-applied mix.  Requires a non-empty dir and a writable
+  /// open; only meaningful for OpenDir.
   struct WalOptions {
     bool enabled = false;
-    /// Auto-commit (Flush) after this many update operations;
-    /// 0 = only an explicit Flush commits.
-    uint64_t group_commit_ops = 0;
   };
   WalOptions wal;
 };
@@ -164,24 +159,66 @@ struct DocumentStoreStats {
 ///
 /// Thread safety: a store opened via OpenDir with Options::read_only set
 /// supports concurrent reads (Navigate/StorePosOf/BpPosOf/ValueOf/
-/// ValueAtRank/LoadValueColumn/NodesWith*/Estimate*) from any number of
-/// threads sharing the one handle (the first ValueAtRank fills the value
-/// column under a lock; later reads take one atomic load); each
-/// thread runs its own QueryEngine over it.  Mutating operations
-/// (InsertSubtree/DeleteSubtree/Flush) then fail with InvalidArgument.
-/// A writable store is single-threaded.
+/// ValueAtRank/NodesWith*/Estimate*) from any number of threads sharing
+/// the one handle: the open builds every derived structure, so readers
+/// only read immutable data; each thread runs its own QueryEngine over
+/// it.  Mutating operations (InsertSubtree/DeleteSubtree/Flush) then fail
+/// with InvalidArgument.  A writable store is single-threaded.
 class DocumentStore {
  public:
   using Options = DocumentStoreOptions;
 
+  /// One entry of the value column's inverse.
+  struct RankOfOffset {
+    uint64_t offset;
+    uint64_t rank;
+    bool operator==(const RankOfOffset&) const = default;
+  };
+
+  /// Everything derived from the on-disk files for one structure, never
+  /// persisted: the BP index and the path synopsis, from one VisitSymbols
+  /// scan of the page chain (the synopsis trie rides the BpIndex::Build
+  /// observer), and the in-memory value column, from one scan of the
+  /// column's pages.  Built together by EnsureDerived (at Build, OpenDir
+  /// and Flush, and on first access after an unflushed structural
+  /// update), immutable once built, and shared read-only: a snapshot
+  /// adopts its writer's copy (OpenDir's `adopt`).
+  struct Derived {
+    std::unique_ptr<const BpIndex> bp;
+    /// The BP bit position of each chain page's first symbol, in chain
+    /// order (StorePosOf); derived from bp and the page headers.
+    std::vector<uint64_t> page_starts;
+    std::unique_ptr<const PathSynopsis> synopsis;
+    /// Rank -> value-record offset (kNoValue for nodes without a value),
+    /// and its inverse sorted by (offset, rank).  Both empty while
+    /// column_status holds an error.
+    std::vector<uint64_t> offsets;
+    std::vector<RankOfOffset> inverse;
+    /// The column scan's verdict, naming values.col on failure: what
+    /// every value read returns.  A damaged column page fails the value
+    /// reads of queries, not the open, so `nokq verify` can still name
+    /// the file.
+    Status column_status;
+
+    /// The preorder ranks of the nodes whose value record is at
+    /// `offset`, ascending, from the inverse.
+    std::span<const RankOfOffset> RanksOfOffset(uint64_t offset) const;
+  };
+
   /// Parses xml and builds all stores/indexes in a single SAX pass, then
-  /// derives the BP index and the synopsis by one scan of the page chain
-  /// it wrote (as OpenDir does).
+  /// derives from the files it wrote (as OpenDir does).
   static Result<std::unique_ptr<DocumentStore>> Build(const std::string& xml,
                                                       Options options = {});
 
-  /// Reopens a store previously built with a non-empty dir.
-  static Result<std::unique_ptr<DocumentStore>> OpenDir(Options options);
+  /// Reopens a store previously built with a non-empty dir, deriving by
+  /// one scan of the page chain and one of the value column — or, given
+  /// `adopt`, taking those structures from a handle on the same
+  /// generation (a snapshot adopts its writer's).  An adopted copy is
+  /// cross-checked against this open's tree meta and page headers (node
+  /// count, page starts) and value column meta; a mismatch fails the open
+  /// with Corruption.
+  static Result<std::unique_ptr<DocumentStore>> OpenDir(
+      Options options, std::shared_ptr<const Derived> adopt = nullptr);
 
   // -- components -------------------------------------------------------
   StringStore* tree() { return tree_.get(); }
@@ -200,14 +237,17 @@ class DocumentStore {
   /// Navigation tier this store was opened with.
   NavMode nav_mode() const { return options_.nav_mode; }
 
-  /// The balanced-parentheses index for the current structure, rebuilt
-  /// on demand after a structural update (never returns null on OK).  The
-  /// pointer stays valid until the next structural update.
+  /// The structures derived for the current structure (never null on
+  /// OK), rebuilt on demand after an unflushed structural update.
   ///
-  /// Thread safety: the index is derived eagerly by Build/OpenDir (and by
-  /// Flush), so concurrent readers of a read-only store only ever hit the
+  /// Thread safety: Build/OpenDir (and Flush) derive eagerly, so
+  /// concurrent readers of a read-only store only ever hit the
   /// already-built fast path; on-demand rebuilding only happens on
   /// writable — single-threaded — handles.
+  Result<std::shared_ptr<const Derived>> derived();
+
+  /// The balanced-parentheses index of derived() (never null on OK).  The
+  /// pointer stays valid until the next structural update.
   Result<const BpIndex*> bp_index();
 
   /// The paged-string position of the node whose open bit is `bp_pos` in
@@ -222,34 +262,22 @@ class DocumentStore {
 
   /// The value of the node with preorder rank `rank` in the current BP
   /// index (take ranks from bp_index()), nullopt if it has none: one
-  /// lookup in the in-memory column and one data-file read.  The first
-  /// call after an open or a structural update fills the in-memory column
-  /// (one scan of the column's pages), so opens and commits that read no
-  /// value never pay for it.  When the column cannot be read, every call
-  /// returns that error instead: a damaged column page fails the value
-  /// reads of queries, not the open, so `nokq verify` can still name the
-  /// file.
+  /// lookup in the in-memory column and one data-file read.  When the
+  /// column could not be read, every call returns that error instead
+  /// (Derived::column_status).
   Result<std::optional<std::string>> ValueAtRank(uint64_t rank);
 
-  /// Fills the in-memory column now, if the current structure's is not
-  /// filled yet, and returns the fill's verdict (what every ValueAtRank
-  /// then returns).  For callers that want the one column scan outside
-  /// their first query, e.g. to measure each query's own work.
-  Status LoadValueColumn();
-
-  /// In-memory bytes of the filled column: 8 per node for rank -> offset,
+  /// In-memory bytes of the column copy: 8 per node for rank -> offset,
   /// and 16 per valued node for the offset -> rank inverse.
   uint64_t value_column_bytes() const {
     return tree_->node_count() * sizeof(uint64_t) +
            value_index_->num_entries() * sizeof(RankOfOffset);
   }
 
-  /// The DataGuide-style path synopsis for the current structure
-  /// (path_synopsis.h), fed to the Planner for per-pattern-node
-  /// cardinality estimates and schema-impossible pruning.  Its trie rides
-  /// the BP index's scan, so it is rebuilt with that index and at the
-  /// same times (never null on OK).  The pointer stays valid until the
-  /// next structural update.
+  /// The DataGuide-style path synopsis of derived() (path_synopsis.h),
+  /// fed to the Planner for per-pattern-node cardinality estimates and
+  /// schema-impossible pruning (never null on OK).  The pointer stays
+  /// valid until the next structural update.
   Result<const PathSynopsis*> path_synopsis();
 
   // -- navigation helpers ----------------------------------------------
@@ -355,8 +383,7 @@ class DocumentStore {
   /// WAL mode: opens the transaction covering the next update batch.
   /// Rejects a poisoned handle (a previous update failed half-captured).
   Status BeginWalTxn();
-  /// WAL mode: called after an update op.  On success, counts the op
-  /// toward the group-commit threshold.  On failure, compares
+  /// WAL mode: called after an update op.  On failure, compares
   /// structure_version_ with `version_before`: an op that failed after
   /// it began mutating (BeginStructuralChange) aborts the transaction and
   /// poisons the handle; a validation failure passes through.
@@ -372,46 +399,18 @@ class DocumentStore {
 
   /// Called by the updaters once an op has validated its arguments, just
   /// before it first mutates anything: bumps structure_version_ and drops
-  /// the structures derived from the old topology (the BP index, the
-  /// synopsis and the value column), which are rebuilt lazily or at the
+  /// derived_, which EnsureDerived rebuilds on first access or at the
   /// next Flush.
   void BeginStructuralChange();
 
-  /// Makes bp_, bp_page_starts_ and synopsis_ describe the current
-  /// structure.  When a structural update dropped them (or none exist
-  /// yet), one VisitSymbols scan of the page chain builds the BP index,
-  /// and the synopsis trie rides the same scan (the BpIndex::Build
-  /// observer).  Nothing else builds either structure, and neither is
-  /// persisted.
+  /// Makes derived_ describe the current structure: when a structural
+  /// update dropped it (or none exists yet), builds a fresh Derived.
+  /// Nothing else builds one, and nothing persists it.
   Status EnsureDerived();
 
-  /// One entry of the column's inverse.
-  struct RankOfOffset {
-    uint64_t offset;
-    uint64_t rank;
-  };
-
-  /// The in-memory value column of one BP version.  Readers of a
-  /// read-only store share it: the first fills it under `mu`, and once
-  /// `filled` reads true (acquire) the vectors and `status` never change.
-  struct ValueColumn {
-    Mutex mu;
-    std::atomic<bool> filled{false};
-    /// Both empty while `status` holds an error.
-    std::vector<uint64_t> offsets;      // NOK008-OK: immutable once filled
-    std::vector<RankOfOffset> inverse;  // NOK008-OK: immutable once filled
-    Status status;                      // NOK008-OK: immutable once filled
-  };
-
-  /// Fills value_column_ for the current bp_ by one scan of the column's
-  /// pages, unless another thread just did: rank -> offset (kNoValue for
-  /// nodes without a value), and its inverse sorted by (offset, rank).
-  /// A failure is kept in the column's status, never returned.
-  void FillValueColumn();
-
-  /// The preorder ranks of the nodes whose value record is at `offset`,
-  /// ascending, from the filled column's inverse.
-  std::span<const RankOfOffset> RanksOfOffset(uint64_t offset) const;
+  /// Installs another handle's Derived after cross-checking it against
+  /// this store's tree and value column (see OpenDir).
+  Status AdoptDerived(std::shared_ptr<const Derived> derived);
 
   Options options_;
   /// Declared before the components: members destroy in reverse order,
@@ -419,7 +418,6 @@ class DocumentStore {
   /// writer before the writer dies.
   std::unique_ptr<WalWriter> wal_writer_;
   RecoveryReport recovery_report_;
-  uint64_t wal_ops_pending_ = 0;
   /// Set when an update op failed after capturing partial writes: the
   /// transaction was aborted, but the in-memory component state has
   /// diverged from disk, so every further mutation is rejected until the
@@ -438,20 +436,9 @@ class DocumentStore {
   /// Structural updates applied in this process (BeginStructuralChange);
   /// in-memory only.
   uint64_t structure_version_ = 0;
-  /// The structures derived from the page chain by EnsureDerived: all
-  /// set, or all dropped by a structural update.  Immutable once built.
-  /// Balanced-parentheses navigation tier (bp_index.h).
-  std::unique_ptr<BpIndex> bp_;
-  /// The BP bit position of each chain page's first symbol, in chain
-  /// order (StorePosOf); derived with bp_ from the in-memory page
-  /// headers.
-  std::vector<uint64_t> bp_page_starts_;
-  /// The in-memory value column for the current bp_, filled by
-  /// FillValueColumn on the first value read and replaced by an empty
-  /// one at each structural update.
-  std::unique_ptr<ValueColumn> value_column_ = std::make_unique<ValueColumn>();
-  /// DataGuide-style path synopsis (path_synopsis.h).
-  std::unique_ptr<PathSynopsis> synopsis_;
+  /// The structures derived for the current structure; null after a
+  /// structural update until EnsureDerived runs.
+  std::shared_ptr<const Derived> derived_;
 };
 
 /// Encoding helpers shared by the builder, the query engine and tests.

@@ -155,35 +155,27 @@ Result<VerifyReport> VerifyStoreDir(const std::string& dir,
   }
   auto store = std::move(store_or).ValueOrDie();
 
-  // Pass 3: the value column, read whole, must hold one entry per node of
-  // the tree, and every record it points at must read back CRC-clean.
-  const char* column_file = store_files::kValueColumn;
-  std::vector<uint64_t> offsets;
-  Status scan = store->value_column()->Scan(&offsets);
-  if (!scan.ok()) {
-    AddIssue(&report, column_file, scan.ToString());
+  // Pass 3: the open read the value column whole into its derived copy,
+  // which must hold one entry per node of the tree; every record it
+  // points at must read back CRC-clean.
+  auto derived = store->derived();
+  if (!derived.ok()) {
+    AddIssue(&report, "store", derived.status().ToString());
     return report;
   }
-  report.entries_checked = offsets.size();
-  if (offsets.size() != store->tree()->node_count()) {
-    AddIssue(&report, column_file,
-             "column holds " + std::to_string(offsets.size()) +
-                 " entries but the tree records " +
-                 std::to_string(store->tree()->node_count()) + " nodes");
+  if (!(*derived)->column_status.ok()) {
+    AddIssue(&report, store_files::kValueColumn,
+             (*derived)->column_status.ToString());
+    return report;
   }
+  report.entries_checked = (*derived)->offsets.size();
+  // The inverse lists valued nodes by offset: one record per run.
   std::vector<Record> records;
-  {
-    std::vector<uint64_t> valued;
-    for (const uint64_t offset : offsets) {
-      if (offset != kNoValue) valued.push_back(offset);
+  for (const DocumentStore::RankOfOffset& entry : (*derived)->inverse) {
+    if (records.empty() || records.back().offset != entry.offset) {
+      records.push_back(Record{entry.offset});
     }
-    std::sort(valued.begin(), valued.end());
-    for (const uint64_t offset : valued) {
-      if (records.empty() || records.back().offset != offset) {
-        records.push_back(Record{offset});
-      }
-      ++records.back().nodes;
-    }
+    ++records.back().nodes;
   }
   for (Record& record : records) {
     auto value = store->values()->Read(record.offset);

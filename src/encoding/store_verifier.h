@@ -10,11 +10,11 @@
 //      format versions, the page chain (read whole to derive the BP index
 //      and the path synopsis, which no store persists), and
 //      cross-component epochs.
-//   3. Value cross-check: the value column is read whole; it must hold
-//      one entry per node, and every record it points at must read back
-//      CRC-clean.  Then every B+v entry must name a record some node
-//      holds, under that record's value hash, and each record must have
-//      one B+v entry per node holding it.
+//   3. Value cross-check: the value column, read whole by the open into
+//      its in-memory copy, must hold one entry per node, and every record
+//      it points at must read back CRC-clean.  Then every B+v entry must
+//      name a record some node holds, under that record's value hash, and
+//      each record must have one B+v entry per node holding it.
 //
 // Files a store no longer writes (id.idx next to a value column, tag.idx,
 // path.idx, tree.bpx, synopsis.pds and their .tmp names) are not

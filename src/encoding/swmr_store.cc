@@ -39,7 +39,6 @@ Result<std::unique_ptr<SwmrStore>> SwmrStore::Open(const std::string& dir,
   writer_options.dir = dir;
   writer_options.read_only = false;
   writer_options.wal.enabled = true;
-  writer_options.wal.group_commit_ops = store->options_.group_commit_ops;
   NOK_ASSIGN_OR_RETURN(store->writer_,
                        DocumentStore::OpenDir(writer_options));
 
@@ -71,7 +70,7 @@ Result<std::unique_ptr<SwmrStore>> SwmrStore::Open(const std::string& dir,
 }
 
 Result<std::unique_ptr<DocumentStore>> SwmrStore::OpenSnapshotStore(
-    uint64_t epoch) {
+    uint64_t epoch, std::shared_ptr<const DocumentStore::Derived> derived) {
   DocumentStoreOptions snap = options_.store;
   snap.dir = dir_;
   snap.read_only = true;
@@ -95,12 +94,16 @@ Result<std::unique_ptr<DocumentStore>> SwmrStore::OpenSnapshotStore(
     return std::unique_ptr<File>(new SnapshotFile(
         std::move(base), std::move(store_versions), epoch));
   };
-  return DocumentStore::OpenDir(std::move(snap));
+  return DocumentStore::OpenDir(std::move(snap), std::move(derived));
 }
 
 Status SwmrStore::PublishSnapshot() {
   const uint64_t epoch = writer_->epoch();
-  NOK_ASSIGN_OR_RETURN(auto snap_store, OpenSnapshotStore(epoch));
+  // The writer derived this epoch's structures at the end of its open or
+  // Flush; the snapshot shares them instead of scanning again.
+  NOK_ASSIGN_OR_RETURN(auto derived, writer_->derived());
+  NOK_ASSIGN_OR_RETURN(auto snap_store,
+                       OpenSnapshotStore(epoch, std::move(derived)));
 
   // Register before the snapshot becomes reachable, so the retain hook
   // sees it as active from the first moment a reader could hold it.

@@ -13,7 +13,9 @@
 //     2. for every base range about to change, retain the pre-image
 //        tagged valid-through N-1     <- what live snapshots keep reading
 //     3. apply + sync base files, checkpoint
-//     4. open a fresh snapshot of epoch N, swap it in as current
+//     4. open a fresh snapshot of epoch N, adopting the writer's derived
+//        structures (BP index, synopsis, value column copy) built at the
+//        end of its Flush, and swap it in as current
 //   reader holding a snapshot at E < N:
 //     base read, then overlay retained versions visible at E — never a
 //     torn page, never a mix of epochs
@@ -51,9 +53,6 @@ class SwmrStore {
     /// Base knobs for both the writer and the snapshots (page sizes,
     /// pool sizes, ...).  dir/read_only/wal/file_factory are overridden.
     DocumentStoreOptions store;
-    /// Auto-commit after this many update ops (0 = explicit Commit only).
-    /// Note group commits publish snapshots only on explicit Commit.
-    uint64_t group_commit_ops = 0;
   };
 
   /// One committed generation, safe for concurrent readers.  Hold the
@@ -97,8 +96,9 @@ class SwmrStore {
   Status DeleteSubtree(const DeweyId& node);
 
   /// Commits the captured update batch (WAL fsync, apply, checkpoint)
-  /// and publishes a snapshot of the new epoch.  Readers already holding
-  /// the previous snapshot are unaffected.
+  /// and publishes a snapshot of the new epoch, which derives nothing of
+  /// its own.  Readers already holding the previous snapshot are
+  /// unaffected.
   Status Commit();
 
   /// The writer handle (single-thread use only; e.g. for stats).
@@ -114,7 +114,10 @@ class SwmrStore {
  private:
   explicit SwmrStore(Options options) : options_(std::move(options)) {}
 
-  Result<std::unique_ptr<DocumentStore>> OpenSnapshotStore(uint64_t epoch);
+  /// Opens the directory read-only at `epoch`, adopting `derived` (the
+  /// writer's structures for that epoch).
+  Result<std::unique_ptr<DocumentStore>> OpenSnapshotStore(
+      uint64_t epoch, std::shared_ptr<const DocumentStore::Derived> derived);
   Status PublishSnapshot() EXCLUDES(mu_);
 
   // The members below are written once inside Open() before the store

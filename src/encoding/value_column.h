@@ -24,9 +24,9 @@
 // every entry; Open reads only the meta page, so an open stays cheap and a
 // damaged data page fails the reads that meet it, not the open.
 //
-// Thread safety: Scan on a read-only column may run on one thread while
-// nothing else touches the column (DocumentStore calls it under its value
-// column's lock, once per open).  A writable column is single-threaded.
+// Thread safety: Scan may run only while nothing else touches the column
+// (DocumentStore calls it while it derives, at an open or a commit, before
+// any reader can reach the store).  A writable column is single-threaded.
 
 #ifndef NOKXML_ENCODING_VALUE_COLUMN_H_
 #define NOKXML_ENCODING_VALUE_COLUMN_H_

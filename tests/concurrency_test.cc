@@ -3,12 +3,13 @@
 // produce exactly the results of a single-threaded run.  Runs under the
 // sanitizer builds; with -DNOK_SANITIZE=thread this is the data-race
 // gate for the sharded buffer pool, the read-only open mode, the
-// per-query page navigators and the value column's first fill.  Each
+// per-query page navigators and the shared derived structures.  Each
 // query's own page count (its navigator's, in the trace) must also match
 // the single-threaded run: navigators hold no pins and share no state.
 
 #include <gtest/gtest.h>
 
+#include <latch>
 #include <string>
 #include <thread>
 #include <vector>
@@ -158,20 +159,27 @@ TEST(ConcurrencyTest, EightThreadsMatchSingleThreadedRun) {
       (*store)->InsertSubtree(DeweyId::Root(), 0, "<x/>").ok());
   EXPECT_FALSE((*store)->Flush().ok());
 
-  // A second handle, whose value column no query has filled yet: the
-  // threads' first value reads race to fill it, and one fill serves all.
+  // A second handle that no query has touched: the threads start their
+  // value queries together, and none reads a column page, because the
+  // open already read the column into the store's derived structures.
   auto fresh = DocumentStore::OpenDir(options);
   ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+  BufferPool* column_pool = (*fresh)->value_column()->buffer_pool();
+  const uint64_t column_fetches = column_pool->stats().fetches;
   std::vector<Transcript> racing(kThreads);
   {
+    std::latch start(kThreads);
     std::vector<std::thread> workers;
     workers.reserve(kThreads);
     for (int t = 0; t < kThreads; ++t) {
-      workers.emplace_back(RunWorkload, fresh->get(), &xpaths,
-                           &racing[static_cast<size_t>(t)]);
+      workers.emplace_back([&, t] {
+        start.arrive_and_wait();
+        RunWorkload(fresh->get(), &xpaths, &racing[static_cast<size_t>(t)]);
+      });
     }
     for (std::thread& w : workers) w.join();
   }
+  EXPECT_EQ(column_pool->stats().fetches, column_fetches);
   for (int t = 0; t < kThreads; ++t) {
     SCOPED_TRACE("racing thread " + std::to_string(t));
     const Transcript& got = racing[static_cast<size_t>(t)];

@@ -447,23 +447,38 @@ TEST(DocumentStoreTest, ValueColumnFollowsUpdatesAndReopens) {
   std::filesystem::remove_all(dir);
 }
 
-/// A value column out of step with the tree (here one entry short) fails
-/// every value read: the column would otherwise hand later ranks a
-/// neighbour's value.
+/// A value column out of step with the tree (here one entry short,
+/// committed) fails every value read, and not the open: the column would
+/// otherwise hand later ranks a neighbour's value.
 TEST(DocumentStoreTest, ValueColumnRefusesAColumnOutOfStepWithTheTree) {
-  auto store = Build(kBibXml);
-  std::vector<uint64_t> erased;
-  ASSERT_TRUE(store->value_column()->Erase(2, 1, &erased).ok());
-  auto bp = store->bp_index();
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_outofstep_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  DocumentStore::Options options;
+  options.dir = dir;
+  {
+    auto built = DocumentStore::Build(kBibXml, options);
+    ASSERT_TRUE(built.ok()) << built.status().ToString();
+    std::vector<uint64_t> erased;
+    ASSERT_TRUE((*built)->value_column()->Erase(2, 1, &erased).ok());
+    ASSERT_TRUE((*built)->Flush().ok());
+  }
+  options.read_only = true;
+  auto store = DocumentStore::OpenDir(options);
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  auto bp = (*store)->bp_index();
   ASSERT_TRUE(bp.ok()) << bp.status().ToString();
   for (const uint64_t rank : {uint64_t{0}, (*bp)->node_count() - 1}) {
-    auto value = store->ValueAtRank(rank);
+    auto value = (*store)->ValueAtRank(rank);
     ASSERT_FALSE(value.ok());
     EXPECT_TRUE(value.status().IsCorruption()) << value.status().ToString();
     EXPECT_NE(value.status().ToString().find(store_files::kValueColumn),
               std::string::npos)
         << value.status().ToString();
   }
+  std::filesystem::remove_all(dir);
 }
 
 TEST(DocumentStoreTest, ValueColumnCoversEveryNode) {
@@ -504,6 +519,19 @@ std::string DescribeDerived(DocumentStore* store) {
            " end=" + std::to_string(node.subtree_end);
   }
   return out;
+}
+
+/// Expects `got`'s in-memory value column (offsets and inverse) to equal
+/// `want`'s.
+void ExpectSameColumn(DocumentStore* got, DocumentStore* want) {
+  auto a = got->derived();
+  auto b = want->derived();
+  ASSERT_TRUE(a.ok()) << a.status().ToString();
+  ASSERT_TRUE(b.ok()) << b.status().ToString();
+  EXPECT_TRUE((*a)->column_status.ok()) << (*a)->column_status.ToString();
+  EXPECT_EQ((*a)->offsets, (*b)->offsets);
+  EXPECT_TRUE((*a)->inverse == (*b)->inverse);
+  EXPECT_EQ((*a)->offsets.size(), got->tree()->node_count());
 }
 
 /// DescribeDerived of an in-memory store freshly built from `xml`.
@@ -582,6 +610,7 @@ TEST_P(DerivedStructuresTest, StructuralUpdateAndFlushRederive) {
 }
 
 TEST_P(DerivedStructuresTest, WalAndSnapshotCommitsRederive) {
+  std::string last;  // The last snapshot's DescribeDerived.
   {
     DocumentStore::Options wal = options_;
     wal.wal.enabled = true;
@@ -603,11 +632,55 @@ TEST_P(DerivedStructuresTest, WalAndSnapshotCommitsRederive) {
     ASSERT_TRUE((*swmr)->Commit().ok());
     EXPECT_EQ(DescribeDerived((*swmr)->snapshot()->store()),
               FreshDerived(kDerivedXml));
+
+    // Twelve more commits mixing inserts and deletes.  Each published
+    // snapshot adopts the writer's structures: it reads no tree or column
+    // page, and what it holds equals a fresh read-only open's derive.
+    DocumentStore::Options read_only = options_;
+    read_only.read_only = true;
+    std::shared_ptr<const DocumentStore::Derived> previous;
+    for (int commit = 0; commit < 12; ++commit) {
+      SCOPED_TRACE("commit " + std::to_string(commit));
+      if (commit % 3 == 2) {
+        ASSERT_TRUE((*swmr)->DeleteSubtree(DeweyId({0, 0})).ok());
+      } else {
+        const std::string fragment =
+            "<f><g>v" + std::to_string(commit) + "</g></f>";
+        ASSERT_TRUE((*swmr)
+                        ->InsertSubtree(DeweyId::Root(),
+                                        static_cast<uint32_t>(commit % 2),
+                                        fragment)
+                        .ok());
+      }
+      ASSERT_TRUE((*swmr)->Commit().ok());
+      DocumentStore* snap = (*swmr)->snapshot()->store();
+      EXPECT_EQ(snap->tree()->buffer_pool()->stats().fetches, 0u);
+      EXPECT_EQ(snap->value_column()->buffer_pool()->stats().fetches, 0u);
+      auto adopted = snap->derived();
+      auto writers = (*swmr)->writer()->derived();
+      ASSERT_TRUE(adopted.ok() && writers.ok());
+      EXPECT_EQ(adopted->get(), writers->get());
+
+      auto fresh = DocumentStore::OpenDir(read_only);
+      ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+      EXPECT_EQ(DescribeDerived(snap), DescribeDerived(fresh->get()));
+      ExpectSameColumn(snap, fresh->get());
+
+      // The previous generation's copy disagrees with this one's meta.
+      if (previous != nullptr) {
+        auto stale = DocumentStore::OpenDir(read_only, previous);
+        ASSERT_FALSE(stale.ok()) << "adopted a stale generation's copy";
+        EXPECT_TRUE(stale.status().IsCorruption())
+            << stale.status().ToString();
+      }
+      previous = *adopted;
+      last = DescribeDerived(snap);
+    }
   }
   ExpectOnlyComponents(/*wal=*/true);
   auto store = DocumentStore::OpenDir(options_);
   ASSERT_TRUE(store.ok()) << store.status().ToString();
-  EXPECT_EQ(DescribeDerived(store->get()), FreshDerived(kDerivedXml));
+  EXPECT_EQ(DescribeDerived(store->get()), last);
 }
 
 TEST_P(DerivedStructuresTest, ChainThatDisagreesWithTheMetaFailsOpen) {

@@ -574,12 +574,10 @@ class WalStoreTest : public ::testing::Test {
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }
 
-  Result<std::unique_ptr<DocumentStore>> OpenWal(
-      uint64_t group_commit_ops = 0) {
+  Result<std::unique_ptr<DocumentStore>> OpenWal() {
     DocumentStoreOptions options;
     options.dir = dir_;
     options.wal.enabled = true;
-    options.wal.group_commit_ops = group_commit_ops;
     return DocumentStore::OpenDir(options);
   }
 
@@ -605,23 +603,6 @@ TEST_F(WalStoreTest, CommitsUpdatesThroughTheLog) {
   auto hits = (*reopened)->NodesWithValue(Slice("New"));
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 1u);
-}
-
-TEST_F(WalStoreTest, GroupCommitBatchesOps) {
-  auto store = OpenWal(/*group_commit_ops=*/2);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  const uint64_t epoch0 = (*store)->epoch();
-  ASSERT_TRUE((*store)
-                  ->InsertSubtree(DeweyId({0}), 2,
-                                  "<book><title>N1</title></book>")
-                  .ok());
-  EXPECT_EQ((*store)->epoch(), epoch0);  // Batched, not yet committed.
-  ASSERT_TRUE((*store)
-                  ->InsertSubtree(DeweyId({0}), 3,
-                                  "<book><title>N2</title></book>")
-                  .ok());
-  EXPECT_EQ((*store)->epoch(), epoch0 + 1);  // Threshold hit: one commit.
-  EXPECT_EQ((*store)->wal_stats().commits, 1u);
 }
 
 TEST_F(WalStoreTest, UncommittedBatchIsInvisibleAfterClose) {

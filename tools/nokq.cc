@@ -304,8 +304,8 @@ int CmdStats(const std::string& dir) {
   printf("|col|:        %llu bytes, %llu entries (value column)\n",
          static_cast<unsigned long long>(s.column_bytes),
          static_cast<unsigned long long>((*store)->value_column()->size()));
-  // Filled from the column's pages by the first value read.
-  printf("value column: %llu bytes in memory when filled\n",
+  // The in-memory copy the open reads from the column's pages.
+  printf("value column: %llu bytes in memory\n",
          static_cast<unsigned long long>((*store)->value_column_bytes()));
   printf("data file:    %llu bytes\n",
          static_cast<unsigned long long>(s.data_bytes));
