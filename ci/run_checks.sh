@@ -223,6 +223,34 @@ EOF
   test ! -e "$store/id.idx"
   test ! -e "$store/tree.bpx"
   test ! -e "$store/synopsis.pds"
+  # Located hits: an anchored NokMatch climbs from each index hit to its
+  # trunk ancestors with one Enclose per level, so on these trunk-only
+  # Table-2 queries (no branch to scan) its bp steps stay within
+  # in x trunk depth.  A Dewey-ID walk per hit cost about 33 steps each.
+  local query depth
+  while IFS='|' read -r depth query; do
+    "$nokq" explain "$store" "$query" --nav-mode bp \
+        > build-ci/bench/located.txt
+    python3 - "$depth" "$query" build-ci/bench/located.txt <<'EOF'
+import re, sys
+
+depth, query, path = int(sys.argv[1]), sys.argv[2], sys.argv[3]
+ops = [line for line in open(path) if "NokMatch" in line and
+       "anchored" in line]
+assert ops, f"{query}: no anchored NokMatch"
+for line in ops:
+    rows = int(re.search(r" in=(\d+)", line).group(1))
+    steps = int(re.search(r"bp_steps=(\d+)", line).group(1))
+    assert steps <= rows * depth, \
+        f"{query}: {steps} bp steps for {rows} hits at trunk depth {depth}"
+print(f"{query}: anchored bp steps within in x {depth}")
+EOF
+  done <<'QUERIES'
+3|/dblp/article[journal="needle-hi-a"]
+5|/dblp/article/cite/label/ref
+4|/dblp/article/cite/label
+3|/dblp/article/cite
+QUERIES
   printf '%s%s\n' '<article key="ci/front"><author>CI</author>' \
       '<title>Front</title><year>2004</year></article>' \
       > build-ci/bench/front-frag.xml

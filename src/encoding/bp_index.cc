@@ -190,9 +190,9 @@ std::span<const uint32_t> BpIndex::RanksWithTag(TagId tag) const {
           tag_ranks_.data() + tag_offsets_[size_t{tag} + 1]};
 }
 
-std::vector<DeweyId> BpIndex::DeweysAtRanks(std::span<const uint32_t> ranks,
-                                            uint64_t* steps) const {
-  std::vector<DeweyId> out;
+std::vector<LocatedNode> BpIndex::LocateRanks(std::span<const uint32_t> ranks,
+                                              uint64_t* steps) const {
+  std::vector<LocatedNode> out;
   out.reserve(ranks.size());
   // path[d] is the preorder rank of the last hit's ancestor-or-self at
   // depth d + 1; path[0] is always the root.
@@ -217,9 +217,33 @@ std::vector<DeweyId> BpIndex::DeweysAtRanks(std::span<const uint32_t> ranks,
     for (size_t d = 0; d < depth; ++d) {
       components[d] = child_index_[static_cast<size_t>(path[d])];
     }
-    out.emplace_back(std::move(components));
+    out.push_back(LocatedNode{DeweyId(std::move(components)), pos});
   }
   return out;
+}
+
+std::optional<uint64_t> BpIndex::Locate(const DeweyId& id) const {
+  const std::vector<uint32_t>& components = id.components();
+  if (components.empty() || components[0] != 0 || node_count_ == 0) {
+    return std::nullopt;
+  }
+  uint64_t pos = 0;
+  for (size_t depth = 1; depth < components.size(); ++depth) {
+    std::optional<uint64_t> child = FirstChild(pos);
+    uint64_t index = 0;
+    if (child.has_value()) {
+      if (auto jump = JumpToChild(pos, components[depth], &index)) {
+        child = jump;
+      }
+    }
+    while (child.has_value() && index < components[depth]) {
+      child = FollowingSibling(*child);
+      ++index;
+    }
+    if (!child.has_value()) return std::nullopt;
+    pos = *child;
+  }
+  return pos;
 }
 
 uint64_t BpIndex::Rank1(uint64_t pos) const {

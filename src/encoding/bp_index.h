@@ -26,8 +26,8 @@
 //                 — no BufferPool traffic at all;
 //   tag_ranks_    every node's preorder rank grouped by TagId, and
 //   child_index_  every node's index among its siblings: the store's
-//                 tag-name index (DeweysWithTag), and the rank -> Dewey ID
-//                 step of its value probes (DeweysAtRanks).
+//                 tag-name index (LocateTag), and the rank -> node step
+//                 of its value probes (LocateRanks).
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
 // unlike the paged cursor — PARENT is cheap too (an enclose).
@@ -63,6 +63,14 @@
 namespace nok {
 
 class StringStore;
+
+/// A node found on a BP index: its Dewey ID and the bit position of its
+/// open parenthesis in that index.  Index probes return these, so a
+/// caller navigates from the hit without finding it again.
+struct LocatedNode {
+  DeweyId dewey = DeweyId::Root();
+  uint64_t pos = 0;
+};
 
 /// Immutable balanced-parentheses index over one document's topology.
 class BpIndex {
@@ -156,18 +164,24 @@ class BpIndex {
   /// order); empty for a tag no node carries.
   std::span<const uint32_t> RanksWithTag(TagId tag) const;
 
-  /// The Dewey IDs of the nodes with the given preorder ranks (ascending,
-  /// each < node_count()), in that order: a Select1 per rank, and Enclose
-  /// only up to the previous rank's path.  Adds the Select1 and Enclose
-  /// calls made to *steps.
-  std::vector<DeweyId> DeweysAtRanks(std::span<const uint32_t> ranks,
-                                     uint64_t* steps) const;
+  /// The nodes with the given preorder ranks (ascending, each <
+  /// node_count()), in that order, each with its Dewey ID and open-bit
+  /// position: a Select1 per rank, and Enclose only up to the previous
+  /// rank's path.  Adds the Select1 and Enclose calls made to *steps.
+  std::vector<LocatedNode> LocateRanks(std::span<const uint32_t> ranks,
+                                       uint64_t* steps) const;
 
-  /// The Dewey IDs of the nodes tagged `tag`, in document order
-  /// (DeweysAtRanks of RanksWithTag).
-  std::vector<DeweyId> DeweysWithTag(TagId tag, uint64_t* steps) const {
-    return DeweysAtRanks(RanksWithTag(tag), steps);
+  /// The nodes tagged `tag`, in document order (LocateRanks of
+  /// RanksWithTag).
+  std::vector<LocatedNode> LocateTag(TagId tag, uint64_t* steps) const {
+    return LocateRanks(RanksWithTag(tag), steps);
   }
+
+  /// The open-bit position of the node with Dewey ID `id`, or nullopt if
+  /// no node has it: per level a FirstChild, a JumpToChild to the sampled
+  /// child at or before the wanted one, and at most kChildSampleRate - 1
+  /// FOLLOWING-SIBLING steps, so O(depth) whatever the fanout.
+  std::optional<uint64_t> Locate(const DeweyId& id) const;
 
   // -------------------------------------------------------------------
   // Tree steps (the TreeCursor vocabulary).

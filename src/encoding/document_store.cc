@@ -575,46 +575,26 @@ Result<StorePos> DocumentStore::Navigate(const DeweyId& id) {
 
 Result<std::optional<std::string>> DocumentStore::ValueOf(
     const DeweyId& id) {
-  const auto& components = id.components();
-  if (components.empty() || components[0] != 0) {
-    return std::optional<std::string>();
-  }
   NOK_ASSIGN_OR_RETURN(const BpIndex* bp, bp_index());
   // Located on the BP index, whose sampled children bound a step to
   // about 65 moves per level; Navigate would pay the sibling distance,
   // which makes a `nokq query --values` listing quadratic in the fanout.
-  uint64_t pos = 0;
-  for (size_t depth = 1; depth < components.size(); ++depth) {
-    std::optional<uint64_t> child = bp->FirstChild(pos);
-    uint64_t index = 0;
-    if (child.has_value()) {
-      if (auto jump = bp->JumpToChild(pos, components[depth], &index)) {
-        child = jump;
-      }
-    }
-    while (child.has_value() && index < components[depth]) {
-      child = bp->FollowingSibling(*child);
-      ++index;
-    }
-    if (!child.has_value()) return std::optional<std::string>();
-    pos = *child;
-  }
-  return ValueAtRank(bp->Rank1(pos));
+  const std::optional<uint64_t> pos = bp->Locate(id);
+  if (!pos.has_value()) return std::optional<std::string>();
+  return ValueAtRank(bp->Rank1(*pos));
 }
 
-Result<std::vector<DeweyId>> DocumentStore::NodesWithTag(TagId tag) {
-  NOK_ASSIGN_OR_RETURN(const BpIndex* bp, bp_index());
+Result<std::vector<LocatedNode>> DocumentStore::NodesWithTag(
+    const Derived& derived, TagId tag) {
   uint64_t steps = 0;
-  std::vector<DeweyId> out = bp->DeweysWithTag(tag, &steps);
+  std::vector<LocatedNode> out = derived.bp->LocateTag(tag, &steps);
   tree_->BumpBpSteps(steps);
   return out;
 }
 
-Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
-    const Slice& value) {
-  NOK_ASSIGN_OR_RETURN(const std::shared_ptr<const Derived> derived,
-                       this->derived());
-  NOK_RETURN_IF_ERROR(derived->column_status);
+Result<std::vector<LocatedNode>> DocumentStore::NodesWithValue(
+    const Derived& derived, const Slice& value) {
+  NOK_RETURN_IF_ERROR(derived.column_status);
   const std::string prefix = index_keys::ValueKey(value);
   std::vector<uint32_t> ranks;
   BTreeIterator it = value_index_->NewIterator();
@@ -629,7 +609,7 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
         index_keys::ParseValueEntry(it.key(), it.value(), &offset));
     if (first || offset != last) {
       const std::span<const RankOfOffset> hits =
-          derived->RanksOfOffset(offset);
+          derived.RanksOfOffset(offset);
       if (hits.empty()) {
         return Status::Corruption("B+v lists value offset " +
                                   std::to_string(offset) +
@@ -645,7 +625,7 @@ Result<std::vector<DeweyId>> DocumentStore::NodesWithValue(
   }
   std::sort(ranks.begin(), ranks.end());
   uint64_t steps = 0;
-  std::vector<DeweyId> out = derived->bp->DeweysAtRanks(ranks, &steps);
+  std::vector<LocatedNode> out = derived.bp->LocateRanks(ranks, &steps);
   tree_->BumpBpSteps(steps);
   return out;
 }

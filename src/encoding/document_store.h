@@ -293,18 +293,25 @@ class DocumentStore {
   Result<std::optional<std::string>> ValueOf(const DeweyId& id);
 
   // -- index access ------------------------------------------------------
-  /// The Dewey IDs of all nodes with the given tag, in document order, from
-  /// the BP index in either nav mode (its steps count as bp steps).
-  Result<std::vector<DeweyId>> NodesWithTag(TagId tag);
+  // Both probes answer in `derived`, which must be this store's current
+  // generation (take it from derived()): each hit comes located, with its
+  // Dewey ID and its open-bit position in derived.bp, so a caller that
+  // navigates derived.bp starts from the hit without finding it again.
 
-  /// The Dewey IDs of the nodes whose value record B+v lists under
-  /// `value`'s hash, in document order, unverified: the nodes of a value
-  /// whose hash collides with `value`'s are among them.  Callers re-check
-  /// each node's value (the matcher re-checks the predicate on every
-  /// candidate).  Each record offset maps to its nodes' ranks through the
-  /// in-memory column's inverse, and the ranks to Dewey IDs through the
-  /// BP index (its steps count as bp steps).
-  Result<std::vector<DeweyId>> NodesWithValue(const Slice& value);
+  /// All nodes with the given tag, in document order, from the BP index
+  /// in either nav mode (its steps count as bp steps).
+  Result<std::vector<LocatedNode>> NodesWithTag(const Derived& derived,
+                                                TagId tag);
+
+  /// The nodes whose value record B+v lists under `value`'s hash, in
+  /// document order, unverified: the nodes of a value whose hash collides
+  /// with `value`'s are among them.  Callers re-check each node's value
+  /// (the matcher re-checks the predicate on every candidate).  Each
+  /// record offset maps to its nodes' ranks through the in-memory
+  /// column's inverse, and the ranks to nodes through the BP index (its
+  /// steps count as bp steps).
+  Result<std::vector<LocatedNode>> NodesWithValue(const Derived& derived,
+                                                  const Slice& value);
 
   /// Occurrence count of a tag (exact, from the dictionary).
   uint64_t CountTag(TagId tag) const { return tags_.OccurrenceCount(tag); }

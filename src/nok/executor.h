@@ -60,12 +60,6 @@ struct QueryStats {
   size_t results = 0;
 };
 
-/// One successful NoK match: the matched subject nodes per designated
-/// local pattern node (indexed by local node id).
-struct NokBinding {
-  std::vector<std::vector<NodeMatch>> matches;
-};
-
 /// Runtime record of one plan operator.
 struct OperatorStats {
   std::string op;      ///< "TagIndexProbe", "NokMatch", ...
@@ -112,9 +106,10 @@ class Executor {
   /// for the store's current structural state).
   /// Runs the plan against the store's selected navigation tier: paged
   /// (StoreCursor) or balanced-parentheses (BpCursor), per
-  /// DocumentStoreOptions::nav_mode.  Candidate production and Dewey
-  /// resolution go through the chosen backend, so a BP run touches no
-  /// subject-tree pages; results are identical across modes.
+  /// DocumentStoreOptions::nav_mode.  Candidate production goes through
+  /// the chosen backend, so a BP run touches no subject-tree pages;
+  /// index hits and their ancestors are located on the BP index in both
+  /// modes.  Results are identical across modes.
   /// The QueryOptions parameter is unused (the plan already holds every
   /// choice); the next benchmark change drops it.
   Result<std::vector<DeweyId>> Run(const QueryPlan& plan,

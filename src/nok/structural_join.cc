@@ -8,39 +8,6 @@
 
 namespace nok {
 
-bool DocOrderLess(const NodeMatch& a, const NodeMatch& b) {
-  if (a.virtual_root != b.virtual_root) return a.virtual_root;
-  if (a.virtual_root) return false;
-  return a.dewey.Compare(b.dewey) < 0;
-}
-
-void SortUnique(std::vector<NodeMatch>* matches) {
-  std::sort(matches->begin(), matches->end(), DocOrderLess);
-  matches->erase(std::unique(matches->begin(), matches->end(),
-                             [](const NodeMatch& a, const NodeMatch& b) {
-                               return a.virtual_root == b.virtual_root &&
-                                      (a.virtual_root ||
-                                       a.dewey == b.dewey);
-                             }),
-                 matches->end());
-}
-
-void KeepOutermost(std::vector<NodeMatch>* matches) {
-  // Everything between a match and its descendants in document order is
-  // inside the match, so the last kept match is the only one that can
-  // contain the next.
-  size_t kept = 0;
-  for (size_t i = 0; i < matches->size(); ++i) {
-    if (kept > 0 &&
-        IsRelated((*matches)[kept - 1], (*matches)[i], Axis::kDescendant)) {
-      continue;
-    }
-    if (kept != i) (*matches)[kept] = std::move((*matches)[i]);
-    ++kept;
-  }
-  matches->resize(kept);
-}
-
 bool IsRelated(const NodeMatch& outer, const NodeMatch& inner, Axis axis) {
   if (inner.virtual_root) return false;  // Related as an inner to nothing.
   switch (axis) {
@@ -69,7 +36,7 @@ bool HasRelatedInner(const NodeMatch& outer,
       // Descendants of an outer form a contiguous document-order block
       // right after it; the first inner past the outer decides.
       auto it = std::upper_bound(inners.begin(), inners.end(), outer,
-                                 DocOrderLess);
+                                 DocOrderLess<NodeMatch>);
       return it != inners.end() && IsRelated(outer, *it, axis);
     }
     case Axis::kFollowing:

@@ -16,6 +16,9 @@
 #ifndef NOKXML_NOK_STRUCTURAL_JOIN_H_
 #define NOKXML_NOK_STRUCTURAL_JOIN_H_
 
+#include <algorithm>
+#include <cstddef>
+#include <utility>
 #include <vector>
 
 #include "encoding/dewey.h"
@@ -31,15 +34,49 @@ struct NodeMatch {
   bool virtual_root = false;
 };
 
+// The three helpers below take NodeMatch or any other node type with the
+// same two fields, `dewey` and `virtual_root` (the executor's navigation
+// tier nodes, which also carry a position).
+
 /// Document-order comparison; the virtual root sorts first.
-bool DocOrderLess(const NodeMatch& a, const NodeMatch& b);
+template <typename Node>
+bool DocOrderLess(const Node& a, const Node& b) {
+  if (a.virtual_root != b.virtual_root) return a.virtual_root;
+  if (a.virtual_root) return false;
+  return a.dewey.Compare(b.dewey) < 0;
+}
 
 /// Sorts matches into document order and drops duplicates.
-void SortUnique(std::vector<NodeMatch>* matches);
+template <typename Node>
+void SortUnique(std::vector<Node>* matches) {
+  std::sort(matches->begin(), matches->end(), DocOrderLess<Node>);
+  matches->erase(std::unique(matches->begin(), matches->end(),
+                             [](const Node& a, const Node& b) {
+                               return a.virtual_root == b.virtual_root &&
+                                      (a.virtual_root || a.dewey == b.dewey);
+                             }),
+                 matches->end());
+}
 
 /// Drops from sorted matches every match inside another's subtree, so the
 /// rest are disjoint subtrees in document order.
-void KeepOutermost(std::vector<NodeMatch>* matches);
+template <typename Node>
+void KeepOutermost(std::vector<Node>* matches) {
+  // Everything between a match and its descendants in document order is
+  // inside the match, so the last kept match is the only one that can
+  // contain the next.
+  size_t kept = 0;
+  for (size_t i = 0; i < matches->size(); ++i) {
+    const Node& match = (*matches)[i];
+    if (kept > 0 && !match.virtual_root) {
+      const Node& last = (*matches)[kept - 1];
+      if (last.virtual_root || last.dewey.IsAncestorOf(match.dewey)) continue;
+    }
+    if (kept != i) (*matches)[kept] = std::move((*matches)[i]);
+    ++kept;
+  }
+  matches->resize(kept);
+}
 
 /// True iff inner stands in `axis` relation to outer (kDescendant: inner
 /// is a proper descendant of outer; kFollowing: inner starts after

@@ -520,10 +520,13 @@ TEST(BpIndexTest, TagProbesMatchANaivePreorderWalk) {
 
       uint64_t steps = 0;
       std::vector<std::string> deweys;
-      for (const DeweyId& id : bp.DeweysWithTag(tag, &steps)) {
-        deweys.push_back(id.ToString());
+      std::vector<uint64_t> located;
+      for (const LocatedNode& hit : bp.LocateTag(tag, &steps)) {
+        deweys.push_back(hit.dewey.ToString());
+        located.push_back(hit.pos);
       }
       ASSERT_EQ(deweys, expect.deweys);
+      EXPECT_EQ(located, expect.positions);
       // One Select1 per hit, and at most one Enclose per level above it.
       EXPECT_GE(steps, expect.positions.size());
       EXPECT_LE(steps, expect.positions.size() * static_cast<uint64_t>(
@@ -532,7 +535,7 @@ TEST(BpIndexTest, TagProbesMatchANaivePreorderWalk) {
     // A TagId past every node's tag has no hits.
     uint64_t steps = 0;
     EXPECT_TRUE(bp.RanksWithTag(60000).empty());
-    EXPECT_TRUE(bp.DeweysWithTag(60000, &steps).empty());
+    EXPECT_TRUE(bp.LocateTag(60000, &steps).empty());
     EXPECT_EQ(steps, 0u);
   }
   EXPECT_GE(widest, 500u) << "no wide parent was generated";

@@ -16,6 +16,7 @@
 #include "storage/file.h"
 #include "tests/oracle.h"
 #include "xml/dom.h"
+#include "tests/test_util.h"
 
 namespace nok {
 namespace {
@@ -81,11 +82,10 @@ TEST(DocumentStoreTest, NodesWithTagInDocumentOrder) {
   auto store = Build(kBibXml);
   auto book_tag = store->tags()->Lookup("book");
   ASSERT_TRUE(book_tag.has_value());
-  auto books = store->NodesWithTag(*book_tag);
+  auto books = testutil::TagHits(store.get(), *book_tag);
   ASSERT_TRUE(books.ok());
-  ASSERT_EQ(books->size(), 2u);
-  EXPECT_EQ((*books)[0].ToString(), "0.0");
-  EXPECT_EQ((*books)[1].ToString(), "0.1");
+  EXPECT_EQ(testutil::HitStrings(*books),
+            (std::vector<std::string>{"0.0", "0.1"}));
   EXPECT_EQ(store->CountTag(*book_tag), 2u);
 }
 
@@ -102,12 +102,11 @@ void ExpectNodesWithTagMatchDom(DocumentStore* store, const std::string& xml,
   });
   for (TagId tag = 1; tag <= store->tags()->size(); ++tag) {
     const std::string& name = store->tags()->Name(tag);
-    auto got = store->NodesWithTag(tag);
+    auto got = testutil::TagHits(store, tag);
     ASSERT_TRUE(got.ok()) << what << " " << name << ": "
                           << got.status().ToString();
-    std::vector<std::string> got_strings;
-    for (const DeweyId& id : *got) got_strings.push_back(id.ToString());
-    EXPECT_EQ(got_strings, want[name]) << what << ", tag " << name;
+    EXPECT_EQ(testutil::HitStrings(*got), want[name])
+        << what << ", tag " << name;
   }
 }
 
@@ -187,11 +186,11 @@ TEST(DocumentStoreTest, NodesWithTagMatchesADomWalkInBothNavModes) {
 
 TEST(DocumentStoreTest, NodesWithValueVerifiesCollisions) {
   auto store = Build(kBibXml);
-  auto stevens = store->NodesWithValue(Slice("Stevens"));
+  auto stevens = testutil::ValueHits(store.get(), Slice("Stevens"));
   ASSERT_TRUE(stevens.ok());
   ASSERT_EQ(stevens->size(), 1u);
-  EXPECT_EQ((*stevens)[0].ToString(), "0.0.2.0");
-  auto absent = store->NodesWithValue(Slice("not-here"));
+  EXPECT_EQ((*stevens)[0].dewey.ToString(), "0.0.2.0");
+  auto absent = testutil::ValueHits(store.get(), Slice("not-here"));
   ASSERT_TRUE(absent.ok());
   EXPECT_TRUE(absent->empty());
 
@@ -304,7 +303,7 @@ TEST(DocumentStoreTest, PersistsAndReopens) {
     auto store = DocumentStore::OpenDir(options);
     ASSERT_TRUE(store.ok()) << store.status().ToString();
     EXPECT_EQ((*store)->stats().node_count, 15u);
-    auto stevens = (*store)->NodesWithValue(Slice("Stevens"));
+    auto stevens = testutil::ValueHits(store->get(), Slice("Stevens"));
     ASSERT_TRUE(stevens.ok());
     EXPECT_EQ(stevens->size(), 1u);
     auto value = (*store)->ValueOf(DeweyId({0, 0, 2, 0}));

@@ -18,6 +18,7 @@
 #include "storage/fault_injection_file.h"
 #include "storage/file.h"
 #include "storage/pager.h"
+#include "tests/test_util.h"
 
 namespace nok {
 namespace {
@@ -395,7 +396,7 @@ ReopenOutcome Reopen(const std::string& dir) {
     return outcome;
   }
   outcome.node_count = (*store)->stats().node_count;
-  auto hits = (*store)->NodesWithValue(Slice("Stevens"));
+  auto hits = testutil::ValueHits(store->get(), Slice("Stevens"));
   if (!hits.ok()) {
     outcome.status = hits.status();
     return outcome;
@@ -579,8 +580,8 @@ WalReopenOutcome WalReopen(const std::string& dir) {
     return outcome;
   }
   outcome.node_count = (*store)->stats().node_count;
-  auto stevens = (*store)->NodesWithValue(Slice("Stevens"));
-  auto added = (*store)->NodesWithValue(Slice("New"));
+  auto stevens = testutil::ValueHits(store->get(), Slice("Stevens"));
+  auto added = testutil::ValueHits(store->get(), Slice("New"));
   if (!stevens.ok() || !added.ok()) {
     outcome.status = stevens.ok() ? added.status() : stevens.status();
     return outcome;

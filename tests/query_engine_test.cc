@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <filesystem>
 #include <iterator>
+#include <optional>
 #include <tuple>
 
 #include "common/random.h"
 #include "encoding/document_store.h"
-#include "nok/dewey_walk.h"
+#include "encoding/swmr_store.h"
 #include "nok/query_engine.h"
 #include "nok/xpath_parser.h"
 #include "tests/oracle.h"
@@ -420,7 +424,7 @@ TEST(QueryEngineTest, ForgedValueIndexCollisionNeverReachesAnAnswer) {
                                                         title_offset)),
                              Slice())
                     .ok());
-    auto forged = (*store)->NodesWithValue(Slice("Stevens"));
+    auto forged = testutil::ValueHits(store->get(), Slice("Stevens"));
     ASSERT_TRUE(forged.ok());
     ASSERT_EQ(forged->size(), 3u);  // Two real last names and the title.
     QueryEngine engine(store->get());
@@ -655,9 +659,9 @@ TEST(WideRootTest, BpStepsBoundedByDepthPerCandidate) {
   for (const WideCase& c : kWideCases) {
     const size_t candidates = EvaluateWideCase(&engine, *dom, c);
     EXPECT_GT(candidates, 0u) << c.query;
-    EXPECT_LE(engine.last_trace().bp_steps,
-              candidates * kDepth * BpIndex::kChildSampleRate)
-        << c.query;
+    // Per hit: the probe's Select1 and one Enclose, and the trunk's one
+    // Enclose (<a>); <r> is the document root, which opens at 0.
+    EXPECT_LE(engine.last_trace().bp_steps, candidates * kDepth) << c.query;
   }
 }
 
@@ -697,106 +701,93 @@ TEST(WideRootTest, PagedHitsResolveOnTheBpIndexAfterAnInsert) {
   }
 }
 
-/// WalkTo tiers as the executor builds them: the store's page chain, and
-/// the BP index with its child samples.
-struct PagedWalkTier {
-  using Pos = StorePos;
-  StringStore* tree;
-  StringStore::Navigator nav;
-  std::vector<PathStep<Pos>> path;
-
-  Pos Root() const { return tree->RootPos(); }
-  Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return nav.FirstChild(pos);
+/// Every located hit of every tag probe, and of a value probe per value
+/// in `values`, sits at the position BpIndex::Locate (ValueOf's locate)
+/// finds for its Dewey ID, in the generation the probe answered in.  A
+/// value hit's ValueOf is the probed value.  Returns the hits checked.
+size_t ExpectHitsLocated(DocumentStore* store,
+                         const std::vector<std::string>& values) {
+  auto derived = store->derived();
+  EXPECT_TRUE(derived.ok()) << derived.status().ToString();
+  if (!derived.ok()) return 0;
+  const BpIndex& bp = *(*derived)->bp;
+  size_t checked = 0;
+  auto expect_located = [&](const std::vector<LocatedNode>& hits) {
+    for (const LocatedNode& hit : hits) {
+      EXPECT_EQ(bp.Locate(hit.dewey), std::optional<uint64_t>(hit.pos))
+          << hit.dewey.ToString();
+      ++checked;
+    }
+  };
+  for (TagId tag = 1; tag <= store->tags()->size(); ++tag) {
+    auto hits = store->NodesWithTag(**derived, tag);
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    if (hits.ok()) expect_located(*hits);
   }
-  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return nav.FollowingSibling(pos);
-  }
-  bool JumpToChild(Pos, uint32_t, PathStep<Pos>*) { return false; }
-  std::vector<PathStep<Pos>>* dewey_path() { return &path; }
-};
-
-struct BpWalkTier {
-  using Pos = uint64_t;
-  const BpIndex* bp;
-  std::vector<PathStep<Pos>> path;
-
-  Pos Root() const { return 0; }
-  Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return bp->FirstChild(pos);
-  }
-  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return bp->FollowingSibling(pos);
-  }
-  bool JumpToChild(Pos parent, uint32_t k, PathStep<Pos>* step) {
-    uint64_t child = 0;
-    const std::optional<uint64_t> pos = bp->JumpToChild(parent, k, &child);
-    if (!pos.has_value() || child <= step->component) return false;
-    *step = PathStep<Pos>{static_cast<uint32_t>(child), *pos};
-    return true;
-  }
-  std::vector<PathStep<Pos>>* dewey_path() { return &path; }
-};
-
-/// The BP position of `id` by plain FIRST-CHILD / FOLLOWING-SIBLING steps.
-uint64_t NaiveBpWalk(const BpIndex& bp, const DeweyId& id) {
-  uint64_t pos = 0;
-  for (size_t level = 1; level < id.components().size(); ++level) {
-    pos = *bp.FirstChild(pos);
-    for (uint32_t i = 0; i < id.components()[level]; ++i) {
-      pos = *bp.FollowingSibling(pos);
+  for (const std::string& value : values) {
+    SCOPED_TRACE(value);
+    auto hits = store->NodesWithValue(**derived, Slice(value));
+    EXPECT_TRUE(hits.ok()) << hits.status().ToString();
+    if (!hits.ok()) continue;
+    EXPECT_FALSE(hits->empty());
+    expect_located(*hits);
+    for (const LocatedNode& hit : *hits) {
+      auto got = store->ValueOf(hit.dewey);
+      EXPECT_TRUE(got.ok()) << got.status().ToString();
+      if (got.ok()) {
+        EXPECT_EQ(*got, std::optional<std::string>(value))
+            << hit.dewey.ToString();
+      }
     }
   }
-  return pos;
+  return checked;
 }
 
-TEST(WideRootTest, WalkToAnswersAncestorsWithoutLosingItsPlace) {
-  DocumentStore::Options store_options;
-  store_options.page_size = 512;
-  store_options.nav_mode = NavMode::kBp;
-  auto store = DocumentStore::Build(WideXml(), store_options);
-  ASSERT_TRUE(store.ok()) << store.status().ToString();
-  auto bp = (*store)->bp_index();
-  ASSERT_TRUE(bp.ok()) << bp.status().ToString();
-  PagedWalkTier paged{(*store)->tree(),
-                      StringStore::Navigator((*store)->tree()), {}};
-  BpWalkTier bp_tier{*bp, {}};
-
-  // Trunk-verification order: each ancestor is asked for between two
-  // descendants, and the walk also moves backwards and to the root.  An
-  // ID that is a prefix of the previous walk's path is answered from the
-  // cached path in zero steps.
-  struct Step {
-    DeweyId id;
-    bool cached;
-  };
-  const std::vector<Step> steps = {
-      {DeweyId({0, 1507, 0}), false}, {DeweyId({0}), true},
-      {DeweyId({0, 1507}), true},     {DeweyId({0, 1607, 1}), false},
-      {DeweyId({0, 1607}), true},     {DeweyId({0, 2399, 0}), false},
-      {DeweyId({0, 3, 0}), false},    {DeweyId({0, 3}), true},
-      {DeweyId({0, 2398}), false},    {DeweyId({0, 64, 0}), false},
-      {DeweyId({0, 63}), false},      {DeweyId({0, 407, 1}), false}};
-  for (const Step& step : steps) {
-    const DeweyId& id = step.id;
-    SCOPED_TRACE(id.ToString());
-    uint64_t paged_steps = 0;
-    auto at = WalkTo(&paged, id, &paged_steps);
-    ASSERT_TRUE(at.ok()) << at.status().ToString();
-    auto fresh = (*store)->Navigate(id);
-    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
-    EXPECT_TRUE(*at == *fresh);
-
-    uint64_t bp_steps = 0;
-    auto bp_at = WalkTo(&bp_tier, id, &bp_steps);
-    ASSERT_TRUE(bp_at.ok()) << bp_at.status().ToString();
-    EXPECT_EQ(*bp_at, NaiveBpWalk(**bp, id));
-    EXPECT_LE(bp_steps, id.depth() * (BpIndex::kChildSampleRate + 1));
-    if (step.cached) {
-      EXPECT_EQ(paged_steps, 0u);
-      EXPECT_EQ(bp_steps, 0u);
+TEST(WideRootTest, ProbeHitsArriveAtTheirBpPositions) {
+  const std::vector<std::string> values = {"needle", "hay", "0", "63",
+                                           "64", "1507", "2399"};
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("nokxml_located_" + std::to_string(::getpid())))
+          .string();
+  std::filesystem::remove_all(dir);
+  DocumentStore::Options options;
+  options.dir = dir;
+  options.page_size = 512;
+  {
+    auto store = DocumentStore::Build(WideXml(), options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    {
+      SCOPED_TRACE("fresh build");
+      EXPECT_GT(ExpectHitsLocated(store->get(), values),
+                static_cast<size_t>(kWideFanout));
     }
+    // Unflushed: the probes answer in the generation rebuilt on demand.
+    ASSERT_TRUE((*store)
+                    ->InsertSubtree(DeweyId::Root(), 0,
+                                    "<a><b>new</b><c>needle</c></a>")
+                    .ok());
+    ASSERT_TRUE((*store)->DeleteSubtree(DeweyId({0, 100})).ok());
+    {
+      SCOPED_TRACE("after an unflushed front insert and a delete");
+      EXPECT_GT(ExpectHitsLocated(store->get(), values),
+                static_cast<size_t>(kWideFanout));
+    }
+    ASSERT_TRUE((*store)->Flush().ok());
   }
+  {
+    // A snapshot adopts its writer's generation.
+    SwmrStore::Options swmr_options;
+    swmr_options.store.page_size = options.page_size;
+    auto swmr = SwmrStore::Open(dir, swmr_options);
+    ASSERT_TRUE(swmr.ok()) << swmr.status().ToString();
+    ASSERT_TRUE((*swmr)->DeleteSubtree(DeweyId({0, 5})).ok());
+    ASSERT_TRUE((*swmr)->Commit().ok());
+    SCOPED_TRACE("SwmrStore snapshot");
+    EXPECT_GT(ExpectHitsLocated((*swmr)->snapshot()->store(), values),
+              static_cast<size_t>(kWideFanout));
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -146,5 +146,23 @@ Result<std::vector<DeweyId>> EvaluateWithArcDirection(
                              &trace);
 }
 
+Result<std::vector<LocatedNode>> TagHits(DocumentStore* store, TagId tag) {
+  NOK_ASSIGN_OR_RETURN(auto derived, store->derived());
+  return store->NodesWithTag(*derived, tag);
+}
+
+Result<std::vector<LocatedNode>> ValueHits(DocumentStore* store,
+                                           const Slice& value) {
+  NOK_ASSIGN_OR_RETURN(auto derived, store->derived());
+  return store->NodesWithValue(*derived, value);
+}
+
+std::vector<std::string> HitStrings(const std::vector<LocatedNode>& hits) {
+  std::vector<std::string> out;
+  out.reserve(hits.size());
+  for (const LocatedNode& hit : hits) out.push_back(hit.dewey.ToString());
+  return out;
+}
+
 }  // namespace testutil
 }  // namespace nok

@@ -10,7 +10,10 @@
 
 #include "common/random.h"
 #include "common/result.h"
+#include "common/slice.h"
+#include "encoding/bp_index.h"
 #include "encoding/dewey.h"
+#include "encoding/document_store.h"
 #include "nok/planner.h"
 
 namespace nok {
@@ -42,6 +45,15 @@ std::string RandomQuery(Random* rng, const RandomDocOptions& options = {});
 Result<std::vector<DeweyId>> EvaluateWithArcDirection(
     DocumentStore* store, const std::string& xpath,
     const QueryOptions& options, ArcDirection direction);
+
+/// DocumentStore::NodesWithTag / NodesWithValue in the store's current
+/// generation (DocumentStore::derived()).
+Result<std::vector<LocatedNode>> TagHits(DocumentStore* store, TagId tag);
+Result<std::vector<LocatedNode>> ValueHits(DocumentStore* store,
+                                           const Slice& value);
+
+/// The hits' Dewey IDs, as strings, in order.
+std::vector<std::string> HitStrings(const std::vector<LocatedNode>& hits);
 
 }  // namespace testutil
 }  // namespace nok

@@ -64,18 +64,18 @@ void ExpectStoreMatchesDom(DocumentStore* store, const DomTree& dom) {
   ForEachNode(dom.root(), [&](const DomNode* node) {
     auto tag = store->tags()->Lookup(node->name);
     ASSERT_TRUE(tag.has_value());
-    auto nodes = store->NodesWithTag(*tag);
+    auto nodes = testutil::TagHits(store, *tag);
     ASSERT_TRUE(nodes.ok());
     const DeweyId id = DomDewey(node);
     auto has_dewey = [&](const auto& list) {
-      for (const DeweyId& entry : list) {
-        if (entry == id) return true;
+      for (const LocatedNode& entry : list) {
+        if (entry.dewey == id) return true;
       }
       return false;
     };
     EXPECT_TRUE(has_dewey(*nodes)) << "tag probe lost " << id.ToString();
     if (!node->value.empty()) {
-      auto with_value = store->NodesWithValue(Slice(node->value));
+      auto with_value = testutil::ValueHits(store, Slice(node->value));
       ASSERT_TRUE(with_value.ok());
       EXPECT_TRUE(has_dewey(*with_value)) << "B+v lost " << id.ToString();
     }
@@ -509,13 +509,6 @@ TEST(UpdaterTest, UpdateWorkDoesNotDependOnPosition) {
   ExpectStoreMatchesDom(store.get(), *dom);
 }
 
-/// Dewey IDs of an index answer, in document order.
-std::vector<std::string> DeweyStrings(const std::vector<DeweyId>& nodes) {
-  std::vector<std::string> out;
-  for (const DeweyId& node : nodes) out.push_back(node.ToString());
-  return out;
-}
-
 /// B+v's entries as sorted "hash dewey" strings: each entry's record
 /// offset resolved to a node holding that record (entries sharing a
 /// record take its nodes in rank order), or "unresolved" when no node
@@ -547,7 +540,7 @@ std::vector<std::string> ValueIndexContents(DocumentStore* store) {
       uint64_t steps = 0;
       const uint32_t rank[] = {ranks.back()};
       ranks.pop_back();
-      entry += (*bp)->DeweysAtRanks(rank, &steps)[0].ToString();
+      entry += (*bp)->LocateRanks(rank, &steps)[0].dewey.ToString();
     }
     out.push_back(entry);
     EXPECT_TRUE(it.Next().ok());
@@ -630,15 +623,15 @@ TEST(UpdaterTest, IndexContentsMatchAFreshBuildAfterUpdates) {
 
   for (TagId tag = 1; tag <= store->tags()->size(); ++tag) {
     const std::string& name = store->tags()->Name(tag);
-    auto got = store->NodesWithTag(tag);
+    auto got = testutil::TagHits(store.get(), tag);
     ASSERT_TRUE(got.ok()) << name;
     std::vector<std::string> want;
     if (auto fresh_tag = fresh->tags()->Lookup(name)) {
-      auto nodes = fresh->NodesWithTag(*fresh_tag);
+      auto nodes = testutil::TagHits(fresh.get(), *fresh_tag);
       ASSERT_TRUE(nodes.ok()) << name;
-      want = DeweyStrings(*nodes);
+      want = testutil::HitStrings(*nodes);
     }
-    EXPECT_EQ(DeweyStrings(*got), want)
+    EXPECT_EQ(testutil::HitStrings(*got), want)
         << "tag probe differs for " << name;
   }
   std::set<std::string> values;
@@ -646,10 +639,10 @@ TEST(UpdaterTest, IndexContentsMatchAFreshBuildAfterUpdates) {
     if (!node->value.empty()) values.insert(node->value);
   });
   for (const std::string& value : values) {
-    auto got = store->NodesWithValue(Slice(value));
-    auto want = fresh->NodesWithValue(Slice(value));
+    auto got = testutil::ValueHits(store.get(), Slice(value));
+    auto want = testutil::ValueHits(fresh.get(), Slice(value));
     ASSERT_TRUE(got.ok() && want.ok()) << value;
-    EXPECT_EQ(DeweyStrings(*got), DeweyStrings(*want))
+    EXPECT_EQ(testutil::HitStrings(*got), testutil::HitStrings(*want))
         << "B+v differs for " << value;
   }
 }

@@ -19,6 +19,7 @@
 #include "storage/page_versions.h"
 #include "storage/recovery.h"
 #include "storage/wal.h"
+#include "tests/test_util.h"
 
 namespace nok {
 namespace {
@@ -600,7 +601,7 @@ TEST_F(WalStoreTest, CommitsUpdatesThroughTheLog) {
   plain.dir = dir_;
   auto reopened = DocumentStore::OpenDir(plain);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto hits = (*reopened)->NodesWithValue(Slice("New"));
+  auto hits = testutil::ValueHits(reopened->get(), Slice("New"));
   ASSERT_TRUE(hits.ok());
   EXPECT_EQ(hits->size(), 1u);
 }
@@ -619,7 +620,7 @@ TEST_F(WalStoreTest, UncommittedBatchIsInvisibleAfterClose) {
   plain.dir = dir_;
   auto reopened = DocumentStore::OpenDir(plain);
   ASSERT_TRUE(reopened.ok()) << reopened.status().ToString();
-  auto hits = (*reopened)->NodesWithValue(Slice("Lost"));
+  auto hits = testutil::ValueHits(reopened->get(), Slice("Lost"));
   ASSERT_TRUE(hits.ok());
   EXPECT_TRUE(hits->empty());
 }
