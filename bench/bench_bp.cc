@@ -10,6 +10,8 @@
 //
 //   * every mode returns byte-identical Dewey results;
 //   * bp mode touches zero subject-tree pages on every measured query;
+//   * the paged scan reads each chain page once, plus one access per
+//     hit and per result (checked from the JSON by ci/run_checks.sh);
 //   * bp beats the paged scan by --target-speedup on at least one
 //     (dataset, query) cell — the wall-time claim of ROADMAP item 4.
 //
@@ -49,6 +51,8 @@ struct Cell {
   std::string tag;
   uint64_t tag_count = 0;
   size_t results = 0;
+  uint64_t chain_pages = 0;  ///< Data pages in the store's chain.
+  int max_depth = 0;         ///< The document's depth (root = 1).
   double best_seconds = 0;
   double mean_seconds = 0;
   StringStore::NavStats nav;
@@ -127,6 +131,8 @@ int Run(int argc, char** argv) {
         auto tag_id = (*store)->tags()->Lookup(tag);
         cell.tag_count =
             tag_id.has_value() ? (*store)->CountTag(*tag_id) : 0;
+        cell.chain_pages = (*store)->tree()->chain_length();
+        cell.max_depth = (*store)->tree()->max_level();
 
         QueryEngine engine(store->get());
         QueryOptions qo;
@@ -239,7 +245,8 @@ int Run(int argc, char** argv) {
           buf, sizeof(buf),
           "    {\"dataset\": \"%s\", \"mode\": \"%s\", "
           "\"nav_mode\": \"%s\", \"tag\": \"%s\", \"tag_count\": %llu, "
-          "\"results\": %zu, \"best_seconds\": %.6f, "
+          "\"results\": %zu, \"chain_pages\": %llu, \"max_depth\": %d, "
+          "\"best_seconds\": %.6f, "
           "\"mean_seconds\": %.6f, \"pages_scanned\": %llu, "
           "\"bp_steps\": %llu, "
           "\"bp_tag_blocks_skipped\": %llu, "
@@ -247,6 +254,7 @@ int Run(int argc, char** argv) {
           c.dataset.c_str(), kModes[m].name,
           NavModeName(kModes[m].nav_mode), c.tag.c_str(),
           static_cast<unsigned long long>(c.tag_count), c.results,
+          static_cast<unsigned long long>(c.chain_pages), c.max_depth,
           c.best_seconds, c.mean_seconds,
           static_cast<unsigned long long>(c.nav.pages_scanned),
           static_cast<unsigned long long>(c.nav.bp_steps),

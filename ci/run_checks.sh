@@ -186,8 +186,8 @@ assert report["measurements"], "no measurements"
 modes = set()
 for m in report["measurements"]:
     for key in ("dataset", "mode", "nav_mode", "tag", "tag_count",
-                "results", "best_seconds", "mean_seconds",
-                "pages_scanned", "bp_steps",
+                "results", "chain_pages", "max_depth", "best_seconds",
+                "mean_seconds", "pages_scanned", "bp_steps",
                 "bp_tag_blocks_skipped", "speedup_vs_paged"):
         assert key in m, f"measurement missing key: {key}"
     modes.add(m["mode"])
@@ -195,7 +195,18 @@ for m in report["measurements"]:
         assert m["pages_scanned"] == 0, f"bp touched pages: {m}"
         assert m["bp_steps"] > 0, f"bp took no steps: {m}"
     else:
-        assert m["bp_steps"] == 0, f"bp steps without bp mode: {m}"
+        # The paged scan reads each chain page once, plus one access per
+        # hit and one for the last, empty step (each step re-reads the
+        # page the one before it stopped on), and the match reads one
+        # per result (a re-walk of the chain per hit reads hundreds
+        # more).  Its only bp steps name the hits
+        # on the BP index: at most one Enclose per level between a hit
+        # and the root's children.
+        assert m["pages_scanned"] <= \
+            m["chain_pages"] + 2 * m["results"] + 1, \
+            f"paged scan re-read chain pages: {m}"
+        assert m["bp_steps"] <= m["results"] * max(m["max_depth"] - 2, 0), \
+            f"paged bp steps beyond naming the hits: {m}"
 assert modes == {"paged", "bp"}, f"bad mode set: {modes}"
 assert report["checks"]["results_identical"] is True
 assert report["checks"]["bp_zero_pages"] is True

@@ -192,15 +192,25 @@ std::span<const uint32_t> BpIndex::RanksWithTag(TagId tag) const {
 
 std::vector<LocatedNode> BpIndex::LocateRanks(std::span<const uint32_t> ranks,
                                               uint64_t* steps) const {
+  std::vector<uint64_t> positions;
+  positions.reserve(ranks.size());
+  for (const uint32_t rank : ranks) positions.push_back(Select1(rank));
+  *steps += ranks.size();
+  return LocatePositions(positions, steps);
+}
+
+std::vector<LocatedNode> BpIndex::LocatePositions(
+    std::span<const uint64_t> positions, uint64_t* steps) const {
   std::vector<LocatedNode> out;
-  out.reserve(ranks.size());
+  out.reserve(positions.size());
   // path[d] is the preorder rank of the last hit's ancestor-or-self at
   // depth d + 1; path[0] is always the root.
   std::vector<uint64_t> path = {0};
-  for (const uint32_t rank : ranks) {
-    const uint64_t pos = Select1(rank);
-    ++*steps;
-    const size_t depth = static_cast<size_t>(Excess(pos));
+  for (const uint64_t pos : positions) {
+    // An open bit's depth is its excess: 2 * (opens up to and including
+    // it) - (bits up to and including it).
+    const uint64_t rank = Rank1(pos);
+    const size_t depth = static_cast<size_t>(2 * rank + 1 - pos);
     // The previous hit's levels above this one may be shared.
     const size_t shared = std::min(path.size(), depth - 1);
     path.resize(depth);

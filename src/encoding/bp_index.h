@@ -26,8 +26,9 @@
 //                 — no BufferPool traffic at all;
 //   tag_ranks_    every node's preorder rank grouped by TagId, and
 //   child_index_  every node's index among its siblings: the store's
-//                 tag-name index (LocateTag), and the rank -> node step
-//                 of its value probes (LocateRanks).
+//                 tag-name index (LocateTag), the rank -> node step of
+//                 its value probes (LocateRanks), and the naming of scan
+//                 hits (LocatePositions).
 //
 // FIRST-CHILD and FOLLOWING-SIBLING are O(1)-ish (a findclose), and —
 // unlike the paged cursor — PARENT is cheap too (an enclose).
@@ -164,10 +165,15 @@ class BpIndex {
   /// order); empty for a tag no node carries.
   std::span<const uint32_t> RanksWithTag(TagId tag) const;
 
+  /// The nodes whose open bits are at `positions` (ascending), in that
+  /// order, each with its Dewey ID: Enclose only up to the previous
+  /// position's path.  Adds the Enclose calls made to *steps.
+  std::vector<LocatedNode> LocatePositions(std::span<const uint64_t> positions,
+                                           uint64_t* steps) const;
+
   /// The nodes with the given preorder ranks (ascending, each <
-  /// node_count()), in that order, each with its Dewey ID and open-bit
-  /// position: a Select1 per rank, and Enclose only up to the previous
-  /// rank's path.  Adds the Select1 and Enclose calls made to *steps.
+  /// node_count()): a Select1 per rank, then LocatePositions.  Adds the
+  /// Select1 and Enclose calls made to *steps.
   std::vector<LocatedNode> LocateRanks(std::span<const uint32_t> ranks,
                                        uint64_t* steps) const;
 

@@ -285,17 +285,15 @@ Result<std::vector<LocatedNode>> FetchHits(
 // the algorithms below are written against, all in terms of its own
 // position type Pos:
 //
-//   Root, FirstChild, FollowingSibling   tree steps;
-//   Order, SubtreeEnd                    a node's interval in one
-//                                        document-order numbering;
-//   NextOpenWithTag                      tag-filtered scan step;
+//   NextOpenWithTag                      tag-filtered scan step (any tag
+//                                        for kInvalidTag);
 //   SubtreeBound, NextInSubtree          the same step bounded by one
 //                                        subtree's close (ScopedScan);
-//   VisitNodes                           (pos, level, tag) of every node
-//                                        in document order;
+//   BpPos                                a position's open bit in the
+//                                        run's BP index;
 //   At                                   the node whose open bit in the
 //                                        run's BP index is at a position;
-//   CountSteps                           commits the tree steps (and tag
+//   CountSteps                           commits the scan steps (and tag
 //                                        blocks skipped) an algorithm
 //                                        counted locally, once per call.
 //
@@ -303,10 +301,12 @@ Result<std::vector<LocatedNode>> FetchHits(
 // StringStore::Navigator (page accesses, counted in
 // NavStats::pages_scanned); BpNav navigates the in-memory
 // balanced-parentheses index (no page access at all, counted in
-// bp_steps).  Index hits arrive located on the run's BP index (LocatedNode)
-// and their ancestors are reached by Enclose on it (AncestorPos): BpNav
-// takes those positions as they are, and PagedNav maps them to the page
-// chain (DocumentStore::StorePosOf), reading no page.  No Dewey ID is
+// bp_steps).  Every node the executor names is located on the run's BP
+// index: index hits arrive located (LocatedNode), scan hits are located
+// from their BP positions (LocateScanHits), and ancestors are reached by
+// Enclose (AncestorPos).  BpNav takes BP positions as they are, and
+// PagedNav maps them to and from the page chain
+// (DocumentStore::StorePosOf, BpPosOf), reading no page.  No Dewey ID is
 // ever turned back into a position.
 
 /// The open-bit position of the ancestor `up` levels above the node at
@@ -326,153 +326,64 @@ uint64_t AncestorPos(const BpIndex& bp, uint64_t pos, size_t depth,
   return pos;
 }
 
-
-/// Dewey IDs for tag-scan hit positions (ascending, all inside `root`'s
-/// subtree — the document root, or a ScopedScan source): an
-/// interval-guided descent.  The stack holds the path from `root` to the
-/// node most recently visited: (child index, position, subtree end).
-/// For each hit, entries whose subtree ends before the hit are popped,
-/// and the walk resumes from the shallowest popped sibling — so each
-/// level's sibling chain is traversed at most once across all hits.
+/// Names scan hits (the tier's positions, ascending): each hit's BP
+/// position is located on the run's BP index (BpIndex::LocatePositions),
+/// which gives its Dewey ID.  The Enclose calls count as bp steps in both
+/// modes, as a probe's do.
 template <typename Nav>
-Result<std::vector<typename Nav::NodeT>> DeweysForHits(
-    Nav* nav, const std::vector<typename Nav::Pos>& hits,
-    const typename Nav::NodeT& root) {
-  using Pos = typename Nav::Pos;
-  struct Entry {
-    uint32_t component;
-    Pos pos;
-    uint64_t end;
-  };
+std::vector<typename Nav::NodeT> LocateScanHits(
+    Nav* nav, DocumentStore* store,
+    const std::vector<typename Nav::Pos>& hits) {
+  std::vector<uint64_t> positions;
+  positions.reserve(hits.size());
+  for (const auto& hit : hits) positions.push_back(nav->BpPos(hit));
+  uint64_t steps = 0;
+  std::vector<LocatedNode> located =
+      nav->bp().LocatePositions(positions, &steps);
+  store->tree()->BumpBpSteps(steps);
   std::vector<typename Nav::NodeT> out;
   out.reserve(hits.size());
-  std::vector<Entry> stack;
-  const std::vector<uint32_t>& root_path = root.dewey.components();
-  std::vector<uint32_t> components;
-  uint64_t steps = 0;
-
-  for (const Pos& hit : hits) {
-    const uint64_t g = nav->Order(hit);
-    std::optional<Entry> resume;
-    while (!stack.empty() && stack.back().end < g) {
-      resume = stack.back();
-      stack.pop_back();
-    }
-    if (stack.empty()) {
-      NOK_ASSIGN_OR_RETURN(uint64_t root_end, nav->SubtreeEnd(root.pos));
-      stack.push_back(Entry{root_path.back(), root.pos, root_end});
-      resume.reset();  // The root has no siblings to resume from.
-    }
-    while (nav->Order(stack.back().pos) != g) {
-      // Step down one level to the child whose interval contains g.
-      Entry child{0, Pos{}, 0};
-      ++steps;
-      if (resume.has_value()) {
-        NOK_ASSIGN_OR_RETURN(auto sib, nav->FollowingSibling(resume->pos));
-        if (!sib.has_value()) {
-          return Status::Corruption("scan hit outside every sibling");
-        }
-        child.component = resume->component + 1;
-        child.pos = *sib;
-        resume.reset();
-      } else {
-        NOK_ASSIGN_OR_RETURN(auto first, nav->FirstChild(stack.back().pos));
-        if (!first.has_value()) {
-          return Status::Corruption("scan hit below a leaf");
-        }
-        child.pos = *first;
-      }
-      for (;;) {
-        if (nav->Order(child.pos) > g) {
-          return Status::Corruption("scan hit between sibling subtrees");
-        }
-        NOK_ASSIGN_OR_RETURN(child.end, nav->SubtreeEnd(child.pos));
-        if (g <= child.end) break;
-        ++steps;
-        NOK_ASSIGN_OR_RETURN(auto sib, nav->FollowingSibling(child.pos));
-        if (!sib.has_value()) {
-          return Status::Corruption("scan hit outside every sibling");
-        }
-        child.pos = *sib;
-        ++child.component;
-      }
-      stack.push_back(child);
-    }
-    components.assign(root_path.begin(), root_path.end() - 1);
-    for (const Entry& entry : stack) components.push_back(entry.component);
-    out.push_back({hit, DeweyId(std::vector<uint32_t>(components)), false});
+  for (size_t i = 0; i < hits.size(); ++i) {
+    out.push_back({hits[i], std::move(located[i].dewey), false});
   }
-  nav->CountSteps(steps);
   return out;
 }
 
-/// The AnchorScan operator's body: every node whose tag satisfies the
-/// NoK root's name test.  `want` is the root pattern's resolved tag
-/// (kInvalidTag for a name absent from the document).  A selective tag
-/// takes the fused path: the tier's tag-filtered scan enumerates the
-/// hits and Dewey IDs are derived for those alone.  A frequent tag would
-/// gain nothing from the filter while the descent re-navigates per hit,
-/// so it keeps the counter scan, as do wildcards: one pass over every
-/// node, deriving Dewey IDs from the level sequence.
+/// The AnchorScan operator's body: every node tagged `tag` (every node
+/// for kInvalidTag), enumerated by the tier's tag-filtered scan and named
+/// by LocateScanHits.
 template <typename Nav>
-Result<std::vector<typename Nav::NodeT>> ScanCandidates(
-    Nav* nav, DocumentStore* store, const PatternNode& root_pattern,
-    TagId want) {
+Result<std::vector<typename Nav::NodeT>> ScanCandidates(Nav* nav,
+                                                        DocumentStore* store,
+                                                        TagId tag) {
   using Pos = typename Nav::Pos;
-  std::vector<typename Nav::NodeT> out;
-  if (!root_pattern.wildcard && want == kInvalidTag) {
-    return out;  // Tag absent: no matches anywhere.
+  std::vector<Pos> hits;
+  uint64_t blocks_skipped = 0;
+  std::optional<Pos> pos;
+  for (;;) {
+    NOK_ASSIGN_OR_RETURN(pos, nav->NextOpenWithTag(pos, tag, &blocks_skipped));
+    if (!pos.has_value()) break;
+    hits.push_back(*pos);
   }
-  if (!root_pattern.wildcard &&
-      store->CountTag(want) * 2 <= store->stats().node_count) {
-    std::vector<Pos> hits;
-    uint64_t blocks_skipped = 0;
-    std::optional<Pos> pos;
-    for (;;) {
-      NOK_ASSIGN_OR_RETURN(pos,
-                           nav->NextOpenWithTag(pos, want, &blocks_skipped));
-      if (!pos.has_value()) break;
-      hits.push_back(*pos);
-    }
-    nav->CountSteps(hits.size(), blocks_skipped);
-    return DeweysForHits(nav, hits,
-                         typename Nav::NodeT{nav->Root(), DeweyId::Root(),
-                                             false});
-  }
-
-  DeweyCounter deweys;
-  NOK_RETURN_IF_ERROR(
-      nav->VisitNodes([&](const Pos& pos, int level, TagId tag) {
-        const std::vector<uint32_t>& path =
-            deweys.Next(static_cast<size_t>(level));
-        if (root_pattern.wildcard || tag == want) {
-          out.push_back({pos, DeweyId(path), false});
-        }
-      }));
-  return out;
+  nav->CountSteps(hits.size(), blocks_skipped);
+  return LocateScanHits(nav, store, hits);
 }
 
-/// The ScopedScan operator's body: the nodes satisfying the NoK root's
-/// name test strictly inside the subtrees of `scope` (KeepOutermost).
-/// Each source, a scout match that carries its position, is scanned with
-/// the tier's tag-filtered step up to its own close; the hits' Dewey IDs
-/// come from a descent rooted at the source.  A wildcard root takes
-/// every node.
+/// The ScopedScan operator's body: the nodes tagged `tag` (every node for
+/// kInvalidTag) strictly inside the subtrees of `scope` (KeepOutermost,
+/// so the hits of all sources are ascending together).  Each source, a
+/// scout match that carries its position, is scanned with the tier's
+/// tag-filtered step up to its own close; LocateScanHits names the hits.
 template <typename Nav>
 Result<std::vector<typename Nav::NodeT>> ScopedScan(
-    Nav* nav, const std::vector<typename Nav::NodeT>& scope,
-    const PatternNode& root_pattern, TagId want) {
+    Nav* nav, DocumentStore* store,
+    const std::vector<typename Nav::NodeT>& scope, TagId tag) {
   using NodeT = typename Nav::NodeT;
   using Pos = typename Nav::Pos;
-  std::vector<NodeT> out;
-  if (!root_pattern.wildcard && want == kInvalidTag) {
-    return out;  // Tag absent: no matches anywhere.
-  }
-  const TagId tag = root_pattern.wildcard ? kInvalidTag : want;
   std::vector<Pos> hits;
   for (const NodeT& source : scope) {
     NOK_ASSIGN_OR_RETURN(auto bound, nav->SubtreeBound(source.pos));
-    hits.clear();
+    const size_t before = hits.size();
     uint64_t blocks_skipped = 0;
     std::optional<Pos> pos = source.pos;
     for (;;) {
@@ -481,12 +392,9 @@ Result<std::vector<typename Nav::NodeT>> ScopedScan(
       if (!pos.has_value()) break;
       hits.push_back(*pos);
     }
-    nav->CountSteps(hits.size() + 1, blocks_skipped);  // +1: the bound.
-    NOK_ASSIGN_OR_RETURN(std::vector<NodeT> nodes,
-                         DeweysForHits(nav, hits, source));
-    for (NodeT& node : nodes) out.push_back(std::move(node));
+    nav->CountSteps(hits.size() - before + 1, blocks_skipped);  // +1: bound.
   }
-  return out;
+  return LocateScanHits(nav, store, hits);
 }
 
 /// Tier node -> NodeMatch: its Dewey ID, or the virtual root.
@@ -516,27 +424,22 @@ class BpNav {
     return NodeT{bp_pos, std::move(dewey), false};
   }
 
-  Pos Root() const { return 0; }
-  Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return bp_->FirstChild(pos);
-  }
-  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return bp_->FollowingSibling(pos);
-  }
-  /// BP bit positions number the opens in document order.
-  uint64_t Order(Pos pos) const { return pos; }
-  Result<uint64_t> SubtreeEnd(Pos pos) { return bp_->FindClose(pos); }
+  /// Its own open bit, as At's inverse.
+  uint64_t BpPos(Pos pos) const { return pos; }
 
   /// SWAR tag scan: 64-node blocks without the tag are dismissed in 16
-  /// word compares and added to *blocks_skipped.
+  /// word compares and added to *blocks_skipped.  It is NextInSubtree
+  /// bounded by the end of the bits.
   Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
                                              TagId tag,
                                              uint64_t* blocks_skipped) {
     if (!after.has_value()) {
-      if (bp_->TagAt(0) == tag) return std::optional<Pos>(0);
+      if (tag == kInvalidTag || bp_->TagAt(0) == tag) {
+        return std::optional<Pos>(0);
+      }
       after = 0;
     }
-    return bp_->NextOpenWithTag(*after, tag, blocks_skipped);
+    return NextInSubtree(*after, bp_->bit_count(), tag, blocks_skipped);
   }
 
   /// A subtree is bounded by its root's close bit (one FindClose).
@@ -550,25 +453,6 @@ class BpNav {
     std::optional<Pos> next = bp_->NextOpen(after);
     if (next.has_value() && *next >= close) next.reset();
     return next;
-  }
-
-  /// One pass over the raw bits: the running depth gives every open's
-  /// level with no rank/select calls.
-  template <typename Visit>
-  Status VisitNodes(Visit&& visit) {
-    uint64_t rank = 0;
-    int level = 0;
-    const uint64_t n_bits = bp_->bit_count();
-    for (Pos pos = 0; pos < n_bits; ++pos) {
-      if (!bp_->IsOpen(pos)) {
-        --level;
-        continue;
-      }
-      ++level;
-      visit(pos, level, bp_->TagAtRank(rank++));
-    }
-    CountSteps(bp_->node_count());
-    return Status::OK();
   }
 
   void CountSteps(uint64_t steps, uint64_t tag_blocks_skipped = 0) {
@@ -611,25 +495,25 @@ class PagedNav {
   /// Page accesses of this run (its share of NavStats::pages_scanned).
   uint64_t pages_scanned() const { return nav_.pages_scanned(); }
 
-  Pos Root() const { return tree_->RootPos(); }
-  Result<std::optional<Pos>> FirstChild(Pos pos) {
-    return nav_.FirstChild(pos);
-  }
-  Result<std::optional<Pos>> FollowingSibling(Pos pos) {
-    return nav_.FollowingSibling(pos);
-  }
-  uint64_t Order(Pos pos) const { return tree_->GlobalPos(pos); }
-  Result<uint64_t> SubtreeEnd(Pos pos) { return nav_.SubtreeEndGlobal(pos); }
+  /// The BP position of a page-chain node (DocumentStore::BpPosOf), no
+  /// page read.
+  uint64_t BpPos(Pos pos) const { return store_->BpPosOf(pos); }
 
-  /// Next open symbol with `tag` after `after`, or from the document
-  /// start (root included) when `after` is empty.
+  /// Next open symbol with `tag` (any tag for kInvalidTag) after
+  /// `after`, or from the document start (root included) when `after` is
+  /// empty.
   Result<std::optional<Pos>> NextOpenWithTag(std::optional<Pos> after,
                                              TagId tag, uint64_t*) {
-    if (after.has_value()) return nav_.NextOpenWithTag(*after, tag);
-    const Pos root = tree_->RootPos();
-    NOK_ASSIGN_OR_RETURN(TagId root_tag, nav_.TagAt(root));
-    if (root_tag == tag) return std::optional<Pos>(root);
-    return nav_.NextOpenWithTag(root, tag);
+    if (!after.has_value()) {
+      const Pos root = tree_->RootPos();
+      NOK_ASSIGN_OR_RETURN(TagId root_tag, nav_.TagAt(root));
+      if (tag == kInvalidTag || root_tag == tag) {
+        return std::optional<Pos>(root);
+      }
+      after = root;
+    }
+    if (tag == kInvalidTag) return nav_.NextOpen(*after);
+    return nav_.NextOpenWithTag(*after, tag);
   }
 
   /// A subtree is bounded by its root's level: the scan stops at the
@@ -639,18 +523,6 @@ class PagedNav {
   Result<std::optional<Pos>> NextInSubtree(Pos after, Bound root_level,
                                            TagId tag, uint64_t*) {
     return nav_.NextOpenInSubtree(after, tag, root_level);
-  }
-
-  template <typename Visit>
-  Status VisitNodes(Visit&& visit) {
-    std::optional<Pos> pos = tree_->RootPos();
-    while (pos.has_value()) {
-      NOK_ASSIGN_OR_RETURN(int level, nav_.LevelAt(*pos));
-      NOK_ASSIGN_OR_RETURN(TagId tag, nav_.TagAt(*pos));
-      visit(*pos, level, tag);
-      NOK_ASSIGN_OR_RETURN(pos, nav_.NextOpen(*pos));
-    }
-    return Status::OK();
   }
 
   /// Paged work is counted as page accesses by the navigator itself.
@@ -1206,22 +1078,26 @@ class PlanRun {
       trace_->operators.push_back(std::move(scan));
       return Status::OK();
     }
-    const PatternNode& root = *tree.nodes[0].pattern;
     if (access.strategy == StartStrategy::kScan) {
       OperatorStats scan =
           Op(scoped ? "ScopedScan" : "AnchorScan", tree_id, access.display);
       scan.has_estimate = true;
       scan.estimated = access.cardinality.candidates;
       OpTimer scan_timer(store_);
-      if (scoped) {
-        scan.rows_in = scope_[t].size();
-        NOK_ASSIGN_OR_RETURN(
-            *candidates, ScopedScan(nav_, scope_[t], root,
-                                    ResolvedTag(tag_table_, &root)));
-      } else {
-        NOK_ASSIGN_OR_RETURN(
-            *candidates, ScanCandidates(nav_, store_, root,
-                                        ResolvedTag(tag_table_, &root)));
+      if (scoped) scan.rows_in = scope_[t].size();
+      // The NoK root's name test: any tag for a wildcard, and nothing for
+      // a name absent from the document (resolved to kInvalidTag).
+      const PatternNode& root = *tree.nodes[0].pattern;
+      const TagId want = ResolvedTag(tag_table_, &root);
+      if (root.wildcard || want != kInvalidTag) {
+        const TagId tag = root.wildcard ? kInvalidTag : want;
+        if (scoped) {
+          NOK_ASSIGN_OR_RETURN(*candidates,
+                               ScopedScan(nav_, store_, scope_[t], tag));
+        } else {
+          NOK_ASSIGN_OR_RETURN(*candidates,
+                               ScanCandidates(nav_, store_, tag));
+        }
       }
       scan.rows_out = candidates->size();
       scan_timer.Finish(&scan);

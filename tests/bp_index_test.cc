@@ -531,7 +531,40 @@ TEST(BpIndexTest, TagProbesMatchANaivePreorderWalk) {
       EXPECT_GE(steps, expect.positions.size());
       EXPECT_LE(steps, expect.positions.size() * static_cast<uint64_t>(
                                                      max_depth));
+      // LocateRanks is a Select1 per rank, then LocatePositions.
+      uint64_t enclose_steps = 0;
+      std::vector<std::string> by_position;
+      for (const LocatedNode& hit :
+           bp.LocatePositions(expect.positions, &enclose_steps)) {
+        by_position.push_back(hit.dewey.ToString());
+      }
+      EXPECT_EQ(by_position, expect.deweys);
+      EXPECT_EQ(enclose_steps + expect.positions.size(), steps);
     }
+    // Every node at once, as a wildcard scan names them.
+    std::map<uint64_t, std::string> every;
+    for (const auto& [tag, hits] : want) {
+      for (size_t i = 0; i < hits.positions.size(); ++i) {
+        every[hits.positions[i]] = hits.deweys[i];
+      }
+    }
+    ASSERT_EQ(every.size(), bp.node_count());
+    std::vector<uint64_t> all_positions;
+    std::vector<std::string> all_deweys;
+    for (const auto& [pos, dewey] : every) {
+      all_positions.push_back(pos);
+      all_deweys.push_back(dewey);
+    }
+    uint64_t all_steps = 0;
+    std::vector<std::string> located_all;
+    for (const LocatedNode& hit :
+         bp.LocatePositions(all_positions, &all_steps)) {
+      located_all.push_back(hit.dewey.ToString());
+    }
+    EXPECT_EQ(located_all, all_deweys);
+    // Consecutive opens share all but their last level: one Enclose
+    // each at most.
+    EXPECT_LE(all_steps, bp.node_count());
     // A TagId past every node's tag has no hits.
     uint64_t steps = 0;
     EXPECT_TRUE(bp.RanksWithTag(60000).empty());

@@ -790,5 +790,86 @@ TEST(WideRootTest, ProbeHitsArriveAtTheirBpPositions) {
   std::filesystem::remove_all(dir);
 }
 
+/// <r> holding six sections of 60 <a>s, each <a> holding two <b>s and
+/// every twentieth one a <c>.  Sections 0 and 3 are <t>, the others <s>,
+/// so `//t//...` runs top-down.  <b> is on two thirds of the nodes, <c>
+/// on 18.
+std::string SectionsXml() {
+  std::string xml = "<r>";
+  for (int s = 0; s < 6; ++s) {
+    const std::string tag = s % 3 == 0 ? "t" : "s";
+    xml += "<" + tag + "><k>k</k>";
+    for (int i = 0; i < 60; ++i) {
+      xml += "<a><b>" + std::to_string(i) + "</b><b>x</b>";
+      if (i % 20 == 7) xml += "<c>c</c>";
+      xml += "</a>";
+    }
+    xml += "</" + tag + ">";
+  }
+  return xml + "</r>";
+}
+
+struct ScanCase {
+  const char* query;
+  const char* op;  ///< The scan that must produce the hits.
+};
+
+const ScanCase kScanCases[] = {
+    {"//c", "AnchorScan"},      // A rare tag.
+    {"//b", "AnchorScan"},      // A tag on more than half the nodes.
+    {"//*", "AnchorScan"},      // Every node.
+    {"//t//b", "ScopedScan"},   // Scoped by a top-down arc's scout.
+};
+
+// Forced scans name their hits on the BP index, so in paged mode they
+// read each chain page once, plus one access per step (each re-reads the
+// page the step before it stopped on): an AnchorScan at most chain +
+// hits + 1 (the last, empty step), a ScopedScan at most chain + hits + 2
+// per source (its last step, and a page it may share with the source
+// before it).
+TEST(ScanHitsTest, ForcedScansMatchTheOracleAndReadEachPageOnce) {
+  const std::string xml = SectionsXml();
+  auto dom = DomTree::Parse(xml);
+  ASSERT_TRUE(dom.ok());
+  std::vector<std::vector<std::string>> wants;
+  for (const ScanCase& c : kScanCases) {
+    auto want = OracleEvaluateDewey(c.query, *dom);
+    ASSERT_TRUE(want.ok()) << c.query;
+    EXPECT_FALSE(want->empty()) << c.query;
+    wants.push_back(DeweyStrings(*want));
+  }
+  for (const NavMode mode : {NavMode::kPaged, NavMode::kBp}) {
+    DocumentStore::Options store_options;
+    store_options.page_size = 128;
+    store_options.nav_mode = mode;
+    auto store = DocumentStore::Build(xml, store_options);
+    ASSERT_TRUE(store.ok()) << store.status().ToString();
+    QueryEngine engine(store->get());
+    QueryOptions options;
+    options.strategy = StartStrategy::kScan;
+    const uint64_t chain = (*store)->tree()->chain_length();
+    for (size_t i = 0; i < std::size(kScanCases); ++i) {
+      const ScanCase& c = kScanCases[i];
+      SCOPED_TRACE(std::string(c.query) +
+                   (mode == NavMode::kBp ? " bp" : " paged"));
+      auto got = engine.Evaluate(c.query, options);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(DeweyStrings(*got), wants[i]);
+      bool scanned = false;
+      for (const OperatorStats& op : engine.last_trace().operators) {
+        scanned = scanned || op.op == c.op;
+        if (mode != NavMode::kPaged) continue;
+        if (op.op == "AnchorScan") {
+          EXPECT_LE(op.pages, chain + op.rows_out + 1) << op.detail;
+        } else if (op.op == "ScopedScan") {
+          EXPECT_LE(op.pages, chain + op.rows_out + 2 * op.rows_in)
+              << op.detail;
+        }
+      }
+      EXPECT_TRUE(scanned) << "no " << c.op;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace nok
